@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race bench bench-route bench-policy bench-locusd bench-partition bench-reqtrace smoke-partition paper
+.PHONY: verify build test race loc bench bench-route bench-policy bench-locusd bench-partition bench-reqtrace smoke-partition paper
 
 verify: ## build, vet, full tests, and race-test the concurrent packages
 	$(GO) build ./...
@@ -21,6 +21,15 @@ test:
 # list in `verify`; CI runs it as its own job.
 race:
 	$(GO) test -race ./...
+
+# Non-test Go LoC of the serving stack, per package and in total:
+# ROADMAP's "net non-test LoC going down" as one command.
+LOC_PKGS = internal/locusd internal/policy internal/wire internal/backend pkg/locusroute
+loc:
+	@for d in $(LOC_PKGS); do \
+		printf '%-18s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done
+	@printf '%-18s %6d\n' total $$(find $(LOC_PKGS) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 # Routing-kernel allocation benchmarks; compare against BENCH_route.json.
 bench-route:

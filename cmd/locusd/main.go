@@ -43,9 +43,8 @@
 // immutable; only the sequential backend adopts them into the store.
 //
 // On startup each circuit is routed once through the selected backend;
-// the resulting cost array seeds the serving replicas. Endpoints
-// (canonical under /v1/; the unversioned aliases answer identically
-// with a Deprecation header):
+// the resulting cost array seeds the serving replicas. Endpoints (the
+// API lives under /v1/ only):
 //
 //	POST   /v1/route            {"circuit","pins":[[x,y],...],"commit","deadline_ms"}
 //	GET    /v1/circuits         served circuits and their baseline quality
@@ -63,7 +62,7 @@
 // protocol (internal/wire) on a raw TCP listener, funneling into the
 // same request core; cmd/locusload drives either transport.
 //
-// SIGINT/SIGTERM begins a graceful drain: /healthz flips to 503 (so load
+// SIGINT/SIGTERM begins a graceful drain: /v1/healthz flips to 503 (so load
 // balancers stop sending), new routes are refused, in-flight requests
 // complete, and the process exits cleanly.
 package main

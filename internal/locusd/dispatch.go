@@ -5,68 +5,83 @@ import (
 	"time"
 
 	"locusroute/internal/policy"
+	"locusroute/internal/reqtrace"
 	"locusroute/internal/route"
 )
 
 // This file is the dispatch stage of the request path: how admitted
-// requests become batches on a serving shard. Two disciplines exist
-// side by side:
+// requests become batches on a serving shard. There is one discipline:
+// every shard runs shardLoop over a policy.EDFQueue. What the queue is
+// keyed on is the only thing the scheduler changes:
 //
-//   - batchLoop (default): each shard owns a FIFO queue fed round-robin;
-//     the first arrival opens the batch window and arrivals are
-//     evaluated in arrival order.
-//   - edfLoop (policy.Sched enabled): shards pull from one deadline-
-//     ordered queue per circuit; the window still bounds latency but
-//     the batch is popped in earliest-deadline-first order, and a full
-//     admission gate preempts the slackest queued request instead of
-//     shedding the arrival (preempt).
+//   - Scheduler off (default): each shard owns a private queue fed
+//     round-robin and keyed on arrival time, so a batch pops in arrival
+//     order — FIFO is EDF with arrival as the criticality.
+//   - policy.Sched enabled: a circuit's shards share one queue keyed on
+//     the request deadline, so a batch pops earliest-deadline-first, and
+//     a full admission gate preempts the slackest queued request instead
+//     of shedding the arrival (preempt).
 
-// batchLoop drains one shard's FIFO queue: the first arrival opens a
-// batch, the window (or MaxBatch, or drain) closes it, and the batch is
-// evaluated under the pool.
-func (s *Server) batchLoop(sc *servedCircuit, sh *shard) {
+// shardLoop turns one shard's queue into batches: the first arrival
+// opens the batch window, the window (or MaxBatch, or drain) closes it,
+// and the batch is evaluated under the pool. Requests stay queued until
+// the window closes — that is what keeps them visible to preempt — and
+// PopBatch hands them over already in queue order, so the shard commits
+// the most critical (or earliest) work first. Mutation deltas are folded
+// into the replica whenever the loop is not evaluating; only this loop
+// touches sh.arr, so no lock is needed.
+func (s *Server) shardLoop(sc *servedCircuit, sh *shard) {
 	defer s.loops.Done()
+	q := sh.queue
 	for {
-		var first *pending
-		select {
-		case first = <-sh.queue:
-		case u := <-sh.updates:
-			// Idle shard: fold the mutation delta into the replica now.
-			// Only this loop touches sh.arr, so no lock is needed.
-			sh.apply(u)
-			continue
-		case <-sc.stop:
-			// Evicted: EvictCircuit waited out the circuit's in-flight
-			// requests before closing stop, so the queue is empty.
-			return
-		case <-s.stop:
-			// Drain: evaluate whatever is still queued, then exit.
-			for {
-				select {
-				case p := <-sh.queue:
-					s.cfg.Pool.Run(func() { s.process(sh, sc, []*pending{p}) })
-				default:
+		if q.Len() == 0 {
+			select {
+			case <-q.C():
+			case u := <-sh.updates:
+				sh.apply(u)
+				continue
+			case <-sc.stop:
+				// Evicted: EvictCircuit waited out the circuit's in-flight
+				// requests before closing stop, so nothing is queued.
+				return
+			case <-s.stop:
+				// Drain: Close waited out every admitted request before
+				// closing stop, so the queue cannot grow again. Anything
+				// still queued takes the normal path below, where the
+				// closed stop channel collapses the window.
+				if q.Len() == 0 {
 					return
 				}
 			}
 		}
-		batch := []*pending{first}
+		// First arrival seen: open the window. More arrivals only bump
+		// the wake channel; the queue orders them. The loop condition
+		// re-checks the queue depth before every wait: a burst of >=
+		// MaxBatch pushes coalesces into the single buffered wake (often
+		// consumed by the empty-queue wait above), so waiting for another
+		// signal would sleep the whole window with a full batch already
+		// queued.
 		timer := time.NewTimer(s.cfg.BatchWindow)
-	collect:
-		for len(batch) < s.cfg.MaxBatch {
+	window:
+		for q.Len() < s.cfg.MaxBatch {
 			select {
-			case p := <-sh.queue:
-				batch = append(batch, p)
+			case <-timer.C:
+				break window
 			case u := <-sh.updates:
 				sh.apply(u)
-			case <-timer.C:
-				break collect
 			case <-s.stop:
-				break collect
+				break window
+			case <-q.C():
 			}
 		}
 		timer.Stop()
 		sh.drainUpdates()
+		batch := q.PopBatch(s.cfg.MaxBatch)
+		if len(batch) == 0 {
+			// The wave was consumed by a sibling or evicted by preempt.
+			continue
+		}
+		s.chain.Sched().NoteBatch()
 		s.cfg.Pool.Run(func() { s.process(sh, sc, batch) })
 	}
 }
@@ -96,88 +111,6 @@ func (sh *shard) drainUpdates() {
 	}
 }
 
-// edfLoop pulls deadline-ordered batches from the circuit's shared
-// queue. Requests stay in the queue until the window closes — that is
-// what keeps them visible to preempt — and PopBatch hands them over
-// already in earliest-deadline-first order, so the shard commits the
-// most critical work first.
-func (s *Server) edfLoop(sc *servedCircuit, sh *shard) {
-	defer s.loops.Done()
-	q := sc.queue
-	for {
-		if q.Len() == 0 {
-			select {
-			case <-q.C():
-			case u := <-sh.updates:
-				sh.apply(u)
-				continue
-			case <-sc.stop:
-				// Evicted after the circuit's in-flight requests drained;
-				// nothing is queued.
-				return
-			case <-s.stop:
-				s.drainEDF(sc, sh)
-				return
-			}
-		}
-		// First arrival seen: open the window. More arrivals only bump
-		// the wake channel; the queue orders them. The loop condition
-		// re-checks the queue depth before every wait: a burst of >=
-		// MaxBatch pushes coalesces into the single buffered wake (often
-		// consumed by the empty-queue wait above), so waiting for another
-		// signal would sleep the whole window with a full batch already
-		// queued.
-		timer := time.NewTimer(s.cfg.BatchWindow)
-	window:
-		for q.Len() < s.cfg.MaxBatch {
-			select {
-			case <-timer.C:
-				break window
-			case u := <-sh.updates:
-				sh.apply(u)
-			case <-s.stop:
-				break window
-			case <-q.C():
-			}
-		}
-		timer.Stop()
-		sh.drainUpdates()
-		batch := q.PopBatch(s.cfg.MaxBatch)
-		if q.Len() > 0 {
-			// Partial drain: re-arm the wake channel so a sibling shard
-			// (or the next lap) picks up the remainder.
-			q.Signal()
-		}
-		if len(batch) == 0 {
-			// The wave was consumed by a sibling or evicted by preempt.
-			continue
-		}
-		s.chain.Sched().NoteBatch()
-		pend := make([]*pending, len(batch))
-		for i, it := range batch {
-			pend[i] = it.Value.(*pending)
-		}
-		s.cfg.Pool.Run(func() { s.process(sh, sc, pend) })
-	}
-}
-
-// drainEDF evaluates everything still queued at shutdown. Close waits
-// for in-flight requests before closing stop, so the queue cannot grow
-// underneath the drain.
-func (s *Server) drainEDF(sc *servedCircuit, sh *shard) {
-	for {
-		batch := sc.queue.PopBatch(s.cfg.MaxBatch)
-		if len(batch) == 0 {
-			return
-		}
-		pend := make([]*pending, len(batch))
-		for i, it := range batch {
-			pend[i] = it.Value.(*pending)
-		}
-		s.cfg.Pool.Run(func() { s.process(sh, sc, pend) })
-	}
-}
-
 // preempt implements least-critical-first shedding: with the gate full,
 // find the queued request with the slackest deadline across all served
 // circuits and, if it is strictly less critical than the arrival,
@@ -196,16 +129,10 @@ func (s *Server) preempt(deadline time.Time) bool {
 	for lap := 0; lap < 2; lap++ {
 		var victimQ *policy.EDFQueue
 		var slackest time.Time
-		s.mu.RLock()
-		queues := make([]*policy.EDFQueue, 0, len(s.names))
-		for _, name := range s.names {
-			queues = append(queues, s.circuits[name].queue)
-		}
-		s.mu.RUnlock()
-		for _, q := range queues {
-			if d, ok := q.SlackestDeadline(); ok {
+		for _, sc := range s.served() {
+			if d, ok := sc.queue.SlackestDeadline(); ok {
 				if victimQ == nil || policy.DeadlineLess(slackest, d) {
-					victimQ, slackest = q, d
+					victimQ, slackest = sc.queue, d
 				}
 			}
 		}
@@ -229,7 +156,7 @@ func (s *Server) preempt(deadline time.Time) bool {
 			s.met.shed++
 			s.met.evicted++
 			s.met.mu.Unlock()
-			victim.done <- outcome{err: fmt.Errorf("%w (slack %v lost to a tighter deadline)",
+			victim.done <- outcome{oc: reqtrace.OutcomeEvicted, err: fmt.Errorf("%w (slack %v lost to a tighter deadline)",
 				policy.ErrEvicted, time.Until(it.Deadline).Round(time.Millisecond))}
 		}
 		// else: the victim's caller already gave up; its own goroutine
@@ -247,51 +174,40 @@ func (s *Server) preempt(deadline time.Time) bool {
 // the routing scratch is borrowed from the server's grid-keyed pool
 // for the batch and returned afterwards, so the per-request cost stays
 // at the reused-scratch allocation floor (see backend.ScratchPool).
-// EDF batches arrive deadline-ordered; FIFO batches arrive in arrival
-// order — either way BatchIndex records the commit order.
-func (s *Server) process(sh *shard, sc *servedCircuit, batch []*pending) {
+// The batch arrives in queue order — deadline order under the scheduler,
+// arrival order without it — and BatchIndex records that commit order.
+func (s *Server) process(sh *shard, sc *servedCircuit, batch []*policy.Item) {
 	view := route.ArrayView{A: sh.arr}
 	scratch := s.scratch.Get(sc.grid)
 	defer s.scratch.Put(sc.grid, scratch)
 	tr := s.cfg.Tracer
 	batchStart := tr.Now() // 0 when tracing is disabled
-	for i, p := range batch {
+	for i, it := range batch {
+		p := it.Value.(*pending)
 		if p.ctx.Err() != nil {
 			// The waiter usually counted this expiry already (ctx.Done
 			// fires for it too); countExpired keeps the tally at one.
 			s.countExpired(p)
-			p.done <- outcome{err: ErrDeadline}
+			p.done <- outcome{oc: reqtrace.OutcomeExpired, err: ErrDeadline}
 			continue
 		}
 		wait := time.Since(p.enqueued)
-		// Stage stamps ride the done channel back to the waiter; the
-		// shard never touches p.span (the waiter may have abandoned or
-		// finished it already — p.traced is the immutable mirror).
-		// batchStart is shared by the whole batch — request i's batch
-		// stage is the time earlier members spent routing.
-		traced := p.traced
-		var t [4]int64
-		if traced {
-			t[0] = batchStart
-			t[1] = tr.Now()
-		}
+		// Stage stamps ride the done channel back to the waiter, who owns
+		// the span (tr.Now is 0 with tracing disabled). batchStart is
+		// shared by the whole batch — request i's batch stage is the time
+		// earlier members spent routing.
+		t := [4]int64{batchStart, tr.Now()}
 		ev := scratch.RouteWire(view, &p.req.Wire, s.cfg.Router)
-		if traced {
-			t[2] = tr.Now()
-			t[3] = t[2] // no commit: the commit stage charges zero
-		}
-		committed := false
+		t[2] = tr.Now()
+		t[3] = t[2] // no commit: the commit stage charges zero
 		if p.req.Commit {
 			route.Commit(view, ev.Path)
 			sc.epoch.Add(1)
-			committed = true
-			if traced {
-				t[3] = tr.Now()
-			}
+			t[3] = tr.Now()
 		}
 		s.met.mu.Lock()
 		s.met.served++
-		if committed {
+		if p.req.Commit {
 			s.met.committed++
 		}
 		s.met.batchSize.Observe(int64(len(batch)))
@@ -307,9 +223,9 @@ func (s *Server) process(sh *shard, sc *servedCircuit, batch []*pending) {
 			CellsExamined: ev.CellsExamined,
 			BatchSize:     len(batch),
 			BatchIndex:    i,
-			Committed:     committed,
+			Committed:     p.req.Commit,
 			WaitMicros:    wait.Microseconds(),
-		}, t: t, traced: traced}
+		}, t: t}
 	}
 }
 
@@ -329,10 +245,5 @@ func (s *Server) RetryAfterSeconds() int {
 	if windows < 1 {
 		windows = 1
 	}
-	d := time.Duration(windows) * s.cfg.BatchWindow
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	return ceilSeconds(time.Duration(windows) * s.cfg.BatchWindow)
 }

@@ -14,13 +14,13 @@ import (
 	"sync"
 	"time"
 
-	"locusroute/internal/backend"
 	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
 	"locusroute/internal/obs"
 	"locusroute/internal/policy"
 	"locusroute/internal/reqtrace"
 	"locusroute/internal/store"
+	"locusroute/internal/wire"
 )
 
 // RequestIDHeader carries the request id on both directions of the HTTP
@@ -29,7 +29,7 @@ import (
 // is enabled — on errors too, so a 429 remains attributable.
 const RequestIDHeader = "X-Locus-Request-Id"
 
-// routeBody is the POST /route request document.
+// routeBody is the POST /v1/route request document.
 type routeBody struct {
 	// Circuit names a preloaded circuit (required).
 	Circuit string `json:"circuit"`
@@ -52,8 +52,8 @@ type errorBody struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// Handler returns the service's HTTP API. The canonical surface lives
-// under the /v1 prefix:
+// Handler returns the service's HTTP API. The API lives under the /v1
+// prefix and nowhere else:
 //
 //	POST   /v1/route           route one wire         -> RouteResponse
 //	GET    /v1/circuits        served circuits        -> circuitsDoc
@@ -63,29 +63,20 @@ type errorBody struct {
 //	GET    /v1/healthz         liveness + drain state -> healthDoc (503 draining)
 //	GET    /v1/metrics         Prometheus text exposition
 //
-// The original unversioned paths (/route, /circuits, /healthz,
-// /metrics) remain as aliases answering byte-identical bodies, marked
-// with a Deprecation header and a Link to their successor; the
-// lifecycle endpoints are /v1-only — they postdate the versioned
-// surface, so no unversioned spelling ever existed. Debug endpoints
-// stay unversioned (they are operator surface, not API):
+// Debug endpoints stay unversioned (they are operator surface, not API):
 //
 //	GET  /debug/vars   counters + histograms as stable-order JSON
 //	GET  /debug/trace  live request-trace capture (Chrome trace JSON)
 //	GET  /debug/pprof/ net/http/pprof (only with Config.EnablePProf)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	versioned := func(path string, h http.HandlerFunc) {
-		mux.HandleFunc("/v1"+path, h)
-		mux.HandleFunc(path, deprecated("/v1"+path, h))
-	}
-	versioned("/route", s.handleRoute)
-	versioned("/circuits", s.handleCircuits)
-	versioned("/healthz", s.handleHealthz)
-	versioned("/metrics", s.handleMetrics)
+	mux.HandleFunc("POST /v1/route", s.handleRoute)
+	mux.HandleFunc("GET /v1/circuits", s.handleCircuits)
 	mux.HandleFunc("POST /v1/circuits/{name}", s.handleCircuitUpload)
 	mux.HandleFunc("DELETE /v1/circuits/{name}", s.handleCircuitEvict)
 	mux.HandleFunc("POST /v1/mutate", s.handleMutate)
+	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/vars", s.handleVars)
 	mux.HandleFunc("/debug/trace", s.handleTrace)
 	if s.cfg.EnablePProf {
@@ -98,43 +89,35 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// deprecated wraps a legacy unversioned handler: same handler, same
-// bytes, plus the deprecation headers (RFC 8594 style) pointing at the
-// /v1 spelling.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-		h(w, r)
+// readBody decodes a request document into body, answering 400 itself
+// when it cannot; it reports whether the handler should go on.
+func readBody(w http.ResponseWriter, r *http.Request, body any) bool {
+	err := json.NewDecoder(r.Body).Decode(body)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 	}
+	return err == nil
+}
+
+// points converts a document's [x, y] pairs.
+func points(pins [][2]int) []geom.Point {
+	var pts []geom.Point
+	for _, p := range pins {
+		pts = append(pts, geom.Pt(p[0], p[1]))
+	}
+	return pts
 }
 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST /route"})
-		return
-	}
 	var body routeBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+	if !readBody(w, r, &body) {
 		return
 	}
-	wire := circuit.Wire{ID: body.Wire}
-	for _, p := range body.Pins {
-		wire.Pins = append(wire.Pins, geom.Pt(p[0], p[1]))
-	}
-	// An explicit deadline_ms bounds the request here; otherwise Route
-	// applies the server's default, the same as for any embedder.
-	ctx := r.Context()
-	if body.DeadlineMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.DeadlineMillis)*time.Millisecond)
-		defer cancel()
-	}
-
+	ctx, cancel := withDeadline(r.Context(), body.DeadlineMillis)
+	defer cancel()
 	resp, err := s.Route(ctx, RouteRequest{
 		Circuit: body.Circuit,
-		Wire:    wire,
+		Wire:    circuit.Wire{ID: body.Wire, Pins: points(body.Pins)},
 		Commit:  body.Commit,
 		Client:  clientIdentity(r),
 		TraceID: r.Header.Get(RequestIDHeader),
@@ -149,36 +132,81 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// withDeadline bounds ctx by a request's explicit deadline_ms on either
+// transport; without one Route applies the server's default, the same
+// as for any embedder.
+func withDeadline(ctx context.Context, millis int64) (context.Context, context.CancelFunc) {
+	if millis <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, time.Duration(millis)*time.Millisecond)
+}
+
 // clientIdentity is the rate limiter's caller key: the X-Client header
 // when present, else the remote host.
 func clientIdentity(r *http.Request) string {
 	if c := r.Header.Get("X-Client"); c != "" {
 		return c
 	}
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host
-	}
-	return r.RemoteAddr
+	return hostOf(r.RemoteAddr)
 }
 
-// writeError maps a service error to its HTTP response, attaching the
-// Retry-After contract on backpressure codes: gate sheds and criticality
-// evictions report the estimated backlog drain time (queue state, not a
-// constant), rate limits report the client's token refill time, and an
-// open breaker reports its cooldown remainder.
+// hostOf strips the port from a remote address — the default client
+// identity on both transports.
+func hostOf(addr string) string {
+	if host, _, err := net.SplitHostPort(addr); err == nil {
+		return host
+	}
+	return addr
+}
+
+// writeError renders a service error as its HTTP response: the code and
+// the Retry-After header both come from classify, the one error table
+// the binary transport answers from too.
 func (s *Server) writeError(w http.ResponseWriter, err error, requestID string) {
-	code := statusFor(err)
+	status, retryAfter := s.classify(err)
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+	}
+	writeJSON(w, status.HTTPStatus(), errorBody{Error: err.Error(), RequestID: requestID})
+}
+
+// classify is the service's one error→status table: the protocol status
+// both transports report for a service, store or policy error (HTTP
+// through wire.Status.HTTPStatus) and the Retry-After seconds a
+// backpressure status owes the client, 0 for none — the estimated
+// backlog drain time for gate sheds and criticality evictions (queue
+// state, not a constant), the token refill time for a rate limit, the
+// cooldown remainder for an open breaker. Anything unrecognised —
+// validation errors above all — is a bad request.
+func (s *Server) classify(err error) (status wire.Status, retryAfterSeconds int) {
 	var rle *policy.RateLimitedError
 	var boe *policy.BreakerOpenError
 	switch {
-	case errors.Is(err, ErrShed) || errors.Is(err, policy.ErrEvicted):
-		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfterSeconds()))
+	case errors.Is(err, ErrShed), errors.Is(err, policy.ErrEvicted):
+		return wire.StatusShed, s.RetryAfterSeconds()
 	case errors.As(err, &rle):
-		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(rle.RetryAfter)))
+		return wire.StatusRateLimited, ceilSeconds(rle.RetryAfter)
 	case errors.As(err, &boe):
-		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(boe.RetryAfter)))
+		return wire.StatusBreakerOpen, ceilSeconds(boe.RetryAfter)
+	case errors.Is(err, policy.ErrRateLimited):
+		return wire.StatusRateLimited, 0
+	case errors.Is(err, policy.ErrBreakerOpen):
+		return wire.StatusBreakerOpen, 0
+	case errors.Is(err, ErrDraining):
+		return wire.StatusDraining, 0
+	case errors.Is(err, ErrDeadline):
+		return wire.StatusDeadline, 0
+	case errors.Is(err, policy.ErrDeadlineInfeasible):
+		return wire.StatusInfeasible, 0
+	case errors.Is(err, ErrUnknownCircuit), errors.Is(err, store.ErrUnknown):
+		return wire.StatusUnknownCircuit, 0
+	case errors.Is(err, ErrCircuitExists), errors.Is(err, ErrImmutable):
+		return wire.StatusConflict, 0
+	case errors.Is(err, store.ErrStoreFull):
+		return wire.StatusStoreFull, 0
 	}
-	writeJSON(w, code, errorBody{Error: err.Error(), RequestID: requestID})
+	return wire.StatusBadRequest, 0
 }
 
 // ceilSeconds rounds a duration up to whole seconds, minimum 1 — the
@@ -189,30 +217,6 @@ func ceilSeconds(d time.Duration) int {
 		secs = 1
 	}
 	return secs
-}
-
-// statusFor maps service and policy errors to HTTP codes.
-func statusFor(err error) int {
-	var oge *backend.OutsideGridError
-	switch {
-	case errors.Is(err, ErrShed), errors.Is(err, policy.ErrEvicted), errors.Is(err, policy.ErrRateLimited):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining), errors.Is(err, policy.ErrBreakerOpen):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrDeadline), errors.Is(err, policy.ErrDeadlineInfeasible):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrUnknownCircuit), errors.Is(err, store.ErrUnknown):
-		return http.StatusNotFound
-	case errors.Is(err, ErrCircuitExists), errors.Is(err, ErrImmutable):
-		return http.StatusConflict
-	case errors.Is(err, store.ErrStoreFull):
-		return http.StatusInsufficientStorage
-	case errors.Is(err, store.ErrBadOp):
-		return http.StatusBadRequest
-	case errors.As(err, &oge):
-		return http.StatusBadRequest
-	}
-	return http.StatusBadRequest
 }
 
 // handleTrace serves GET /debug/trace?sec=N: it opens a live capture
@@ -319,14 +323,8 @@ func (s *Server) circuitDocFor(sc *servedCircuit) circuitDoc {
 }
 
 func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	scs := make([]*servedCircuit, 0, len(s.names))
-	for _, name := range s.names {
-		scs = append(scs, s.circuits[name])
-	}
-	s.mu.RUnlock()
 	doc := circuitsDoc{Circuits: []circuitDoc{}}
-	for _, sc := range scs {
+	for _, sc := range s.served() {
 		doc.Circuits = append(doc.Circuits, s.circuitDocFor(sc))
 	}
 	writeJSON(w, http.StatusOK, doc)
@@ -346,8 +344,7 @@ type uploadWire struct {
 
 func (s *Server) handleCircuitUpload(w http.ResponseWriter, r *http.Request) {
 	var body uploadBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+	if !readBody(w, r, &body) {
 		return
 	}
 	c := &circuit.Circuit{
@@ -355,11 +352,7 @@ func (s *Server) handleCircuitUpload(w http.ResponseWriter, r *http.Request) {
 		Grid: geom.Grid{Channels: body.Channels, Grids: body.Grids},
 	}
 	for _, uw := range body.Wires {
-		wr := circuit.Wire{ID: uw.ID}
-		for _, p := range uw.Pins {
-			wr.Pins = append(wr.Pins, geom.Pt(p[0], p[1]))
-		}
-		c.Wires = append(c.Wires, wr)
+		c.Wires = append(c.Wires, circuit.Wire{ID: uw.ID, Pins: points(uw.Pins)})
 	}
 	if _, err := s.UploadCircuit(c); err != nil {
 		s.writeError(w, err, "")
@@ -399,13 +392,12 @@ type mutateOpBody struct {
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var body mutateBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+	if !readBody(w, r, &body) {
 		return
 	}
 	req := MutateRequest{Circuit: body.Circuit, Client: clientIdentity(r)}
 	for _, ob := range body.Ops {
-		op := store.Op{WireID: ob.Wire}
+		op := store.Op{WireID: ob.Wire, Pins: points(ob.Pins)}
 		switch ob.Op {
 		case "add":
 			op.Kind = store.OpAdd
@@ -417,9 +409,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, errorBody{
 				Error: fmt.Sprintf("unknown op %q (want add, remove or reroute)", ob.Op)})
 			return
-		}
-		for _, p := range ob.Pins {
-			op.Pins = append(op.Pins, geom.Pt(p[0], p[1]))
 		}
 		req.Ops = append(req.Ops, op)
 	}

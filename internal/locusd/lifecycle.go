@@ -134,7 +134,7 @@ func (s *Server) Mutate(req MutateRequest) (*MutateResponse, error) {
 	}
 	sc := s.lookupServed(req.Circuit)
 	if sc == nil {
-		return nil, fmt.Errorf("%w %q (serving %v)", ErrUnknownCircuit, req.Circuit, s.servedNames())
+		return nil, fmt.Errorf("%w %q (serving %v)", ErrUnknownCircuit, req.Circuit, s.served())
 	}
 	defer sc.inflight.Done()
 	if !sc.mutable {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -74,57 +73,35 @@ func doReq(t testing.TB, ts *httptest.Server, method, path, body string) (int, h
 	return resp.StatusCode, resp.Header, raw
 }
 
-// TestV1LegacyEquivalence pins the versioning contract: every legacy
-// path answers byte-identical bodies to its /v1 spelling (modulo uptime,
-// the only wall-clock field), carries the Deprecation + Link headers,
-// and the /v1 spelling carries neither.
-func TestV1LegacyEquivalence(t *testing.T) {
+// TestV1OnlySurface pins the versioning contract now that the legacy
+// aliases are gone: the API answers under /v1 only, the unversioned
+// spellings are 404s, a wrong method is the mux's 405, and /v1 responses
+// carry no deprecation headers.
+func TestV1OnlySurface(t *testing.T) {
 	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	volatile := regexp.MustCompile(`"uptime_ms": \d+|locusd_uptime_seconds \d+`)
-	for _, path := range []string{"/route", "/circuits", "/healthz", "/metrics"} {
-		// GET on /route is the deterministic 405 body; the rest are their
-		// regular documents.
-		legacyCode, legacyHdr, legacyBody := doReq(t, ts, http.MethodGet, path, "")
-		v1Code, v1Hdr, v1Body := doReq(t, ts, http.MethodGet, "/v1"+path, "")
-		if legacyCode != v1Code {
-			t.Errorf("%s: legacy status %d, /v1 status %d", path, legacyCode, v1Code)
-		}
-		lb := volatile.ReplaceAllString(string(legacyBody), "T")
-		vb := volatile.ReplaceAllString(string(v1Body), "T")
-		if lb != vb {
-			t.Errorf("%s: bodies diverge across prefixes:\nlegacy: %s\nv1:     %s", path, lb, vb)
-		}
-		if got := legacyHdr.Get("Deprecation"); got != "true" {
-			t.Errorf("%s: legacy Deprecation header %q, want \"true\"", path, got)
-		}
-		if want := fmt.Sprintf("</v1%s>; rel=%q", path, "successor-version"); legacyHdr.Get("Link") != want {
-			t.Errorf("%s: legacy Link header %q, want %q", path, legacyHdr.Get("Link"), want)
-		}
-		if v1Hdr.Get("Deprecation") != "" || v1Hdr.Get("Link") != "" {
-			t.Errorf("%s: /v1 response carries deprecation headers", path)
-		}
-	}
-
-	// The data plane is the same core: a route through either prefix
-	// yields the same evaluation (wait_us is timing, everything else is
-	// the contract).
 	body := `{"circuit":"svc","wire":9,"pins":[[2,1],[40,4]]}`
-	_, _, b1 := doReq(t, ts, http.MethodPost, "/route", body)
-	_, _, b2 := doReq(t, ts, http.MethodPost, "/v1/route", body)
-	var d1, d2 map[string]any
-	if err := json.Unmarshal(b1, &d1); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b2, &d2); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"circuit", "wire", "cost", "path_cells", "committed"} {
-		if d1[k] != d2[k] {
-			t.Errorf("route %s diverges across prefixes: %v vs %v", k, d1[k], d2[k])
+	for _, ep := range []struct{ method, path, body string }{
+		{http.MethodPost, "/route", body},
+		{http.MethodGet, "/circuits", ""},
+		{http.MethodGet, "/healthz", ""},
+		{http.MethodGet, "/metrics", ""},
+	} {
+		if code, _, _ := doReq(t, ts, ep.method, ep.path, ep.body); code != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404 (legacy alias still mounted)", ep.method, ep.path, code)
 		}
+		code, hdr, raw := doReq(t, ts, ep.method, "/v1"+ep.path, ep.body)
+		if code != http.StatusOK {
+			t.Errorf("%s /v1%s: status %d (%s)", ep.method, ep.path, code, raw)
+		}
+		if hdr.Get("Deprecation") != "" || hdr.Get("Link") != "" {
+			t.Errorf("/v1%s response carries deprecation headers", ep.path)
+		}
+	}
+	if code, _, _ := doReq(t, ts, http.MethodGet, "/v1/route", ""); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/route: status %d, want 405", code)
 	}
 }
 

@@ -9,15 +9,18 @@
 // replicated views: requests never contend on a shared array, and a
 // committed wire lands only on the replica that served it.
 //
-// The request path is a policy chain (internal/policy) around a batching
-// core. Admission runs deadline feasibility, per-client rate limiting
-// and a circuit breaker; a result cache keyed by (circuit, wire set,
-// cost epoch) can answer repeats without routing; and the criticality
-// scheduler replaces FIFO round-robin dispatch with earliest-deadline-
-// first ordering inside the batch window plus least-critical-first
-// shedding at the admission gate. Every element is nil when disabled —
-// a fully disabled chain leaves the request path byte-for-byte on the
-// original batching core at zero measurable cost (BENCH_policy.json).
+// The request path is one pipeline: Server.Route runs a request through
+// explicit stages (validate, admit, cache, gate, enqueue, await) and
+// settles the outcome they reach in one place — counter, breaker
+// feedback and span are a function of the outcome (see settlement). The
+// stages wrap a policy chain (internal/policy) around the batching core:
+// admission runs deadline feasibility, per-client rate limiting and a
+// circuit breaker; a result cache keyed by (circuit, wire set, cost
+// epoch) can answer repeats without routing; and the criticality
+// scheduler re-keys the one shard loop's queues from arrival time to
+// deadline — earliest-deadline-first inside the batch window, least-
+// critical-first shedding at the admission gate (see dispatch.go). Every
+// element is nil when disabled, at zero measurable cost (BENCH_policy.json).
 //
 // Requests that arrive at a shard within one batching window are grouped
 // and evaluated back to back through a route.Scratch borrowed from a
@@ -84,7 +87,7 @@ type Config struct {
 	// Router tunes the route kernel (zero value = route.DefaultParams).
 	Router route.Params
 	// Policy configures the request-path chain; the zero value disables
-	// every element, leaving the original FIFO round-robin path.
+	// every element, leaving arrival-order round-robin dispatch.
 	Policy policy.Config
 	// Tracer enables request-lifecycle tracing (internal/reqtrace):
 	// request ids, per-stage spans, stage histograms, the slow-request
@@ -212,9 +215,12 @@ var ErrTraceID = fmt.Errorf("locusd: trace id exceeds %d bytes", reqtrace.MaxTra
 
 // pending is one admitted request waiting for its shard.
 type pending struct {
+	// item is the request's shard-queue entry, keyed on its deadline under
+	// the scheduler and on its arrival time otherwise; item.Value points
+	// back at the pending, so queueing costs no allocation of its own.
+	item     policy.Item
 	req      RouteRequest
 	ctx      context.Context
-	deadline time.Time // ctx deadline (zero = none); the EDF criticality
 	enqueued time.Time
 	done     chan outcome
 	// gateHeld arbitrates the request's admission slot between its own
@@ -225,36 +231,34 @@ type pending struct {
 	// (ctx.Done) and the shard loop (stale entry in process) can both
 	// notice the expiry, but only the first to flip it counts.
 	expired atomic.Bool
-	// span is the request's trace span; inert when tracing is disabled.
-	// Only the waiter goroutine touches it — the shard loop reports its
-	// stage stamps through the done channel (outcome.t) instead, so a
-	// waiter that abandoned on ctx.Done never races a late stamp.
-	span reqtrace.Span
-	// traced mirrors span.Traced() for the shard loop, which must not
-	// read the span itself: the waiter finishes it on ctx.Done while the
-	// shard may still be processing this entry. Immutable once enqueued.
-	traced bool
 }
 
+// outcome is what a shard loop (or preempt) answers a waiter with: how
+// the request ended there — OutcomeOK with resp, else err — plus t.
 type outcome struct {
+	oc   reqtrace.Outcome
 	resp RouteResponse
 	err  error
 	// t are the shard-side stage boundaries on the tracer clock — batch
-	// start, eval start, eval end, commit end — valid when traced. The
-	// channel handoff gives the waiter a happens-before copy.
-	t      [4]int64
-	traced bool
+	// start, eval start, eval end, commit end — all zero when tracing is
+	// disabled. The span itself stays with the waiter (flight.span) and
+	// the shard never touches it, so a waiter that abandoned on ctx.Done
+	// never races a late stamp; the channel handoff gives it a
+	// happens-before copy of these instead.
+	t [4]int64
 }
 
-// shard is one serving replica: a private cost array and a queue
-// drained by its batching loop. Routing scratch space is not owned by
-// the shard — batches borrow it from the server's grid-keyed pool
-// (backend.ScratchPool), so idle replicas hold no scratch memory and
-// every circuit with the same grid shares one warm set.
+// shard is one serving replica: a private cost array and the queue its
+// loop drains. Routing scratch space is not owned by the shard — batches
+// borrow it from the server's grid-keyed pool (backend.ScratchPool), so
+// idle replicas hold no scratch memory and every circuit with the same
+// grid shares one warm set.
 type shard struct {
-	id    int
-	arr   *costarray.CostArray
-	queue chan *pending // FIFO dispatch; unused under EDF
+	id  int
+	arr *costarray.CostArray
+	// queue feeds shardLoop: the shard's own arrival-ordered queue, or
+	// under the scheduler the circuit's shared deadline-ordered one.
+	queue *policy.EDFQueue
 	// updates carries mutation deltas (ripped/committed canonical paths)
 	// from Server.Mutate to this shard's loop, which applies them to its
 	// replica between batches — the only goroutine that touches arr.
@@ -275,10 +279,10 @@ type servedCircuit struct {
 	grid     geom.Grid
 	baseline backend.Result
 	shards   []*shard
-	next     atomic.Uint64 // round-robin dispatch cursor (FIFO mode)
-	// queue is the circuit's deadline-ordered request queue; non-nil
-	// only under the EDF scheduler, where shards pull batches from it
-	// instead of owning FIFO queues.
+	next     atomic.Uint64 // round-robin dispatch cursor
+	// queue is the deadline-ordered queue every shard of the circuit
+	// shares under the EDF scheduler — where preempt looks for victims.
+	// Nil with the scheduler off: each shard then owns its queue.
 	queue *policy.EDFQueue
 	// epoch counts committed paths across all of the circuit's shards
 	// plus applied store mutations: the result cache's invalidation
@@ -425,8 +429,8 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 				return nil, fmt.Errorf("locusd: baseline routing of %q: %w", c.Name, err)
 			}
 			sc := s.newServedCircuit(c.Name, c.Grid, len(c.Wires), base, false)
-			for i := 0; i < cfg.Shards; i++ {
-				sc.shards = append(sc.shards, s.newShard(i, base.Final.Clone()))
+			for range cfg.Shards {
+				sc.addShard(base.Final.Clone())
 			}
 			s.register(sc)
 		}
@@ -461,14 +465,18 @@ func (s *Server) newServedCircuit(name string, g geom.Grid, wires int, base back
 	return sc
 }
 
-// newShard builds one replica around its private array clone.
-func (s *Server) newShard(id int, arr *costarray.CostArray) *shard {
-	return &shard{
-		id:      id,
-		arr:     arr,
-		queue:   make(chan *pending, s.cfg.MaxInFlight),
-		updates: make(chan shardUpdate, 64),
+// addShard builds one more replica around its private array clone.
+func (sc *servedCircuit) addShard(arr *costarray.CostArray) {
+	q := sc.queue
+	if q == nil {
+		q = policy.NewEDFQueue()
 	}
+	sc.shards = append(sc.shards, &shard{
+		id:      len(sc.shards),
+		arr:     arr,
+		queue:   q,
+		updates: make(chan shardUpdate, 64),
+	})
 }
 
 // serveStored builds serving state for a store-held circuit: shard
@@ -489,12 +497,12 @@ func (s *Server) serveStored(name string) (*servedCircuit, error) {
 		CellsExamined: info.Baseline.CellsExamined,
 	}
 	sc := s.newServedCircuit(name, info.Grid, info.Wires, base, true)
-	for i := 0; i < s.cfg.Shards; i++ {
+	for range s.cfg.Shards {
 		arr, ok := s.store.CloneArray(name)
 		if !ok {
 			return nil, fmt.Errorf("%w %q (evicted during registration)", ErrUnknownCircuit, name)
 		}
-		sc.shards = append(sc.shards, s.newShard(i, arr))
+		sc.addShard(arr)
 	}
 	return sc, nil
 }
@@ -507,14 +515,9 @@ func (s *Server) register(sc *servedCircuit) {
 	sort.Strings(s.names)
 	s.mu.Unlock()
 	s.totalShards.Add(int64(len(sc.shards)))
-	edf := s.chain.Sched() != nil
 	for _, sh := range sc.shards {
 		s.loops.Add(1)
-		if edf {
-			go s.edfLoop(sc, sh)
-		} else {
-			go s.batchLoop(sc, sh)
-		}
+		go s.shardLoop(sc, sh)
 	}
 }
 
@@ -531,235 +534,296 @@ func (s *Server) lookupServed(name string) *servedCircuit {
 	return sc
 }
 
-// servedNames copies the registry's name list.
-func (s *Server) servedNames() []string {
+// served snapshots the registry in name order; callers walk circuits
+// (and their queues) without holding the registry lock.
+func (s *Server) served() []*servedCircuit {
 	s.mu.RLock()
-	names := make([]string, len(s.names))
-	copy(names, s.names)
-	s.mu.RUnlock()
-	return names
+	defer s.mu.RUnlock()
+	scs := make([]*servedCircuit, 0, len(s.names))
+	for _, name := range s.names {
+		scs = append(scs, s.circuits[name])
+	}
+	return scs
 }
 
-// Route admits, dispatches and awaits one request. It is the
-// transport-independent core the HTTP handler wraps.
+// String names the circuit, so an error can list what served() returned.
+func (sc *servedCircuit) String() string { return sc.name }
+
+// flight is one request's way through Route's stages. It lives on
+// Route's stack; only the pending entry the gate stage creates is shared
+// with a shard loop.
+type flight struct {
+	req      RouteRequest
+	ctx      context.Context
+	cancel   context.CancelFunc // set when admit applied the default deadline
+	arrived  time.Time          // the wait_us origin and the FIFO queue key
+	deadline time.Time          // ctx deadline: the EDF queue key
+	span     reqtrace.Span      // inert when tracing is disabled
+	sc       *servedCircuit     // in-flight registration, held from validate on
+	preq     policy.Request     // built only when a chain exists
+	epoch    uint64             // cost epoch captured before dispatch
+	p        *pending           // holds a gate slot from enterGate on
+
+	// How the request ended, for settle.
+	oc   reqtrace.Outcome
+	err  error
+	resp RouteResponse
+}
+
+// end records the outcome a stage ended the request with. The false it
+// returns stops the pipeline.
+func (f *flight) end(oc reqtrace.Outcome, err error) bool {
+	f.oc, f.err = oc, err
+	return false
+}
+
+// Route admits, dispatches and awaits one request: the core both
+// transports wrap. Each stage passes the request on or ends it with an
+// outcome; settle alone does the accounting that outcome owes — no stage
+// touches a counter, the breaker or the span's finish.
 func (s *Server) Route(ctx context.Context, req RouteRequest) (RouteResponse, error) {
 	// Register with the drain group before checking the flag: a request
 	// that sees draining=false here is guaranteed to be covered by
 	// Close's inflight.Wait, so its shard loop is still running.
 	s.inflight.Add(1)
 	defer s.inflight.Done()
-	if len(req.TraceID) > reqtrace.MaxTraceID {
-		s.count(&s.met.rejected)
-		return RouteResponse{}, ErrTraceID
+	f := flight{req: req, ctx: ctx}
+	defer s.release(&f)
+	if s.validate(&f) && s.admit(&f) && s.lookup(&f) && s.enterGate(&f) {
+		s.enqueue(&f)
+		s.await(&f)
 	}
-	span := s.cfg.Tracer.Begin(req.TraceID, req.Circuit, req.Client, req.Wire.ID)
+	return s.settle(&f)
+}
+
+// release returns what the stages acquired: the admission slot, the
+// default-deadline timer, and the circuit's in-flight registration,
+// which held off EvictCircuit until the shard loop answered.
+func (s *Server) release(f *flight) {
+	if f.p != nil {
+		s.releaseGate(f.p)
+	}
+	if f.cancel != nil {
+		f.cancel()
+	}
+	if f.sc != nil {
+		f.sc.inflight.Done()
+	}
+}
+
+// validate resolves the request against the serving registry: trace id
+// bound, drain flag, circuit lookup, wire geometry.
+func (s *Server) validate(f *flight) bool {
+	if len(f.req.TraceID) > reqtrace.MaxTraceID {
+		return f.end(reqtrace.OutcomeRejected, ErrTraceID)
+	}
+	f.span = s.cfg.Tracer.Begin(f.req.TraceID, f.req.Circuit, f.req.Client, f.req.Wire.ID)
 	if s.draining.Load() {
-		return s.fail(&span, reqtrace.OutcomeDenied, ErrDraining)
+		return f.end(reqtrace.OutcomeDenied, ErrDraining)
 	}
-	sc := s.lookupServed(req.Circuit)
-	if sc == nil {
-		return s.fail(&span, reqtrace.OutcomeRejected,
-			fmt.Errorf("%w %q (serving %v)", ErrUnknownCircuit, req.Circuit, s.servedNames()))
+	if f.sc = s.lookupServed(f.req.Circuit); f.sc == nil {
+		return f.end(reqtrace.OutcomeRejected,
+			fmt.Errorf("%w %q (serving %v)", ErrUnknownCircuit, f.req.Circuit, s.served()))
 	}
-	// The circuit's in-flight registration (made under the registry lock)
-	// holds off EvictCircuit until this request's shard loop answers it.
-	defer sc.inflight.Done()
-	if err := backend.ValidateWires(sc.grid, []circuit.Wire{req.Wire}); err != nil {
-		s.count(&s.met.rejected)
-		return s.fail(&span, reqtrace.OutcomeRejected, err)
+	if err := backend.ValidateWires(f.sc.grid, []circuit.Wire{f.req.Wire}); err != nil {
+		return f.end(reqtrace.OutcomeRejected, err)
 	}
-	now := time.Now()
+	return true
+}
+
+// admit fixes the request's deadline and runs the policy chain's
+// gatekeepers. The chain half is skipped on the nil chain — the
+// zero-cost disabled path.
+func (s *Server) admit(f *flight) bool {
+	f.arrived = time.Now()
 	// The default deadline is a service property, not a transport one:
 	// an embedder calling Route with a plain context gets the same
 	// criticality floor as an HTTP caller omitting deadline_ms. Without
 	// it, EDF would sort plain-context requests least-critical forever
 	// and evict them first at every full gate.
-	if _, has := ctx.Deadline(); !has && s.cfg.DefaultDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultDeadline)
-		defer cancel()
+	if _, has := f.ctx.Deadline(); !has && s.cfg.DefaultDeadline > 0 {
+		f.ctx, f.cancel = context.WithTimeout(f.ctx, s.cfg.DefaultDeadline)
 	}
-	deadline, _ := ctx.Deadline()
-
-	// Policy chain: gatekeepers, then the result cache. The whole block
-	// is skipped on the nil chain — the zero-cost disabled path.
-	var preq policy.Request
-	var epoch uint64
-	if s.chain != nil {
-		preq = policy.Request{
-			Client: req.Client,
-			// The cache and breaker key on the generation-suffixed name:
-			// results cached for an evicted circuit can never answer for
-			// a later upload reusing the name.
-			Circuit:  sc.cacheName,
-			Key:      policy.KeyPins(req.Wire.Pins),
-			Deadline: deadline,
-			Commit:   req.Commit,
-		}
-		var err error
-		if span.Traced() {
-			err = s.chain.AdmitTimed(now, &preq, span.Element)
-		} else {
-			err = s.chain.Admit(now, &preq)
-		}
-		if err != nil {
-			s.count(&s.met.denied)
-			return s.fail(&span, reqtrace.OutcomeDenied, err)
-		}
-		// The epoch is captured before dispatch: a result evaluated
-		// while a commit lands is stored under the pre-commit epoch and
-		// can never be served against the new congestion state.
-		epoch = sc.epoch.Load()
-		var lookT time.Time
-		if span.Traced() {
-			lookT = time.Now()
-		}
-		v, hit := s.chain.Lookup(&preq, epoch)
-		if span.Traced() {
-			span.Element("cache", time.Since(lookT))
-		}
-		if hit {
-			resp := v.(RouteResponse)
-			resp.WireID = req.Wire.ID
-			resp.Cached = true
-			resp.BatchSize = 0
-			resp.BatchIndex = 0
-			resp.WaitMicros = 0
-			s.count(&s.met.cacheHits)
-			// A cached answer exercised no evaluation path: it is
-			// evidence of nothing. Observing it as success would let a
-			// half-open breaker's single probe "confirm" recovery off a
-			// stale stored result, so the admission is released
-			// neutrally instead — the probe slot goes back unspent.
-			s.chain.Release()
-			span.Mark(reqtrace.StageAdmit)
-			s.finishSpan(&span, reqtrace.OutcomeCached, &resp)
-			return resp, nil
-		}
+	f.deadline, _ = f.ctx.Deadline()
+	if s.chain == nil {
+		return true
 	}
-
-	p := &pending{req: req, ctx: ctx, deadline: deadline, enqueued: now, done: make(chan outcome, 1)}
-	if !s.gate.TryEnter() {
-		// Full gate: under the criticality scheduler, try to take the
-		// slot of a strictly less critical queued request instead of
-		// shedding the arrival.
-		if !s.preempt(deadline) {
-			s.count(&s.met.shed)
-			// The chain already admitted this request; a shed is not an
-			// outcome, so release the admission neutrally — a half-open
-			// breaker gets its probe slot back instead of wedging open.
-			s.chain.Release()
-			return s.fail(&span, reqtrace.OutcomeShed, ErrShed)
-		}
+	f.preq = policy.Request{
+		Client: f.req.Client,
+		// The cache and breaker key on the generation-suffixed name:
+		// results cached for an evicted circuit can never answer for a
+		// later upload reusing the name.
+		Circuit:  f.sc.cacheName,
+		Key:      policy.KeyPins(f.req.Wire.Pins),
+		Deadline: f.deadline,
+		Commit:   f.req.Commit,
 	}
-	p.gateHeld.Store(true)
-	defer s.releaseGate(p)
+	// Only traced requests pay the per-element clock reads.
+	var timer policy.ElementTimer
+	if f.span.Traced() {
+		timer = f.span.Element
+	}
+	if err := s.chain.AdmitTimed(f.arrived, &f.preq, timer); err != nil {
+		return f.end(reqtrace.OutcomeDenied, err)
+	}
+	return true
+}
 
-	// Everything up to dispatch — validation, policy, cache, the gate —
-	// is the admit stage; the span moves into the pending entry so the
-	// waiter arm below can merge the shard's stamps into it.
-	span.Mark(reqtrace.StageAdmit)
-	p.span = span
-	p.traced = span.Traced()
+// lookup consults the result cache.
+func (s *Server) lookup(f *flight) bool {
+	if s.chain == nil {
+		return true
+	}
+	// The epoch is captured before dispatch: a result evaluated while a
+	// commit lands is stored under the pre-commit epoch and can never be
+	// served against the new congestion state.
+	f.epoch = f.sc.epoch.Load()
+	var lookT time.Time
+	if f.span.Traced() {
+		lookT = time.Now()
+	}
+	v, hit := s.chain.Lookup(&f.preq, f.epoch)
+	if f.span.Traced() {
+		f.span.Element("cache", time.Since(lookT))
+	}
+	if !hit {
+		return true
+	}
+	f.resp = v.(RouteResponse)
+	f.resp.WireID = f.req.Wire.ID
+	f.resp.Cached = true
+	f.resp.BatchSize, f.resp.BatchIndex, f.resp.WaitMicros = 0, 0, 0
+	return f.end(reqtrace.OutcomeCached, nil)
+}
 
+// enterGate takes an admission slot. At a full gate the criticality
+// scheduler may take the slot of a strictly less critical queued request
+// instead of shedding the arrival.
+func (s *Server) enterGate(f *flight) bool {
+	if !s.gate.TryEnter() && !s.preempt(f.deadline) {
+		return f.end(reqtrace.OutcomeShed, ErrShed)
+	}
+	f.p = &pending{req: f.req, ctx: f.ctx, enqueued: f.arrived, done: make(chan outcome, 1)}
+	f.p.gateHeld.Store(true)
+	return true
+}
+
+// enqueue pushes the request onto a shard queue. Everything up to here —
+// validation, policy, cache, the gate — is the admit stage of the span.
+func (s *Server) enqueue(f *flight) {
+	f.span.Mark(reqtrace.StageAdmit)
+	// FIFO is EDF keyed on arrival time: the scheduler only changes the
+	// key. Under it every shard of the circuit shares one queue, so the
+	// round-robin cursor picks among aliases of it.
+	key := f.arrived
 	if sched := s.chain.Sched(); sched != nil {
 		sched.NoteScheduled()
-		sc.queue.Push(&policy.Item{Deadline: deadline, Value: p})
-	} else {
-		sh := sc.shards[sc.next.Add(1)%uint64(len(sc.shards))]
-		select {
-		case sh.queue <- p:
-		case <-ctx.Done():
-			s.countExpired(p)
-			s.chain.Observe(time.Now(), true)
-			p.span.Mark(reqtrace.StageQueue)
-			return s.fail(&p.span, reqtrace.OutcomeExpired, ErrDeadline)
-		}
+		key = f.deadline
 	}
+	f.p.item = policy.Item{Deadline: key, Value: f.p}
+	sh := f.sc.shards[f.sc.next.Add(1)%uint64(len(f.sc.shards))]
+	sh.queue.Push(&f.p.item)
+}
+
+// await blocks until the shard answers, preemption evicts the entry, or
+// the deadline passes — whichever comes first.
+func (s *Server) await(f *flight) {
 	select {
-	case out := <-p.done:
-		if errors.Is(out.err, policy.ErrEvicted) {
-			// Eviction happens before any evaluation: no outcome exists
-			// for the breaker, so an aborted half-open probe must
-			// neither close it nor leak the probe slot.
-			s.chain.Release()
-		} else {
-			s.chain.Observe(time.Now(), errors.Is(out.err, ErrDeadline))
-		}
-		if out.err != nil {
-			oc := reqtrace.OutcomeExpired
-			if errors.Is(out.err, policy.ErrEvicted) {
-				oc = reqtrace.OutcomeEvicted
-			}
-			// The request died waiting: attribute the dead time to the
-			// queue stage, not the respond tail.
-			p.span.Mark(reqtrace.StageQueue)
-			return s.fail(&p.span, oc, out.err)
-		}
-		if out.traced {
-			p.span.MarkAt(reqtrace.StageQueue, out.t[0])
-			p.span.MarkAt(reqtrace.StageBatch, out.t[1])
-			p.span.MarkAt(reqtrace.StageRoute, out.t[2])
-			p.span.MarkAt(reqtrace.StageCommit, out.t[3])
-			p.span.SetShard(out.resp.Shard)
-		}
-		if s.chain != nil {
+	case out := <-f.p.done:
+		if out.err == nil {
+			// The shard's stage stamps (no-ops on an untraced span).
+			f.span.MarkAt(reqtrace.StageQueue, out.t[0])
+			f.span.MarkAt(reqtrace.StageBatch, out.t[1])
+			f.span.MarkAt(reqtrace.StageRoute, out.t[2])
+			f.span.MarkAt(reqtrace.StageCommit, out.t[3])
+			f.span.SetShard(out.resp.Shard)
 			// The cache stores the evaluation, not the trace: a hit is a
 			// different request with its own id and breakdown.
-			stored := out.resp
-			stored.RequestID, stored.Stages = "", nil
-			s.chain.Store(&preq, epoch, stored)
+			s.chain.Store(&f.preq, f.epoch, out.resp)
 		}
-		resp := out.resp
-		s.finishSpan(&p.span, reqtrace.OutcomeOK, &resp)
-		return resp, nil
-	case <-ctx.Done():
+		f.resp = out.resp
+		f.end(out.oc, out.err)
+	case <-f.ctx.Done():
 		// The shard will still evaluate (or expire) the entry; its
 		// buffered done send is discarded.
-		s.countExpired(p)
-		s.chain.Observe(time.Now(), true)
-		p.span.Mark(reqtrace.StageQueue)
-		return s.fail(&p.span, reqtrace.OutcomeExpired, ErrDeadline)
+		f.end(reqtrace.OutcomeExpired, ErrDeadline)
 	}
 }
 
-// fail finishes sp for an error outcome. The returned response is empty
-// except for the echoed request id, which transports still surface so a
-// rejected or expired request remains attributable in client logs.
-func (s *Server) fail(sp *reqtrace.Span, oc reqtrace.Outcome, err error) (RouteResponse, error) {
-	var resp RouteResponse
-	s.finishSpan(sp, oc, &resp)
-	return resp, err
+// The terminal call an admitted request owes the policy chain when it
+// settles — exactly one per admission (policy package doc).
+var (
+	released = (*policy.Chain).Release // no evaluation ran: no evidence either way
+	observed = func(c *policy.Chain) { c.Observe(time.Now(), false) }
+	failed   = func(c *policy.Chain) { c.Observe(time.Now(), true) }
+)
+
+// settlement is the accounting each outcome owes, applied by settle and
+// nowhere else: the counter that bumps, the breaker's terminal call, and
+// the span stage charged with the time since the last boundary. One
+// table holds every path to the same triple, the way compute + packet +
+// blocked + barrier == total holds the simulator's paths to one identity.
+var settlement = [reqtrace.NumOutcomes]struct {
+	count   func(*Server, *pending) // pending is nil before the gate stage
+	breaker func(*policy.Chain)     // nil: the chain never admitted it
+	charge  reqtrace.Stage
+}{
+	// served is counted per evaluation by the shard (process).
+	reqtrace.OutcomeOK: {nil, observed, reqtrace.StageRespond},
+	// A cached answer exercised no evaluation path: observing it as
+	// success would let a half-open breaker's single probe "confirm"
+	// recovery off a stale stored result.
+	reqtrace.OutcomeCached:   {func(s *Server, _ *pending) { s.count(&s.met.cacheHits) }, released, reqtrace.StageAdmit},
+	reqtrace.OutcomeRejected: {func(s *Server, _ *pending) { s.count(&s.met.rejected) }, nil, reqtrace.StageRespond},
+	reqtrace.OutcomeDenied:   {func(s *Server, _ *pending) { s.count(&s.met.denied) }, nil, reqtrace.StageRespond},
+	// A shed is not an outcome for the breaker that admitted it: a
+	// half-open one gets its probe slot back instead of wedging open.
+	reqtrace.OutcomeShed: {func(s *Server, _ *pending) { s.count(&s.met.shed) }, released, reqtrace.StageRespond},
+	// preempt counted shed+evicted when it picked the victim. Eviction
+	// precedes any evaluation, so an aborted probe must neither close
+	// the breaker nor leak. Like an expiry, the request died waiting:
+	// the dead time belongs to the queue stage, not the respond tail.
+	reqtrace.OutcomeEvicted: {nil, released, reqtrace.StageQueue},
+	// The shard loop can notice the same expiry; countExpired arbitrates.
+	reqtrace.OutcomeExpired: {(*Server).countExpired, failed, reqtrace.StageQueue},
+}
+
+// settle closes a request out by its outcome's settlement row and
+// finishes the span. An error response is empty except for the echoed
+// request id, which transports still surface so a rejected or expired
+// request remains attributable in client logs.
+func (s *Server) settle(f *flight) (RouteResponse, error) {
+	row := &settlement[f.oc]
+	if row.count != nil {
+		row.count(s, f.p)
+	}
+	if row.breaker != nil {
+		row.breaker(s.chain)
+	}
+	f.span.Mark(row.charge)
+	s.finishSpan(&f.span, f.oc, &f.resp)
+	return f.resp, f.err
 }
 
 // finishSpan closes sp, feeds the per-stage histograms, and stamps resp
-// with the request id and breakdown. No-op for untraced spans.
+// with the request id and the breakdown: the non-zero stages in stage
+// order, whose nanoseconds sum to the record's wall latency exactly.
+// No-op for untraced spans.
 func (s *Server) finishSpan(sp *reqtrace.Span, oc reqtrace.Outcome, resp *RouteResponse) {
 	var rec reqtrace.Rec
 	if !sp.Finish(oc, &rec) {
 		return
 	}
+	resp.RequestID = rec.IDString()
+	resp.Stages = make([]StageSample, 0, reqtrace.NumStages)
 	s.met.mu.Lock()
 	for st := reqtrace.Stage(0); st < reqtrace.NumStages; st++ {
 		if ns := rec.Stages[st]; ns > 0 {
 			s.met.stageUs[st].Observe(ns / 1e3)
+			resp.Stages = append(resp.Stages, StageSample{Code: uint8(st), Stage: st.String(), Ns: ns})
 		}
 	}
 	s.met.mu.Unlock()
-	resp.RequestID = rec.IDString()
-	resp.Stages = stageSamples(&rec)
-}
-
-// stageSamples renders a record's non-zero stages in stage order; the
-// nanosecond values sum to the record's wall latency exactly.
-func stageSamples(rec *reqtrace.Rec) []StageSample {
-	out := make([]StageSample, 0, 4)
-	for st := reqtrace.Stage(0); st < reqtrace.NumStages; st++ {
-		if ns := rec.Stages[st]; ns > 0 {
-			out = append(out, StageSample{Code: uint8(st), Stage: st.String(), Ns: ns})
-		}
-	}
-	return out
 }
 
 // countExpired counts p in met.expired exactly once, whichever of its

@@ -43,10 +43,10 @@ func newServer(t testing.TB, cfg Config) *Server {
 	return s
 }
 
-// postRoute fires one /route request and decodes the response.
+// postRoute fires one /v1/route request and decodes the response.
 func postRoute(t testing.TB, ts *httptest.Server, body string) (int, map[string]any) {
 	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+"/route", "application/json", strings.NewReader(body))
+	resp, err := ts.Client().Post(ts.URL+"/v1/route", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestBackpressure(t *testing.T) {
 	for i := 0; s.InFlight() == 0 && i < 200; i++ {
 		time.Sleep(5 * time.Millisecond)
 	}
-	resp, err := ts.Client().Post(ts.URL+"/route", "application/json",
+	resp, err := ts.Client().Post(ts.URL+"/v1/route", "application/json",
 		strings.NewReader(`{"circuit":"svc","pins":[[3,2],[30,5]]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestGracefulDrain(t *testing.T) {
 	if code, doc := postRoute(t, ts, `{"circuit":"svc","pins":[[3,2],[30,5]]}`); code != http.StatusServiceUnavailable {
 		t.Errorf("post-drain request: status %d, want 503 (%v)", code, doc)
 	}
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	resp, err := ts.Client().Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestEndpoints(t *testing.T) {
 	postRoute(t, ts, `{"circuit":"svc","pins":[[2,1],[40,4]]}`)
 
 	var cs circuitsDoc
-	getJSON(t, ts, "/circuits", &cs)
+	getJSON(t, ts, "/v1/circuits", &cs)
 	if len(cs.Circuits) != 1 || cs.Circuits[0].Name != "svc" || cs.Circuits[0].Shards != 2 {
 		t.Errorf("circuits doc %+v", cs)
 	}
@@ -284,7 +284,7 @@ func TestEndpoints(t *testing.T) {
 		t.Errorf("vars doc %+v", vars)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	resp, err := ts.Client().Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

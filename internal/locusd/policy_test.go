@@ -17,10 +17,10 @@ import (
 	"locusroute/internal/policy"
 )
 
-// postRouteAs fires one /route request under an X-Client identity.
+// postRouteAs fires one /v1/route request under an X-Client identity.
 func postRouteAs(t testing.TB, ts *httptest.Server, client, body string) (int, http.Header, map[string]any) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/route", strings.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/route", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestRetryAfterHeaderOnShed(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	resp, err := ts.Client().Post(ts.URL+"/route", "application/json",
+	resp, err := ts.Client().Post(ts.URL+"/v1/route", "application/json",
 		strings.NewReader(`{"circuit":"svc","pins":[[3,2],[30,5]]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +386,7 @@ func TestBreakerOverHTTP(t *testing.T) {
 			t.Fatalf("expiry %d: status %d, want 504 (%v)", i, code, doc)
 		}
 	}
-	resp, err := ts.Client().Post(ts.URL+"/route", "application/json",
+	resp, err := ts.Client().Post(ts.URL+"/v1/route", "application/json",
 		strings.NewReader(`{"circuit":"svc","pins":[[2,1],[40,4]]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +504,7 @@ func TestPolicyMetricsExposed(t *testing.T) {
 		}
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	resp, err := ts.Client().Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

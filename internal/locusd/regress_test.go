@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"locusroute/internal/circuit"
+	"locusroute/internal/par"
 	"locusroute/internal/policy"
 )
 
@@ -57,7 +58,10 @@ func TestExpiredCountedOnce(t *testing.T) {
 // loop, waiting for a *new* signal before re-checking the depth, slept
 // the whole BatchWindow with a full batch already queued. The fixed loop
 // checks q.Len() >= MaxBatch before every wait, so dispatch latency must
-// be far below the window.
+// be far below the window. With the scheduler off the same loop runs over
+// an arrival-keyed queue, so the FIFO twin rides along: a backlog deeper
+// than MaxBatch drains batch after full batch without sleeping a window,
+// and every batch commits in arrival order.
 func TestEDFFullBatchNoStall(t *testing.T) {
 	const window = 3 * time.Second
 
@@ -106,6 +110,60 @@ func TestEDFFullBatchNoStall(t *testing.T) {
 		wg.Wait()
 		if elapsed := time.Since(start); elapsed > window/2 {
 			t.Errorf("burst of %d (= MaxBatch) dispatched after %v, want << %v window", n, elapsed, window)
+		}
+	})
+
+	t.Run("fifo-backlog", func(t *testing.T) {
+		const n, batches = 4, 3
+		pool := par.New(1)
+		s := newServer(t, Config{
+			Shards:      1,
+			BatchWindow: window,
+			MaxBatch:    n,
+			Pool:        pool,
+		})
+		// Hold the only pool slot: the shard loop pops its first full
+		// batch and then blocks in Pool.Run, so the rest of the arrivals
+		// pile up behind it as one backlog of (batches-1)*n > MaxBatch.
+		release := make(chan struct{})
+		held := make(chan struct{})
+		go pool.Run(func() { close(held); <-release })
+		<-held
+		q := s.circuits["svc"].shards[0].queue
+		start := time.Now()
+		resps := make([]RouteResponse, n*batches)
+		var wg sync.WaitGroup
+		for i := range resps {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var err error
+				if resps[i], err = s.Route(context.Background(), RouteRequest{Circuit: "svc", Wire: testWire(i)}); err != nil {
+					t.Errorf("Route %d: %v", i, err)
+				}
+			}(i)
+			// Launch the next arrival only once this one is queued, so
+			// arrival order is unambiguous. The loop pops exactly once
+			// before release (the first full batch), so the depth to wait
+			// for is the arrival count less that one batch.
+			want := i + 1
+			if want >= n {
+				want -= n
+			}
+			for q.Len() != want {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		close(release)
+		wg.Wait()
+		if elapsed := time.Since(start); elapsed > window/2 {
+			t.Errorf("backlog of %d drained after %v, want << %v window", len(resps), elapsed, window)
+		}
+		for i, r := range resps {
+			if r.BatchSize != n || r.BatchIndex != i%n {
+				t.Errorf("arrival %d: batch_size %d batch_index %d, want %d and %d (arrival order)",
+					i, r.BatchSize, r.BatchIndex, n, i%n)
+			}
 		}
 	})
 }

@@ -9,10 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"locusroute/internal/backend"
 	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
-	"locusroute/internal/policy"
 	"locusroute/internal/store"
 	"locusroute/internal/wire"
 )
@@ -136,12 +134,7 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 	br := bufio.NewReader(nc)
 	bw := bufio.NewWriter(nc)
 	var rbuf, wbuf []byte
-	client := ""
-	if host, _, err := net.SplitHostPort(nc.RemoteAddr().String()); err == nil {
-		client = host
-	} else {
-		client = nc.RemoteAddr().String()
-	}
+	client := hostOf(nc.RemoteAddr().String())
 	for {
 		payload, err := wire.ReadFrame(br, rbuf)
 		if err != nil {
@@ -186,7 +179,7 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 func (t *TCPServer) exchange(payload []byte, client string) wire.Response {
 	req, err := wire.DecodeRequest(payload)
 	if err != nil {
-		return wire.Response{Status: wire.StatusBadRequest, Message: err.Error()}
+		return t.s.wireError(err)
 	}
 	if req.Client != "" {
 		client = req.Client
@@ -195,14 +188,8 @@ func (t *TCPServer) exchange(payload []byte, client string) wire.Response {
 	for _, p := range req.Pins {
 		w.Pins = append(w.Pins, geom.Pt(p.X, p.Y))
 	}
-	// An explicit deadline bounds the request here; otherwise Route
-	// applies the server's default, exactly as for JSON callers.
-	ctx := context.Background()
-	if req.DeadlineMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMillis)*time.Millisecond)
-		defer cancel()
-	}
+	ctx, cancel := withDeadline(context.Background(), req.DeadlineMillis)
+	defer cancel()
 	resp, err := t.s.Route(ctx, RouteRequest{
 		Circuit: req.Circuit,
 		Wire:    w,
@@ -210,17 +197,6 @@ func (t *TCPServer) exchange(payload []byte, client string) wire.Response {
 		Client:  client,
 		TraceID: req.TraceID,
 	})
-	if err != nil {
-		wresp := t.s.wireError(err)
-		// A traced request gets a traced response even on failure, so
-		// the id the client correlates on is never dropped by an error.
-		if req.Traced && resp.RequestID != "" {
-			wresp.Traced = true
-			wresp.RequestID = resp.RequestID
-			wresp.Stages = wireStages(resp.Stages)
-		}
-		return wresp
-	}
 	wresp := wire.Response{
 		Status:        wire.StatusOK,
 		Shard:         resp.Shard,
@@ -234,11 +210,16 @@ func (t *TCPServer) exchange(payload []byte, client string) wire.Response {
 		Cached:        resp.Cached,
 		WaitMicros:    resp.WaitMicros,
 	}
+	if err != nil {
+		wresp = t.s.wireError(err)
+	}
 	// The response frame kind follows the request frame kind: untraced
 	// (kind 1) requests always get kind-2 responses, so pre-tracing
-	// clients never see a frame they cannot decode. When tracing is
-	// disabled server-side, a traced request gets an untraced response —
-	// absence of the id tells the client tracing was off.
+	// clients never see a frame they cannot decode. A traced request gets
+	// a traced response even on failure, so the id the client correlates
+	// on is never dropped by an error. When tracing is disabled
+	// server-side, a traced request gets an untraced response — absence
+	// of the id tells the client tracing was off.
 	if req.Traced && resp.RequestID != "" {
 		wresp.Traced = true
 		wresp.RequestID = resp.RequestID
@@ -248,14 +229,14 @@ func (t *TCPServer) exchange(payload []byte, client string) wire.Response {
 }
 
 // admin decodes and serves one lifecycle frame. A payload that fails to
-// decode is answered with StatusBadRequest and the stream continues,
-// exactly like a malformed route request.
+// decode is answered with StatusBadRequest (classify's default) and the
+// stream continues, exactly like a malformed route request.
 func (t *TCPServer) admin(payload []byte, client string) wire.AdminResponse {
 	switch wire.PayloadKind(payload) {
 	case wire.KindUpload:
 		u, err := wire.DecodeUpload(payload)
 		if err != nil {
-			return wire.AdminResponse{Status: wire.StatusBadRequest, Message: err.Error()}
+			return t.s.wireAdminError(err)
 		}
 		info, err := t.s.UploadCircuit(store.CircuitFromUpload(u))
 		if err != nil {
@@ -265,7 +246,7 @@ func (t *TCPServer) admin(payload []byte, client string) wire.AdminResponse {
 	case wire.KindMutate:
 		m, err := wire.DecodeMutate(payload)
 		if err != nil {
-			return wire.AdminResponse{Status: wire.StatusBadRequest, Message: err.Error()}
+			return t.s.wireAdminError(err)
 		}
 		if m.Client != "" {
 			client = m.Client
@@ -298,7 +279,7 @@ func (t *TCPServer) admin(payload []byte, client string) wire.AdminResponse {
 	default: // wire.KindEvict — the only other kind dispatched here
 		e, err := wire.DecodeEvict(payload)
 		if err != nil {
-			return wire.AdminResponse{Status: wire.StatusBadRequest, Message: err.Error()}
+			return t.s.wireAdminError(err)
 		}
 		if err := t.s.EvictCircuit(e.Circuit); err != nil {
 			return t.s.wireAdminError(err)
@@ -307,16 +288,10 @@ func (t *TCPServer) admin(payload []byte, client string) wire.AdminResponse {
 	}
 }
 
-// wireAdminError maps a lifecycle error to its admin response, reusing
-// wireError's status vocabulary so the binary and HTTP surfaces agree
-// (wire.Status.HTTPStatus() == statusFor(err), same as the route path).
+// wireAdminError renders a lifecycle error as its admin response.
 func (s *Server) wireAdminError(err error) wire.AdminResponse {
-	we := s.wireError(err)
-	return wire.AdminResponse{
-		Status:            we.Status,
-		RetryAfterSeconds: we.RetryAfterSeconds,
-		Message:           we.Message,
-	}
+	status, retryAfter := s.classify(err)
+	return wire.AdminResponse{Status: status, RetryAfterSeconds: retryAfter, Message: err.Error()}
 }
 
 // wireStages converts a response's stage breakdown to protocol pairs.
@@ -331,45 +306,9 @@ func wireStages(stages []StageSample) []wire.StagePair {
 	return out
 }
 
-// wireError maps a service error to its binary response, carrying the
-// same status vocabulary and Retry-After values as writeError does for
-// HTTP — wire.Status.HTTPStatus() of the mapped code always equals
-// statusFor(err), which TestTCPErrorEquivalence pins.
+// wireError renders a route error as its binary response: the status and
+// Retry-After pair classify gives every transport.
 func (s *Server) wireError(err error) wire.Response {
-	resp := wire.Response{Message: err.Error()}
-	var rle *policy.RateLimitedError
-	var boe *policy.BreakerOpenError
-	var oge *backend.OutsideGridError
-	switch {
-	case errors.Is(err, ErrShed), errors.Is(err, policy.ErrEvicted):
-		resp.Status = wire.StatusShed
-		resp.RetryAfterSeconds = s.RetryAfterSeconds()
-	case errors.As(err, &rle):
-		resp.Status = wire.StatusRateLimited
-		resp.RetryAfterSeconds = ceilSeconds(rle.RetryAfter)
-	case errors.As(err, &boe):
-		resp.Status = wire.StatusBreakerOpen
-		resp.RetryAfterSeconds = ceilSeconds(boe.RetryAfter)
-	case errors.Is(err, policy.ErrRateLimited):
-		resp.Status = wire.StatusRateLimited
-	case errors.Is(err, policy.ErrBreakerOpen):
-		resp.Status = wire.StatusBreakerOpen
-	case errors.Is(err, ErrDraining):
-		resp.Status = wire.StatusDraining
-	case errors.Is(err, ErrDeadline):
-		resp.Status = wire.StatusDeadline
-	case errors.Is(err, policy.ErrDeadlineInfeasible):
-		resp.Status = wire.StatusInfeasible
-	case errors.Is(err, ErrUnknownCircuit), errors.Is(err, store.ErrUnknown):
-		resp.Status = wire.StatusUnknownCircuit
-	case errors.Is(err, ErrCircuitExists), errors.Is(err, ErrImmutable):
-		resp.Status = wire.StatusConflict
-	case errors.Is(err, store.ErrStoreFull):
-		resp.Status = wire.StatusStoreFull
-	case errors.As(err, &oge):
-		resp.Status = wire.StatusBadRequest
-	default:
-		resp.Status = wire.StatusBadRequest
-	}
-	return resp
+	status, retryAfter := s.classify(err)
+	return wire.Response{Status: status, RetryAfterSeconds: retryAfter, Message: err.Error()}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"locusroute/internal/backend"
 	"locusroute/internal/geom"
+	"locusroute/internal/policy"
+	"locusroute/internal/store"
 	"locusroute/internal/wire"
 )
 
@@ -144,7 +148,8 @@ func TestTCPHTTPEquivalence(t *testing.T) {
 
 // TestTCPErrorEquivalence pins the error vocabulary across transports:
 // each failure mode's binary Status must map (via HTTPStatus) to exactly
-// the code the JSON endpoint reports for the same request.
+// the code the JSON endpoint reports for the same request — first end to
+// end for the validation failures, then for classify's whole table.
 func TestTCPErrorEquivalence(t *testing.T) {
 	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
 	addr, _ := startTCP(t, s)
@@ -191,6 +196,118 @@ func TestTCPErrorEquivalence(t *testing.T) {
 			t.Errorf("%s: bin HTTPStatus %d != json code %d", tc.name, got, code)
 		}
 	}
+
+	// Every error classify knows, fed to the three renderers directly: one
+	// status, one HTTP code, and the same Retry-After on header and frames.
+	backlog := s.RetryAfterSeconds()
+	for _, tc := range []struct {
+		name       string
+		err        error
+		want       wire.Status
+		http       int
+		retryAfter int
+	}{
+		{"shed", ErrShed, wire.StatusShed, 429, backlog},
+		{"evicted", fmt.Errorf("%w (slack lost)", policy.ErrEvicted), wire.StatusShed, 429, backlog},
+		{"rate-limited typed", &policy.RateLimitedError{Client: "c", RetryAfter: 1500 * time.Millisecond}, wire.StatusRateLimited, 429, 2},
+		{"rate-limited bare", policy.ErrRateLimited, wire.StatusRateLimited, 429, 0},
+		{"breaker-open typed", &policy.BreakerOpenError{RetryAfter: 10 * time.Millisecond}, wire.StatusBreakerOpen, 503, 1},
+		{"breaker-open bare", policy.ErrBreakerOpen, wire.StatusBreakerOpen, 503, 0},
+		{"draining", ErrDraining, wire.StatusDraining, 503, 0},
+		{"deadline", ErrDeadline, wire.StatusDeadline, 504, 0},
+		{"infeasible", policy.ErrDeadlineInfeasible, wire.StatusInfeasible, 504, 0},
+		{"unknown circuit (serving)", fmt.Errorf("%w %q", ErrUnknownCircuit, "x"), wire.StatusUnknownCircuit, 404, 0},
+		{"unknown circuit (store)", store.ErrUnknown, wire.StatusUnknownCircuit, 404, 0},
+		{"exists", fmt.Errorf("%w: %q", ErrCircuitExists, "x"), wire.StatusConflict, 409, 0},
+		{"immutable", ErrImmutable, wire.StatusConflict, 409, 0},
+		{"store-full", store.ErrStoreFull, wire.StatusStoreFull, 507, 0},
+		{"bad-op", store.ErrBadOp, wire.StatusBadRequest, 400, 0},
+		{"outside-grid", &backend.OutsideGridError{WireID: 1, Channels: 6, Grids: 80}, wire.StatusBadRequest, 400, 0},
+		{"unknown error", errors.New("anything else"), wire.StatusBadRequest, 400, 0},
+	} {
+		status, retryAfter := s.classify(tc.err)
+		if status != tc.want || status.HTTPStatus() != tc.http || retryAfter != tc.retryAfter {
+			t.Errorf("%s: classify = (%v [http %d], %d), want (%v [http %d], %d)",
+				tc.name, status, status.HTTPStatus(), retryAfter, tc.want, tc.http, tc.retryAfter)
+		}
+		rec := httptest.NewRecorder()
+		s.writeError(rec, tc.err, "")
+		header := ""
+		if tc.retryAfter > 0 {
+			header = strconv.Itoa(tc.retryAfter)
+		}
+		if rec.Code != tc.http || rec.Header().Get("Retry-After") != header {
+			t.Errorf("%s: http rendered %d Retry-After %q, want %d %q",
+				tc.name, rec.Code, rec.Header().Get("Retry-After"), tc.http, header)
+		}
+		frame, admin := s.wireError(tc.err), s.wireAdminError(tc.err)
+		if frame.Status != tc.want || frame.RetryAfterSeconds != tc.retryAfter || frame.Message != tc.err.Error() {
+			t.Errorf("%s: route frame %+v", tc.name, frame)
+		}
+		if admin.Status != tc.want || admin.RetryAfterSeconds != tc.retryAfter || admin.Message != tc.err.Error() {
+			t.Errorf("%s: admin frame %+v", tc.name, admin)
+		}
+	}
+}
+
+// TestRefusalsCounted pins the counters of the two refusals that used to
+// finish their span and bump nothing: an unknown-circuit 404 is one
+// rejected, a request after BeginDrain is one denied — on either
+// transport, as /v1/metrics reports them.
+func TestRefusalsCounted(t *testing.T) {
+	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
+	addr, _ := startTCP(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	metric := func(name string) int {
+		t.Helper()
+		_, _, text := doReq(t, ts, http.MethodGet, "/v1/metrics", "")
+		for _, line := range strings.Split(string(text), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("metric line %q: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/v1/metrics has no %s", name)
+		return 0
+	}
+	overHTTP := func(circuit string, want int) {
+		t.Helper()
+		if code, doc := postRoute(t, ts, `{"circuit":"`+circuit+`","pins":[[2,1],[40,4]]}`); code != want {
+			t.Fatalf("http %s: status %d, want %d (%v)", circuit, code, want, doc)
+		}
+	}
+	overTCP := func(circuit string, want wire.Status) {
+		t.Helper()
+		resp, err := c.Do(&wire.Request{Circuit: circuit, Pins: []geom.Point{geom.Pt(2, 1), geom.Pt(40, 4)}})
+		if err != nil || resp.Status != want {
+			t.Fatalf("bin %s: status %v err %v, want %v", circuit, resp, err, want)
+		}
+	}
+
+	movesByOne := func(name string, refuse func()) {
+		t.Helper()
+		base := metric(name)
+		refuse()
+		if got := metric(name) - base; got != 1 {
+			t.Errorf("%s moved by %d over one refusal, want 1", name, got)
+		}
+	}
+	const rejected, denied = "locusd_requests_rejected_total", "locusd_requests_denied_total"
+	movesByOne(rejected, func() { overHTTP("nope", http.StatusNotFound) })
+	movesByOne(rejected, func() { overTCP("nope", wire.StatusUnknownCircuit) })
+	s.BeginDrain()
+	movesByOne(denied, func() { overHTTP("svc", http.StatusServiceUnavailable) })
+	movesByOne(denied, func() { overTCP("svc", wire.StatusDraining) })
 }
 
 // TestTCPShedRetryAfterEquivalence saturates a one-slot gate and checks
@@ -238,7 +355,7 @@ func TestTCPShedRetryAfterEquivalence(t *testing.T) {
 		t.Errorf("shed frame RetryAfterSeconds = %d, want >= 1", bin.RetryAfterSeconds)
 	}
 
-	resp, err := ts.Client().Post(ts.URL+"/route", "application/json",
+	resp, err := ts.Client().Post(ts.URL+"/v1/route", "application/json",
 		strings.NewReader(`{"circuit":"svc","wire":9,"pins":[[3,2],[30,5]]}`))
 	if err != nil {
 		t.Fatal(err)

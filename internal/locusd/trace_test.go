@@ -109,7 +109,7 @@ func TestTraceIDEquivalenceJSONBin(t *testing.T) {
 	addr, _ := startTCP(t, s)
 
 	// JSON: adopted id comes back in header and body.
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/route",
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/route",
 		strings.NewReader(`{"circuit":"svc","wire":301,"pins":[[2,1],[40,4]]}`))
 	req.Header.Set(RequestIDHeader, "same-id-both-ways")
 	hresp, err := ts.Client().Do(req)
@@ -244,7 +244,7 @@ func TestTraceErrorPaths(t *testing.T) {
 	defer ts.Close()
 	addr, _ := startTCP(t, s)
 
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/route",
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/route",
 		strings.NewReader(`{"circuit":"nope","wire":1,"pins":[[2,1],[40,4]]}`))
 	req.Header.Set(RequestIDHeader, "err-id-1")
 	hresp, err := ts.Client().Do(req)
@@ -286,7 +286,7 @@ func TestTraceErrorPaths(t *testing.T) {
 
 	// An oversized trace id is rejected outright on both transports.
 	long := strings.Repeat("x", reqtrace.MaxTraceID+1)
-	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/route",
+	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/v1/route",
 		strings.NewReader(`{"circuit":"svc","wire":3,"pins":[[2,1],[40,4]]}`))
 	req.Header.Set(RequestIDHeader, long)
 	hresp, err = ts.Client().Do(req)

@@ -181,35 +181,23 @@ type ElementTimer func(element string, d time.Duration)
 
 // AdmitTimed is Admit with per-element attribution: timer receives each
 // enabled gatekeeper's decision time, including the one that rejects.
-// The untimed Admit stays the hot path — hosts call AdmitTimed only for
-// traced requests, so untraced admissions pay no extra clock reads.
+// A nil timer is the untimed Admit — the hot path — so hosts make this
+// one call and pass a timer only for traced requests; untraced
+// admissions pay no extra clock reads.
 func (c *Chain) AdmitTimed(now time.Time, req *Request, timer ElementTimer) error {
-	if c == nil {
-		return nil
-	}
-	if timer == nil {
+	if c == nil || timer == nil {
 		return c.Admit(now, req)
 	}
-	if c.deadline != nil {
-		t0 := time.Now()
-		err := c.deadline.Admit(now, req)
-		timer(c.deadline.Name(), time.Since(t0))
-		if err != nil {
-			return err
+	for _, el := range c.Elements() {
+		gate, ok := el.(interface {
+			Admit(time.Time, *Request) error
+		})
+		if !ok {
+			continue // cache and scheduler decide nothing at admission
 		}
-	}
-	if c.limit != nil {
 		t0 := time.Now()
-		err := c.limit.Admit(now, req)
-		timer(c.limit.Name(), time.Since(t0))
-		if err != nil {
-			return err
-		}
-	}
-	if c.breaker != nil {
-		t0 := time.Now()
-		err := c.breaker.Admit(now, req)
-		timer(c.breaker.Name(), time.Since(t0))
+		err := gate.Admit(now, req)
+		timer(el.Name(), time.Since(t0))
 		if err != nil {
 			return err
 		}

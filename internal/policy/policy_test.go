@@ -401,6 +401,40 @@ func TestEDFQueueOrder(t *testing.T) {
 	}
 }
 
+// TestEDFQueueTiesPopInPushOrder pins the tiebreak that lets one queue
+// serve arrival-order dispatch: items with equal deadlines (here the
+// same instant, and the all-zero "no deadline" case) pop in push order,
+// across partial pops — a bare binary heap returns 0, n-1, n-2, ...
+func TestEDFQueueTiesPopInPushOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		deadline time.Time
+	}{{"same-instant", t0.Add(time.Second)}, {"no-deadline", time.Time{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := NewEDFQueue()
+			const n = 9
+			for i := 0; i < n; i++ {
+				q.Push(&Item{Deadline: tc.deadline, Value: i})
+			}
+			var got []int
+			for _, it := range q.PopBatch(4) {
+				got = append(got, it.Value.(int))
+			}
+			// A later push with the same key queues behind the backlog,
+			// and an earlier key still jumps it.
+			q.Push(&Item{Deadline: tc.deadline, Value: n})
+			q.Push(&Item{Deadline: t0, Value: -1})
+			for _, it := range q.PopBatch(n) {
+				got = append(got, it.Value.(int))
+			}
+			want := []int{0, 1, 2, 3, -1, 4, 5, 6, 7, 8, 9}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("pop order = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
 func TestEDFQueuePartialBatch(t *testing.T) {
 	q := NewEDFQueue()
 	for i := 0; i < 5; i++ {

@@ -1,20 +1,22 @@
 package policy
 
 import (
+	"container/heap"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Sched is the criticality scheduler element: it switches the host from
-// FIFO round-robin dispatch to earliest-deadline-first ordering inside
-// the batch window, and from indiscriminate shedding to
-// least-critical-first shedding at a full admission gate. The data
-// structure doing the work is EDFQueue; Sched itself carries the
-// element identity and the scheduling counters the host bumps.
+// arrival-order dispatch to earliest-deadline-first ordering inside the
+// batch window, and from indiscriminate shedding to least-critical-first
+// shedding at a full admission gate. The data structure doing the work
+// is EDFQueue; Sched itself carries the element identity and the
+// scheduling counters the host bumps.
 //
-// A nil *Sched means EDF is off; hosts use the nil test as the mode
-// switch and fall back to their FIFO path.
+// A nil *Sched means EDF is off. The host's dispatch does not fork on
+// it: FIFO is EDF keyed on arrival time, so the nil test only picks the
+// queue key (and turns preemption off).
 type Sched struct {
 	scheduled atomic.Int64
 	batches   atomic.Int64
@@ -59,11 +61,14 @@ func (s *Sched) Counters() []Counter {
 }
 
 // Item is one queued request: its deadline (criticality) and an opaque
-// host value. An Item belongs to at most one EDFQueue at a time.
+// host value. A host dispatching in arrival order keys Deadline on the
+// arrival time instead. An Item belongs to at most one EDFQueue at a
+// time; hosts embed it in their own request record to queue without a
+// second allocation.
 type Item struct {
 	Deadline time.Time
 	Value    any
-	pos      int // heap index; -1 once removed
+	seq      uint64 // push order within the queue: the equal-deadline tiebreak
 }
 
 // EDFQueue is a deadline-ordered request queue: Push admits in O(log n),
@@ -76,11 +81,11 @@ type Item struct {
 //
 // C is a one-slot wake channel: Push signals it, consumers wait on it.
 // Because the slot is buffered, a signal sent between a consumer's
-// empty-check and its wait is never lost; consumers that drain only part
-// of the queue must Signal again so a sibling picks up the rest.
+// empty-check and its wait is never lost.
 type EDFQueue struct {
 	mu     sync.Mutex
-	heap   []*Item // min-heap on Deadline; zero deadline sorts last
+	heap   itemHeap // min-heap on (Deadline, seq); zero deadline sorts last
+	pushes uint64   // Items pushed so far; stamps Item.seq
 	notify chan struct{}
 }
 
@@ -106,27 +111,30 @@ func DeadlineLess(a, b time.Time) bool {
 // Push enqueues it and signals a waiting consumer.
 func (q *EDFQueue) Push(it *Item) {
 	q.mu.Lock()
-	it.pos = len(q.heap)
-	q.heap = append(q.heap, it)
-	q.up(it.pos)
+	q.pushes++
+	it.seq = q.pushes
+	heap.Push(&q.heap, it)
 	q.mu.Unlock()
 	q.Signal()
 }
 
 // PopBatch removes and returns up to max items in deadline order
-// (earliest first). It returns nil when the queue is empty.
+// (earliest first). It returns nil when the queue is empty. A partial
+// drain re-arms the wake channel, so a sibling consumer (or the caller's
+// next lap) picks up the remainder.
 func (q *EDFQueue) PopBatch(max int) []*Item {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.heap) == 0 || max < 1 {
+	n := min(max, len(q.heap))
+	if n < 1 {
 		return nil
 	}
-	if max > len(q.heap) {
-		max = len(q.heap)
+	out := make([]*Item, n)
+	for i := range out {
+		out[i] = heap.Pop(&q.heap).(*Item)
 	}
-	out := make([]*Item, 0, max)
-	for len(out) < max && len(q.heap) > 0 {
-		out = append(out, q.popMin())
+	if len(q.heap) > 0 {
+		q.Signal()
 	}
 	return out
 }
@@ -166,7 +174,7 @@ func (q *EDFQueue) EvictSlackest(tighterThan time.Time) *Item {
 	if !DeadlineLess(tighterThan, q.heap[i].Deadline) {
 		return nil
 	}
-	return q.remove(i)
+	return heap.Remove(&q.heap, i).(*Item)
 }
 
 // slackestLocked finds the max-deadline index, -1 when empty. The max
@@ -188,8 +196,7 @@ func (q *EDFQueue) slackestLocked() int {
 // C is the wake channel: one buffered signal per Push.
 func (q *EDFQueue) C() <-chan struct{} { return q.notify }
 
-// Signal re-arms the wake channel without enqueueing; consumers call it
-// after a partial drain so siblings see the remainder.
+// Signal re-arms the wake channel without enqueueing.
 func (q *EDFQueue) Signal() {
 	select {
 	case q.notify <- struct{}{}:
@@ -197,55 +204,25 @@ func (q *EDFQueue) Signal() {
 	}
 }
 
-// popMin removes the heap root. Caller holds the lock.
-func (q *EDFQueue) popMin() *Item { return q.remove(0) }
+// itemHeap is the queue's container/heap ordering: DeadlineLess, with
+// equal deadlines popping in push order — a binary heap alone is not
+// stable, and arrival-order dispatch is exactly the all-keys-tie case.
+type itemHeap []*Item
 
-// remove deletes index i from the heap. Caller holds the lock.
-func (q *EDFQueue) remove(i int) *Item {
-	it := q.heap[i]
-	last := len(q.heap) - 1
-	q.swap(i, last)
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	if i < last {
-		q.down(i)
-		q.up(i)
+func (h itemHeap) Len() int      { return len(h) }
+func (h itemHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h itemHeap) Less(i, j int) bool {
+	if h[i].Deadline.Equal(h[j].Deadline) {
+		return h[i].seq < h[j].seq
 	}
-	it.pos = -1
+	return DeadlineLess(h[i].Deadline, h[j].Deadline)
+}
+func (h *itemHeap) Push(x any) { *h = append(*h, x.(*Item)) }
+func (h *itemHeap) Pop() any {
+	old := *h
+	last := len(old) - 1
+	it := old[last]
+	old[last] = nil
+	*h = old[:last]
 	return it
-}
-
-func (q *EDFQueue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].pos = i
-	q.heap[j].pos = j
-}
-
-func (q *EDFQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !DeadlineLess(q.heap[i].Deadline, q.heap[parent].Deadline) {
-			return
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-func (q *EDFQueue) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(q.heap) && DeadlineLess(q.heap[l].Deadline, q.heap[min].Deadline) {
-			min = l
-		}
-		if r < len(q.heap) && DeadlineLess(q.heap[r].Deadline, q.heap[min].Deadline) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		q.swap(i, min)
-		i = min
-	}
 }

@@ -31,7 +31,7 @@ import (
 //	resp, err := svc.Route(ctx, locusroute.ServiceRequest{Circuit: c.Name, Wire: w})
 //
 // Close the service to drain it; its Handler serves the same HTTP API
-// as cmd/locusd (/route, /circuits, /healthz, /metrics, /debug/vars).
+// as cmd/locusd (the /v1 endpoints plus /debug/vars).
 type Service struct {
 	srv *locusd.Server
 	// owned is the circuit store NewService opened on the embedder's
