@@ -24,7 +24,7 @@ race:
 
 # Non-test Go LoC of the serving stack, per package and in total:
 # ROADMAP's "net non-test LoC going down" as one command.
-LOC_PKGS = internal/locusd internal/policy internal/wire internal/backend pkg/locusroute
+LOC_PKGS = internal/locusd internal/policy internal/wire pkg/locusroute
 loc:
 	@for d in $(LOC_PKGS); do \
 		printf '%-18s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \

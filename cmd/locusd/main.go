@@ -6,9 +6,10 @@
 //
 //	locusd [-addr :8347] [-listen-bin addr] [-bench bnrE|MDC|both]
 //	       [-seed 1] [-circuit file]
-//	       [-backend sequential|sm-live|sm-traced|mp-des|mp-live]
-//	       [-procs 16] [-shards 4] [-batch-window 2ms] [-max-batch 64]
-//	       [-max-in-flight 256] [-deadline 5s] [-par N]
+//	       [-backend sequential|sm-live|sm-traced|mp-des|mp-live|partitioned]
+//	       [-procs 16] [-partitions 0] [-shards 4] [-batch-window 2ms]
+//	       [-max-batch 64] [-max-in-flight 256] [-deadline 5s]
+//	       [-drain-grace 30s] [-par N]
 //	       [-admit-floor 0] [-rate-limit 0] [-rate-burst 0]
 //	       [-breaker-failures 0] [-breaker-cooldown 1s] [-cache-size 0]
 //	       [-edf]
@@ -167,6 +168,12 @@ func main() {
 			Logger:   logger,
 		})
 	}
+	// Installed before the store opens and the listeners come up: a
+	// signal that lands during startup waits in the buffer and is
+	// honoured at the select below, so a daemon that has answered
+	// /v1/healthz (or replayed a WAL) always drains and snapshots.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	var st *store.Store
 	if *storeFlag || *storeDir != "" {
 		st, err = store.Open(store.Config{Dir: *storeDir, MemBudget: *storeMem << 20})
@@ -216,8 +223,6 @@ func main() {
 		*addr, *shards, *batchWindow, *maxInFlight, elems),
 		"trace", cfg.Tracer.Enabled(), "pprof", *pprofFlag)
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		logger.Info(fmt.Sprintf("%v: draining...", sig))

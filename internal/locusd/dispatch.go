@@ -173,7 +173,7 @@ func (s *Server) preempt(deadline time.Time) bool {
 // loop calls process for a given shard, so the array needs no lock;
 // the routing scratch is borrowed from the server's grid-keyed pool
 // for the batch and returned afterwards, so the per-request cost stays
-// at the reused-scratch allocation floor (see backend.ScratchPool).
+// at the reused-scratch allocation floor (see scratchPool).
 // The batch arrives in queue order — deadline order under the scheduler,
 // arrival order without it — and BatchIndex records that commit order.
 func (s *Server) process(sh *shard, sc *servedCircuit, batch []*policy.Item) {

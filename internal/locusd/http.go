@@ -226,7 +226,7 @@ func ceilSeconds(d time.Duration) int {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.cfg.Tracer
 	if tr == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "request tracing disabled (enable it with -trace-sample/-slow-log-threshold or locusroute.WithRequestTracing)"})
+		writeJSON(w, http.StatusNotFound, errorBody{Error: "request tracing disabled (enable it with -trace or -slow-log-threshold)"})
 		return
 	}
 	sec := 1.0

@@ -178,6 +178,3 @@ func (s *Server) Mutate(req MutateRequest) (*MutateResponse, error) {
 	}
 	return out, nil
 }
-
-// Store exposes the circuit store for embedders and the HTTP layer.
-func (s *Server) Store() *store.Store { return s.store }

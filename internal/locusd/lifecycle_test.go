@@ -13,12 +13,12 @@ import (
 	"testing"
 	"time"
 
-	"locusroute/internal/backend"
 	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
 	"locusroute/internal/policy"
 	"locusroute/internal/store"
 	"locusroute/internal/wire"
+	"locusroute/pkg/locusroute"
 )
 
 // dynCircuit generates a small circuit for lifecycle tests.
@@ -219,7 +219,7 @@ func TestHTTPLifecycle(t *testing.T) {
 // paths, so mutation and eviction are conflicts — while runtime uploads
 // on the same server remain fully mutable.
 func TestImmutableStartupCircuit(t *testing.T) {
-	s, err := New(Config{Backend: backend.Partitioned, Shards: 1, BatchWindow: time.Millisecond}, testCircuit(t))
+	s, err := New(Config{Backend: locusroute.Partitioned, Shards: 1, BatchWindow: time.Millisecond}, testCircuit(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,72 @@ func TestDrainLosesNothingWithMutation(t *testing.T) {
 		t.Errorf("epoch after drain = %d, want %d", got, n+1)
 	}
 	// The mutation reached the store before the drain finished.
-	if info, ok := s.Store().Get("svc"); !ok || info.Epoch != 1 {
+	if info, ok := s.store.Get("svc"); !ok || info.Epoch != 1 {
 		t.Errorf("store epoch = %+v ok=%v, want epoch 1", info, ok)
+	}
+}
+
+// TestServerRestartIdentity drives the dynamic circuit lifecycle across
+// a restart on a persistent store: upload a circuit, mutate it, close
+// the server and then the store (which snapshots), reopen both on the
+// same directory, and require the recovered state to be identical — the
+// same canonical-array hash and mutation epoch — and still routable.
+func TestServerRestartIdentity(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*Server, *store.Store) {
+		t.Helper()
+		st, err := store.Open(store.Config{Dir: dir})
+		if err != nil {
+			t.Fatalf("store.Open: %v", err)
+		}
+		s, err := New(Config{Shards: 1, BatchWindow: time.Millisecond, Store: st})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return s, st
+	}
+
+	s, st := open()
+	c := dynCircuit(t, "dyn", 3)
+	if _, err := s.UploadCircuit(c); err != nil {
+		t.Fatalf("UploadCircuit: %v", err)
+	}
+	resp, err := s.Mutate(MutateRequest{Circuit: "dyn", Ops: []store.Op{
+		{Kind: store.OpAdd, WireID: 901, Pins: testWireAt(901, 8, 1, 35, 2).Pins},
+		{Kind: store.OpReroute, WireID: c.Wires[0].ID},
+	}})
+	if err != nil {
+		t.Fatalf("Mutate: %v", err)
+	}
+	if resp.Epoch != 2 || len(resp.Results) != 2 {
+		t.Fatalf("Mutate = epoch %d, %d results; want 2, 2", resp.Epoch, len(resp.Results))
+	}
+	before, ok := st.Get("dyn")
+	if !ok {
+		t.Fatal("store does not hold dyn before restart")
+	}
+	s.Close()
+	if err := st.Close(); err != nil {
+		t.Fatalf("store.Close: %v", err)
+	}
+
+	s2, st2 := open()
+	defer st2.Close()
+	defer s2.Close()
+	if rs := st2.Recovery(); rs.SnapshotCircuits == 0 && rs.ReplayedRecords == 0 {
+		t.Errorf("Recovery = %+v, want recovered state after restart", rs)
+	}
+	after, ok := st2.Get("dyn")
+	if !ok {
+		t.Fatal("store does not hold dyn after restart")
+	}
+	if after.ArrayHash != before.ArrayHash {
+		t.Errorf("recovered array hash %s != pre-restart %s", after.ArrayHash, before.ArrayHash)
+	}
+	if after.Epoch != before.Epoch {
+		t.Errorf("recovered epoch %d != pre-restart %d", after.Epoch, before.Epoch)
+	}
+	if _, err := s2.Route(context.Background(), RouteRequest{Circuit: "dyn", Wire: testWireAt(9000, 3, 1, 25, 3)}); err != nil {
+		t.Fatalf("Route against recovered circuit: %v", err)
 	}
 }

@@ -24,11 +24,11 @@
 //
 // Requests that arrive at a shard within one batching window are grouped
 // and evaluated back to back through a route.Scratch borrowed from a
-// grid-keyed backend.ScratchPool for the batch (reused scratch space is
-// what makes the steady state allocation-free). A
-// par.Gate bounds admitted requests — a full gate sheds load with HTTP
-// 429 rather than queueing without bound — and a par.Pool bounds how
-// many shards evaluate batches at once.
+// grid-keyed scratchPool for the batch (reused scratch space is what
+// makes the steady state allocation-free). A par.Gate bounds admitted
+// requests — a full gate sheds load with HTTP 429 rather than queueing
+// without bound — and a par.Pool bounds how many shards evaluate
+// batches at once.
 package locusd
 
 import (
@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"locusroute/internal/backend"
 	"locusroute/internal/circuit"
 	"locusroute/internal/costarray"
 	"locusroute/internal/geom"
@@ -50,6 +49,7 @@ import (
 	"locusroute/internal/reqtrace"
 	"locusroute/internal/route"
 	"locusroute/internal/store"
+	"locusroute/pkg/locusroute"
 )
 
 // Config sizes the service. The zero value of every field has a sensible
@@ -58,7 +58,7 @@ type Config struct {
 	// Backend selects the pkg/locusroute implementation that routes each
 	// circuit at startup to produce the baseline congestion state
 	// (default Sequential, the reference router).
-	Backend backend.Kind
+	Backend locusroute.Kind
 	// Procs is the processor count for the baseline backend (ignored for
 	// Sequential; default 16, the paper's machine size).
 	Procs int
@@ -80,9 +80,8 @@ type Config struct {
 	// DefaultDeadline applies when a request carries no deadline_ms
 	// (default 5s).
 	DefaultDeadline time.Duration
-	// Pool bounds concurrent batch evaluations (nil = one worker per
-	// GOMAXPROCS via par.New(0) semantics is NOT applied here; nil means
-	// unbounded, matching par.Pool).
+	// Pool bounds concurrent batch evaluations; nil means unbounded
+	// (every shard may evaluate at once), as for any nil par.Pool.
 	Pool *par.Pool
 	// Router tunes the route kernel (zero value = route.DefaultParams).
 	Router route.Params
@@ -111,7 +110,7 @@ type Config struct {
 // withDefaults fills the zero fields.
 func (c Config) withDefaults() Config {
 	if c.Backend == "" {
-		c.Backend = backend.Sequential
+		c.Backend = locusroute.Sequential
 	}
 	if c.Procs < 1 {
 		c.Procs = 16
@@ -250,7 +249,7 @@ type outcome struct {
 
 // shard is one serving replica: a private cost array and the queue its
 // loop drains. Routing scratch space is not owned by the shard — batches
-// borrow it from the server's grid-keyed pool (backend.ScratchPool), so
+// borrow it from the server's grid-keyed pool (scratchPool), so
 // idle replicas hold no scratch memory and every circuit with the same
 // grid shares one warm set.
 type shard struct {
@@ -277,7 +276,7 @@ type shardUpdate struct {
 type servedCircuit struct {
 	name     string
 	grid     geom.Grid
-	baseline backend.Result
+	baseline locusroute.Result
 	shards   []*shard
 	next     atomic.Uint64 // round-robin dispatch cursor
 	// queue is the deadline-ordered queue every shard of the circuit
@@ -354,7 +353,7 @@ type Server struct {
 	// scratch pools routing scratch space per grid shape; batches borrow
 	// a Scratch for their whole run and return it, keeping the serving
 	// path at the reused-scratch allocation floor.
-	scratch backend.ScratchPool
+	scratch scratchPool
 
 	met      metrics
 	draining atomic.Bool
@@ -403,7 +402,7 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 		}
 		seen[c.Name] = true
 	}
-	if cfg.Backend == backend.Sequential {
+	if cfg.Backend == locusroute.Sequential {
 		for _, c := range circuits {
 			if _, err := st.Upload(c); err != nil && !errors.Is(err, store.ErrExists) {
 				return nil, fmt.Errorf("locusd: baseline routing of %q: %w", c.Name, err)
@@ -412,11 +411,11 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 			// durable copy wins over the startup argument.
 		}
 	} else {
-		opts := []backend.Option{backend.WithRouter(cfg.Router), backend.WithProcs(cfg.Procs)}
-		if cfg.Partitions > 0 && cfg.Backend == backend.Partitioned {
-			opts = append(opts, backend.WithPartitions(cfg.Partitions))
+		opts := []locusroute.Option{locusroute.WithRouter(cfg.Router), locusroute.WithProcs(cfg.Procs)}
+		if cfg.Partitions > 0 && cfg.Backend == locusroute.Partitioned {
+			opts = append(opts, locusroute.WithPartitions(cfg.Partitions))
 		}
-		be, err := backend.New(cfg.Backend, opts...)
+		be, err := locusroute.New(cfg.Backend, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -424,7 +423,7 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 			if _, held := st.Get(c.Name); held {
 				continue // the store's recovered copy wins
 			}
-			base, err := be.Route(context.Background(), backend.Request{Circuit: c})
+			base, err := be.Route(context.Background(), locusroute.Request{Circuit: c})
 			if err != nil {
 				return nil, fmt.Errorf("locusd: baseline routing of %q: %w", c.Name, err)
 			}
@@ -449,7 +448,7 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 }
 
 // newServedCircuit assembles a circuit's serving state (no shards yet).
-func (s *Server) newServedCircuit(name string, g geom.Grid, wires int, base backend.Result, mutable bool) *servedCircuit {
+func (s *Server) newServedCircuit(name string, g geom.Grid, wires int, base locusroute.Result, mutable bool) *servedCircuit {
 	sc := &servedCircuit{
 		name:      name,
 		grid:      g,
@@ -487,8 +486,8 @@ func (s *Server) serveStored(name string) (*servedCircuit, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w %q (store no longer holds it)", ErrUnknownCircuit, name)
 	}
-	base := backend.Result{
-		Backend:       backend.Sequential,
+	base := locusroute.Result{
+		Backend:       locusroute.Sequential,
 		Circuit:       name,
 		Procs:         1,
 		CircuitHeight: info.Baseline.CircuitHeight,
@@ -625,7 +624,7 @@ func (s *Server) validate(f *flight) bool {
 		return f.end(reqtrace.OutcomeRejected,
 			fmt.Errorf("%w %q (serving %v)", ErrUnknownCircuit, f.req.Circuit, s.served()))
 	}
-	if err := backend.ValidateWires(f.sc.grid, []circuit.Wire{f.req.Wire}); err != nil {
+	if err := locusroute.ValidateWires(f.sc.grid, []circuit.Wire{f.req.Wire}); err != nil {
 		return f.end(reqtrace.OutcomeRejected, err)
 	}
 	return true

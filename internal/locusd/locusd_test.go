@@ -13,9 +13,9 @@ import (
 	"testing"
 	"time"
 
-	"locusroute/internal/backend"
 	"locusroute/internal/circuit"
 	"locusroute/internal/par"
+	"locusroute/pkg/locusroute"
 )
 
 // testCircuit generates the small circuit the service tests route
@@ -390,7 +390,7 @@ func TestConcurrentLoad(t *testing.T) {
 // baseline.
 func TestPartitionedBaseline(t *testing.T) {
 	s := newServer(t, Config{
-		Backend:     backend.Partitioned,
+		Backend:     locusroute.Partitioned,
 		Partitions:  4,
 		Shards:      1,
 		BatchWindow: time.Millisecond,

@@ -1,6 +1,6 @@
 //go:build !race
 
-package backend
+package locusd
 
 // raceEnabled reports whether this test binary was built with the race
 // detector; alloc-count assertions are skipped under it (instrumentation

@@ -1,5 +1,5 @@
 //go:build race
 
-package backend
+package locusd
 
 const raceEnabled = true

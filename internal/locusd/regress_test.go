@@ -168,8 +168,7 @@ func TestEDFFullBatchNoStall(t *testing.T) {
 	})
 }
 
-// TestDefaultDeadlineAppliedInRoute pins the embedder-bypass regression
-// at the Server level (pkg/locusroute carries the Service-level pin): a
+// TestDefaultDeadlineAppliedInRoute pins the HTTP-bypass regression: a
 // Route call with a plain context must pick up Config.DefaultDeadline
 // rather than riding a zero deadline — here the default expires the
 // request inside a wide batch window instead of letting it wait the

@@ -1,4 +1,4 @@
-package backend
+package locusd
 
 import (
 	"sync"
@@ -7,7 +7,7 @@ import (
 	"locusroute/internal/route"
 )
 
-// ScratchPool recycles route.Scratch values across independent routing
+// scratchPool recycles route.Scratch values across independent routing
 // calls. A fresh Scratch costs one visited-grid allocation plus the
 // kernel's map/buffer growth — BENCH_route.json records the standalone
 // path at 12 allocs per wire versus 1 for a reused scratch — so
@@ -25,12 +25,12 @@ import (
 // The zero value is ready to use. All methods are safe for concurrent
 // use; the Scratches themselves remain single-threaded between Get and
 // Put.
-type ScratchPool struct {
+type scratchPool struct {
 	pools sync.Map // geom.Grid -> *sync.Pool of *route.Scratch
 }
 
 // pool returns the per-grid sync.Pool, creating it on first use.
-func (p *ScratchPool) pool(g geom.Grid) *sync.Pool {
+func (p *scratchPool) pool(g geom.Grid) *sync.Pool {
 	if sp, ok := p.pools.Load(g); ok {
 		return sp.(*sync.Pool)
 	}
@@ -42,13 +42,13 @@ func (p *ScratchPool) pool(g geom.Grid) *sync.Pool {
 
 // Get returns a Scratch sized for grid g, reusing a previously Put one
 // when available. The caller owns it until Put.
-func (p *ScratchPool) Get(g geom.Grid) *route.Scratch {
+func (p *scratchPool) Get(g geom.Grid) *route.Scratch {
 	return p.pool(g).Get().(*route.Scratch)
 }
 
 // Put returns a Scratch obtained from Get(g) to the pool. The caller
 // must not use s afterwards.
-func (p *ScratchPool) Put(g geom.Grid, s *route.Scratch) {
+func (p *scratchPool) Put(g geom.Grid, s *route.Scratch) {
 	if s == nil {
 		return
 	}

@@ -1,4 +1,4 @@
-package backend
+package locusd
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 	"locusroute/internal/costarray"
 	"locusroute/internal/geom"
 	"locusroute/internal/route"
+	"locusroute/pkg/locusroute"
 )
 
 // TestScratchPoolAllocs pins the pooled per-request routing cost: a
@@ -13,7 +14,7 @@ import (
 // floor (the caller-owned Path copy), not the 12 allocs/op of the
 // standalone fresh-Scratch path recorded in BENCH_route.json.
 func TestScratchPoolAllocs(t *testing.T) {
-	c, err := BnrE(7)
+	c, err := locusroute.BnrE(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +22,7 @@ func TestScratchPoolAllocs(t *testing.T) {
 	view := route.ArrayView{A: arr}
 	params := route.DefaultParams()
 	w := &c.Wires[17]
-	var pool ScratchPool
+	var pool scratchPool
 	// Warm the pool and the per-wire pin cache outside the measurement.
 	s := pool.Get(c.Grid)
 	s.RouteWire(view, w, params)
@@ -52,7 +53,7 @@ func TestScratchPoolAllocs(t *testing.T) {
 func TestScratchPoolPerGrid(t *testing.T) {
 	gA := geom.Grid{Channels: 10, Grids: 341}
 	gB := geom.Grid{Channels: 12, Grids: 386}
-	var pool ScratchPool
+	var pool scratchPool
 	a := pool.Get(gA)
 	pool.Put(gA, a)
 	b := pool.Get(gB)
@@ -67,7 +68,7 @@ func TestScratchPoolPerGrid(t *testing.T) {
 // TestScratchPoolZeroValue checks the zero value works without any
 // constructor, matching the Server embedding in locusd.
 func TestScratchPoolZeroValue(t *testing.T) {
-	var pool ScratchPool
+	var pool scratchPool
 	g := geom.Grid{Channels: 4, Grids: 16}
 	s := pool.Get(g)
 	if s == nil {

@@ -14,11 +14,11 @@ import (
 	"testing"
 	"time"
 
-	"locusroute/internal/backend"
 	"locusroute/internal/geom"
 	"locusroute/internal/policy"
 	"locusroute/internal/store"
 	"locusroute/internal/wire"
+	"locusroute/pkg/locusroute"
 )
 
 // startTCP stands up the binary transport over s on a loopback listener
@@ -222,7 +222,7 @@ func TestTCPErrorEquivalence(t *testing.T) {
 		{"immutable", ErrImmutable, wire.StatusConflict, 409, 0},
 		{"store-full", store.ErrStoreFull, wire.StatusStoreFull, 507, 0},
 		{"bad-op", store.ErrBadOp, wire.StatusBadRequest, 400, 0},
-		{"outside-grid", &backend.OutsideGridError{WireID: 1, Channels: 6, Grids: 80}, wire.StatusBadRequest, 400, 0},
+		{"outside-grid", &locusroute.OutsideGridError{WireID: 1, Channels: 6, Grids: 80}, wire.StatusBadRequest, 400, 0},
 		{"unknown error", errors.New("anything else"), wire.StatusBadRequest, 400, 0},
 	} {
 		status, retryAfter := s.classify(tc.err)

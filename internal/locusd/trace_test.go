@@ -222,15 +222,19 @@ func TestTraceDisabled(t *testing.T) {
 		t.Fatalf("tracing-off server sent a traced response: %+v", bresp)
 	}
 
-	// /debug/trace is a 404 when tracing is off.
+	// /debug/trace is a 404 when tracing is off, and its body names the
+	// flags that actually turn tracing on (-trace-sample does not).
 	tresp, err := ts.Client().Get(ts.URL + "/debug/trace?sec=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, tresp.Body)
+	body, _ := io.ReadAll(tresp.Body)
 	tresp.Body.Close()
 	if tresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/debug/trace status %d with tracing off", tresp.StatusCode)
+	}
+	if !strings.Contains(string(body), "-trace or -slow-log-threshold") {
+		t.Errorf("/debug/trace 404 body %q does not say how to enable tracing", body)
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package locusroute is the public programmatic entrypoint to the
-// LocusRoute reproduction: one Backend interface over the four ways of
-// running the same routing workload that the paper compares (Martonosi &
-// Gupta, ICPP 1989), so commands, services and examples construct
-// backends through a single API instead of wiring each implementation by
-// hand.
+// LocusRoute reproduction: one Backend interface over six ways of
+// running the same routing workload — the sequential reference, the
+// shared memory and message passing paradigms the paper compares
+// (Martonosi & Gupta, ICPP 1989), each live and simulated, and a
+// partition-parallel router — so commands, the serving daemon and
+// examples construct backends through a single API instead of wiring
+// each implementation by hand.
 //
 // A Backend is built once with functional options and then routes any
 // number of circuits:
@@ -24,164 +26,230 @@
 // being silently moved in bounds the way the synthetic generator does
 // with its own draws.
 //
-// Beyond one-shot backends, NewService stands up the serving layer —
-// sharded batch evaluation with a composable request-path policy chain
-// (deadline admission, rate limiting, circuit breaking, result caching,
-// EDF scheduling); see Service.
-//
-// The implementation lives in internal/backend; this package re-exports
-// that surface one-to-one so the serving daemon and embedders share a
-// single behavioural contract.
+// This package defines the surface and holds the implementation: the
+// behavioural contract — validation, context handling at run
+// boundaries, per-kind option rejection — lives here, and the serving
+// layer (internal/locusd) imports it like any other caller.
 package locusroute
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"io"
+	"time"
 
-	"locusroute/internal/backend"
+	"locusroute/internal/circuit"
+	"locusroute/internal/costarray"
+	"locusroute/internal/geom"
+	"locusroute/internal/mp"
+	"locusroute/internal/sm"
+	"locusroute/internal/trace"
 )
 
 // Kind identifies one of the six backend implementations.
-type Kind = backend.Kind
+type Kind string
 
 const (
 	// Sequential is the uniprocessor reference router.
-	Sequential = backend.Sequential
+	Sequential Kind = "sequential"
 	// SMLive is the shared memory router on real goroutines and one
 	// atomic cost array.
-	SMLive = backend.SMLive
+	SMLive Kind = "sm-live"
 	// SMTraced is the Tango-style multiplexed shared memory router that
 	// records every shared reference for the coherence simulator.
-	SMTraced = backend.SMTraced
+	SMTraced Kind = "sm-traced"
 	// MPDES is the message passing router on the simulated mesh
 	// (discrete-event simulation; reports simulated time and traffic).
-	MPDES = backend.MPDES
+	MPDES Kind = "mp-des"
 	// MPLive is the message passing router on real goroutines whose only
 	// interaction is marshalled packets over channels.
-	MPLive = backend.MPLive
+	MPLive Kind = "mp-live"
 	// Partitioned is the partition-parallel router: a recursive bisection
 	// of the grid whose leaf regions route concurrently on one shared
 	// cost array, with boundary-crossing wires reconciled serially at
 	// each tree level. One partition is bit-identical to Sequential.
-	Partitioned = backend.Partitioned
+	Partitioned Kind = "partitioned"
 )
 
 // Kinds lists every backend kind in a stable order.
-func Kinds() []Kind { return backend.Kinds() }
+func Kinds() []Kind { return []Kind{Sequential, SMLive, SMTraced, MPDES, MPLive, Partitioned} }
 
 // Circuit, Wire and Pin alias the repository's circuit model so callers
 // of the public API can name them without reaching into internal
 // packages.
 type (
-	Circuit = backend.Circuit
-	Wire    = backend.Wire
-	Pin     = backend.Pin
+	Circuit = circuit.Circuit
+	Wire    = circuit.Wire
+	Pin     = geom.Point
+	Grid    = geom.Grid
 )
 
 // Strategy aliases the message passing update schedule (see the paper's
 // Figure 3 taxonomy).
-type Strategy = backend.Strategy
+type Strategy = mp.Strategy
 
 // SenderInitiated returns the pure sender initiated schedule of the
 // paper's Table 1; the standard schedule is SenderInitiated(2, 10).
-func SenderInitiated(sendRmt, sendLoc int) Strategy { return backend.SenderInitiated(sendRmt, sendLoc) }
+func SenderInitiated(sendRmt, sendLoc int) Strategy { return mp.SenderInitiated(sendRmt, sendLoc) }
 
 // ReceiverInitiated returns the pure receiver initiated schedule of
 // Table 2, blocking or not (Section 5.1.3).
 func ReceiverInitiated(reqLoc, reqRmt int, blocking bool) Strategy {
-	return backend.ReceiverInitiated(reqLoc, reqRmt, blocking)
+	return mp.ReceiverInitiated(reqLoc, reqRmt, blocking)
 }
 
 // BnrE generates the synthetic stand-in for the paper's bnrE benchmark
 // (420 wires, 10 channels x 341 grids) from the given seed.
-func BnrE(seed int64) (*Circuit, error) { return backend.BnrE(seed) }
+func BnrE(seed int64) (*Circuit, error) { return circuit.Generate(circuit.BnrELike(seed)) }
 
 // MDC generates the synthetic stand-in for the paper's MDC benchmark
 // (573 wires, 12 channels x 386 grids) from the given seed.
-func MDC(seed int64) (*Circuit, error) { return backend.MDC(seed) }
+func MDC(seed int64) (*Circuit, error) { return circuit.Generate(circuit.MDCLike(seed)) }
 
 // ReadCircuit parses a circuit from the repository's text format and
 // validates it.
-func ReadCircuit(r io.Reader) (*Circuit, error) { return backend.ReadCircuit(r) }
+func ReadCircuit(r io.Reader) (*Circuit, error) { return circuit.Read(r) }
 
 // Request asks a backend to route one circuit.
-type Request = backend.Request
+type Request struct {
+	// Circuit is the circuit to route (required). Every wire must lie
+	// inside the circuit's grid; Route returns an *OutsideGridError
+	// otherwise — requests are rejected, never clamped.
+	Circuit *Circuit
+	// Iterations overrides the backend's rip-up-and-reroute iteration
+	// count for this request (0 keeps the configured value).
+	Iterations int
+	// Name labels the run in observability documents; empty uses the
+	// circuit name.
+	Name string
+}
 
 // OutsideGridError reports a request wire whose pin lies outside the
 // loaded circuit's grid.
-type OutsideGridError = backend.OutsideGridError
+type OutsideGridError struct {
+	WireID   int
+	Pin      Pin
+	Channels int
+	Grids    int
+}
+
+// Error implements error.
+func (e *OutsideGridError) Error() string {
+	return fmt.Sprintf("locusroute: wire %d pin %v outside the %d-channel x %d-grid circuit (requests are rejected, not clamped)",
+		e.WireID, e.Pin, e.Channels, e.Grids)
+}
 
 // ErrNoCircuit is returned by Route when the request has no circuit.
-var ErrNoCircuit = backend.ErrNoCircuit
+var ErrNoCircuit = errors.New("locusroute: request has no circuit")
 
 // ValidateRequest checks a request the way every backend's Route does:
 // the circuit must be present, structurally valid, and every wire pin
 // inside the grid. Exposed so admission layers can reject bad requests
 // before spending a worker on them.
-func ValidateRequest(req Request) error { return backend.ValidateRequest(req) }
+func ValidateRequest(req Request) error {
+	if req.Circuit == nil {
+		return ErrNoCircuit
+	}
+	if err := ValidateWires(req.Circuit.Grid, req.Circuit.Wires); err != nil {
+		return err
+	}
+	if err := req.Circuit.Validate(); err != nil {
+		return fmt.Errorf("locusroute: %w", err)
+	}
+	return nil
+}
 
 // ValidateWires checks that every wire has at least two pins and every
 // pin lies inside grid g, returning an *OutsideGridError for the first
 // escapee. This is the boundary where out-of-grid references become
 // errors instead of the silent clamping internal layers would apply.
-func ValidateWires(g Grid, wires []Wire) error { return backend.ValidateWires(g, wires) }
-
-// Grid aliases the circuit grid shape used by ValidateWires.
-type Grid = backend.Grid
+func ValidateWires(g geom.Grid, wires []Wire) error {
+	bounds := g.Bounds()
+	for i := range wires {
+		w := &wires[i]
+		if len(w.Pins) < 2 {
+			return fmt.Errorf("locusroute: wire %d has %d pins, need at least 2", w.ID, len(w.Pins))
+		}
+		for _, p := range w.Pins {
+			if !p.In(bounds) {
+				return &OutsideGridError{WireID: w.ID, Pin: p, Channels: g.Channels, Grids: g.Grids}
+			}
+		}
+	}
+	return nil
+}
 
 // Result is the unified outcome of routing one circuit through any
 // backend. The quality measures are always present; paradigm-specific
 // detail rides in the MP/SM/RefTrace fields of the producing backend.
-type Result = backend.Result
+type Result struct {
+	// Backend is the implementation that produced the result.
+	Backend Kind
+	// Circuit is the routed circuit's name.
+	Circuit string
+	// Procs is the processor count the backend ran with.
+	Procs int
+	// CircuitHeight and Occupancy are the paper's quality measures
+	// (Section 3); lower is better.
+	CircuitHeight int64
+	Occupancy     int64
+	// WiresRouted counts wire routings performed (wires x iterations;
+	// zero where the backend does not report it).
+	WiresRouted int
+	// CellsExamined is the total route-evaluation work.
+	CellsExamined int64
+	// SimTime is the virtual execution time of the DES and traced
+	// backends (zero for live backends, which run on the wall clock).
+	SimTime time.Duration
+	// Wall is the wall-clock duration of the Route call.
+	Wall time.Duration
+	// Final is the ground-truth cost array after the run — the routed
+	// congestion state, used to seed serving replicas and render
+	// heatmaps.
+	Final *costarray.CostArray
+	// MP carries the full message passing result (traffic breakdown,
+	// busy-time split) when the backend is MPDES or MPLive.
+	MP *mp.Result
+	// SM carries the full shared memory result when the backend is
+	// SMLive or SMTraced.
+	SM *sm.Result
+	// RefTrace is the shared-reference trace of an SMTraced run, ready
+	// for the coherence simulator; nil for every other backend.
+	RefTrace *trace.Trace
+}
 
 // Backend routes circuits through one of the paper's implementations.
-// Route honours the context at run boundaries: a request cancelled
-// before or during the run returns ctx.Err(), though an in-flight run
-// finishes in the background (its result discarded) — the simulators
-// have no preemption points.
-type Backend = backend.Backend
+type Backend interface {
+	// Route routes the request's circuit and reports the unified result.
+	// The context is honoured at run boundaries: a request that is
+	// cancelled before or during the run returns ctx.Err(), though an
+	// in-flight run finishes in the background (its result discarded) —
+	// the simulators have no preemption points.
+	Route(ctx context.Context, req Request) (Result, error)
+	// Kind identifies the implementation.
+	Kind() Kind
+	// Procs reports the configured processor count.
+	Procs() int
+}
 
 // New constructs the backend named by kind. It is the string-driven
 // dispatch used by commands and the serving daemon; the per-kind
 // constructors are the typed equivalents.
-func New(kind Kind, opts ...Option) (Backend, error) { return backend.New(kind, opts...) }
-
-// NewSequential constructs the uniprocessor reference router: one
-// consistent cost array, the baseline both parallel paradigms are
-// measured against.
-func NewSequential(opts ...Option) (Backend, error) { return backend.NewSequential(opts...) }
-
-// NewSharedMemory constructs the shared memory router on real
-// goroutines: an unlocked atomic cost array, a distributed loop (or a
-// static assignment via WithRoundRobin/WithThreshold/WithPureLocality)
-// and a barrier per iteration.
-func NewSharedMemory(opts ...Option) (Backend, error) { return backend.NewSharedMemory(opts...) }
-
-// NewTracedSharedMemory constructs the Tango-style multiplexed shared
-// memory router: a deterministic virtual-time execution whose every
-// shared reference is recorded; the result carries the reference trace
-// for the coherence simulator.
-func NewTracedSharedMemory(opts ...Option) (Backend, error) {
-	return backend.NewTracedSharedMemory(opts...)
+func New(kind Kind, opts ...Option) (Backend, error) {
+	switch kind {
+	case Sequential:
+		return NewSequential(opts...)
+	case SMLive:
+		return NewSharedMemory(opts...)
+	case SMTraced:
+		return NewTracedSharedMemory(opts...)
+	case MPDES:
+		return NewMessagePassing(opts...)
+	case MPLive:
+		return NewLiveMessagePassing(opts...)
+	case Partitioned:
+		return NewPartitioned(opts...)
+	}
+	return nil, fmt.Errorf("locusroute: unknown backend kind %q (want one of %v)", kind, Kinds())
 }
-
-// NewMessagePassing constructs the message passing router on the
-// simulated mesh (discrete-event simulation): replicated views kept
-// consistent by an explicit update schedule, reporting simulated time
-// and network traffic.
-func NewMessagePassing(opts ...Option) (Backend, error) { return backend.NewMessagePassing(opts...) }
-
-// NewLiveMessagePassing constructs the message passing router on real
-// goroutines whose only interaction is marshalled packets over
-// channels — the same protocol the simulated mesh measures.
-func NewLiveMessagePassing(opts ...Option) (Backend, error) {
-	return backend.NewLiveMessagePassing(opts...)
-}
-
-// NewPartitioned constructs the partition-parallel router: recursive
-// bisection splits the grid into WithPartitions leaf regions whose
-// wires route concurrently on one shared cost array (footprint
-// containment makes the regions race-free), while wires crossing a
-// partition boundary are reconciled serially at each tree level. With
-// one partition the schedule, and therefore the output, is
-// bit-identical to the sequential backend.
-func NewPartitioned(opts ...Option) (Backend, error) { return backend.NewPartitioned(opts...) }

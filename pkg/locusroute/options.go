@@ -1,100 +1,193 @@
 package locusroute
 
 import (
-	"locusroute/internal/backend"
+	"fmt"
+
+	"locusroute/internal/assign"
+	"locusroute/internal/circuit"
+	"locusroute/internal/geom"
+	"locusroute/internal/mp"
 	"locusroute/internal/obs"
+	"locusroute/internal/part"
 	"locusroute/internal/route"
 	"locusroute/internal/tracev"
 )
 
-// Option configures a backend at construction time. Each constructor
-// validates the assembled configuration against what its backend
-// supports and rejects inapplicable options with an error.
-type Option = backend.Option
+// assignMethod selects how wires are distributed across processors.
+type assignMethod int
+
+const (
+	// assignDefault lets each backend pick its paper baseline: the
+	// dynamic distributed loop for shared memory, ThresholdCost=1000 for
+	// message passing.
+	assignDefault assignMethod = iota
+	assignDynamic
+	assignRoundRobin
+	assignThreshold
+	assignLocality
+)
+
+func (m assignMethod) String() string {
+	switch m {
+	case assignDynamic:
+		return "dynamic"
+	case assignRoundRobin:
+		return "round-robin"
+	case assignThreshold:
+		return "threshold"
+	case assignLocality:
+		return "pure-locality"
+	}
+	return "default"
+}
+
+// config accumulates the functional options; each constructor validates
+// it against what its backend supports.
+type config struct {
+	procs      int
+	procsSet   bool
+	iterations int
+	router     route.Params
+
+	method    assignMethod
+	threshold int
+
+	strategy    *Strategy
+	packets     mp.PacketStructure
+	packetsSet  bool
+	topology    []int
+	dynamic     bool
+	strict      bool
+	blockingSet bool
+
+	partitions    int
+	partitionsSet bool
+	negotiated    *part.Negotiated
+
+	collector *obs.Collector
+	tracer    *tracev.Tracer
+}
+
+func defaultConfig() config {
+	return config{procs: 16, router: route.DefaultParams(), threshold: 1000}
+}
+
+// Option configures a backend at construction time.
+type Option func(*config)
 
 // WithProcs sets the processor count (goroutines, logical processes or
 // simulated mesh nodes, per backend). Backends default to the paper's 16;
 // the sequential backend is always 1 and rejects any other value.
-func WithProcs(n int) Option { return backend.WithProcs(n) }
+func WithProcs(n int) Option {
+	return func(c *config) { c.procs = n; c.procsSet = true }
+}
 
 // WithIterations sets the rip-up-and-reroute iteration count (the paper
 // uses 3). Requests may still override it per call.
-func WithIterations(n int) Option { return backend.WithIterations(n) }
+func WithIterations(n int) Option {
+	return func(c *config) { c.iterations = n }
+}
 
 // WithRouter replaces the full router parameter set (candidate bounds,
 // detour channels). WithIterations still applies on top.
-func WithRouter(p route.Params) Option { return backend.WithRouter(p) }
+func WithRouter(p route.Params) Option {
+	return func(c *config) { c.router = p }
+}
 
 // WithDynamicOrder selects the shared memory distributed loop: processes
 // repeatedly take the next wire from a shared counter (the paper's
 // baseline, and the default). Shared memory backends only.
-func WithDynamicOrder() Option { return backend.WithDynamicOrder() }
+func WithDynamicOrder() Option {
+	return func(c *config) { c.method = assignDynamic }
+}
 
 // WithRoundRobin distributes wires round-robin across processors,
 // ignoring locality (the paper's load-balance-only extreme).
-func WithRoundRobin() Option { return backend.WithRoundRobin() }
+func WithRoundRobin() Option {
+	return func(c *config) { c.method = assignRoundRobin }
+}
 
 // WithThreshold assigns wires cheaper than cost to the owner of their
 // leftmost pin and longer wires by load balance (Section 4.2; the
 // paper's compromise is cost 1000, the message passing default).
-func WithThreshold(cost int) Option { return backend.WithThreshold(cost) }
+func WithThreshold(cost int) Option {
+	return func(c *config) { c.method = assignThreshold; c.threshold = cost }
+}
 
 // WithPureLocality assigns every wire to the owner of its leftmost pin
 // (ThresholdCost = infinity): minimal traffic, worst load balance.
-func WithPureLocality() Option { return backend.WithPureLocality() }
+func WithPureLocality() Option {
+	return func(c *config) { c.method = assignLocality }
+}
 
 // WithStrategy sets the message passing update schedule. Message passing
 // backends only; the default is the paper's standard sender initiated
 // schedule, SenderInitiated(2, 10).
-func WithStrategy(st Strategy) Option { return backend.WithStrategy(st) }
+func WithStrategy(st Strategy) Option {
+	return func(c *config) { c.strategy = &st }
+}
 
 // WithBlocking makes receiver initiated requests blocking (Section
 // 5.1.3). It adjusts the configured strategy, so it composes with
 // WithStrategy in either order.
-func WithBlocking() Option { return backend.WithBlocking() }
+func WithBlocking() Option {
+	return func(c *config) { c.blockingSet = true }
+}
 
 // PacketStructure aliases the update packet structure ablation
 // (Section 4.3.1).
-type PacketStructure = backend.PacketStructure
+type PacketStructure = mp.PacketStructure
 
 // Packet structure values for WithPackets.
 const (
-	PacketsBbox        = backend.PacketsBbox
-	PacketsWireBased   = backend.PacketsWireBased
-	PacketsWholeRegion = backend.PacketsWholeRegion
+	PacketsBbox        = mp.StructureBbox
+	PacketsWireBased   = mp.StructureWireBased
+	PacketsWholeRegion = mp.StructureWholeRegion
 )
 
 // WithPackets selects the update packet structure (default bounding
 // box, the paper's choice). Message passing backends only.
-func WithPackets(ps PacketStructure) Option { return backend.WithPackets(ps) }
+func WithPackets(ps PacketStructure) Option {
+	return func(c *config) { c.packets = ps; c.packetsSet = true }
+}
 
 // WithTopology replaces the squarest 2-D mesh with a general k-ary
 // n-cube interconnect shape; the dimensions must multiply to the
 // processor count. Message passing DES backend only.
-func WithTopology(dims ...int) Option { return backend.WithTopology(dims...) }
+func WithTopology(dims ...int) Option {
+	return func(c *config) { c.topology = append([]int(nil), dims...) }
+}
 
 // WithDynamicWires enables the dynamic wire assignment ablation
 // (Section 4.2): processors request wires from node 0 over the network.
 // Message passing DES backend only.
-func WithDynamicWires() Option { return backend.WithDynamicWires() }
+func WithDynamicWires() Option {
+	return func(c *config) { c.dynamic = true }
+}
 
 // WithStrictOwnership enables the strict region ownership ablation
 // (Section 4.1): no replicated views, routing tasks cross region
 // boundaries instead of update packets. Forces the pure-locality
 // assignment. Message passing DES backend only.
-func WithStrictOwnership() Option { return backend.WithStrictOwnership() }
+func WithStrictOwnership() Option {
+	return func(c *config) { c.strict = true; c.method = assignLocality }
+}
 
 // WithPartitions sets the partitioned backend's leaf-region count:
 // recursive bisection splits the grid into n regions routed
 // concurrently. 1 reproduces the sequential backend bit-for-bit; the
-// default is 4, a machine-independent constant so the routing stays a
-// pure function of its inputs. Partitioned backend only.
-func WithPartitions(n int) Option { return backend.WithPartitions(n) }
+// default is part.DefaultPartitions (4), a machine-independent constant
+// so the routing stays a pure function of its inputs. Partitioned
+// backend only.
+func WithPartitions(n int) Option {
+	return func(c *config) { c.partitions = n; c.partitionsSet = true }
+}
 
-// Negotiated aliases the negotiated-congestion schedule configuration:
-// pres_fac start/multiplier/cap, history increment, cell capacity, and
-// the pass bound. The zero value of every field selects its default.
-type Negotiated = backend.Negotiated
+// Negotiated aliases the negotiated-congestion schedule configuration
+// (internal/part): pres_fac start/multiplier/cap, history increment,
+// cell capacity, and the pass bound. The zero value of every field
+// selects its default.
+type Negotiated = part.Negotiated
 
 // WithNegotiatedCongestion switches routing to the PathFinder/VPR-style
 // negotiated-congestion schedule: a first pass routes by length, later
@@ -102,14 +195,179 @@ type Negotiated = backend.Negotiated
 // that stay overused, and rip up only the wires crossing them. Applies
 // to the sequential and partitioned backends; it is orthogonal to
 // partitioning.
-func WithNegotiatedCongestion(n Negotiated) Option { return backend.WithNegotiatedCongestion(n) }
+func WithNegotiatedCongestion(n Negotiated) Option {
+	return func(c *config) { c.negotiated = &n }
+}
 
 // WithObserver attaches a collector: every Route appends its run's
 // observability document (quality, per-node times, traffic, phases) to
 // col. The run itself is byte-identical with or without an observer.
-func WithObserver(col *obs.Collector) Option { return backend.WithObserver(col) }
+func WithObserver(col *obs.Collector) Option {
+	return func(c *config) { c.collector = col }
+}
 
 // WithTracer attaches an event-level recorder to the message passing
 // DES backend. A tracer is confined to one run — a backend constructed
 // with one must not Route concurrently.
-func WithTracer(tr *tracev.Tracer) Option { return backend.WithTracer(tr) }
+func WithTracer(tr *tracev.Tracer) Option {
+	return func(c *config) { c.tracer = tr }
+}
+
+// apply folds the options over the default configuration.
+func apply(opts []Option) config {
+	c := defaultConfig()
+	for _, o := range opts {
+		o(&c)
+	}
+	return c
+}
+
+// optionRule is one row of the kind×option validation table: a
+// construction option (or option family), the predicate that detects
+// it was supplied, and the backend kinds that accept it. reject walks
+// the table, so which option works on which backend is declared in
+// exactly one place — adding an option or a backend means editing a
+// row, never a constructor.
+type optionRule struct {
+	// option names the rejected option in the error message.
+	option string
+	// set reports whether the caller supplied the option.
+	set func(*config) bool
+	// kinds lists the backends that accept the option.
+	kinds []Kind
+	// note, when non-empty, replaces the generic guidance with a more
+	// specific pointer.
+	note string
+}
+
+func (r *optionRule) accepts(kind Kind) bool {
+	for _, k := range r.kinds {
+		if k == kind {
+			return true
+		}
+	}
+	return false
+}
+
+// kindList renders the accepting kinds for an error message:
+// "the mp-des backend", "the mp-des and mp-live backends".
+func kindList(kinds []Kind) string {
+	if len(kinds) == 1 {
+		return fmt.Sprintf("the %s backend", kinds[0])
+	}
+	s := "the "
+	for i, k := range kinds {
+		switch {
+		case i == len(kinds)-1:
+			s += fmt.Sprintf("and %s backends", k)
+		case i > 0:
+			s += fmt.Sprintf("%s, ", k)
+		default:
+			s += fmt.Sprintf("%s ", k)
+		}
+	}
+	return s
+}
+
+// optionRules is the single source of truth for which construction
+// option applies to which backend kind. Value-range validation (a
+// supplied value being out of range for a backend that accepts the
+// option) stays in reject below.
+var optionRules = []optionRule{
+	{option: "WithStrategy", set: func(c *config) bool { return c.strategy != nil },
+		kinds: []Kind{MPDES, MPLive}},
+	{option: "WithBlocking", set: func(c *config) bool { return c.blockingSet },
+		kinds: []Kind{MPDES, MPLive}},
+	{option: "WithPackets", set: func(c *config) bool { return c.packetsSet },
+		kinds: []Kind{MPDES, MPLive}},
+	{option: "WithTopology", set: func(c *config) bool { return len(c.topology) > 0 },
+		kinds: []Kind{MPDES}},
+	{option: "WithDynamicWires", set: func(c *config) bool { return c.dynamic },
+		kinds: []Kind{MPDES}},
+	{option: "WithStrictOwnership", set: func(c *config) bool { return c.strict },
+		kinds: []Kind{MPDES}},
+	{option: "WithTracer", set: func(c *config) bool { return c.tracer != nil },
+		kinds: []Kind{MPDES}},
+	// Any explicit wire distribution: the sequential backend routes
+	// every wire itself and the partitioned backend distributes by
+	// footprint, so neither takes an assignment method.
+	{option: "wire distribution (WithDynamicOrder/WithRoundRobin/WithThreshold/WithPureLocality)",
+		set:   func(c *config) bool { return c.method != assignDefault },
+		kinds: []Kind{SMLive, SMTraced, MPDES, MPLive}},
+	// The dynamic distributed loop specifically is shared memory only.
+	{option: "WithDynamicOrder", set: func(c *config) bool { return c.method == assignDynamic },
+		kinds: []Kind{SMLive, SMTraced},
+		note:  "it is the shared memory distributed loop; message passing uses WithDynamicWires"},
+	{option: "WithProcs", set: func(c *config) bool { return c.procsSet && c.procs != 1 },
+		kinds: []Kind{SMLive, SMTraced, MPDES, MPLive, Partitioned},
+		note:  "the sequential backend routes on one processor"},
+	{option: "WithPartitions", set: func(c *config) bool { return c.partitionsSet },
+		kinds: []Kind{Partitioned}},
+	{option: "WithNegotiatedCongestion", set: func(c *config) bool { return c.negotiated != nil },
+		kinds: []Kind{Sequential, Partitioned}},
+}
+
+// reject returns an error when an option inapplicable to kind was set
+// (driven by optionRules) or when a supplied value is out of range.
+func (c *config) reject(kind Kind) error {
+	for i := range optionRules {
+		r := &optionRules[i]
+		if !r.set(c) || r.accepts(kind) {
+			continue
+		}
+		if r.note != "" {
+			return fmt.Errorf("locusroute: %s applies to %s, not %s: %s",
+				r.option, kindList(r.kinds), kind, r.note)
+		}
+		return fmt.Errorf("locusroute: %s applies to %s, not %s", r.option, kindList(r.kinds), kind)
+	}
+	if c.partitionsSet && c.partitions < 1 {
+		return fmt.Errorf("locusroute: partition count %d must be positive", c.partitions)
+	}
+	if kind != Sequential && c.procs < 1 {
+		return fmt.Errorf("locusroute: processor count %d must be positive", c.procs)
+	}
+	return nil
+}
+
+// params returns the router parameters with the iteration override
+// applied; reqIters (a per-request override) wins over the configured
+// value when positive.
+func (c *config) params(reqIters int) route.Params {
+	p := c.router
+	if c.iterations > 0 {
+		p.Iterations = c.iterations
+	}
+	if reqIters > 0 {
+		p.Iterations = reqIters
+	}
+	return p
+}
+
+// assignment builds the wire distribution for circ on a procs-processor
+// partition. Used by the message passing backends (always) and the
+// shared memory backends (static orders only).
+func (c *config) assignment(circ *circuit.Circuit, procs int) (*assign.Assignment, geom.Partition, error) {
+	px, py := geom.SquarestFactors(procs)
+	part, err := geom.NewPartition(circ.Grid, px, py)
+	if err != nil {
+		return nil, geom.Partition{}, err
+	}
+	method := c.method
+	if method == assignDefault {
+		method = assignThreshold
+	}
+	switch method {
+	case assignRoundRobin:
+		return assign.AssignRoundRobin(circ, part), part, nil
+	case assignThreshold:
+		th := c.threshold
+		if th < 0 {
+			th = assign.ThresholdInfinity
+		}
+		return assign.AssignThreshold(circ, part, th), part, nil
+	case assignLocality:
+		return assign.AssignThreshold(circ, part, assign.ThresholdInfinity), part, nil
+	}
+	return nil, geom.Partition{}, fmt.Errorf("locusroute: assignment method %v needs no precomputed assignment", method)
+}

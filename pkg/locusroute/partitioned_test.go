@@ -1,4 +1,4 @@
-package backend
+package locusroute
 
 import (
 	"context"
