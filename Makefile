@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race loc bench bench-route bench-policy bench-locusd bench-partition bench-reqtrace smoke-partition paper
+.PHONY: verify build test race loc bench bench-layers layers-exact smoke-partition paper
 
 verify: ## build, vet, full tests, and race-test the concurrent packages
 	$(GO) build ./...
@@ -22,7 +22,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Non-test Go LoC of the serving stack, per package and in total:
+# Non-test Go LoC of the serving stack, per package and in total, then
+# of everything outside benchmark/ (the figure ROADMAP item 8 tracks):
 # ROADMAP's "net non-test LoC going down" as one command.
 LOC_PKGS = internal/locusd internal/policy internal/wire pkg/locusroute
 loc:
@@ -30,43 +31,33 @@ loc:
 		printf '%-18s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 	@printf '%-18s %6d\n' total $$(find $(LOC_PKGS) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@printf '%-18s %6d\n' 'all but benchmark/' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | xargs cat | wc -l)
 
-# Routing-kernel allocation benchmarks; compare against BENCH_route.json.
-bench-route:
-	$(GO) test -run '^$$' -bench 'BenchmarkRouteWire|BenchmarkSequential' -benchmem -benchtime 2s . ./internal/route/
+# The repository benchmark (BENCHMARK.json, benchmark/README.md) is the
+# one perf surface: `bench` measures the four workloads end to end,
+# `bench-layers` runs the per-layer probes and the traced replay. Judge
+# two recordings with `go run ./benchmark -compare a.jsonl b.jsonl`.
+bench:
+	$(GO) run ./benchmark
 
-# Policy-chain element benchmarks (enabled vs disabled); compare against
-# BENCH_policy.json — the disabled rows must stay ~0 ns/op, 0 allocs/op.
-bench-policy:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1s ./internal/policy/
+bench-layers:
+	$(GO) run ./benchmark -trace 1
 
-# Transport comparison: boots locusd with both listeners and sweeps the
-# JSON and binary protocols with cmd/locusload; compare against
-# BENCH_locusd.json. Takes ~2 minutes (two 6-step sweeps + warmups).
-bench-locusd:
-	$(GO) build -o /tmp/locusd-bench ./cmd/locusd
-	$(GO) build -o /tmp/locusload-bench ./cmd/locusload
-	/tmp/locusd-bench -addr 127.0.0.1:18347 -listen-bin 127.0.0.1:18348 \
-		-bench bnrE -shards 4 -batch-window 1ms -max-batch 64 \
-		-max-in-flight 512 > /tmp/locusd-bench.log 2>&1 & \
-	trap "kill -TERM $$! 2>/dev/null" EXIT; \
-	sleep 3; \
-	/tmp/locusload-bench -addr 127.0.0.1:18347 -proto json \
-		-sweep 1000,2000,4000,6000,8000,12000 -duration 4s -warmup 1s -conns 32; \
-	/tmp/locusload-bench -addr 127.0.0.1:18348 -proto bin \
-		-sweep 1000,2000,4000,6000,8000,12000 -duration 4s -warmup 1s -conns 32
-
-# Request-tracing overhead benchmarks; compare against
-# BENCH_reqtrace.json — the disabled row must stay under 5 ns/op and
-# 0 allocs/op (the acceptance budget for leaving the hooks compiled in).
-bench-reqtrace:
-	$(GO) test -run '^$$' -bench Span -benchmem -benchtime 3s ./internal/reqtrace/
-
-# Partition-parallel routing benchmarks on the 10x-scaled bnrE preset;
-# compare against BENCH_partition.json (record GOMAXPROCS with the
-# numbers — partition speedup needs real cores).
-bench-partition:
-	$(GO) test -run '^$$' -bench 'Scaled' -benchmem -benchtime 1x ./internal/part/
+# The rows benchmark/layers flags `exact` — counts, bytes and simulated
+# time that are pure functions of the seed-1 circuits — must equal
+# .github/layers_exact_quick.json bit for bit (tolerance zero; a missing
+# or extra exact row fails too). A change that moves one updates the
+# file and says why in CHANGES.md. The store.* rows there are quick-mode
+# values; a full run's differ. ~25 s.
+layers-exact:
+	$(GO) run ./benchmark -trace 1 -quick -workload serve_read > /tmp/layers-exact.jsonl
+	python3 -c 'import json, sys; \
+	  want = json.load(open(".github/layers_exact_quick.json")); \
+	  report = json.loads(open("/tmp/layers-exact.jsonl").readline()); \
+	  got = {k: m["median"] for k, m in report["per_layer"].items() if m.get("exact")}; \
+	  bad = {k: (want.get(k), got.get(k)) for k in sorted(want.keys() | got.keys()) if want.get(k) != got.get(k)}; \
+	  sys.exit("layers-exact: rows differ, {name: (want, got)}: %s" % bad if bad else 0)'
+	@echo "layers-exact: OK"
 
 # CI smoke for the partition backend: partitions=1 must reproduce the
 # sequential route hash exactly, partitions=4 must be deterministic
@@ -84,10 +75,6 @@ smoke-partition:
 	  grep -h 'sequential\|partitioned' /tmp/partition-p1.txt /tmp/partition-p4a.txt; } \
 	  > /tmp/partition-smoke.txt
 	@echo "smoke-partition: OK (artifact at /tmp/partition-smoke.txt)"
-
-# Full paper-table benchmarks (several minutes).
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Regenerate every paper table.
 paper:

@@ -194,8 +194,9 @@ func BenchmarkRenderSet(b *testing.B) {
 
 // BenchmarkRouteWire measures single-wire route evaluation on a loaded
 // cost array, in the production configuration: a per-worker Scratch
-// reused across calls (see BENCH_route.json for the recorded baseline and
-// the pre-Scratch numbers).
+// reused across calls. The budget is BENCHMARK.json's exact row
+// route.allocs_per_wire = 1 (98 before Scratch), which `make
+// layers-exact` holds at tolerance zero; route.wire_ns is the time.
 func BenchmarkRouteWire(b *testing.B) {
 	c := experiments.BnrE()
 	res, arr := route.Sequential(c, route.Params{Iterations: 1})

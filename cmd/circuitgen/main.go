@@ -12,8 +12,8 @@
 // -scale N multiplies the preset (or custom) dimensions: N times the
 // wires spread over a grid with about N times the cells, keeping wire
 // density comparable (see circuit.Scaled). The 10x bnrE-like preset is
-// the benchmark circuit for partition-parallel routing
-// (BENCH_partition.json).
+// the benchmark circuit for partition-parallel routing (BENCHMARK.json's
+// batch_route workload and part.* rows).
 package main
 
 import (

@@ -194,7 +194,9 @@ func main() {
 		fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// ReadHeaderTimeout bounds how long a connection may dribble its
+	// request line and headers; bodies are bounded in size by the handlers.
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	var binSrv *locusd.TCPServer

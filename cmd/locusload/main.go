@@ -1,53 +1,28 @@
-// Command locusload is an open-loop load generator for locusd: it fires
-// route requests on a fixed arrival schedule (target qps, not
-// closed-loop request-per-connection), so server slowdowns show up as
-// latency rather than silently throttling the offered load — the
-// standard guard against coordinated omission.
-//
-// Usage:
+// Command locusload points the repository's one load generator —
+// benchmark/harness's open-loop driver — at a running locusd: arrivals
+// fire on a fixed schedule whatever the server does and each is timed
+// from its *due* time, so a slow server shows up as latency, while
+// late_p99_us reports the generator's own wake-up overshoot.
 //
 //	locusload [-addr 127.0.0.1:8347] [-proto json|bin] [-qps 200]
-//	          [-duration 10s] [-warmup 1s] [-conns 8]
-//	          [-circuit bnrE-like] [-pins "2,1;40,4"] [-wire 9000]
-//	          [-deadline-ms 0] [-commit] [-client locusload]
-//	          [-sweep "100,200,400,800"] [-stages]
+//	          [-sweep "100,200,400,800"] [-duration 10s] [-warmup 1s]
+//	          [-conns 8] [-circuit bnrE-like] [-stages]
 //	          [-mutate-frac 0] [-mutate-wire 0]
 //
-// -proto selects the transport: json posts to locusd's HTTP /v1/route,
-// bin speaks the length-prefixed binary protocol (internal/wire) against
-// a -listen-bin listener. Comparing the two on the same server isolates
-// encoding cost, the service-layer echo of the paper's finding that
-// message packing dominates the message-passing router.
-//
-// Each run (or each -sweep step) emits one JSON row on stdout:
-//
-//	{"proto","target_qps","sent","ok","shed","expired","errors",
-//	 "achieved_qps","latency_us":{"p50","p90","p99","p999","max"}}
-//
-// -stages requests traced responses (the binary protocol's traced
-// frames, or the stage breakdown locusd's JSON responses carry when
-// tracing is on) and adds "stages_us": the mean per-stage server-side
-// latency over successful requests, keyed by stage name. The row shows
-// where wall time went — queueing, batching, routing or commit — as
-// measured by the server, complementing the client-side latency_us.
-//
-// -mutate-frac mixes mutation traffic into the schedule: that fraction
-// of arrivals (spread evenly, deterministic per index) issue a one-op
-// reroute of -mutate-wire against the target circuit instead of a route
-// request — POST /v1/mutate over json, a mutate frame over bin. The
-// target must be served mutable (a runtime upload, or a startup circuit
-// adopted by a -store sequential daemon). Mutation latencies are kept
-// out of latency_us and reported as their own percentile block,
-// "mutate_us", so write-path cost is visible next to read-path cost.
-//
-// Latency is measured from each request's *scheduled* arrival, so time
-// spent waiting for a free connection counts against the server. A sweep
-// ends with a summary row carrying max_sustained_qps: the highest step
-// whose successful throughput reached >= 95% of the offered rate.
+// -proto json posts to HTTP /v1/route, bin speaks internal/wire to a
+// -listen-bin listener. Each -qps (or -sweep step) is an unmeasured
+// -warmup run, then a measured -duration run that prints one JSON row
+// (README, "Binary protocol & load testing", reads one). Percentiles are
+// nearest-rank; a tail with fewer than ten samples beyond it is left
+// out. -stages adds "stages_us", the mean server-side latency per stage
+// over successful route requests. -mutate-frac sends that fraction of
+// the rate on a second open-loop schedule, over -conns connections of
+// its own, as one-op reroutes of -mutate-wire on a mutable circuit, with
+// their own latency block, "mutate_us"; the counts cover both kinds. A
+// sweep ends with max_sustained_qps: the highest step that served 95%.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -55,52 +30,57 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
+	"locusroute/benchmark/harness"
 	"locusroute/internal/geom"
 	"locusroute/internal/reqtrace"
 	"locusroute/internal/wire"
 )
 
+// What every request carries, besides commit=false and no deadline of
+// its own; these were flags nothing ever set.
+const (
+	clientName = "locusload" // rate-limiter identity
+	wireBase   = 9000        // route request i labels its wire wireBase+i
+	pinsJSON   = "[[2,1],[40,4]]"
+)
+
+var pins = []geom.Point{geom.Pt(2, 1), geom.Pt(40, 4)}
+
+type runConfig struct {
+	addr, proto, circuit string
+	conns, mutateWire    int
+	stages               bool
+	mutateFrac           float64
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("locusload: ")
-	var (
-		addr       = flag.String("addr", "127.0.0.1:8347", "locusd address (HTTP host:port for json, TCP for bin)")
-		proto      = flag.String("proto", "json", "transport: json or bin")
-		qps        = flag.Float64("qps", 200, "offered load, requests per second")
-		duration   = flag.Duration("duration", 10*time.Second, "measured run length per step")
-		warmup     = flag.Duration("warmup", time.Second, "unmeasured warmup before each step")
-		conns      = flag.Int("conns", 8, "connection pool size")
-		circuitF   = flag.String("circuit", "bnrE-like", "served circuit to route against")
-		pinsF      = flag.String("pins", "2,1;40,4", "wire pins as x,y;x,y;...")
-		wireBase   = flag.Int("wire", 9000, "base wire id (incremented per request)")
-		deadlineMS = flag.Int64("deadline-ms", 0, "per-request deadline (0 = server default)")
-		commit     = flag.Bool("commit", false, "commit each routed path")
-		client     = flag.String("client", "locusload", "client identity for rate limiting")
-		sweepF     = flag.String("sweep", "", "comma-separated qps steps (overrides -qps)")
-		stages     = flag.Bool("stages", false, "request traced responses and report mean per-stage server latency (stages_us)")
-		mutateFrac = flag.Float64("mutate-frac", 0, "fraction of arrivals issued as mutations (reroute of -mutate-wire); reported separately as mutate_us")
-		mutateWire = flag.Int("mutate-wire", 0, "wire id the mutation traffic reroutes")
-	)
+	var c runConfig
+	flag.StringVar(&c.addr, "addr", "127.0.0.1:8347", "locusd address (HTTP host:port for json, TCP for bin)")
+	flag.StringVar(&c.proto, "proto", "json", "transport: json or bin")
+	qps := flag.Float64("qps", 200, "offered load, requests per second")
+	sweep := flag.String("sweep", "", "comma-separated qps steps (overrides -qps)")
+	duration := flag.Duration("duration", 10*time.Second, "measured run length per step")
+	warmup := flag.Duration("warmup", time.Second, "unmeasured warmup run before each step")
+	flag.IntVar(&c.conns, "conns", 8, "connections per traffic kind")
+	flag.StringVar(&c.circuit, "circuit", "bnrE-like", "served circuit to route against")
+	flag.BoolVar(&c.stages, "stages", false, "request traced responses and report mean per-stage server latency (stages_us)")
+	flag.Float64Var(&c.mutateFrac, "mutate-frac", 0, "fraction of the offered rate issued as mutations (reroute of -mutate-wire); reported separately as mutate_us")
+	flag.IntVar(&c.mutateWire, "mutate-wire", 0, "wire id the mutation traffic reroutes")
 	flag.Parse()
-	if *proto != "json" && *proto != "bin" {
-		log.Fatal("-proto must be json or bin")
-	}
-	if *mutateFrac < 0 || *mutateFrac > 1 {
-		log.Fatal("-mutate-frac must be in [0,1]")
-	}
-	pins, err := parsePins(*pinsF)
-	if err != nil {
-		log.Fatal(err)
+	if (c.proto != "json" && c.proto != "bin") || c.mutateFrac < 0 || c.mutateFrac > 1 || c.conns < 1 {
+		log.Fatal("want -proto json or bin, -mutate-frac in [0,1], -conns at least 1")
 	}
 	steps := []float64{*qps}
-	if *sweepF != "" {
-		steps = steps[:0]
-		for _, s := range strings.Split(*sweepF, ",") {
+	if *sweep != "" {
+		steps = nil
+		for _, s := range strings.Split(*sweep, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil || v <= 0 {
 				log.Fatalf("bad -sweep step %q", s)
@@ -109,445 +89,241 @@ func main() {
 		}
 	}
 
-	cfg := runConfig{
-		addr: *addr, proto: *proto, conns: *conns,
-		circuit: *circuitF, pins: pins, wireBase: *wireBase,
-		deadlineMS: *deadlineMS, commit: *commit, client: *client,
-		stages: *stages, mutateFrac: *mutateFrac, mutateWire: *mutateWire,
-	}
 	enc := json.NewEncoder(os.Stdout)
 	sustained := 0.0
 	for _, step := range steps {
 		if *warmup > 0 {
-			if _, err := cfg.run(step, *warmup); err != nil {
+			if _, err := c.run(step, *warmup); err != nil {
 				log.Fatal(err)
 			}
 		}
-		row, err := cfg.run(step, *duration)
+		r, err := c.run(step, *duration)
+		if err == nil {
+			err = enc.Encode(r)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := enc.Encode(row); err != nil {
-			log.Fatal(err)
-		}
-		// A step is sustained when successful throughput kept pace with
-		// the offered schedule: ok-per-elapsed, not ok-per-scheduled, so a
-		// run that finished late (the open loop backed up) doesn't count.
-		if row.AchievedQPS >= 0.95*step && step > sustained {
+		// Sustained means ok-per-elapsed kept pace, not ok-per-scheduled:
+		// a run that finished late (the open loop backed up) doesn't count.
+		if r.AchievedQPS >= 0.95*step && step > sustained {
 			sustained = step
 		}
 	}
 	if len(steps) > 1 {
-		if err := enc.Encode(map[string]any{"proto": *proto, "max_sustained_qps": sustained}); err != nil {
+		if err := enc.Encode(map[string]any{"proto": c.proto, "max_sustained_qps": sustained}); err != nil {
 			log.Fatal(err)
 		}
 	}
 }
 
-// runConfig is everything one measured step needs.
-type runConfig struct {
-	addr, proto string
-	conns       int
-	circuit     string
-	pins        []geom.Point
-	wireBase    int
-	deadlineMS  int64
-	commit      bool
-	client      string
-	stages      bool
-	mutateFrac  float64
-	mutateWire  int
-}
-
-// isMutate deterministically marks mutateFrac of the arrival indices as
-// mutation requests, spread evenly through the schedule (the index
-// crosses an integer multiple of 1/frac), so a run's mix is exact and
-// reproducible rather than sampled.
-func (c runConfig) isMutate(i int) bool {
-	if c.mutateFrac <= 0 {
-		return false
-	}
-	return int(float64(i+1)*c.mutateFrac) > int(float64(i)*c.mutateFrac)
-}
-
-// row is one step's JSON result.
+// row is one step's JSON result. A latency block maps "p50", "p90", "p99"
+// and "max" to µs and is absent when its kind had no successful request.
 type row struct {
-	Proto       string  `json:"proto"`
-	TargetQPS   float64 `json:"target_qps"`
-	Sent        int     `json:"sent"`
-	OK          int     `json:"ok"`
-	Shed        int     `json:"shed"`
-	Expired     int     `json:"expired"`
-	Errors      int     `json:"errors"`
-	AchievedQPS float64 `json:"achieved_qps"`
-	Latency     latency `json:"latency_us"`
-	// StagesUS is the mean server-side latency per stage over OK
-	// responses, in microseconds, present only under -stages against a
-	// tracing-enabled server.
-	StagesUS map[string]float64 `json:"stages_us,omitempty"`
-	// MutateUS is the latency percentile block over successful mutation
-	// requests, present only under -mutate-frac. Mutation latencies are
-	// excluded from Latency so the read path stays comparable across
-	// runs with different mixes.
-	MutateUS *latency `json:"mutate_us,omitempty"`
+	Proto       string             `json:"proto"`
+	TargetQPS   float64            `json:"target_qps"`
+	Sent        int                `json:"sent"`
+	OK          int                `json:"ok"`
+	Shed        int                `json:"shed"`
+	Expired     int                `json:"expired"`
+	Errors      int                `json:"errors"`
+	AchievedQPS float64            `json:"achieved_qps"`
+	LateP99US   float64            `json:"late_p99_us,omitempty"`
+	Latency     map[string]float64 `json:"latency_us,omitempty"`
+	StagesUS    map[string]float64 `json:"stages_us,omitempty"`
+	MutateUS    map[string]float64 `json:"mutate_us,omitempty"`
 }
 
-type latency struct {
-	P50  int64 `json:"p50"`
-	P90  int64 `json:"p90"`
-	P99  int64 `json:"p99"`
-	P999 int64 `json:"p999"`
-	Max  int64 `json:"max"`
-}
-
-// result is one request's outcome: the HTTP-equivalent status code and
-// the latency from scheduled arrival to response.
-type result struct {
-	code   int
-	lat    time.Duration
-	st     stageNs
-	mutate bool
-}
-
-// stageNs is one traced response's server-side stage breakdown; ok is
-// false when the response carried none (untraced run, or tracing off
-// server-side).
-type stageNs struct {
-	ok bool
-	ns [reqtrace.NumStages]int64
-}
-
-// run offers qps for d and aggregates outcomes. The arrival schedule is
-// fixed up front (start + i*interval); workers pull arrival indices from
-// a channel and sleep until each one's scheduled time, so a slow server
-// backs up latency, never the offered schedule.
+// run offers qps for d — route requests at qps·(1−mutateFrac), mutations
+// at qps·mutateFrac, each kind on its own harness.OpenLoop with its own
+// connections — and folds the two recordings into a row.
 func (c runConfig) run(qps float64, d time.Duration) (row, error) {
-	n := int(qps * d.Seconds())
-	if n < 1 {
-		n = 1
-	}
-	interval := time.Duration(float64(d) / float64(n))
-	workers := c.conns
-	if workers > n {
-		workers = n
-	}
-	arrivals := make(chan int, n)
-	for i := 0; i < n; i++ {
-		arrivals <- i
-	}
-	close(arrivals)
-
-	results := make(chan result, n)
-	errs := make(chan error, workers)
-	start := time.Now().Add(10 * time.Millisecond)
-	for w := 0; w < workers; w++ {
-		go func() {
-			sh, err := c.newShooter()
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer sh.close()
-			for i := range arrivals {
-				at := start.Add(time.Duration(i) * interval)
-				if wait := time.Until(at); wait > 0 {
-					time.Sleep(wait)
-				}
-				mutate := c.isMutate(i)
-				code, st, err := sh.shoot(c, i, mutate)
-				if err != nil {
-					// Transport failure: count as an error outcome and
-					// reconnect for the next arrival.
-					results <- result{code: -1, lat: time.Since(at), mutate: mutate}
-					sh.close()
-					if sh, err = c.newShooter(); err != nil {
-						errs <- err
-						return
-					}
-					continue
-				}
-				results <- result{code: code, lat: time.Since(at), st: st, mutate: mutate}
-			}
-			errs <- nil
-		}()
-	}
-	var out row
-	out.Proto = c.proto
-	out.TargetQPS = qps
-	var lats, mlats []time.Duration
-	var stageSum [reqtrace.NumStages]int64
-	stageN := 0
-	tally := func(r result) {
-		out.Sent++
-		switch {
-		case r.code == 200 && r.mutate:
-			out.OK++
-			mlats = append(mlats, r.lat)
-		case r.code == 200:
-			out.OK++
-			lats = append(lats, r.lat)
-			if r.st.ok {
-				stageN++
-				for k, v := range r.st.ns {
-					stageSum[k] += v
-				}
-			}
-		case r.code == 429:
-			out.Shed++
-		case r.code == 504:
-			out.Expired++
-		default:
-			out.Errors++
-		}
-	}
-	done := 0
-	for done < workers {
-		select {
-		case err := <-errs:
+	rates := [2]float64{qps * (1 - c.mutateFrac), qps * c.mutateFrac}
+	var pools [2][]*shooter
+	for kind, rate := range rates {
+		for w := 0; rate > 0 && w < c.conns; w++ {
+			sh, err := c.newShooter(kind == 1)
 			if err != nil {
 				return row{}, err
 			}
-			done++
-		case r := <-results:
-			tally(r)
+			defer sh.close()
+			pools[kind] = append(pools[kind], sh)
 		}
 	}
-	close(results)
-	for r := range results {
-		tally(r)
+	var recs [2]*harness.Recording
+	var wg sync.WaitGroup
+	for kind, pool := range pools {
+		if pool == nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			loop := harness.OpenLoop{Rate: rates[kind], Workers: len(pool), Rounds: 1, RoundLen: d}
+			recs[kind] = loop.Run(func(w, i int) harness.Outcome { return pool[w].shoot(i) })
+		}()
 	}
-	elapsed := time.Since(start)
-	if elapsed > 0 {
-		out.AchievedQPS = round1(float64(out.OK) / elapsed.Seconds())
+	wg.Wait()
+
+	out := row{Proto: c.proto, TargetQPS: qps, StagesUS: map[string]float64{}}
+	var late []float64
+	seconds := 0.0
+	for kind, rec := range recs {
+		if rec == nil {
+			continue
+		}
+		t := rec.Tally
+		out.Sent, out.OK, out.Shed = out.Sent+t.Sent, out.OK+t.OK, out.Shed+t.Shed
+		out.Expired, out.Errors = out.Expired+t.Expired, out.Errors+t.Errors
+		late = append(late, rec.LateUS...)
+		// A round lasts until its last completion, so a backlog that ran
+		// past the schedule lowers the achieved rate.
+		seconds = max(seconds, rec.Rounds[0].Seconds)
+		if kind == 0 {
+			out.Latency = latencyBlock(rec.LatUS())
+		} else {
+			out.MutateUS = latencyBlock(rec.LatUS())
+		}
 	}
-	out.Latency = percentiles(lats)
-	if len(mlats) > 0 {
-		m := percentiles(mlats)
-		out.MutateUS = &m
+	if seconds > 0 {
+		out.AchievedQPS = float64(out.OK) / seconds
 	}
-	if stageN > 0 {
-		out.StagesUS = make(map[string]float64)
-		for k, sum := range stageSum {
-			if sum > 0 {
-				out.StagesUS[reqtrace.Stage(k).String()] = round1(float64(sum) / float64(stageN) / 1e3)
-			}
+	if v, ok := harness.Percentile(harness.Sorted(late), 99); ok {
+		out.LateP99US = v
+	}
+	// Against a tracing server every OK route response carries its stages,
+	// so the per-stage mean is over the route requests that succeeded.
+	for _, sh := range pools[0] {
+		for name, ns := range sh.stageNs {
+			out.StagesUS[name] += float64(ns) / float64(recs[0].Tally.OK) / 1e3
 		}
 	}
 	return out, nil
 }
 
-// percentiles computes the latency sinks in microseconds.
-func percentiles(lats []time.Duration) latency {
-	if len(lats) == 0 {
-		return latency{}
+// latencyBlock renders one kind's latencies, minus any unsupported tail.
+func latencyBlock(us []float64) map[string]float64 {
+	if len(us) == 0 {
+		return nil
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	at := func(p float64) int64 {
-		i := int(p * float64(len(lats)-1))
-		return lats[i].Microseconds()
-	}
-	return latency{
-		P50:  at(0.50),
-		P90:  at(0.90),
-		P99:  at(0.99),
-		P999: at(0.999),
-		Max:  lats[len(lats)-1].Microseconds(),
-	}
-}
-
-func round1(v float64) float64 { return float64(int(v*10+0.5)) / 10 }
-
-// shooter is one pooled connection: an HTTP client slot or a binary
-// wire.Conn, firing one request at a time.
-type shooter struct {
-	http *http.Client
-	url  string
-	murl string
-	bin  *wire.Conn
-}
-
-func (c runConfig) newShooter() (*shooter, error) {
-	if c.proto == "bin" {
-		conn, err := wire.Dial(c.addr)
-		if err != nil {
-			return nil, fmt.Errorf("dial %s: %w", c.addr, err)
+	sorted := harness.Sorted(us)
+	out := map[string]float64{"max": sorted[len(sorted)-1]}
+	for _, pct := range []int{50, 90, 99} {
+		if v, ok := harness.Percentile(sorted, pct); ok {
+			out["p"+strconv.Itoa(pct)] = v
 		}
-		return &shooter{bin: conn}, nil
+	}
+	return out
+}
+
+// shooter is one worker's connection, HTTP or binary, firing requests of
+// one kind one at a time; only its worker touches it during a run.
+type shooter struct {
+	runConfig
+	mutate bool
+	http   *http.Client
+	bin    *wire.Conn
+	// stageNs sums the server's ns per stage name over OK route responses.
+	stageNs map[string]int64
+}
+
+func (c runConfig) newShooter(mutate bool) (sh *shooter, err error) {
+	sh = &shooter{runConfig: c, mutate: mutate, stageNs: map[string]int64{}}
+	if c.proto == "bin" {
+		sh.bin, err = wire.Dial(c.addr) // the error names the address
+		return sh, err
 	}
 	// One transport per shooter keeps exactly one TCP connection per
 	// worker, matching the bin side's pool shape.
-	return &shooter{
-		http: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}},
-		url:  "http://" + c.addr + "/v1/route",
-		murl: "http://" + c.addr + "/v1/mutate",
-	}, nil
+	sh.http = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
+	return sh, nil
 }
 
 func (s *shooter) close() {
-	if s == nil {
-		return
-	}
 	if s.bin != nil {
 		s.bin.Close()
-	}
-	if s.http != nil {
+	} else {
 		s.http.CloseIdleConnections()
 	}
 }
 
-// shoot fires request i and returns the HTTP-equivalent status code and
-// any server-side stage breakdown (-stages only). Mutation arrivals go
-// through shootMutate instead of the route path.
-func (s *shooter) shoot(c runConfig, i int, mutate bool) (int, stageNs, error) {
-	if mutate {
-		code, err := s.shootMutate(c)
-		return code, stageNs{}, err
-	}
-	if s.bin != nil {
-		resp, err := s.bin.Do(&wire.Request{
-			Circuit: c.circuit,
-			WireID:  c.wireBase + i,
-			Pins:    c.pins,
-			// Traced asks for a traced response frame: the server echoes
-			// its minted request id and the per-stage latency pairs.
-			Traced:         c.stages,
-			DeadlineMillis: c.deadlineMS,
-			Commit:         c.commit,
-			Client:         c.client,
-		})
-		if err != nil {
-			return 0, stageNs{}, err
-		}
-		var st stageNs
-		if resp.Traced && len(resp.Stages) > 0 {
-			st.ok = true
-			for _, p := range resp.Stages {
-				if int(p.Stage) < len(st.ns) {
-					st.ns[p.Stage] += p.Ns
-				}
-			}
-		}
-		return resp.Status.HTTPStatus(), st, nil
-	}
-	body := jsonBody{
-		Circuit: c.circuit, Wire: c.wireBase + i, Commit: c.commit, DeadlineMillis: c.deadlineMS,
-	}
-	for _, p := range c.pins {
-		body.Pins = append(body.Pins, [2]int{p.X, p.Y})
-	}
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return 0, stageNs{}, err
-	}
-	req, err := http.NewRequest(http.MethodPost, s.url, bytes.NewReader(buf))
-	if err != nil {
-		return 0, stageNs{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Client", c.client)
-	resp, err := s.http.Do(req)
-	if err != nil {
-		return 0, stageNs{}, err
-	}
-	var st stageNs
-	if c.stages && resp.StatusCode == 200 {
-		// A tracing-enabled server annotates every JSON response with its
-		// stage breakdown; decode it instead of discarding the body.
-		var doc jsonStages
-		if json.NewDecoder(resp.Body).Decode(&doc) == nil && len(doc.Stages) > 0 {
-			st.ok = true
-			for _, sp := range doc.Stages {
-				if code, ok := reqtrace.StageByName(sp.Stage); ok {
-					st.ns[code] += sp.Ns
-				}
-			}
-		}
-	}
-	// Drain so the connection is reused; any undecoded rest is not needed.
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, st, nil
+// outcomes classifies an answer by its HTTP-equivalent status; any other
+// status, like a transport failure, is an error.
+var outcomes = map[int]harness.Outcome{
+	http.StatusOK:              harness.Good,
+	http.StatusTooManyRequests: harness.Shed,
+	http.StatusGatewayTimeout:  harness.Expired,
 }
 
-// shootMutate fires one single-op mutation: reroute -mutate-wire with
-// its existing pins against current congestion. Rerouting the same wire
-// is always a valid batch, so the mutation mix needs no coordination
-// with the route traffic.
-func (s *shooter) shootMutate(c runConfig) (int, error) {
-	if s.bin != nil {
-		resp, err := s.bin.DoMutate(&wire.Mutate{
-			Circuit: c.circuit,
-			Client:  c.client,
-			Ops:     []wire.MutateOp{{Op: wire.OpReroute, WireID: c.mutateWire}},
-		})
+// shoot fires arrival i. A failed binary connection is redialled for the
+// next arrival; if that fails too, later arrivals error the same way.
+func (s *shooter) shoot(i int) harness.Outcome {
+	code, err := s.exchange(i)
+	if err != nil && s.bin != nil {
+		s.bin.Close()
+		if conn, derr := wire.Dial(s.addr); derr == nil {
+			s.bin = conn
+		}
+	}
+	if out, ok := outcomes[code]; ok { // code is 0 after a transport failure
+		return out
+	}
+	return harness.Errored
+}
+
+// exchange sends one request of the shooter's kind and returns the
+// HTTP-equivalent status. A mutation reroutes -mutate-wire with its own
+// pins: always a valid batch, so writes need no coordination with reads.
+func (s *shooter) exchange(i int) (int, error) {
+	if s.bin != nil && s.mutate {
+		resp, err := s.bin.DoMutate(&wire.Mutate{Circuit: s.circuit, Client: clientName,
+			Ops: []wire.MutateOp{{Op: wire.OpReroute, WireID: s.mutateWire}}})
 		if err != nil {
 			return 0, err
 		}
 		return resp.Status.HTTPStatus(), nil
 	}
-	body := mutateJSONBody{Circuit: c.circuit}
-	body.Ops = append(body.Ops, mutateJSONOp{Op: "reroute", Wire: c.mutateWire})
-	buf, err := json.Marshal(body)
+	if s.bin != nil {
+		resp, err := s.bin.Do(&wire.Request{Circuit: s.circuit, WireID: wireBase + i, Pins: pins,
+			Traced: s.stages, Client: clientName})
+		if err != nil {
+			return 0, err
+		}
+		if resp.Status == wire.StatusOK {
+			for _, p := range resp.Stages {
+				s.stageNs[reqtrace.Stage(p.Stage).String()] += p.Ns
+			}
+		}
+		return resp.Status.HTTPStatus(), nil
+	}
+	name, _ := json.Marshal(s.circuit) // a string always marshals
+	path, body := "/v1/route", fmt.Sprintf(`{"circuit":%s,"wire":%d,"pins":%s}`, name, wireBase+i, pinsJSON)
+	if s.mutate {
+		path, body = "/v1/mutate", fmt.Sprintf(`{"circuit":%s,"ops":[{"op":"reroute","wire":%d}]}`, name, s.mutateWire)
+	}
+	req, err := http.NewRequest(http.MethodPost, "http://"+s.addr+path, strings.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequest(http.MethodPost, s.murl, bytes.NewReader(buf))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Client", c.client)
+	req.Header.Set("X-Client", clientName)
 	resp, err := s.http.Do(req)
 	if err != nil {
 		return 0, err
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
-// mutateJSONBody mirrors locusd's /v1/mutate request document.
-type mutateJSONBody struct {
-	Circuit string         `json:"circuit"`
-	Ops     []mutateJSONOp `json:"ops"`
-}
-
-type mutateJSONOp struct {
-	Op   string   `json:"op"`
-	Wire int      `json:"wire"`
-	Pins [][2]int `json:"pins,omitempty"`
-}
-
-// jsonStages is the slice of locusd's /route response document that
-// -stages consumes.
-type jsonStages struct {
-	Stages []struct {
-		Stage string `json:"stage"`
-		Ns    int64  `json:"ns"`
-	} `json:"stages"`
-}
-
-// jsonBody mirrors locusd's /route request document.
-type jsonBody struct {
-	Circuit        string   `json:"circuit"`
-	Wire           int      `json:"wire"`
-	Pins           [][2]int `json:"pins"`
-	Commit         bool     `json:"commit"`
-	DeadlineMillis int64    `json:"deadline_ms"`
-}
-
-// parsePins parses "x,y;x,y;..." into points.
-func parsePins(s string) ([]geom.Point, error) {
-	var pins []geom.Point
-	for _, part := range strings.Split(s, ";") {
-		var x, y int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d,%d", &x, &y); err != nil {
-			return nil, fmt.Errorf("bad pin %q (want x,y)", part)
+	defer resp.Body.Close()
+	// A tracing server puts the stage breakdown in every route response.
+	var doc struct {
+		Stages []struct {
+			Stage string
+			Ns    int64
 		}
-		pins = append(pins, geom.Pt(x, y))
 	}
-	if len(pins) < 2 {
-		return nil, fmt.Errorf("need >= 2 pins, got %d", len(pins))
+	if s.stages && !s.mutate && resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&doc) == nil {
+		for _, sp := range doc.Stages {
+			s.stageNs[sp.Stage] += sp.Ns
+		}
 	}
-	return pins, nil
+	// Drain so the connection is reused; any undecoded rest is not needed.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, nil
 }

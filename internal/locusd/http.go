@@ -90,10 +90,15 @@ func (s *Server) Handler() http.Handler {
 }
 
 // readBody decodes a request document into body, answering 400 itself
-// when it cannot; it reports whether the handler should go on.
+// when it cannot — 413 when the document is larger than the binary
+// transport's frame limit; it reports whether the handler should go on.
 func readBody(w http.ResponseWriter, r *http.Request, body any) bool {
-	err := json.NewDecoder(r.Body).Decode(body)
-	if err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxFrame)).Decode(body)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body over %d bytes", tooBig.Limit)})
+	case err != nil:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 	}
 	return err == nil
@@ -223,6 +228,9 @@ func ceilSeconds(d time.Duration) int {
 // window on the request tracer, blocks for the window (like pprof's
 // /debug/pprof/profile), and writes every request that finished inside
 // it as a Chrome/Perfetto trace document. 404 when tracing is disabled.
+// A drain or a client that goes away ends the wait at once: the window
+// captured so far is written, so a capture in flight at shutdown never
+// holds the HTTP server open and an abandoned one holds no goroutine.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.cfg.Tracer
 	if tr == nil {
@@ -238,14 +246,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		sec = v
 	}
-	// Cap below the drain grace period so a capture in flight at
-	// shutdown cannot hold the HTTP server open indefinitely.
+	// The cap bounds how long one request keeps the tracer retaining
+	// every finished record.
 	if sec > 60 {
 		sec = 60
 	}
 	dur := time.Duration(sec * float64(time.Second))
 	from, to := tr.CaptureFor(dur)
-	time.Sleep(dur)
+	window := time.NewTimer(dur)
+	defer window.Stop()
+	select {
+	case <-window.C:
+	case <-r.Context().Done():
+	case <-s.drainc:
+	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = tr.WriteChrome(w, from, to)
 }

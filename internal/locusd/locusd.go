@@ -20,7 +20,9 @@
 // scheduler re-keys the one shard loop's queues from arrival time to
 // deadline — earliest-deadline-first inside the batch window, least-
 // critical-first shedding at the admission gate (see dispatch.go). Every
-// element is nil when disabled, at zero measurable cost (BENCH_policy.json).
+// element is nil when disabled, at zero measurable cost (0 allocs pinned
+// by policy.TestDisabledAllocatesNothing; the time is inside
+// BENCHMARK.json's locusd.inproc_route_us).
 //
 // Requests that arrive at a shard within one batching window are grouped
 // and evaluated back to back through a route.Scratch borrowed from a
@@ -357,6 +359,7 @@ type Server struct {
 
 	met      metrics
 	draining atomic.Bool
+	drainc   chan struct{} // closed by the first BeginDrain
 	closing  sync.Once
 	stop     chan struct{}
 	loops    sync.WaitGroup
@@ -392,6 +395,7 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 		gate:     par.NewGate(cfg.MaxInFlight),
 		store:    st,
 		circuits: make(map[string]*servedCircuit, len(circuits)),
+		drainc:   make(chan struct{}),
 		stop:     make(chan struct{}),
 		started:  time.Now(),
 	}
@@ -872,8 +876,13 @@ func (s *Server) Epoch(circuitName string) uint64 {
 }
 
 // BeginDrain stops admitting new requests; in-flight requests keep
-// running. Safe to call more than once.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+// running, and a /debug/trace capture in progress ends early. Safe to
+// call more than once.
+func (s *Server) BeginDrain() {
+	if s.draining.CompareAndSwap(false, true) {
+		close(s.drainc)
+	}
+}
 
 // Close completes a drain: it waits for admitted requests to finish,
 // stops the shard loops (which first evaluate anything still queued),

@@ -109,6 +109,33 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRefused pins the HTTP transport's body bound: a
+// document over wire.MaxFrame — the binary transport's frame limit — is
+// answered 413 with the usual error body on every endpoint that decodes
+// one, before it is read to the end, and the server keeps serving.
+func TestOversizedBodyRefused(t *testing.T) {
+	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	huge := `{"circuit":"` + strings.Repeat("a", 2<<20) + `"}`
+	for _, path := range []string{"/v1/route", "/v1/mutate", "/v1/circuits/big"} {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var doc errorBody
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || !strings.Contains(doc.Error, "request body over") {
+			t.Errorf("%s: status %d, body %+v (%v), want 413 with an error body", path, resp.StatusCode, doc, err)
+		}
+		if code, doc := postRoute(t, ts, `{"circuit":"svc","pins":[[2,1],[40,4]]}`); code != http.StatusOK {
+			t.Errorf("after %s: normal request got %d (%v)", path, code, doc)
+		}
+	}
+}
+
 // TestBatchingWindow checks that requests arriving within one window are
 // evaluated as one batch: with a single shard and a wide window, the
 // reported batch_size must exceed one.

@@ -9,8 +9,9 @@ import (
 
 // scratchPool recycles route.Scratch values across independent routing
 // calls. A fresh Scratch costs one visited-grid allocation plus the
-// kernel's map/buffer growth — BENCH_route.json records the standalone
-// path at 12 allocs per wire versus 1 for a reused scratch — so
+// kernel's map/buffer growth — route's BenchmarkRouteWireStandalone
+// shows 12 allocs per wire on that path versus the 1 of a reused
+// scratch (BENCHMARK.json's exact route.allocs_per_wire) — so
 // per-request routing (locusd's serving path, one wire per request)
 // pools them instead of allocating.
 //

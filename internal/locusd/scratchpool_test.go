@@ -11,8 +11,9 @@ import (
 
 // TestScratchPoolAllocs pins the pooled per-request routing cost: a
 // Get/RouteWire/Put cycle must stay at the reused-scratch allocation
-// floor (the caller-owned Path copy), not the 12 allocs/op of the
-// standalone fresh-Scratch path recorded in BENCH_route.json.
+// floor (the caller-owned Path copy: BENCHMARK.json's exact
+// route.allocs_per_wire = 1), not the 12 allocs/op of the standalone
+// fresh-Scratch path (route's BenchmarkRouteWireStandalone).
 func TestScratchPoolAllocs(t *testing.T) {
 	c, err := locusroute.BnrE(7)
 	if err != nil {

@@ -18,8 +18,10 @@ import (
 // TCPServer serves the binary route protocol (internal/wire) on raw TCP,
 // funneling every frame into the same Server.Route core as the JSON
 // endpoints — the two transports differ only in encoding cost, which is
-// the point: cmd/locusload measures that difference, echoing the paper's
-// finding that message packing, not compute, dominates the MP router.
+// the point: BENCHMARK.json's tcp.roundtrip_p50_us and tcp.outside_us
+// against their http.* twins measure that difference (cmd/locusload
+// sweeps it under load), echoing the paper's finding that message
+// packing, not compute, dominates the MP router.
 //
 // The lifecycle mirrors net/http.Server: Serve blocks on a listener,
 // Shutdown stops accepting, interrupts idle connections, and waits for

@@ -375,6 +375,30 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if checkChromeTrace(t, raw) == 0 {
+		t.Fatal("capture contains no request spans")
+	}
+
+	// Bad windows are rejected.
+	for _, q := range []string{"sec=0", "sec=-1", "sec=bogus"} {
+		r, err := ts.Client().Get(ts.URL + "/debug/trace?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s → status %d, want 400", q, r.StatusCode)
+		}
+	}
+}
+
+// checkChromeTrace fails the test unless raw is a structurally valid
+// Chrome trace — balanced B/E per track, timestamps ascending per track,
+// every request span carrying its id — and returns the number of
+// request spans in it.
+func checkChromeTrace(t *testing.T, raw []byte) int {
+	t.Helper()
 	var doc struct {
 		TraceEvents []struct {
 			Name string         `json:"name"`
@@ -418,21 +442,57 @@ func TestDebugTraceEndpoint(t *testing.T) {
 			t.Fatalf("tid %d ends unbalanced at depth %d", tid, d)
 		}
 	}
-	if requests == 0 {
-		t.Fatal("capture contains no request spans")
-	}
+	return requests
+}
 
-	// Bad windows are rejected.
-	for _, q := range []string{"sec=0", "sec=-1", "sec=bogus"} {
-		r, err := ts.Client().Get(ts.URL + "/debug/trace?" + q)
+// TestDebugTraceEndsOnDrain pins that a capture in flight does not hold
+// a shutdown to the end of its window: BeginDrain ends a 60 s capture at
+// once, and what the window caught so far still comes back as a valid
+// trace. The tracer samples nothing by itself, so a retained record is
+// the sign that the capture window is open.
+func TestDebugTraceEndsOnDrain(t *testing.T) {
+	cfg := tracedConfig()
+	cfg.Tracer = reqtrace.New(reqtrace.Options{Sample: 0, Capacity: 64})
+	s := newServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	type capture struct {
+		raw []byte
+		err error
+	}
+	done := make(chan capture, 1)
+	go func() {
+		resp, err := ts.Client().Get(ts.URL + "/debug/trace?sec=60")
 		if err != nil {
-			t.Fatal(err)
+			done <- capture{err: err}
+			return
 		}
-		io.Copy(io.Discard, r.Body)
-		r.Body.Close()
-		if r.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s → status %d, want 400", q, r.StatusCode)
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		done <- capture{raw, err}
+	}()
+	for i := 0; cfg.Tracer.Stats().Retained == 0; i++ {
+		if i == 1000 {
+			t.Fatal("capture window never opened")
 		}
+		postRoute(t, ts, fmt.Sprintf(`{"circuit":"svc","wire":%d,"pins":[[2,1],[40,4]]}`, 500+i))
+	}
+	begun := time.Now()
+	s.BeginDrain()
+	select {
+	case c := <-done:
+		if c.err != nil {
+			t.Fatal(c.err)
+		}
+		if took := time.Since(begun); took > time.Second {
+			t.Errorf("capture returned %v after BeginDrain", took)
+		}
+		if checkChromeTrace(t, c.raw) == 0 {
+			t.Error("the window captured before the drain was not written")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("capture still blocked 10 s after BeginDrain")
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 	"locusroute/internal/route"
 )
 
-// ScaledFactor is the preset used by BENCH_partition.json and `make
-// bench-partition`: 10x bnrE, big enough that region routing dominates
-// tree overhead.
+// ScaledFactor is the preset the repository benchmark routes (the
+// batch_route workload and the part.p1_ms / part.p4_ms /
+// part.speedup_x / part.boundary_frac rows of BENCHMARK.json): 10x
+// bnrE, big enough that region routing dominates tree overhead.
 const ScaledFactor = 10
 
 var (

@@ -7,13 +7,58 @@ import (
 	"locusroute/internal/geom"
 )
 
-// The enabled/disabled benchmark pairs below pin the nil-receiver
+// The enabled/disabled benchmark pairs below show the nil-receiver
 // zero-cost discipline: every element's disabled variant runs on a nil
-// receiver and must stay at ~0 ns/op with 0 allocs/op, so a service
-// built with the chain off pays nothing for having the hooks in place.
-// BENCH_policy.json records the measured baselines.
+// receiver, so a service built with the chain off pays nothing for
+// having the hooks in place. The allocation half of that budget is
+// enforced by TestDisabledAllocatesNothing; the time half shows end to
+// end, in BENCHMARK.json's locusd.inproc_route_us (a Server.Route call
+// through the nil chain) and reqtrace.overhead_frac.
 
 var benchReq = Request{Client: "bench", Circuit: "bnrE", Key: 0xdeadbeef}
+
+// TestDisabledAllocatesNothing pins 0 allocs/op for every hook the
+// serving path calls on a disabled chain — the nil *Chain itself and
+// each nil element.
+func TestDisabledAllocatesNothing(t *testing.T) {
+	var (
+		chain   *Chain
+		dl      *Deadline
+		limit   *RateLimit
+		breaker *Breaker
+		cache   *Cache
+		sched   *Sched
+		now         = time.Now()
+		req         = benchReq
+		value   any = "v"
+		timer       = func(string, time.Duration) {}
+	)
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Chain.AdmitTimed", func() { _ = chain.AdmitTimed(now, &req, timer) }},
+		{"Chain.Lookup", func() { _, _ = chain.Lookup(&req, 1) }},
+		{"Chain.Store", func() { chain.Store(&req, 1, value) }},
+		{"Chain.Release", func() { chain.Release() }},
+		{"Chain.Observe", func() { chain.Observe(now, false) }},
+		{"Chain.Sched.NoteScheduled", func() { chain.Sched().NoteScheduled() }},
+		{"Deadline.Admit", func() { _ = dl.Admit(now, &req) }},
+		{"RateLimit.Admit", func() { _ = limit.Admit(now, &req) }},
+		{"Breaker.Admit", func() { _ = breaker.Admit(now, &req) }},
+		{"Breaker.Observe", func() { breaker.Observe(now, true) }},
+		{"Breaker.Release", func() { breaker.Release() }},
+		{"Cache.Get", func() { _, _ = cache.Get("bnrE", 1, 0) }},
+		{"Cache.Put", func() { cache.Put("bnrE", 1, 0, value) }},
+		{"Sched.NoteScheduled", func() { sched.NoteScheduled() }},
+		{"Sched.NoteBatch", func() { sched.NoteBatch() }},
+		{"Sched.NoteEviction", func() { sched.NoteEviction() }},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.call); allocs != 0 {
+			t.Errorf("%s on a nil receiver: %v allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}
 
 func BenchmarkChainDisabled(b *testing.B) {
 	c := New(Config{}) // nil

@@ -8,7 +8,9 @@
 // internal/obs and internal/tracev: a nil element (and a nil *Chain)
 // ignores every call, so a service built with the chain fully disabled
 // pays a single pointer test per request — ~0 ns/op, 0 allocs/op, within
-// noise of a service with no chain at all (BENCH_policy.json pins this).
+// noise of a service with no chain at all (TestDisabledAllocatesNothing
+// pins the allocations; BENCHMARK.json's locusd.inproc_route_us is a
+// request through the disabled chain).
 //
 // The chain's stages map onto the request lifecycle:
 //

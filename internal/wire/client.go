@@ -9,7 +9,8 @@ import (
 // Conn is a client connection speaking the binary protocol: one
 // request/response exchange at a time, with both directions' buffers
 // reused across calls so the steady state is allocation-free. It is not
-// safe for concurrent use; pool Conns instead, as cmd/locusload does.
+// safe for concurrent use; give each worker its own Conn, as
+// benchmark/harness and cmd/locusload do.
 type Conn struct {
 	nc   net.Conn
 	br   *bufio.Reader
