@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race loc bench bench-layers layers-exact smoke-partition paper
+.PHONY: verify build test race loc bench bench-layers layers-exact smoke-partition paper profile-paper
 
 verify: ## build, vet, full tests, and race-test the concurrent packages
 	$(GO) build ./...
@@ -79,3 +79,11 @@ smoke-partition:
 # Regenerate every paper table.
 paper:
 	$(GO) run ./cmd/paper -all
+
+# Where `paper -all` spends its CPU: the serial driver under the CPU
+# profiler, top 25 by cumulative time. The figures ROADMAP and CHANGES.md
+# quote for the paper_sim workload come from this.
+profile-paper:
+	$(GO) build -o /tmp/paper-profile ./cmd/paper
+	/tmp/paper-profile -all -par 1 -cpuprofile /tmp/paper-profile.prof > /dev/null
+	$(GO) tool pprof -top -cum -nodecount 25 /tmp/paper-profile /tmp/paper-profile.prof

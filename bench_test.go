@@ -26,6 +26,7 @@ import (
 	"locusroute/internal/route"
 	"locusroute/internal/sim"
 	"locusroute/internal/sm"
+	"locusroute/internal/trace"
 )
 
 // BenchmarkTable1 regenerates Table 1: network traffic using sender
@@ -273,8 +274,8 @@ func BenchmarkCacheReplay(b *testing.B) {
 	cfg := sm.DefaultConfig()
 	cfg.Procs = 4
 	cfg.Router.Iterations = 1
-	_, tr, err := sm.RunTraced(c, cfg)
-	if err != nil {
+	tr := &trace.Trace{}
+	if _, err := sm.RunTraced(c, cfg, tr.Append); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -284,6 +285,28 @@ func BenchmarkCacheReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(tr.Len()), "refs")
+}
+
+// BenchmarkRunTraced measures the traced shared memory router alone on
+// the paper's circuit at 16 processes, its references merged and then
+// dropped: the routing-kernel-plus-tracing share of sm.traced_run_ms,
+// where BenchmarkCacheReplay is the coherence share.
+//
+//	go test -run '^$' -bench 'RunTraced|CacheReplay' -benchmem
+func BenchmarkRunTraced(b *testing.B) {
+	c := experiments.BnrE()
+	cfg := sm.DefaultConfig()
+	cfg.Procs = 16
+	b.ReportAllocs()
+	refs := 0
+	for i := 0; i < b.N; i++ {
+		res, err := sm.RunTraced(c, cfg, func(trace.Ref) {})
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs += res.Reads + res.Writes
+	}
+	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
 }
 
 // BenchmarkAssignment measures the static wire assignment phase.

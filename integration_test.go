@@ -13,6 +13,7 @@ import (
 	"locusroute/internal/mp"
 	"locusroute/internal/route"
 	"locusroute/internal/sm"
+	"locusroute/internal/trace"
 )
 
 func integrationCircuit() *circuit.Circuit {
@@ -47,7 +48,7 @@ func TestParadigmQualityBand(t *testing.T) {
 
 	smCfg := sm.DefaultConfig()
 	smCfg.Procs = 4
-	smRes, _, err := sm.RunTraced(c, smCfg)
+	smRes, err := sm.RunTraced(c, smCfg, func(trace.Ref) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,18 +94,18 @@ func TestTrafficHierarchyEndToEnd(t *testing.T) {
 
 	smCfg := sm.DefaultConfig()
 	smCfg.Procs = 4
-	_, tr, err := sm.RunTraced(c, smCfg)
+	coherence, err := cache.New(4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traffic, err := cache.Replay(tr, 4, 8)
-	if err != nil {
+	if _, err := sm.RunTraced(c, smCfg, coherence.Access); err != nil {
 		t.Fatal(err)
 	}
+	traffic := coherence.Traffic().Bytes()
 
-	if !(traffic.Bytes() > snd && snd > rcv) {
+	if !(traffic > snd && snd > rcv) {
 		t.Errorf("traffic hierarchy broken: SM %d, sender %d, receiver %d",
-			traffic.Bytes(), snd, rcv)
+			traffic, snd, rcv)
 	}
 }
 

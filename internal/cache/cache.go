@@ -68,18 +68,67 @@ func (t Traffic) WriteFraction() float64 {
 	return float64(t.WriteWordBytes+t.WritebackBytes) / float64(b)
 }
 
-// Simulator replays a trace against per-processor infinite caches.
+// Simulator runs a reference stream against per-processor infinite
+// caches. Every line ever referenced has a dense index, handed out in
+// first-touch order by the line table; all per-line state is flat and
+// indexed by it.
 type Simulator struct {
 	lineSize int
 	procs    int
-	state    []map[uint64]lineState // per processor: line -> state
-	// everIn[line] marks lines some cache has held, so refetch fills can
-	// be distinguished from cold fills.
-	coldDone map[uint64]map[int]bool
-	// invalidatedBy attributes a later refetch to the write that killed
-	// the line, for the writes-cause-most-traffic analysis.
+	lines    lineTable
+	// state[idx*procs+p] is processor p's coherence state for line idx,
+	// so the P copies a write invalidates or a miss inspects are
+	// contiguous.
+	state []lineState
+	// held[idx*heldWords:][p/64] bit p%64 is set once processor p has
+	// filled line idx, which tells a refetch from a cold fill.
+	held      []uint64
+	heldWords int
+	// refetchBytes are the fill bytes of refetches: a later refetch is
+	// charged to the write that invalidated the line, for the
+	// writes-cause-most-traffic analysis.
 	refetchBytes int64
 	traffic      Traffic
+}
+
+// lineTable maps a line number to its dense index. The cost array's
+// lines are small consecutive numbers and take the direct-indexed
+// window; anything beyond it (the distributed loop's counter sits at
+// 1<<40) goes through the map. Either way an access costs one lookup.
+type lineTable struct {
+	// near[line] and far[line] hold index+1; 0 is a line not seen yet.
+	near []int32
+	far  map[uint64]int32
+	n    int32
+}
+
+// nearLines bounds the direct-indexed window (4 MiB of int32 at most,
+// grown on demand).
+const nearLines = 1 << 20
+
+// index returns line's dense index and whether this call created it.
+func (t *lineTable) index(line uint64) (idx int, fresh bool) {
+	if line >= nearLines {
+		v, seen := t.far[line]
+		if !seen {
+			if t.far == nil {
+				t.far = make(map[uint64]int32)
+			}
+			t.n++
+			v = t.n
+			t.far[line] = v
+		}
+		return int(v - 1), !seen
+	}
+	if line >= uint64(len(t.near)) {
+		t.near = append(t.near, make([]int32, int(line)+1-len(t.near))...)
+	}
+	if t.near[line] == 0 {
+		t.n++
+		t.near[line] = t.n
+		fresh = true
+	}
+	return int(t.near[line] - 1), fresh
 }
 
 // New builds a simulator for procs processors with the given cache line
@@ -92,16 +141,7 @@ func New(procs, lineSize int) (*Simulator, error) {
 		return nil, fmt.Errorf("cache: line size %d must be a positive multiple of %d",
 			lineSize, WordSize)
 	}
-	s := &Simulator{
-		lineSize: lineSize,
-		procs:    procs,
-		state:    make([]map[uint64]lineState, procs),
-		coldDone: make(map[uint64]map[int]bool),
-	}
-	for i := range s.state {
-		s.state[i] = make(map[uint64]lineState)
-	}
-	return s, nil
+	return &Simulator{lineSize: lineSize, procs: procs, heldWords: (procs + 63) / 64}, nil
 }
 
 // LineSize returns the configured line size in bytes.
@@ -147,19 +187,34 @@ func (s *Simulator) Doc() obs.CacheDoc {
 	}
 }
 
-// Access replays one reference.
-func (s *Simulator) Access(r trace.Ref) {
+// Access runs one reference.
+func (s *Simulator) Access(r trace.Ref) { s.access(r) }
+
+// access is Access returning the line's dense index, which the finite
+// simulator keys residency on.
+func (s *Simulator) access(r trace.Ref) int {
 	if r.Proc < 0 || r.Proc >= s.procs {
 		panic(fmt.Sprintf("cache: reference from processor %d of %d", r.Proc, s.procs))
 	}
 	s.traffic.Refs++
-	line := r.Addr / uint64(s.lineSize)
-	st := s.state[r.Proc][line]
+	idx, fresh := s.lines.index(r.Addr / uint64(s.lineSize))
+	if fresh {
+		s.state = append(s.state, make([]lineState, s.procs)...)
+		s.held = append(s.held, make([]uint64, s.heldWords)...)
+	}
+	copies := s.state[idx*s.procs : (idx+1)*s.procs]
+	st := copies[r.Proc]
 
 	if st == invalid {
 		// Miss: a dirty owner must write the line back first.
-		s.writebackIfDirty(line, r.Proc)
-		s.fill(line, r.Proc)
+		for p, other := range copies {
+			if other == dirty && p != r.Proc {
+				copies[p] = shared
+				s.traffic.Writebacks++
+				s.traffic.WritebackBytes += int64(s.lineSize)
+			}
+		}
+		s.fill(idx, r.Proc)
 		st = shared
 	}
 
@@ -168,41 +223,28 @@ func (s *Simulator) Access(r trace.Ref) {
 		// other copy invalidates.
 		s.traffic.WriteWords++
 		s.traffic.WriteWordBytes += WordSize
-		for p := 0; p < s.procs; p++ {
-			if p != r.Proc && s.state[p][line] != invalid {
-				s.state[p][line] = invalid
+		for p, other := range copies {
+			if other != invalid && p != r.Proc {
+				copies[p] = invalid
 				s.traffic.Invalidations++
 			}
 		}
 		st = dirty
 	}
-	s.state[r.Proc][line] = st
+	copies[r.Proc] = st
+	return idx
 }
 
-func (s *Simulator) writebackIfDirty(line uint64, except int) {
-	for p := 0; p < s.procs; p++ {
-		if p != except && s.state[p][line] == dirty {
-			s.state[p][line] = shared
-			s.traffic.Writebacks++
-			s.traffic.WritebackBytes += int64(s.lineSize)
-		}
-	}
-}
-
-func (s *Simulator) fill(line uint64, proc int) {
+func (s *Simulator) fill(idx, proc int) {
 	s.traffic.Fills++
 	s.traffic.FillBytes += int64(s.lineSize)
-	had := s.coldDone[line]
-	if had == nil {
-		had = make(map[int]bool)
-		s.coldDone[line] = had
-	}
-	if had[proc] {
+	word, bit := &s.held[idx*s.heldWords+proc/64], uint64(1)<<(proc%64)
+	if *word&bit != 0 {
 		// This processor held the line before: the fill is a refetch
 		// caused by an invalidation.
 		s.refetchBytes += int64(s.lineSize)
 	}
-	had[proc] = true
+	*word |= bit
 }
 
 // Replay runs an entire (time-ordered) trace and returns the traffic.

@@ -14,136 +14,64 @@ import (
 // It exists to quantify that footnote — capacity misses add traffic on
 // top of the coherence traffic the infinite model isolates.
 type FiniteSimulator struct {
-	lineSize  int
-	procs     int
-	capacity  int // lines per processor cache
-	state     []map[uint64]*finiteLine
-	lru       []*list.List // front = most recent; values are line addrs
-	coldDone  map[uint64]map[int]bool
-	refetch   int64
+	// Simulator is the coherence protocol and its accounting; a line a
+	// processor has evicted is simply invalid there again.
+	*Simulator
+	capacity int          // lines per processor cache
+	lru      []*list.List // per processor, front = most recent; values are line indices
+	// pos[idx*procs+p] is line idx's element in p's LRU list, nil when
+	// the line occupies no slot of p's cache. An invalidated line keeps
+	// its slot.
+	pos       []*list.Element
 	evictions int64
-	traffic   Traffic
-}
-
-type finiteLine struct {
-	st  lineState
-	pos *list.Element
 }
 
 // NewFinite builds a finite-cache simulator with capacityLines lines per
 // processor.
 func NewFinite(procs, lineSize, capacityLines int) (*FiniteSimulator, error) {
-	if procs <= 0 {
-		return nil, fmt.Errorf("cache: processor count %d must be positive", procs)
-	}
-	if lineSize <= 0 || lineSize%WordSize != 0 {
-		return nil, fmt.Errorf("cache: line size %d must be a positive multiple of %d",
-			lineSize, WordSize)
+	inf, err := New(procs, lineSize)
+	if err != nil {
+		return nil, err
 	}
 	if capacityLines <= 0 {
 		return nil, fmt.Errorf("cache: capacity %d lines must be positive", capacityLines)
 	}
-	s := &FiniteSimulator{
-		lineSize: lineSize,
-		procs:    procs,
-		capacity: capacityLines,
-		state:    make([]map[uint64]*finiteLine, procs),
-		lru:      make([]*list.List, procs),
-		coldDone: make(map[uint64]map[int]bool),
-	}
-	for i := range s.state {
-		s.state[i] = make(map[uint64]*finiteLine)
+	s := &FiniteSimulator{Simulator: inf, capacity: capacityLines, lru: make([]*list.List, procs)}
+	for i := range s.lru {
 		s.lru[i] = list.New()
 	}
 	return s, nil
 }
 
-// Traffic returns the accumulated accounting.
-func (s *FiniteSimulator) Traffic() Traffic { return s.traffic }
-
 // Evictions returns the number of capacity evictions performed.
 func (s *FiniteSimulator) Evictions() int64 { return s.evictions }
 
-// Access replays one reference.
+// Access runs one reference: the coherence step, then the line moves to
+// the front of the processor's LRU order, evicting from the back when it
+// took a new slot in a full cache.
 func (s *FiniteSimulator) Access(r trace.Ref) {
-	if r.Proc < 0 || r.Proc >= s.procs {
-		panic(fmt.Sprintf("cache: reference from processor %d of %d", r.Proc, s.procs))
+	idx := s.access(r)
+	slot := idx*s.procs + r.Proc
+	if len(s.pos) < len(s.state) {
+		s.pos = append(s.pos, make([]*list.Element, len(s.state)-len(s.pos))...)
 	}
-	s.traffic.Refs++
-	line := r.Addr / uint64(s.lineSize)
-	fl := s.state[r.Proc][line]
-
-	if fl == nil || fl.st == invalid {
-		// Miss: write back a remote dirty owner, fill, maybe evict.
-		s.writebackIfDirty(line, r.Proc)
-		s.fill(line, r.Proc)
-		if fl == nil {
-			fl = &finiteLine{}
-			s.state[r.Proc][line] = fl
-			fl.pos = s.lru[r.Proc].PushFront(line)
-			s.evictIfNeeded(r.Proc)
-		}
-		fl.st = shared
+	lru := s.lru[r.Proc]
+	if s.pos[slot] != nil {
+		lru.MoveToFront(s.pos[slot])
+		return
 	}
-	s.lru[r.Proc].MoveToFront(fl.pos)
-
-	if r.Op == trace.Write && fl.st != dirty {
-		s.traffic.WriteWords++
-		s.traffic.WriteWordBytes += WordSize
-		for p := 0; p < s.procs; p++ {
-			if p == r.Proc {
-				continue
-			}
-			if other := s.state[p][line]; other != nil && other.st != invalid {
-				other.st = invalid
-				s.traffic.Invalidations++
-			}
-		}
-		fl.st = dirty
-	}
-}
-
-func (s *FiniteSimulator) evictIfNeeded(proc int) {
-	for s.lru[proc].Len() > s.capacity {
-		victim := s.lru[proc].Back()
-		addr := victim.Value.(uint64)
-		fl := s.state[proc][addr]
-		if fl.st == dirty {
+	s.pos[slot] = lru.PushFront(idx)
+	for lru.Len() > s.capacity {
+		victim := lru.Remove(lru.Back()).(int)*s.procs + r.Proc
+		if s.state[victim] == dirty {
 			// Dirty eviction writes the line back to memory.
 			s.traffic.Writebacks++
 			s.traffic.WritebackBytes += int64(s.lineSize)
 		}
-		s.lru[proc].Remove(victim)
-		delete(s.state[proc], addr)
+		s.state[victim] = invalid
+		s.pos[victim] = nil
 		s.evictions++
 	}
-}
-
-func (s *FiniteSimulator) writebackIfDirty(line uint64, except int) {
-	for p := 0; p < s.procs; p++ {
-		if p == except {
-			continue
-		}
-		if fl := s.state[p][line]; fl != nil && fl.st == dirty {
-			fl.st = shared
-			s.traffic.Writebacks++
-			s.traffic.WritebackBytes += int64(s.lineSize)
-		}
-	}
-}
-
-func (s *FiniteSimulator) fill(line uint64, proc int) {
-	s.traffic.Fills++
-	s.traffic.FillBytes += int64(s.lineSize)
-	had := s.coldDone[line]
-	if had == nil {
-		had = make(map[int]bool)
-		s.coldDone[line] = had
-	}
-	if had[proc] {
-		s.refetch += int64(s.lineSize)
-	}
-	had[proc] = true
 }
 
 // ReplayFinite runs a whole trace through a finite-cache simulation.

@@ -10,6 +10,7 @@ import (
 	"locusroute/internal/mp"
 	"locusroute/internal/route"
 	"locusroute/internal/sm"
+	"locusroute/internal/trace"
 )
 
 // quality is the (circuit height, occupancy factor) pair every backend
@@ -90,7 +91,7 @@ func testCrossBackendEquivalence(t *testing.T, seed int64, golden map[string]qua
 	}
 	got["sm-live-1p"] = quality{smLive.CircuitHeight, smLive.Occupancy}
 
-	smTr, _, err := sm.RunTraced(c, sm.Config{Procs: 4, Router: params})
+	smTr, err := sm.RunTraced(c, sm.Config{Procs: 4, Router: params}, func(trace.Ref) {})
 	if err != nil {
 		t.Fatalf("seed %d: sm.RunTraced: %v", seed, err)
 	}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"locusroute/internal/assign"
+	"locusroute/internal/cache"
 	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
 	"locusroute/internal/metrics"
@@ -92,7 +93,7 @@ func (s Setup) Fork() (Setup, func() []*obs.Run) {
 // own goroutine against a forked setup, and once all cells finish, their
 // results and observability documents are stitched together in item
 // order. Heavy work inside fn must gate itself with the setup's pool
-// (runConfigured, smQuality and traceHandle.simulate do).
+// (runConfigured and smTraffic do).
 func cells[T, R any](s Setup, items []T, fn func(T, Setup) (R, error)) ([]R, error) {
 	type cell struct {
 		out  R
@@ -112,22 +113,6 @@ func cells[T, R any](s Setup, items []T, fn func(T, Setup) (R, error)) ([]R, err
 		s.Obs.Adopt(c.runs)
 	}
 	return out, nil
-}
-
-// gatedCells is cells with an admission gate sized to the pool: at most
-// pool-many cells are in flight at once. Use it when each cell pins
-// heavy intermediate state for its whole lifetime — a reference trace, a
-// coherence simulator, a nested table — so that peak memory stays a
-// rolling window of pool-many cells rather than the sum over all of
-// them. The gate is private to the call, so nested fan-outs each gate
-// their own level and cannot deadlock on each other (see par.Gate).
-func gatedCells[T, R any](s Setup, items []T, fn func(T, Setup) (R, error)) ([]R, error) {
-	gate := par.NewGate(s.Pool.Workers())
-	return cells(s, items, func(item T, sub Setup) (R, error) {
-		gate.Enter()
-		defer gate.Leave()
-		return fn(item, sub)
-	})
 }
 
 func (s Setup) routerParams() route.Params {
@@ -212,31 +197,46 @@ func runConfigured(c *circuit.Circuit, s Setup, cfg mp.Config, asn *assign.Assig
 	return res, nil
 }
 
-// smQuality runs the traced shared memory router and returns its result
-// plus the reference trace (callers replay it through the cache
-// simulator at the line sizes they need; replays attach their traffic to
-// the run's document when a collector is recording). The traced routing
-// holds a pool slot.
-func smQuality(c *circuit.Circuit, s Setup, order sm.Order, asn *assign.Assignment, label string) (sm.Result, *traceHandle, error) {
+// smTraffic runs the traced shared memory router straight into one
+// coherence simulator per line size — the paper's Tango pipe: the
+// interleaved reference trace is consumed as it is produced and never
+// stored, and every line size a table needs comes from the one pass.
+// The run holds a pool slot. When a collector is recording, the run's
+// document carries each simulator's traffic in line-size order.
+func smTraffic(c *circuit.Circuit, s Setup, order sm.Order, asn *assign.Assignment, label string, lineSizes ...int) (sm.Result, []*cache.Simulator, error) {
 	cfg := sm.DefaultConfig()
 	cfg.Procs = s.Procs
 	cfg.Router = s.routerParams()
 	cfg.Order = order
 	cfg.Assignment = asn
+	sims := make([]*cache.Simulator, len(lineSizes))
+	for i, ls := range lineSizes {
+		var err error
+		if sims[i], err = cache.New(s.Procs, ls); err != nil {
+			return sm.Result{}, nil, fmt.Errorf("experiments: sm run %q: %w", label, err)
+		}
+	}
 	var (
 		res sm.Result
-		tr  *trace.Trace
 		err error
 	)
-	s.Pool.Run(func() { res, tr, err = sm.RunTraced(c, cfg) })
+	s.Pool.Run(func() {
+		res, err = sm.RunTraced(c, cfg, func(r trace.Ref) {
+			for _, sim := range sims {
+				sim.Access(r)
+			}
+		})
+	})
 	if err != nil {
 		return sm.Result{}, nil, fmt.Errorf("experiments: sm run %q: %w", label, err)
 	}
-	h := &traceHandle{tr: tr, procs: s.Procs}
 	if s.Obs.Enabled() {
-		h.run = s.Obs.Append(sm.ObsRun(label, "sm-traced", c.Name, cfg, res))
+		run := s.Obs.Append(sm.ObsRun(label, "sm-traced", c.Name, cfg, res))
+		for _, sim := range sims {
+			run.Cache = append(run.Cache, sim.Doc())
+		}
 	}
-	return res, h, nil
+	return res, sims, nil
 }
 
 // renderMPTable renders MP rows with the paper's column names.

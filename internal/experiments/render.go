@@ -106,15 +106,8 @@ func render[R any](fn func([]R) string, rows []R, err error) (string, error) {
 // Observability documents are likewise adopted in name order, so both
 // the printed tables and a -json document are byte-identical at every
 // pool capacity.
-//
-// Table cells enter through a gate sized to the pool: an in-flight table
-// pins its reference traces and simulators, and without the gate every
-// table starts at once, their leaves interleave through the pool, and no
-// table finishes (or frees anything) until near the end of the run. The
-// gate keeps at most pool-many tables' state live, which is what bounds
-// `paper -all` peak memory near the serial driver's.
 func RenderSet(names []string, bnrE, mdc *circuit.Circuit, s Setup) ([]string, error) {
-	return gatedCells(s, names, func(name string, sub Setup) (string, error) {
+	return cells(s, names, func(name string, sub Setup) (string, error) {
 		return Render(name, bnrE, mdc, sub)
 	})
 }

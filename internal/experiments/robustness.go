@@ -116,9 +116,7 @@ func Robustness(seeds []int64, s Setup) ([]RobustnessRow, error) {
 			tasks = append(tasks, task{seed: seed, check: i})
 		}
 	}
-	// Gated: a task can run a whole nested table (Table3 pins a trace
-	// and four simulators), so only pool-many tasks are in flight.
-	margins, err := gatedCells(s, tasks, func(t task, sub Setup) (float64, error) {
+	margins, err := cells(s, tasks, func(t task, sub Setup) (float64, error) {
 		c, err := circuit.Generate(circuit.BnrELike(t.seed))
 		if err != nil {
 			return 0, fmt.Errorf("experiments: robustness seed %d: %w", t.seed, err)

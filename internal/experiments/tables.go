@@ -4,60 +4,11 @@ import (
 	"fmt"
 
 	"locusroute/internal/assign"
-	"locusroute/internal/cache"
 	"locusroute/internal/circuit"
 	"locusroute/internal/metrics"
 	"locusroute/internal/mp"
-	"locusroute/internal/obs"
-	"locusroute/internal/par"
 	"locusroute/internal/sm"
-	"locusroute/internal/trace"
 )
-
-// traceHandle pairs a reference trace with the processor count that
-// produced it.
-type traceHandle struct {
-	tr    *trace.Trace
-	procs int
-	// run, when non-nil, is the collector's document for the traced run
-	// that produced the trace; each replay appends its traffic to it.
-	run *obs.Run
-}
-
-// simulate replays the trace through a fresh coherence simulator at the
-// given line size, holding a pool slot for the replay. Concurrent calls
-// are safe: the trace is read-only and each call owns its simulator.
-func (h *traceHandle) simulate(pool *par.Pool, lineSize int) (*cache.Simulator, error) {
-	sim, err := cache.New(h.procs, lineSize)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: cache replay: %w", err)
-	}
-	pool.Run(func() {
-		for _, ref := range h.tr.Refs {
-			sim.Access(ref)
-		}
-	})
-	return sim, nil
-}
-
-// record attaches a finished replay's traffic to the traced run's
-// document. Callers that simulate concurrently must record in line-size
-// order so the document is deterministic.
-func (h *traceHandle) record(sim *cache.Simulator) {
-	if h.run != nil {
-		h.run.Cache = append(h.run.Cache, sim.Doc())
-	}
-}
-
-// replay is simulate plus record, for callers with a single replay.
-func (h *traceHandle) replay(pool *par.Pool, lineSize int) (*cache.Simulator, error) {
-	sim, err := h.simulate(pool, lineSize)
-	if err != nil {
-		return nil, err
-	}
-	h.record(sim)
-	return sim, nil
-}
 
 // --- Table 1: network traffic using sender initiated updates ------------
 
@@ -192,27 +143,18 @@ func Table3LineSizes() []int { return []int{4, 8, 16, 32} }
 
 // Table3 measures shared memory bus traffic at each line size, using the
 // paper's default dynamic (distributed loop) wire distribution. One
-// traced routing feeds all replays, which run concurrently and record in
-// line-size order.
+// traced routing feeds the four simulators in a single pass.
 func Table3(c *circuit.Circuit, s Setup) ([]Table3Row, error) {
-	res, h, err := smQuality(c, s, sm.Dynamic, nil, "table3")
-	if err != nil {
-		return nil, err
-	}
-	sims, err := par.Gather(Table3LineSizes(), func(_ int, ls int) (*cache.Simulator, error) {
-		return h.simulate(s.Pool, ls)
-	})
+	res, sims, err := smTraffic(c, s, sm.Dynamic, nil, "table3", Table3LineSizes()...)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Table3Row
-	for i, sim := range sims {
-		h.record(sim)
-		tr := sim.Traffic()
+	for _, sim := range sims {
 		rows = append(rows, Table3Row{
 			Circuit:       c.Name,
-			LineSize:      Table3LineSizes()[i],
-			MBytes:        tr.MBytes(),
+			LineSize:      sim.LineSize(),
+			MBytes:        sim.Traffic().MBytes(),
 			CktHt:         res.CircuitHeight,
 			WriteFraction: sim.AttributedWriteFraction(),
 		})
@@ -294,8 +236,6 @@ func Table4Strategy() mp.Strategy { return mp.SenderInitiated(2, 10) }
 // Table4 measures the effect of wire assignment locality on the message
 // passing version (sender initiated).
 func Table4(circuits []*circuit.Circuit, s Setup) ([]Table4Row, error) {
-	// Plain cells: an MP cell holds no reference trace, so there is
-	// nothing heavy to gate (contrast Table5).
 	return cells(s, localityCells(circuits), func(t localityCell, sub Setup) (Table4Row, error) {
 		asn, err := t.m.build(t.c, sub)
 		if err != nil {
@@ -338,25 +278,19 @@ const Table5LineSize = 8
 // memory version: static assignments replace the distributed loop, and
 // traffic comes from the coherence simulator at 8-byte lines.
 func Table5(circuits []*circuit.Circuit, s Setup) ([]Table5Row, error) {
-	// Each cell pins a full reference trace between its traced run and
-	// its replay, so admission is gated to pool width.
-	return gatedCells(s, localityCells(circuits), func(t localityCell, sub Setup) (Table5Row, error) {
+	return cells(s, localityCells(circuits), func(t localityCell, sub Setup) (Table5Row, error) {
 		asn, err := t.m.build(t.c, sub)
 		if err != nil {
 			return Table5Row{}, err
 		}
-		res, h, err := smQuality(t.c, sub, sm.Static, asn, "table5/"+t.m.Label)
-		if err != nil {
-			return Table5Row{}, err
-		}
-		sim, err := h.replay(sub.Pool, Table5LineSize)
+		res, sims, err := smTraffic(t.c, sub, sm.Static, asn, "table5/"+t.m.Label, Table5LineSize)
 		if err != nil {
 			return Table5Row{}, err
 		}
 		return Table5Row{
 			Circuit: t.c.Name, Method: t.m.Label,
 			CktHt:  res.CircuitHeight,
-			MBytes: sim.Traffic().MBytes(),
+			MBytes: sims[0].Traffic().MBytes(),
 		}, nil
 	})
 }
@@ -486,18 +420,14 @@ type ComparisonRow struct {
 func Comparison(c *circuit.Circuit, s Setup) ([]ComparisonRow, error) {
 	variants := []func(Setup) (ComparisonRow, error){
 		func(sub Setup) (ComparisonRow, error) {
-			res, h, err := smQuality(c, sub, sm.Dynamic, nil, "comparison/shared memory")
-			if err != nil {
-				return ComparisonRow{}, err
-			}
-			sim, err := h.replay(sub.Pool, Table5LineSize)
+			res, sims, err := smTraffic(c, sub, sm.Dynamic, nil, "comparison/shared memory", Table5LineSize)
 			if err != nil {
 				return ComparisonRow{}, err
 			}
 			return ComparisonRow{
 				Variant: "shared memory (8B lines)",
 				CktHt:   res.CircuitHeight,
-				MBytes:  sim.Traffic().MBytes(),
+				MBytes:  sims[0].Traffic().MBytes(),
 			}, nil
 		},
 		func(sub Setup) (ComparisonRow, error) {

@@ -5,10 +5,12 @@
 //     one OS thread. P logical processes route wires against one shared
 //     cost array with per-process virtual clocks; the scheduler always
 //     advances the process with the smallest clock, and every shared
-//     reference (time, address, processor, read/write) is recorded. The
-//     resulting trace feeds the Write-Back-with-Invalidate coherence
-//     simulator (internal/cache) to obtain bus traffic, exactly the
-//     paper's methodology. Commits become visible to other processes
+//     reference (time, address, processor, read/write) goes onto that
+//     process's stream. The streams are merged into one interleaved
+//     trace as the run proceeds and piped into the caller's consumer —
+//     the Write-Back-with-Invalidate coherence simulator
+//     (internal/cache) to obtain bus traffic, exactly the paper's
+//     methodology. Commits become visible to other processes
 //     when the routing of the wire completes in virtual time, so
 //     processes routing simultaneously do not see each other's
 //     in-flight work — the interference that degrades quality as the
@@ -120,6 +122,10 @@ type Result struct {
 	// Reads and Writes count the shared references of the traced
 	// execution.
 	Reads, Writes int
+	// PeakBuffered is the most references the traced execution held at
+	// once while they waited to be merged into the trace; the rest had
+	// already been handed to the consumer.
+	PeakBuffered int
 	// WiresRouted counts routings performed (wires x iterations).
 	WiresRouted int
 	// CellsExamined is the total route-evaluation work.

@@ -1,14 +1,29 @@
 package sm
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"locusroute/internal/assign"
 	"locusroute/internal/cache"
 	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
+	"locusroute/internal/perf"
 	"locusroute/internal/route"
+	"locusroute/internal/sim"
+	"locusroute/internal/trace"
 )
+
+// discard is the sink of runs whose references are not looked at.
+func discard(trace.Ref) {}
+
+// collect runs the traced router keeping its trace.
+func collect(c *circuit.Circuit, cfg Config) (Result, *trace.Trace, error) {
+	tr := &trace.Trace{}
+	res, err := RunTraced(c, cfg, tr.Append)
+	return res, tr, err
+}
 
 func smallCircuit(seed int64) *circuit.Circuit {
 	return circuit.MustGenerate(circuit.GenParams{
@@ -22,7 +37,7 @@ func TestTracedSingleProcMatchesSequential(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Procs = 1
 	cfg.Router.Iterations = 2
-	res, tr, err := RunTraced(c, cfg)
+	res, tr, err := collect(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +61,11 @@ func TestTracedDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Procs = 4
 	cfg.Router.Iterations = 2
-	a, ta, err := RunTraced(c, cfg)
+	a, ta, err := collect(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, tb, err := RunTraced(c, cfg)
+	b, tb, err := collect(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,19 +86,71 @@ func TestTracedDeterministic(t *testing.T) {
 	}
 }
 
+// TestTracedTraceIsSorted watches the sink: what RunTraced emits never
+// steps back in (T, Proc) — also when shared accesses cost no time, so
+// that whole wires are emitted at one instant and only the strict
+// watermark keeps processes apart — and every reference it counted
+// arrives. On the paper's circuit at 16 processes only a small window of
+// the trace is ever buffered: it is streamed to its consumer, not stored.
 func TestTracedTraceIsSorted(t *testing.T) {
-	c := smallCircuit(3)
+	bnrE := circuit.MustGenerate(circuit.BnrELike(1))
+	for _, tc := range []struct {
+		name  string
+		c     *circuit.Circuit
+		procs int
+		perf  perf.Model
+	}{
+		{"small/4", smallCircuit(3), 4, perf.Default()},
+		{"small/4/free accesses", smallCircuit(3), 4, perf.Model{WireOverhead: sim.Microsecond}},
+		{"bnrE/16", bnrE, 16, perf.Default()},
+	} {
+		cfg := DefaultConfig()
+		cfg.Procs = tc.procs
+		cfg.Perf = tc.perf
+		var last trace.Ref
+		emitted := 0
+		res, err := RunTraced(tc.c, cfg, func(r trace.Ref) {
+			if r.T < last.T || (r.T == last.T && r.Proc < last.Proc) {
+				t.Fatalf("%s: ref %d (T=%d, proc %d) emitted after (T=%d, proc %d)",
+					tc.name, emitted, r.T, r.Proc, last.T, last.Proc)
+			}
+			last = r
+			emitted++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if emitted == 0 || emitted != res.Reads+res.Writes {
+			t.Errorf("%s: %d refs emitted, %d reads + %d writes counted", tc.name, emitted, res.Reads, res.Writes)
+		}
+		if tc.c == bnrE && (res.PeakBuffered <= 0 || res.PeakBuffered >= emitted/4) {
+			t.Errorf("%s: %d of %d refs buffered at the peak, want a window under a quarter",
+				tc.name, res.PeakBuffered, emitted)
+		}
+		t.Logf("%s: %d refs, peak buffered %d", tc.name, emitted, res.PeakBuffered)
+	}
+}
+
+// TestTracedTraceFileRoundTrip: a trace as RunTraced emits it is in the
+// order trace.ReadFile insists on.
+func TestTracedTraceFileRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Procs = 4
-	cfg.Router.Iterations = 1
-	_, tr, err := RunTraced(c, cfg)
+	_, tr, err := collect(smallCircuit(5), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < tr.Len(); i++ {
-		if tr.Refs[i].T < tr.Refs[i-1].T {
-			t.Fatalf("trace out of order at %d", i)
-		}
+	var buf bytes.Buffer
+	if err := trace.WriteFile(&buf, tr, cfg.Procs); err != nil {
+		t.Fatal(err)
+	}
+	got, procs, err := trace.ReadFile(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if procs != cfg.Procs || !reflect.DeepEqual(got.Refs, tr.Refs) {
+		t.Errorf("round trip changed the trace: %d procs, %d refs (want %d, %d)",
+			procs, got.Len(), cfg.Procs, tr.Len())
 	}
 }
 
@@ -92,7 +159,7 @@ func TestTracedDynamicRoutesEveryWireEachIteration(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Procs = 4
 	cfg.Router.Iterations = 3
-	res, _, err := RunTraced(c, cfg)
+	res, err := RunTraced(c, cfg, discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +177,7 @@ func TestTracedStaticAssignment(t *testing.T) {
 	cfg.Order = Static
 	cfg.Assignment = asn
 	cfg.Router.Iterations = 2
-	res, _, err := RunTraced(c, cfg)
+	res, err := RunTraced(c, cfg, discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,18 +190,18 @@ func TestTracedValidation(t *testing.T) {
 	c := smallCircuit(1)
 	cfg := DefaultConfig()
 	cfg.Procs = 0
-	if _, _, err := RunTraced(c, cfg); err == nil {
+	if _, err := RunTraced(c, cfg, discard); err == nil {
 		t.Errorf("zero procs must fail")
 	}
 	cfg = DefaultConfig()
 	cfg.Order = Static
-	if _, _, err := RunTraced(c, cfg); err == nil {
+	if _, err := RunTraced(c, cfg, discard); err == nil {
 		t.Errorf("static without assignment must fail")
 	}
 	part, _ := geom.NewPartition(c.Grid, 2, 2)
 	cfg.Assignment = assign.AssignRoundRobin(c, part)
 	cfg.Procs = 16 // mismatch
-	if _, _, err := RunTraced(c, cfg); err == nil {
+	if _, err := RunTraced(c, cfg, discard); err == nil {
 		t.Errorf("proc mismatch must fail")
 	}
 }
@@ -146,14 +213,14 @@ func TestTracedQualityDegradesWithProcs(t *testing.T) {
 	one := DefaultConfig()
 	one.Procs = 1
 	one.Router.Iterations = 2
-	r1, _, err := RunTraced(c, one)
+	r1, err := RunTraced(c, one, discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sixteen := DefaultConfig()
 	sixteen.Procs = 16
 	sixteen.Router.Iterations = 2
-	r16, _, err := RunTraced(c, sixteen)
+	r16, err := RunTraced(c, sixteen, discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +238,7 @@ func TestTracedFeedsCacheSimulator(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Procs = 4
 	cfg.Router.Iterations = 2
-	_, tr, err := RunTraced(c, cfg)
+	_, tr, err := collect(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

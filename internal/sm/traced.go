@@ -1,8 +1,6 @@
 package sm
 
 import (
-	"container/heap"
-
 	"locusroute/internal/circuit"
 	"locusroute/internal/costarray"
 	"locusroute/internal/geom"
@@ -45,21 +43,13 @@ func (v tracedView) Grid() geom.Grid { return v.p.r.shared.Grid() }
 
 func (v tracedView) Cost(x, y int) int32 {
 	p := v.p
-	p.clock += p.r.cfg.Perf.CellEval
-	p.r.tr.Append(trace.Ref{
-		T: p.clock, Proc: p.id,
-		Addr: addrOf(p.r.shared.Grid(), x, y), Op: trace.Read,
-	})
+	p.ref(p.r.cfg.Perf.CellEval, addrOf(p.r.shared.Grid(), x, y), trace.Read)
 	return p.r.shared.At(x, y)
 }
 
 func (v tracedView) AddCost(x, y int, d int32) {
 	p := v.p
-	p.clock += p.r.cfg.Perf.CellWrite
-	p.r.tr.Append(trace.Ref{
-		T: p.clock, Proc: p.id,
-		Addr: addrOf(p.r.shared.Grid(), x, y), Op: trace.Write,
-	})
+	p.ref(p.r.cfg.Perf.CellWrite, addrOf(p.r.shared.Grid(), x, y), trace.Write)
 	p.r.shared.Add(x, y, d)
 }
 
@@ -70,28 +60,7 @@ func (v tracedView) AddCost(x, y int, d int32) {
 // written so far.
 type pendingCommit struct {
 	at   sim.Time
-	seq  uint64
 	cell geom.Point
-}
-
-type commitQueue []*pendingCommit
-
-func (q commitQueue) Len() int { return len(q) }
-func (q commitQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q commitQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *commitQueue) Push(x any)   { *q = append(*q, x.(*pendingCommit)) }
-func (q *commitQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
 }
 
 // tracedRunner is the shared state of one traced execution.
@@ -99,9 +68,11 @@ type tracedRunner struct {
 	cfg    Config
 	circ   *circuit.Circuit
 	shared *costarray.CostArray
-	tr     *trace.Trace
-	pend   commitQueue
-	seq    uint64
+	// tr merges the processes' reference streams into the caller's sink.
+	tr    *trace.Merger
+	procs []*proc
+	// refs counts the references emitted, by trace.Op.
+	refs [2]int
 	// lastCost[w] is the path cost of wire w at its latest routing.
 	lastCost []int64
 	paths    []route.Path
@@ -120,19 +91,35 @@ type proc struct {
 	// work is the wire list for static order; cursor indexes it.
 	work   []int
 	cursor int
+	// pend[pendHead:] are this process's commit writes not yet visible
+	// in the shared array, in write-time order (its clock only advances).
+	pend     []pendingCommit
+	pendHead int
 }
 
-// applyPending makes visible every commit write at or before t.
+// ref charges cost to p's clock and emits one shared reference at the
+// new time. The clock never moves backwards, which is what makes p's
+// references an already-sorted stream (see trace.Merger).
+func (p *proc) ref(cost sim.Time, addr uint64, op trace.Op) {
+	p.clock += cost
+	p.r.tr.Append(trace.Ref{T: p.clock, Proc: p.id, Addr: addr, Op: op})
+	p.r.refs[op]++
+}
+
+// applyPending makes visible every commit write at or before t. The
+// increments commute, so walking the processes' queues one after another
+// leaves the same array as applying them in global time order.
 func (r *tracedRunner) applyPending(t sim.Time) {
-	for r.pend.Len() > 0 && r.pend[0].at <= t {
-		pc := heap.Pop(&r.pend).(*pendingCommit)
-		r.shared.Add(pc.cell.X, pc.cell.Y, 1)
+	for _, p := range r.procs {
+		for p.pendHead < len(p.pend) && p.pend[p.pendHead].at <= t {
+			c := p.pend[p.pendHead].cell
+			r.shared.Add(c.X, c.Y, 1)
+			p.pendHead++
+		}
+		if p.pendHead == len(p.pend) {
+			p.pend, p.pendHead = p.pend[:0], 0
+		}
 	}
-}
-
-// flushPending applies every outstanding commit.
-func (r *tracedRunner) flushPending() {
-	r.applyPending(sim.Time(1<<62 - 1))
 }
 
 // routeOneWire performs one complete wire routing for process p at its
@@ -158,13 +145,8 @@ func (p *proc) routeOneWire(wi int, iter int) {
 	// visible to *other* processes at that time (per-cell pending
 	// application), not retroactively before it happened.
 	for _, c := range ev.Path.Cells {
-		p.clock += r.cfg.Perf.CellWrite
-		r.tr.Append(trace.Ref{
-			T: p.clock, Proc: p.id,
-			Addr: addrOf(r.shared.Grid(), c.X, c.Y), Op: trace.Write,
-		})
-		r.seq++
-		heap.Push(&r.pend, &pendingCommit{at: p.clock, seq: r.seq, cell: c})
+		p.ref(r.cfg.Perf.CellWrite, addrOf(r.shared.Grid(), c.X, c.Y), trace.Write)
+		p.pend = append(p.pend, pendingCommit{at: p.clock, cell: c})
 	}
 
 	r.paths[wi] = ev.Path
@@ -187,34 +169,36 @@ func (p *proc) fetchWire(counter *int, limit int) int {
 		return wi
 	}
 	// Distributed loop: the counter is a shared word.
-	p.clock += r.cfg.Perf.CellEval
-	r.tr.Append(trace.Ref{T: p.clock, Proc: p.id, Addr: counterAddr, Op: trace.Read})
+	p.ref(r.cfg.Perf.CellEval, counterAddr, trace.Read)
 	if *counter >= limit {
 		return -1
 	}
 	wi := *counter
 	*counter++
-	p.clock += r.cfg.Perf.CellWrite
-	r.tr.Append(trace.Ref{T: p.clock, Proc: p.id, Addr: counterAddr, Op: trace.Write})
+	p.ref(r.cfg.Perf.CellWrite, counterAddr, trace.Write)
 	return wi
 }
 
-// RunTraced executes the multiplexed shared memory router and returns the
-// result together with the time-sorted shared reference trace.
-func RunTraced(circ *circuit.Circuit, cfg Config) (Result, *trace.Trace, error) {
+// RunTraced executes the multiplexed shared memory router, handing the
+// interleaved shared reference trace to sink in (time, processor) order
+// while it runs: a reference is emitted as soon as no process can still
+// produce an earlier one, so the trace is never resident as a whole. A
+// caller that wants it kept passes a trace.Trace's Append.
+func RunTraced(circ *circuit.Circuit, cfg Config, sink func(trace.Ref)) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(circ); err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	r := &tracedRunner{
 		cfg:      cfg,
 		circ:     circ,
 		shared:   costarray.New(circ.Grid),
-		tr:       &trace.Trace{},
+		tr:       trace.NewMerger(cfg.Procs, sink),
+		procs:    make([]*proc, cfg.Procs),
 		lastCost: make([]int64, len(circ.Wires)),
 		paths:    make([]route.Path, len(circ.Wires)),
 	}
-	procs := make([]*proc, cfg.Procs)
+	procs := r.procs
 	for i := range procs {
 		procs[i] = &proc{id: i, r: r, scratch: route.NewScratch(circ.Grid)}
 		if cfg.Order == Static {
@@ -247,6 +231,11 @@ func RunTraced(circ *circuit.Circuit, cfg Config) (Result, *trace.Trace, error) 
 			}
 			p := procs[best]
 			r.applyPending(p.clock)
+			// Every active process will emit at or after its own clock,
+			// hence at or after p's, and the finished ones emit nothing
+			// more before the barrier lifts them to the maximum: all
+			// references below p.clock are final.
+			r.tr.Drain(p.clock)
 			wi := p.fetchWire(&counter, len(circ.Wires))
 			if wi < 0 {
 				active[best] = false
@@ -265,8 +254,9 @@ func RunTraced(circ *circuit.Circuit, cfg Config) (Result, *trace.Trace, error) 
 		for _, p := range procs {
 			p.clock = maxClock
 		}
-		r.flushPending()
+		r.applyPending(maxClock)
 	}
+	r.tr.Flush()
 
 	var res Result
 	res.Final = r.shared
@@ -279,9 +269,9 @@ func RunTraced(circ *circuit.Circuit, cfg Config) (Result, *trace.Trace, error) 
 			res.Span = p.clock
 		}
 	}
-	res.Reads, res.Writes = r.tr.Counts()
+	res.Reads, res.Writes = r.refs[trace.Read], r.refs[trace.Write]
+	res.PeakBuffered = r.tr.Peak()
 	res.WiresRouted = r.wires
 	res.CellsExamined = r.cells
-	r.tr.Sort()
-	return res, r.tr, nil
+	return res, nil
 }

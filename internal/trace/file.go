@@ -24,6 +24,10 @@ const (
 	recordSize  = 8 + 8 + 2 + 1
 	headerSize  = 4 + 2 + 2 + 8
 	maxRecords  = 1 << 32 // sanity bound on read
+	// maxPrealloc caps what the header's count may reserve up front: the
+	// count is untrusted, and a file too short for it must fail on the
+	// missing record, not on the allocation.
+	maxPrealloc = 1 << 16
 )
 
 // WriteFile serialises the trace. procs records how many processors the
@@ -58,7 +62,10 @@ func WriteFile(w io.Writer, t *Trace, procs int) error {
 }
 
 // ReadFile parses a trace file, returning the trace and the processor
-// count it was collected from.
+// count it was collected from. Records must be in (time, processor)
+// order, as WriteFile of a merged trace leaves them: nothing downstream
+// re-orders a trace, and the coherence simulator would silently account
+// different traffic for a shuffled one.
 func ReadFile(r io.Reader) (*Trace, int, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	header := make([]byte, headerSize)
@@ -79,7 +86,7 @@ func ReadFile(r io.Reader) (*Trace, int, error) {
 	if count > maxRecords {
 		return nil, 0, fmt.Errorf("trace: implausible record count %d", count)
 	}
-	t := &Trace{Refs: make([]Ref, 0, count)}
+	t := &Trace{Refs: make([]Ref, 0, min(count, maxPrealloc))}
 	rec := make([]byte, recordSize)
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec); err != nil {
@@ -96,6 +103,12 @@ func ReadFile(r io.Reader) (*Trace, int, error) {
 		}
 		if ref.Op != Read && ref.Op != Write {
 			return nil, 0, fmt.Errorf("trace: record %d has bad op %d", i, ref.Op)
+		}
+		if i > 0 {
+			if prev := t.Refs[i-1]; (key{ref.T, ref.Proc}).before(key{prev.T, prev.Proc}) {
+				return nil, 0, fmt.Errorf("trace: record %d (time %d, processor %d) is out of order after (time %d, processor %d)",
+					i, ref.T, ref.Proc, prev.T, prev.Proc)
+			}
 		}
 		t.Refs = append(t.Refs, ref)
 	}

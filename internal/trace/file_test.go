@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -87,6 +88,35 @@ func TestReadFileErrors(t *testing.T) {
 	// Short header.
 	if _, _, err := ReadFile(strings.NewReader("LR")); err == nil {
 		t.Errorf("short header must fail")
+	}
+	// A header claiming the largest count with no records behind it
+	// fails on the first missing record, not by reserving 128 GiB.
+	huge := append([]byte(nil), data[:headerSize]...)
+	binary.LittleEndian.PutUint64(huge[8:], maxRecords)
+	if _, _, err := ReadFile(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "record 0") {
+		t.Errorf("huge count over an empty body: err = %v, want a record 0 error", err)
+	}
+	// Records out of (time, processor) order: nothing re-sorts a loaded
+	// trace, so the file is refused, naming the record.
+	for _, refs := range [][]Ref{
+		{{T: 10, Proc: 0}, {T: 20, Proc: 1}, {T: 19, Proc: 2}}, // time steps back
+		{{T: 10, Proc: 0}, {T: 20, Proc: 2}, {T: 20, Proc: 1}}, // tie, processor steps back
+	} {
+		buf.Reset()
+		if err := WriteFile(&buf, &Trace{Refs: refs}, 4); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadFile(&buf); err == nil || !strings.Contains(err.Error(), "record 2") {
+			t.Errorf("mis-ordered %+v: err = %v, want a record 2 error", refs, err)
+		}
+	}
+	// Equal (time, processor) neighbours are one process's burst: legal.
+	buf.Reset()
+	if err := WriteFile(&buf, &Trace{Refs: []Ref{{T: 7, Proc: 1}, {T: 7, Proc: 1, Addr: 4}}}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadFile(&buf); err != nil {
+		t.Errorf("equal neighbours rejected: %v", err)
 	}
 }
 

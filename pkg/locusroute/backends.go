@@ -12,6 +12,7 @@ import (
 	"locusroute/internal/part"
 	"locusroute/internal/route"
 	"locusroute/internal/sm"
+	"locusroute/internal/trace"
 )
 
 // NewSequential constructs the uniprocessor reference router: one
@@ -276,7 +277,8 @@ func (b *smBackend) Route(ctx context.Context, req Request) (Result, error) {
 		var res sm.Result
 		var ref *Result
 		if b.kind == SMTraced {
-			smRes, tr, err := sm.RunTraced(req.Circuit, cfg)
+			tr := &trace.Trace{}
+			smRes, err := sm.RunTraced(req.Circuit, cfg, tr.Append)
 			if err != nil {
 				return Result{}, err
 			}

@@ -13,6 +13,7 @@ import (
 	"locusroute/internal/obs"
 	"locusroute/internal/route"
 	"locusroute/internal/sm"
+	"locusroute/internal/trace"
 	"locusroute/internal/tracev"
 )
 
@@ -106,7 +107,8 @@ func TestTracedSharedMemoryMatchesDirectCall(t *testing.T) {
 	}
 	cfg := sm.DefaultConfig()
 	cfg.Procs = 4
-	want, tr, err := sm.RunTraced(c, cfg)
+	tr := &trace.Trace{}
+	want, err := sm.RunTraced(c, cfg, tr.Append)
 	if err != nil {
 		t.Fatal(err)
 	}
