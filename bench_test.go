@@ -11,7 +11,9 @@
 package locusroute
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"locusroute/internal/assign"
@@ -19,6 +21,7 @@ import (
 	"locusroute/internal/circuit"
 	"locusroute/internal/experiments"
 	"locusroute/internal/geom"
+	"locusroute/internal/locusd"
 	"locusroute/internal/mesh"
 	"locusroute/internal/mp"
 	"locusroute/internal/msg"
@@ -307,6 +310,57 @@ func BenchmarkRunTraced(b *testing.B) {
 		refs += res.Reads + res.Writes
 	}
 	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
+}
+
+// BenchmarkServerRoute measures one in-process locusd Server.Route round
+// trip — admit, enqueue, shard wake-up, evaluate, answer — from a single
+// caller against a default Config on the paper's circuit: the package-
+// level twin of BENCHMARK.json's locusd.inproc_route_us.
+// BenchmarkServerRouteParallel is its locusd.inproc_ops_per_s: 16 callers
+// per CPU, so shards are busy and batches form.
+//
+//	go test -run '^$' -bench ServerRoute -benchmem
+func BenchmarkServerRoute(b *testing.B) {
+	route := benchServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := route(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkServerRouteParallel(b *testing.B) {
+	route := benchServer(b)
+	var next atomic.Int64
+	b.SetParallelism(16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := route(int(next.Add(1))); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// benchServer stands up a default-Config locusd over bnrE and returns
+// the call that routes the circuit's i-th wire (mod its wire count).
+func benchServer(b *testing.B) (route func(i int) error) {
+	c := experiments.BnrE()
+	srv, err := locusd.New(locusd.Config{}, c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	ctx := context.Background()
+	return func(i int) error {
+		_, err := srv.Route(ctx, locusd.RouteRequest{Circuit: c.Name, Wire: c.Wires[i%len(c.Wires)]})
+		return err
+	}
 }
 
 // BenchmarkAssignment measures the static wire assignment phase.

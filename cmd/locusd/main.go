@@ -7,7 +7,7 @@
 //	locusd [-addr :8347] [-listen-bin addr] [-bench bnrE|MDC|both]
 //	       [-seed 1] [-circuit file]
 //	       [-backend sequential|sm-live|sm-traced|mp-des|mp-live|partitioned]
-//	       [-procs 16] [-partitions 0] [-shards 4] [-batch-window 2ms]
+//	       [-procs 16] [-partitions 0] [-shards 4]
 //	       [-max-batch 64] [-max-in-flight 256] [-deadline 5s]
 //	       [-drain-grace 30s] [-par N]
 //	       [-admit-floor 0] [-rate-limit 0] [-rate-burst 0]
@@ -105,7 +105,6 @@ func main() {
 		procs       = flag.Int("procs", 16, "processors for the baseline backend")
 		partitions  = flag.Int("partitions", 0, "leaf regions for the partitioned baseline backend (0 = backend default)")
 		shards      = flag.Int("shards", 4, "serving replicas per circuit")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "how long a shard waits to grow a batch")
 		maxBatch    = flag.Int("max-batch", 64, "max wires per batch")
 		maxInFlight = flag.Int("max-in-flight", 256, "admitted requests before shedding 429s")
 		deadline    = flag.Duration("deadline", 5*time.Second, "default per-request deadline")
@@ -152,7 +151,6 @@ func main() {
 		Procs:           *procs,
 		Partitions:      *partitions,
 		Shards:          *shards,
-		BatchWindow:     *batchWindow,
 		MaxBatch:        *maxBatch,
 		MaxInFlight:     *maxInFlight,
 		DefaultDeadline: *deadline,
@@ -221,8 +219,8 @@ func main() {
 		}
 		elems = strings.Join(names, ",")
 	}
-	logger.Info(fmt.Sprintf("serving on %s (%d shards/circuit, window %v, gate %d, policy %s)",
-		*addr, *shards, *batchWindow, *maxInFlight, elems),
+	logger.Info(fmt.Sprintf("serving on %s (%d shards/circuit, gate %d, policy %s)",
+		*addr, *shards, *maxInFlight, elems),
 		"trace", cfg.Tracer.Enabled(), "pprof", *pprofFlag)
 
 	select {

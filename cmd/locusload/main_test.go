@@ -31,7 +31,7 @@ func TestRunPerProto(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := locusd.New(locusd.Config{
-		Shards: 2, BatchWindow: time.Millisecond, Store: st,
+		Shards: 2, Store: st,
 		Tracer: reqtrace.New(reqtrace.Options{Sample: 1, Capacity: 64}),
 	}, c)
 	if err != nil {

@@ -22,67 +22,53 @@ import (
 //     a full admission gate preempts the slackest queued request instead
 //     of shedding the arrival (preempt).
 
-// shardLoop turns one shard's queue into batches: the first arrival
-// opens the batch window, the window (or MaxBatch, or drain) closes it,
-// and the batch is evaluated under the pool. Requests stay queued until
-// the window closes — that is what keeps them visible to preempt — and
-// PopBatch hands them over already in queue order, so the shard commits
-// the most critical (or earliest) work first. Mutation deltas are folded
-// into the replica whenever the loop is not evaluating; only this loop
-// touches sh.arr, so no lock is needed.
+// shardLoop turns one shard's queue into batches without ever waiting
+// for one to grow: it sleeps only on an empty queue, takes a pool slot,
+// and inside the slot folds in queued mutation deltas, pops up to
+// MaxBatch of whatever is queued at that instant and evaluates it. An
+// idle shard serves a lone arrival at once; a busy shard (or a full
+// pool) lets arrivals pile up and its next pop takes them as one batch —
+// batching comes from service time, not a timer. Popping last keeps every
+// request not yet being evaluated in the queue, where preempt can see it,
+// and PopBatch returns queue order, so the most critical (or earliest)
+// work commits first. Only this loop touches sh.arr, so no lock is needed.
 func (s *Server) shardLoop(sc *servedCircuit, sh *shard) {
 	defer s.loops.Done()
 	q := sh.queue
+	evaluate := func() {
+		sh.drainUpdates()
+		batch := q.PopBatch(s.cfg.MaxBatch)
+		if len(batch) == 0 {
+			// A sibling consumed the wave, or preempt evicted it, while
+			// this loop waited for its slot.
+			return
+		}
+		s.chain.Sched().NoteBatch()
+		s.process(sh, sc, batch)
+	}
 	for {
 		if q.Len() == 0 {
+			// Every wake re-checks the depth: a signal can outlive its
+			// push (a sibling or an earlier batch took the entry).
 			select {
 			case <-q.C():
 			case u := <-sh.updates:
 				sh.apply(u)
-				continue
 			case <-sc.stop:
 				// Evicted: EvictCircuit waited out the circuit's in-flight
 				// requests before closing stop, so nothing is queued.
 				return
 			case <-s.stop:
 				// Drain: Close waited out every admitted request before
-				// closing stop, so the queue cannot grow again. Anything
-				// still queued takes the normal path below, where the
-				// closed stop channel collapses the window.
+				// closing stop, so the queue cannot grow again; an entry
+				// whose caller gave up is still popped on the next lap.
 				if q.Len() == 0 {
 					return
 				}
 			}
-		}
-		// First arrival seen: open the window. More arrivals only bump
-		// the wake channel; the queue orders them. The loop condition
-		// re-checks the queue depth before every wait: a burst of >=
-		// MaxBatch pushes coalesces into the single buffered wake (often
-		// consumed by the empty-queue wait above), so waiting for another
-		// signal would sleep the whole window with a full batch already
-		// queued.
-		timer := time.NewTimer(s.cfg.BatchWindow)
-	window:
-		for q.Len() < s.cfg.MaxBatch {
-			select {
-			case <-timer.C:
-				break window
-			case u := <-sh.updates:
-				sh.apply(u)
-			case <-s.stop:
-				break window
-			case <-q.C():
-			}
-		}
-		timer.Stop()
-		sh.drainUpdates()
-		batch := q.PopBatch(s.cfg.MaxBatch)
-		if len(batch) == 0 {
-			// The wave was consumed by a sibling or evicted by preempt.
 			continue
 		}
-		s.chain.Sched().NoteBatch()
-		s.cfg.Pool.Run(func() { s.process(sh, sc, batch) })
+		s.cfg.Pool.Run(evaluate)
 	}
 }
 
@@ -177,6 +163,7 @@ func (s *Server) preempt(deadline time.Time) bool {
 // The batch arrives in queue order — deadline order under the scheduler,
 // arrival order without it — and BatchIndex records that commit order.
 func (s *Server) process(sh *shard, sc *servedCircuit, batch []*policy.Item) {
+	began := time.Now()
 	view := route.ArrayView{A: sh.arr}
 	scratch := s.scratch.Get(sc.grid)
 	defer s.scratch.Put(sc.grid, scratch)
@@ -227,23 +214,27 @@ func (s *Server) process(sh *shard, sc *servedCircuit, batch []*policy.Item) {
 			WaitMicros:    wait.Microseconds(),
 		}, t: t}
 	}
+	// Two clock reads per batch: RetryAfterSeconds' and /v1/metrics' input.
+	s.met.mu.Lock()
+	s.met.batches++
+	s.met.evalNs += time.Since(began).Nanoseconds()
+	s.met.mu.Unlock()
 }
 
 // RetryAfterSeconds estimates the drain time of the current backlog —
-// the Retry-After a 429 carries. The gate's in-flight count is the
-// backlog; every batch window the shards can retire up to
-// totalShards*MaxBatch of it. The estimate is rounded up to whole
-// seconds (the header's unit), minimum 1.
+// the Retry-After a 429 carries on either transport. The gate's
+// in-flight count is the backlog, the measured mean evaluation time per
+// request is what retiring one costs, and min(shards, pool workers)
+// evaluators retire them in parallel. The estimate is rounded up to
+// whole seconds (the header's unit), minimum 1 — which is also the
+// answer of a server that has evaluated nothing yet.
 func (s *Server) RetryAfterSeconds() int {
-	perWindow := int(s.totalShards.Load()) * s.cfg.MaxBatch
-	if perWindow < 1 {
-		// An empty (store-only) server with nothing registered yet still
-		// owes 429s a sane Retry-After.
-		perWindow = s.cfg.MaxBatch
+	evaluators := s.totalShards.Load()
+	if w := int64(s.cfg.Pool.Workers()); w > 0 && w < evaluators {
+		evaluators = w
 	}
-	windows := (s.gate.InFlight() + perWindow - 1) / perWindow
-	if windows < 1 {
-		windows = 1
-	}
-	return ceilSeconds(time.Duration(windows) * s.cfg.BatchWindow)
+	s.met.mu.Lock()
+	perRequest := s.met.evalNs / max(s.met.served, 1)
+	s.met.mu.Unlock()
+	return ceilSeconds(time.Duration(int64(s.gate.InFlight()) * perRequest / max(evaluators, 1)))
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -118,7 +119,11 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &body) {
 		return
 	}
-	ctx, cancel := withDeadline(r.Context(), body.DeadlineMillis)
+	ctx, cancel, err := s.withDeadline(r.Context(), body.DeadlineMillis)
+	if err != nil {
+		s.writeError(w, err, "")
+		return
+	}
 	defer cancel()
 	resp, err := s.Route(ctx, RouteRequest{
 		Circuit: body.Circuit,
@@ -137,14 +142,23 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxDeadlineMillis is the largest deadline_ms a time.Duration can hold.
+const maxDeadlineMillis = int64(math.MaxInt64 / time.Millisecond)
+
 // withDeadline bounds ctx by a request's explicit deadline_ms on either
 // transport; without one Route applies the server's default, the same
-// as for any embedder.
-func withDeadline(ctx context.Context, millis int64) (context.Context, context.CancelFunc) {
-	if millis <= 0 {
-		return ctx, func() {}
+// as for any embedder. A deadline_ms that overflows a time.Duration
+// (wrapping to an instant expiry) is rejected and counted, never clamped.
+func (s *Server) withDeadline(ctx context.Context, millis int64) (context.Context, context.CancelFunc, error) {
+	if millis > maxDeadlineMillis {
+		s.count(&s.met.rejected)
+		return nil, nil, fmt.Errorf("locusd: deadline_ms %d exceeds %d", millis, maxDeadlineMillis)
 	}
-	return context.WithTimeout(ctx, time.Duration(millis)*time.Millisecond)
+	if millis <= 0 {
+		return ctx, func() {}, nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, time.Duration(millis)*time.Millisecond)
+	return ctx, cancel, nil
 }
 
 // clientIdentity is the rate limiter's caller key: the X-Client header
@@ -463,7 +477,9 @@ type elementVarsDoc struct {
 }
 
 // varsDoc is the /debug/vars document; field order is the struct order,
-// so the rendering is stable.
+// so the rendering is stable. EvalUs is the shard loops' cumulative
+// evaluation time: over uptime × evaluators it is shard utilisation,
+// over Served the mean service time Retry-After is derived from.
 type varsDoc struct {
 	Build     buildInfoDoc      `json:"build"`
 	StartUnix int64             `json:"start_unix"`
@@ -482,6 +498,8 @@ type varsDoc struct {
 	Uploads   int64             `json:"uploads"`
 	Evictions int64             `json:"evictions"`
 	Mutations int64             `json:"mutations"`
+	Batches   int64             `json:"batches"`
+	EvalUs    int64             `json:"eval_us"`
 	Policy    []elementVarsDoc  `json:"policy,omitempty"`
 	BatchSize *obs.HistogramDoc `json:"batch_size,omitempty"`
 	WaitUs    *obs.HistogramDoc `json:"wait_us,omitempty"`
@@ -513,6 +531,8 @@ func (s *Server) vars() varsDoc {
 		Uploads:   s.met.uploads,
 		Evictions: s.met.evictions,
 		Mutations: s.met.mutations,
+		Batches:   s.met.batches,
+		EvalUs:    s.met.evalNs / 1e3,
 		BatchSize: s.met.batchSize.Doc(),
 		WaitUs:    s.met.waitUs.Doc(),
 		RouteCost: s.met.routeCost.Doc(),
@@ -560,6 +580,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pt.Counter("locusd_circuit_uploads_total", "circuits uploaded at runtime", v.Uploads)
 	pt.Counter("locusd_circuit_evictions_total", "circuits evicted at runtime", v.Evictions)
 	pt.Counter("locusd_mutations_total", "mutation ops applied to served circuits", v.Mutations)
+	pt.Counter("locusd_batches_total", "batches evaluated by the shard loops", v.Batches)
+	pt.Counter("locusd_eval_us_total", "microseconds the shard loops spent evaluating batches", v.EvalUs)
 	pt.Gauge("locusd_in_flight", "admitted requests currently in flight", int64(v.InFlight))
 	pt.Gauge("locusd_capacity", "admission gate capacity", int64(v.Capacity))
 	pt.Gauge("locusd_build_info", "build metadata as labels, value always 1", 1,

@@ -15,6 +15,7 @@ import (
 
 	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
+	"locusroute/internal/par"
 	"locusroute/internal/policy"
 	"locusroute/internal/store"
 	"locusroute/internal/wire"
@@ -78,7 +79,7 @@ func doReq(t testing.TB, ts *httptest.Server, method, path, body string) (int, h
 // spellings are 404s, a wrong method is the mux's 405, and /v1 responses
 // carry no deprecation headers.
 func TestV1OnlySurface(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -109,7 +110,7 @@ func TestV1OnlySurface(t *testing.T) {
 // duplicate conflict, route, mutate (with its incremental results),
 // store state on /v1/circuits, evict, and re-upload of the freed name.
 func TestHTTPLifecycle(t *testing.T) {
-	s := newServer(t, Config{Shards: 2, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -219,7 +220,7 @@ func TestHTTPLifecycle(t *testing.T) {
 // paths, so mutation and eviction are conflicts — while runtime uploads
 // on the same server remain fully mutable.
 func TestImmutableStartupCircuit(t *testing.T) {
-	s, err := New(Config{Backend: locusroute.Partitioned, Shards: 1, BatchWindow: time.Millisecond}, testCircuit(t))
+	s, err := New(Config{Backend: locusroute.Partitioned, Shards: 1}, testCircuit(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func wireUpload(c *circuit.Circuit) *wire.Upload {
 // checks the result is visible over HTTP — one lifecycle, two wire
 // formats.
 func TestTCPLifecycle(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 1})
 	addr, _ := startTCP(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -349,9 +350,8 @@ func TestTCPLifecycle(t *testing.T) {
 // the pre-mutation congestion state can never be served again.
 func TestMutationInvalidatesCache(t *testing.T) {
 	s := newServer(t, Config{
-		Shards:      1,
-		BatchWindow: time.Millisecond,
-		Policy:      policy.Config{CacheEntries: 64},
+		Shards: 1,
+		Policy: policy.Config{CacheEntries: 64},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -379,9 +379,8 @@ func TestMutationInvalidatesCache(t *testing.T) {
 // generation).
 func TestEvictWhileCachedNoGhost(t *testing.T) {
 	s := newServer(t, Config{
-		Shards:      1,
-		BatchWindow: time.Millisecond,
-		Policy:      policy.Config{CacheEntries: 64},
+		Shards: 1,
+		Policy: policy.Config{CacheEntries: 64},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -417,7 +416,7 @@ func TestEvictWhileCachedNoGhost(t *testing.T) {
 // one of the lifecycle's defined outcomes — never a panic, deadlock or
 // torn state.
 func TestConcurrentLifecycleRace(t *testing.T) {
-	s := newServer(t, Config{Shards: 2, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 2})
 
 	const iters = 20
 	circs := make([]*circuit.Circuit, iters)
@@ -470,10 +469,10 @@ func TestConcurrentLifecycleRace(t *testing.T) {
 }
 
 // TestDrainLosesNothingWithMutation pins the drain contract with a
-// mutation mid-batch: every queued request is answered, the mutation is
-// applied, and the epoch accounts for both.
+// mutation landing while requests are queued: every queued request is
+// answered, the mutation is applied, and the epoch accounts for both.
 func TestDrainLosesNothingWithMutation(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: 100 * time.Millisecond})
+	s, release := newParkedServer(t, Config{Shards: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -489,16 +488,15 @@ func TestDrainLosesNothingWithMutation(t *testing.T) {
 			codes <- code
 		}(i)
 	}
-	for i := 0; s.InFlight() < n && i < 400; i++ {
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitQueued(t, s, n)
 
 	w0 := testCircuit(t).Wires[0].ID
 	if _, err := s.Mutate(MutateRequest{Circuit: "svc",
 		Ops: []store.Op{{Kind: store.OpReroute, WireID: w0}}}); err != nil {
-		t.Fatalf("mutation mid-batch: %v", err)
+		t.Fatalf("mutation with requests queued: %v", err)
 	}
 	s.BeginDrain()
+	release()
 	wg.Wait()
 	s.Close()
 
@@ -521,6 +519,43 @@ func TestDrainLosesNothingWithMutation(t *testing.T) {
 	}
 }
 
+// TestMutationAppliedBeforePop pins the order inside a shard's pool slot:
+// deltas first, pop second. A mutation acknowledged while a request
+// waits for a busy shard is in the replica by the time the request is
+// evaluated, so the released batch reports the post-mutation cost.
+func TestMutationAppliedBeforePop(t *testing.T) {
+	pool := par.New(1)
+	s := newServer(t, Config{Shards: 1, Pool: pool})
+	probe := func() int64 {
+		t.Helper()
+		resp, err := s.Route(context.Background(), RouteRequest{Circuit: "svc", Wire: testWire(1)})
+		if err != nil {
+			t.Fatalf("Route: %v", err)
+		}
+		return resp.Cost
+	}
+	before := probe()
+
+	release := park(t, pool)
+	queued := make(chan int64, 1)
+	go func() { queued <- probe() }()
+	waitQueued(t, s, 1)
+	// A new wire on the probe's own pins congests every path it can take.
+	if _, err := s.Mutate(MutateRequest{Circuit: "svc",
+		Ops: []store.Op{{Kind: store.OpAdd, WireID: 900, Pins: testWire(900).Pins}}}); err != nil {
+		t.Fatalf("Mutate: %v", err)
+	}
+	release()
+
+	got, after := <-queued, probe()
+	if after <= before {
+		t.Fatalf("cost %d after the mutation, %d before: the mutation did not congest the probe", after, before)
+	}
+	if got != after {
+		t.Errorf("request queued across the mutation cost %d, want the post-mutation %d (pre-mutation %d)", got, after, before)
+	}
+}
+
 // TestServerRestartIdentity drives the dynamic circuit lifecycle across
 // a restart on a persistent store: upload a circuit, mutate it, close
 // the server and then the store (which snapshots), reopen both on the
@@ -534,7 +569,7 @@ func TestServerRestartIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("store.Open: %v", err)
 		}
-		s, err := New(Config{Shards: 1, BatchWindow: time.Millisecond, Store: st})
+		s, err := New(Config{Shards: 1, Store: st})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

@@ -18,19 +18,20 @@
 // circuit breaker; a result cache keyed by (circuit, wire set, cost
 // epoch) can answer repeats without routing; and the criticality
 // scheduler re-keys the one shard loop's queues from arrival time to
-// deadline — earliest-deadline-first inside the batch window, least-
+// deadline — earliest-deadline-first within each batch, least-
 // critical-first shedding at the admission gate (see dispatch.go). Every
 // element is nil when disabled, at zero measurable cost (0 allocs pinned
 // by policy.TestDisabledAllocatesNothing; the time is inside
 // BENCHMARK.json's locusd.inproc_route_us).
 //
-// Requests that arrive at a shard within one batching window are grouped
-// and evaluated back to back through a route.Scratch borrowed from a
-// grid-keyed scratchPool for the batch (reused scratch space is what
-// makes the steady state allocation-free). A par.Gate bounds admitted
-// requests — a full gate sheds load with HTTP 429 rather than queueing
-// without bound — and a par.Pool bounds how many shards evaluate
-// batches at once.
+// There is no batch window: an idle shard evaluates a lone arrival at
+// once, and requests that queue up while a shard is busy (or the pool is
+// full) are popped together as its next batch and evaluated back to back
+// through a route.Scratch borrowed from a grid-keyed scratchPool for the
+// batch (reused scratch space is what makes the steady state
+// allocation-free). A par.Gate bounds admitted requests — a full gate
+// sheds load with HTTP 429 rather than queueing without bound — and a
+// par.Pool bounds how many shards evaluate batches at once.
 package locusd
 
 import (
@@ -71,10 +72,8 @@ type Config struct {
 	Partitions int
 	// Shards is the number of serving replicas per circuit (default 4).
 	Shards int
-	// BatchWindow is how long a shard waits for more requests after the
-	// first of a batch arrives (default 2ms).
-	BatchWindow time.Duration
-	// MaxBatch caps the wires evaluated in one batch (default 64).
+	// MaxBatch caps the wires evaluated in one batch, i.e. how long a
+	// shard goes between applying deltas and yielding its slot (default 64).
 	MaxBatch int
 	// MaxInFlight bounds admitted requests across all circuits; arrivals
 	// beyond it are shed with 429 (default 256).
@@ -119,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards < 1 {
 		c.Shards = 4
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 64
@@ -323,6 +319,10 @@ type metrics struct {
 	uploads   int64 // circuits uploaded at runtime
 	evictions int64 // circuits evicted at runtime
 	mutations int64 // mutation ops applied (not batches)
+	// The shard loops' own account: batches evaluated and the wall time
+	// spent on them — with served, RetryAfterSeconds' mean service time.
+	batches   int64
+	evalNs    int64
 	batchSize obs.Histogram
 	waitUs    obs.Histogram
 	routeCost obs.Histogram

@@ -2,11 +2,13 @@ package locusd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,6 +45,61 @@ func newServer(t testing.TB, cfg Config) *Server {
 	return s
 }
 
+// park occupies every slot of pool until the returned release is called
+// (the test's cleanup calls it too, ahead of the server's Close): shard
+// loops still wake for arrivals but cannot evaluate, so admitted requests
+// stay queued and in flight for exactly as long as the test wants.
+func park(t testing.TB, pool *par.Pool) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var held sync.WaitGroup
+	for range pool.Workers() {
+		held.Add(1)
+		go pool.Run(func() { held.Done(); <-gate })
+	}
+	held.Wait()
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return release
+}
+
+// newParkedServer is newServer with every evaluation slot already held
+// (cfg.Pool, or a one-slot pool when the test brings none).
+func newParkedServer(t testing.TB, cfg Config) (s *Server, release func()) {
+	t.Helper()
+	if cfg.Pool == nil {
+		cfg.Pool = par.New(1)
+	}
+	s = newServer(t, cfg)
+	return s, park(t, cfg.Pool)
+}
+
+// waitFor polls until cond holds; what names the condition for the
+// failure message.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// waitInFlight waits until exactly n requests hold admission slots.
+func waitInFlight(t testing.TB, s *Server, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d requests in flight", n), func() bool { return s.InFlight() == n })
+}
+
+// waitQueued waits until exactly n requests sit in the test circuit's
+// first shard queue — under EDF the one queue all its shards share.
+func waitQueued(t testing.TB, s *Server, n int) {
+	t.Helper()
+	q := s.circuits["svc"].shards[0].queue
+	waitFor(t, fmt.Sprintf("%d requests queued", n), func() bool { return q.Len() == n })
+}
+
 // postRoute fires one /v1/route request and decodes the response.
 func postRoute(t testing.TB, ts *httptest.Server, body string) (int, map[string]any) {
 	t.Helper()
@@ -61,7 +118,7 @@ func postRoute(t testing.TB, ts *httptest.Server, body string) (int, map[string]
 // TestRouteBasic covers the happy path: route one wire, get its cost and
 // serving shard back.
 func TestRouteBasic(t *testing.T) {
-	s := newServer(t, Config{Shards: 2, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -81,7 +138,7 @@ func TestRouteBasic(t *testing.T) {
 // circuit 404, out-of-grid pin 400 (rejected, not clamped), single pin
 // 400, bad JSON 400.
 func TestValidationErrors(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -114,7 +171,7 @@ func TestValidationErrors(t *testing.T) {
 // answered 413 with the usual error body on every endpoint that decodes
 // one, before it is read to the end, and the server keeps serving.
 func TestOversizedBodyRefused(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -136,11 +193,13 @@ func TestOversizedBodyRefused(t *testing.T) {
 	}
 }
 
-// TestBatchingWindow checks that requests arriving within one window are
-// evaluated as one batch: with a single shard and a wide window, the
-// reported batch_size must exceed one.
-func TestBatchingWindow(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: 150 * time.Millisecond, MaxBatch: 32})
+// TestBusyShardBatches checks that requests queueing up while a shard
+// cannot evaluate are taken as one batch once it can: with a single
+// shard and its only pool slot held, n arrivals are popped together on
+// release — every response reports batch_size n, and batch_index follows
+// arrival order.
+func TestBusyShardBatches(t *testing.T) {
+	s, release := newParkedServer(t, Config{Shards: 1, MaxBatch: 32})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -156,6 +215,9 @@ func TestBatchingWindow(t *testing.T) {
 				t.Errorf("wire %d: status %d", i, code)
 				return
 			}
+			if idx := int(doc["batch_index"].(float64)); idx != i {
+				t.Errorf("arrival %d evaluated at batch_index %d, want arrival order", i, idx)
+			}
 			bs := int64(doc["batch_size"].(float64))
 			for {
 				cur := atomic.LoadInt64(&maxBatch)
@@ -164,20 +226,48 @@ func TestBatchingWindow(t *testing.T) {
 				}
 			}
 		}(i)
+		// The next arrival starts only once this one is queued, so arrival
+		// order is unambiguous.
+		waitQueued(t, s, i+1)
 	}
+	release()
 	wg.Wait()
-	if maxBatch < 2 {
-		t.Errorf("max batch size %d; a 150ms window over one shard should have grouped the %d requests", maxBatch, n)
+	if maxBatch != n {
+		t.Errorf("max batch size %d; the %d requests queued behind the busy shard should have formed one batch", maxBatch, n)
 	}
 	if got := s.vars().BatchSize.Max; got != maxBatch {
 		t.Errorf("histogram max batch %d != observed %d", got, maxBatch)
 	}
 }
 
-// TestDeadlineExpiry checks a request whose deadline lands inside the
-// batching window fails with 504 and is counted as expired.
+// TestIdleShardNoWait pins the other half: nothing holds a lone arrival
+// back. Sequential requests against a default Config each find their
+// shard idle, so the median queue wait is scheduling noise, far below
+// the 2 ms every request used to spend in a batch window.
+func TestIdleShardNoWait(t *testing.T) {
+	s := newServer(t, Config{})
+	const n = 200
+	waits := make([]int64, n)
+	for i := range waits {
+		resp, err := s.Route(context.Background(), RouteRequest{Circuit: "svc", Wire: testWire(i)})
+		if err != nil {
+			t.Fatalf("Route %d: %v", i, err)
+		}
+		if resp.BatchSize != 1 {
+			t.Errorf("Route %d: batch_size %d on an idle shard, want 1", i, resp.BatchSize)
+		}
+		waits[i] = resp.WaitMicros
+	}
+	slices.Sort(waits)
+	if median := waits[n/2]; median >= 500 {
+		t.Errorf("median wait_us %d over %d sequential requests, want < 500 (idle shards must not wait)", median, n)
+	}
+}
+
+// TestDeadlineExpiry checks a request whose deadline lands while it is
+// still queued fails with 504 and is counted as expired.
 func TestDeadlineExpiry(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: 400 * time.Millisecond})
+	s, _ := newParkedServer(t, Config{Shards: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -191,10 +281,10 @@ func TestDeadlineExpiry(t *testing.T) {
 }
 
 // TestBackpressure sheds load with 429 + Retry-After when the admission
-// gate is full: one slot, occupied by a request parked in a wide batch
-// window.
+// gate is full: one slot, occupied by a request parked behind a busy
+// shard.
 func TestBackpressure(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: 500 * time.Millisecond, MaxInFlight: 1})
+	s, release := newParkedServer(t, Config{Shards: 1, MaxInFlight: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -204,9 +294,7 @@ func TestBackpressure(t *testing.T) {
 		first <- code
 	}()
 	// Wait until the first request holds the gate slot.
-	for i := 0; s.InFlight() == 0 && i < 200; i++ {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitInFlight(t, s, 1)
 	resp, err := ts.Client().Post(ts.URL+"/v1/route", "application/json",
 		strings.NewReader(`{"circuit":"svc","pins":[[3,2],[30,5]]}`))
 	if err != nil {
@@ -219,6 +307,7 @@ func TestBackpressure(t *testing.T) {
 	if resp.Header.Get("Retry-After") != "1" {
 		t.Errorf("Retry-After = %q, want \"1\"", resp.Header.Get("Retry-After"))
 	}
+	release()
 	if code := <-first; code != http.StatusOK {
 		t.Errorf("occupying request finished %d, want 200", code)
 	}
@@ -231,7 +320,7 @@ func TestBackpressure(t *testing.T) {
 // the drain begins completes with 200, a request after it is refused
 // with 503, /healthz flips to 503, and Close returns.
 func TestGracefulDrain(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: 300 * time.Millisecond})
+	s, release := newParkedServer(t, Config{Shards: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -240,9 +329,7 @@ func TestGracefulDrain(t *testing.T) {
 		code, _ := postRoute(t, ts, `{"circuit":"svc","pins":[[2,1],[40,4]]}`)
 		inFlight <- code
 	}()
-	for i := 0; s.InFlight() == 0 && i < 200; i++ {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitInFlight(t, s, 1)
 
 	s.BeginDrain()
 	if code, doc := postRoute(t, ts, `{"circuit":"svc","pins":[[3,2],[30,5]]}`); code != http.StatusServiceUnavailable {
@@ -257,6 +344,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Errorf("draining /healthz: status %d, want 503", resp.StatusCode)
 	}
 
+	release()
 	if code := <-inFlight; code != http.StatusOK {
 		t.Errorf("in-flight request during drain finished %d, want 200", code)
 	}
@@ -273,7 +361,7 @@ func TestGracefulDrain(t *testing.T) {
 // the next evaluation on the same (single) shard: same wire, higher or
 // equal cost, strictly higher once the path cells carry the commit.
 func TestCommitVisibleOnShard(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -291,10 +379,12 @@ func TestCommitVisibleOnShard(t *testing.T) {
 
 // TestEndpoints covers /circuits, /metrics and /debug/vars shape.
 func TestEndpoints(t *testing.T) {
-	s := newServer(t, Config{Shards: 2, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	postRoute(t, ts, `{"circuit":"svc","pins":[[2,1],[40,4]]}`)
+	// A shard books its batch just after answering it.
+	waitFor(t, "the first batch to be booked", func() bool { return s.vars().Batches == 1 })
 
 	var cs circuitsDoc
 	getJSON(t, ts, "/v1/circuits", &cs)
@@ -310,6 +400,16 @@ func TestEndpoints(t *testing.T) {
 	if vars.Served != 1 || vars.Capacity == 0 || vars.BatchSize == nil {
 		t.Errorf("vars doc %+v", vars)
 	}
+	// The shard loops' own account: evaluating that batch took time, and
+	// a second request moves both counters.
+	if vars.Batches != 1 || vars.EvalUs <= 0 {
+		t.Errorf("after one request: batches %d eval_us %d, want 1 and > 0", vars.Batches, vars.EvalUs)
+	}
+	postRoute(t, ts, `{"circuit":"svc","pins":[[3,2],[30,5]]}`)
+	waitFor(t, "the second batch to be booked", func() bool { return s.vars().Batches == 2 })
+	if got := s.vars().EvalUs; got <= vars.EvalUs {
+		t.Errorf("eval_us %d after two batches, want > %d", got, vars.EvalUs)
+	}
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/metrics")
 	if err != nil {
@@ -318,9 +418,11 @@ func TestEndpoints(t *testing.T) {
 	defer resp.Body.Close()
 	text, _ := io.ReadAll(resp.Body)
 	for _, want := range []string{
-		"locusd_requests_served_total 1",
+		"locusd_requests_served_total 2",
+		"locusd_batches_total 2",
+		"# TYPE locusd_eval_us_total counter",
 		"# TYPE locusd_batch_size histogram",
-		`locusd_batch_size_bucket{le="+Inf"} 1`,
+		`locusd_batch_size_bucket{le="+Inf"} 2`,
 		"locusd_in_flight 0",
 	} {
 		if !bytes.Contains(text, []byte(want)) {
@@ -347,12 +449,11 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, into any) {
 // clean drain. The gate is sized above the offered load so nothing
 // sheds.
 func TestConcurrentLoad(t *testing.T) {
-	// A wide batching window parks the first wave of requests inside
-	// their shards' windows, so all 64 are provably in flight at once
-	// before any completes; later waves run at a normal window cadence.
-	s := newServer(t, Config{
+	// Every pool slot starts held, parking the first wave of requests in
+	// their shards' queues, so all 64 are provably in flight at once
+	// before any completes; later waves run unhindered.
+	s, release := newParkedServer(t, Config{
 		Shards:      4,
-		BatchWindow: 250 * time.Millisecond,
 		MaxBatch:    64,
 		MaxInFlight: 1024,
 		Pool:        par.New(4),
@@ -382,19 +483,10 @@ func TestConcurrentLoad(t *testing.T) {
 			}
 		}(w)
 	}
-	// The first request per worker cannot complete before its shard's
-	// 250ms window closes, so in-flight must climb to all 64 workers.
-	peak := 0
-	deadline := time.Now().Add(10 * time.Second)
-	for peak < workers && time.Now().Before(deadline) {
-		if fl := s.InFlight(); fl > peak {
-			peak = fl
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if peak < workers {
-		t.Errorf("peak in-flight %d, want %d simultaneous requests", peak, workers)
-	}
+	// The first request per worker cannot complete before the slots are
+	// released, so in-flight must climb to all 64 workers.
+	waitInFlight(t, s, workers)
+	release()
 	wg.Wait()
 	if got := ok.Load(); got != workers*perWorker {
 		t.Errorf("completed responses %d, want %d (dropped %d)", got, workers*perWorker, bad.Load())
@@ -417,10 +509,9 @@ func TestConcurrentLoad(t *testing.T) {
 // baseline.
 func TestPartitionedBaseline(t *testing.T) {
 	s := newServer(t, Config{
-		Backend:     locusroute.Partitioned,
-		Partitions:  4,
-		Shards:      1,
-		BatchWindow: time.Millisecond,
+		Backend:    locusroute.Partitioned,
+		Partitions: 4,
+		Shards:     1,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

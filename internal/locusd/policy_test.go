@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"locusroute/internal/circuit"
+	"locusroute/internal/par"
 	"locusroute/internal/policy"
 )
 
@@ -41,16 +42,15 @@ func postRouteAs(t testing.TB, ts *httptest.Server, client, body string) (int, h
 }
 
 // TestEDFOrdering pins the tentpole scheduling property end to end:
-// with one shard, one EDF queue and a batch window wide enough to
-// collect every request, the batch is evaluated earliest-deadline-first
-// — batch_index follows deadline tightness, not arrival order.
+// with one shard, one EDF queue and every request queued before the
+// shard can evaluate, the batch is evaluated earliest-deadline-first —
+// batch_index follows deadline tightness, not arrival order.
 func TestEDFOrdering(t *testing.T) {
 	const n = 4
-	s := newServer(t, Config{
-		Shards:      1,
-		BatchWindow: 400 * time.Millisecond,
-		MaxBatch:    n, // the full wave closes the window early
-		Policy:      policy.Config{EDF: true},
+	s, release := newParkedServer(t, Config{
+		Shards:   1,
+		MaxBatch: n,
+		Policy:   policy.Config{EDF: true},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -76,15 +76,16 @@ func TestEDFOrdering(t *testing.T) {
 			indexByDeadline[rank] = int(doc["batch_index"].(float64))
 			sizes[rank] = int(doc["batch_size"].(float64))
 		}(i)
-		// Stagger arrivals so the slackest-deadline request opens the
-		// window and the tightest arrives last.
-		time.Sleep(20 * time.Millisecond)
+		// Stagger arrivals so the slackest-deadline request is queued
+		// first and the tightest arrives last.
+		waitQueued(t, s, i+1)
 	}
+	release()
 	wg.Wait()
 
 	for rank := 0; rank < n; rank++ {
 		if sizes[rank] != n {
-			t.Fatalf("batch_size[rank %d] = %d, want %d (requests split across batches; widen the window)",
+			t.Fatalf("batch_size[rank %d] = %d, want %d (requests split across batches)",
 				rank, sizes[rank], n)
 		}
 	}
@@ -100,9 +101,8 @@ func TestEDFOrdering(t *testing.T) {
 // gate full, a tighter-deadline arrival preempts the slackest queued
 // request, which gets 429 + Retry-After while the arrival gets 200.
 func TestEDFShedsLeastCritical(t *testing.T) {
-	s := newServer(t, Config{
+	s, release := newParkedServer(t, Config{
 		Shards:      1,
-		BatchWindow: 500 * time.Millisecond,
 		MaxInFlight: 1,
 		Policy:      policy.Config{EDF: true},
 	})
@@ -120,20 +120,26 @@ func TestEDFShedsLeastCritical(t *testing.T) {
 			`{"circuit":"svc","pins":[[2,1],[40,4]],"deadline_ms":60000}`)
 		slack <- result{code, hdr, doc}
 	}()
-	// Wait until the slack request holds the only gate slot.
-	for i := 0; s.InFlight() == 0 && i < 200; i++ {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Wait until the slack request holds the only gate slot and sits in
+	// the queue, where preemption can find it.
+	waitQueued(t, s, 1)
 
-	code, _, doc := postRouteAs(t, ts, "tight-client",
-		`{"circuit":"svc","wire":9,"pins":[[3,2],[30,5]],"deadline_ms":5000}`)
-	if code != http.StatusOK {
-		t.Fatalf("tight-deadline arrival: status %d, want 200 (%v)", code, doc)
-	}
+	tight := make(chan result, 1)
+	go func() {
+		code, hdr, doc := postRouteAs(t, ts, "tight-client",
+			`{"circuit":"svc","wire":9,"pins":[[3,2],[30,5]],"deadline_ms":5000}`)
+		tight <- result{code, hdr, doc}
+	}()
 
+	// The eviction answers the slack request while the shard is still
+	// busy; the arrival that took its slot is served once it is not.
 	r := <-slack
 	if r.code != http.StatusTooManyRequests {
 		t.Fatalf("preempted request: status %d, want 429 (%v)", r.code, r.doc)
+	}
+	release()
+	if r := <-tight; r.code != http.StatusOK {
+		t.Fatalf("tight-deadline arrival: status %d, want 200 (%v)", r.code, r.doc)
 	}
 	if r.hdr.Get("Retry-After") == "" {
 		t.Error("preempted 429 carries no Retry-After")
@@ -144,6 +150,55 @@ func TestEDFShedsLeastCritical(t *testing.T) {
 	v := s.vars()
 	if v.Evicted != 1 || v.Shed != 1 {
 		t.Errorf("evicted %d shed %d, want 1 and 1", v.Evicted, v.Shed)
+	}
+}
+
+// TestQueuedVisibleUntilEvaluated pins where a request waits for a busy
+// shard: in the queue, not in a popped batch. With every pool slot held
+// all admitted requests — the first included — are still queued, so a
+// tighter arrival at the full gate finds the slackest of them to evict.
+func TestQueuedVisibleUntilEvaluated(t *testing.T) {
+	const n = 3
+	s, release := newParkedServer(t, Config{
+		Shards:      1,
+		MaxInFlight: n,
+		Policy:      policy.Config{EDF: true},
+	})
+	route := func(id int, deadline time.Duration) chan error {
+		done := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			_, err := s.Route(ctx, RouteRequest{Circuit: "svc", Wire: testWire(id)})
+			done <- err
+		}()
+		return done
+	}
+	// Request i's deadline is i minutes out: the last admitted is the
+	// slackest.
+	var admitted [n]chan error
+	for i := range admitted {
+		admitted[i] = route(i, time.Duration(i+1)*time.Minute)
+		waitQueued(t, s, i+1)
+	}
+	if got := s.InFlight(); got != n {
+		t.Fatalf("in flight %d with the gate full, want %d", got, n)
+	}
+
+	tight := route(n, 10*time.Second)
+	if err := <-admitted[n-1]; !errors.Is(err, policy.ErrEvicted) {
+		t.Fatalf("slackest queued request err = %v, want ErrEvicted", err)
+	}
+	// The arrival took the victim's slot and its place in the queue.
+	waitQueued(t, s, n)
+	release()
+	for i, done := range append(admitted[:n-1:n-1], tight) {
+		if err := <-done; err != nil {
+			t.Errorf("request %d: %v, want nil once the shard is free", i, err)
+		}
+	}
+	if v := s.vars(); v.Evicted != 1 || v.Served != n {
+		t.Errorf("evicted %d served %d, want 1 and %d", v.Evicted, v.Served, n)
 	}
 }
 
@@ -159,20 +214,20 @@ func testWire(id int) circuit.Wire {
 // Without the release, the breaker stays half-open with its one probe
 // slot occupied forever, rejecting every request until restart.
 func TestShedReleasesBreakerProbe(t *testing.T) {
-	s := newServer(t, Config{
+	s, release := newParkedServer(t, Config{
 		Shards:      1,
-		BatchWindow: 50 * time.Millisecond,
 		MaxInFlight: 1,
 		Policy:      policy.Config{BreakerFailures: 1, BreakerCooldown: 300 * time.Millisecond},
 	})
 
-	// One guaranteed deadline expiry (1ms deadline inside a 50ms batch
-	// window) trips the threshold-1 breaker.
+	// One guaranteed deadline expiry (1ms deadline behind a busy shard)
+	// trips the threshold-1 breaker.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	if _, err := s.Route(ctx, RouteRequest{Circuit: "svc", Wire: testWire(1)}); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("expiry request err = %v, want ErrDeadline", err)
 	}
 	cancel()
+	release()
 	if _, err := s.Route(context.Background(), RouteRequest{Circuit: "svc", Wire: testWire(2)}); !errors.Is(err, policy.ErrBreakerOpen) {
 		t.Fatalf("request on tripped breaker err = %v, want ErrBreakerOpen", err)
 	}
@@ -203,9 +258,9 @@ func TestShedReleasesBreakerProbe(t *testing.T) {
 // own goroutine; preemption finding its stale queue entry must not also
 // count it shed/evicted.
 func TestPreemptExpiredVictimNotDoubleCounted(t *testing.T) {
-	s := newServer(t, Config{
+	// The held pool slot keeps entries queued.
+	s, _ := newParkedServer(t, Config{
 		Shards:      1,
-		BatchWindow: 10 * time.Second, // long window keeps entries queued
 		MaxInFlight: 1,
 		Policy:      policy.Config{EDF: true},
 	})
@@ -213,20 +268,14 @@ func TestPreemptExpiredVictimNotDoubleCounted(t *testing.T) {
 	// Park a request in the EDF queue (a plain context picks up the 5s
 	// default deadline), then cancel its caller: the request is counted
 	// expired and releases its gate slot, but its entry stays queued
-	// until a window closes.
+	// until the shard can pop it.
 	ctx, cancel := context.WithCancel(context.Background())
 	routed := make(chan error, 1)
 	go func() {
 		_, err := s.Route(ctx, RouteRequest{Circuit: "svc", Wire: testWire(1)})
 		routed <- err
 	}()
-	q := s.circuits["svc"].queue
-	for i := 0; q.Len() == 0 && i < 200; i++ {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if q.Len() != 1 {
-		t.Fatal("parked request never reached the EDF queue")
-	}
+	waitQueued(t, s, 1)
 	cancel()
 	if err := <-routed; !errors.Is(err, ErrDeadline) {
 		t.Fatalf("cancelled request err = %v, want ErrDeadline", err)
@@ -253,59 +302,81 @@ func TestPreemptExpiredVictimNotDoubleCounted(t *testing.T) {
 	}
 }
 
+// seedServiceTime books n evaluations of perRequest each, as if the
+// shard loops had measured them: the Retry-After estimate's input,
+// without timing real work.
+func seedServiceTime(s *Server, perRequest time.Duration, n int64) {
+	s.met.mu.Lock()
+	s.met.served += n
+	s.met.evalNs += n * perRequest.Nanoseconds()
+	s.met.mu.Unlock()
+}
+
 // TestRetryAfterFromQueueState pins the Retry-After derivation: the
-// estimate is ceil(in-flight / (shards*max-batch)) batch windows,
-// rounded up to whole seconds — queue state, not a constant. The
-// white-box part drives the gate directly so the multi-window division
-// is exercised without parking real requests over many windows.
+// estimate is in-flight × measured mean evaluation time per request ÷
+// min(shards, pool workers), rounded up to whole seconds — queue state
+// and service time, not a constant. The white-box part drives the gate
+// and the measurement directly so the arithmetic is exercised without
+// parking real requests behind seconds of real work.
 func TestRetryAfterFromQueueState(t *testing.T) {
 	s := newServer(t, Config{
-		Shards:      1,
-		BatchWindow: 3 * time.Second,
-		MaxBatch:    1,
+		Shards:      4,
 		MaxInFlight: 8,
+		Pool:        par.New(2),
 	})
-	for i := 0; i < 4; i++ {
-		if !s.gate.TryEnter() {
-			t.Fatal("gate refused below capacity")
+	enter := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if !s.gate.TryEnter() {
+				t.Fatal("gate refused below capacity")
+			}
 		}
 	}
-	// 4 in flight, 1 retired per 3s window: 4 windows = 12s.
-	if got := s.RetryAfterSeconds(); got != 12 {
-		t.Errorf("RetryAfterSeconds with backlog 4 = %d, want 12", got)
+	// Nothing evaluated yet: the floor, whatever the backlog.
+	enter(4)
+	if got := s.RetryAfterSeconds(); got != 1 {
+		t.Errorf("RetryAfterSeconds before any evaluation = %d, want 1", got)
 	}
-	for i := 0; i < 4; i++ {
+	// 4 in flight at a measured 3s each, retired by min(4 shards, 2 pool
+	// workers) = 2 evaluators: 6s.
+	seedServiceTime(s, 3*time.Second, 5)
+	if got := s.RetryAfterSeconds(); got != 6 {
+		t.Errorf("RetryAfterSeconds with backlog 4 = %d, want 6", got)
+	}
+	// 5 in flight: 7.5s rounds up.
+	enter(1)
+	if got := s.RetryAfterSeconds(); got != 8 {
+		t.Errorf("RetryAfterSeconds with backlog 5 = %d, want 8", got)
+	}
+	for i := 0; i < 5; i++ {
 		s.gate.Leave()
 	}
-	// Empty backlog still advises one full window (3s), never below 1s.
-	if got := s.RetryAfterSeconds(); got != 3 {
-		t.Errorf("RetryAfterSeconds idle = %d, want 3 (one window)", got)
+	// Empty backlog: nothing to wait for, never below 1s.
+	if got := s.RetryAfterSeconds(); got != 1 {
+		t.Errorf("RetryAfterSeconds idle = %d, want 1", got)
 	}
 }
 
 // TestRetryAfterHeaderOnShed pins the header end to end: a 429 from a
 // full gate carries Retry-After equal to the server's drain estimate —
-// here one 3s window.
+// here one request in flight at a measured 3s per evaluation.
 func TestRetryAfterHeaderOnShed(t *testing.T) {
-	s := newServer(t, Config{
+	s, release := newParkedServer(t, Config{
 		Shards:      1,
-		BatchWindow: 3 * time.Second,
 		MaxInFlight: 1,
 	})
+	seedServiceTime(s, 3*time.Second, 1)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Park one request inside the window; its short deadline lets it
-	// expire right after the assertion instead of holding the drain.
+	// Park one request behind the busy shard.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		postRoute(t, ts, `{"circuit":"svc","pins":[[2,1],[40,4]],"deadline_ms":700}`)
+		postRoute(t, ts, `{"circuit":"svc","pins":[[2,1],[40,4]]}`)
 	}()
-	for i := 0; s.InFlight() == 0 && i < 200; i++ {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitInFlight(t, s, 1)
 
 	resp, err := ts.Client().Post(ts.URL+"/v1/route", "application/json",
 		strings.NewReader(`{"circuit":"svc","pins":[[3,2],[30,5]]}`))
@@ -317,8 +388,9 @@ func TestRetryAfterHeaderOnShed(t *testing.T) {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Errorf("Retry-After = %q, want \"3\" (one 3s window to drain)", got)
+		t.Errorf("Retry-After = %q, want \"3\" (one request at 3s to drain)", got)
 	}
+	release()
 	wg.Wait()
 }
 
@@ -327,9 +399,8 @@ func TestRetryAfterHeaderOnShed(t *testing.T) {
 // so the next repeat re-evaluates.
 func TestCacheHitAndEpochInvalidation(t *testing.T) {
 	s := newServer(t, Config{
-		Shards:      1,
-		BatchWindow: time.Millisecond,
-		Policy:      policy.Config{CacheEntries: 64},
+		Shards: 1,
+		Policy: policy.Config{CacheEntries: 64},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -370,22 +441,22 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 // deadlines trip it, open rejects with 503 + Retry-After, and a
 // successful probe after the cooldown closes it.
 func TestBreakerOverHTTP(t *testing.T) {
-	s := newServer(t, Config{
-		Shards:      1,
-		BatchWindow: 100 * time.Millisecond,
-		Policy:      policy.Config{BreakerFailures: 2, BreakerCooldown: 300 * time.Millisecond},
+	s, release := newParkedServer(t, Config{
+		Shards: 1,
+		Policy: policy.Config{BreakerFailures: 2, BreakerCooldown: 300 * time.Millisecond},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Two guaranteed deadline expiries (1ms deadline inside a 100ms
-	// window) trip the breaker.
+	// Two guaranteed deadline expiries (1ms deadline behind a busy
+	// shard) trip the breaker.
 	for i := 0; i < 2; i++ {
 		code, doc := postRoute(t, ts, `{"circuit":"svc","pins":[[2,1],[40,4]],"deadline_ms":1}`)
 		if code != http.StatusGatewayTimeout {
 			t.Fatalf("expiry %d: status %d, want 504 (%v)", i, code, doc)
 		}
 	}
+	release()
 	resp, err := ts.Client().Post(ts.URL+"/v1/route", "application/json",
 		strings.NewReader(`{"circuit":"svc","pins":[[2,1],[40,4]]}`))
 	if err != nil {
@@ -417,9 +488,8 @@ func TestBreakerOverHTTP(t *testing.T) {
 // Retry-After, while another client is unaffected.
 func TestRateLimitOverHTTP(t *testing.T) {
 	s := newServer(t, Config{
-		Shards:      1,
-		BatchWindow: time.Millisecond,
-		Policy:      policy.Config{RatePerSec: 0.01, Burst: 1},
+		Shards: 1,
+		Policy: policy.Config{RatePerSec: 0.01, Burst: 1},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -451,9 +521,8 @@ func TestRateLimitOverHTTP(t *testing.T) {
 // queueing.
 func TestDeadlineAdmissionOverHTTP(t *testing.T) {
 	s := newServer(t, Config{
-		Shards:      1,
-		BatchWindow: time.Millisecond,
-		Policy:      policy.Config{AdmitFloor: 2 * time.Second},
+		Shards: 1,
+		Policy: policy.Config{AdmitFloor: 2 * time.Second},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -478,8 +547,7 @@ func TestDeadlineAdmissionOverHTTP(t *testing.T) {
 // locusd_policy_* series on /metrics.
 func TestPolicyMetricsExposed(t *testing.T) {
 	s := newServer(t, Config{
-		Shards:      1,
-		BatchWindow: time.Millisecond,
+		Shards: 1,
 		Policy: policy.Config{
 			AdmitFloor: time.Millisecond, RatePerSec: 100, Burst: 10,
 			BreakerFailures: 5, CacheEntries: 8, EDF: true,

@@ -32,19 +32,20 @@ func TestExpiredCountedOnce(t *testing.T) {
 		{"edf", policy.Config{EDF: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			s := newServer(t, Config{
-				Shards:      1,
-				BatchWindow: 200 * time.Millisecond,
-				Policy:      mode.policy,
+			s, release := newParkedServer(t, Config{
+				Shards: 1,
+				Policy: mode.policy,
 			})
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
 			if _, err := s.Route(ctx, RouteRequest{Circuit: "svc", Wire: testWire(1)}); !errors.Is(err, ErrDeadline) {
 				t.Fatalf("Route err = %v, want ErrDeadline", err)
 			}
-			// Let the batch window close: the shard loop now sees the
-			// expired entry and, before the fix, counted it again.
-			time.Sleep(600 * time.Millisecond)
+			// Let the shard loop at the queue: it now sees the expired
+			// entry and, before the fix, counted it again. Close returns
+			// once the loop has evaluated everything queued.
+			release()
+			s.Close()
 			if got := s.vars().Expired; got != 1 {
 				t.Errorf("expired = %d, want exactly 1 (waiter and shard loop double-counted)", got)
 			}
@@ -54,26 +55,24 @@ func TestExpiredCountedOnce(t *testing.T) {
 
 // TestEDFFullBatchNoStall pins the full-batch stall regression: a burst
 // of >= MaxBatch pushes coalesces into the EDF queue's single buffered
-// wake, which the loop's empty-queue wait consumes — so the old window
-// loop, waiting for a *new* signal before re-checking the depth, slept
-// the whole BatchWindow with a full batch already queued. The fixed loop
-// checks q.Len() >= MaxBatch before every wait, so dispatch latency must
-// be far below the window. With the scheduler off the same loop runs over
-// an arrival-keyed queue, so the FIFO twin rides along: a backlog deeper
-// than MaxBatch drains batch after full batch without sleeping a window,
-// and every batch commits in arrival order.
+// wake, which the loop's empty-queue wait consumes — so a loop that waits
+// for a *new* signal before re-checking the depth sleeps with a full
+// batch already queued (the old window loop slept its whole 3 s window).
+// The loop checks q.Len() before every wait, so dispatch latency must be
+// far below that. With the scheduler off the same loop runs over an
+// arrival-keyed queue, so the FIFO twin rides along: a backlog deeper
+// than MaxBatch drains batch after full batch without stalling, and every
+// batch commits in arrival order.
 func TestEDFFullBatchNoStall(t *testing.T) {
-	const window = 3 * time.Second
+	const stall = 3 * time.Second
 
 	// MaxBatch 1 is the deterministic degenerate burst: the one Push
-	// signal is always consumed by the empty-queue wait, so the old loop
-	// always slept the full window before dispatching.
+	// signal is always consumed by the empty-queue wait.
 	t.Run("single-fills-batch", func(t *testing.T) {
 		s := newServer(t, Config{
-			Shards:      1,
-			BatchWindow: window,
-			MaxBatch:    1,
-			Policy:      policy.Config{EDF: true},
+			Shards:   1,
+			MaxBatch: 1,
+			Policy:   policy.Config{EDF: true},
 		})
 		// Let the shard loop park in its empty-queue wait first, so the
 		// push's one wake signal is provably consumed there.
@@ -82,18 +81,17 @@ func TestEDFFullBatchNoStall(t *testing.T) {
 		if _, err := s.Route(context.Background(), RouteRequest{Circuit: "svc", Wire: testWire(1)}); err != nil {
 			t.Fatalf("Route: %v", err)
 		}
-		if elapsed := time.Since(start); elapsed > window/3 {
-			t.Errorf("full batch dispatched after %v, want << %v window", elapsed, window)
+		if elapsed := time.Since(start); elapsed > stall/3 {
+			t.Errorf("full batch dispatched after %v, want << %v", elapsed, stall)
 		}
 	})
 
 	t.Run("burst", func(t *testing.T) {
 		const n = 4
 		s := newServer(t, Config{
-			Shards:      1,
-			BatchWindow: window,
-			MaxBatch:    n,
-			Policy:      policy.Config{EDF: true},
+			Shards:   1,
+			MaxBatch: n,
+			Policy:   policy.Config{EDF: true},
 		})
 		time.Sleep(100 * time.Millisecond)
 		start := time.Now()
@@ -108,28 +106,19 @@ func TestEDFFullBatchNoStall(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
-		if elapsed := time.Since(start); elapsed > window/2 {
-			t.Errorf("burst of %d (= MaxBatch) dispatched after %v, want << %v window", n, elapsed, window)
+		if elapsed := time.Since(start); elapsed > stall/2 {
+			t.Errorf("burst of %d (= MaxBatch) dispatched after %v, want << %v", n, elapsed, stall)
 		}
 	})
 
 	t.Run("fifo-backlog", func(t *testing.T) {
 		const n, batches = 4, 3
-		pool := par.New(1)
-		s := newServer(t, Config{
-			Shards:      1,
-			BatchWindow: window,
-			MaxBatch:    n,
-			Pool:        pool,
+		// With the only pool slot held nothing is popped: every arrival
+		// piles up in the queue as one backlog of batches*n > MaxBatch.
+		s, release := newParkedServer(t, Config{
+			Shards:   1,
+			MaxBatch: n,
 		})
-		// Hold the only pool slot: the shard loop pops its first full
-		// batch and then blocks in Pool.Run, so the rest of the arrivals
-		// pile up behind it as one backlog of (batches-1)*n > MaxBatch.
-		release := make(chan struct{})
-		held := make(chan struct{})
-		go pool.Run(func() { close(held); <-release })
-		<-held
-		q := s.circuits["svc"].shards[0].queue
 		start := time.Now()
 		resps := make([]RouteResponse, n*batches)
 		var wg sync.WaitGroup
@@ -143,21 +132,13 @@ func TestEDFFullBatchNoStall(t *testing.T) {
 				}
 			}(i)
 			// Launch the next arrival only once this one is queued, so
-			// arrival order is unambiguous. The loop pops exactly once
-			// before release (the first full batch), so the depth to wait
-			// for is the arrival count less that one batch.
-			want := i + 1
-			if want >= n {
-				want -= n
-			}
-			for q.Len() != want {
-				time.Sleep(time.Millisecond)
-			}
+			// arrival order is unambiguous.
+			waitQueued(t, s, i+1)
 		}
-		close(release)
+		release()
 		wg.Wait()
-		if elapsed := time.Since(start); elapsed > window/2 {
-			t.Errorf("backlog of %d drained after %v, want << %v window", len(resps), elapsed, window)
+		if elapsed := time.Since(start); elapsed > stall/2 {
+			t.Errorf("backlog of %d drained after %v, want << %v", len(resps), elapsed, stall)
 		}
 		for i, r := range resps {
 			if r.BatchSize != n || r.BatchIndex != i%n {
@@ -171,12 +152,10 @@ func TestEDFFullBatchNoStall(t *testing.T) {
 // TestDefaultDeadlineAppliedInRoute pins the HTTP-bypass regression: a
 // Route call with a plain context must pick up Config.DefaultDeadline
 // rather than riding a zero deadline — here the default expires the
-// request inside a wide batch window instead of letting it wait the
-// window out.
+// request behind a busy shard instead of letting it wait the shard out.
 func TestDefaultDeadlineAppliedInRoute(t *testing.T) {
-	s := newServer(t, Config{
+	s, _ := newParkedServer(t, Config{
 		Shards:          1,
-		BatchWindow:     2 * time.Second,
 		DefaultDeadline: 100 * time.Millisecond,
 		Policy:          policy.Config{EDF: true},
 	})
@@ -200,9 +179,10 @@ func TestDefaultDeadlineAppliedInRoute(t *testing.T) {
 // consecutive-failure threshold again.
 func TestCacheHitKeepsBreakerHalfOpen(t *testing.T) {
 	const cooldown = 250 * time.Millisecond
+	pool := par.New(1)
 	s := newServer(t, Config{
-		Shards:      1,
-		BatchWindow: 30 * time.Millisecond,
+		Shards: 1,
+		Pool:   pool,
 		Policy: policy.Config{
 			BreakerFailures: 3,
 			BreakerCooldown: cooldown,
@@ -215,8 +195,10 @@ func TestCacheHitKeepsBreakerHalfOpen(t *testing.T) {
 		t.Fatalf("warmup Route: %v", err)
 	}
 
-	// Trip the breaker with three guaranteed expiries on a different
-	// wire set (the warm cache must not answer these).
+	// Trip the breaker with three guaranteed expiries (the shard is held
+	// busy) on a different wire set (the warm cache must not answer
+	// these).
+	release := park(t, pool)
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		if _, err := s.Route(ctx, RouteRequest{Circuit: "svc", Wire: testWireAt(10+i, 3, 2, 30, 5)}); !errors.Is(err, ErrDeadline) {
@@ -224,6 +206,7 @@ func TestCacheHitKeepsBreakerHalfOpen(t *testing.T) {
 		}
 		cancel()
 	}
+	release()
 	if _, err := s.Route(context.Background(), RouteRequest{Circuit: "svc", Wire: testWire(2)}); !errors.Is(err, policy.ErrBreakerOpen) {
 		t.Fatalf("tripped breaker err = %v, want ErrBreakerOpen", err)
 	}
@@ -242,6 +225,7 @@ func TestCacheHitKeepsBreakerHalfOpen(t *testing.T) {
 	// The breaker must still be half-open: a single real failure now
 	// re-opens it. A breaker wrongly closed by the cached probe would
 	// absorb this failure (streak 1 of 3) and keep admitting.
+	park(t, pool)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	if _, err := s.Route(ctx, RouteRequest{Circuit: "svc", Wire: testWireAt(20, 3, 2, 30, 5)}); !errors.Is(err, ErrDeadline) {

@@ -190,7 +190,10 @@ func (t *TCPServer) exchange(payload []byte, client string) wire.Response {
 	for _, p := range req.Pins {
 		w.Pins = append(w.Pins, geom.Pt(p.X, p.Y))
 	}
-	ctx, cancel := withDeadline(context.Background(), req.DeadlineMillis)
+	ctx, cancel, err := t.s.withDeadline(context.Background(), req.DeadlineMillis)
+	if err != nil {
+		return t.s.wireError(err)
+	}
 	defer cancel()
 	resp, err := t.s.Route(ctx, RouteRequest{
 		Circuit: req.Circuit,

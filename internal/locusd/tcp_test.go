@@ -48,7 +48,7 @@ func startTCP(t testing.TB, s *Server) (string, *TCPServer) {
 // TestTCPServeBasic routes wires over one binary connection: sequential
 // exchanges reuse the stream, and concurrent clients each get their own.
 func TestTCPServeBasic(t *testing.T) {
-	s := newServer(t, Config{Shards: 2, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 2})
 	addr, _ := startTCP(t, s)
 
 	c, err := wire.Dial(addr)
@@ -105,7 +105,7 @@ func TestTCPServeBasic(t *testing.T) {
 // cells, batch shape, flags — everything but the timing-dependent
 // wait_us).
 func TestTCPHTTPEquivalence(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 1})
 	addr, _ := startTCP(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -151,7 +151,7 @@ func TestTCPHTTPEquivalence(t *testing.T) {
 // the code the JSON endpoint reports for the same request — first end to
 // end for the validation failures, then for classify's whole table.
 func TestTCPErrorEquivalence(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 1})
 	addr, _ := startTCP(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -255,7 +255,7 @@ func TestTCPErrorEquivalence(t *testing.T) {
 // rejected, a request after BeginDrain is one denied — on either
 // transport, as /v1/metrics reports them.
 func TestRefusalsCounted(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 1})
 	addr, _ := startTCP(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -315,28 +315,25 @@ func TestRefusalsCounted(t *testing.T) {
 // endpoint puts in its Retry-After header — both derived from the same
 // backlog estimate at the same queue depth.
 func TestTCPShedRetryAfterEquivalence(t *testing.T) {
-	s := newServer(t, Config{
+	s, release := newParkedServer(t, Config{
 		Shards:      1,
-		BatchWindow: 2 * time.Second,
 		MaxBatch:    4,
 		MaxInFlight: 1,
 	})
+	// A measured 2.5s per evaluation lifts the estimate off its floor, so
+	// the equality below compares a derived value, not two constants.
+	seedServiceTime(s, 2500*time.Millisecond, 1)
 	addr, _ := startTCP(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Park one request in the batch window to hold the only gate slot.
+	// Park one request behind the busy shard to hold the only gate slot.
 	hold := make(chan error, 1)
 	go func() {
 		_, err := s.Route(context.Background(), RouteRequest{Circuit: "svc", Wire: testWire(1)})
 		hold <- err
 	}()
-	for i := 0; s.InFlight() == 0 && i < 200; i++ {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if s.InFlight() != 1 {
-		t.Fatalf("in-flight = %d, want 1 (holder not admitted)", s.InFlight())
-	}
+	waitInFlight(t, s, 1)
 
 	c, err := wire.Dial(addr)
 	if err != nil {
@@ -351,8 +348,8 @@ func TestTCPShedRetryAfterEquivalence(t *testing.T) {
 	if bin.Status != wire.StatusShed {
 		t.Fatalf("bin status %v (%s), want StatusShed", bin.Status, bin.Message)
 	}
-	if bin.RetryAfterSeconds < 1 {
-		t.Errorf("shed frame RetryAfterSeconds = %d, want >= 1", bin.RetryAfterSeconds)
+	if bin.RetryAfterSeconds != 3 {
+		t.Errorf("shed frame RetryAfterSeconds = %d, want 3 (one request at 2.5s, rounded up)", bin.RetryAfterSeconds)
 	}
 
 	resp, err := ts.Client().Post(ts.URL+"/v1/route", "application/json",
@@ -375,8 +372,61 @@ func TestTCPShedRetryAfterEquivalence(t *testing.T) {
 		t.Errorf("bin HTTPStatus %d != http %d", got, resp.StatusCode)
 	}
 
+	release()
 	if err := <-hold; err != nil {
 		t.Fatalf("held request: %v", err)
+	}
+}
+
+// TestDeadlineRangeRejected pins the deadline_ms domain on both
+// transports: a value whose conversion to a time.Duration would wrap
+// (negative for the first, to zero for the second — an instant 504 for a
+// caller who asked for a very long deadline) is malformed, rejected and
+// counted so, never clamped; the largest representable one is served.
+func TestDeadlineRangeRejected(t *testing.T) {
+	s := newServer(t, Config{Shards: 1})
+	addr, _ := startTCP(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for _, tc := range []struct {
+		millis int64
+		want   wire.Status
+	}{
+		{9300000000000, wire.StatusBadRequest},
+		{1 << 62, wire.StatusBadRequest},
+		{maxDeadlineMillis + 1, wire.StatusBadRequest},
+		{maxDeadlineMillis, wire.StatusOK},
+	} {
+		rejected := s.vars().Rejected
+		code, doc := postRoute(t, ts, fmt.Sprintf(`{"circuit":"svc","pins":[[2,1],[40,4]],"deadline_ms":%d}`, tc.millis))
+		if code != tc.want.HTTPStatus() {
+			t.Errorf("http deadline_ms %d: status %d, want %d (%v)", tc.millis, code, tc.want.HTTPStatus(), doc)
+		}
+		resp, err := c.Do(&wire.Request{Circuit: "svc", DeadlineMillis: tc.millis,
+			Pins: []geom.Point{geom.Pt(2, 1), geom.Pt(40, 4)}})
+		if err != nil {
+			t.Fatalf("bin deadline_ms %d: %v", tc.millis, err)
+		}
+		if resp.Status != tc.want {
+			t.Errorf("bin deadline_ms %d: status %v (%s), want %v", tc.millis, resp.Status, resp.Message, tc.want)
+		}
+		if tc.want == wire.StatusBadRequest {
+			if msg, _ := doc["error"].(string); !strings.Contains(msg, fmt.Sprintf("deadline_ms %d exceeds", tc.millis)) || resp.Message != msg {
+				t.Errorf("deadline_ms %d: errors http %q, bin %q, want the same range error", tc.millis, msg, resp.Message)
+			}
+			if got := s.vars().Rejected - rejected; got != 2 {
+				t.Errorf("deadline_ms %d: rejected moved by %d over two refusals, want 2", tc.millis, got)
+			}
+		}
+	}
+	if v := s.vars(); v.Expired != 0 || v.Served != 2 {
+		t.Errorf("expired %d served %d, want 0 and 2 (only the legal deadline is evaluated)", v.Expired, v.Served)
 	}
 }
 
@@ -384,7 +434,7 @@ func TestTCPShedRetryAfterEquivalence(t *testing.T) {
 // payload is answered with StatusBadRequest and the stream survives —
 // the binary analog of HTTP's per-request 400.
 func TestTCPBadPayloadKeepsConn(t *testing.T) {
-	s := newServer(t, Config{Shards: 1, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 1})
 	addr, _ := startTCP(t, s)
 
 	nc, err := net.Dial("tcp", addr)

@@ -22,9 +22,8 @@ import (
 // tracedConfig is the base serving config with tracing fully on.
 func tracedConfig() Config {
 	return Config{
-		Shards:      2,
-		BatchWindow: time.Millisecond,
-		Tracer:      reqtrace.New(reqtrace.Options{Sample: 1, Capacity: 64}),
+		Shards: 2,
+		Tracer: reqtrace.New(reqtrace.Options{Sample: 1, Capacity: 64}),
 	}
 }
 
@@ -196,7 +195,7 @@ func TestTraceIDEquivalenceJSONBin(t *testing.T) {
 // TestTraceDisabled pins the off state: no ids anywhere, and a traced
 // binary request degrades to an untraced response.
 func TestTraceDisabled(t *testing.T) {
-	s := newServer(t, Config{Shards: 2, BatchWindow: time.Millisecond})
+	s := newServer(t, Config{Shards: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	addr, _ := startTCP(t, s)

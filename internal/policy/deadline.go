@@ -7,8 +7,8 @@ import (
 
 // Deadline is the admission element that rejects requests whose deadline
 // cannot be met even by an idle server: if the remaining slack is below
-// the configured floor (the host's minimum service time — at least one
-// batch window), queueing the request would only burn a slot before a
+// the configured floor (the host's minimum service time — a wake-up and
+// one evaluation), queueing the request would only burn a slot before a
 // guaranteed 504. Rejecting at ingress converts that to an immediate,
 // cheap answer.
 //

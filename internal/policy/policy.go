@@ -115,8 +115,8 @@ type Config struct {
 	// CacheEntries enables the result cache with this capacity.
 	CacheEntries int
 	// EDF enables the criticality scheduler: earliest-deadline-first
-	// ordering inside the batch window, least-critical-first shedding at
-	// a full admission gate.
+	// ordering of whatever is queued when a shard pops its next batch,
+	// least-critical-first shedding at a full admission gate.
 	EDF bool
 }
 

@@ -8,11 +8,11 @@ import (
 )
 
 // Sched is the criticality scheduler element: it switches the host from
-// arrival-order dispatch to earliest-deadline-first ordering inside the
-// batch window, and from indiscriminate shedding to least-critical-first
-// shedding at a full admission gate. The data structure doing the work
-// is EDFQueue; Sched itself carries the element identity and the
-// scheduling counters the host bumps.
+// arrival-order dispatch to earliest-deadline-first ordering of the
+// requests queued behind a busy shard, and from indiscriminate shedding
+// to least-critical-first shedding at a full admission gate. The data
+// structure doing the work is EDFQueue; Sched itself carries the element
+// identity and the scheduling counters the host bumps.
 //
 // A nil *Sched means EDF is off. The host's dispatch does not fork on
 // it: FIFO is EDF keyed on arrival time, so the nil test only picks the

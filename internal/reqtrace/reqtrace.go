@@ -40,7 +40,7 @@ const (
 	// lookup, and the concurrency-gate wait.
 	StageAdmit Stage = iota
 	// StageQueue covers dispatch to batch pickup: the shard-queue wait
-	// until the shard loop's batch window collected the request.
+	// until the shard loop, holding a pool slot, popped the request.
 	StageQueue
 	// StageBatch covers batch pickup to this wire's evaluation: the
 	// in-batch wait while earlier members of the same batch route.
