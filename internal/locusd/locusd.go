@@ -631,6 +631,12 @@ func (s *Server) validate(f *flight) bool {
 	if err := locusroute.ValidateWires(f.sc.grid, []circuit.Wire{f.req.Wire}); err != nil {
 		return f.end(reqtrace.OutcomeRejected, err)
 	}
+	// The kernel caches the sorted copy of an unsorted pin list per wire
+	// (batch drivers reroute the same wire every iteration). A request's
+	// wire is routed once, and a cache entry would pin the whole request
+	// in a pooled scratch forever, so the request routes a sorted copy it
+	// owns — never the caller's slice reordered.
+	f.req.Wire.Pins = route.SortPins(f.req.Wire.Pins)
 	return true
 }
 

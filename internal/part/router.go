@@ -175,8 +175,9 @@ func (r *runner) walk(n int, fn func(n int)) {
 
 // routeNode routes the listed wires of node n in ID order against the
 // shared array, replicating route.Sequential's per-wire operation
-// sequence: rip-up the previous path (when ripUp), evaluate, measure
-// path cost against the authoritative array, commit. ws must be a
+// sequence: rip-up the previous path (when ripUp), evaluate into that
+// path's storage, measure path cost against the authoritative array,
+// commit. ws must be a
 // subset of r.wires[n] in ID order; callers pass r.wires[n] itself for
 // a full pass. A nil or empty list routes nothing — there is no
 // "no filter" sentinel, so a reroute pass with nothing to do at this
@@ -201,7 +202,7 @@ func (r *runner) routeNode(n int, ripUp bool, ws []int) {
 			if ripUp {
 				route.RipUp(view, r.paths[i])
 			}
-			ev := s.RouteWire(view, w, r.params)
+			ev := s.RerouteWire(view, w, r.params, r.paths[i])
 			cost := route.PathCost(raw, ev.Path)
 			route.Commit(view, ev.Path)
 			r.paths[i] = ev.Path

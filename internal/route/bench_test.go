@@ -30,6 +30,22 @@ func BenchmarkRouteWire(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteWireWalker is BenchmarkRouteWire through walkerView: the
+// same sweep costed by walking every candidate cell through CostView,
+// the kernel cost the traced, live and negotiated views pay.
+func BenchmarkRouteWireWalker(b *testing.B) {
+	c := benchCircuit(b)
+	_, arr := Sequential(c, Params{Iterations: 1})
+	view := walkerView{ArrayView{A: arr}}
+	scratch := NewScratch(c.Grid)
+	params := DefaultParams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scratch.RouteWire(view, &c.Wires[i%len(c.Wires)], params)
+	}
+}
+
 // BenchmarkRouteWireStandalone measures the compatibility wrapper, which
 // builds a fresh Scratch per call — the shape tests use, not the hot
 // path.

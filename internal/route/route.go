@@ -7,6 +7,8 @@
 // algorithm drives three executions: the sequential reference router, each
 // message passing node's local view, and the traced shared memory version
 // (where every read and write is recorded for the coherence simulator).
+// A plain ArrayView is costed by run sums straight off its cells; any
+// other view is read cell by cell, in path order, through Cost.
 package route
 
 import (
@@ -141,25 +143,28 @@ func RipUp(view CostView, path Path) {
 	}
 }
 
-// sortedPins returns the wire's pins sorted by (X, Y) without mutating
-// the wire. Already-sorted pin lists (the common case for generated
-// circuits) are returned as-is, without copying; callers must treat the
-// result as read-only.
-func sortedPins(w *circuit.Wire) []geom.Point {
-	sorted := true
-	for i := 1; i < len(w.Pins); i++ {
-		if pinLess(w.Pins[i], w.Pins[i-1]) {
-			sorted = false
-			break
+// SortPins returns pins in the kernel's segment order, (X, Y): pins
+// itself when already in order (the common case for generated circuits),
+// otherwise a sorted copy — it never reorders pins in place. A caller
+// routing a wire once (a served request) passes the result as the wire's
+// pins, so Scratch.SortedPins has nothing to cache for it.
+func SortPins(pins []geom.Point) []geom.Point {
+	if pinsSorted(pins) {
+		return pins
+	}
+	out := make([]geom.Point, len(pins))
+	copy(out, pins)
+	sort.Slice(out, func(i, j int) bool { return pinLess(out[i], out[j]) })
+	return out
+}
+
+func pinsSorted(pins []geom.Point) bool {
+	for i := 1; i < len(pins); i++ {
+		if pinLess(pins[i], pins[i-1]) {
+			return false
 		}
 	}
-	if sorted {
-		return w.Pins
-	}
-	pins := make([]geom.Point, len(w.Pins))
-	copy(pins, w.Pins)
-	sort.Slice(pins, func(i, j int) bool { return pinLess(pins[i], pins[j]) })
-	return pins
+	return true
 }
 
 // pinLess is the pin ordering of the segment decomposition: by X, ties by

@@ -2,6 +2,7 @@ package route
 
 import (
 	"locusroute/internal/circuit"
+	"locusroute/internal/costarray"
 	"locusroute/internal/geom"
 )
 
@@ -15,21 +16,24 @@ import (
 //     map[Point]bool: bumping epoch "clears" it in O(1), and a cell is a
 //     duplicate within the current wire iff its stamp equals epoch.
 //   - cells accumulates the winning path of the wire being routed; the
-//     kernel costs candidates by walking their coordinates against the
-//     CostView and materialises cells only for the winner.
-//   - pins caches each wire's sorted pin list across rip-up iterations,
-//     keyed by wire ID and validated against the wire pointer.
+//     kernel costs candidates without materialising them (runs for a
+//     plain ArrayView, coster for any other view) and materialises cells
+//     only for the winner.
+//   - pins caches the sorted copy of each unsorted pin list across rip-up
+//     iterations, keyed by wire ID and validated against the wire pointer.
 //
 // Scratch is not safe for concurrent use. The CostView stays the seam
-// between the kernel and its callers: tracing, atomics, and message
-// passing views all observe exactly the reads and writes the sequential
-// reference kernel performs, in the same order.
+// between the kernel and its callers: a view that is not a plain
+// ArrayView — tracing, atomics, the negotiated cost function — observes
+// exactly the reads the sequential reference kernel performs, in the same
+// order, and every view sees the same writes.
 type Scratch struct {
 	grid    geom.Grid
 	visited []uint64
 	epoch   uint64
 	cells   []geom.Point
 	coster  costSink
+	runs    runSums
 	pins    map[int]pinEntry
 }
 
@@ -61,14 +65,20 @@ func (s *Scratch) ensure(g geom.Grid) {
 	s.cells = s.cells[:0]
 }
 
-// SortedPins returns w's pins sorted by (X, Y), cached for the lifetime
-// of the scratch. Callers must not mutate the returned slice, and must
-// not mutate w.Pins while the scratch is in use.
+// SortedPins returns w's pins sorted by (X, Y): as they are when already
+// in order, else a sorted copy cached for the lifetime of the scratch, so
+// a batch driver rerouting the wire every iteration sorts it once. A wire
+// routed only once should arrive sorted (SortPins), or its entry stays.
+// Callers must not mutate the returned slice, and must not mutate w.Pins
+// while the scratch is in use.
 func (s *Scratch) SortedPins(w *circuit.Wire) []geom.Point {
+	if pinsSorted(w.Pins) {
+		return w.Pins
+	}
 	if e, ok := s.pins[w.ID]; ok && e.w == w {
 		return e.pins
 	}
-	pins := sortedPins(w)
+	pins := SortPins(w.Pins)
 	if s.pins == nil {
 		s.pins = make(map[int]pinEntry)
 	}
@@ -81,9 +91,18 @@ func (s *Scratch) SortedPins(w *circuit.Wire) []geom.Point {
 // scratch's buffers. It does not modify the view; call Commit to place
 // the wire.
 func (s *Scratch) RouteWire(view CostView, w *circuit.Wire, params Params) Eval {
+	return s.RerouteWire(view, w, params, Path{})
+}
+
+// RerouteWire is RouteWire for a wire whose previous path prev the caller
+// has ripped up and is replacing: the winner is copied into prev's
+// storage when it fits, so a batch driver's rip-up-and-reroute allocates
+// only when a wire's path outgrows its last one. prev must be w's own
+// path and nothing may read it afterwards — its cells are overwritten.
+func (s *Scratch) RerouteWire(view CostView, w *circuit.Wire, params Params, prev Path) Eval {
 	params = params.withDefaults()
 	s.ensure(view.Grid())
-	return s.routePins(view, s.SortedPins(w), params)
+	return s.routePins(view, s.SortedPins(w), params, prev.Cells)
 }
 
 // RoutePair routes the two-pin segment between a and b — the
@@ -98,13 +117,14 @@ func (s *Scratch) RoutePair(view CostView, a, b geom.Point, params Params) Eval 
 	s.beginWire()
 	var ev Eval
 	ev.Cost, ev.CellsExamined = s.routeSegment(view, a, b, params)
-	ev.Path = s.takePath()
+	ev.Path = s.takePath(nil)
 	return ev
 }
 
 // routePins decomposes the sorted pin list into two-pin segments and
-// routes each, deduplicating the per-wire path via the epoch grid.
-func (s *Scratch) routePins(view CostView, pins []geom.Point, params Params) Eval {
+// routes each, deduplicating the per-wire path via the epoch grid; the
+// path is copied into into when it fits (see takePath).
+func (s *Scratch) routePins(view CostView, pins []geom.Point, params Params, into []geom.Point) Eval {
 	s.beginWire()
 	var ev Eval
 	for i := 0; i+1 < len(pins); i++ {
@@ -112,7 +132,7 @@ func (s *Scratch) routePins(view CostView, pins []geom.Point, params Params) Eva
 		ev.Cost += cost
 		ev.CellsExamined += examined
 	}
-	ev.Path = s.takePath()
+	ev.Path = s.takePath(into)
 	return ev
 }
 
@@ -125,14 +145,18 @@ func (s *Scratch) beginWire() {
 
 // takePath copies the accumulated winning cells into a caller-owned Path
 // (callers retain paths across iterations for rip-up, so the scratch
-// buffer cannot be handed out). This is the kernel's only allocation.
-func (s *Scratch) takePath() Path {
+// buffer cannot be handed out): into's storage when it has the capacity,
+// a new slice otherwise. This is the kernel's only allocation.
+func (s *Scratch) takePath(into []geom.Point) Path {
 	if len(s.cells) == 0 {
 		return Path{}
 	}
-	out := make([]geom.Point, len(s.cells))
-	copy(out, s.cells)
-	return Path{Cells: out}
+	if cap(into) < len(s.cells) {
+		into = make([]geom.Point, len(s.cells))
+	}
+	into = into[:len(s.cells)]
+	copy(into, s.cells)
+	return Path{Cells: into}
 }
 
 // visit implements cellSink for winner materialisation: append the cell
@@ -148,37 +172,60 @@ func (s *Scratch) visit(x, y int) {
 
 // routeSegment enumerates the low-bend candidate routes between p and q —
 // the HVH family over sampled jog columns, then the VHV family over the
-// extended pin band — costing each by walking its coordinates against the
-// view, and materialises cells only for the cheapest (ties broken by
-// enumeration order). Both passes share one walker, so the reads the
-// costing pass performs and the cells the winner contributes are the same
-// sequence by construction.
+// extended pin band — costs each, and materialises cells only for the
+// cheapest (ties broken by enumeration order). A plain ArrayView is costed
+// by run sums; any other view by walking each candidate's cells against it
+// with the walker that materialises the winner, so the reads it observes
+// and the winner's cells are the same sequence by construction.
 func (s *Scratch) routeSegment(view CostView, p, q geom.Point, params Params) (cost int64, examined int) {
 	grid := view.Grid()
-	s.coster.view = view
+	x0, x1 := min(p.X, q.X), max(p.X, q.X)
+	// VHV band: the pin channels extended by VHVDetourChannels in each
+	// direction, clamped to the grid.
+	y0 := max(min(p.Y, q.Y)-params.VHVDetourChannels, 0)
+	y1 := min(max(p.Y, q.Y)+params.VHVDetourChannels, grid.Channels-1)
+	av, flat := view.(ArrayView)
+	if flat {
+		// The pin columns' sums must reach both pins even when a negative
+		// VHVDetourChannels shrinks the band inside them.
+		s.runs.reset(av.A, p, q, x0, x1, min(y0, p.Y, q.Y), max(y1, p.Y, q.Y))
+	} else {
+		s.coster.view = view
+	}
 	best := int64(-1)
 	bestVHV := false
 	bestM := 0
 
 	consider := func(vhv bool, m int) {
-		s.coster.sum, s.coster.n = 0, 0
-		if vhv {
-			walkVHV(p, q, m, &s.coster)
-		} else {
-			walkHVH(p, q, m, &s.coster)
+		var sum int64
+		var n int
+		switch {
+		case flat && vhv:
+			sum, n = s.runs.vhv(m)
+		case flat:
+			sum, n = s.runs.hvh(m)
+		default:
+			s.coster.sum, s.coster.n = 0, 0
+			if vhv {
+				walkVHV(p, q, m, &s.coster)
+			} else {
+				walkHVH(p, q, m, &s.coster)
+			}
+			sum, n = s.coster.sum, s.coster.n
 		}
-		examined += s.coster.n
-		if best < 0 || s.coster.sum < best {
-			best, bestVHV, bestM = s.coster.sum, vhv, m
+		examined += n
+		// best < 0 reads as "no candidate yet", so while the running best
+		// is negative (an MP view holds negative entries between delta
+		// applications) any later candidate replaces it, dearer or not.
+		// The paper tables depend on this quirk (TestNegativeBestIsReplaced);
+		// correcting it re-pins their sha256 and is its own change.
+		if best < 0 || sum < best {
+			best, bestVHV, bestM = sum, vhv, m
 		}
 	}
 
 	// HVH family: xm samples the span [p.X, q.X], at most
 	// MaxHVHCandidates of them, always including both endpoints.
-	x0, x1 := p.X, q.X
-	if x0 > x1 {
-		x0, x1 = x1, x0
-	}
 	span := x1 - x0
 	stride := 1
 	if span+1 > params.MaxHVHCandidates {
@@ -194,20 +241,7 @@ func (s *Scratch) routeSegment(view CostView, p, q geom.Point, params Params) (c
 		}
 	}
 
-	// VHV family: ym ranges over the pin band extended by
-	// VHVDetourChannels in each direction, clamped to the grid.
-	y0, y1 := p.Y, q.Y
-	if y0 > y1 {
-		y0, y1 = y1, y0
-	}
-	y0 -= params.VHVDetourChannels
-	y1 += params.VHVDetourChannels
-	if y0 < 0 {
-		y0 = 0
-	}
-	if y1 >= grid.Channels {
-		y1 = grid.Channels - 1
-	}
+	// VHV family: ym ranges over the band.
 	for ym := y0; ym <= y1; ym++ {
 		consider(true, ym)
 	}
@@ -219,7 +253,7 @@ func (s *Scratch) routeSegment(view CostView, p, q geom.Point, params Params) (c
 	} else {
 		walkHVH(p, q, bestM, s)
 	}
-	s.coster.view = nil
+	s.coster.view, s.runs.cells = nil, nil
 	return best, examined
 }
 
@@ -238,6 +272,82 @@ type costSink struct {
 func (k *costSink) visit(x, y int) {
 	k.sum += int64(k.view.Cost(x, y))
 	k.n++
+}
+
+// runSums costs one segment's candidates straight from a plain array's
+// row-major cells. A candidate is three straight runs and the walker
+// skips exactly the two corner cells where they meet, so the walker's
+// sum is the three run sums minus the two corners, and its count the
+// three run lengths minus two. The pin rows over the segment's columns
+// and the pin columns over its band are prefix-summed once per segment;
+// the run that varies with the candidate (HVH's jog column, VHV's
+// crossing row) is summed directly.
+type runSums struct {
+	cells      []int32
+	stride     int
+	p, q       geom.Point
+	x0, x1, y0 int     // the segment's columns; first channel of colP/colQ
+	buf        []int64 // backs the four prefix sums, reused across segments
+
+	// rowP[i] is the sum of row p.Y over columns [x0, x0+i); rowQ, colP
+	// (column p.X over channels [y0, y0+i)) and colQ likewise.
+	rowP, rowQ, colP, colQ []int64
+}
+
+// reset prepares the sums for segment p–q over columns [x0, x1] and
+// channels [y0, y1].
+func (r *runSums) reset(a *costarray.CostArray, p, q geom.Point, x0, x1, y0, y1 int) {
+	r.cells, r.stride = a.Cells(), a.Grid().Grids
+	r.p, r.q, r.x0, r.x1, r.y0 = p, q, x0, x1, y0
+	nx, ny := x1-x0+2, y1-y0+2
+	if cap(r.buf) < 2*(nx+ny) {
+		r.buf = make([]int64, 2*(nx+ny))
+	}
+	b := r.buf[:2*(nx+ny)]
+	r.rowP = r.prefix(b[:nx], p.Y*r.stride+x0, 1)
+	r.rowQ = r.prefix(b[nx:2*nx], q.Y*r.stride+x0, 1)
+	r.colP = r.prefix(b[2*nx:2*nx+ny], y0*r.stride+p.X, r.stride)
+	r.colQ = r.prefix(b[2*nx+ny:], y0*r.stride+q.X, r.stride)
+}
+
+// prefix fills out[i] with the sum of the i cells from index at on, step
+// apart.
+func (r *runSums) prefix(out []int64, at, step int) []int64 {
+	out[0] = 0
+	for i := 1; i < len(out); i++ {
+		out[i] = out[i-1] + int64(r.cells[at])
+		at += step
+	}
+	return out
+}
+
+// run is the sum over the inclusive run a..b (either direction) of the
+// prefix sums pre, which start at coordinate base.
+func run(pre []int64, base, a, b int) int64 {
+	return pre[max(a, b)-base+1] - pre[min(a, b)-base]
+}
+
+func (r *runSums) at(x, y int) int64 { return int64(r.cells[y*r.stride+x]) }
+
+// hvh costs walkHVH(p, q, xm).
+func (r *runSums) hvh(xm int) (sum int64, n int) {
+	p, q := r.p, r.q
+	ya, yb := min(p.Y, q.Y), max(p.Y, q.Y)
+	for i := ya*r.stride + xm; i <= yb*r.stride+xm; i += r.stride {
+		sum += int64(r.cells[i])
+	}
+	sum += run(r.rowP, r.x0, p.X, xm) + run(r.rowQ, r.x0, xm, q.X) - r.at(xm, p.Y) - r.at(xm, q.Y)
+	return sum, absInt(xm-p.X) + yb - ya + absInt(q.X-xm) + 1
+}
+
+// vhv costs walkVHV(p, q, ym).
+func (r *runSums) vhv(ym int) (sum int64, n int) {
+	p, q := r.p, r.q
+	for _, c := range r.cells[ym*r.stride+r.x0 : ym*r.stride+r.x1+1] {
+		sum += int64(c)
+	}
+	sum += run(r.colP, r.y0, p.Y, ym) + run(r.colQ, r.y0, ym, q.Y) - r.at(p.X, ym) - r.at(q.X, ym)
+	return sum, absInt(ym-p.Y) + r.x1 - r.x0 + absInt(q.Y-ym) + 1
 }
 
 // runWalker emits the cells of a candidate's horizontal and vertical runs

@@ -6,8 +6,9 @@ import (
 	"locusroute/internal/geom"
 )
 
-// ArrayView adapts a plain *costarray.CostArray to CostView. It is the
-// view used by the sequential reference router and by tests.
+// ArrayView adapts a plain *costarray.CostArray to CostView: the view of
+// every caller whose reads nobody observes, which the kernel recognises
+// by type and costs by run sums straight off A's cells.
 type ArrayView struct {
 	A *costarray.CostArray
 }
@@ -54,7 +55,7 @@ func Sequential(c *circuit.Circuit, params Params) (Result, *costarray.CostArray
 			if iter > 0 {
 				RipUp(view, paths[i])
 			}
-			ev := scratch.RouteWire(view, w, params)
+			ev := scratch.RerouteWire(view, w, params, paths[i])
 			cost := PathCost(ArrayView{A: arr}, ev.Path)
 			Commit(view, ev.Path)
 			paths[i] = ev.Path

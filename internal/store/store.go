@@ -566,7 +566,13 @@ func (e *entry) apply(params route.Params, ops []Op) []OpResult {
 // routeInto routes one wire against current congestion and commits it,
 // filling the result's evaluation fields.
 func (e *entry) routeInto(view route.ArrayView, params route.Params, w *circuit.Wire, r *OpResult) {
-	ev := e.scratch.RouteWire(view, w, params)
+	// A mutation routes its wire once, on pins the op may just have
+	// replaced under the same *Wire: route sorted pins, so the scratch's
+	// per-wire cache of sorted copies (kept for batch drivers) neither
+	// grows with every added wire nor answers a reroute with the wire's
+	// previous pins.
+	once := circuit.Wire{ID: w.ID, Pins: route.SortPins(w.Pins)}
+	ev := e.scratch.RouteWire(view, &once, params)
 	r.Cost = route.PathCost(view, ev.Path)
 	route.Commit(view, ev.Path)
 	r.Routed = ev.Path

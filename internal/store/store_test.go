@@ -481,3 +481,37 @@ func TestConcurrentLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestRerouteRoutesNewUnsortedPins pins a stale-pin regression: a
+// reroute replaces the wire's pins under the same *Wire, and the
+// scratch's per-wire cache of sorted pin copies — validated by that
+// pointer — answered a second unsorted pin list with the first one's,
+// so the wire was routed (and committed) between pins it no longer has.
+func TestRerouteRoutesNewUnsortedPins(t *testing.T) {
+	s, err := Open(Config{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	c := smallCircuit(t, "dyn", 3)
+	if _, err := s.Upload(c); err != nil {
+		t.Fatalf("Upload: %v", err)
+	}
+	id := c.Wires[0].ID
+	for _, pins := range [][]geom.Point{
+		{geom.Pt(30, 3), geom.Pt(2, 1)},
+		{geom.Pt(35, 0), geom.Pt(5, 2)},
+	} {
+		res, err := s.Mutate("dyn", []Op{{Kind: OpReroute, WireID: id, Pins: pins}})
+		if err != nil {
+			t.Fatalf("Mutate: %v", err)
+		}
+		on := make(map[geom.Point]bool)
+		for _, cell := range res.Results[0].Routed.Cells {
+			on[cell] = true
+		}
+		if !on[pins[0]] || !on[pins[1]] {
+			t.Fatalf("reroute onto pins %v routed %v", pins, res.Results[0].Routed.Cells)
+		}
+	}
+	checkInvariant(t, s, "dyn")
+}
