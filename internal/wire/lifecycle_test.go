@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -121,6 +122,63 @@ func TestLifecycleRoundTrips(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, r) {
 			t.Errorf("admin response round trip mismatch:\n in: %+v\nout: %+v", r, got)
+		}
+	}
+}
+
+// TestLifecycleFrameGolden pins the exact bytes of one upload, one mutate
+// and one evict payload. They are the circuit store's WAL records, so any
+// drift here would leave stores written before it unrecoverable.
+func TestLifecycleFrameGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		encode func() ([]byte, error)
+		want   []byte
+	}{
+		{"upload", func() ([]byte, error) {
+			return AppendUpload(nil, &Upload{Name: "dyn", Client: "up", Channels: 6, Grids: 300, Wires: []UploadWire{
+				{ID: 0, Pins: []geom.Point{geom.Pt(2, 1), geom.Pt(40, 4)}},
+				{ID: 200, Pins: []geom.Point{geom.Pt(299, 5)}},
+			}})
+		}, []byte{
+			1, 5, // version, kind
+			3, 'd', 'y', 'n', 2, 'u', 'p', // name, client
+			6, 0xac, 0x02, 2, // channels, grids (uvarint 300), wire count
+			0, 2, 2, 0, 1, 0, 40, 0, 4, 0, // wire 0: id, pin count, pins
+			0xc8, 0x01, 1, 0x2b, 0x01, 5, 0, // wire 200: id, pin count, pin
+		}},
+		{"mutate", func() ([]byte, error) {
+			return AppendMutate(nil, &Mutate{Circuit: "dyn", Ops: []MutateOp{
+				{Op: OpAdd, WireID: 900, Pins: []geom.Point{geom.Pt(1, 1), geom.Pt(30, 3)}},
+				{Op: OpRemove, WireID: 7},
+				{Op: OpReroute, WireID: 0},
+			}})
+		}, []byte{
+			1, 6, // version, kind
+			3, 'd', 'y', 'n', 0, 3, // circuit, client, op count
+			1, 0x84, 0x07, 2, 1, 0, 1, 0, 30, 0, 3, 0, // add 900
+			2, 7, 0, // remove 7
+			3, 0, 0, // reroute 0 in place
+		}},
+		{"evict", func() ([]byte, error) {
+			return AppendEvict(nil, &Evict{Circuit: "dyn", Client: "op"})
+		}, []byte{1, 7, 3, 'd', 'y', 'n', 2, 'o', 'p'}},
+		// The admin response is not logged, but it shares the error layout
+		// with the route response, so it is pinned beside them.
+		{"admin ok", func() ([]byte, error) {
+			return AppendAdminResponse(nil, &AdminResponse{Status: StatusOK, Epoch: 2, Wires: 17,
+				Results: []OpOutcome{{Op: OpAdd, WireID: 900, Cost: 130, PathCells: 12, CellsExamined: 300}}})
+		}, []byte{1, 8, 0, 2, 17, 1, 1, 0x84, 0x07, 0x82, 0x01, 12, 0xac, 0x02}},
+		{"admin error", func() ([]byte, error) {
+			return AppendAdminResponse(nil, &AdminResponse{Status: StatusStoreFull, RetryAfterSeconds: 3, Message: "full"})
+		}, []byte{1, 8, 10, 3, 4, 0, 'f', 'u', 'l', 'l'}},
+	} {
+		got, err := tc.encode()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got, tc.want) {
+			t.Errorf("%s frame bytes drifted:\ngot:  %x\nwant: %x", tc.name, got, tc.want)
 		}
 	}
 }
