@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race loc bench bench-layers layers-exact smoke-partition paper profile-paper
+.PHONY: verify build test race loc serve-golden bench bench-layers layers-exact smoke-partition paper profile-paper
 
 verify: ## build, vet, full tests, and race-test the concurrent packages
 	$(GO) build ./...
@@ -23,7 +23,7 @@ race:
 	$(GO) test -race ./...
 
 # Non-test Go LoC of the serving stack, per package and in total, then
-# of everything outside benchmark/ (the figure ROADMAP item 8 tracks):
+# of everything outside benchmark/ (the figure ROADMAP item 11 tracks):
 # ROADMAP's "net non-test LoC going down" as one command.
 LOC_PKGS = internal/locusd internal/policy internal/wire pkg/locusroute
 loc:
@@ -32,6 +32,14 @@ loc:
 	done
 	@printf '%-18s %6d\n' total $$(find $(LOC_PKGS) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@printf '%-18s %6d\n' 'all but benchmark/' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | xargs cat | wc -l)
+
+# The serving path's golden digests: two fixed-seed request streams
+# driven in-process, over /v1 JSON and over the binary protocol, at 1 and
+# 4 shards, with and without EDF + the result cache, each hashed into
+# one sha256 pinned in internal/locusd/golden_test.go — what the paper
+# tables' sha256 is to the simulators. ~10 s under -race on 2 cores.
+serve-golden:
+	$(GO) test -race -count=1 -run TestServingGolden ./internal/locusd/
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) is the
 # one perf surface: `bench` measures the four workloads end to end,

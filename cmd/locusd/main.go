@@ -26,8 +26,8 @@
 //
 // The tracing flags enable request-scoped observability
 // (internal/reqtrace): -trace assigns every request a process-unique id
-// (or adopts the caller's, via the X-Locus-Request-Id header or the
-// binary protocol's traced frames) and returns a per-stage latency
+// (or adopts the caller's, via the X-Locus-Request-Id header or a
+// binary request with its traced flag set) and returns a per-stage latency
 // breakdown with each response; -trace-sample retains every Nth
 // finished request in the capture ring (-trace-capacity records);
 // -slow-log-threshold logs any request at or over the threshold with

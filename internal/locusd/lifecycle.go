@@ -24,8 +24,6 @@ type MutateRequest struct {
 	// Ops are applied in order; validation of the whole batch precedes
 	// any application, so a rejected batch changed nothing.
 	Ops []store.Op
-	// Client identifies the caller (transport-filled, like RouteRequest).
-	Client string
 }
 
 // MutateOpResult reports one applied mutation op.
@@ -150,6 +148,7 @@ func (s *Server) Mutate(req MutateRequest) (*MutateResponse, error) {
 	// though its shard may not have applied the delta yet.
 	sc.epoch.Add(uint64(len(res.Results)))
 	u := shardUpdate{}
+	out := &MutateResponse{Circuit: req.Circuit, Epoch: res.Epoch, Wires: res.Wires}
 	for i := range res.Results {
 		r := &res.Results[i]
 		if r.Ripped.Len() > 0 {
@@ -158,6 +157,8 @@ func (s *Server) Mutate(req MutateRequest) (*MutateResponse, error) {
 		if r.Routed.Len() > 0 {
 			u.commit = append(u.commit, r.Routed)
 		}
+		out.Results = append(out.Results, MutateOpResult{Op: r.Kind.String(), WireID: r.WireID,
+			Cost: r.Cost, PathCells: r.PathCells, CellsExamined: r.CellsExamined})
 	}
 	for _, sh := range sc.shards {
 		sh.updates <- u
@@ -165,16 +166,5 @@ func (s *Server) Mutate(req MutateRequest) (*MutateResponse, error) {
 	s.met.mu.Lock()
 	s.met.mutations += int64(len(res.Results))
 	s.met.mu.Unlock()
-	out := &MutateResponse{Circuit: req.Circuit, Epoch: res.Epoch, Wires: res.Wires}
-	for i := range res.Results {
-		r := &res.Results[i]
-		out.Results = append(out.Results, MutateOpResult{
-			Op:            r.Kind.String(),
-			WireID:        r.WireID,
-			Cost:          r.Cost,
-			PathCells:     r.PathCells,
-			CellsExamined: r.CellsExamined,
-		})
-	}
 	return out, nil
 }

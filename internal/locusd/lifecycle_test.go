@@ -208,10 +208,10 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Errorf("re-upload of evicted name: status %d (%s)", code, raw)
 	}
 
-	v := s.vars()
-	if v.Uploads != 2 || v.Evictions != 1 || v.Mutations != 2 {
+	v := counters(s)
+	if v["uploads"] != 2 || v["evictions"] != 1 || v["mutations"] != 2 {
 		t.Errorf("lifecycle counters uploads=%d evictions=%d mutations=%d, want 2/1/2",
-			v.Uploads, v.Evictions, v.Mutations)
+			v["uploads"], v["evictions"], v["mutations"])
 	}
 }
 
@@ -505,9 +505,9 @@ func TestDrainLosesNothingWithMutation(t *testing.T) {
 			t.Errorf("request finished %d during drain, want 200", code)
 		}
 	}
-	v := s.vars()
-	if v.Served != n || v.Committed != n || v.Mutations != 1 {
-		t.Errorf("served=%d committed=%d mutations=%d, want %d/%d/1", v.Served, v.Committed, v.Mutations, n, n)
+	v := counters(s)
+	if v["served"] != n || v["committed"] != n || v["mutations"] != 1 {
+		t.Errorf("served=%d committed=%d mutations=%d, want %d/%d/1", v["served"], v["committed"], v["mutations"], n, n)
 	}
 	// Epoch: n commits + 1 mutation result.
 	if got := s.Epoch("svc"); got != n+1 {

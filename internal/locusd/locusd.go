@@ -46,7 +46,6 @@ import (
 	"locusroute/internal/circuit"
 	"locusroute/internal/costarray"
 	"locusroute/internal/geom"
-	"locusroute/internal/obs"
 	"locusroute/internal/par"
 	"locusroute/internal/policy"
 	"locusroute/internal/reqtrace"
@@ -134,28 +133,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ErrDeadline is the service-level deadline failure: the request's
-// deadline expired while it was queued or mid-batch.
-var ErrDeadline = errors.New("locusd: request deadline expired before routing")
-
-// ErrDraining rejects new work during graceful shutdown.
-var ErrDraining = errors.New("locusd: server is draining")
-
-// ErrShed rejects work when the admission gate is full.
-var ErrShed = errors.New("locusd: at capacity, retry later")
-
-// ErrUnknownCircuit reports a request naming a circuit the server does
-// not serve.
-var ErrUnknownCircuit = errors.New("locusd: unknown circuit")
-
-// ErrCircuitExists rejects an upload naming a circuit already served
-// (store.ErrExists, re-surfaced at the service layer).
-var ErrCircuitExists = store.ErrExists
-
-// ErrImmutable rejects a mutation or eviction of a circuit served
-// outside the store — a startup circuit whose baseline came from a
-// non-sequential backend has no canonical per-wire paths to rip up.
-var ErrImmutable = errors.New("locusd: circuit is immutable (not store-backed)")
+// Sentinel errors.
+var (
+	// ErrDeadline is the service-level deadline failure: the request's
+	// deadline expired while it was queued or mid-batch.
+	ErrDeadline = errors.New("locusd: request deadline expired before routing")
+	// ErrDraining rejects new work during graceful shutdown.
+	ErrDraining = errors.New("locusd: server is draining")
+	// ErrShed rejects work when the admission gate is full.
+	ErrShed = errors.New("locusd: at capacity, retry later")
+	// ErrUnknownCircuit reports a request naming a circuit the server does
+	// not serve.
+	ErrUnknownCircuit = errors.New("locusd: unknown circuit")
+	// ErrCircuitExists rejects an upload naming a circuit already served
+	// (store.ErrExists, re-surfaced at the service layer).
+	ErrCircuitExists = store.ErrExists
+	// ErrImmutable rejects a mutation or eviction of a circuit served
+	// outside the store — a startup circuit whose baseline came from a
+	// non-sequential backend has no canonical per-wire paths to rip up.
+	ErrImmutable = errors.New("locusd: circuit is immutable (not store-backed)")
+	// ErrTraceID rejects an oversized caller-supplied trace id.
+	ErrTraceID = fmt.Errorf("locusd: trace id exceeds %d bytes", reqtrace.MaxTraceID)
+)
 
 // RouteRequest is one wire evaluation against a served circuit.
 type RouteRequest struct {
@@ -168,7 +167,7 @@ type RouteRequest struct {
 	// making it visible to later requests on the same shard.
 	Commit bool
 	// Client identifies the caller for per-client rate limiting (the
-	// HTTP layer fills it from the X-Client header or the remote host).
+	// transports fill it from X-Client or the frame, else the remote host).
 	Client string
 	// TraceID is a caller-supplied request id to adopt (HTTP carries it
 	// as X-Locus-Request-Id, the binary protocol on traced frames).
@@ -206,9 +205,6 @@ type StageSample struct {
 	Stage string `json:"stage"`
 	Ns    int64  `json:"ns"`
 }
-
-// ErrTraceID rejects an oversized caller-supplied trace id.
-var ErrTraceID = fmt.Errorf("locusd: trace id exceeds %d bytes", reqtrace.MaxTraceID)
 
 // pending is one admitted request waiting for its shard.
 type pending struct {
@@ -301,35 +297,6 @@ type servedCircuit struct {
 	// before stopping the loops.
 	stop     chan struct{}
 	inflight sync.WaitGroup
-}
-
-// metrics aggregates service counters and latency/batch histograms.
-// obs.Histogram is single-writer; the mutex makes it safe under
-// concurrent handlers.
-type metrics struct {
-	mu        sync.Mutex
-	served    int64
-	shed      int64
-	evicted   int64 // shed by criticality preemption (subset of shed)
-	expired   int64
-	rejected  int64 // validation failures
-	denied    int64 // policy-chain rejections (deadline/rate/breaker)
-	cacheHits int64
-	committed int64
-	uploads   int64 // circuits uploaded at runtime
-	evictions int64 // circuits evicted at runtime
-	mutations int64 // mutation ops applied (not batches)
-	// The shard loops' own account: batches evaluated and the wall time
-	// spent on them — with served, RetryAfterSeconds' mean service time.
-	batches   int64
-	evalNs    int64
-	batchSize obs.Histogram
-	waitUs    obs.Histogram
-	routeCost obs.Histogram
-	// stageUs are the per-stage latency histograms (microseconds), fed
-	// only for traced requests; a stage that did not run observes
-	// nothing.
-	stageUs [reqtrace.NumStages]obs.Histogram
 }
 
 // Server is the routing service. Create with New, serve its Handler,

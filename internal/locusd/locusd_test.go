@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"locusroute/internal/circuit"
+	"locusroute/internal/obs"
 	"locusroute/internal/par"
 	"locusroute/pkg/locusroute"
 )
@@ -73,6 +74,31 @@ func newParkedServer(t testing.TB, cfg Config) (s *Server, release func()) {
 	}
 	s = newServer(t, cfg)
 	return s, park(t, cfg.Pool)
+}
+
+// counters reads the server's counters and gauges by their /debug/vars
+// keys.
+func counters(s *Server) map[string]int64 {
+	out := map[string]int64{}
+	for _, m := range s.metricsList() {
+		if m.key != "" {
+			out[m.key] = m.v
+		}
+	}
+	return out
+}
+
+// metricOf reads one entry of the server's metrics list by its
+// /debug/vars key.
+func metricOf(t testing.TB, s *Server, key string) metric {
+	t.Helper()
+	for _, m := range s.metricsList() {
+		if m.key == key {
+			return m
+		}
+	}
+	t.Fatalf("no metric %q", key)
+	return metric{}
 }
 
 // waitFor polls until cond holds; what names the condition for the
@@ -161,7 +187,7 @@ func TestValidationErrors(t *testing.T) {
 			t.Errorf("%s: error %q, want substring %q", cse.name, msg, cse.errPart)
 		}
 	}
-	if s.vars().Rejected == 0 {
+	if counters(s)["rejected"] == 0 {
 		t.Error("validation failures not counted")
 	}
 }
@@ -235,7 +261,7 @@ func TestBusyShardBatches(t *testing.T) {
 	if maxBatch != n {
 		t.Errorf("max batch size %d; the %d requests queued behind the busy shard should have formed one batch", maxBatch, n)
 	}
-	if got := s.vars().BatchSize.Max; got != maxBatch {
+	if got := metricOf(t, s, "batch_size").hist.Max; got != maxBatch {
 		t.Errorf("histogram max batch %d != observed %d", got, maxBatch)
 	}
 }
@@ -275,7 +301,7 @@ func TestDeadlineExpiry(t *testing.T) {
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%v)", code, doc)
 	}
-	if s.vars().Expired == 0 {
+	if counters(s)["expired"] == 0 {
 		t.Error("expired request not counted")
 	}
 }
@@ -311,7 +337,7 @@ func TestBackpressure(t *testing.T) {
 	if code := <-first; code != http.StatusOK {
 		t.Errorf("occupying request finished %d, want 200", code)
 	}
-	if s.vars().Shed == 0 {
+	if counters(s)["shed"] == 0 {
 		t.Error("shed request not counted")
 	}
 }
@@ -372,8 +398,8 @@ func TestCommitVisibleOnShard(t *testing.T) {
 	if c2 <= c1 {
 		t.Errorf("second routing of a committed wire cost %d, want > %d (commit must be visible)", c2, c1)
 	}
-	if s.vars().Committed != 2 {
-		t.Errorf("committed count %d, want 2", s.vars().Committed)
+	if counters(s)["committed"] != 2 {
+		t.Errorf("committed count %d, want 2", counters(s)["committed"])
 	}
 }
 
@@ -384,7 +410,7 @@ func TestEndpoints(t *testing.T) {
 	defer ts.Close()
 	postRoute(t, ts, `{"circuit":"svc","pins":[[2,1],[40,4]]}`)
 	// A shard books its batch just after answering it.
-	waitFor(t, "the first batch to be booked", func() bool { return s.vars().Batches == 1 })
+	waitFor(t, "the first batch to be booked", func() bool { return counters(s)["batches"] == 1 })
 
 	var cs circuitsDoc
 	getJSON(t, ts, "/v1/circuits", &cs)
@@ -395,7 +421,11 @@ func TestEndpoints(t *testing.T) {
 		t.Errorf("baseline quality missing: %+v", cs.Circuits[0])
 	}
 
-	var vars varsDoc
+	var vars struct {
+		Served, Capacity, Batches int64
+		EvalUs                    int64             `json:"eval_us"`
+		BatchSize                 *obs.HistogramDoc `json:"batch_size"`
+	}
 	getJSON(t, ts, "/debug/vars", &vars)
 	if vars.Served != 1 || vars.Capacity == 0 || vars.BatchSize == nil {
 		t.Errorf("vars doc %+v", vars)
@@ -406,8 +436,8 @@ func TestEndpoints(t *testing.T) {
 		t.Errorf("after one request: batches %d eval_us %d, want 1 and > 0", vars.Batches, vars.EvalUs)
 	}
 	postRoute(t, ts, `{"circuit":"svc","pins":[[3,2],[30,5]]}`)
-	waitFor(t, "the second batch to be booked", func() bool { return s.vars().Batches == 2 })
-	if got := s.vars().EvalUs; got <= vars.EvalUs {
+	waitFor(t, "the second batch to be booked", func() bool { return counters(s)["batches"] == 2 })
+	if got := counters(s)["eval_us"]; got <= vars.EvalUs {
 		t.Errorf("eval_us %d after two batches, want > %d", got, vars.EvalUs)
 	}
 
@@ -491,8 +521,8 @@ func TestConcurrentLoad(t *testing.T) {
 	if got := ok.Load(); got != workers*perWorker {
 		t.Errorf("completed responses %d, want %d (dropped %d)", got, workers*perWorker, bad.Load())
 	}
-	if v := s.vars(); v.Served != workers*perWorker {
-		t.Errorf("served counter %d, want %d", v.Served, workers*perWorker)
+	if v := counters(s); v["served"] != workers*perWorker {
+		t.Errorf("served counter %d, want %d", v["served"], workers*perWorker)
 	}
 	done := make(chan struct{})
 	go func() { s.Close(); close(done) }()

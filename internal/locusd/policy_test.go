@@ -147,9 +147,9 @@ func TestEDFShedsLeastCritical(t *testing.T) {
 	if msg, _ := r.doc["error"].(string); !strings.Contains(msg, "more critical") {
 		t.Errorf("preempted error %q, want the eviction sentinel text", msg)
 	}
-	v := s.vars()
-	if v.Evicted != 1 || v.Shed != 1 {
-		t.Errorf("evicted %d shed %d, want 1 and 1", v.Evicted, v.Shed)
+	v := counters(s)
+	if v["evicted"] != 1 || v["shed"] != 1 {
+		t.Errorf("evicted %d shed %d, want 1 and 1", v["evicted"], v["shed"])
 	}
 }
 
@@ -197,8 +197,8 @@ func TestQueuedVisibleUntilEvaluated(t *testing.T) {
 			t.Errorf("request %d: %v, want nil once the shard is free", i, err)
 		}
 	}
-	if v := s.vars(); v.Evicted != 1 || v.Served != n {
-		t.Errorf("evicted %d served %d, want 1 and %d", v.Evicted, v.Served, n)
+	if v := counters(s); v["evicted"] != 1 || v["served"] != n {
+		t.Errorf("evicted %d served %d, want 1 and %d", v["evicted"], v["served"], n)
 	}
 }
 
@@ -295,10 +295,10 @@ func TestPreemptExpiredVictimNotDoubleCounted(t *testing.T) {
 		t.Fatalf("arrival err = %v, want ErrShed (stale victim yields no usable slot)", err)
 	}
 
-	v := s.vars()
-	if v.Expired != 1 || v.Evicted != 0 || v.Shed != 1 {
+	v := counters(s)
+	if v["expired"] != 1 || v["evicted"] != 0 || v["shed"] != 1 {
 		t.Errorf("expired %d evicted %d shed %d, want 1/0/1 (stale victim double-counted)",
-			v.Expired, v.Evicted, v.Shed)
+			v["expired"], v["evicted"], v["shed"])
 	}
 }
 
@@ -420,8 +420,8 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 	if doc2["cost"] != doc1["cost"] || doc2["wire"] != doc1["wire"] {
 		t.Errorf("cached response diverges: %v vs %v", doc2, doc1)
 	}
-	if s.vars().CacheHits != 1 {
-		t.Errorf("cache_hits = %d, want 1", s.vars().CacheHits)
+	if counters(s)["cache_hits"] != 1 {
+		t.Errorf("cache_hits = %d, want 1", counters(s)["cache_hits"])
 	}
 
 	// A commit bumps the epoch; the same wire set must re-evaluate.
@@ -469,7 +469,7 @@ func TestBreakerOverHTTP(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("breaker 503 carries no Retry-After")
 	}
-	if s.vars().Denied == 0 {
+	if counters(s)["denied"] == 0 {
 		t.Error("breaker rejection not counted as denied")
 	}
 
@@ -511,8 +511,8 @@ func TestRateLimitOverHTTP(t *testing.T) {
 	if code, _, _ := postRouteAs(t, ts, "bob", body); code != http.StatusOK {
 		t.Errorf("other client: status %d, want 200 (per-client buckets)", code)
 	}
-	if s.vars().Denied != 1 {
-		t.Errorf("denied = %d, want 1", s.vars().Denied)
+	if counters(s)["denied"] != 1 {
+		t.Errorf("denied = %d, want 1", counters(s)["denied"])
 	}
 }
 
@@ -537,8 +537,8 @@ func TestDeadlineAdmissionOverHTTP(t *testing.T) {
 	if code, _ := postRoute(t, ts, `{"circuit":"svc","pins":[[2,1],[40,4]],"deadline_ms":30000}`); code != http.StatusOK {
 		t.Errorf("feasible deadline: status %d, want 200", code)
 	}
-	if s.vars().Denied != 1 {
-		t.Errorf("denied = %d, want 1", s.vars().Denied)
+	if counters(s)["denied"] != 1 {
+		t.Errorf("denied = %d, want 1", counters(s)["denied"])
 	}
 }
 
@@ -557,7 +557,9 @@ func TestPolicyMetricsExposed(t *testing.T) {
 	defer ts.Close()
 	postRoute(t, ts, `{"circuit":"svc","pins":[[2,1],[40,4]]}`)
 
-	var vars varsDoc
+	var vars struct {
+		Policy []elementVarsDoc `json:"policy"`
+	}
 	getJSON(t, ts, "/debug/vars", &vars)
 	if len(vars.Policy) != 5 {
 		t.Fatalf("vars policy elements = %d, want 5 (%+v)", len(vars.Policy), vars.Policy)

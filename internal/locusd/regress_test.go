@@ -47,7 +47,7 @@ func TestExpiredCountedOnce(t *testing.T) {
 			// once the loop has evaluated everything queued.
 			release()
 			s.Close()
-			if got := s.vars().Expired; got != 1 {
+			if got := counters(s)["expired"]; got != 1 {
 				t.Errorf("expired = %d, want exactly 1 (waiter and shard loop double-counted)", got)
 			}
 		})

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"locusroute/internal/circuit"
-	"locusroute/internal/geom"
 	"locusroute/internal/store"
 	"locusroute/internal/wire"
 )
@@ -130,13 +129,13 @@ func (t *TCPServer) Shutdown(ctx context.Context) error {
 
 // serveConn drains one connection's frame stream. Framing and transport
 // errors end the stream; a payload that frames correctly but fails to
-// decode is answered with StatusBadRequest and the stream continues, the
+// decode is refused with StatusBadRequest and the stream continues, the
 // TCP analog of HTTP's per-request 400.
 func (t *TCPServer) serveConn(nc net.Conn) {
 	br := bufio.NewReader(nc)
 	bw := bufio.NewWriter(nc)
 	var rbuf, wbuf []byte
-	client := hostOf(nc.RemoteAddr().String())
+	peer := nc.RemoteAddr().String()
 	for {
 		payload, err := wire.ReadFrame(br, rbuf)
 		if err != nil {
@@ -146,15 +145,20 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 			return
 		}
 		rbuf = payload
-		// Lifecycle frames answer with the admin response kind; everything
-		// else (route requests, and garbage the decoders will reject) stays
-		// on the route response path.
+		// Lifecycle frames answer with the admin response kind, refusals
+		// (undecodable payloads included) rendered like a route request's;
+		// everything else (route requests, and garbage the decoders will
+		// reject) stays on the route response path.
 		switch wire.PayloadKind(payload) {
 		case wire.KindUpload, wire.KindMutate, wire.KindEvict:
-			aresp := t.admin(payload, client)
+			aresp, lerr := t.lifecycle(payload)
+			if lerr != nil {
+				rf := t.s.refuse(lerr)
+				aresp = wire.AdminResponse{Status: rf.status, RetryAfterSeconds: rf.retryAfter, Message: rf.msg}
+			}
 			wbuf, err = wire.AppendAdminResponseFrame(wbuf[:0], &aresp)
 		default:
-			resp := t.exchange(payload, client)
+			resp := t.route(payload, peer)
 			wbuf, err = wire.AppendResponseFrame(wbuf[:0], &resp)
 		}
 		if err != nil {
@@ -176,33 +180,21 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 	}
 }
 
-// exchange decodes one request payload, routes it, and builds the
+// route decodes one route payload, runs the route verb, and builds the
 // response frame's fields.
-func (t *TCPServer) exchange(payload []byte, client string) wire.Response {
+func (t *TCPServer) route(payload []byte, peer string) wire.Response {
 	req, err := wire.DecodeRequest(payload)
 	if err != nil {
-		return t.s.wireError(err)
+		req = &wire.Request{}
 	}
-	if req.Client != "" {
-		client = req.Client
-	}
-	w := circuit.Wire{ID: req.WireID}
-	for _, p := range req.Pins {
-		w.Pins = append(w.Pins, geom.Pt(p.X, p.Y))
-	}
-	ctx, cancel, err := t.s.withDeadline(context.Background(), req.DeadlineMillis)
-	if err != nil {
-		return t.s.wireError(err)
-	}
-	defer cancel()
-	resp, err := t.s.Route(ctx, RouteRequest{
+	resp, err := t.s.route(context.Background(), RouteRequest{
 		Circuit: req.Circuit,
-		Wire:    w,
+		Wire:    circuit.Wire{ID: req.WireID, Pins: req.Pins},
 		Commit:  req.Commit,
-		Client:  client,
+		Client:  req.Client,
 		TraceID: req.TraceID,
-	})
-	wresp := wire.Response{
+	}, req.DeadlineMillis, peer, err)
+	out := wire.Response{
 		Status:        wire.StatusOK,
 		Shard:         resp.Shard,
 		WireID:        resp.WireID,
@@ -216,104 +208,55 @@ func (t *TCPServer) exchange(payload []byte, client string) wire.Response {
 		WaitMicros:    resp.WaitMicros,
 	}
 	if err != nil {
-		wresp = t.s.wireError(err)
+		rf := t.s.refuse(err)
+		out = wire.Response{Status: rf.status, RetryAfterSeconds: rf.retryAfter, Message: rf.msg}
 	}
-	// The response frame kind follows the request frame kind: untraced
-	// (kind 1) requests always get kind-2 responses, so pre-tracing
-	// clients never see a frame they cannot decode. A traced request gets
-	// a traced response even on failure, so the id the client correlates
-	// on is never dropped by an error. When tracing is disabled
-	// server-side, a traced request gets an untraced response — absence
-	// of the id tells the client tracing was off.
+	// A traced request gets a traced answer even when refused, so the id
+	// the client correlates on is never dropped by an error. With tracing
+	// off server-side there is no id, and the answer is untraced — its
+	// absence tells the client tracing was off.
 	if req.Traced && resp.RequestID != "" {
-		wresp.Traced = true
-		wresp.RequestID = resp.RequestID
-		wresp.Stages = wireStages(resp.Stages)
-	}
-	return wresp
-}
-
-// admin decodes and serves one lifecycle frame. A payload that fails to
-// decode is answered with StatusBadRequest (classify's default) and the
-// stream continues, exactly like a malformed route request.
-func (t *TCPServer) admin(payload []byte, client string) wire.AdminResponse {
-	switch wire.PayloadKind(payload) {
-	case wire.KindUpload:
-		u, err := wire.DecodeUpload(payload)
-		if err != nil {
-			return t.s.wireAdminError(err)
+		out.Traced = true
+		out.RequestID = resp.RequestID
+		out.Stages = make([]wire.StagePair, len(resp.Stages))
+		for i, st := range resp.Stages {
+			out.Stages[i] = wire.StagePair{Stage: st.Code, Ns: st.Ns}
 		}
-		info, err := t.s.UploadCircuit(store.CircuitFromUpload(u))
-		if err != nil {
-			return t.s.wireAdminError(err)
-		}
-		return wire.AdminResponse{Status: wire.StatusOK, Epoch: info.Epoch, Wires: info.Wires}
-	case wire.KindMutate:
-		m, err := wire.DecodeMutate(payload)
-		if err != nil {
-			return t.s.wireAdminError(err)
-		}
-		if m.Client != "" {
-			client = m.Client
-		}
-		res, err := t.s.Mutate(MutateRequest{Circuit: m.Circuit, Ops: store.FromWireOps(m.Ops), Client: client})
-		if err != nil {
-			return t.s.wireAdminError(err)
-		}
-		aresp := wire.AdminResponse{Status: wire.StatusOK, Epoch: res.Epoch, Wires: res.Wires}
-		for i := range res.Results {
-			r := &res.Results[i]
-			var op uint8
-			switch r.Op {
-			case "add":
-				op = wire.OpAdd
-			case "remove":
-				op = wire.OpRemove
-			default:
-				op = wire.OpReroute
-			}
-			aresp.Results = append(aresp.Results, wire.OpOutcome{
-				Op:            op,
-				WireID:        r.WireID,
-				Cost:          r.Cost,
-				PathCells:     r.PathCells,
-				CellsExamined: r.CellsExamined,
-			})
-		}
-		return aresp
-	default: // wire.KindEvict — the only other kind dispatched here
-		e, err := wire.DecodeEvict(payload)
-		if err != nil {
-			return t.s.wireAdminError(err)
-		}
-		if err := t.s.EvictCircuit(e.Circuit); err != nil {
-			return t.s.wireAdminError(err)
-		}
-		return wire.AdminResponse{Status: wire.StatusOK}
-	}
-}
-
-// wireAdminError renders a lifecycle error as its admin response.
-func (s *Server) wireAdminError(err error) wire.AdminResponse {
-	status, retryAfter := s.classify(err)
-	return wire.AdminResponse{Status: status, RetryAfterSeconds: retryAfter, Message: err.Error()}
-}
-
-// wireStages converts a response's stage breakdown to protocol pairs.
-func wireStages(stages []StageSample) []wire.StagePair {
-	if len(stages) == 0 {
-		return nil
-	}
-	out := make([]wire.StagePair, len(stages))
-	for i, st := range stages {
-		out[i] = wire.StagePair{Stage: st.Code, Ns: st.Ns}
 	}
 	return out
 }
 
-// wireError renders a route error as its binary response: the status and
-// Retry-After pair classify gives every transport.
-func (s *Server) wireError(err error) wire.Response {
-	status, retryAfter := s.classify(err)
-	return wire.Response{Status: status, RetryAfterSeconds: retryAfter, Message: err.Error()}
+// lifecycle decodes one lifecycle frame and runs its verb.
+func (t *TCPServer) lifecycle(payload []byte) (wire.AdminResponse, error) {
+	switch wire.PayloadKind(payload) {
+	case wire.KindUpload:
+		u, err := wire.DecodeUpload(payload)
+		if err != nil {
+			return wire.AdminResponse{}, err
+		}
+		info, err := t.s.UploadCircuit(store.CircuitFromUpload(u))
+		return wire.AdminResponse{Epoch: info.Epoch, Wires: info.Wires}, err
+	case wire.KindMutate:
+		m, err := wire.DecodeMutate(payload)
+		if err != nil {
+			return wire.AdminResponse{}, err
+		}
+		res, err := t.s.Mutate(MutateRequest{Circuit: m.Circuit, Ops: store.FromWireOps(m.Ops)})
+		if err != nil {
+			return wire.AdminResponse{}, err
+		}
+		out := wire.AdminResponse{Epoch: res.Epoch, Wires: res.Wires}
+		for _, r := range res.Results {
+			op, _ := opKind(r.Op)
+			out.Results = append(out.Results, wire.OpOutcome{Op: uint8(op), WireID: r.WireID,
+				Cost: r.Cost, PathCells: r.PathCells, CellsExamined: r.CellsExamined})
+		}
+		return out, nil
+	default: // wire.KindEvict — the only other kind dispatched here
+		e, err := wire.DecodeEvict(payload)
+		if err != nil {
+			return wire.AdminResponse{}, err
+		}
+		return wire.AdminResponse{}, t.s.EvictCircuit(e.Circuit)
+	}
 }

@@ -13,7 +13,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
+	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
 	"locusroute/internal/policy"
 	"locusroute/internal/store"
@@ -197,8 +199,9 @@ func TestTCPErrorEquivalence(t *testing.T) {
 		}
 	}
 
-	// Every error classify knows, fed to the three renderers directly: one
-	// status, one HTTP code, and the same Retry-After on header and frames.
+	// Every error classify knows, fed to the one renderer directly: one
+	// status, one HTTP code, and the same Retry-After and text on the HTTP
+	// answer and in what the frames carry.
 	backlog := s.RetryAfterSeconds()
 	for _, tc := range []struct {
 		name       string
@@ -231,7 +234,7 @@ func TestTCPErrorEquivalence(t *testing.T) {
 				tc.name, status, status.HTTPStatus(), retryAfter, tc.want, tc.http, tc.retryAfter)
 		}
 		rec := httptest.NewRecorder()
-		s.writeError(rec, tc.err, "")
+		s.reply(rec, http.StatusOK, nil, tc.err, "")
 		header := ""
 		if tc.retryAfter > 0 {
 			header = strconv.Itoa(tc.retryAfter)
@@ -240,12 +243,8 @@ func TestTCPErrorEquivalence(t *testing.T) {
 			t.Errorf("%s: http rendered %d Retry-After %q, want %d %q",
 				tc.name, rec.Code, rec.Header().Get("Retry-After"), tc.http, header)
 		}
-		frame, admin := s.wireError(tc.err), s.wireAdminError(tc.err)
-		if frame.Status != tc.want || frame.RetryAfterSeconds != tc.retryAfter || frame.Message != tc.err.Error() {
-			t.Errorf("%s: route frame %+v", tc.name, frame)
-		}
-		if admin.Status != tc.want || admin.RetryAfterSeconds != tc.retryAfter || admin.Message != tc.err.Error() {
-			t.Errorf("%s: admin frame %+v", tc.name, admin)
+		if rf := s.refuse(tc.err); rf.status != tc.want || rf.code != tc.http || rf.retryAfter != tc.retryAfter || rf.msg != tc.err.Error() {
+			t.Errorf("%s: refusal %+v", tc.name, rf)
 		}
 	}
 }
@@ -305,9 +304,94 @@ func TestRefusalsCounted(t *testing.T) {
 	const rejected, denied = "locusd_requests_rejected_total", "locusd_requests_denied_total"
 	movesByOne(rejected, func() { overHTTP("nope", http.StatusNotFound) })
 	movesByOne(rejected, func() { overTCP("nope", wire.StatusUnknownCircuit) })
+	// A request that does not decode is refused and counted the same way.
+	movesByOne(rejected, func() {
+		if code, doc := postRoute(t, ts, `{"circuit":"svc","pins":"nope"}`); code != http.StatusBadRequest {
+			t.Fatalf("http malformed: status %d, want 400 (%v)", code, doc)
+		}
+	})
+	movesByOne(rejected, func() {
+		frame, err := wire.AppendRequestFrame(nil, &wire.Request{Circuit: "svc", Pins: []geom.Point{geom.Pt(2, 1), geom.Pt(40, 4)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[6] = 0x80 // the flags byte: an unknown flag
+		if resp := rawExchange(t, addr, frame); resp.Status != wire.StatusBadRequest {
+			t.Fatalf("bin malformed: %+v, want StatusBadRequest", resp)
+		}
+	})
 	s.BeginDrain()
 	movesByOne(denied, func() { overHTTP("svc", http.StatusServiceUnavailable) })
 	movesByOne(denied, func() { overTCP("svc", wire.StatusDraining) })
+}
+
+// rawExchange writes one pre-built frame on a fresh connection and
+// decodes the route response it gets back.
+func rawExchange(t testing.TB, addr string, frame []byte) *wire.Response {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.ReadFrame(bufio.NewReader(nc), nil)
+	if err != nil {
+		t.Fatalf("ReadFrame: %v", err)
+	}
+	resp, err := wire.DecodeResponse(payload)
+	if err != nil {
+		t.Fatalf("DecodeResponse: %v", err)
+	}
+	return resp
+}
+
+// TestLongErrorMessageKeepsConn pins the error-message bound: the
+// unknown-circuit error lists every served name, and client-chosen names
+// can make it longer than a binary frame's message field holds. The
+// message is cut at wire.MaxMessage (on a UTF-8 boundary) instead of the
+// connection being dropped, and HTTP carries the identical text.
+func TestLongErrorMessageKeepsConn(t *testing.T) {
+	s := newServer(t, Config{Shards: 1})
+	addr, _ := startTCP(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i := range 18 {
+		name := fmt.Sprintf("%03d%s", i, strings.Repeat("é", 120))
+		c := &circuit.Circuit{Name: name, Grid: geom.Grid{Channels: 2, Grids: 10},
+			Wires: []circuit.Wire{{ID: 0, Pins: []geom.Point{geom.Pt(1, 0), geom.Pt(8, 1)}}}}
+		if _, err := s.UploadCircuit(c); err != nil {
+			t.Fatalf("upload %d: %v", i, err)
+		}
+	}
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pins := []geom.Point{geom.Pt(2, 1), geom.Pt(40, 4)}
+	resp, err := c.Do(&wire.Request{Circuit: "nope", Pins: pins})
+	if err != nil || resp.Status != wire.StatusUnknownCircuit {
+		t.Fatalf("route to an unknown circuit: %+v, %v — want StatusUnknownCircuit", resp, err)
+	}
+	if len(resp.Message) > wire.MaxMessage || !utf8.ValidString(resp.Message) || !strings.HasPrefix(resp.Message, "locusd: unknown circuit") {
+		t.Errorf("route message: %d bytes, valid UTF-8 %v, %.40q…", len(resp.Message), utf8.ValidString(resp.Message), resp.Message)
+	}
+	aresp, err := c.DoMutate(&wire.Mutate{Circuit: "nope", Ops: []wire.MutateOp{{Op: wire.OpReroute, WireID: 0}}})
+	if err != nil || aresp.Status != wire.StatusUnknownCircuit {
+		t.Fatalf("mutate of an unknown circuit: %+v, %v — want StatusUnknownCircuit", aresp, err)
+	}
+	if aresp.Message != resp.Message {
+		t.Errorf("mutate and route carry different messages:\n%.60q\n%.60q", aresp.Message, resp.Message)
+	}
+	if code, doc := postRoute(t, ts, `{"circuit":"nope","pins":[[2,1],[40,4]]}`); code != http.StatusNotFound || doc["error"] != resp.Message {
+		t.Errorf("http: status %d, error %d bytes; want 404 and the binary message", code, len(fmt.Sprint(doc["error"])))
+	}
+	if resp, err := c.Do(&wire.Request{Circuit: "svc", Pins: pins}); err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("route on the same connection afterwards: %+v, %v", resp, err)
+	}
 }
 
 // TestTCPShedRetryAfterEquivalence saturates a one-slot gate and checks
@@ -403,7 +487,7 @@ func TestDeadlineRangeRejected(t *testing.T) {
 		{maxDeadlineMillis + 1, wire.StatusBadRequest},
 		{maxDeadlineMillis, wire.StatusOK},
 	} {
-		rejected := s.vars().Rejected
+		rejected := counters(s)["rejected"]
 		code, doc := postRoute(t, ts, fmt.Sprintf(`{"circuit":"svc","pins":[[2,1],[40,4]],"deadline_ms":%d}`, tc.millis))
 		if code != tc.want.HTTPStatus() {
 			t.Errorf("http deadline_ms %d: status %d, want %d (%v)", tc.millis, code, tc.want.HTTPStatus(), doc)
@@ -420,13 +504,13 @@ func TestDeadlineRangeRejected(t *testing.T) {
 			if msg, _ := doc["error"].(string); !strings.Contains(msg, fmt.Sprintf("deadline_ms %d exceeds", tc.millis)) || resp.Message != msg {
 				t.Errorf("deadline_ms %d: errors http %q, bin %q, want the same range error", tc.millis, msg, resp.Message)
 			}
-			if got := s.vars().Rejected - rejected; got != 2 {
+			if got := counters(s)["rejected"] - rejected; got != 2 {
 				t.Errorf("deadline_ms %d: rejected moved by %d over two refusals, want 2", tc.millis, got)
 			}
 		}
 	}
-	if v := s.vars(); v.Expired != 0 || v.Served != 2 {
-		t.Errorf("expired %d served %d, want 0 and 2 (only the legal deadline is evaluated)", v.Expired, v.Served)
+	if v := counters(s); v["expired"] != 0 || v["served"] != 2 {
+		t.Errorf("expired %d served %d, want 0 and 2 (only the legal deadline is evaluated)", v["expired"], v["served"])
 	}
 }
 

@@ -36,40 +36,40 @@ func NewConn(nc net.Conn) *Conn {
 // error leaves the connection unusable; protocol-level failures arrive
 // as a Response with a non-OK Status, not an error.
 func (c *Conn) Do(req *Request) (*Response, error) {
-	buf, err := AppendRequestFrame(c.wbuf[:0], req)
+	payload, err := c.roundTrip(func(dst []byte) ([]byte, error) { return AppendRequest(dst, req) })
 	if err != nil {
 		return nil, err
 	}
-	c.wbuf = buf
-	if _, err := c.nc.Write(buf); err != nil {
-		return nil, fmt.Errorf("wire: write request: %w", err)
-	}
-	payload, err := ReadFrame(c.br, c.rbuf)
-	if err != nil {
-		return nil, fmt.Errorf("wire: read response: %w", err)
-	}
-	c.rbuf = payload
 	return DecodeResponse(payload)
 }
 
 // DoUpload sends one circuit upload and reads its admin response.
 func (c *Conn) DoUpload(u *Upload) (*AdminResponse, error) {
-	return c.admin(func(dst []byte) ([]byte, error) { return AppendUploadFrame(dst, u) })
+	return c.admin(func(dst []byte) ([]byte, error) { return AppendUpload(dst, u) })
 }
 
 // DoMutate sends one mutation batch and reads its admin response.
 func (c *Conn) DoMutate(m *Mutate) (*AdminResponse, error) {
-	return c.admin(func(dst []byte) ([]byte, error) { return AppendMutateFrame(dst, m) })
+	return c.admin(func(dst []byte) ([]byte, error) { return AppendMutate(dst, m) })
 }
 
 // DoEvict sends one eviction and reads its admin response.
 func (c *Conn) DoEvict(e *Evict) (*AdminResponse, error) {
-	return c.admin(func(dst []byte) ([]byte, error) { return AppendEvictFrame(dst, e) })
+	return c.admin(func(dst []byte) ([]byte, error) { return AppendEvict(dst, e) })
 }
 
-// admin runs one lifecycle exchange: frame, write, read, decode.
-func (c *Conn) admin(frame func([]byte) ([]byte, error)) (*AdminResponse, error) {
-	buf, err := frame(c.wbuf[:0])
+// admin runs one lifecycle exchange.
+func (c *Conn) admin(payload func([]byte) ([]byte, error)) (*AdminResponse, error) {
+	reply, err := c.roundTrip(payload)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeAdminResponse(reply)
+}
+
+// roundTrip frames and writes one payload and reads the reply's.
+func (c *Conn) roundTrip(payload func([]byte) ([]byte, error)) ([]byte, error) {
+	buf, err := appendFrame(c.wbuf[:0], payload)
 	if err != nil {
 		return nil, err
 	}
@@ -77,12 +77,12 @@ func (c *Conn) admin(frame func([]byte) ([]byte, error)) (*AdminResponse, error)
 	if _, err := c.nc.Write(buf); err != nil {
 		return nil, fmt.Errorf("wire: write request: %w", err)
 	}
-	payload, err := ReadFrame(c.br, c.rbuf)
+	reply, err := ReadFrame(c.br, c.rbuf)
 	if err != nil {
 		return nil, fmt.Errorf("wire: read response: %w", err)
 	}
-	c.rbuf = payload
-	return DecodeAdminResponse(payload)
+	c.rbuf = reply
+	return reply, nil
 }
 
 // Close closes the underlying connection.

@@ -17,8 +17,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add(buf)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{Version, frameRequest})
+	f.Add([]byte{Version, KindRequest})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// The traced flag with its trace id, and with it missing.
+	f.Add([]byte{Version, KindRequest, flagCommit | flagTraced, 7, 0, 1, 'c', 0, 1, 2, 0, 1, 0, 2, 'i', 'd'})
+	f.Add([]byte{Version, KindRequest, flagTraced, 7, 0, 1, 'c', 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRequest(data)
@@ -45,8 +48,11 @@ func FuzzDecodeResponse(f *testing.F) {
 		f.Add(buf)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{Version, frameResponse, byte(StatusOK)})
+	f.Add([]byte{Version, KindResponse, byte(StatusOK)})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// The traced flag on an OK layout and on an error layout.
+	f.Add([]byte{Version, KindResponse, byte(StatusOK), 0, 7, 9, 0, 0, 0, 0, 0, flagCached | flagRespTraced, 2, 'r', '1', 1, 0, 1})
+	f.Add([]byte{Version, KindResponse, byte(StatusShed), 2, 1, 0, 'x', flagRespTraced, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeResponse(data)
@@ -73,7 +79,7 @@ func FuzzDecodeUpload(f *testing.F) {
 		f.Add(buf)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{Version, frameUpload})
+	f.Add([]byte{Version, KindUpload})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := DecodeUpload(data)
@@ -100,7 +106,7 @@ func FuzzDecodeMutate(f *testing.F) {
 		f.Add(buf)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{Version, frameMutate})
+	f.Add([]byte{Version, KindMutate})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMutate(data)
@@ -127,7 +133,7 @@ func FuzzDecodeEvict(f *testing.F) {
 		f.Add(buf)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{Version, frameEvict})
+	f.Add([]byte{Version, KindEvict})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeEvict(data)
@@ -155,7 +161,7 @@ func FuzzDecodeAdminResponse(f *testing.F) {
 		f.Add(buf)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{Version, frameAdminResponse, byte(StatusOK)})
+	f.Add([]byte{Version, KindAdminResponse, byte(StatusOK)})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeAdminResponse(data)

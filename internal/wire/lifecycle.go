@@ -128,28 +128,21 @@ type OpOutcome struct {
 
 // AppendUpload appends u's payload (no length prefix) to dst.
 func AppendUpload(dst []byte, u *Upload) ([]byte, error) {
-	if len(u.Name) > MaxName {
-		return nil, fmt.Errorf("wire: circuit name %d bytes (max %d)", len(u.Name), MaxName)
-	}
-	if len(u.Client) > MaxName {
-		return nil, fmt.Errorf("wire: client identity %d bytes (max %d)", len(u.Client), MaxName)
-	}
 	if u.Channels < 0 || u.Channels > maxCoord || u.Grids < 0 || u.Grids > maxCoord {
 		return nil, fmt.Errorf("wire: grid %dx%d outside the 16-bit coordinate domain", u.Channels, u.Grids)
 	}
 	if len(u.Wires) > MaxWires {
 		return nil, fmt.Errorf("wire: %d wires (max %d)", len(u.Wires), MaxWires)
 	}
-	dst = append(dst, Version, frameUpload)
-	dst = appendStr8(dst, u.Name)
-	dst = appendStr8(dst, u.Client)
+	dst, err := appendNames(append(dst, Version, KindUpload), u.Name, u.Client)
+	if err != nil {
+		return nil, err
+	}
 	dst = binary.AppendUvarint(dst, uint64(u.Channels))
 	dst = binary.AppendUvarint(dst, uint64(u.Grids))
 	dst = binary.AppendUvarint(dst, uint64(len(u.Wires)))
 	for i := range u.Wires {
-		var err error
-		dst, err = appendWire(dst, u.Wires[i].ID, u.Wires[i].Pins)
-		if err != nil {
+		if dst, err = appendWire(dst, u.Wires[i].ID, u.Wires[i].Pins); err != nil {
 			return nil, err
 		}
 	}
@@ -161,7 +154,7 @@ func AppendUpload(dst []byte, u *Upload) ([]byte, error) {
 func DecodeUpload(buf []byte) (*Upload, error) {
 	d := decoder{buf: buf}
 	d.expect("version", Version)
-	d.expect("frame kind", frameUpload)
+	d.expect("frame kind", KindUpload)
 	u := &Upload{}
 	u.Name = d.str8("name")
 	u.Client = d.str8("client")
@@ -180,28 +173,20 @@ func DecodeUpload(buf []byte) (*Upload, error) {
 
 // AppendMutate appends m's payload (no length prefix) to dst.
 func AppendMutate(dst []byte, m *Mutate) ([]byte, error) {
-	if len(m.Circuit) > MaxName {
-		return nil, fmt.Errorf("wire: circuit name %d bytes (max %d)", len(m.Circuit), MaxName)
-	}
-	if len(m.Client) > MaxName {
-		return nil, fmt.Errorf("wire: client identity %d bytes (max %d)", len(m.Client), MaxName)
-	}
 	if len(m.Ops) > MaxOps {
 		return nil, fmt.Errorf("wire: %d ops (max %d)", len(m.Ops), MaxOps)
 	}
-	dst = append(dst, Version, frameMutate)
-	dst = appendStr8(dst, m.Circuit)
-	dst = appendStr8(dst, m.Client)
+	dst, err := appendNames(append(dst, Version, KindMutate), m.Circuit, m.Client)
+	if err != nil {
+		return nil, err
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(m.Ops)))
 	for i := range m.Ops {
 		op := &m.Ops[i]
 		if op.Op < OpAdd || op.Op > OpReroute {
 			return nil, fmt.Errorf("wire: unknown op code %d", op.Op)
 		}
-		dst = append(dst, op.Op)
-		var err error
-		dst, err = appendWire(dst, op.WireID, op.Pins)
-		if err != nil {
+		if dst, err = appendWire(append(dst, op.Op), op.WireID, op.Pins); err != nil {
 			return nil, err
 		}
 	}
@@ -213,7 +198,7 @@ func AppendMutate(dst []byte, m *Mutate) ([]byte, error) {
 func DecodeMutate(buf []byte) (*Mutate, error) {
 	d := decoder{buf: buf}
 	d.expect("version", Version)
-	d.expect("frame kind", frameMutate)
+	d.expect("frame kind", KindMutate)
 	m := &Mutate{}
 	m.Circuit = d.str8("circuit")
 	m.Client = d.str8("client")
@@ -235,16 +220,7 @@ func DecodeMutate(buf []byte) (*Mutate, error) {
 
 // AppendEvict appends e's payload (no length prefix) to dst.
 func AppendEvict(dst []byte, e *Evict) ([]byte, error) {
-	if len(e.Circuit) > MaxName {
-		return nil, fmt.Errorf("wire: circuit name %d bytes (max %d)", len(e.Circuit), MaxName)
-	}
-	if len(e.Client) > MaxName {
-		return nil, fmt.Errorf("wire: client identity %d bytes (max %d)", len(e.Client), MaxName)
-	}
-	dst = append(dst, Version, frameEvict)
-	dst = appendStr8(dst, e.Circuit)
-	dst = appendStr8(dst, e.Client)
-	return dst, nil
+	return appendNames(append(dst, Version, KindEvict), e.Circuit, e.Client)
 }
 
 // DecodeEvict unmarshals an evict payload produced by AppendEvict.
@@ -252,7 +228,7 @@ func AppendEvict(dst []byte, e *Evict) ([]byte, error) {
 func DecodeEvict(buf []byte) (*Evict, error) {
 	d := decoder{buf: buf}
 	d.expect("version", Version)
-	d.expect("frame kind", frameEvict)
+	d.expect("frame kind", KindEvict)
 	e := &Evict{}
 	e.Circuit = d.str8("circuit")
 	e.Client = d.str8("client")
@@ -267,7 +243,7 @@ func AppendAdminResponse(dst []byte, r *AdminResponse) ([]byte, error) {
 	if r.Status > statusMax {
 		return nil, fmt.Errorf("wire: unknown status %d", r.Status)
 	}
-	dst = append(dst, Version, frameAdminResponse, byte(r.Status))
+	dst = append(dst, Version, KindAdminResponse, byte(r.Status))
 	if r.Status == StatusOK {
 		if r.Wires < 0 || r.Wires > maxID {
 			return nil, fmt.Errorf("wire: wire count %d outside [0, %d]", r.Wires, maxID)
@@ -283,37 +259,16 @@ func AppendAdminResponse(dst []byte, r *AdminResponse) ([]byte, error) {
 			if res.Op < OpAdd || res.Op > OpReroute {
 				return nil, fmt.Errorf("wire: unknown op code %d", res.Op)
 			}
-			for _, f := range []struct {
-				name string
-				v    int64
-			}{
-				{"wire id", int64(res.WireID)},
-				{"cost", res.Cost},
-				{"path cells", int64(res.PathCells)},
-				{"cells examined", int64(res.CellsExamined)},
-			} {
-				if f.v < 0 {
-					return nil, fmt.Errorf("wire: negative %s %d", f.name, f.v)
-				}
+			var err error
+			dst, err = appendUvarints(append(dst, res.Op), field{"wire id", int64(res.WireID)},
+				field{"cost", res.Cost}, field{"path cells", int64(res.PathCells)}, field{"cells examined", int64(res.CellsExamined)})
+			if err != nil {
+				return nil, err
 			}
-			dst = append(dst, res.Op)
-			dst = binary.AppendUvarint(dst, uint64(res.WireID))
-			dst = binary.AppendUvarint(dst, uint64(res.Cost))
-			dst = binary.AppendUvarint(dst, uint64(res.PathCells))
-			dst = binary.AppendUvarint(dst, uint64(res.CellsExamined))
 		}
-	} else {
-		if r.RetryAfterSeconds < 0 {
-			return nil, fmt.Errorf("wire: negative retry-after %d", r.RetryAfterSeconds)
-		}
-		if len(r.Message) > MaxMessage {
-			return nil, fmt.Errorf("wire: message %d bytes (max %d)", len(r.Message), MaxMessage)
-		}
-		dst = binary.AppendUvarint(dst, uint64(r.RetryAfterSeconds))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Message)))
-		dst = append(dst, r.Message...)
+		return dst, nil
 	}
-	return dst, nil
+	return appendRefusal(dst, r.RetryAfterSeconds, r.Message)
 }
 
 // DecodeAdminResponse unmarshals a payload produced by
@@ -322,7 +277,7 @@ func AppendAdminResponse(dst []byte, r *AdminResponse) ([]byte, error) {
 func DecodeAdminResponse(buf []byte) (*AdminResponse, error) {
 	d := decoder{buf: buf}
 	d.expect("version", Version)
-	d.expect("frame kind", frameAdminResponse)
+	d.expect("frame kind", KindAdminResponse)
 	status := Status(d.byte("status"))
 	if d.err == nil && status > statusMax {
 		d.err = fmt.Errorf("wire: unknown status %d", status)
@@ -356,56 +311,23 @@ func DecodeAdminResponse(buf []byte) (*AdminResponse, error) {
 	return r, nil
 }
 
-// AppendUploadFrame appends the framed (length-prefixed) upload to dst.
-func AppendUploadFrame(dst []byte, u *Upload) ([]byte, error) {
-	return appendFrame(dst, func(dst []byte) ([]byte, error) { return AppendUpload(dst, u) })
-}
-
-// AppendMutateFrame appends the framed (length-prefixed) mutate to dst.
-func AppendMutateFrame(dst []byte, m *Mutate) ([]byte, error) {
-	return appendFrame(dst, func(dst []byte) ([]byte, error) { return AppendMutate(dst, m) })
-}
-
-// AppendEvictFrame appends the framed (length-prefixed) evict to dst.
-func AppendEvictFrame(dst []byte, e *Evict) ([]byte, error) {
-	return appendFrame(dst, func(dst []byte) ([]byte, error) { return AppendEvict(dst, e) })
-}
-
 // AppendAdminResponseFrame appends the framed (length-prefixed) admin
 // response to dst.
 func AppendAdminResponseFrame(dst []byte, r *AdminResponse) ([]byte, error) {
 	return appendFrame(dst, func(dst []byte) ([]byte, error) { return AppendAdminResponse(dst, r) })
 }
 
-// appendWire appends the shared wire-geometry layout: uvarint id,
-// uvarint pin count, then 16-bit LE coordinate pairs.
+// appendWire appends the shared wire-geometry layout: uvarint id, then
+// the pin list (appendPins).
 func appendWire(dst []byte, id int, pins []geom.Point) ([]byte, error) {
 	if id < 0 || id > maxID {
 		return nil, fmt.Errorf("wire: wire id %d outside [0, %d]", id, maxID)
 	}
-	if len(pins) > MaxPins {
-		return nil, fmt.Errorf("wire: %d pins (max %d)", len(pins), MaxPins)
-	}
-	dst = binary.AppendUvarint(dst, uint64(id))
-	dst = binary.AppendUvarint(dst, uint64(len(pins)))
-	for _, p := range pins {
-		if p.X < 0 || p.X > maxCoord || p.Y < 0 || p.Y > maxCoord {
-			return nil, fmt.Errorf("wire: pin %v outside the 16-bit coordinate domain", p)
-		}
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(p.X))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(p.Y))
-	}
-	return dst, nil
+	return appendPins(binary.AppendUvarint(dst, uint64(id)), pins)
 }
 
 // decodeWire is appendWire's decoder twin.
 func decodeWire(d *decoder) (id int, pins []geom.Point) {
 	id = int(d.uvarint("wire id", maxID))
-	npins := int(d.uvarint("pin count", MaxPins))
-	for i := 0; i < npins && d.err == nil; i++ {
-		x := d.u16("pin x")
-		y := d.u16("pin y")
-		pins = append(pins, geom.Pt(int(x), int(y)))
-	}
-	return id, pins
+	return id, d.pins()
 }

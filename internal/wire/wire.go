@@ -13,33 +13,26 @@
 //
 // Every payload starts with a version byte and a frame-kind byte, so the
 // protocol can grow new frame types and incompatible revisions without
-// guesswork on either side. Version 1 defines four frames — the traced
-// pair (kinds 3 and 4) was added for request tracing as new frame kinds
-// rather than a version bump, so old peers keep decoding kinds 1 and 2
-// byte-identically and reject the traced kinds cleanly:
+// guesswork on either side. The route pair is kinds 1 and 2; request
+// tracing rides on them as a flag bit plus trailing fields, so an
+// untraced exchange carries not one byte for it:
 //
 //	request  (client -> server)
-//	  version=1, kind=1, flags (bit0 commit), uvarint wire id,
-//	  uvarint deadline_ms, str8 circuit, str8 client,
-//	  uvarint pin count, pin count x (uint16 LE x, uint16 LE y)
+//	  version=1, kind=1, flags (bit0 commit, bit1 traced),
+//	  uvarint wire id, uvarint deadline_ms, str8 circuit, str8 client,
+//	  uvarint pin count, pin count x (uint16 LE x, uint16 LE y),
+//	  traced: str8 trace id ("" = server mints one)
 //
 //	response (server -> client)
 //	  version=1, kind=2, status byte
 //	  status OK: uvarint shard, uvarint wire id, uvarint cost,
 //	    uvarint path cells, uvarint cells examined, uvarint batch size,
 //	    uvarint batch index, uvarint wait micros,
-//	    flags (bit0 committed, bit1 cached)
+//	    flags (bit0 committed, bit1 cached, bit2 traced)
 //	  status != OK: uvarint retry-after seconds (0 = no hint),
-//	    str16 message
-//
-//	traced request (client -> server)
-//	  version=1, kind=3, then the kind-1 request layout after the kind
-//	  byte, then str8 trace id ("" = server mints one)
-//
-//	traced response (server -> client)
-//	  version=1, kind=4, then the kind-2 response layout after the kind
-//	  byte, then str8 request id, uvarint stage count (<= MaxStages),
-//	  stage count x (stage byte, uvarint nanoseconds)
+//	    str16 message, flags (bit2 traced)
+//	  traced: str8 request id, uvarint stage count (<= MaxStages),
+//	    stage count x (stage byte, uvarint nanoseconds)
 //
 // str8 is a 1-byte length followed by raw bytes (<= 255); str16 a 2-byte
 // LE length (<= MaxMessage). Varints are unsigned LEB128 and must be
@@ -65,30 +58,16 @@ import (
 // per frame.
 const Version = 1
 
-// Frame kinds.
+// Frame kinds, the byte after the version: the route request and
+// response, and the lifecycle frames (upload/mutate/evict and their
+// shared admin response, documented in lifecycle.go).
 const (
-	frameRequest        = 1
-	frameResponse       = 2
-	frameRequestTraced  = 3
-	frameResponseTraced = 4
-	frameUpload         = 5
-	frameMutate         = 6
-	frameEvict          = 7
-	frameAdminResponse  = 8
-)
-
-// Exported frame-kind values for dispatchers (see PayloadKind). The
-// lifecycle frames (upload/mutate/evict and their shared admin response)
-// are documented in lifecycle.go.
-const (
-	KindRequest        = frameRequest
-	KindResponse       = frameResponse
-	KindRequestTraced  = frameRequestTraced
-	KindResponseTraced = frameResponseTraced
-	KindUpload         = frameUpload
-	KindMutate         = frameMutate
-	KindEvict          = frameEvict
-	KindAdminResponse  = frameAdminResponse
+	KindRequest       = 1
+	KindResponse      = 2
+	KindUpload        = 5
+	KindMutate        = 6
+	KindEvict         = 7
+	KindAdminResponse = 8
 )
 
 // PayloadKind peeks at a framed payload's kind byte so a server can
@@ -121,17 +100,15 @@ const (
 	maxID = 1<<31 - 1
 )
 
-// Request flag bits.
+// Flag bits: the request's, then the response's (traced on either
+// layout; committed and cached only on OK).
 const (
-	flagCommit = 1 << 0
-	reqFlagAll = flagCommit
-)
-
-// Response flag bits.
-const (
-	flagCommitted = 1 << 0
-	flagCached    = 1 << 1
-	respFlagAll   = flagCommitted | flagCached
+	flagCommit     = 1 << 0
+	flagTraced     = 1 << 1
+	reqFlagAll     = flagCommit | flagTraced
+	flagCommitted  = 1 << 0
+	flagCached     = 1 << 1
+	flagRespTraced = 1 << 2
 )
 
 // Status is a response's outcome code. The zero value is success; the
@@ -173,55 +150,41 @@ const (
 	statusMax = StatusStoreFull
 )
 
+// statuses names each status and gives the HTTP status the JSON layer
+// reports for the same outcome — the cross-transport equivalence the
+// tests pin.
+var statuses = [...]struct {
+	name string
+	http int
+}{
+	StatusOK:             {"ok", 200},
+	StatusBadRequest:     {"bad-request", 400},
+	StatusUnknownCircuit: {"unknown-circuit", 404},
+	StatusShed:           {"shed", 429},
+	StatusRateLimited:    {"rate-limited", 429},
+	StatusDraining:       {"draining", 503},
+	StatusBreakerOpen:    {"breaker-open", 503},
+	StatusDeadline:       {"deadline", 504},
+	StatusInfeasible:     {"infeasible", 504},
+	StatusConflict:       {"conflict", 409},
+	StatusStoreFull:      {"store-full", 507},
+}
+
 // String names the status.
 func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusBadRequest:
-		return "bad-request"
-	case StatusUnknownCircuit:
-		return "unknown-circuit"
-	case StatusShed:
-		return "shed"
-	case StatusRateLimited:
-		return "rate-limited"
-	case StatusDraining:
-		return "draining"
-	case StatusBreakerOpen:
-		return "breaker-open"
-	case StatusDeadline:
-		return "deadline"
-	case StatusInfeasible:
-		return "infeasible"
-	case StatusConflict:
-		return "conflict"
-	case StatusStoreFull:
-		return "store-full"
+	if s > statusMax {
+		return fmt.Sprintf("Status(%d)", uint8(s))
 	}
-	return fmt.Sprintf("Status(%d)", uint8(s))
+	return statuses[s].name
 }
 
 // HTTPStatus maps the code to the HTTP status the JSON layer reports for
-// the same outcome — the cross-transport equivalence the tests pin.
+// the same outcome; an unknown code is a bad request.
 func (s Status) HTTPStatus() int {
-	switch s {
-	case StatusOK:
-		return 200
-	case StatusUnknownCircuit:
-		return 404
-	case StatusShed, StatusRateLimited:
-		return 429
-	case StatusDraining, StatusBreakerOpen:
-		return 503
-	case StatusDeadline, StatusInfeasible:
-		return 504
-	case StatusConflict:
-		return 409
-	case StatusStoreFull:
-		return 507
+	if s > statusMax {
+		return 400
 	}
-	return 400
+	return statuses[s].http
 }
 
 // Request is one route request: the binary twin of the JSON /route body
@@ -241,13 +204,12 @@ type Request struct {
 	// Client identifies the caller for rate limiting ("" = the remote
 	// host, as for HTTP).
 	Client string
-	// Traced selects the traced request frame (kind 3), asking the
-	// server for a traced response that echoes the request id and the
-	// per-stage latency breakdown. Untraced requests encode exactly as
-	// they did before the traced pair existed.
+	// Traced sets the request's traced flag, asking the server for a
+	// traced response that echoes the request id and the per-stage
+	// latency breakdown.
 	Traced bool
 	// TraceID is the caller-supplied request id the server adopts ("" =
-	// the server mints one); carried only on traced frames.
+	// the server mints one); carried only on traced requests.
 	TraceID string
 }
 
@@ -273,9 +235,9 @@ type Response struct {
 	RetryAfterSeconds int
 	Message           string
 
-	// Traced selects the traced response frame (kind 4): the plain
-	// layout plus RequestID and Stages. Servers send it only in answer
-	// to traced requests.
+	// Traced sets the response's traced flag: the layout carries
+	// RequestID and Stages too. Servers set it only in answer to traced
+	// requests.
 	Traced bool
 	// RequestID is the server-assigned (or adopted) request id.
 	RequestID string
@@ -293,20 +255,11 @@ type StagePair struct {
 
 // AppendRequest appends r's payload (no length prefix) to dst.
 func AppendRequest(dst []byte, r *Request) ([]byte, error) {
-	if len(r.Circuit) > MaxName {
-		return nil, fmt.Errorf("wire: circuit name %d bytes (max %d)", len(r.Circuit), MaxName)
-	}
-	if len(r.Client) > MaxName {
-		return nil, fmt.Errorf("wire: client identity %d bytes (max %d)", len(r.Client), MaxName)
-	}
 	if r.WireID < 0 || r.WireID > maxID {
 		return nil, fmt.Errorf("wire: wire id %d outside [0, %d]", r.WireID, maxID)
 	}
 	if r.DeadlineMillis < 0 {
 		return nil, fmt.Errorf("wire: negative deadline %d ms", r.DeadlineMillis)
-	}
-	if len(r.Pins) > MaxPins {
-		return nil, fmt.Errorf("wire: %d pins (max %d)", len(r.Pins), MaxPins)
 	}
 	if !r.Traced && r.TraceID != "" {
 		return nil, fmt.Errorf("wire: trace id set on an untraced request")
@@ -318,22 +271,18 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	if r.Commit {
 		flags |= flagCommit
 	}
-	kind := byte(frameRequest)
 	if r.Traced {
-		kind = frameRequestTraced
+		flags |= flagTraced
 	}
-	dst = append(dst, Version, kind, flags)
+	dst = append(dst, Version, KindRequest, flags)
 	dst = binary.AppendUvarint(dst, uint64(r.WireID))
 	dst = binary.AppendUvarint(dst, uint64(r.DeadlineMillis))
-	dst = appendStr8(dst, r.Circuit)
-	dst = appendStr8(dst, r.Client)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Pins)))
-	for _, p := range r.Pins {
-		if p.X < 0 || p.X > maxCoord || p.Y < 0 || p.Y > maxCoord {
-			return nil, fmt.Errorf("wire: pin %v outside the 16-bit coordinate domain", p)
-		}
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(p.X))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(p.Y))
+	dst, err := appendNames(dst, r.Circuit, r.Client)
+	if err == nil {
+		dst, err = appendPins(dst, r.Pins)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if r.Traced {
 		dst = appendStr8(dst, r.TraceID)
@@ -346,32 +295,23 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 func DecodeRequest(buf []byte) (*Request, error) {
 	d := decoder{buf: buf}
 	d.expect("version", Version)
-	kind := d.byte("frame kind")
-	if d.err == nil && kind != frameRequest && kind != frameRequestTraced {
-		d.fail("frame kind %d, want %d or %d", kind, frameRequest, frameRequestTraced)
-	}
+	d.expect("frame kind", KindRequest)
 	flags := d.byte("flags")
-	r := &Request{Traced: d.err == nil && kind == frameRequestTraced}
+	if d.err == nil && flags&^byte(reqFlagAll) != 0 {
+		d.fail("unknown request flags %#x", flags)
+	}
+	r := &Request{Commit: flags&flagCommit != 0, Traced: flags&flagTraced != 0}
 	r.WireID = int(d.uvarint("wire id", maxID))
 	r.DeadlineMillis = int64(d.uvarint("deadline", 1<<62))
 	r.Circuit = d.str8("circuit")
 	r.Client = d.str8("client")
-	npins := int(d.uvarint("pin count", MaxPins))
-	if d.err == nil && flags&^byte(reqFlagAll) != 0 {
-		d.err = fmt.Errorf("wire: unknown request flags %#x", flags)
-	}
-	for i := 0; i < npins && d.err == nil; i++ {
-		x := d.u16("pin x")
-		y := d.u16("pin y")
-		r.Pins = append(r.Pins, geom.Pt(int(x), int(y)))
-	}
+	r.Pins = d.pins()
 	if r.Traced {
 		r.TraceID = d.str8("trace id")
 	}
 	if err := d.finish(); err != nil {
 		return nil, err
 	}
-	r.Commit = flags&flagCommit != 0
 	return r, nil
 }
 
@@ -383,49 +323,29 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 	if !r.Traced && (r.RequestID != "" || len(r.Stages) > 0) {
 		return nil, fmt.Errorf("wire: trace fields set on an untraced response")
 	}
-	kind := byte(frameResponse)
+	var flags byte
 	if r.Traced {
-		kind = frameResponseTraced
+		flags |= flagRespTraced
 	}
-	dst = append(dst, Version, kind, byte(r.Status))
+	dst = append(dst, Version, KindResponse, byte(r.Status))
+	var err error
 	if r.Status == StatusOK {
-		for _, f := range []struct {
-			name string
-			v    int64
-		}{
-			{"shard", int64(r.Shard)},
-			{"wire id", int64(r.WireID)},
-			{"cost", r.Cost},
-			{"path cells", int64(r.PathCells)},
-			{"cells examined", int64(r.CellsExamined)},
-			{"batch size", int64(r.BatchSize)},
-			{"batch index", int64(r.BatchIndex)},
-			{"wait micros", r.WaitMicros},
-		} {
-			if f.v < 0 {
-				return nil, fmt.Errorf("wire: negative %s %d", f.name, f.v)
-			}
-			dst = binary.AppendUvarint(dst, uint64(f.v))
-		}
-		var flags byte
+		dst, err = appendUvarints(dst, field{"shard", int64(r.Shard)}, field{"wire id", int64(r.WireID)},
+			field{"cost", r.Cost}, field{"path cells", int64(r.PathCells)}, field{"cells examined", int64(r.CellsExamined)},
+			field{"batch size", int64(r.BatchSize)}, field{"batch index", int64(r.BatchIndex)}, field{"wait micros", r.WaitMicros})
 		if r.Committed {
 			flags |= flagCommitted
 		}
 		if r.Cached {
 			flags |= flagCached
 		}
-		dst = append(dst, flags)
 	} else {
-		if r.RetryAfterSeconds < 0 {
-			return nil, fmt.Errorf("wire: negative retry-after %d", r.RetryAfterSeconds)
-		}
-		if len(r.Message) > MaxMessage {
-			return nil, fmt.Errorf("wire: message %d bytes (max %d)", len(r.Message), MaxMessage)
-		}
-		dst = binary.AppendUvarint(dst, uint64(r.RetryAfterSeconds))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Message)))
-		dst = append(dst, r.Message...)
+		dst, err = appendRefusal(dst, r.RetryAfterSeconds, r.Message)
 	}
+	if err != nil {
+		return nil, err
+	}
+	dst = append(dst, flags)
 	if r.Traced {
 		if len(r.RequestID) > MaxName {
 			return nil, fmt.Errorf("wire: request id %d bytes (max %d)", len(r.RequestID), MaxName)
@@ -451,15 +371,13 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 func DecodeResponse(buf []byte) (*Response, error) {
 	d := decoder{buf: buf}
 	d.expect("version", Version)
-	kind := d.byte("frame kind")
-	if d.err == nil && kind != frameResponse && kind != frameResponseTraced {
-		d.fail("frame kind %d, want %d or %d", kind, frameResponse, frameResponseTraced)
-	}
+	d.expect("frame kind", KindResponse)
 	status := Status(d.byte("status"))
 	if d.err == nil && status > statusMax {
 		d.err = fmt.Errorf("wire: unknown status %d", status)
 	}
-	r := &Response{Status: status, Traced: d.err == nil && kind == frameResponseTraced}
+	r := &Response{Status: status}
+	known := byte(flagRespTraced)
 	if d.err == nil && status == StatusOK {
 		r.Shard = int(d.uvarint("shard", maxID))
 		r.WireID = int(d.uvarint("wire id", maxID))
@@ -469,16 +387,18 @@ func DecodeResponse(buf []byte) (*Response, error) {
 		r.BatchSize = int(d.uvarint("batch size", maxID))
 		r.BatchIndex = int(d.uvarint("batch index", maxID))
 		r.WaitMicros = int64(d.uvarint("wait micros", 1<<62))
-		flags := d.byte("flags")
-		if d.err == nil && flags&^byte(respFlagAll) != 0 {
-			d.err = fmt.Errorf("wire: unknown response flags %#x", flags)
-		}
-		r.Committed = flags&flagCommitted != 0
-		r.Cached = flags&flagCached != 0
+		known |= flagCommitted | flagCached
 	} else if d.err == nil {
 		r.RetryAfterSeconds = int(d.uvarint("retry-after", maxID))
 		r.Message = d.str16("message")
 	}
+	flags := d.byte("flags")
+	if d.err == nil && flags&^known != 0 {
+		d.err = fmt.Errorf("wire: unknown response flags %#x", flags)
+	}
+	r.Committed = flags&flagCommitted != 0
+	r.Cached = flags&flagCached != 0
+	r.Traced = flags&flagRespTraced != 0
 	if r.Traced {
 		r.RequestID = d.str8("request id")
 		nstages := int(d.uvarint("stage count", MaxStages))
@@ -546,6 +466,67 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// appendRefusal appends the error layout the route and admin responses
+// share: uvarint retry-after seconds, str16 message.
+func appendRefusal(dst []byte, retryAfterSeconds int, msg string) ([]byte, error) {
+	if retryAfterSeconds < 0 {
+		return nil, fmt.Errorf("wire: negative retry-after %d", retryAfterSeconds)
+	}
+	if len(msg) > MaxMessage {
+		return nil, fmt.Errorf("wire: message %d bytes (max %d)", len(msg), MaxMessage)
+	}
+	dst = binary.AppendUvarint(dst, uint64(retryAfterSeconds))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(msg)))
+	return append(dst, msg...), nil
+}
+
+// field is one non-negative integer of a layout, named for the error a
+// negative value gets.
+type field struct {
+	name string
+	v    int64
+}
+
+// appendUvarints appends fields as uvarints, refusing a negative one.
+func appendUvarints(dst []byte, fs ...field) ([]byte, error) {
+	for _, f := range fs {
+		if f.v < 0 {
+			return nil, fmt.Errorf("wire: negative %s %d", f.name, f.v)
+		}
+		dst = binary.AppendUvarint(dst, uint64(f.v))
+	}
+	return dst, nil
+}
+
+// appendNames appends the circuit name and client identity (str8 each)
+// every client frame carries.
+func appendNames(dst []byte, circuit, client string) ([]byte, error) {
+	if len(circuit) > MaxName {
+		return nil, fmt.Errorf("wire: circuit name %d bytes (max %d)", len(circuit), MaxName)
+	}
+	if len(client) > MaxName {
+		return nil, fmt.Errorf("wire: client identity %d bytes (max %d)", len(client), MaxName)
+	}
+	return appendStr8(appendStr8(dst, circuit), client), nil
+}
+
+// appendPins appends a pin list: uvarint count, then 16-bit LE
+// coordinate pairs.
+func appendPins(dst []byte, pins []geom.Point) ([]byte, error) {
+	if len(pins) > MaxPins {
+		return nil, fmt.Errorf("wire: %d pins (max %d)", len(pins), MaxPins)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(pins)))
+	for _, p := range pins {
+		if p.X < 0 || p.X > maxCoord || p.Y < 0 || p.Y > maxCoord {
+			return nil, fmt.Errorf("wire: pin %v outside the 16-bit coordinate domain", p)
+		}
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(p.X))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(p.Y))
+	}
+	return dst, nil
 }
 
 // appendStr8 appends a 1-byte-length string; the caller has bounded it.
@@ -624,6 +605,18 @@ func (d *decoder) uvarint(name string, max uint64) uint64 {
 		return 0
 	}
 	return v
+}
+
+// pins decodes appendPins' layout.
+func (d *decoder) pins() []geom.Point {
+	var pins []geom.Point
+	n := int(d.uvarint("pin count", MaxPins))
+	for i := 0; i < n && d.err == nil; i++ {
+		x := d.u16("pin x")
+		y := d.u16("pin y")
+		pins = append(pins, geom.Pt(int(x), int(y)))
+	}
+	return pins
 }
 
 func (d *decoder) str8(name string) string {
