@@ -19,10 +19,20 @@
 // documents are merged in submission order, never completion order, so a
 // driver's output (rows, rendered tables, and -json documents) is a pure
 // function of its inputs regardless of the pool's capacity.
+//
+// RenderSet also simulates each distinct message passing configuration
+// once: -all requests 65 DES runs, of which 50 differ (the standard
+// SRD=2 SLD=10 run alone appears in eight tables). A run is keyed on
+// everything that determines it — the circuit, the assignment's contents
+// and order, and the whole mp.Config but its observer and tracer — and a
+// repeat waits for the first request outside the pool, then shares its
+// read-only Result and records its own -json document under its own
+// label. Event-traced runs are never shared.
 package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"locusroute/internal/assign"
 	"locusroute/internal/cache"
@@ -68,6 +78,8 @@ type Setup struct {
 	// Partitions is the leaf-count sweep of the partition table (nil
 	// sweeps 1, 2, 4, 8). Only the "partition" table reads it.
 	Partitions []int
+
+	memo *runMemo // RenderSet's shared DES runs; nil runs every request
 }
 
 // DefaultSetup returns the 16-processor configuration most tables use.
@@ -178,23 +190,73 @@ func runMPAssigned(c *circuit.Circuit, s Setup, st mp.Strategy, asn *assign.Assi
 
 // runConfigured executes one message passing run from a fully prepared
 // config (callers set ablation knobs before handing it over). The DES run
-// holds a pool slot — it is a leaf computation. When the setup carries a
-// collector, an observer is attached for the run and its document
+// holds a pool slot — it is a leaf computation; a repeat of a run the
+// setup's memo has seen waits for it without one. When the setup carries
+// a collector, an observer is attached for the run and its document
 // recorded under label.
 func runConfigured(c *circuit.Circuit, s Setup, cfg mp.Config, asn *assign.Assignment, label string) (mp.Result, error) {
+	run, first := s.memo.claim(c, cfg, asn)
+	if first {
+		if s.Obs.Enabled() {
+			cfg.Obs = obs.NewMP(cfg.Procs)
+		}
+		s.Pool.Run(func() { run.res, run.err = mp.Run(c, asn, cfg) })
+		run.obs = cfg.Obs
+		close(run.done)
+	}
+	<-run.done
+	if run.err != nil {
+		return mp.Result{}, fmt.Errorf("experiments: mp run %q: %w", label, run.err)
+	}
 	if s.Obs.Enabled() {
-		cfg.Obs = obs.NewMP(cfg.Procs)
+		cfg.Obs = run.obs
+		s.Obs.Append(mp.ObsRun(label, "mp-des", c.Name, cfg, run.res))
 	}
-	var res mp.Result
-	var err error
-	s.Pool.Run(func() { res, err = mp.Run(c, asn, cfg) })
-	if err != nil {
-		return mp.Result{}, fmt.Errorf("experiments: mp run %q: %w", label, err)
+	return run.res, nil
+}
+
+// runMemo holds the DES runs of one RenderSet by configuration, and
+// counts the runs it handed out to execute. A nil memo shares nothing.
+type runMemo struct {
+	mu       sync.Mutex
+	runs     map[string]*memoRun
+	executed int
+}
+
+// memoRun is one run; res, obs and err are written once, before done
+// closes, and only read after.
+type memoRun struct {
+	done chan struct{}
+	res  mp.Result
+	obs  *obs.MP
+	err  error
+}
+
+// claim returns the run for this configuration and whether the caller is
+// the first to ask, and so must execute it and close done.
+func (m *runMemo) claim(c *circuit.Circuit, cfg mp.Config, asn *assign.Assignment) (*memoRun, bool) {
+	run := &memoRun{done: make(chan struct{})}
+	if m == nil || cfg.Trace != nil {
+		return run, true
 	}
-	if s.Obs.Enabled() {
-		s.Obs.Append(mp.ObsRun(label, "mp-des", c.Name, cfg, res))
+	// The key is what determines a run: the circuit, and the assignment
+	// and the config in Go syntax (%#v prints sim.Time as an integer, not
+	// its rounded String) without the observer and tracer pointers —
+	// whether a run carries an observer is the RenderSet's collector,
+	// the same for every run.
+	cfg.Obs, cfg.Trace = nil, nil
+	key := fmt.Sprintf("%p %#v %#v", c, *asn, cfg)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev, ok := m.runs[key]; ok {
+		return prev, false
 	}
-	return res, nil
+	if m.runs == nil {
+		m.runs = make(map[string]*memoRun)
+	}
+	m.runs[key] = run
+	m.executed++
+	return run, true
 }
 
 // smTraffic runs the traced shared memory router straight into one

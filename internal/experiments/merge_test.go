@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"locusroute/internal/circuit"
@@ -58,5 +59,58 @@ func TestRenderSetIdenticalAcrossPoolSizes(t *testing.T) {
 func TestRenderUnknownTable(t *testing.T) {
 	if _, err := Render("no-such-table", smallCircuit(), smallCircuit(), smallSetup()); err == nil {
 		t.Fatal("want an error for an unknown table name")
+	}
+}
+
+// TestRenderSetSimulatesEachConfigurationOnce runs the -all table list on
+// the benchmark circuits: the tables request 65 message passing DES runs,
+// only 50 of them distinct, and the run memo executes each distinct one
+// once. Sharing must not show: the rendered tables and the -json document
+// equal, in order and label, those of each table rendered alone.
+func TestRenderSetSimulatesEachConfigurationOnce(t *testing.T) {
+	bnrE, mdc := BnrE(), MDC()
+	render := func(names []string, col *obs.Collector, memo *runMemo) string {
+		t.Helper()
+		s := DefaultSetup()
+		s.Pool = par.New(2)
+		s.Obs = col
+		s.memo = memo
+		tables, err := RenderSet(names, bnrE, mdc, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(tables, "\n")
+	}
+	doc := func(col *obs.Collector) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := col.Snapshot("test").WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+
+	together, memo := obs.NewCollector(), &runMemo{}
+	text := render(TableNames(), together, memo)
+	requested := 0
+	for _, r := range together.Snapshot("test").Runs {
+		if r.Backend == "mp-des" {
+			requested++
+		}
+	}
+	if requested != 65 || memo.executed != 50 {
+		t.Errorf("%d DES runs requested, %d executed; want 65 and 50", requested, memo.executed)
+	}
+
+	alone := obs.NewCollector()
+	var texts []string
+	for _, name := range TableNames() {
+		texts = append(texts, render([]string{name}, alone, nil))
+	}
+	if want := strings.Join(texts, "\n"); text != want {
+		t.Errorf("tables rendered together differ from the tables rendered alone")
+	}
+	if !bytes.Equal(doc(together), doc(alone)) {
+		t.Errorf("-json documents differ between the tables rendered together and alone")
 	}
 }

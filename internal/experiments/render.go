@@ -105,8 +105,12 @@ func render[R any](fn func([]R) string, rows []R, err error) (string, error) {
 // running concurrently — and returns the rendered text in name order.
 // Observability documents are likewise adopted in name order, so both
 // the printed tables and a -json document are byte-identical at every
-// pool capacity.
+// pool capacity. A message passing configuration several tables request
+// is simulated once (see the package documentation).
 func RenderSet(names []string, bnrE, mdc *circuit.Circuit, s Setup) ([]string, error) {
+	if s.memo == nil {
+		s.memo = &runMemo{}
+	}
 	return cells(s, names, func(name string, sub Setup) (string, error) {
 		return Render(name, bnrE, mdc, sub)
 	})

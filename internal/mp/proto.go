@@ -90,6 +90,11 @@ type Proto struct {
 	// runtimes (DES and live) inherit allocation-free routing through it.
 	scratch *route.Scratch
 
+	// owners answers Part.Owner for the cells a commit or rip-up touches;
+	// owned gathers the bounding box of the owned ones until the path is
+	// done, when markOwn takes it once.
+	owners   ownerTable
+	owned    geom.Rect
 	ownDirty geom.Rect
 	reqDirty []geom.Rect
 
@@ -155,6 +160,7 @@ func NewProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, r
 		router:   router,
 		paths:    make(mapPathStore),
 		scratch:  route.NewScratch(circ.Grid),
+		owners:   newOwnerTable(part),
 		reqDirty: make([]geom.Rect, part.Procs()),
 		touch:    make([]int, part.Procs()),
 		reqFrom:  make([]int, part.Procs()),
@@ -179,6 +185,26 @@ func (pr *Proto) TakeScanWork() int {
 	return w
 }
 
+// ownerTable is Partition.Owner for in-grid cells as two lookups: a
+// region's processor number is its mesh column plus PX times its mesh row,
+// so col[x] holds the owner of (x, 0) and row[y] that of (0, y), and
+// (x, y) belongs to col[x] + row[y]. A per-cell Owner costs two
+// geom.locate searches.
+type ownerTable struct{ col, row []int }
+
+func newOwnerTable(part geom.Partition) ownerTable {
+	t := ownerTable{col: make([]int, part.Grid.Grids), row: make([]int, part.Grid.Channels)}
+	for x := range t.col {
+		t.col[x] = part.Owner(geom.Pt(x, 0))
+	}
+	for y := range t.row {
+		t.row[y] = part.Owner(geom.Pt(0, y))
+	}
+	return t
+}
+
+func (t ownerTable) owner(x, y int) int { return t.col[x] + t.row[y] }
+
 // protoCommitView writes through to the view, the ground truth, and the
 // dirty/delta tracking.
 type protoCommitView struct{ pr *Proto }
@@ -190,13 +216,20 @@ func (v protoCommitView) AddCost(x, y int, d int32) {
 	pr := v.pr
 	pr.view.Add(x, y, d)
 	pr.truth.Add(x, y, d)
-	if pr.Part.Owner(geom.Pt(x, y)) == pr.ID {
-		pr.markOwn(geom.Rect{X0: x, Y0: y, X1: x + 1, Y1: y + 1})
+	if pr.owners.owner(x, y) == pr.ID {
+		pr.owned = pr.owned.AddPoint(geom.Pt(x, y))
 	} else if pr.Structure != StructureWireBased {
 		// The wire-based structure transmits whole runs (recorded by
 		// recordWireOps), so remote changes bypass the delta array.
 		pr.delta.Add(x, y, d)
 	}
+}
+
+// markOwned hands the owned cells of the path just committed or ripped up
+// to markOwn as one box: the union of their 1x1 boxes.
+func (pr *Proto) markOwned() {
+	pr.markOwn(pr.owned)
+	pr.owned = geom.Rect{}
 }
 
 // recordWireOps splits a committed or ripped path into straight runs per
@@ -214,7 +247,7 @@ func (pr *Proto) recordWireOps(path route.Path, ripUp bool) {
 	owner := -1
 	var prev geom.Point
 	for i, c := range path.Cells {
-		o := pr.Part.Owner(c)
+		o := pr.owners.owner(c.X, c.Y)
 		extends := i > 0 && o == owner && adjacentCollinear(run, prev, c)
 		if !extends {
 			flush(owner, run)
@@ -263,6 +296,7 @@ func (pr *Proto) RipUpWire(wi, iter int) int {
 	}
 	prev := pr.paths.Get(wi)
 	route.RipUp(protoCommitView{pr: pr}, prev)
+	pr.markOwned()
 	if pr.Structure == StructureWireBased {
 		pr.recordWireOps(prev, true)
 	}
@@ -284,6 +318,7 @@ func (pr *Proto) CommitWire(wi int, pw PendingWire) int64 {
 		trueCost += int64(pr.truth.At(cell.X, cell.Y))
 	}
 	route.Commit(protoCommitView{pr: pr}, pw.Path)
+	pr.markOwned()
 	if pr.Structure == StructureWireBased {
 		pr.recordWireOps(pw.Path, false)
 	}

@@ -304,3 +304,64 @@ func TestProtoScanWorkAccumulates(t *testing.T) {
 		t.Errorf("TakeScanWork must reset")
 	}
 }
+
+// TestCommitAndRipUpMarkOwnedCells checks the dirty bounds a path leaves
+// behind: after a commit and after a rip-up, the processor's own dirty
+// box and every other processor's request box are the bounding box of
+// the path's cells it owns, and nothing else.
+func TestCommitAndRipUpMarkOwnedCells(t *testing.T) {
+	f := newProtoFixture(t, Strategy{})
+	for wi := range f.circ.Wires {
+		p := f.ps[wi%len(f.ps)]
+		p.RipUpWire(wi, 0) // iteration 0 has nothing to rip up
+		pw := p.EvaluateWire(wi)
+		var want geom.Rect
+		for _, c := range pw.Path.Cells {
+			if f.part.Owner(c) == p.ID {
+				want = want.AddPoint(c)
+			}
+		}
+		check := func(op string) {
+			t.Helper()
+			for i, got := range append([]geom.Rect{p.ownDirty}, p.reqDirty...) {
+				if i-1 != p.ID && got != want {
+					t.Fatalf("wire %d on proc %d after %s: dirty box %d (-1: own) is %v, want %v", wi, p.ID, op, i-1, got, want)
+				}
+			}
+			p.ownDirty = geom.Rect{}
+			clear(p.reqDirty)
+		}
+		p.CommitWire(wi, pw)
+		check("commit")
+		p.RipUpWire(wi, 1)
+		check("rip-up")
+	}
+}
+
+// TestOwnerTableMatchesPartition holds the commit path's owner lookup to
+// Partition.Owner on every cell of splits whose regions are uneven: the
+// bnrE and MDC grids at the paper's 4x4 and at 3x3, and a 7x13 grid cut
+// into 2x5 regions.
+func TestOwnerTableMatchesPartition(t *testing.T) {
+	for _, tc := range []struct {
+		channels, grids, px, py int
+	}{
+		{10, 341, 4, 4},
+		{12, 386, 3, 3},
+		{7, 13, 2, 5},
+	} {
+		part, err := geom.NewPartition(geom.Grid{Channels: tc.channels, Grids: tc.grids}, tc.px, tc.py)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners := newOwnerTable(part)
+		for y := 0; y < tc.channels; y++ {
+			for x := 0; x < tc.grids; x++ {
+				if got, want := owners.owner(x, y), part.Owner(geom.Pt(x, y)); got != want {
+					t.Fatalf("%dx%d at %dx%d: cell (%d, %d) owner %d, Partition.Owner %d",
+						tc.channels, tc.grids, tc.px, tc.py, x, y, got, want)
+				}
+			}
+		}
+	}
+}

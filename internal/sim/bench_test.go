@@ -90,3 +90,20 @@ func BenchmarkChanManyReceivers(b *testing.B) {
 	}
 	b.ReportMetric(1000, "items/op")
 }
+
+// BenchmarkProcessHandoff measures one process switch — the kernel
+// resuming a process and the process parking again — with two processes
+// alternating Wait(1), so every event is a switch. One op is one switch.
+func BenchmarkProcessHandoff(b *testing.B) {
+	k := NewKernel()
+	for range 2 {
+		k.Spawn("p", func(p *Process) {
+			for i := 0; i < b.N/2; i++ {
+				p.Wait(1)
+			}
+		})
+	}
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/switch")
+}

@@ -1,21 +1,25 @@
 // Package sim is a deterministic discrete-event simulation kernel with a
-// process model: simulated processors run as goroutines that cooperate
+// process model: simulated processors run as coroutines that cooperate
 // with the kernel, so node code reads sequentially (block on a receive,
 // advance simulated time for computation) while the kernel keeps a single
 // global virtual clock.
 //
-// Exactly one goroutine — the kernel or one process — runs at any moment;
-// the baton is passed over unbuffered channels. Ties in the event queue
-// are broken by schedule order, so a simulation is a pure function of its
-// inputs. This package plays the role CBS played for the paper: the
-// substrate on which the message passing LocusRoute executes.
+// Exactly one of the kernel and its processes runs at any moment: each
+// process is an iter.Pull coroutine, resumed by the kernel's next and
+// parked by its own yield, which the runtime switches between directly
+// without the scheduler. Ties in the event queue are broken by schedule
+// order, so a simulation is a pure function of its inputs. This package
+// plays the role CBS played for the paper: the substrate on which the
+// message passing LocusRoute executes.
 //
 // # Hot path
 //
 // The kernel dispatches one event per Wait, per channel wake, and per
 // scheduled callback, so event dispatch dominates a routing simulation's
-// wall clock. Three structural choices keep it cheap:
+// wall clock. Four structural choices keep it cheap:
 //
+//   - a process switch is a coroutine switch, not a goroutine handoff:
+//     no run-queue, no wake-up of an idle P, no futex;
 //   - events are pooled on a free list, and process resumes are a
 //     dedicated event flavour (a *Process field instead of a closure), so
 //     the steady state allocates nothing per event;
@@ -25,12 +29,13 @@
 //     order is exactly (time, seq) order and a plain list preserves the
 //     heap's semantics at O(1) — this is the channel-wake fast path;
 //   - Chan.Send wakes exactly one blocked receiver per item instead of
-//     all of them, removing the O(waiters) spurious wake/re-park baton
-//     round trips per item that a wake-all loop costs.
+//     all of them, removing the O(waiters) spurious wake/re-park round
+//     trips per item that a wake-all loop costs.
 package sim
 
 import (
 	"fmt"
+	"iter"
 
 	"locusroute/internal/tracev"
 )
@@ -133,7 +138,6 @@ type Kernel struct {
 
 	free *event // recycled events
 
-	yield  chan struct{} // a running process signals it has blocked/finished
 	procs  []*Process
 	closed bool
 
@@ -141,9 +145,7 @@ type Kernel struct {
 }
 
 // NewKernel returns an empty simulation.
-func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
@@ -235,49 +237,37 @@ type Process struct {
 	Name string
 	// Track is the trace track the process's events land on; runtimes
 	// that trace set it to their node id. Defaults to tracev.TrackKernel.
-	Track    int32
-	kernel   *Kernel
-	resume   chan struct{}
-	dead     bool
-	panicked any // non-nil: the process body panicked with this value
+	Track  int32
+	kernel *Kernel
+	// next resumes the process until it parks or finishes; stop unwinds
+	// a parked process; yield, called from the body, parks it. A finished
+	// process makes next and stop no-ops.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Spawn starts a new process whose body runs fn. The process begins
 // parked; it first runs when the kernel reaches its start event (time
 // Now). Spawn may be called before Run or from within a running process.
 func (k *Kernel) Spawn(name string, fn func(p *Process)) *Process {
-	p := &Process{Name: name, Track: tracev.TrackKernel, kernel: k, resume: make(chan struct{})}
-	k.procs = append(k.procs, p)
-	go func() {
+	p := &Process{Name: name, Track: tracev.TrackKernel, kernel: k}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			p.dead = true
 			if r := recover(); r != nil {
 				if _, ok := r.(killed); !ok {
-					// A real panic from node code: hand it to the kernel
-					// goroutine, which re-panics in Run's context.
-					p.panicked = r
+					// A real panic from node code: iter.Pull re-panics it
+					// in the kernel's context, out of Run.
+					panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name, r))
 				}
 			}
-			k.yield <- struct{}{}
 		}()
-		<-p.resume // wait for the start event
 		fn(p)
-	}()
+	})
+	k.procs = append(k.procs, p)
 	k.schedule(k.now, nil, p)
 	return p
-}
-
-// runProcess hands the baton to p and waits until it parks again or
-// finishes.
-func (k *Kernel) runProcess(p *Process) {
-	if p.dead {
-		return
-	}
-	p.resume <- struct{}{}
-	<-k.yield
-	if p.panicked != nil {
-		panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name, p.panicked))
-	}
 }
 
 // Run processes events until the queue is empty, then returns the final
@@ -294,7 +284,7 @@ func (k *Kernel) Run() Time {
 		k.now = e.at
 		if p := e.proc; p != nil {
 			k.release(e)
-			k.runProcess(p)
+			p.next()
 		} else {
 			fn := e.fn
 			k.release(e)
@@ -302,21 +292,14 @@ func (k *Kernel) Run() Time {
 		}
 	}
 	k.closed = true
-	// Unwind any parked processes so goroutines are not leaked.
-	for _, p := range k.procs {
-		if !p.dead {
-			p.kill()
-		}
+	// Unwind any parked processes so their coroutines are not leaked:
+	// stop makes the pending yield return false, and park panics with the
+	// killed sentinel. A process spawned by an unwinding one is stopped
+	// too, before it ever runs.
+	for i := 0; i < len(k.procs); i++ {
+		k.procs[i].stop()
 	}
 	return k.now
-}
-
-// kill resumes a parked process in a mode that makes park panic with the
-// killed sentinel, unwinding the process body.
-func (p *Process) kill() {
-	p.dead = true
-	p.resume <- struct{}{}
-	<-p.kernel.yield
 }
 
 // park blocks the process until the kernel resumes it. It must be called
@@ -324,9 +307,7 @@ func (p *Process) kill() {
 // parking with no way to wake is a deadlock, which Run resolves by
 // unwinding the process when the event queue drains.
 func (p *Process) park() {
-	p.kernel.yield <- struct{}{}
-	<-p.resume
-	if p.dead {
+	if !p.yield(struct{}{}) {
 		panic(killed{})
 	}
 }
@@ -383,8 +364,8 @@ func (c *Chan) Send(item any) {
 		w := c.waiters[0]
 		copy(c.waiters, c.waiters[1:])
 		c.waiters = c.waiters[:len(c.waiters)-1]
-		// Wake via an event so the currently running process keeps the
-		// baton until it parks.
+		// Wake via an event so the currently running process keeps
+		// running until it parks.
 		c.kernel.schedule(c.kernel.now, nil, w)
 	}
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestKernelAtOrdering(t *testing.T) {
@@ -237,4 +239,32 @@ func TestProcessPanicPropagates(t *testing.T) {
 		panic("real bug in node code")
 	})
 	k.Run()
+}
+
+// TestRunLeavesNoGoroutines checks that Run stops every process's
+// coroutine, including the ones still parked when the event queue drains
+// and one spawned while they unwind: a coroutine that is never stopped
+// keeps its goroutine forever.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	ch := NewChan(k)
+	for i := 0; i < 8; i++ {
+		k.Spawn("stuck", func(p *Process) {
+			p.Wait(Time(i))
+			ch.Recv(p) // never satisfied
+		})
+	}
+	k.Spawn("spawns while unwinding", func(p *Process) {
+		defer k.Spawn("late", func(*Process) { t.Error("a process spawned after Run ended ran") })
+		ch.Recv(p)
+	})
+	k.Spawn("finished", func(p *Process) { p.Wait(3) })
+	k.Run()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
 }

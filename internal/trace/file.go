@@ -105,7 +105,7 @@ func ReadFile(r io.Reader) (*Trace, int, error) {
 			return nil, 0, fmt.Errorf("trace: record %d has bad op %d", i, ref.Op)
 		}
 		if i > 0 {
-			if prev := t.Refs[i-1]; (key{ref.T, ref.Proc}).before(key{prev.T, prev.Proc}) {
+			if prev := t.Refs[i-1]; ref.T < prev.T || (ref.T == prev.T && ref.Proc < prev.Proc) {
 				return nil, 0, fmt.Errorf("trace: record %d (time %d, processor %d) is out of order after (time %d, processor %d)",
 					i, ref.T, ref.Proc, prev.T, prev.Proc)
 			}

@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"locusroute/internal/sim"
@@ -27,12 +30,15 @@ func stableSort(refs []Ref) {
 // exactly the stable sort of everything appended. The step distribution
 // makes equal times within a process and across processes common, step 0
 // alone is the zero-cost Perf configuration (every reference at T = 0),
-// and some processes stay empty.
+// and some processes stay empty. Five and 64 processes pad the winner
+// tree with empty leaves; every other trial starts the clocks just below
+// the packing bound and clamps them at it, so the largest T a key holds
+// is merged and drained against too.
 func TestMergeMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 300; trial++ {
-		procs := []int{1, 2, 3, 16}[trial%4]
-		steps := [][]sim.Time{{0}, {0, 0, 1}, {0, 1, 2, 7}, {1, 3}}[(trial/4)%4]
+	for trial := 0; trial < 480; trial++ {
+		procs := []int{1, 2, 3, 5, 16, 64}[trial%6]
+		steps := [][]sim.Time{{0}, {0, 0, 1}, {0, 1, 2, 7}, {1, 3}}[(trial/6)%4]
 		left := make([]int, procs) // refs each process has yet to append
 		for p := range left {
 			if rng.Intn(4) > 0 {
@@ -42,6 +48,13 @@ func TestMergeMatchesStableSort(t *testing.T) {
 		var got, want []Ref
 		m := NewMerger(procs, func(r Ref) { got = append(got, r) })
 		clock := make([]sim.Time, procs)
+		ceiling := sim.Time(math.MaxInt64)
+		if (trial/24)%2 == 1 {
+			ceiling = m.maxT
+			for p := range clock {
+				clock[p] = m.maxT - 100
+			}
+		}
 		for {
 			var live []int
 			for p, n := range left {
@@ -55,7 +68,7 @@ func TestMergeMatchesStableSort(t *testing.T) {
 			// One process runs for a burst, as one routes a wire.
 			p := live[rng.Intn(len(live))]
 			for n := 1 + rng.Intn(6); n > 0 && left[p] > 0; n-- {
-				clock[p] += steps[rng.Intn(len(steps))]
+				clock[p] = min(clock[p]+steps[rng.Intn(len(steps))], ceiling)
 				r := Ref{T: clock[p], Proc: p, Addr: uint64(len(want)), Op: Op(rng.Intn(2))}
 				m.Append(r)
 				want = append(want, r)
@@ -108,6 +121,55 @@ func TestDrainStopsAtWatermark(t *testing.T) {
 	m.Flush()
 	if len(got) != 3 || got[1].Proc != 0 || got[2].Proc != 1 {
 		t.Errorf("tie at T=5 not broken by processor: %+v", got)
+	}
+}
+
+// TestAppendRejectsMisorderedTimes pins Append's contract: a reference
+// earlier than its stream's previous one, a negative time (a packed key
+// would sort it last) and a time beyond the packing bound each panic,
+// naming the processor and both times, instead of misordering the merge.
+func TestAppendRejectsMisorderedTimes(t *testing.T) {
+	bound := NewMerger(3, nil).maxT
+	for _, tc := range []struct {
+		name string
+		refs []Ref
+		want string
+	}{
+		{"decreasing", []Ref{{T: 7, Proc: 2}, {T: 7, Proc: 2}, {T: 6, Proc: 2}}, "trace: proc 2 appended T=6 after T=7 "},
+		{"negative", []Ref{{T: 5, Proc: 0}, {T: -1, Proc: 1}}, "trace: proc 1 appended T=-1 after T=0 "},
+		{"beyond bound", []Ref{{T: bound, Proc: 0}, {T: bound + 1, Proc: 0}},
+			fmt.Sprintf("trace: proc 0 appended T=%d after T=%d ", bound+1, bound)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMerger(3, func(Ref) {})
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, tc.want) {
+					t.Errorf("panic %q, want prefix %q", msg, tc.want)
+				}
+			}()
+			for _, r := range tc.refs {
+				m.Append(r)
+			}
+		})
+	}
+}
+
+// TestDrainAtThePackingBound drains references at the largest T a key
+// holds: a watermark equal to it keeps them, any watermark above it —
+// whose own key would not fit — emits them.
+func TestDrainAtThePackingBound(t *testing.T) {
+	var got []Ref
+	m := NewMerger(16, func(r Ref) { got = append(got, r) })
+	m.Append(Ref{T: m.maxT, Proc: 15})
+	m.Append(Ref{T: m.maxT, Proc: 3})
+	m.Drain(m.maxT)
+	if len(got) != 0 {
+		t.Fatalf("Drain(bound) emitted %+v", got)
+	}
+	m.Drain(m.maxT + 1)
+	if len(got) != 2 || got[0].Proc != 3 || got[1].Proc != 15 {
+		t.Errorf("Drain(bound+1) emitted %+v, want procs 3 then 15", got)
 	}
 }
 
