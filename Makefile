@@ -3,13 +3,13 @@
 
 GO ?= go
 
-.PHONY: verify build test race loc serve-golden bench bench-layers layers-exact smoke-partition paper profile-paper
+.PHONY: verify build test race loc serve-golden bench bench-layers layers-exact smoke-partition paper profile-paper profile-route
 
 verify: ## build, vet, full tests, and race-test the concurrent packages
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/sm/... ./internal/mp/... ./internal/sim/... ./internal/locusd/... ./internal/policy/... ./internal/part/... ./internal/wire/... ./internal/reqtrace/... ./internal/store/...
+	$(GO) test -race ./internal/sm/... ./internal/mp/... ./internal/sim/... ./internal/locusd/... ./internal/policy/... ./internal/part/... ./internal/route/... ./internal/wire/... ./internal/reqtrace/... ./internal/store/...
 
 build:
 	$(GO) build ./...
@@ -95,3 +95,11 @@ profile-paper:
 	$(GO) build -o /tmp/paper-profile ./cmd/paper
 	/tmp/paper-profile -all -par 1 -cpuprofile /tmp/paper-profile.prof > /dev/null
 	$(GO) tool pprof -top -cum -nodecount 25 /tmp/paper-profile /tmp/paper-profile.prof
+
+# Where batch_route spends its CPU: the 4-partition route of the 10x
+# bnrE preset (BenchmarkPartitionedScaled/parts-4, the workload's circuit
+# and schedule) under the CPU profiler, top 25 by cumulative time. The
+# figures CHANGES.md quotes for the batch_route workload come from this.
+profile-route:
+	$(GO) test -run '^$$' -bench 'PartitionedScaled/parts-4$$' -benchmem -cpuprofile /tmp/route-profile.prof -o /tmp/route-profile.test ./internal/part/
+	$(GO) tool pprof -top -cum -nodecount 25 /tmp/route-profile.test /tmp/route-profile.prof

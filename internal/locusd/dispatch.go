@@ -157,16 +157,16 @@ func (s *Server) preempt(deadline time.Time) bool {
 
 // process evaluates one batch against the shard's replica. Only one
 // loop calls process for a given shard, so the array needs no lock;
-// the routing scratch is borrowed from the server's grid-keyed pool
-// for the batch and returned afterwards, so the per-request cost stays
-// at the reused-scratch allocation floor (see scratchPool).
+// the routing scratch is borrowed from route's grid-keyed pool for the
+// batch and returned afterwards, so the per-request cost stays at the
+// reused-scratch allocation floor (route.TestScratchPoolAllocs).
 // The batch arrives in queue order — deadline order under the scheduler,
 // arrival order without it — and BatchIndex records that commit order.
 func (s *Server) process(sh *shard, sc *servedCircuit, batch []*policy.Item) {
 	began := time.Now()
 	view := route.ArrayView{A: sh.arr}
-	scratch := s.scratch.Get(sc.grid)
-	defer s.scratch.Put(sc.grid, scratch)
+	scratch := route.GetScratch(sc.grid)
+	defer route.PutScratch(scratch)
 	tr := s.cfg.Tracer
 	batchStart := tr.Now() // 0 when tracing is disabled
 	for i, it := range batch {

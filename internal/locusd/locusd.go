@@ -27,7 +27,7 @@
 // There is no batch window: an idle shard evaluates a lone arrival at
 // once, and requests that queue up while a shard is busy (or the pool is
 // full) are popped together as its next batch and evaluated back to back
-// through a route.Scratch borrowed from a grid-keyed scratchPool for the
+// through a route.Scratch borrowed from route's grid-keyed pool for the
 // batch (reused scratch space is what makes the steady state
 // allocation-free). A par.Gate bounds admitted requests — a full gate
 // sheds load with HTTP 429 rather than queueing without bound — and a
@@ -243,9 +243,9 @@ type outcome struct {
 
 // shard is one serving replica: a private cost array and the queue its
 // loop drains. Routing scratch space is not owned by the shard — batches
-// borrow it from the server's grid-keyed pool (scratchPool), so
-// idle replicas hold no scratch memory and every circuit with the same
-// grid shares one warm set.
+// borrow it from route's grid-keyed pool (route.GetScratch), so idle
+// replicas hold no scratch memory and every circuit with the same grid
+// shares one warm set.
 type shard struct {
 	id  int
 	arr *costarray.CostArray
@@ -318,11 +318,6 @@ type Server struct {
 	// gets a fresh generation, fencing the result cache across evict +
 	// re-upload of the same name.
 	gen atomic.Uint64
-
-	// scratch pools routing scratch space per grid shape; batches borrow
-	// a Scratch for their whole run and return it, keeping the serving
-	// path at the reused-scratch allocation floor.
-	scratch scratchPool
 
 	met      metrics
 	draining atomic.Bool
@@ -598,11 +593,10 @@ func (s *Server) validate(f *flight) bool {
 	if err := locusroute.ValidateWires(f.sc.grid, []circuit.Wire{f.req.Wire}); err != nil {
 		return f.end(reqtrace.OutcomeRejected, err)
 	}
-	// The kernel caches the sorted copy of an unsorted pin list per wire
-	// (batch drivers reroute the same wire every iteration). A request's
-	// wire is routed once, and a cache entry would pin the whole request
-	// in a pooled scratch forever, so the request routes a sorted copy it
-	// owns — never the caller's slice reordered.
+	// The result cache keys on the pins (policy.KeyPins), so one wire set
+	// given in two pin orders must arrive as one key: the request carries
+	// its pins in the kernel's order, a sorted copy when the caller's were
+	// not — never the caller's slice reordered.
 	f.req.Wire.Pins = route.SortPins(f.req.Wire.Pins)
 	return true
 }

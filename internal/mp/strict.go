@@ -146,7 +146,9 @@ func (n *strictNode) ripAll() {
 
 // launchWire decomposes a wire into two-pin segments and starts a task
 // for each; segments beginning in other regions are passed immediately.
-// The sorted pin order comes from the scratch's per-run cache.
+// The sorted pins may live in the scratch's sort buffer, which only the
+// next SortedPins call overwrites: dispatch reaches RoutePair and send,
+// never SortedPins, so the buffer holds for the whole loop.
 func (n *strictNode) launchWire(wi int) {
 	pins := n.scratch.SortedPins(&n.r.circ.Wires[wi])
 	for i := 0; i+1 < len(pins); i++ {

@@ -66,10 +66,11 @@ func (n Negotiated) withDefaults() Negotiated {
 // during the initial pass) disables the pressure term entirely, which is
 // PathFinder's first iteration: route by length, discover congestion.
 //
-// Writes delegate straight to the occupancy array, so Commit/RipUp
-// through this view maintain the same wire counts as the fixed schedule.
-// presFac, hist, and capacity are only mutated between passes, while no
-// routing goroutine is running.
+// The view only prices candidates: routeNode places and rips paths on
+// the occupancy array itself, and AddCost writes there too, so wire
+// counts are maintained exactly as in the fixed schedule. presFac,
+// hist, and capacity are only mutated between passes, while no routing
+// goroutine is running.
 type negView struct {
 	arr      *costarray.CostArray
 	hist     []int32

@@ -124,6 +124,9 @@ func Route(c *circuit.Circuit, params route.Params, cfg Config) (route.Result, *
 		}
 		res = r.result()
 	}
+	for _, s := range r.scratch {
+		route.PutScratch(s)
+	}
 	st.RegionWallNs = make([]int64, len(tree.leaves))
 	for k, n := range tree.leaves {
 		st.RegionWallNs[k] = r.wallNs[n]
@@ -141,16 +144,16 @@ type runner struct {
 	tree   *Tree
 	pool   *par.Pool
 	arr    *costarray.CostArray
-	view   route.CostView // non-nil overrides ArrayView{arr} (negotiated)
+	view   route.CostView // non-nil prices candidates instead of ArrayView{arr} (negotiated)
 
 	paths []route.Path
 	last  []int64 // occupancy contribution per wire
 
-	wires   [][]int // per node: wire indices in ID order
-	cells   []int64 // per node: cost reads performed
-	routed  []int   // per node: wire routings performed
-	wallNs  []int64 // per node: routing wall time
-	scratch []*route.Scratch
+	wires   [][]int          // per node: wire indices in ID order
+	cells   []int64          // per node: cost reads performed
+	routed  []int            // per node: wire routings performed
+	wallNs  []int64          // per node: routing wall time
+	scratch []*route.Scratch // per node: pooled, returned when the run ends
 }
 
 // walk runs fn over the subtree at n in post order with sibling
@@ -176,8 +179,9 @@ func (r *runner) walk(n int, fn func(n int)) {
 // routeNode routes the listed wires of node n in ID order against the
 // shared array, replicating route.Sequential's per-wire operation
 // sequence: rip-up the previous path (when ripUp), evaluate into that
-// path's storage, measure path cost against the authoritative array,
-// commit. ws must be a
+// path's storage, place it (measure its cost against the authoritative
+// array and commit). Only evaluation goes through r.view: placement and
+// rip-up always land on the occupancy array. ws must be a
 // subset of r.wires[n] in ID order; callers pass r.wires[n] itself for
 // a full pass. A nil or empty list routes nothing — there is no
 // "no filter" sentinel, so a reroute pass with nothing to do at this
@@ -189,24 +193,22 @@ func (r *runner) routeNode(n int, ripUp bool, ws []int) {
 	r.pool.Run(func() {
 		start := time.Now()
 		if r.scratch[n] == nil {
-			r.scratch[n] = route.NewScratch(r.c.Grid)
+			r.scratch[n] = route.GetScratch(r.c.Grid)
 		}
 		s := r.scratch[n]
+		raw := route.ArrayView{A: r.arr}
 		view := r.view
 		if view == nil {
-			view = route.ArrayView{A: r.arr}
+			view = raw
 		}
-		raw := route.ArrayView{A: r.arr}
 		for _, i := range ws {
 			w := &r.c.Wires[i]
 			if ripUp {
-				route.RipUp(view, r.paths[i])
+				route.RipUp(raw, r.paths[i])
 			}
 			ev := s.RerouteWire(view, w, r.params, r.paths[i])
-			cost := route.PathCost(raw, ev.Path)
-			route.Commit(view, ev.Path)
+			r.last[i] = route.Place(r.arr, ev.Path)
 			r.paths[i] = ev.Path
-			r.last[i] = cost
 			r.cells[n] += int64(ev.CellsExamined)
 			r.routed[n]++
 		}

@@ -1,6 +1,10 @@
 package part
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"sync"
 	"testing"
 
 	"locusroute/internal/circuit"
@@ -143,5 +147,67 @@ func TestPartitionQualityClose(t *testing.T) {
 	if partRes.CircuitHeight > seqRes.CircuitHeight*3/2 {
 		t.Errorf("partitioned height %d vs sequential %d: more than 1.5x worse",
 			partRes.CircuitHeight, seqRes.CircuitHeight)
+	}
+}
+
+// arraySum fingerprints a cost array's cells.
+func arraySum(a *costarray.CostArray) [sha256.Size]byte {
+	buf := make([]byte, 0, 4*len(a.Cells()))
+	for _, v := range a.Cells() {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
+	return sha256.Sum256(buf)
+}
+
+// Concurrent runs on two grids draw their scratches from route's shared
+// pool, get back scratches other runs routed with, and must still route
+// exactly as a serial run does: a pooled scratch carries nothing from one
+// run into the next.
+func TestPooledScratchConcurrentRoutes(t *testing.T) {
+	circs := []*circuit.Circuit{genCircuit(t, circuit.BnrELike, 1), genCircuit(t, circuit.MDCLike, 1)}
+	if circs[0].Grid == circs[1].Grid {
+		t.Fatal("the two circuits share a grid")
+	}
+	type out struct {
+		res route.Result
+		sum [sha256.Size]byte
+	}
+	params := route.DefaultParams()
+	run := func(c *circuit.Circuit) (out, error) {
+		res, arr, _, err := Route(c, params, Config{Partitions: 4})
+		if err != nil {
+			return out{}, err
+		}
+		return out{res, arraySum(arr)}, nil
+	}
+	want := make([]out, len(circs))
+	for i, c := range circs {
+		var err error
+		if want[i], err = run(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 4; k++ {
+				i := (g + k) % len(circs)
+				got, err := run(circs[i])
+				if err == nil && got != want[i] {
+					err = fmt.Errorf("goroutine %d run %d on %s: %+v, serial %+v", g, k, circs[i].Name, got, want[i])
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

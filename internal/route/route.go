@@ -8,13 +8,18 @@
 // message passing node's local view, and the traced shared memory version
 // (where every read and write is recorded for the coherence simulator).
 // A plain ArrayView is costed by run sums straight off its cells; any
-// other view is read cell by cell, in path order, through Cost.
+// other view is read cell by cell, in path order, through Cost. Either
+// way the winner is written into the path as its three straight runs,
+// and a path is placed on (or ripped from) a plain array without an
+// interface call per cell (Place, Commit, RipUp).
 package route
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"locusroute/internal/circuit"
+	"locusroute/internal/costarray"
 	"locusroute/internal/geom"
 )
 
@@ -122,6 +127,13 @@ func RouteWire(view CostView, w *circuit.Wire, params Params) Eval {
 // authoritative array of their paradigm just before committing.
 func PathCost(view CostView, path Path) int64 {
 	var c int64
+	if av, ok := view.(ArrayView); ok {
+		cells, stride := av.A.Cells(), av.A.Grid().Grids
+		for _, p := range path.Cells {
+			c += int64(cells[p.Y*stride+p.X])
+		}
+		return c
+	}
 	for _, cell := range path.Cells {
 		c += int64(view.Cost(cell.X, cell.Y))
 	}
@@ -129,51 +141,57 @@ func PathCost(view CostView, path Path) int64 {
 }
 
 // Commit adds one wire along path in view.
-func Commit(view CostView, path Path) {
-	for _, c := range path.Cells {
-		view.AddCost(c.X, c.Y, 1)
-	}
-}
+func Commit(view CostView, path Path) { add(view, path, 1) }
 
 // RipUp removes one wire along path in view (decrementing the cost array
 // locations in its path, as the paper describes for rerouting).
-func RipUp(view CostView, path Path) {
-	for _, c := range path.Cells {
-		view.AddCost(c.X, c.Y, -1)
+func RipUp(view CostView, path Path) { add(view, path, -1) }
+
+// add adds d to every cell of path in view, straight on the cells of a
+// plain ArrayView.
+func add(view CostView, path Path, d int32) {
+	if av, ok := view.(ArrayView); ok {
+		cells, stride := av.A.Cells(), av.A.Grid().Grids
+		for _, p := range path.Cells {
+			cells[p.Y*stride+p.X] += d
+		}
+		return
 	}
+	for _, c := range path.Cells {
+		view.AddCost(c.X, c.Y, d)
+	}
+}
+
+// Place commits path on a and returns its cost just before the commit:
+// PathCost then Commit in one pass, which is the same thing because a
+// kernel path never repeats a cell.
+func Place(a *costarray.CostArray, path Path) int64 {
+	cells, stride := a.Cells(), a.Grid().Grids
+	var c int64
+	for _, p := range path.Cells {
+		i := p.Y*stride + p.X
+		c += int64(cells[i])
+		cells[i]++
+	}
+	return c
 }
 
 // SortPins returns pins in the kernel's segment order, (X, Y): pins
 // itself when already in order (the common case for generated circuits),
-// otherwise a sorted copy — it never reorders pins in place. A caller
-// routing a wire once (a served request) passes the result as the wire's
-// pins, so Scratch.SortedPins has nothing to cache for it.
+// otherwise a sorted copy — it never reorders pins in place.
 func SortPins(pins []geom.Point) []geom.Point {
-	if pinsSorted(pins) {
+	if slices.IsSortedFunc(pins, pinCmp) {
 		return pins
 	}
-	out := make([]geom.Point, len(pins))
-	copy(out, pins)
-	sort.Slice(out, func(i, j int) bool { return pinLess(out[i], out[j]) })
+	out := slices.Clone(pins)
+	slices.SortFunc(out, pinCmp)
 	return out
 }
 
-func pinsSorted(pins []geom.Point) bool {
-	for i := 1; i < len(pins); i++ {
-		if pinLess(pins[i], pins[i-1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// pinLess is the pin ordering of the segment decomposition: by X, ties by
+// pinCmp is the pin ordering of the segment decomposition: by X, ties by
 // Y.
-func pinLess(a, b geom.Point) bool {
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	return a.Y < b.Y
+func pinCmp(a, b geom.Point) int {
+	return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y))
 }
 
 // hvhPath builds the cell list for the horizontal-vertical-horizontal

@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"locusroute/internal/circuit"
@@ -61,12 +62,13 @@ func TestFlatSegmentMatchesWalker(t *testing.T) {
 	}
 }
 
-// FuzzFlatSegment is TestFlatSegmentMatchesWalker under the fuzzer. The
-// seed corpus is the edge cases, so plain `go test` runs them: one
-// channel, one grid column, p == q, same row, same column, same column
-// with a detour (the two verticals overlap beyond the pins and the
-// walker counts those cells twice), and MaxHVHCandidates 1, 2, 3, 24
-// and beyond the span with VHVDetourChannels 0, 1 and 5.
+// FuzzFlatSegment is TestFlatSegmentMatchesWalker and
+// TestWinnerRunsMatchWalker under the fuzzer. The seed corpus is the
+// edge cases, so plain `go test` runs them: one channel, one grid
+// column, p == q, same row, same column, same column with a detour (the
+// two verticals overlap beyond the pins and the walker counts those
+// cells twice), and MaxHVHCandidates 1, 2, 3, 24 and beyond the span
+// with VHVDetourChannels 0, 1 and 5.
 func FuzzFlatSegment(f *testing.F) {
 	for _, c := range []struct {
 		channels, grids, px, py, qx, qy, maxHVH, detour uint8
@@ -95,6 +97,7 @@ func FuzzFlatSegment(f *testing.F) {
 		params := Params{MaxHVHCandidates: int(maxHVH), VHVDetourChannels: int(detour) % 8}
 		checkFlatMatchesWalker(t, v, []geom.Point{p, q}, params)
 		checkFlatMatchesWalker(t, v, []geom.Point{p, q, geom.Pt(rng.Intn(gr), rng.Intn(ch))}, params)
+		checkAllWinners(t, v.Grid(), p, q)
 	})
 }
 
@@ -120,28 +123,139 @@ func TestNegativeBestIsReplaced(t *testing.T) {
 	}
 }
 
-// Only sorted copies the scratch had to make are cached: wires that are
-// routed once with pins already in order — what locusd and the store
-// hand the kernel — leave nothing behind, and SortPins never reorders
-// its argument.
-func TestSortedPinsCachesOnlyCopies(t *testing.T) {
-	v := emptyView(6, 60)
-	s := NewScratch(v.Grid())
-	const n = 1000
-	for id := 0; id < n; id++ {
-		unsorted := []geom.Point{geom.Pt(50, 4), geom.Pt(id%40, 1), geom.Pt(20, 5)}
-		sorted := SortPins(unsorted)
-		if unsorted[0] != geom.Pt(50, 4) || unsorted[1] != geom.Pt(id%40, 1) {
-			t.Fatalf("SortPins reordered its argument: %v", unsorted)
+// SortedPins allocates nothing on sorted or unsorted wires once its
+// buffer has grown, returns sorted pins either way, and neither it nor
+// SortPins reorders the wire's own pins.
+func TestSortedPinsAllocatesNothing(t *testing.T) {
+	s := NewScratch(geom.Grid{Channels: 6, Grids: 60})
+	in := []geom.Point{geom.Pt(50, 4), geom.Pt(3, 1), geom.Pt(20, 5), geom.Pt(3, 0)}
+	unsorted := &circuit.Wire{ID: 1, Pins: slices.Clone(in)}
+	sorted := &circuit.Wire{ID: 2, Pins: SortPins(unsorted.Pins)}
+	want := []geom.Point{geom.Pt(3, 0), geom.Pt(3, 1), geom.Pt(20, 5), geom.Pt(50, 4)}
+	if !slices.Equal(sorted.Pins, want) || !slices.Equal(unsorted.Pins, in) {
+		t.Fatalf("SortPins(%v) = %v, want %v and its argument unchanged", in, sorted.Pins, want)
+	}
+	for _, w := range []*circuit.Wire{sorted, unsorted} {
+		if got := s.SortedPins(w); !slices.Equal(got, want) {
+			t.Fatalf("SortedPins(%v) = %v, want %v", w.Pins, got, want)
 		}
-		s.RouteWire(v, &circuit.Wire{ID: id, Pins: sorted}, DefaultParams())
+		if allocs := testing.AllocsPerRun(100, func() { s.SortedPins(w) }); allocs != 0 {
+			t.Errorf("SortedPins on wire %d costs %.1f allocs, want 0", w.ID, allocs)
+		}
 	}
-	if len(s.pins) != 0 {
-		t.Fatalf("%d one-shot sorted wires left %d pin-cache entries, want 0", n, len(s.pins))
+	if !slices.Equal(unsorted.Pins, in) {
+		t.Fatalf("SortedPins reordered the wire's pins: %v", unsorted.Pins)
 	}
-	w := &circuit.Wire{ID: 3, Pins: []geom.Point{geom.Pt(50, 4), geom.Pt(3, 1)}}
-	if a, b := s.SortedPins(w), s.SortedPins(w); &a[0] != &b[0] || len(s.pins) != 1 {
-		t.Fatalf("an unsorted wire's sorted copy was not cached (%d entries)", len(s.pins))
+}
+
+// recordView is a zero-cost CostView that records every Cost read, in
+// order: what the walker reads of a candidate.
+type recordView struct{ reads []geom.Point }
+
+func (v *recordView) Grid() geom.Grid { return geom.Grid{} }
+
+func (v *recordView) Cost(x, y int) int32 {
+	v.reads = append(v.reads, geom.Pt(x, y))
+	return 0
+}
+
+func (v *recordView) AddCost(x, y int, d int32) {}
+
+// walked returns the cells the walker reads costing candidate m (a VHV
+// crossing channel when vhv, else an HVH jog column).
+func walked(p, q geom.Point, vhv bool, m int) []geom.Point {
+	rec := &recordView{}
+	k := costSink{view: rec}
+	if vhv {
+		walkVHV(p, q, m, &k)
+	} else {
+		walkHVH(p, q, m, &k)
+	}
+	return rec.reads
+}
+
+// checkWinnerRuns requires the runs that write candidate m to agree with
+// the walker's reads of it. Each of the three runs, written on a fresh
+// wire, must yield exactly its stretch of the reads: the corner the
+// walker skips skipped, nothing else. Scratch.winner on one wire must
+// yield the reads less the cells the wire already holds (the detoured
+// same-column VHV walks some twice).
+func checkWinnerRuns(t *testing.T, s *Scratch, p, q geom.Point, vhv bool, m int) {
+	t.Helper()
+	want := walked(p, q, vhv, m)
+	runs := [3]func(){
+		func() { s.row(p.Y, p.X, m, true) },
+		func() { s.col(m, p.Y, q.Y, false) },
+		func() { s.row(q.Y, m, q.X, false) },
+	}
+	if vhv {
+		runs = [3]func(){
+			func() { s.col(p.X, p.Y, m, true) },
+			func() { s.row(m, p.X, q.X, false) },
+			func() { s.col(q.X, m, q.Y, false) },
+		}
+	}
+	var got []geom.Point
+	for _, run := range runs {
+		s.beginWire()
+		run()
+		got = append(got, s.cells...)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("runs of %v-%v vhv=%v m=%d on %v:\nruns   %v\nwalker %v", p, q, vhv, m, s.grid, got, want)
+	}
+	var uniq []geom.Point
+	for _, c := range want {
+		if !slices.Contains(uniq, c) {
+			uniq = append(uniq, c)
+		}
+	}
+	s.beginWire()
+	s.winner(p, q, vhv, m)
+	if !slices.Equal(s.cells, uniq) {
+		t.Fatalf("winner %v-%v vhv=%v m=%d on %v:\nwinner %v\nwalker %v", p, q, vhv, m, s.grid, s.cells, uniq)
+	}
+}
+
+// checkAllWinners runs checkWinnerRuns for segment p-q through every jog
+// column and every crossing channel of grid g.
+func checkAllWinners(t *testing.T, g geom.Grid, p, q geom.Point) {
+	t.Helper()
+	s := NewScratch(g)
+	for xm := 0; xm < g.Grids; xm++ {
+		checkWinnerRuns(t, s, p, q, false, xm)
+	}
+	for ym := 0; ym < g.Channels; ym++ {
+		checkWinnerRuns(t, s, p, q, true, ym)
+	}
+}
+
+// The winner written as runs must be the walker's cells in order, on
+// random segments and on the edge cases: p == q, same row, same column,
+// runs in both directions, and one-wide grids.
+func TestWinnerRunsMatchWalker(t *testing.T) {
+	for _, c := range []struct {
+		g    geom.Grid
+		p, q geom.Point
+	}{
+		{geom.Grid{Channels: 6, Grids: 30}, geom.Pt(7, 3), geom.Pt(7, 3)},
+		{geom.Grid{Channels: 6, Grids: 30}, geom.Pt(2, 4), geom.Pt(25, 4)},
+		{geom.Grid{Channels: 6, Grids: 30}, geom.Pt(25, 4), geom.Pt(2, 4)},
+		{geom.Grid{Channels: 9, Grids: 30}, geom.Pt(12, 1), geom.Pt(12, 7)},
+		{geom.Grid{Channels: 9, Grids: 30}, geom.Pt(12, 7), geom.Pt(12, 1)},
+		{geom.Grid{Channels: 10, Grids: 60}, geom.Pt(50, 8), geom.Pt(2, 1)},
+		{geom.Grid{Channels: 1, Grids: 40}, geom.Pt(3, 0), geom.Pt(30, 0)},
+		{geom.Grid{Channels: 8, Grids: 1}, geom.Pt(0, 6), geom.Pt(0, 2)},
+		{geom.Grid{Channels: 1, Grids: 1}, geom.Pt(0, 0), geom.Pt(0, 0)},
+	} {
+		checkAllWinners(t, c.g, c.p, c.q)
+	}
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 300; trial++ {
+		g := geom.Grid{Channels: 1 + rng.Intn(12), Grids: 1 + rng.Intn(50)}
+		p := geom.Pt(rng.Intn(g.Grids), rng.Intn(g.Channels))
+		q := geom.Pt(rng.Intn(g.Grids), rng.Intn(g.Channels))
+		checkAllWinners(t, g, p, q)
 	}
 }
 
@@ -184,8 +298,8 @@ func TestRerouteWireNeverAliases(t *testing.T) {
 }
 
 // A reroute whose winner fits the ripped-up path's storage allocates
-// nothing: with the sorted-pin cache warm, the Path copy was the
-// kernel's only allocation.
+// nothing: with the sort buffer grown, the Path copy was the kernel's
+// only allocation.
 func TestRerouteWireFitsAllocatesNothing(t *testing.T) {
 	v := emptyView(6, 60)
 	s := NewScratch(v.Grid())

@@ -1,6 +1,9 @@
 package route
 
 import (
+	"slices"
+	"sync"
+
 	"locusroute/internal/circuit"
 	"locusroute/internal/costarray"
 	"locusroute/internal/geom"
@@ -8,19 +11,22 @@ import (
 
 // Scratch is the reusable per-worker state of the routing kernel. One
 // Scratch belongs to exactly one thread of control — a sequential run,
-// one shared memory goroutine or logical process, or one message passing
-// processor — for the whole run, so the kernel can evaluate and
-// materialise routes without per-wire allocation:
+// one shared memory goroutine or logical process, one message passing
+// processor, or one served batch — between GetScratch and PutScratch (or
+// for the whole run), so the kernel can evaluate and materialise routes
+// without per-wire allocation:
 //
 //   - visited is an epoch-stamped grid that replaces the per-wire
 //     map[Point]bool: bumping epoch "clears" it in O(1), and a cell is a
 //     duplicate within the current wire iff its stamp equals epoch.
 //   - cells accumulates the winning path of the wire being routed; the
 //     kernel costs candidates without materialising them (runs for a
-//     plain ArrayView, coster for any other view) and materialises cells
-//     only for the winner.
-//   - pins caches the sorted copy of each unsorted pin list across rip-up
-//     iterations, keyed by wire ID and validated against the wire pointer.
+//     plain ArrayView, coster for any other view) and writes the winner's
+//     three runs straight into cells (row, col).
+//   - sorted is SortedPins' buffer for a wire whose pins are out of order.
+//
+// Between calls a Scratch holds no reference to any array, view or
+// circuit, so pooling one retains nothing of what it routed.
 //
 // Scratch is not safe for concurrent use. The CostView stays the seam
 // between the kernel and its callers: a view that is not a plain
@@ -34,15 +40,7 @@ type Scratch struct {
 	cells   []geom.Point
 	coster  costSink
 	runs    runSums
-	pins    map[int]pinEntry
-}
-
-// pinEntry is one cached sorted pin list. The wire pointer validates the
-// entry: a different *Wire with the same ID (e.g. a synthetic per-segment
-// wire) recomputes rather than reusing stale pins.
-type pinEntry struct {
-	w    *circuit.Wire
-	pins []geom.Point
+	sorted  []geom.Point
 }
 
 // NewScratch returns a Scratch sized for grid g.
@@ -50,6 +48,33 @@ func NewScratch(g geom.Grid) *Scratch {
 	s := &Scratch{}
 	s.ensure(g)
 	return s
+}
+
+// scratchPools recycles scratches across independent routing calls, one
+// sync.Pool per grid: a Scratch's visited array is sized for one grid, so
+// a shared pool serving two grids would hand out scratches that resize on
+// every other call. The key space is the set of grids the process routes.
+var scratchPools sync.Map // geom.Grid -> *sync.Pool of *Scratch
+
+func scratchPool(g geom.Grid) *sync.Pool {
+	if sp, ok := scratchPools.Load(g); ok {
+		return sp.(*sync.Pool)
+	}
+	sp, _ := scratchPools.LoadOrStore(g, &sync.Pool{New: func() any { return NewScratch(g) }})
+	return sp.(*sync.Pool)
+}
+
+// GetScratch returns a Scratch sized for grid g from the process-wide
+// pool, allocating one only when none is free. The caller owns it until
+// PutScratch. Safe for concurrent use.
+func GetScratch(g geom.Grid) *Scratch { return scratchPool(g).Get().(*Scratch) }
+
+// PutScratch returns s to the pool of the grid it is sized for; nil is
+// ignored. The caller must not use s afterwards.
+func PutScratch(s *Scratch) {
+	if s != nil {
+		scratchPool(s.grid).Put(s)
+	}
 }
 
 // ensure (re)sizes the visited grid when the scratch first sees a grid or
@@ -65,25 +90,17 @@ func (s *Scratch) ensure(g geom.Grid) {
 	s.cells = s.cells[:0]
 }
 
-// SortedPins returns w's pins sorted by (X, Y): as they are when already
-// in order, else a sorted copy cached for the lifetime of the scratch, so
-// a batch driver rerouting the wire every iteration sorts it once. A wire
-// routed only once should arrive sorted (SortPins), or its entry stays.
-// Callers must not mutate the returned slice, and must not mutate w.Pins
-// while the scratch is in use.
+// SortedPins returns w's pins sorted by (X, Y): w.Pins itself when
+// already in order, else a sorted copy in the scratch's buffer, valid
+// until the next SortedPins call on s. Neither allocates once the buffer
+// has grown to the wire's pin count. Callers must not mutate the result.
 func (s *Scratch) SortedPins(w *circuit.Wire) []geom.Point {
-	if pinsSorted(w.Pins) {
+	if slices.IsSortedFunc(w.Pins, pinCmp) {
 		return w.Pins
 	}
-	if e, ok := s.pins[w.ID]; ok && e.w == w {
-		return e.pins
-	}
-	pins := SortPins(w.Pins)
-	if s.pins == nil {
-		s.pins = make(map[int]pinEntry)
-	}
-	s.pins[w.ID] = pinEntry{w: w, pins: pins}
-	return pins
+	s.sorted = append(s.sorted[:0], w.Pins...)
+	slices.SortFunc(s.sorted, pinCmp)
+	return s.sorted
 }
 
 // RouteWire evaluates the candidate routes for w against view and returns
@@ -159,24 +176,80 @@ func (s *Scratch) takePath(into []geom.Point) Path {
 	return Path{Cells: into}
 }
 
-// visit implements cellSink for winner materialisation: append the cell
-// to the wire's path unless this wire already holds it.
-func (s *Scratch) visit(x, y int) {
-	idx := y*s.grid.Grids + x
-	if s.visited[idx] == s.epoch {
+// row writes the cells of channel y from column from to column to (either
+// direction) into the wire's path, skipping the first when !first — the
+// corner the previous run ended on — and any cell the wire already holds.
+func (s *Scratch) row(y, from, to int, first bool) {
+	step := 1
+	if to < from {
+		step = -1
+	}
+	if !first {
+		if from == to {
+			return
+		}
+		from += step
+	}
+	at := y * s.grid.Grids
+	for x := from; ; x += step {
+		if s.visited[at+x] != s.epoch {
+			s.visited[at+x] = s.epoch
+			s.cells = append(s.cells, geom.Pt(x, y))
+		}
+		if x == to {
+			return
+		}
+	}
+}
+
+// col is row for column x, channels from to to.
+func (s *Scratch) col(x, from, to int, first bool) {
+	step := 1
+	if to < from {
+		step = -1
+	}
+	if !first {
+		if from == to {
+			return
+		}
+		from += step
+	}
+	stride := step * s.grid.Grids
+	i := from*s.grid.Grids + x
+	for y := from; ; y, i = y+step, i+stride {
+		if s.visited[i] != s.epoch {
+			s.visited[i] = s.epoch
+			s.cells = append(s.cells, geom.Pt(x, y))
+		}
+		if y == to {
+			return
+		}
+	}
+}
+
+// winner writes the cells of candidate m (a VHV crossing channel when
+// vhv, else an HVH jog column) into the wire's path as its three runs —
+// the cells walkVHV/walkHVH visit, in order, less those the wire already
+// holds.
+func (s *Scratch) winner(p, q geom.Point, vhv bool, m int) {
+	if vhv {
+		s.col(p.X, p.Y, m, true)
+		s.row(m, p.X, q.X, false)
+		s.col(q.X, m, q.Y, false)
 		return
 	}
-	s.visited[idx] = s.epoch
-	s.cells = append(s.cells, geom.Pt(x, y))
+	s.row(p.Y, p.X, m, true)
+	s.col(m, p.Y, q.Y, false)
+	s.row(q.Y, m, q.X, false)
 }
 
 // routeSegment enumerates the low-bend candidate routes between p and q —
 // the HVH family over sampled jog columns, then the VHV family over the
 // extended pin band — costs each, and materialises cells only for the
 // cheapest (ties broken by enumeration order). A plain ArrayView is costed
-// by run sums; any other view by walking each candidate's cells against it
-// with the walker that materialises the winner, so the reads it observes
-// and the winner's cells are the same sequence by construction.
+// by run sums; any other view by walking each candidate's cells against
+// it. The winner is written as runs (winner); TestWinnerRunsMatchWalker
+// and FuzzFlatSegment pin its cells to the walker's reads.
 func (s *Scratch) routeSegment(view CostView, p, q geom.Point, params Params) (cost int64, examined int) {
 	grid := view.Grid()
 	x0, x1 := min(p.X, q.X), max(p.X, q.X)
@@ -248,18 +321,9 @@ func (s *Scratch) routeSegment(view CostView, p, q geom.Point, params Params) (c
 
 	// Materialise only the winner; this pass reads nothing from the view,
 	// so traced executions observe candidate evaluation reads only.
-	if bestVHV {
-		walkVHV(p, q, bestM, s)
-	} else {
-		walkHVH(p, q, bestM, s)
-	}
+	s.winner(p, q, bestVHV, bestM)
 	s.coster.view, s.runs.cells = nil, nil
 	return best, examined
-}
-
-// cellSink receives the cells of one candidate route in path order.
-type cellSink interface {
-	visit(x, y int)
 }
 
 // costSink sums view costs over a candidate walk.
@@ -352,9 +416,11 @@ func (r *runSums) vhv(ym int) (sum int64, n int) {
 
 // runWalker emits the cells of a candidate's horizontal and vertical runs
 // with adjacent duplicates (the corners where runs meet) skipped — the
-// same sequence the materialised hvhPath/vhvPath lists hold.
+// same sequence the materialised hvhPath/vhvPath lists hold — into a
+// costSink. It costs views that are not plain arrays; the winner is
+// written by Scratch.winner.
 type runWalker struct {
-	sink         cellSink
+	sink         *costSink
 	lastX, lastY int
 	started      bool
 }
@@ -394,18 +460,18 @@ func (w *runWalker) vertical(x, y0, y1 int) {
 	}
 }
 
-// walkHVH visits the cells of the horizontal-vertical-horizontal route
+// walkHVH costs the cells of the horizontal-vertical-horizontal route
 // through jog column xm, in path order.
-func walkHVH(p, q geom.Point, xm int, sink cellSink) {
+func walkHVH(p, q geom.Point, xm int, sink *costSink) {
 	w := runWalker{sink: sink}
 	w.horizontal(p.Y, p.X, xm)
 	w.vertical(xm, p.Y, q.Y)
 	w.horizontal(q.Y, xm, q.X)
 }
 
-// walkVHV visits the cells of the vertical-horizontal-vertical route
+// walkVHV costs the cells of the vertical-horizontal-vertical route
 // through crossing channel ym, in path order.
-func walkVHV(p, q geom.Point, ym int, sink cellSink) {
+func walkVHV(p, q geom.Point, ym int, sink *costSink) {
 	w := runWalker{sink: sink}
 	w.vertical(p.X, p.Y, ym)
 	w.horizontal(ym, p.X, q.X)

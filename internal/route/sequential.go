@@ -44,7 +44,8 @@ func Sequential(c *circuit.Circuit, params Params) (Result, *costarray.CostArray
 	params = params.withDefaults()
 	arr := costarray.New(c.Grid)
 	view := ArrayView{A: arr}
-	scratch := NewScratch(c.Grid)
+	scratch := GetScratch(c.Grid)
+	defer PutScratch(scratch)
 	paths := make([]Path, len(c.Wires))
 	lastCost := make([]int64, len(c.Wires))
 	var res Result
@@ -56,10 +57,8 @@ func Sequential(c *circuit.Circuit, params Params) (Result, *costarray.CostArray
 				RipUp(view, paths[i])
 			}
 			ev := scratch.RerouteWire(view, w, params, paths[i])
-			cost := PathCost(ArrayView{A: arr}, ev.Path)
-			Commit(view, ev.Path)
+			lastCost[i] = Place(arr, ev.Path)
 			paths[i] = ev.Path
-			lastCost[i] = cost
 			res.CellsExamined += int64(ev.CellsExamined)
 			res.WiresRouted++
 		}

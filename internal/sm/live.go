@@ -74,7 +74,7 @@ func RunLive(circ *circuit.Circuit, cfg Config) (Result, error) {
 
 	// One routing scratch per worker slot for the whole run: the slot-p
 	// goroutines of successive iterations are separated by wg.Wait, so the
-	// scratch (and its sorted-pin cache) hands off cleanly between them.
+	// scratch hands off cleanly between them.
 	scratches := make([]*route.Scratch, cfg.Procs)
 	for i := range scratches {
 		scratches[i] = route.NewScratch(circ.Grid)

@@ -421,10 +421,8 @@ func routeBaseline(c *circuit.Circuit, params route.Params) (route.Result, *cost
 				route.RipUp(view, paths[i])
 			}
 			ev := scratch.RouteWire(view, w, params)
-			cost := route.PathCost(view, ev.Path)
-			route.Commit(view, ev.Path)
+			lastCost[i] = route.Place(arr, ev.Path)
 			paths[i] = ev.Path
-			lastCost[i] = cost
 			res.CellsExamined += int64(ev.CellsExamined)
 			res.WiresRouted++
 		}
@@ -566,15 +564,8 @@ func (e *entry) apply(params route.Params, ops []Op) []OpResult {
 // routeInto routes one wire against current congestion and commits it,
 // filling the result's evaluation fields.
 func (e *entry) routeInto(view route.ArrayView, params route.Params, w *circuit.Wire, r *OpResult) {
-	// A mutation routes its wire once, on pins the op may just have
-	// replaced under the same *Wire: route sorted pins, so the scratch's
-	// per-wire cache of sorted copies (kept for batch drivers) neither
-	// grows with every added wire nor answers a reroute with the wire's
-	// previous pins.
-	once := circuit.Wire{ID: w.ID, Pins: route.SortPins(w.Pins)}
-	ev := e.scratch.RouteWire(view, &once, params)
-	r.Cost = route.PathCost(view, ev.Path)
-	route.Commit(view, ev.Path)
+	ev := e.scratch.RouteWire(view, w, params)
+	r.Cost = route.Place(view.A, ev.Path)
 	r.Routed = ev.Path
 	r.PathCells = ev.Path.Len()
 	r.CellsExamined = ev.CellsExamined
