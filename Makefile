@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race loc serve-golden bench bench-layers layers-exact smoke-partition paper profile-paper profile-route
+.PHONY: verify build test race loc serve-golden part-golden bench bench-layers layers-exact smoke-partition paper profile-paper profile-route
 
 verify: ## build, vet, full tests, and race-test the concurrent packages
 	$(GO) build ./...
@@ -40,6 +40,14 @@ loc:
 # tables' sha256 is to the simulators. ~10 s under -race on 2 cores.
 serve-golden:
 	$(GO) test -race -count=1 -run TestServingGolden ./internal/locusd/
+
+# The partitioned router's golden digests: the Result, cost array and
+# every path of 27 fixed runs (bnrE and MDC at parts 2/3/4/8, seeds 1-3;
+# the 10x preset in two shuffled wire orders; one negotiated run), pinned
+# in internal/part/golden_test.go. Run under -race: the runs share a
+# worker pool.
+part-golden:
+	$(GO) test -race -count=1 -run TestPartitionedGolden ./internal/part/
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) is the
 # one perf surface: `bench` measures the four workloads end to end,

@@ -76,6 +76,16 @@ func (s *Stats) BoundaryFrac() float64 {
 // disjoint from its own. With Partitions == 1 the tree is one leaf and
 // the wire-by-wire operation sequence equals route.Sequential's exactly.
 func Route(c *circuit.Circuit, params route.Params, cfg Config) (route.Result, *costarray.CostArray, *Stats, error) {
+	r, res, st, err := run(c, params, cfg)
+	if err != nil {
+		return route.Result{}, nil, nil, err
+	}
+	return res, r.arr, st, nil
+}
+
+// run is Route, returning the finished runner (and with it every wire's
+// final path) in place of the bare array.
+func run(c *circuit.Circuit, params route.Params, cfg Config) (*runner, route.Result, *Stats, error) {
 	params = params.Normalized()
 	parts := cfg.Partitions
 	if parts <= 0 {
@@ -83,7 +93,7 @@ func Route(c *circuit.Circuit, params route.Params, cfg Config) (route.Result, *
 	}
 	tree, err := NewTree(c.Grid, parts)
 	if err != nil {
-		return route.Result{}, nil, nil, err
+		return nil, route.Result{}, nil, err
 	}
 
 	r := &runner{
@@ -131,7 +141,7 @@ func Route(c *circuit.Circuit, params route.Params, cfg Config) (route.Result, *
 	for k, n := range tree.leaves {
 		st.RegionWallNs[k] = r.wallNs[n]
 	}
-	return res, r.arr, st, nil
+	return r, res, st, nil
 }
 
 // runner holds the shared state of one partition-parallel run. Slices
