@@ -44,10 +44,12 @@ serve-golden:
 # The partitioned router's golden digests: the Result, cost array and
 # every path of 27 fixed runs (bnrE and MDC at parts 2/3/4/8, seeds 1-3;
 # the 10x preset in two shuffled wire orders; one negotiated run), pinned
-# in internal/part/golden_test.go. Run under -race: the runs share a
-# worker pool.
+# in internal/part/golden_test.go. Then the boundary-wire conflict graph
+# against a one-by-one serial reference at GOMAXPROCS 1/2/8, five times.
+# All under -race. ~30 s on 2 cores.
 part-golden:
 	$(GO) test -race -count=1 -run TestPartitionedGolden ./internal/part/
+	$(GO) test -race -count=5 -run TestConflictOrderMatchesSerial ./internal/part/
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) is the
 # one perf surface: `bench` measures the four workloads end to end,
@@ -107,7 +109,10 @@ profile-paper:
 # Where batch_route spends its CPU: the 4-partition route of the 10x
 # bnrE preset (BenchmarkPartitionedScaled/parts-4, the workload's circuit
 # and schedule) under the CPU profiler, top 25 by cumulative time. The
-# figures CHANGES.md quotes for the batch_route workload come from this.
+# benchmark line also reports cpu-ns/op and busy-cpus (process CPU over
+# wall, from getrusage): how many cores the partition schedule keeps
+# busy. The figures CHANGES.md quotes for the batch_route workload come
+# from this.
 profile-route:
 	$(GO) test -run '^$$' -bench 'PartitionedScaled/parts-4$$' -benchmem -cpuprofile /tmp/route-profile.prof -o /tmp/route-profile.test ./internal/part/
 	$(GO) tool pprof -top -cum -nodecount 25 /tmp/route-profile.test /tmp/route-profile.prof

@@ -41,16 +41,25 @@ func BenchmarkSequentialScaled(b *testing.B) {
 	}
 }
 
+// BenchmarkPartitionedScaled reports, beside ns/op, the process CPU time
+// per op and its ratio to wall time (busy-cpus): how many cores the
+// partition schedule keeps busy, which ns/op alone cannot show.
 func BenchmarkPartitionedScaled(b *testing.B) {
 	c := scaledCircuit(b)
 	params := route.DefaultParams()
 	for _, parts := range []int{1, 2, 4, 8} {
 		b.Run(benchName(parts), func(b *testing.B) {
 			b.ReportAllocs()
+			cpu0, ok := processCPU()
 			for i := 0; i < b.N; i++ {
 				if _, _, _, err := Route(c, params, Config{Partitions: parts}); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if cpu1, _ := processCPU(); ok {
+				cpu := cpu1 - cpu0
+				b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N), "cpu-ns/op")
+				b.ReportMetric(cpu.Seconds()/b.Elapsed().Seconds(), "busy-cpus")
 			}
 		})
 	}

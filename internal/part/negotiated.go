@@ -66,11 +66,13 @@ func (n Negotiated) withDefaults() Negotiated {
 // during the initial pass) disables the pressure term entirely, which is
 // PathFinder's first iteration: route by length, discover congestion.
 //
-// The view only prices candidates: routeNode places and rips paths on
+// The view only prices candidates: routeWire places and rips paths on
 // the occupancy array itself, and AddCost writes there too, so wire
 // counts are maintained exactly as in the fixed schedule. presFac,
 // hist, and capacity are only mutated between passes, while no routing
-// goroutine is running.
+// goroutine is running, so within a pass a wire's price depends only on
+// cells inside its footprint and boundary wires can route in conflict
+// order under the view as they do without it.
 type negView struct {
 	arr      *costarray.CostArray
 	hist     []int32

@@ -4,11 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"locusroute/internal/circuit"
 	"locusroute/internal/costarray"
+	"locusroute/internal/geom"
 	"locusroute/internal/par"
 	"locusroute/internal/route"
 )
@@ -78,6 +82,117 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if !r.arr.Equal(runs[0].arr) {
 			t.Errorf("run %d cost array differs from run 0", i+1)
+		}
+	}
+}
+
+// serialReference routes c on the partition tree with every node's wires
+// placed one by one in ID order, children before parents, on one
+// goroutine: the schedule routeConflictOrder must be indistinguishable
+// from. It returns the result, the array and every path.
+func serialReference(t *testing.T, c *circuit.Circuit, params route.Params, parts int) (route.Result, *costarray.CostArray, []route.Path) {
+	t.Helper()
+	params = params.Normalized()
+	tree, err := NewTree(c.Grid, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	var post func(n int)
+	post = func(n int) {
+		if node := tree.nodes[n]; !node.Leaf() {
+			post(node.Left)
+			post(node.Right)
+		}
+		order = append(order, n)
+	}
+	post(0)
+	wires := make([][]int, len(tree.nodes))
+	for i := range c.Wires {
+		n := tree.Classify(Footprint(&c.Wires[i], params, c.Grid))
+		wires[n] = append(wires[n], i)
+	}
+	arr := costarray.New(c.Grid)
+	view := route.ArrayView{A: arr}
+	s := route.NewScratch(c.Grid)
+	paths := make([]route.Path, len(c.Wires))
+	last := make([]int64, len(c.Wires))
+	var res route.Result
+	for iter := 0; iter < params.Iterations; iter++ {
+		for _, n := range order {
+			for _, i := range wires[n] {
+				if iter > 0 {
+					route.RipUp(view, paths[i])
+				}
+				ev := s.RouteWire(view, &c.Wires[i], params)
+				last[i] = route.Place(arr, ev.Path)
+				paths[i] = ev.Path
+				res.CellsExamined += int64(ev.CellsExamined)
+				res.WiresRouted++
+			}
+		}
+	}
+	for _, v := range last {
+		res.Occupancy += v
+	}
+	res.CircuitHeight = arr.CircuitHeight()
+	return res, arr, paths
+}
+
+// crossingCircuit is a circuit whose every wire crosses the middle
+// column, so at any partition count most wires are the root's boundary
+// wires: long, overlapping in chains and in clusters, some disjoint.
+func crossingCircuit(seed int64) *circuit.Circuit {
+	rng := rand.New(rand.NewSource(seed))
+	g := geom.Grid{Channels: 12, Grids: 300}
+	c := &circuit.Circuit{Name: "crossing", Grid: g}
+	for id := 0; id < 160; id++ {
+		pins := []circuit.Pin{
+			geom.Pt(rng.Intn(g.Grids/2), rng.Intn(g.Channels)),
+			geom.Pt(g.Grids/2+rng.Intn(g.Grids/2), rng.Intn(g.Channels)),
+		}
+		if rng.Intn(3) == 0 {
+			pins = append(pins, geom.Pt(rng.Intn(g.Grids), rng.Intn(g.Channels)))
+		}
+		c.Wires = append(c.Wires, circuit.Wire{ID: id, Pins: pins})
+	}
+	return c
+}
+
+// TestConflictOrderMatchesSerial: routing boundary wires as a
+// footprint-conflict graph on several workers must give exactly the
+// result, array and paths of placing every wire one by one — at any
+// GOMAXPROCS (the worker count) and pool capacity, on generated circuits
+// and on one whose wires nearly all cross the root cut. CI runs it under
+// -race with -count=5 (make part-golden).
+func TestConflictOrderMatchesSerial(t *testing.T) {
+	circs := []*circuit.Circuit{genCircuit(t, circuit.BnrELike, 1), genCircuit(t, circuit.MDCLike, 2), crossingCircuit(1)}
+	params := route.DefaultParams()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range circs {
+		for _, parts := range []int{2, 4, 8} {
+			wantRes, wantArr, wantPaths := serialReference(t, c, params, parts)
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				for _, pool := range []*par.Pool{nil, par.New(1), par.New(3)} {
+					r, res, _, err := run(c, params, Config{Partitions: parts, Workers: pool})
+					if err != nil {
+						t.Fatal(err)
+					}
+					where := fmt.Sprintf("%s parts %d GOMAXPROCS %d pool %d", c.Name, parts, procs, pool.Workers())
+					if res != wantRes {
+						t.Errorf("%s: result %+v, serial %+v", where, res, wantRes)
+					}
+					if !r.arr.Equal(wantArr) {
+						t.Errorf("%s: cost array differs from serial", where)
+					}
+					for i := range wantPaths {
+						if !slices.Equal(r.paths[i].Cells, wantPaths[i].Cells) {
+							t.Fatalf("%s: wire %d path %v, serial %v", where, i, r.paths[i].Cells, wantPaths[i].Cells)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package part implements partition-parallel routing inside one
 // circuit: a recursive bisection tree over the routing grid whose leaf
-// regions route concurrently, with boundary-crossing wires reconciled
-// serially at each tree level against the merged cost state.
+// regions route concurrently, with boundary-crossing wires reconciled at
+// each tree level against the merged cost state, in an order that lets
+// wires whose footprints do not overlap route at once.
 //
 // Everything the LocusRoute kernel reads or writes while routing one
 // wire stays inside the wire's *footprint* — its pin bounding box

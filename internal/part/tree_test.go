@@ -1,9 +1,12 @@
 package part
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"locusroute/internal/circuit"
+	"locusroute/internal/costarray"
 	"locusroute/internal/geom"
 	"locusroute/internal/route"
 )
@@ -183,6 +186,51 @@ func TestFootprintCoversKernel(t *testing.T) {
 				t.Fatalf("wire %d touched %v outside footprint %v", w.ID, p, fp)
 			}
 		}
+	}
+}
+
+// TestFootprintCoversRunSums is the containment theorem on the path part
+// actually runs: a plain array, costed by run sums, which no view can
+// watch. Inside the wire's footprint both arrays hold the same random
+// costs; outside, one holds zeros and the other large random values. A
+// candidate that read outside would cost ~2^24 more per cell in the
+// second, so the wire must evaluate to the same Eval (cost, cells
+// examined, path) on both. Runs on bnrE and the 10x preset.
+func TestFootprintCoversRunSums(t *testing.T) {
+	params := route.DefaultParams()
+	for _, c := range []*circuit.Circuit{genCircuit(t, circuit.BnrELike, 7), scaledCircuit(t)} {
+		g := c.Grid
+		rng := rand.New(rand.NewSource(31))
+		inside, poison, zero := make([]int32, g.Cells()), make([]int32, g.Cells()), make([]int32, g.Cells())
+		for i := range inside {
+			inside[i] = rng.Int31n(1 << 10)
+			poison[i] = 1<<24 + rng.Int31n(1<<24)
+		}
+		clean, dirty := costarray.New(g), costarray.New(g)
+		copy(dirty.Cells(), poison)
+		s := route.NewScratch(g)
+		for i := range c.Wires {
+			w := &c.Wires[i]
+			fp := Footprint(w, params, g)
+			copyRect(clean, fp, inside)
+			copyRect(dirty, fp, inside)
+			want := s.RouteWire(route.ArrayView{A: clean}, w, params)
+			got := s.RouteWire(route.ArrayView{A: dirty}, w, params)
+			if got.Cost != want.Cost || got.CellsExamined != want.CellsExamined || !slices.Equal(got.Path.Cells, want.Path.Cells) {
+				t.Fatalf("%s wire %d (footprint %v) reads outside it: poisoned %d/%d %v, zeroed %d/%d %v", c.Name, w.ID, fp,
+					got.Cost, got.CellsExamined, got.Path.Cells, want.Cost, want.CellsExamined, want.Path.Cells)
+			}
+			copyRect(clean, fp, zero)
+			copyRect(dirty, fp, poison)
+		}
+	}
+}
+
+// copyRect copies the cells of rect r from the row-major src into a.
+func copyRect(a *costarray.CostArray, r geom.Rect, src []int32) {
+	for y := r.Y0; y < r.Y1; y++ {
+		lo, hi := a.Index(r.X0, y), a.Index(r.X1-1, y)+1
+		copy(a.Cells()[lo:hi], src[lo:hi])
 	}
 }
 

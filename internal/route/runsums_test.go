@@ -62,13 +62,35 @@ func TestFlatSegmentMatchesWalker(t *testing.T) {
 	}
 }
 
+// Long segments: on a 30 x 1364 grid, the 10x preset's, spans reach 1363
+// columns and the HVH stride 57, so the chunks each pin row is summed in
+// between samples are long and run the unrolled body of sum4. The first
+// trial spans the whole grid.
+func TestFlatSegmentLongSpans(t *testing.T) {
+	const channels, grids = 30, 1364
+	rng := rand.New(rand.NewSource(31))
+	v := randomView(rng, channels, grids)
+	for trial := 0; trial < 200; trial++ {
+		pins := make([]geom.Point, 2+rng.Intn(3))
+		for i := range pins {
+			pins[i] = geom.Pt(rng.Intn(grids), rng.Intn(channels))
+		}
+		if trial == 0 {
+			pins[0].X, pins[1].X = 0, grids-1
+		}
+		params := Params{MaxHVHCandidates: DefaultHVHCandidates + rng.Intn(7), VHVDetourChannels: rng.Intn(4)}
+		checkFlatMatchesWalker(t, v, pins, params)
+	}
+}
+
 // FuzzFlatSegment is TestFlatSegmentMatchesWalker and
 // TestWinnerRunsMatchWalker under the fuzzer. The seed corpus is the
 // edge cases, so plain `go test` runs them: one channel, one grid
 // column, p == q, same row, same column, same column with a detour (the
 // two verticals overlap beyond the pins and the walker counts those
-// cells twice), and MaxHVHCandidates 1, 2, 3, 24 and beyond the span
-// with VHVDetourChannels 0, 1 and 5.
+// cells twice), MaxHVHCandidates 1, 2, 3, 24 and beyond the span with
+// VHVDetourChannels 0, 1 and 5, and spans beyond 4 x MaxHVHCandidates,
+// whose pin rows are summed in chunks of several cells.
 func FuzzFlatSegment(f *testing.F) {
 	for _, c := range []struct {
 		channels, grids, px, py, qx, qy, maxHVH, detour uint8
@@ -85,6 +107,10 @@ func FuzzFlatSegment(f *testing.F) {
 		{10, 60, 9, 0, 40, 9, 3, 1},
 		{10, 60, 0, 5, 59, 2, 24, 0},
 		{10, 60, 20, 3, 26, 7, 200, 5},
+		{12, 90, 0, 3, 89, 9, 5, 1}, // stride 18
+		{6, 90, 1, 0, 88, 5, 20, 2}, // stride 5
+		{3, 90, 89, 2, 0, 0, 7, 0},  // stride 13, pins reversed
+		{9, 90, 4, 4, 86, 4, 6, 3},  // stride 14, one pin row
 	} {
 		f.Add(int64(c.px)*7+int64(c.qy), c.channels, c.grids, c.px, c.py, c.qx, c.qy, c.maxHVH, c.detour)
 	}

@@ -23,6 +23,8 @@ import (
 //     kernel costs candidates without materialising them (runs for a
 //     plain ArrayView, coster for any other view) and writes the winner's
 //     three runs straight into cells (row, col).
+//   - xs holds the segment's HVH sample columns, which both costings
+//     enumerate.
 //   - sorted is SortedPins' buffer for a wire whose pins are out of order.
 //
 // Between calls a Scratch holds no reference to any array, view or
@@ -38,6 +40,7 @@ type Scratch struct {
 	visited []uint64
 	epoch   uint64
 	cells   []geom.Point
+	xs      []int
 	coster  costSink
 	runs    runSums
 	sorted  []geom.Point
@@ -257,73 +260,79 @@ func (s *Scratch) routeSegment(view CostView, p, q geom.Point, params Params) (c
 	// direction, clamped to the grid.
 	y0 := max(min(p.Y, q.Y)-params.VHVDetourChannels, 0)
 	y1 := min(max(p.Y, q.Y)+params.VHVDetourChannels, grid.Channels-1)
-	av, flat := view.(ArrayView)
-	if flat {
+	s.xs = hvhSamples(s.xs[:0], x0, x1, params.MaxHVHCandidates)
+	best := pick{cost: -1}
+	if av, flat := view.(ArrayView); flat {
+		r := &s.runs
 		// The pin columns' sums must reach both pins even when a negative
 		// VHVDetourChannels shrinks the band inside them.
-		s.runs.reset(av.A, p, q, x0, x1, min(y0, p.Y, q.Y), max(y1, p.Y, q.Y))
+		r.reset(av.A, p, q, s.xs, min(y0, p.Y, q.Y), max(y1, p.Y, q.Y))
+		for k, xm := range s.xs {
+			sum, n := r.hvh(k)
+			best.offer(false, xm, sum, n)
+		}
+		for ym := y0; ym <= y1; ym++ {
+			sum, n := r.vhv(ym)
+			best.offer(true, ym, sum, n)
+		}
+		r.cells, r.xs = nil, nil
 	} else {
-		s.coster.view = view
-	}
-	best := int64(-1)
-	bestVHV := false
-	bestM := 0
-
-	consider := func(vhv bool, m int) {
-		var sum int64
-		var n int
-		switch {
-		case flat && vhv:
-			sum, n = s.runs.vhv(m)
-		case flat:
-			sum, n = s.runs.hvh(m)
-		default:
-			s.coster.sum, s.coster.n = 0, 0
-			if vhv {
-				walkVHV(p, q, m, &s.coster)
-			} else {
-				walkHVH(p, q, m, &s.coster)
-			}
-			sum, n = s.coster.sum, s.coster.n
+		k := &s.coster
+		k.view = view
+		for _, xm := range s.xs {
+			k.sum, k.n = 0, 0
+			walkHVH(p, q, xm, k)
+			best.offer(false, xm, k.sum, k.n)
 		}
-		examined += n
-		// best < 0 reads as "no candidate yet", so while the running best
-		// is negative (an MP view holds negative entries between delta
-		// applications) any later candidate replaces it, dearer or not.
-		// The paper tables depend on this quirk (TestNegativeBestIsReplaced);
-		// correcting it re-pins their sha256 and is its own change.
-		if best < 0 || sum < best {
-			best, bestVHV, bestM = sum, vhv, m
+		for ym := y0; ym <= y1; ym++ {
+			k.sum, k.n = 0, 0
+			walkVHV(p, q, ym, k)
+			best.offer(true, ym, k.sum, k.n)
 		}
+		k.view = nil
 	}
+	// Materialise only the winner; this pass reads nothing from the view,
+	// so traced executions observe candidate evaluation reads only.
+	s.winner(p, q, best.vhv, best.m)
+	return best.cost, best.examined
+}
 
-	// HVH family: xm samples the span [p.X, q.X], at most
-	// MaxHVHCandidates of them, always including both endpoints.
-	span := x1 - x0
+// hvhSamples appends to xs the HVH family's jog columns over [x0, x1] in
+// ascending order: every column when there are at most maxHVH, else
+// every stride-th from x0, about maxHVH of them, with x1 always last.
+func hvhSamples(xs []int, x0, x1, maxHVH int) []int {
 	stride := 1
-	if span+1 > params.MaxHVHCandidates {
-		stride = (span + params.MaxHVHCandidates) / params.MaxHVHCandidates
+	if span := x1 - x0; span+1 > maxHVH {
+		stride = (span + maxHVH) / maxHVH
 	}
-	for xm := x0; ; xm += stride {
-		if xm > x1 {
-			break
-		}
-		consider(false, xm)
+	for xm := x0; xm <= x1; xm += stride {
+		xs = append(xs, xm)
 		if stride > 1 && xm < x1 && xm+stride > x1 {
 			xm = x1 - stride // make sure the far end is always sampled
 		}
 	}
+	return xs
+}
 
-	// VHV family: ym ranges over the band.
-	for ym := y0; ym <= y1; ym++ {
-		consider(true, ym)
+// pick keeps the cheapest candidate offered so far, the first on ties,
+// and counts the cells every candidate examined.
+type pick struct {
+	cost     int64
+	vhv      bool
+	m        int
+	examined int
+}
+
+func (b *pick) offer(vhv bool, m int, sum int64, n int) {
+	b.examined += n
+	// cost < 0 reads as "no candidate yet", so while the running best is
+	// negative (an MP view holds negative entries between delta
+	// applications) any later candidate replaces it, dearer or not. The
+	// paper tables depend on this quirk (TestNegativeBestIsReplaced);
+	// correcting it re-pins their sha256 and is its own change.
+	if b.cost < 0 || sum < b.cost {
+		b.cost, b.vhv, b.m = sum, vhv, m
 	}
-
-	// Materialise only the winner; this pass reads nothing from the view,
-	// so traced executions observe candidate evaluation reads only.
-	s.winner(p, q, bestVHV, bestM)
-	s.coster.view, s.runs.cells = nil, nil
-	return best, examined
 }
 
 // costSink sums view costs over a candidate walk.
@@ -342,36 +351,66 @@ func (k *costSink) visit(x, y int) {
 // row-major cells. A candidate is three straight runs and the walker
 // skips exactly the two corner cells where they meet, so the walker's
 // sum is the three run sums minus the two corners, and its count the
-// three run lengths minus two. The pin rows over the segment's columns
-// and the pin columns over its band are prefix-summed once per segment;
-// the run that varies with the candidate (HVH's jog column, VHV's
-// crossing row) is summed directly.
+// three run lengths minus two.
+//
+// Each pin row is read once per segment, in chunks between consecutive
+// HVH sample columns, keeping the row's running sum at every sample: an
+// HVH candidate needs the pin rows only up to and from its jog column,
+// which is a sample. The short pin columns are prefix-summed over the
+// band. The run that varies with the candidate (HVH's jog column, VHV's
+// crossing row) is summed directly, except a crossing row that is a pin
+// row, whose total is already known.
 type runSums struct {
-	cells      []int32
-	stride     int
-	p, q       geom.Point
-	x0, x1, y0 int     // the segment's columns; first channel of colP/colQ
-	buf        []int64 // backs the four prefix sums, reused across segments
+	cells  []int32
+	stride int
+	p, q   geom.Point // p is the pin in column x0, q the pin in column x1
+	xs     []int      // the HVH sample columns, ascending from x0 to x1
+	y0     int        // first channel of colP/colQ
+	buf    []int64    // backs the four sums, reused across segments
 
-	// rowP[i] is the sum of row p.Y over columns [x0, x0+i); rowQ, colP
-	// (column p.X over channels [y0, y0+i)) and colQ likewise.
-	rowP, rowQ, colP, colQ []int64
+	// cumP[k] is the sum of row p.Y over columns [x0, xs[k]], cumQ that of
+	// row q.Y. colP[i] is the sum of column p.X over channels [y0, y0+i),
+	// colQ that of column q.X.
+	cumP, cumQ, colP, colQ []int64
 }
 
-// reset prepares the sums for segment p–q over columns [x0, x1] and
-// channels [y0, y1].
-func (r *runSums) reset(a *costarray.CostArray, p, q geom.Point, x0, x1, y0, y1 int) {
+// reset prepares the sums for segment p–q over the sample columns xs
+// (from x0 to x1) and channels [y0, y1].
+func (r *runSums) reset(a *costarray.CostArray, p, q geom.Point, xs []int, y0, y1 int) {
+	if q.X < p.X {
+		p, q = q, p // every candidate is symmetric in its pins
+	}
 	r.cells, r.stride = a.Cells(), a.Grid().Grids
-	r.p, r.q, r.x0, r.x1, r.y0 = p, q, x0, x1, y0
-	nx, ny := x1-x0+2, y1-y0+2
+	r.p, r.q, r.xs, r.y0 = p, q, xs, y0
+	nx, ny := len(xs), y1-y0+2
 	if cap(r.buf) < 2*(nx+ny) {
 		r.buf = make([]int64, 2*(nx+ny))
 	}
 	b := r.buf[:2*(nx+ny)]
-	r.rowP = r.prefix(b[:nx], p.Y*r.stride+x0, 1)
-	r.rowQ = r.prefix(b[nx:2*nx], q.Y*r.stride+x0, 1)
+	r.cumP = r.cumulate(b[:nx], p.Y)
+	r.cumQ = r.cumP
+	if q.Y != p.Y {
+		r.cumQ = r.cumulate(b[nx:2*nx], q.Y)
+	}
 	r.colP = r.prefix(b[2*nx:2*nx+ny], y0*r.stride+p.X, r.stride)
-	r.colQ = r.prefix(b[2*nx+ny:], y0*r.stride+q.X, r.stride)
+	r.colQ = r.colP
+	if q.X != p.X {
+		r.colQ = r.prefix(b[2*nx+ny:], y0*r.stride+q.X, r.stride)
+	}
+}
+
+// cumulate fills out[k] with the sum of row y over columns [xs[0], xs[k]],
+// reading each cell once: chunk k holds the columns after sample k-1, up
+// to and including sample k.
+func (r *runSums) cumulate(out []int64, y int) []int64 {
+	row := r.cells[y*r.stride : (y+1)*r.stride]
+	sum := int64(row[r.xs[0]])
+	out[0] = sum
+	for k := 1; k < len(r.xs); k++ {
+		sum += sum4(row[r.xs[k-1]+1 : r.xs[k]+1])
+		out[k] = sum
+	}
+	return out
 }
 
 // prefix fills out[i] with the sum of the i cells from index at on, step
@@ -385,6 +424,23 @@ func (r *runSums) prefix(out []int64, at, step int) []int64 {
 	return out
 }
 
+// sum4 sums a run of cells with four accumulators, so the adds of a long
+// run do not wait on one another. Integer addition is exact, so the
+// total is the one a single accumulator gives.
+func sum4(cells []int32) int64 {
+	var s0, s1, s2, s3 int64
+	for ; len(cells) >= 4; cells = cells[4:] {
+		s0 += int64(cells[0])
+		s1 += int64(cells[1])
+		s2 += int64(cells[2])
+		s3 += int64(cells[3])
+	}
+	for _, c := range cells {
+		s0 += int64(c)
+	}
+	return s0 + s1 + s2 + s3
+}
+
 // run is the sum over the inclusive run a..b (either direction) of the
 // prefix sums pre, which start at coordinate base.
 func run(pre []int64, base, a, b int) int64 {
@@ -393,25 +449,32 @@ func run(pre []int64, base, a, b int) int64 {
 
 func (r *runSums) at(x, y int) int64 { return int64(r.cells[y*r.stride+x]) }
 
-// hvh costs walkHVH(p, q, xm).
-func (r *runSums) hvh(xm int) (sum int64, n int) {
-	p, q := r.p, r.q
+// hvh costs walkHVH(p, q, xs[k]): row p.Y up to the jog column, which is
+// cumP[k], plus row q.Y from it, the whole row less cumQ[k] but for the
+// jog cell itself, plus the jog column, less the two corners.
+func (r *runSums) hvh(k int) (sum int64, n int) {
+	p, q, xm := r.p, r.q, r.xs[k]
 	ya, yb := min(p.Y, q.Y), max(p.Y, q.Y)
 	for i := ya*r.stride + xm; i <= yb*r.stride+xm; i += r.stride {
 		sum += int64(r.cells[i])
 	}
-	sum += run(r.rowP, r.x0, p.X, xm) + run(r.rowQ, r.x0, xm, q.X) - r.at(xm, p.Y) - r.at(xm, q.Y)
-	return sum, absInt(xm-p.X) + yb - ya + absInt(q.X-xm) + 1
+	sum += r.cumP[k] + r.cumQ[len(r.cumQ)-1] - r.cumQ[k] - r.at(xm, p.Y)
+	return sum, q.X - p.X + yb - ya + 1
 }
 
 // vhv costs walkVHV(p, q, ym).
 func (r *runSums) vhv(ym int) (sum int64, n int) {
 	p, q := r.p, r.q
-	for _, c := range r.cells[ym*r.stride+r.x0 : ym*r.stride+r.x1+1] {
-		sum += int64(c)
+	switch ym {
+	case p.Y:
+		sum = r.cumP[len(r.cumP)-1]
+	case q.Y:
+		sum = r.cumQ[len(r.cumQ)-1]
+	default:
+		sum = sum4(r.cells[ym*r.stride+p.X : ym*r.stride+q.X+1])
 	}
 	sum += run(r.colP, r.y0, p.Y, ym) + run(r.colQ, r.y0, ym, q.Y) - r.at(p.X, ym) - r.at(q.X, ym)
-	return sum, absInt(ym-p.Y) + r.x1 - r.x0 + absInt(q.Y-ym) + 1
+	return sum, absInt(ym-p.Y) + q.X - p.X + absInt(q.Y-ym) + 1
 }
 
 // runWalker emits the cells of a candidate's horizontal and vertical runs
