@@ -198,7 +198,7 @@ func runConfigured(c *circuit.Circuit, s Setup, cfg mp.Config, asn *assign.Assig
 	run, first := s.memo.claim(c, cfg, asn)
 	if first {
 		if s.Obs.Enabled() {
-			cfg.Obs = obs.NewMP(cfg.Procs)
+			cfg.Obs = obs.NewMP()
 		}
 		s.Pool.Run(func() { run.res, run.err = mp.Run(c, asn, cfg) })
 		run.obs = cfg.Obs

@@ -230,7 +230,10 @@ type Result struct {
 	// wire routing work and update machinery (packet assembly,
 	// disassembly, scans, application, network copies). The paper
 	// observes message handling reaching about a quarter of processing
-	// time under the most frequent update schedules.
+	// time under the most frequent update schedules. Both are the
+	// nodes' compute and packet ledgers summed, the same charges the
+	// per-node breakdown reports; under strict ownership, passing tasks
+	// and segment completions between regions counts as message time.
 	RouteTime   sim.Time
 	MessageTime sim.Time
 	// UpdateBytes is Net.Bytes minus barrier traffic: the consistency

@@ -1,12 +1,17 @@
 package mp
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"locusroute/internal/assign"
+	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
 	"locusroute/internal/msg"
 	"locusroute/internal/obs"
+	"locusroute/internal/sim"
+	"locusroute/internal/tracev"
 )
 
 // runObserved executes a small observed DES run and returns the config
@@ -17,7 +22,7 @@ func runObserved(t *testing.T, procs int, st Strategy, threshold int, mutate fun
 	cfg := DefaultConfig(st)
 	cfg.Procs = procs
 	cfg.Router.Iterations = 2
-	cfg.Obs = obs.NewMP(procs)
+	cfg.Obs = obs.NewMP()
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -48,6 +53,10 @@ func TestNodeTimeBreakdownSums(t *testing.T) {
 		{"receiver blocking", ReceiverInitiated(1, 5, true), 1000, nil},
 		{"strict ownership", Strategy{}, assign.ThresholdInfinity,
 			func(c *Config) { c.StrictOwnership = true }},
+		{"dynamic wires", SenderInitiated(2, 5), 1000,
+			func(c *Config) { c.DynamicWires = true }},
+		{"hypercube", SenderInitiated(2, 5), 1000,
+			func(c *Config) { c.Topology = []int{2, 2} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,9 +89,80 @@ func TestNodeTimeBreakdownSums(t *testing.T) {
 	}
 }
 
+func TestLedgerPartitions(t *testing.T) {
+	// The ledger charges each interval since the previous stamp to one
+	// category, zero-width intervals included, stamps the trace in
+	// lockstep, and its four sums add up to the node's whole life.
+	n := &node{id: 3, track: 3, tr: tracev.New(0)}
+	k := sim.NewKernel()
+	k.Spawn("node3", func(p *sim.Process) {
+		n.p = p
+		n.wait(10, tracev.CatCompute)
+		n.wait(4, tracev.CatPacket)
+		n.account(tracev.CatBlocked) // zero-width interval
+		n.wait(16, tracev.CatBlocked)
+		n.wait(7, tracev.CatBarrier)
+		n.wait(3, tracev.CatCompute)
+	})
+	k.Run()
+
+	ti := n.times()
+	if ti.Node != 3 {
+		t.Errorf("node = %d, want 3", ti.Node)
+	}
+	if ti.ComputeNs != 13 || ti.PacketNs != 4 || ti.BlockedNs != 16 || ti.BarrierNs != 7 {
+		t.Errorf("breakdown = %+v", ti)
+	}
+	if got := ti.ComputeNs + ti.PacketNs + ti.BlockedNs + ti.BarrierNs; got != ti.TotalNs || got != 40 {
+		t.Errorf("categories sum to %d, total %d, want 40", got, ti.TotalNs)
+	}
+	type stamp struct {
+		at  int64
+		cat tracev.Category
+	}
+	want := []stamp{{10, tracev.CatCompute}, {14, tracev.CatPacket}, {14, tracev.CatBlocked},
+		{30, tracev.CatBlocked}, {37, tracev.CatBarrier}, {40, tracev.CatCompute}}
+	var got []stamp
+	for _, e := range n.tr.Events() {
+		if e.Kind == tracev.KindAccount && e.Track == 3 {
+			got = append(got, stamp{e.At, tracev.Category(e.Arg)})
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("trace Account stamps = %v, want %v", got, want)
+	}
+}
+
+func TestBusySplitMatchesNodeTimes(t *testing.T) {
+	// Result.RouteTime and MessageTime are the ledgers' compute and
+	// packet sums for every protocol variant — strict ownership's task
+	// passing included, so its split is neither all routing nor all
+	// messages.
+	c := circuit.MustGenerate(circuit.BnrELike(1))
+	for _, tc := range desCases() {
+		for _, procs := range desProcs {
+			t.Run(fmt.Sprintf("%s/procs%d", tc.name, procs), func(t *testing.T) {
+				cfg, res := runDESCase(t, c, tc, procs)
+				var compute, packet int64
+				for _, nt := range cfg.Obs.NodeTimes() {
+					compute += nt.ComputeNs
+					packet += nt.PacketNs
+				}
+				if compute != int64(res.RouteTime) || packet != int64(res.MessageTime) {
+					t.Errorf("nodes charged %d ns compute, %d ns packet; Result says RouteTime %d, MessageTime %d",
+						compute, packet, int64(res.RouteTime), int64(res.MessageTime))
+				}
+				if f := res.MessageFraction(); tc.strict && (f <= 0 || f >= 1) {
+					t.Errorf("strict message fraction %v, want strictly between 0 and 1", f)
+				}
+			})
+		}
+	}
+}
+
 func TestBlockedTimeOnlyWhenBlocking(t *testing.T) {
 	// Blocking receiver initiated runs park on outstanding responses
-	// (TimeBlocked); non-blocking ones only ever park at the barrier.
+	// (CatBlocked); non-blocking ones only ever park at the barrier.
 	blocked := func(cfg Config) int64 {
 		var total int64
 		for _, nt := range cfg.Obs.NodeTimes() {
@@ -159,7 +239,7 @@ func TestLiveRunRecordsPhases(t *testing.T) {
 	cfg := DefaultConfig(SenderInitiated(2, 5))
 	cfg.Procs = 4
 	cfg.Router.Iterations = 2
-	cfg.Obs = obs.NewMP(cfg.Procs)
+	cfg.Obs = obs.NewMP()
 	part, err := geom.NewPartition(c.Grid, 2, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"locusroute/internal/mesh"
 	"locusroute/internal/msg"
 	"locusroute/internal/sim"
+	"locusroute/internal/tracev"
 )
 
 // plainTruth adapts a plain cost array to the Truth interface for the
@@ -42,8 +43,6 @@ type runner struct {
 	packetsByKind map[msg.Kind]int64
 	cells         int64
 	finish        []sim.Time
-	routeTime     sim.Time
-	msgTime       sim.Time
 
 	// Dynamic wire assignment state (DynamicWires only): the shared
 	// wire counter node 0 serves from, and the cross-processor path
@@ -94,7 +93,7 @@ func Run(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	cfg.Obs.Prepare(cfg.Procs)
+	cfg.Obs.Prepare()
 	net.SetRecorder(cfg.Obs.NetRecorder())
 	if cfg.Trace != nil {
 		kernel.SetTracer(cfg.Trace)
@@ -116,14 +115,10 @@ func Run(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result, err
 		r.pathStore = make(mapPathStore)
 	}
 
-	for id := 0; id < cfg.Procs; id++ {
-		if cfg.StrictOwnership {
-			n := newStrictNode(id, r)
-			kernel.Spawn(fmt.Sprintf("node%d", id), n.run)
-		} else {
-			n := newNode(id, r)
-			kernel.Spawn(fmt.Sprintf("node%d", id), n.run)
-		}
+	nodes := make([]*node, cfg.Procs)
+	for id := range nodes {
+		nodes[id] = newNode(id, r)
+		kernel.Spawn(fmt.Sprintf("node%d", id), nodes[id].run)
 	}
 	kernel.Run()
 
@@ -140,8 +135,11 @@ func Run(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result, err
 		res.BusyTime += f
 	}
 	res.Net = net.Stats()
-	res.RouteTime = r.routeTime
-	res.MessageTime = r.msgTime
+	for _, n := range nodes {
+		res.RouteTime += n.spent[tracev.CatCompute]
+		res.MessageTime += n.spent[tracev.CatPacket]
+		cfg.Obs.AddNode(n.times())
+	}
 	res.BytesByKind = r.bytesByKind
 	res.PacketsByKind = r.packetsByKind
 	res.CellsExamined = r.cells

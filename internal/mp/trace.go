@@ -24,24 +24,6 @@ func ChromeOptions(circuitName string, procs int) tracev.ChromeOptions {
 	}
 }
 
-// traceCat maps the obs.NodeClock taxonomy onto the trace category
-// vocabulary. The node runtimes stamp a tracev Account at the exact call
-// sites that drive the clock, so a trace's per-track Account stamps tile
-// each node's life with the same partition the obs document aggregates —
-// which is what lets the critical-path walk attribute every nanosecond.
-func traceCat(cat obs.TimeCategory) tracev.Category {
-	switch cat {
-	case obs.TimeCompute:
-		return tracev.CatCompute
-	case obs.TimePacket:
-		return tracev.CatPacket
-	case obs.TimeBlocked:
-		return tracev.CatBlocked
-	default:
-		return tracev.CatBarrier
-	}
-}
-
 // CritPathDoc renders an analyzed critical path into its observability
 // document section.
 func CritPathDoc(cp *tracev.CriticalPath) *obs.CritPathDoc {

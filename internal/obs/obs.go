@@ -2,10 +2,10 @@
 // collectors that the execution backends thread through their hot
 // paths, and the stable JSON document the commands emit under -json.
 //
-// Collectors are nil-safe: a nil *MP, *SM, *NodeClock, *NetRecorder,
-// *Histogram or *Collector ignores every call, so instrumented code
-// pays a single pointer test when observability is off and the paper
-// tables stay byte-identical.
+// Collectors are nil-safe: a nil *MP, *SM, *NetRecorder, *Histogram or
+// *Collector ignores every call, so instrumented code pays a single
+// pointer test when observability is off and the paper tables stay
+// byte-identical.
 //
 // # Document schema (locusroute.obs/v2)
 //
@@ -44,8 +44,9 @@
 //	}
 //
 // The per-node breakdown (the paper's Section 5.1.3 lens) is exhaustive
-// by construction: every nanosecond of a node's simulated life is
-// charged to exactly one of the four categories, so
+// by construction: each DES node keeps one time ledger, which charges
+// every nanosecond of the node's simulated life to exactly one of the
+// four categories, so
 //
 //	compute_ns + packet_ns + blocked_ns + barrier_ns == total_ns
 //
@@ -361,35 +362,35 @@ func (r *NetRecorder) Doc(doc *NetworkDoc) {
 }
 
 // MP is the observer of one message passing run: per-node simulated
-// time clocks and interconnect histograms for the DES runtime,
+// time breakdowns and interconnect histograms for the DES runtime,
 // wall-clock phases for the live runtime. A nil *MP disables all of it.
 type MP struct {
-	Nodes  []NodeClock
+	// Nodes is the DES runtime's per-node breakdown, one entry per node
+	// in node order, rendered from each node's time ledger at run end.
+	Nodes  []NodeTimes
 	Net    NetRecorder
 	Phases PhaseTimer
 }
 
-// NewMP returns an observer sized for procs nodes.
-func NewMP(procs int) *MP { return &MP{Nodes: make([]NodeClock, procs)} }
+// NewMP returns an empty observer.
+func NewMP() *MP { return &MP{} }
 
-// Prepare resets the per-node clocks and network histograms for a run
-// of procs nodes; the DES runtime calls it at run start, so a zero-value
-// observer works for any processor count and an observer is never
-// polluted by a previous run.
-func (o *MP) Prepare(procs int) {
+// Prepare resets the per-node breakdowns and network histograms; the
+// DES runtime calls it at run start, so an observer is never polluted by
+// a previous run.
+func (o *MP) Prepare() {
 	if o == nil {
 		return
 	}
-	o.Nodes = make([]NodeClock, procs)
+	o.Nodes = nil
 	o.Net = NetRecorder{}
 }
 
-// NodeClock returns node id's clock, or nil when disabled.
-func (o *MP) NodeClock(id int) *NodeClock {
-	if o == nil || id < 0 || id >= len(o.Nodes) {
-		return nil
+// AddNode records the next node's breakdown.
+func (o *MP) AddNode(t NodeTimes) {
+	if o != nil {
+		o.Nodes = append(o.Nodes, t)
 	}
-	return &o.Nodes[id]
 }
 
 // NetRecorder returns the interconnect recorder, or nil when disabled.
@@ -408,16 +409,12 @@ func (o *MP) Phase(name string) func() {
 	return o.Phases.Start(name)
 }
 
-// NodeTimes renders every node clock into documents.
+// NodeTimes returns the per-node breakdowns.
 func (o *MP) NodeTimes() []NodeTimes {
 	if o == nil {
 		return nil
 	}
-	out := make([]NodeTimes, len(o.Nodes))
-	for i := range o.Nodes {
-		out[i] = o.Nodes[i].Times(i)
-	}
-	return out
+	return o.Nodes
 }
 
 // PhaseDocs returns the completed wall-clock phases.

@@ -62,43 +62,17 @@ func TestHistogramNilSafe(t *testing.T) {
 	}
 }
 
-func TestNodeClockPartitions(t *testing.T) {
-	var c NodeClock
-	c.Account(10, TimeCompute)
-	c.Account(14, TimePacket)
-	c.Account(14, TimeBlocked) // zero-width interval
-	c.Account(30, TimeBlocked)
-	c.Account(37, TimeBarrier)
-	c.Account(40, TimeCompute)
-
-	ti := c.Times(3)
-	if ti.Node != 3 {
-		t.Errorf("node = %d, want 3", ti.Node)
-	}
-	if ti.ComputeNs != 13 || ti.PacketNs != 4 || ti.BlockedNs != 16 || ti.BarrierNs != 7 {
-		t.Errorf("breakdown = %+v", ti)
-	}
-	if got := ti.ComputeNs + ti.PacketNs + ti.BlockedNs + ti.BarrierNs; got != ti.TotalNs || got != 40 {
-		t.Errorf("categories sum to %d, total %d, want 40", got, ti.TotalNs)
-	}
-}
-
 func TestNilCollectorsNoOp(t *testing.T) {
 	var mp *MP
-	mp.Prepare(4)
-	if mp.NodeClock(0) != nil || mp.NetRecorder() != nil || mp.NodeTimes() != nil {
+	mp.Prepare()
+	mp.AddNode(NodeTimes{Node: 0, ComputeNs: 5, TotalNs: 5})
+	if mp.NetRecorder() != nil || mp.NodeTimes() != nil {
 		t.Error("nil MP handed out live collectors")
 	}
 	mp.Phase("x")() // must not panic
 
 	var sm *SM
 	sm.Phase("x")()
-
-	var nc *NodeClock
-	nc.Account(5, TimeCompute)
-	if nc.Elapsed(TimeCompute) != 0 {
-		t.Error("nil NodeClock accumulated time")
-	}
 
 	var nr *NetRecorder
 	nr.ObserveLatency(1)

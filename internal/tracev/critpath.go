@@ -15,10 +15,10 @@ import (
 //
 // # How the walk works
 //
-// The MP runtimes stamp a KindAccount event at every point a node's
+// The MP DES node stamps a KindAccount event at every point its
 // simulated time advances, so each track's stamps tile its life into
-// contiguous category intervals — the same partition obs.NodeClock
-// accumulates, kept as a sequence instead of four sums. Packet flows
+// contiguous category intervals — the same partition the node's time
+// ledger accumulates, kept as a sequence instead of four sums. Packet flows
 // tie the tracks together: a FlowBegin on the sender at injection and a
 // FlowEnd on the receiver at dequeue share a flow id.
 //

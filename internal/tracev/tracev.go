@@ -38,10 +38,10 @@
 //     receiver, joined by a Flow id unique within the run.
 //   - An Account instant (KindAccount) is the analyzer's backbone: it
 //     stamps that the interval since the previous Account on the same
-//     track belongs to Category(Arg). The MP runtimes emit one at every
-//     point simulated time advances — the same sites that drive
-//     obs.NodeClock — so each track's Account stamps tile the node's
-//     whole life.
+//     track belongs to Category(Arg). The MP DES node emits one at every
+//     point simulated time advances — from the same call that charges
+//     the node's time ledger — so each track's Account stamps tile the
+//     node's whole life.
 package tracev
 
 // Type discriminates the record layouts.
@@ -170,9 +170,10 @@ func (k Kind) String() string {
 	return "event"
 }
 
-// Category is the time charge an Account stamp assigns, mirroring the
-// obs.NodeClock taxonomy plus the two charges only a path walk can
-// attribute: network flight and untraced (ring-truncated) time.
+// Category is the time charge an Account stamp assigns: the four
+// categories of an MP DES node's time ledger (which indexes its ledger
+// by Category) plus the two charges only a path walk can attribute:
+// network flight and untraced (ring-truncated) time.
 type Category uint8
 
 const (

@@ -350,7 +350,7 @@ func (b *mpBackend) mpConfig(req Request) mp.Config {
 	cfg.StrictOwnership = b.cfg.strict
 	cfg.Trace = b.cfg.tracer
 	if b.cfg.collector.Enabled() {
-		cfg.Obs = obs.NewMP(cfg.Procs)
+		cfg.Obs = obs.NewMP()
 	}
 	return cfg
 }
