@@ -278,7 +278,7 @@ func BenchmarkCacheReplay(b *testing.B) {
 	cfg.Procs = 4
 	cfg.Router.Iterations = 1
 	tr := &trace.Trace{}
-	if _, err := sm.RunTraced(c, cfg, tr.Append); err != nil {
+	if _, err := sm.RunTraced(c, cfg, tr.AppendBatch); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -303,7 +303,7 @@ func BenchmarkRunTraced(b *testing.B) {
 	b.ReportAllocs()
 	refs := 0
 	for i := 0; i < b.N; i++ {
-		res, err := sm.RunTraced(c, cfg, func(trace.Ref) {})
+		res, err := sm.RunTraced(c, cfg, func([]trace.Ref) {})
 		if err != nil {
 			b.Fatal(err)
 		}

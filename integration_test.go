@@ -48,7 +48,7 @@ func TestParadigmQualityBand(t *testing.T) {
 
 	smCfg := sm.DefaultConfig()
 	smCfg.Procs = 4
-	smRes, err := sm.RunTraced(c, smCfg, func(trace.Ref) {})
+	smRes, err := sm.RunTraced(c, smCfg, func([]trace.Ref) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,11 @@ func TestTrafficHierarchyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sm.RunTraced(c, smCfg, coherence.Access); err != nil {
+	if _, err := sm.RunTraced(c, smCfg, func(batch []trace.Ref) {
+		for _, r := range batch {
+			coherence.Access(r)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	traffic := coherence.Traffic().Bytes()

@@ -14,24 +14,26 @@ import "locusroute/internal/geom"
 // bound so senders do not need to rescan the whole array to discover that
 // nothing changed.
 type Delta struct {
-	arr   *CostArray
-	part  geom.Partition
-	dirty []geom.Rect // per owning processor: bbox of cells touched since last clear
+	arr    *CostArray
+	part   geom.Partition
+	owners geom.OwnerTable
+	dirty  []geom.Rect // per owning processor: bbox of cells touched since last clear
 }
 
 // NewDelta returns an empty delta array for the partitioned grid.
 func NewDelta(part geom.Partition) *Delta {
 	return &Delta{
-		arr:   New(part.Grid),
-		part:  part,
-		dirty: make([]geom.Rect, part.Procs()),
+		arr:    New(part.Grid),
+		part:   part,
+		owners: part.OwnerTable(),
+		dirty:  make([]geom.Rect, part.Procs()),
 	}
 }
 
-// Add accumulates a change of d at (x, y).
+// Add accumulates a change of v at the in-grid cell (x, y).
 func (d *Delta) Add(x, y int, v int32) {
 	d.arr.Add(x, y, v)
-	owner := d.part.Owner(geom.Pt(x, y))
+	owner := d.owners.Owner(x, y)
 	d.dirty[owner] = d.dirty[owner].AddPoint(geom.Pt(x, y))
 }
 

@@ -91,7 +91,7 @@ func testCrossBackendEquivalence(t *testing.T, seed int64, golden map[string]qua
 	}
 	got["sm-live-1p"] = quality{smLive.CircuitHeight, smLive.Occupancy}
 
-	smTr, err := sm.RunTraced(c, sm.Config{Procs: 4, Router: params}, func(trace.Ref) {})
+	smTr, err := sm.RunTraced(c, sm.Config{Procs: 4, Router: params}, func([]trace.Ref) {})
 	if err != nil {
 		t.Fatalf("seed %d: sm.RunTraced: %v", seed, err)
 	}

@@ -32,6 +32,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"locusroute/internal/assign"
@@ -195,13 +196,13 @@ func runMPAssigned(c *circuit.Circuit, s Setup, st mp.Strategy, asn *assign.Assi
 // a collector, an observer is attached for the run and its document
 // recorded under label.
 func runConfigured(c *circuit.Circuit, s Setup, cfg mp.Config, asn *assign.Assignment, label string) (mp.Result, error) {
-	run, first := s.memo.claim(c, cfg, asn)
+	run, first := s.memo.claimDES(c, cfg, asn)
 	if first {
 		if s.Obs.Enabled() {
 			cfg.Obs = obs.NewMP()
 		}
-		s.Pool.Run(func() { run.res, run.err = mp.Run(c, asn, cfg) })
-		run.obs = cfg.Obs
+		s.Pool.Run(func() { run.val.res, run.err = mp.Run(c, asn, cfg) })
+		run.val.obs = cfg.Obs
 		close(run.done)
 	}
 	<-run.done
@@ -209,96 +210,157 @@ func runConfigured(c *circuit.Circuit, s Setup, cfg mp.Config, asn *assign.Assig
 		return mp.Result{}, fmt.Errorf("experiments: mp run %q: %w", label, run.err)
 	}
 	if s.Obs.Enabled() {
-		cfg.Obs = run.obs
-		s.Obs.Append(mp.ObsRun(label, "mp-des", c.Name, cfg, run.res))
+		cfg.Obs = run.val.obs
+		s.Obs.Append(mp.ObsRun(label, "mp-des", c.Name, cfg, run.val.res))
 	}
-	return run.res, nil
+	return run.val.res, nil
 }
 
-// runMemo holds the DES runs of one RenderSet by configuration, and
-// counts the runs it handed out to execute. A nil memo shares nothing.
+// runMemo holds the DES runs and the traced shared memory runs of one
+// RenderSet by configuration. A nil memo shares nothing.
 type runMemo struct {
+	des memoTable[desRun]
+	sm  memoTable[smRun]
+}
+
+// desRun is what a DES run shares: its Result and its observer.
+type desRun struct {
+	res mp.Result
+	obs *obs.MP
+}
+
+// smRun is what a traced shared memory run shares: its Result and the
+// coherence simulators its trace fed, read-only once the run is done.
+type smRun struct {
+	res  sm.Result
+	sims []*cache.Simulator
+}
+
+// memoTable holds runs of one kind by key, and counts the runs it handed
+// out to execute.
+type memoTable[V any] struct {
 	mu       sync.Mutex
-	runs     map[string]*memoRun
+	runs     map[string]*memoRun[V]
 	executed int
 }
 
-// memoRun is one run; res, obs and err are written once, before done
-// closes, and only read after.
-type memoRun struct {
+// memoRun is one run; val and err are written once, before done closes,
+// and only read after.
+type memoRun[V any] struct {
 	done chan struct{}
-	res  mp.Result
-	obs  *obs.MP
+	val  V
 	err  error
 }
 
-// claim returns the run for this configuration and whether the caller is
-// the first to ask, and so must execute it and close done.
-func (m *runMemo) claim(c *circuit.Circuit, cfg mp.Config, asn *assign.Assignment) (*memoRun, bool) {
-	run := &memoRun{done: make(chan struct{})}
-	if m == nil || cfg.Trace != nil {
-		return run, true
-	}
-	// The key is what determines a run: the circuit, and the assignment
-	// and the config in Go syntax (%#v prints sim.Time as an integer, not
-	// its rounded String) without the observer and tracer pointers —
-	// whether a run carries an observer is the RenderSet's collector,
-	// the same for every run.
-	cfg.Obs, cfg.Trace = nil, nil
-	key := fmt.Sprintf("%p %#v %#v", c, *asn, cfg)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if prev, ok := m.runs[key]; ok {
+func newRun[V any]() *memoRun[V] { return &memoRun[V]{done: make(chan struct{})} }
+
+// claim returns the run under key and whether the caller is the first to
+// ask, and so must execute it and close done.
+func (t *memoTable[V]) claim(key string) (*memoRun[V], bool) {
+	run := newRun[V]()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if prev, ok := t.runs[key]; ok {
 		return prev, false
 	}
-	if m.runs == nil {
-		m.runs = make(map[string]*memoRun)
+	if t.runs == nil {
+		t.runs = make(map[string]*memoRun[V])
 	}
-	m.runs[key] = run
-	m.executed++
+	t.runs[key] = run
+	t.executed++
 	return run, true
 }
 
+// claimDES claims the DES run of this configuration. The key is what
+// determines a run: the circuit, and the assignment and the config in Go
+// syntax (%#v prints sim.Time as an integer, not its rounded String)
+// without the observer and tracer pointers — whether a run carries an
+// observer is the RenderSet's collector, the same for every run.
+// Event-traced runs are never shared.
+func (m *runMemo) claimDES(c *circuit.Circuit, cfg mp.Config, asn *assign.Assignment) (*memoRun[desRun], bool) {
+	if m == nil || cfg.Trace != nil {
+		return newRun[desRun](), true
+	}
+	cfg.Obs, cfg.Trace = nil, nil
+	return m.des.claim(fmt.Sprintf("%p %#v %#v", c, *asn, cfg))
+}
+
+// claimSM claims the traced run of this configuration feeding simulators
+// of these line sizes, keyed as claimDES keys a DES run: the circuit, the
+// assignment's contents (none in dynamic order), the config and the line
+// sizes.
+func (m *runMemo) claimSM(c *circuit.Circuit, cfg sm.Config, lineSizes []int) (*memoRun[smRun], bool) {
+	if m == nil {
+		return newRun[smRun](), true
+	}
+	var asn any
+	if cfg.Assignment != nil {
+		asn = *cfg.Assignment
+	}
+	cfg.Assignment = nil
+	return m.sm.claim(fmt.Sprintf("%p %v %#v %#v", c, lineSizes, asn, cfg))
+}
+
 // smTraffic runs the traced shared memory router straight into one
-// coherence simulator per line size — the paper's Tango pipe: the
+// coherence simulator per line size of pass — the paper's Tango pipe: the
 // interleaved reference trace is consumed as it is produced and never
 // stored, and every line size a table needs comes from the one pass.
-// The run holds a pool slot. When a collector is recording, the run's
-// document carries each simulator's traffic in line-size order.
-func smTraffic(c *circuit.Circuit, s Setup, order sm.Order, asn *assign.Assignment, label string, lineSizes ...int) (sm.Result, []*cache.Simulator, error) {
+// It returns the simulators of lineSizes, each of which pass must hold:
+// a table that needs fewer line sizes than another requesting the same
+// run passes that one's set, and the setup's memo runs the pass once for
+// both (Section 5.2's shared memory row is Table 3's 8-byte simulator).
+// The run holds a pool slot; a repeat waits for it without one. When a
+// collector is recording, the requester's own document carries the
+// traffic of its lineSizes' simulators, in their order.
+func smTraffic(c *circuit.Circuit, s Setup, order sm.Order, asn *assign.Assignment, label string, pass []int, lineSizes ...int) (sm.Result, []*cache.Simulator, error) {
 	cfg := sm.DefaultConfig()
 	cfg.Procs = s.Procs
 	cfg.Router = s.routerParams()
 	cfg.Order = order
 	cfg.Assignment = asn
+	run, first := s.memo.claimSM(c, cfg, pass)
+	if first {
+		run.val.sims, run.err = simulators(s.Procs, pass)
+		if run.err == nil {
+			s.Pool.Run(func() {
+				run.val.res, run.err = sm.RunTraced(c, cfg, func(batch []trace.Ref) {
+					for _, sim := range run.val.sims {
+						for _, r := range batch {
+							sim.Access(r)
+						}
+					}
+				})
+			})
+		}
+		close(run.done)
+	}
+	<-run.done
+	if run.err != nil {
+		return sm.Result{}, nil, fmt.Errorf("experiments: sm run %q: %w", label, run.err)
+	}
+	sims := make([]*cache.Simulator, len(lineSizes))
+	for i, ls := range lineSizes {
+		sims[i] = run.val.sims[slices.Index(pass, ls)]
+	}
+	if s.Obs.Enabled() {
+		doc := s.Obs.Append(sm.ObsRun(label, "sm-traced", c.Name, cfg, run.val.res))
+		for _, sim := range sims {
+			doc.Cache = append(doc.Cache, sim.Doc())
+		}
+	}
+	return run.val.res, sims, nil
+}
+
+// simulators returns one coherence simulator per line size.
+func simulators(procs int, lineSizes []int) ([]*cache.Simulator, error) {
 	sims := make([]*cache.Simulator, len(lineSizes))
 	for i, ls := range lineSizes {
 		var err error
-		if sims[i], err = cache.New(s.Procs, ls); err != nil {
-			return sm.Result{}, nil, fmt.Errorf("experiments: sm run %q: %w", label, err)
+		if sims[i], err = cache.New(procs, ls); err != nil {
+			return nil, err
 		}
 	}
-	var (
-		res sm.Result
-		err error
-	)
-	s.Pool.Run(func() {
-		res, err = sm.RunTraced(c, cfg, func(r trace.Ref) {
-			for _, sim := range sims {
-				sim.Access(r)
-			}
-		})
-	})
-	if err != nil {
-		return sm.Result{}, nil, fmt.Errorf("experiments: sm run %q: %w", label, err)
-	}
-	if s.Obs.Enabled() {
-		run := s.Obs.Append(sm.ObsRun(label, "sm-traced", c.Name, cfg, res))
-		for _, sim := range sims {
-			run.Cache = append(run.Cache, sim.Doc())
-		}
-	}
-	return res, sims, nil
+	return sims, nil
 }
 
 // renderMPTable renders MP rows with the paper's column names.

@@ -64,9 +64,11 @@ func TestRenderUnknownTable(t *testing.T) {
 
 // TestRenderSetSimulatesEachConfigurationOnce runs the -all table list on
 // the benchmark circuits: the tables request 65 message passing DES runs,
-// only 50 of them distinct, and the run memo executes each distinct one
-// once. Sharing must not show: the rendered tables and the -json document
-// equal, in order and label, those of each table rendered alone.
+// only 50 of them distinct, and 10 traced shared memory runs, of which
+// Table 3's and Section 5.2's are one; the run memo executes each
+// distinct run once. Sharing must not show: the rendered tables and the
+// -json document equal, in order and label, those of each table rendered
+// alone.
 func TestRenderSetSimulatesEachConfigurationOnce(t *testing.T) {
 	bnrE, mdc := BnrE(), MDC()
 	render := func(names []string, col *obs.Collector, memo *runMemo) string {
@@ -92,14 +94,15 @@ func TestRenderSetSimulatesEachConfigurationOnce(t *testing.T) {
 
 	together, memo := obs.NewCollector(), &runMemo{}
 	text := render(TableNames(), together, memo)
-	requested := 0
+	requested := map[string]int{}
 	for _, r := range together.Snapshot("test").Runs {
-		if r.Backend == "mp-des" {
-			requested++
-		}
+		requested[r.Backend]++
 	}
-	if requested != 65 || memo.executed != 50 {
-		t.Errorf("%d DES runs requested, %d executed; want 65 and 50", requested, memo.executed)
+	if requested["mp-des"] != 65 || memo.des.executed != 50 {
+		t.Errorf("%d DES runs requested, %d executed; want 65 and 50", requested["mp-des"], memo.des.executed)
+	}
+	if requested["sm-traced"] != 10 || memo.sm.executed != 9 {
+		t.Errorf("%d traced SM runs requested, %d executed; want 10 and 9", requested["sm-traced"], memo.sm.executed)
 	}
 
 	alone := obs.NewCollector()

@@ -145,7 +145,7 @@ func Table3LineSizes() []int { return []int{4, 8, 16, 32} }
 // paper's default dynamic (distributed loop) wire distribution. One
 // traced routing feeds the four simulators in a single pass.
 func Table3(c *circuit.Circuit, s Setup) ([]Table3Row, error) {
-	res, sims, err := smTraffic(c, s, sm.Dynamic, nil, "table3", Table3LineSizes()...)
+	res, sims, err := smTraffic(c, s, sm.Dynamic, nil, "table3", Table3LineSizes(), Table3LineSizes()...)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +283,7 @@ func Table5(circuits []*circuit.Circuit, s Setup) ([]Table5Row, error) {
 		if err != nil {
 			return Table5Row{}, err
 		}
-		res, sims, err := smTraffic(t.c, sub, sm.Static, asn, "table5/"+t.m.Label, Table5LineSize)
+		res, sims, err := smTraffic(t.c, sub, sm.Static, asn, "table5/"+t.m.Label, []int{Table5LineSize}, Table5LineSize)
 		if err != nil {
 			return Table5Row{}, err
 		}
@@ -416,11 +416,13 @@ type ComparisonRow struct {
 // Comparison reproduces the Section 5.2 traffic/quality comparison:
 // shared memory (8-byte lines) vs the best sender initiated and receiver
 // initiated message passing schedules. The three variants run
-// concurrently as heterogeneous cells.
+// concurrently as heterogeneous cells. The shared memory run is Table 3's,
+// so it simulates Table 3's line sizes and reads the 8-byte one: in a
+// RenderSet with both tables it runs once.
 func Comparison(c *circuit.Circuit, s Setup) ([]ComparisonRow, error) {
 	variants := []func(Setup) (ComparisonRow, error){
 		func(sub Setup) (ComparisonRow, error) {
-			res, sims, err := smTraffic(c, sub, sm.Dynamic, nil, "comparison/shared memory", Table5LineSize)
+			res, sims, err := smTraffic(c, sub, sm.Dynamic, nil, "comparison/shared memory", Table3LineSizes(), Table5LineSize)
 			if err != nil {
 				return ComparisonRow{}, err
 			}

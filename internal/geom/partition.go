@@ -59,6 +59,33 @@ func (p Partition) Owner(pt Point) int {
 	return p.Proc(mx, my)
 }
 
+// OwnerTable is Owner for in-grid cells as two lookups: a region's
+// processor number is its mesh column plus PX times its mesh row, so
+// col[x] holds the owner of (x, 0) — x's mesh column — and row[y] that of
+// (0, y), and (x, y) belongs to col[x] + row[y]. Owner itself costs two binary searches and
+// a clamp, which the per-cell commit and delta paths cannot afford.
+type OwnerTable struct{ col, row []int }
+
+// OwnerTable returns p's owner table, filled region by region.
+func (p Partition) OwnerTable() OwnerTable {
+	t := OwnerTable{col: make([]int, p.Grid.Grids), row: make([]int, p.Grid.Channels)}
+	for mx := range p.PX {
+		for x := cut(p.Grid.Grids, p.PX, mx); x < cut(p.Grid.Grids, p.PX, mx+1); x++ {
+			t.col[x] = mx
+		}
+	}
+	for my := range p.PY {
+		for y := cut(p.Grid.Channels, p.PY, my); y < cut(p.Grid.Channels, p.PY, my+1); y++ {
+			t.row[y] = my * p.PX
+		}
+	}
+	return t
+}
+
+// Owner returns the processor whose owned region contains the in-grid
+// cell (x, y).
+func (t OwnerTable) Owner(x, y int) int { return t.col[x] + t.row[y] }
+
 // MeshDistance returns the Manhattan distance between two processors on the
 // mesh — the hop count of a deterministically routed packet.
 func (p Partition) MeshDistance(a, b int) int {

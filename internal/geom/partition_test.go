@@ -190,3 +190,31 @@ func TestLocateCutInverse(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnerTableMatchesPartition holds the owner lookup of the commit and
+// delta paths to Partition.Owner on every cell of splits whose regions are uneven: the
+// bnrE and MDC grids at the paper's 4x4 and at 3x3, and a 7x13 grid cut
+// into 2x5 regions.
+func TestOwnerTableMatchesPartition(t *testing.T) {
+	for _, tc := range []struct {
+		channels, grids, px, py int
+	}{
+		{10, 341, 4, 4},
+		{12, 386, 3, 3},
+		{7, 13, 2, 5},
+	} {
+		part, err := NewPartition(Grid{Channels: tc.channels, Grids: tc.grids}, tc.px, tc.py)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners := part.OwnerTable()
+		for y := 0; y < tc.channels; y++ {
+			for x := 0; x < tc.grids; x++ {
+				if got, want := owners.Owner(x, y), part.Owner(Pt(x, y)); got != want {
+					t.Fatalf("%dx%d at %dx%d: cell (%d, %d) owner %d, Partition.Owner %d",
+						tc.channels, tc.grids, tc.px, tc.py, x, y, got, want)
+				}
+			}
+		}
+	}
+}

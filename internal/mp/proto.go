@@ -93,7 +93,7 @@ type Proto struct {
 	// owners answers Part.Owner for the cells a commit or rip-up touches;
 	// owned gathers the bounding box of the owned ones until the path is
 	// done, when markOwn takes it once.
-	owners   ownerTable
+	owners   geom.OwnerTable
 	owned    geom.Rect
 	ownDirty geom.Rect
 	reqDirty []geom.Rect
@@ -160,7 +160,7 @@ func NewProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, r
 		router:   router,
 		paths:    make(mapPathStore),
 		scratch:  route.NewScratch(circ.Grid),
-		owners:   newOwnerTable(part),
+		owners:   part.OwnerTable(),
 		reqDirty: make([]geom.Rect, part.Procs()),
 		touch:    make([]int, part.Procs()),
 		reqFrom:  make([]int, part.Procs()),
@@ -185,26 +185,6 @@ func (pr *Proto) TakeScanWork() int {
 	return w
 }
 
-// ownerTable is Partition.Owner for in-grid cells as two lookups: a
-// region's processor number is its mesh column plus PX times its mesh row,
-// so col[x] holds the owner of (x, 0) and row[y] that of (0, y), and
-// (x, y) belongs to col[x] + row[y]. A per-cell Owner costs two
-// geom.locate searches.
-type ownerTable struct{ col, row []int }
-
-func newOwnerTable(part geom.Partition) ownerTable {
-	t := ownerTable{col: make([]int, part.Grid.Grids), row: make([]int, part.Grid.Channels)}
-	for x := range t.col {
-		t.col[x] = part.Owner(geom.Pt(x, 0))
-	}
-	for y := range t.row {
-		t.row[y] = part.Owner(geom.Pt(0, y))
-	}
-	return t
-}
-
-func (t ownerTable) owner(x, y int) int { return t.col[x] + t.row[y] }
-
 // protoCommitView writes through to the view, the ground truth, and the
 // dirty/delta tracking.
 type protoCommitView struct{ pr *Proto }
@@ -216,7 +196,7 @@ func (v protoCommitView) AddCost(x, y int, d int32) {
 	pr := v.pr
 	pr.view.Add(x, y, d)
 	pr.truth.Add(x, y, d)
-	if pr.owners.owner(x, y) == pr.ID {
+	if pr.owners.Owner(x, y) == pr.ID {
 		pr.owned = pr.owned.AddPoint(geom.Pt(x, y))
 	} else if pr.Structure != StructureWireBased {
 		// The wire-based structure transmits whole runs (recorded by
@@ -247,7 +227,7 @@ func (pr *Proto) recordWireOps(path route.Path, ripUp bool) {
 	owner := -1
 	var prev geom.Point
 	for i, c := range path.Cells {
-		o := pr.owners.owner(c.X, c.Y)
+		o := pr.owners.Owner(c.X, c.Y)
 		extends := i > 0 && o == owner && adjacentCollinear(run, prev, c)
 		if !extends {
 			flush(owner, run)

@@ -8,7 +8,8 @@
 // message passing node's local view, and the traced shared memory version
 // (where every read and write is recorded for the coherence simulator).
 // A plain ArrayView is costed by run sums straight off its cells; any
-// other view is read cell by cell, in path order, through Cost. Either
+// other view is read in path order, a straight run at a time through
+// CostRun when it is a RunCostView, else cell by cell through Cost. Either
 // way the winner is written into the path as its three straight runs,
 // and a path is placed on (or ripped from) a plain array without an
 // interface call per cell (Place, Commit, RipUp).
@@ -33,6 +34,19 @@ type CostView interface {
 	Cost(x, y int) int32
 	// AddCost adds d (+1 route, -1 rip-up) to the cell at (x, y).
 	AddCost(x, y int, d int32)
+}
+
+// RunCostView is a CostView that costs a straight run of cells in one
+// call. The kernel walks a candidate that is not on a plain array as its
+// straight runs and hands each to CostRun when the view has it, else
+// reads the run's cells through Cost one by one; either way the view
+// observes the same cells in the same order.
+type RunCostView interface {
+	CostView
+	// CostRun returns the sum of Cost over the n >= 1 cells
+	// (x + i·dx, y + i·dy), i = 0..n-1, one of dx and dy zero and the
+	// other ±1, read in that order.
+	CostRun(x, y, dx, dy, n int) int64
 }
 
 // Params tunes the router.

@@ -15,6 +15,67 @@ import (
 // path must match.
 type walkerView struct{ ArrayView }
 
+// cellReadView is a walkerView that records every cell it is read at, in
+// order; runReadView is one that costs straight runs, recording each
+// run's cells. The walker must read both at the same cells in the same
+// order. runReadView panics on a per-cell read: the kernel reads a
+// RunCostView through CostRun only.
+type cellReadView struct {
+	ArrayView
+	reads []geom.Point
+}
+
+func (v *cellReadView) Cost(x, y int) int32 {
+	v.reads = append(v.reads, geom.Pt(x, y))
+	return v.ArrayView.Cost(x, y)
+}
+
+type runReadView struct {
+	ArrayView
+	reads []geom.Point
+	runs  int
+}
+
+func (v *runReadView) Cost(x, y int) int32 {
+	panic("route: a RunCostView read cell by cell")
+}
+
+func (v *runReadView) CostRun(x, y, dx, dy, n int) int64 {
+	v.runs++
+	var sum int64
+	for ; n > 0; n-- {
+		v.reads = append(v.reads, geom.Pt(x, y))
+		sum += int64(v.ArrayView.Cost(x, y))
+		x, y = x+dx, y+dy
+	}
+	return sum
+}
+
+// checkRunsMatchCells routes pins as a wire, and its first two pins as a
+// pair in both orders, through a per-cell and a run-costing view of v,
+// and requires the same Eval and the same cells read in the same order.
+func checkRunsMatchCells(t *testing.T, v ArrayView, pins []geom.Point, params Params) {
+	t.Helper()
+	var s Scratch
+	cells, runs := &cellReadView{ArrayView: v}, &runReadView{ArrayView: v}
+	w := &circuit.Wire{ID: 1, Pins: pins}
+	if got, want := s.RouteWire(runs, w, params), s.RouteWire(cells, w, params); !evalsEqual(got, want) {
+		t.Fatalf("RouteWire %v on %v, %+v:\nrun costing %+v\ncell by cell %+v", pins, v.Grid(), params, got, want)
+	}
+	for _, pair := range [][2]geom.Point{{pins[0], pins[1]}, {pins[1], pins[0]}} {
+		got, want := s.RoutePair(runs, pair[0], pair[1], params), s.RoutePair(cells, pair[0], pair[1], params)
+		if !evalsEqual(got, want) {
+			t.Fatalf("RoutePair %v on %v, %+v:\nrun costing %+v\ncell by cell %+v", pair, v.Grid(), params, got, want)
+		}
+	}
+	if !slices.Equal(runs.reads, cells.reads) {
+		t.Fatalf("%v on %v, %+v: run costing read\n%v\ncell by cell\n%v", pins, v.Grid(), params, runs.reads, cells.reads)
+	}
+	if runs.runs == 0 || runs.runs > len(runs.reads) {
+		t.Fatalf("%v on %v: %d runs for %d cells", pins, v.Grid(), runs.runs, len(runs.reads))
+	}
+}
+
 // randomView is a channels x grids array of costs in [-3, 5]: MP views
 // hold negative entries between delta applications, so the costings
 // must agree on them too.
@@ -84,7 +145,8 @@ func TestFlatSegmentLongSpans(t *testing.T) {
 }
 
 // FuzzFlatSegment is TestFlatSegmentMatchesWalker and
-// TestWinnerRunsMatchWalker under the fuzzer. The seed corpus is the
+// TestWinnerRunsMatchWalker under the fuzzer, and holds the walker's run
+// costing (RunCostView) to its cell-by-cell reads. The seed corpus is the
 // edge cases, so plain `go test` runs them: one channel, one grid
 // column, p == q, same row, same column, same column with a detour (the
 // two verticals overlap beyond the pins and the walker counts those
@@ -121,8 +183,11 @@ func FuzzFlatSegment(f *testing.F) {
 		p := geom.Pt(int(px)%gr, int(py)%ch)
 		q := geom.Pt(int(qx)%gr, int(qy)%ch)
 		params := Params{MaxHVHCandidates: int(maxHVH), VHVDetourChannels: int(detour) % 8}
+		r := geom.Pt(rng.Intn(gr), rng.Intn(ch))
 		checkFlatMatchesWalker(t, v, []geom.Point{p, q}, params)
-		checkFlatMatchesWalker(t, v, []geom.Point{p, q, geom.Pt(rng.Intn(gr), rng.Intn(ch))}, params)
+		checkFlatMatchesWalker(t, v, []geom.Point{p, q, r}, params)
+		checkRunsMatchCells(t, v, []geom.Point{p, q}, params)
+		checkRunsMatchCells(t, v, []geom.Point{p, q, r}, params)
 		checkAllWinners(t, v.Grid(), p, q)
 	})
 }

@@ -34,7 +34,8 @@ import (
 // between the kernel and its callers: a view that is not a plain
 // ArrayView — tracing, atomics, the negotiated cost function — observes
 // exactly the reads the sequential reference kernel performs, in the same
-// order, and every view sees the same writes.
+// order (a RunCostView as straight runs of them), and every view sees the
+// same writes.
 type Scratch struct {
 	grid    geom.Grid
 	visited []uint64
@@ -250,9 +251,10 @@ func (s *Scratch) winner(p, q geom.Point, vhv bool, m int) {
 // the HVH family over sampled jog columns, then the VHV family over the
 // extended pin band — costs each, and materialises cells only for the
 // cheapest (ties broken by enumeration order). A plain ArrayView is costed
-// by run sums; any other view by walking each candidate's cells against
-// it. The winner is written as runs (winner); TestWinnerRunsMatchWalker
-// and FuzzFlatSegment pin its cells to the walker's reads.
+// by run sums; any other view by walking each candidate's straight runs
+// against it (RunCostView). The winner is written as runs (winner);
+// TestWinnerRunsMatchWalker and FuzzFlatSegment pin its cells to the
+// walker's reads.
 func (s *Scratch) routeSegment(view CostView, p, q geom.Point, params Params) (cost int64, examined int) {
 	grid := view.Grid()
 	x0, x1 := min(p.X, q.X), max(p.X, q.X)
@@ -279,6 +281,7 @@ func (s *Scratch) routeSegment(view CostView, p, q geom.Point, params Params) (c
 	} else {
 		k := &s.coster
 		k.view = view
+		k.runs, _ = view.(RunCostView)
 		for _, xm := range s.xs {
 			k.sum, k.n = 0, 0
 			walkHVH(p, q, xm, k)
@@ -289,7 +292,7 @@ func (s *Scratch) routeSegment(view CostView, p, q geom.Point, params Params) (c
 			walkVHV(p, q, ym, k)
 			best.offer(true, ym, k.sum, k.n)
 		}
-		k.view = nil
+		k.view, k.runs = nil, nil
 	}
 	// Materialise only the winner; this pass reads nothing from the view,
 	// so traced executions observe candidate evaluation reads only.
@@ -335,16 +338,25 @@ func (b *pick) offer(vhv bool, m int, sum int64, n int) {
 	}
 }
 
-// costSink sums view costs over a candidate walk.
+// costSink sums view costs over a candidate walk, a straight run at a
+// time: through the view's CostRun when it has one, else cell by cell.
 type costSink struct {
 	view CostView
+	runs RunCostView // view, when it costs runs itself
 	sum  int64
 	n    int
 }
 
-func (k *costSink) visit(x, y int) {
-	k.sum += int64(k.view.Cost(x, y))
-	k.n++
+func (k *costSink) run(x, y, dx, dy, n int) {
+	k.n += n
+	if k.runs != nil {
+		k.sum += k.runs.CostRun(x, y, dx, dy, n)
+		return
+	}
+	for ; n > 0; n-- {
+		k.sum += int64(k.view.Cost(x, y))
+		x, y = x+dx, y+dy
+	}
 }
 
 // runSums costs one segment's candidates straight from a plain array's
@@ -477,50 +489,47 @@ func (r *runSums) vhv(ym int) (sum int64, n int) {
 	return sum, absInt(ym-p.Y) + q.X - p.X + absInt(q.Y-ym) + 1
 }
 
-// runWalker emits the cells of a candidate's horizontal and vertical runs
+// runWalker hands a costSink a candidate's horizontal and vertical runs
 // with adjacent duplicates (the corners where runs meet) skipped — the
-// same sequence the materialised hvhPath/vhvPath lists hold — into a
-// costSink. It costs views that are not plain arrays; the winner is
-// written by Scratch.winner.
+// same sequence the materialised hvhPath/vhvPath lists hold. Inside a
+// straight run no cell repeats its predecessor, so only a run's first
+// cell can repeat the last cell read, and only it is skipped. It costs
+// views that are not plain arrays; the winner is written by
+// Scratch.winner.
 type runWalker struct {
 	sink         *costSink
 	lastX, lastY int
 	started      bool
 }
 
-func (w *runWalker) emit(x, y int) {
+// run hands the sink the n cells from (x, y) on, dx and dy apart, less the
+// first when it is the last cell read.
+func (w *runWalker) run(x, y, dx, dy, n int) {
 	if w.started && x == w.lastX && y == w.lastY {
-		return
+		x, y, n = x+dx, y+dy, n-1
+		if n == 0 {
+			return
+		}
 	}
 	w.started = true
-	w.lastX, w.lastY = x, y
-	w.sink.visit(x, y)
+	w.lastX, w.lastY = x+(n-1)*dx, y+(n-1)*dy
+	w.sink.run(x, y, dx, dy, n)
 }
 
 func (w *runWalker) horizontal(y, x0, x1 int) {
-	step := 1
+	dx := 1
 	if x1 < x0 {
-		step = -1
+		dx = -1
 	}
-	for x := x0; ; x += step {
-		w.emit(x, y)
-		if x == x1 {
-			break
-		}
-	}
+	w.run(x0, y, dx, 0, absInt(x1-x0)+1)
 }
 
 func (w *runWalker) vertical(x, y0, y1 int) {
-	step := 1
+	dy := 1
 	if y1 < y0 {
-		step = -1
+		dy = -1
 	}
-	for y := y0; ; y += step {
-		w.emit(x, y)
-		if y == y1 {
-			break
-		}
-	}
+	w.run(x, y0, 0, dy, absInt(y1-y0)+1)
 }
 
 // walkHVH costs the cells of the horizontal-vertical-horizontal route

@@ -16,12 +16,12 @@ import (
 )
 
 // discard is the sink of runs whose references are not looked at.
-func discard(trace.Ref) {}
+func discard([]trace.Ref) {}
 
 // collect runs the traced router keeping its trace.
 func collect(c *circuit.Circuit, cfg Config) (Result, *trace.Trace, error) {
 	tr := &trace.Trace{}
-	res, err := RunTraced(c, cfg, tr.Append)
+	res, err := RunTraced(c, cfg, tr.AppendBatch)
 	return res, tr, err
 }
 
@@ -109,13 +109,15 @@ func TestTracedTraceIsSorted(t *testing.T) {
 		cfg.Perf = tc.perf
 		var last trace.Ref
 		emitted := 0
-		res, err := RunTraced(tc.c, cfg, func(r trace.Ref) {
-			if r.T < last.T || (r.T == last.T && r.Proc < last.Proc) {
-				t.Fatalf("%s: ref %d (T=%d, proc %d) emitted after (T=%d, proc %d)",
-					tc.name, emitted, r.T, r.Proc, last.T, last.Proc)
+		res, err := RunTraced(tc.c, cfg, func(batch []trace.Ref) {
+			for _, r := range batch {
+				if r.T < last.T || (r.T == last.T && r.Proc < last.Proc) {
+					t.Fatalf("%s: ref %d (T=%d, proc %d) emitted after (T=%d, proc %d)",
+						tc.name, emitted, r.T, r.Proc, last.T, last.Proc)
+				}
+				last = r
+				emitted++
 			}
-			last = r
-			emitted++
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -32,9 +32,10 @@ const counterAddr = 1 << 40
 
 // tracedView routes reads and writes of one logical process through the
 // shared array, recording every reference and advancing the process's
-// virtual clock per access. Writes performed through the view update the
-// shared array immediately (rip-up) — commits use deferred application,
-// see proc.commitWire.
+// virtual clock per access. The kernel reads it a straight run at a time
+// (CostRun), and a run of reads enters the trace as one trace.Run. Writes
+// performed through the view update the shared array immediately
+// (rip-up) — commits use deferred application, see proc.commitWire.
 type tracedView struct {
 	p *proc
 }
@@ -45,6 +46,28 @@ func (v tracedView) Cost(x, y int) int32 {
 	p := v.p
 	p.ref(p.r.cfg.Perf.CellEval, addrOf(p.r.shared.Grid(), x, y), trace.Read)
 	return p.r.shared.At(x, y)
+}
+
+// CostRun reads the n cells from (x, y) on, dx and dy apart: n references
+// CellEval apart, the first one CellEval after the clock, at addresses
+// one column (dx) or one channel (dy) apart.
+func (v tracedView) CostRun(x, y, dx, dy, n int) int64 {
+	p := v.p
+	g := p.r.shared.Grid()
+	eval := p.r.cfg.Perf.CellEval
+	p.r.tr.AppendRun(trace.Run{
+		T: p.clock + eval, DT: eval, Proc: p.id,
+		Addr: addrOf(g, x, y), Stride: int64(dx*g.Channels+dy) * wordBytes,
+		N: n, Op: trace.Read,
+	})
+	p.clock += sim.Time(n) * eval
+	p.r.refs[trace.Read] += n
+	cells, step := p.r.shared.Cells(), dy*g.Grids+dx
+	var sum int64
+	for i := p.r.shared.Index(x, y); n > 0; n, i = n-1, i+step {
+		sum += int64(cells[i])
+	}
+	return sum
 }
 
 func (v tracedView) AddCost(x, y int, d int32) {
@@ -182,9 +205,11 @@ func (p *proc) fetchWire(counter *int, limit int) int {
 // RunTraced executes the multiplexed shared memory router, handing the
 // interleaved shared reference trace to sink in (time, processor) order
 // while it runs: a reference is emitted as soon as no process can still
-// produce an earlier one, so the trace is never resident as a whole. A
-// caller that wants it kept passes a trace.Trace's Append.
-func RunTraced(circ *circuit.Circuit, cfg Config, sink func(trace.Ref)) (Result, error) {
+// produce an earlier one, so the trace is never resident as a whole. Each
+// sink call carries the next batch of references, valid only during the
+// call (see trace.NewMerger). A caller that wants the trace kept passes a
+// trace.Trace's AppendBatch.
+func RunTraced(circ *circuit.Circuit, cfg Config, sink func([]trace.Ref)) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(circ); err != nil {
 		return Result{}, err

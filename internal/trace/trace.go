@@ -1,10 +1,12 @@
 // Package trace represents shared-data reference traces, the role Tango
 // played for the paper (Section 2.2): for each shared reference the time,
 // address and referencing processor are recorded. The traced shared
-// memory router (internal/sm) appends to one stream per logical process,
-// a Merger interleaves the streams on (time, processor) and hands each
-// reference to its consumer — the cache coherence simulator
-// (internal/cache), or a Trace when the caller wants the references kept.
+// memory router (internal/sm) appends to one stream per logical process —
+// a straight run of cell reads as one Run, every other reference as a
+// run of one — and a Merger interleaves the streams on (time, processor),
+// handing the references it can emit to its consumer one batch per
+// Drain: the cache coherence simulator (internal/cache), or a Trace when
+// the caller wants the references kept.
 package trace
 
 import (
@@ -32,15 +34,31 @@ type Ref struct {
 	Op   Op
 }
 
+// Run is a straight run of N references by one process: reference i (from
+// 0) is at time T + i·DT and address Addr + i·Stride. A traced process
+// reading a straight run of cost array cells produces one, so the merger
+// buffers a run as one item however many references it holds.
+type Run struct {
+	T, DT  sim.Time
+	Proc   int
+	Addr   uint64
+	Stride int64 // address step in bytes; negative walks down
+	N      int
+	Op     Op
+}
+
 // Trace is a materialised, time-ordered sequence of references: the form
 // a trace takes in a file or when one run feeds several later replays.
 type Trace struct {
 	Refs []Ref
 }
 
-// Append adds a reference. Its signature is a Merger sink, which is how a
-// Trace is filled in order.
+// Append adds a reference.
 func (t *Trace) Append(r Ref) { t.Refs = append(t.Refs, r) }
+
+// AppendBatch adds a batch of references. Its signature is a Merger
+// sink, which is how a Trace is filled in order.
+func (t *Trace) AppendBatch(refs []Ref) { t.Refs = append(t.Refs, refs...) }
 
 // Len returns the number of references.
 func (t *Trace) Len() int { return len(t.Refs) }
@@ -71,8 +89,13 @@ func (t *Trace) Counts() (reads, writes int) {
 // the root costs one integer compare per level and no swaps. The merged
 // stream rarely stays on one process (on bnrE with 16 procs it switches
 // after 1.00 references on average), which is why every emission replays.
+// A stream buffers runs, not references: emitting a run's head reference
+// advances the run in place, so the cost of buffering follows the runs a
+// process appends (about six references each on bnrE) while the emitted
+// order stays reference by reference.
 type Merger struct {
-	sink    func(Ref)
+	sink    func([]Ref)
+	batch   []Ref // the references one drain emits, handed to sink at its end
 	streams []stream
 	tree    []uint64 // winner tree: tree[1] is the root, tree[len(tree)/2:] the leaves
 	bits    uint     // processor bits in a key
@@ -82,10 +105,14 @@ type Merger struct {
 	buffered, peak int
 }
 
-// stream is one process's buffered references; refs[head:] are pending.
-// last is the time of the latest reference appended.
+// stream is one process's buffered runs: next holds the process's next
+// reference (none pending when next.N is zero), and runs[head:] queue
+// behind it. Keeping the run being emitted inline saves the merge loop a
+// pointer chase per reference. last is the time of the latest reference
+// appended.
 type stream struct {
-	refs []Ref
+	next Run
+	runs []Run
 	head int
 	last sim.Time
 }
@@ -94,8 +121,10 @@ type stream struct {
 // whose processor bits are never all ones.
 const empty = ^uint64(0)
 
-// NewMerger returns a merger over procs streams emitting into sink.
-func NewMerger(procs int, sink func(Ref)) *Merger {
+// NewMerger returns a merger over procs streams emitting into sink. Each
+// Drain or Flush that emits anything calls sink once, with the emitted
+// references in order; the slice is valid only during the call.
+func NewMerger(procs int, sink func([]Ref)) *Merger {
 	leaves := 1
 	for leaves < procs {
 		leaves *= 2
@@ -114,18 +143,37 @@ func NewMerger(procs int, sink func(Ref)) *Merger {
 	}
 }
 
-// Append buffers r on its process's stream. r.T must lie between that of
-// the stream's previous reference (zero for the first) and the packing
-// bound; Append panics otherwise, because the merge would misorder it.
+// Append buffers r on its process's stream, as a run of one.
 func (m *Merger) Append(r Ref) {
+	m.AppendRun(Run{T: r.T, Proc: r.Proc, Addr: r.Addr, N: 1, Op: r.Op})
+}
+
+// AppendRun buffers run r on its process's stream. r.N must be positive
+// and r.DT not negative, and the run's times must lie between that of the
+// stream's previous reference (zero for the first) and the packing bound;
+// AppendRun panics otherwise, because the merge would misorder it.
+func (m *Merger) AppendRun(r Run) {
 	s := &m.streams[r.Proc]
-	if r.T < s.last || r.T > m.maxT {
-		panic(fmt.Sprintf("trace: proc %d appended T=%d after T=%d (times must not decrease or exceed %d)",
-			r.Proc, r.T, s.last, m.maxT))
+	if r.N < 1 || r.DT < 0 {
+		panic(fmt.Sprintf("trace: proc %d appended a run of %d refs %d apart", r.Proc, r.N, r.DT))
 	}
-	s.last = r.T
-	s.refs = append(s.refs, r)
-	if m.buffered++; m.buffered > m.peak {
+	last, ok := r.T, r.T >= s.last && r.T <= m.maxT
+	if ok && r.N > 1 && r.DT > 0 {
+		// The last reference's time, checked without overflowing.
+		ok = sim.Time(r.N-1) <= (m.maxT-r.T)/r.DT
+		last = r.T + sim.Time(r.N-1)*r.DT
+	}
+	if !ok {
+		panic(fmt.Sprintf("trace: proc %d appended T=%d after T=%d (times must not decrease or exceed %d)",
+			r.Proc, last, s.last, m.maxT))
+	}
+	s.last = last
+	if s.next.N == 0 {
+		s.next = r
+	} else {
+		s.runs = append(s.runs, r)
+	}
+	if m.buffered += r.N; m.buffered > m.peak {
 		m.peak = m.buffered
 	}
 }
@@ -150,7 +198,8 @@ func (m *Merger) Drain(watermark sim.Time) {
 // Flush emits everything still buffered.
 func (m *Merger) Flush() { m.drain(empty) }
 
-// drain emits references while the least pending key is below limit.
+// drain emits references while the least pending key is below limit, then
+// hands them to the sink as one batch.
 func (m *Merger) drain(limit uint64) {
 	leaves := len(m.tree) / 2
 	for p := range m.streams {
@@ -159,40 +208,56 @@ func (m *Merger) drain(limit uint64) {
 	for i := leaves - 1; i > 0; i-- {
 		m.tree[i] = min(m.tree[2*i], m.tree[2*i+1])
 	}
-	for k := m.tree[1]; k < limit; {
-		p := int(k & (1<<m.bits - 1))
+	tree, mask, batch := m.tree, uint64(1)<<m.bits-1, m.batch
+	for k := tree[1]; k < limit; {
+		p := int(k & mask)
 		s := &m.streams[p]
-		m.sink(s.refs[s.head])
-		m.buffered--
-		s.head++
+		r := &s.next
+		batch = append(batch, Ref{T: r.T, Proc: p, Addr: r.Addr, Op: r.Op})
+		if r.N--; r.N > 0 {
+			// The run's next reference: its key is DT later.
+			r.T += r.DT
+			r.Addr += uint64(r.Stride)
+			k += uint64(r.DT) << m.bits
+		} else {
+			if s.head < len(s.runs) {
+				s.next = s.runs[s.head]
+				s.head++
+			}
+			k = m.head(p)
+		}
 		// Replay p's leaf towards the root; k ends as the root's key.
-		k = m.head(p)
 		for i := leaves + p; i > 1; i /= 2 {
-			m.tree[i] = k
-			k = min(k, m.tree[i^1])
+			tree[i] = k
+			k = min(k, tree[i^1])
 		}
 	}
 	for p := range m.streams {
 		m.streams[p].compact()
 	}
+	if len(batch) > 0 {
+		m.buffered -= len(batch)
+		m.sink(batch)
+	}
+	m.batch = batch[:0]
 }
 
-// head returns the key of stream p's first pending reference.
+// head returns the key of stream p's next reference.
 func (m *Merger) head(p int) uint64 {
 	s := &m.streams[p]
-	if s.head == len(s.refs) {
+	if s.next.N == 0 {
 		return empty
 	}
-	return uint64(s.refs[s.head].T)<<m.bits | uint64(p)
+	return uint64(s.next.T)<<m.bits | uint64(p)
 }
 
-// compact reclaims the emitted prefix once it is at least half the
-// buffer, so a stream's memory follows what is pending, not what has
-// passed through, at amortised constant cost per reference.
+// compact reclaims the popped prefix of runs once it is at least half
+// the buffer, so a stream's memory follows what is pending, not what has
+// passed through, at amortised constant cost per run.
 func (s *stream) compact() {
-	if s.head < len(s.refs)-s.head {
+	if s.head < len(s.runs)-s.head {
 		return
 	}
-	n := copy(s.refs, s.refs[s.head:])
-	s.refs, s.head = s.refs[:n], 0
+	n := copy(s.runs, s.runs[s.head:])
+	s.runs, s.head = s.runs[:n], 0
 }

@@ -278,7 +278,7 @@ func (b *smBackend) Route(ctx context.Context, req Request) (Result, error) {
 		var ref *Result
 		if b.kind == SMTraced {
 			tr := &trace.Trace{}
-			smRes, err := sm.RunTraced(req.Circuit, cfg, tr.Append)
+			smRes, err := sm.RunTraced(req.Circuit, cfg, tr.AppendBatch)
 			if err != nil {
 				return Result{}, err
 			}

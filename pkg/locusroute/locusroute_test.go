@@ -108,7 +108,7 @@ func TestTracedSharedMemoryMatchesDirectCall(t *testing.T) {
 	cfg := sm.DefaultConfig()
 	cfg.Procs = 4
 	tr := &trace.Trace{}
-	want, err := sm.RunTraced(c, cfg, tr.Append)
+	want, err := sm.RunTraced(c, cfg, tr.AppendBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
