@@ -430,34 +430,3 @@ func BenchmarkCostArrayDistribution(b *testing.B) {
 		b.ReportMetric(float64(rows[1].Packets)/float64(rows[0].Packets), "strict-packet-ratio")
 	}
 }
-
-// BenchmarkMPRunLive measures the goroutine-and-channel runtime end to
-// end on the full bnrE-like circuit.
-func BenchmarkMPRunLive(b *testing.B) {
-	c := experiments.BnrE()
-	part, err := geom.NewPartition(c.Grid, 4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	asn := assign.AssignThreshold(c, part, 1000)
-	cfg := mp.DefaultConfig(mp.SenderInitiated(2, 10))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mp.RunLive(c, asn, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSMLive measures the atomic shared memory runtime end to end.
-func BenchmarkSMLive(b *testing.B) {
-	c := experiments.BnrE()
-	cfg := sm.DefaultConfig()
-	cfg.Procs = 4
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sm.RunLive(c, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -6,7 +6,7 @@
 //
 //	locusd [-addr :8347] [-listen-bin addr] [-bench bnrE|MDC|both]
 //	       [-seed 1] [-circuit file]
-//	       [-backend sequential|sm-live|sm-traced|mp-des|mp-live|partitioned]
+//	       [-backend sequential|sm-traced|mp-des|partitioned]
 //	       [-procs 16] [-partitions 0] [-shards 4]
 //	       [-max-batch 64] [-max-in-flight 256] [-deadline 5s]
 //	       [-drain-grace 30s] [-par N]

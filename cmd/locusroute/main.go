@@ -1,10 +1,10 @@
 // Command locusroute routes a standard cell circuit with the sequential
-// reference router, the shared memory parallel router, or the
-// partition-parallel router, and reports the quality measures.
+// reference router or the partition-parallel router, and reports the
+// quality measures.
 //
 // Usage:
 //
-//	locusroute [-circuit file | -bench bnrE|MDC] [-procs N] [-iters N] [-mode seq|live|part]
+//	locusroute [-circuit file | -bench bnrE|MDC] [-procs N] [-iters N] [-mode seq|part]
 //	locusroute -mode part -partitions 4          # partition-parallel
 //	locusroute -mode seq -negotiate              # negotiated congestion
 package main
@@ -29,9 +29,9 @@ func main() {
 	common.AddBench(flag.CommandLine)
 	common.AddCircuitFile(flag.CommandLine)
 	var (
-		procs      = flag.Int("procs", 1, "processes for -mode live, worker bound for -mode part")
+		procs      = flag.Int("procs", 1, "worker bound for -mode part")
 		iters      = flag.Int("iters", route.DefaultParams().Iterations, "routing iterations")
-		mode       = flag.String("mode", "seq", "seq (sequential reference), live (goroutine shared memory) or part (partition-parallel)")
+		mode       = flag.String("mode", "seq", "seq (sequential reference) or part (partition-parallel)")
 		partitions = flag.Int("partitions", 0, "leaf regions for -mode part (0 = default 4; 1 is bit-identical to seq)")
 		negotiate  = flag.Bool("negotiate", false, "use the negotiated-congestion schedule (modes seq and part)")
 		heatmap    = flag.Bool("heatmap", false, "render the final cost array as ASCII art")
@@ -65,11 +65,6 @@ func main() {
 			opts = append(opts, locusroute.WithNegotiatedCongestion(locusroute.Negotiated{}))
 		}
 		backend, err = locusroute.NewSequential(opts...)
-	case "live":
-		backend, err = locusroute.NewSharedMemory(
-			locusroute.WithProcs(*procs),
-			locusroute.WithIterations(*iters),
-			locusroute.WithObserver(col))
 	case "part":
 		opts := []locusroute.Option{
 			locusroute.WithProcs(*procs),
@@ -101,9 +96,6 @@ func main() {
 	case "seq":
 		fmt.Printf("sequential: circuit height %d, occupancy %d (%d wire routings, %d cells examined)\n",
 			res.CircuitHeight, res.Occupancy, res.WiresRouted, res.CellsExamined)
-	case "live":
-		fmt.Printf("shared memory (%d goroutines): circuit height %d, occupancy %d\n",
-			*procs, res.CircuitHeight, res.Occupancy)
 	case "part":
 		fmt.Printf("partitioned: circuit height %d, occupancy %d (%d wire routings, %d cells examined)\n",
 			res.CircuitHeight, res.Occupancy, res.WiresRouted, res.CellsExamined)

@@ -13,8 +13,7 @@
 // it as a Chrome trace-event document (open it at ui.perfetto.dev: one
 // track per node, flow arrows for packets). It also prints the run's
 // critical path — the chain of dependent events that sets the simulated
-// time — with a per-category breakdown of time on the path. Tracing
-// records simulated time, so -trace and -live are mutually exclusive.
+// time — with a per-category breakdown of time on the path.
 //
 // -par is accepted for interface uniformity with cmd/paper and
 // cmd/smtrace (scripted sweeps pass the same flags to all three); a
@@ -60,8 +59,7 @@ func main() {
 		packets   = flag.String("packets", "bbox", "update packet structure: bbox, wire or region")
 		dynamic   = flag.Bool("dynamic", false, "dynamic wire assignment over the network (ablation)")
 		strict    = flag.Bool("strict", false, "strict region ownership, no replicated views (ablation)")
-		live      = flag.Bool("live", false, "run on real goroutines and channels instead of the DES")
-		traceOut  = flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this file (DES only)")
+		traceOut  = flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this file")
 	)
 	flag.Parse()
 	if err := common.Validate(); err != nil {
@@ -126,18 +124,11 @@ func main() {
 
 	var tracer *tracev.Tracer
 	if *traceOut != "" {
-		if *live {
-			log.Fatal("-trace records simulated time; it cannot be combined with -live")
-		}
 		tracer = tracev.New(0)
 		opts = append(opts, locusroute.WithTracer(tracer))
 	}
 
-	newBackend := locusroute.NewMessagePassing
-	if *live {
-		newBackend = locusroute.NewLiveMessagePassing
-	}
-	backend, err := newBackend(opts...)
+	backend, err := locusroute.NewMessagePassing(opts...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,12 @@
-// Paradigms: the paper's two programming models as real Go programs, side
-// by side. The shared memory version routes with goroutines sharing one
-// atomic cost array; the message passing version routes with goroutines
-// whose only interaction is marshalled packets over channels — the same
-// protocol the simulated-mesh experiments measure. Quality, wall-clock
-// time, and the message passing version's byte count are compared. All
-// three implementations are constructed through the one public Backend
-// interface in pkg/locusroute.
+// Paradigms: the paper's two programming models side by side, each on
+// the simulator the paper measured it with. The shared memory version
+// interleaves 16 processes on one unlocked cost array in virtual time
+// (Tango-style); the message passing version runs 16 nodes whose only
+// interaction is marshalled packets over the simulated mesh. Quality,
+// simulated time, and the message passing version's update bytes are
+// compared against the sequential reference. All three implementations
+// are constructed through the one public Backend interface in
+// pkg/locusroute.
 //
 //	go run ./examples/paradigms
 package main
@@ -14,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"runtime"
 	"time"
 
 	"locusroute/internal/circuit"
@@ -29,20 +29,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Use several workers even on few cores: the point is the two
-	// consistency disciplines, which are concurrency properties, not
-	// parallel speedup.
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 4 {
-		procs = 4
-	}
-	if procs > 8 {
-		procs = 8
-	}
-	fmt.Printf("routing %s (%d wires) with %d workers\n\n", c.Name, len(c.Wires), procs)
+	const procs = 16
+	fmt.Printf("routing %s (%d wires) on %d simulated processors\n\n", c.Name, len(c.Wires), procs)
 
-	table := metrics.NewTable("two paradigms, real goroutines",
-		"Implementation", "Ckt Ht.", "Occup.", "Wall time", "Update bytes")
+	table := metrics.NewTable("two paradigms, simulated",
+		"Implementation", "Ckt Ht.", "Occup.", "Sim time", "Update bytes")
 
 	// Three backends, one interface: the row label and update-byte
 	// column are the only per-paradigm code left.
@@ -53,11 +44,11 @@ func main() {
 		{"sequential reference", func() (locusroute.Backend, error) {
 			return locusroute.NewSequential()
 		}},
-		{"shared memory (atomic array)", func() (locusroute.Backend, error) {
-			return locusroute.NewSharedMemory(locusroute.WithProcs(procs))
+		{"shared memory (traced)", func() (locusroute.Backend, error) {
+			return locusroute.NewTracedSharedMemory(locusroute.WithProcs(procs))
 		}},
-		{"message passing (channels)", func() (locusroute.Backend, error) {
-			return locusroute.NewLiveMessagePassing(locusroute.WithProcs(procs))
+		{"message passing (mesh DES)", func() (locusroute.Backend, error) {
+			return locusroute.NewMessagePassing(locusroute.WithProcs(procs))
 		}},
 	}
 	for _, b := range backends {
@@ -69,17 +60,21 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bytes := "-"
+		simTime, bytes := "-", "-"
+		if res.SimTime > 0 {
+			simTime = res.SimTime.Round(time.Millisecond).String()
+		}
 		if res.MP != nil {
 			bytes = fmt.Sprintf("%d", res.MP.UpdateBytes)
 		}
 		table.Add(b.label,
 			fmt.Sprintf("%d", res.CircuitHeight), fmt.Sprintf("%d", res.Occupancy),
-			res.Wall.Round(time.Millisecond).String(), bytes)
+			simTime, bytes)
 	}
 
 	fmt.Println(table)
-	fmt.Println("the shared memory program relies on the hardware (here: atomic word")
-	fmt.Println("access) for consistency; the message passing program buys whatever")
-	fmt.Println("consistency its update schedule pays for, in marshalled bytes.")
+	fmt.Println("the shared memory program relies on the hardware for consistency")
+	fmt.Println("(its bus traffic is what cmd/smtrace measures); the message passing")
+	fmt.Println("program buys whatever consistency its update schedule pays for, in")
+	fmt.Println("marshalled bytes.")
 }

@@ -1,5 +1,5 @@
 // Quickstart: generate a small standard cell circuit, route it
-// sequentially, and route it again with the goroutine shared memory
+// sequentially, and route it again with the simulated shared memory
 // router, comparing the quality measures. Both routers are constructed
 // through the public pkg/locusroute backend API.
 //
@@ -47,10 +47,10 @@ func main() {
 	fmt.Printf("  occupancy factor %d (sum of path costs at routing time)\n", seq.Occupancy)
 	fmt.Printf("  congested cells  %d of %d\n\n", seq.Final.NonZeroCells(), c.Grid.Cells())
 
-	// Route with 4 goroutines sharing one atomic cost array (the paper's
-	// shared memory style: no locks, a distributed loop, a barrier
-	// between rip-up-and-reroute iterations).
-	smBackend, err := locusroute.NewSharedMemory(locusroute.WithProcs(4))
+	// Route with 4 simulated processes sharing one cost array (the
+	// paper's shared memory style: no locks, a distributed loop, a
+	// barrier between rip-up-and-reroute iterations).
+	smBackend, err := locusroute.NewTracedSharedMemory(locusroute.WithProcs(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("shared memory router (4 goroutines):\n")
+	fmt.Printf("shared memory router (4 processes):\n")
 	fmt.Printf("  circuit height   %d\n", par.CircuitHeight)
 	fmt.Printf("  occupancy factor %d\n", par.Occupancy)
 	fmt.Printf("\nparallel quality is close to sequential but not identical:\n")

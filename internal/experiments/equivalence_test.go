@@ -21,38 +21,37 @@ type quality struct{ Height, Occupancy int64 }
 // on three seeded bnrE-like circuits. The values are produced by the one
 // shared routing kernel, so any change that perturbs candidate
 // enumeration order, tie-breaking, or the work count shows up here
-// immediately — across all four backends at once.
+// immediately — across every backend at once.
 //
-// The live backends run with one worker (their only deterministic
-// configuration); the traced SM and DES MP runtimes are deterministic at
-// any processor count and run with four.
+// The traced SM and DES MP runtimes run with four processors, and again
+// with one, where they must reproduce the sequential reference.
 var equivalenceGolden = map[int64]map[string]quality{
 	1: {
 		"sequential":       {51, 7542},
-		"sm-live-1p":       {51, 7542},
+		"sm-traced-1p":     {51, 7542},
 		"sm-traced-4p":     {52, 7039},
 		"mp-des-4p":        {51, 7677},
 		"mp-des-4p-wire":   {53, 7682},
 		"mp-des-4p-region": {52, 7699},
-		"mp-live-1p":       {51, 7542},
+		"mp-des-1p":        {51, 7542},
 	},
 	2: {
 		"sequential":       {49, 7307},
-		"sm-live-1p":       {49, 7307},
+		"sm-traced-1p":     {49, 7307},
 		"sm-traced-4p":     {50, 7108},
 		"mp-des-4p":        {50, 7250},
 		"mp-des-4p-wire":   {48, 7218},
 		"mp-des-4p-region": {49, 7187},
-		"mp-live-1p":       {49, 7307},
+		"mp-des-1p":        {49, 7307},
 	},
 	3: {
 		"sequential":       {50, 6767},
-		"sm-live-1p":       {50, 6767},
+		"sm-traced-1p":     {50, 6767},
 		"sm-traced-4p":     {52, 6221},
 		"mp-des-4p":        {51, 6679},
 		"mp-des-4p-wire":   {51, 6776},
 		"mp-des-4p-region": {50, 6739},
-		"mp-live-1p":       {50, 6767},
+		"mp-des-1p":        {50, 6767},
 	},
 }
 
@@ -63,8 +62,8 @@ func equivCircuit(seed int64) *circuit.Circuit {
 }
 
 // TestCrossBackendEquivalence routes the same seeded circuits through
-// sequential, shared memory (live and traced), and message passing (DES
-// and live) and checks each against its golden quality values. Each
+// sequential, traced shared memory and DES message passing at one and
+// four processors and checks each against its golden quality values. Each
 // seed is an independent unit of work and runs as a parallel subtest.
 func TestCrossBackendEquivalence(t *testing.T) {
 	for seed, golden := range equivalenceGolden {
@@ -85,17 +84,13 @@ func testCrossBackendEquivalence(t *testing.T, seed int64, golden map[string]qua
 	seq, _ := route.Sequential(c, params)
 	got["sequential"] = quality{seq.CircuitHeight, seq.Occupancy}
 
-	smLive, err := sm.RunLive(c, sm.Config{Procs: 1, Router: params})
-	if err != nil {
-		t.Fatalf("seed %d: sm.RunLive: %v", seed, err)
+	for _, procs := range []int{1, 4} {
+		smTr, err := sm.RunTraced(c, sm.Config{Procs: procs, Router: params}, func([]trace.Ref) {})
+		if err != nil {
+			t.Fatalf("seed %d: sm.RunTraced %dp: %v", seed, procs, err)
+		}
+		got[fmt.Sprintf("sm-traced-%dp", procs)] = quality{smTr.CircuitHeight, smTr.Occupancy}
 	}
-	got["sm-live-1p"] = quality{smLive.CircuitHeight, smLive.Occupancy}
-
-	smTr, err := sm.RunTraced(c, sm.Config{Procs: 4, Router: params}, func([]trace.Ref) {})
-	if err != nil {
-		t.Fatalf("seed %d: sm.RunTraced: %v", seed, err)
-	}
-	got["sm-traced-4p"] = quality{smTr.CircuitHeight, smTr.Occupancy}
 
 	part4, err := geom.NewPartition(c.Grid, 2, 2)
 	if err != nil {
@@ -135,11 +130,11 @@ func testCrossBackendEquivalence(t *testing.T, seed int64, golden map[string]qua
 	cfg1 := mp.DefaultConfig(mp.SenderInitiated(2, 10))
 	cfg1.Procs = 1
 	cfg1.Router = params
-	live, err := mp.RunLive(c, assign.AssignThreshold(c, part1, 1000), cfg1)
+	des1, err := mp.Run(c, assign.AssignThreshold(c, part1, 1000), cfg1)
 	if err != nil {
-		t.Fatalf("seed %d: mp.RunLive: %v", seed, err)
+		t.Fatalf("seed %d: mp.Run 1p: %v", seed, err)
 	}
-	got["mp-live-1p"] = quality{live.CircuitHeight, live.Occupancy}
+	got["mp-des-1p"] = quality{des1.CircuitHeight, des1.Occupancy}
 
 	for backend, want := range golden {
 		if got[backend] != want {
@@ -148,10 +143,10 @@ func testCrossBackendEquivalence(t *testing.T, seed int64, golden map[string]qua
 		}
 	}
 
-	// A single worker removes all interference, so the live backends
-	// must reproduce the sequential reference exactly — the strongest
-	// statement that all four backends share one kernel.
-	for _, backend := range []string{"sm-live-1p", "mp-live-1p"} {
+	// A single processor removes all interference, so both parallel
+	// runtimes must reproduce the sequential reference exactly — the
+	// strongest statement that every backend shares one kernel.
+	for _, backend := range []string{"sm-traced-1p", "mp-des-1p"} {
 		if got[backend] != got["sequential"] {
 			t.Errorf("seed %d: %s %v != sequential %v",
 				seed, backend, got[backend], got["sequential"])

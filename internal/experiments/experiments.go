@@ -211,7 +211,7 @@ func runConfigured(c *circuit.Circuit, s Setup, cfg mp.Config, asn *assign.Assig
 	}
 	if s.Obs.Enabled() {
 		cfg.Obs = run.val.obs
-		s.Obs.Append(mp.ObsRun(label, "mp-des", c.Name, cfg, run.val.res))
+		s.Obs.Append(mp.ObsRun(label, c.Name, cfg, run.val.res))
 	}
 	return run.val.res, nil
 }
@@ -343,7 +343,7 @@ func smTraffic(c *circuit.Circuit, s Setup, order sm.Order, asn *assign.Assignme
 		sims[i] = run.val.sims[slices.Index(pass, ls)]
 	}
 	if s.Obs.Enabled() {
-		doc := s.Obs.Append(sm.ObsRun(label, "sm-traced", c.Name, cfg, run.val.res))
+		doc := s.Obs.Append(sm.ObsRun(label, c.Name, cfg, run.val.res))
 		for _, sim := range sims {
 			doc.Cache = append(doc.Cache, sim.Doc())
 		}

@@ -117,18 +117,6 @@ func TestDynamicWiresRoutesEveryWire(t *testing.T) {
 	}
 }
 
-func TestDynamicWiresRejectedByLiveRuntime(t *testing.T) {
-	c := smallCircuit(1)
-	part, _ := geom.NewPartition(c.Grid, 2, 2)
-	asn := assign.AssignRoundRobin(c, part)
-	cfg := DefaultConfig(SenderInitiated(2, 10))
-	cfg.Procs = 4
-	cfg.DynamicWires = true
-	if _, err := RunLive(c, asn, cfg); err == nil {
-		t.Errorf("live runtime must reject dynamic wire assignment")
-	}
-}
-
 func TestDynamicWiresRejectsReceiverInitiated(t *testing.T) {
 	c := smallCircuit(1)
 	part, _ := geom.NewPartition(c.Grid, 2, 2)

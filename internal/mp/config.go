@@ -106,8 +106,8 @@ type Config struct {
 	// DynamicWires enables the dynamic wire assignment ablation
 	// (Section 4.2): instead of a static assignment, processors request
 	// wires from the assignment processor (node 0) over the network.
-	// Only the DES runtime supports it, with sender initiated schedules
-	// (receiver initiated lookahead needs the wire list in advance).
+	// Sender initiated schedules only (receiver initiated lookahead
+	// needs the wire list in advance).
 	DynamicWires bool
 	// Topology optionally replaces the default squarest 2-D mesh with a
 	// general k-ary n-cube shape (e.g. [2, 2, 2, 2] runs 16 processors
@@ -115,27 +115,26 @@ type Config struct {
 	// Procs. The cost array partition stays two-dimensional; only the
 	// interconnect shape changes, as in CBS.
 	Topology []int
-	// Obs, when non-nil, collects the run's observability data: per-node
-	// simulated-time breakdown and interconnect histograms in the DES
-	// runtime, wall-clock phases in the live runtime. The DES runtime
-	// resets it at run start, so one observer serves one run. Nil (the
-	// default) disables all collection; the run is byte-identical either
-	// way.
+	// Obs, when non-nil, collects the run's observability data: the
+	// per-node simulated-time breakdown and the interconnect histograms.
+	// Run resets it at run start, so one observer serves one run. Nil
+	// (the default) disables all collection; the run is byte-identical
+	// either way.
 	Obs *obs.MP
 	// Trace, when non-nil, records an event-level timeline of the run:
 	// spans for wire routing, packet sends/handling, blocking waits and
 	// barriers; flow arrows joining each packet's injection to its
 	// dequeue; and Account stamps tiling each node's simulated time.
 	// Consumers export it as Chrome trace-event JSON (tracev.WriteChrome)
-	// or extract the simulated-time critical path (tracev.Analyze). DES
-	// runtime only. A tracer is confined to one run — never share one
+	// or extract the simulated-time critical path (tracev.Analyze). A
+	// tracer is confined to one run — never share one
 	// across concurrent simulations. Nil (the default) disables tracing;
 	// the run is byte-identical either way.
 	Trace *tracev.Tracer
 	// StrictOwnership enables the strict region ownership ablation
 	// (Section 4.1): no replicated views, no update traffic — routing
-	// tasks are passed across region boundaries instead. DES runtime
-	// only; the update Strategy must be zero (there is nothing to
+	// tasks are passed across region boundaries instead. The update
+	// Strategy must be zero (there is nothing to
 	// update), and the assignment must be the pure-locality one
 	// (leftmost pin) because tasks start at the initiating region.
 	StrictOwnership bool

@@ -12,6 +12,7 @@ import (
 	"locusroute/internal/geom"
 	"locusroute/internal/msg"
 	"locusroute/internal/obs"
+	"locusroute/internal/sim"
 	"locusroute/internal/tracev"
 )
 
@@ -172,6 +173,64 @@ func TestDESGolden(t *testing.T) {
 				cfg, res := runDESCase(t, c, tc, procs)
 				if got := desDigest(cfg, res); got != want[name] {
 					t.Errorf("digest %s, want %s", got, want[name])
+				}
+			})
+		}
+	}
+}
+
+// TestTimeScaleInvariance multiplies every time constant — the compute
+// model's five and the network's hop and process times — by 3 on every
+// DES golden configuration. The answers must not move: circuit height,
+// occupancy, cells examined and the traffic of every packet kind. Every
+// time must be exactly 3 times the unscaled one: the run time, its
+// routing and message split, and every node's ledger. A time literal
+// that bypasses the model would break the factor.
+func TestTimeScaleInvariance(t *testing.T) {
+	const k = 3
+	c := circuit.MustGenerate(circuit.BnrELike(1))
+	for _, tc := range desCases() {
+		for _, procs := range desProcs {
+			t.Run(fmt.Sprintf("%s/procs%d", tc.name, procs), func(t *testing.T) {
+				cfg, res := runDESCase(t, c, tc, procs)
+				scaled := tc
+				scaled.mutate = func(cfg *Config) {
+					if tc.mutate != nil {
+						tc.mutate(cfg)
+					}
+					m, n := &cfg.Perf, &cfg.Net
+					for _, v := range []*sim.Time{&m.CellEval, &m.CellWrite, &m.CellScan,
+						&m.ByteCopy, &m.WireOverhead, &n.HopTime, &n.ProcessTime} {
+						*v *= k
+					}
+				}
+				kcfg, kres := runDESCase(t, c, scaled, procs)
+
+				check := func(what string, got, want int64) {
+					if got != want {
+						t.Errorf("%s: %d with constants x%d, want %d", what, got, k, want)
+					}
+				}
+				check("circuit height", kres.CircuitHeight, res.CircuitHeight)
+				check("occupancy", kres.Occupancy, res.Occupancy)
+				check("cells examined", kres.CellsExamined, res.CellsExamined)
+				for kind := msg.Kind(0); kind <= msg.KindSegDone; kind++ {
+					check(kind.String()+" packets", kres.PacketsByKind[kind], res.PacketsByKind[kind])
+					check(kind.String()+" bytes", kres.BytesByKind[kind], res.BytesByKind[kind])
+				}
+				check("time", int64(kres.Time), k*int64(res.Time))
+				check("route time", int64(kres.RouteTime), k*int64(res.RouteTime))
+				check("message time", int64(kres.MessageTime), k*int64(res.MessageTime))
+				nodes, knodes := cfg.Obs.NodeTimes(), kcfg.Obs.NodeTimes()
+				if len(knodes) != len(nodes) {
+					t.Fatalf("%d node ledgers with constants x%d, want %d", len(knodes), k, len(nodes))
+				}
+				for i, n := range nodes {
+					want := obs.NodeTimes{Node: n.Node, ComputeNs: k * n.ComputeNs, PacketNs: k * n.PacketNs,
+						BlockedNs: k * n.BlockedNs, BarrierNs: k * n.BarrierNs, TotalNs: k * n.TotalNs}
+					if knodes[i] != want {
+						t.Errorf("node %d ledger %+v with constants x%d, want %+v", n.Node, knodes[i], k, want)
+					}
 				}
 			})
 		}

@@ -12,14 +12,14 @@ import (
 )
 
 // node is one simulated processor of the message passing router: the
-// discrete-event runtime around a Proto, or around a strict ownership
+// discrete-event process around a Proto, or around a strict ownership
 // state when the cost array is not replicated (Section 4.1). It charges
 // the compute model for every operation, transports packets over the
 // simulated mesh, and implements the inter-iteration barrier (Done to
 // node 0, Continue back).
 // Routing scratch state lives inside the Proto (one route.Scratch per
-// processor for the whole run), so both this runtime and the live one get
-// the allocation-free kernel without owning it themselves.
+// processor for the whole run), so the node gets the allocation-free
+// kernel without owning it itself.
 type node struct {
 	id    int
 	r     *runner

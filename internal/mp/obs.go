@@ -6,21 +6,20 @@ import (
 	"locusroute/internal/tracev"
 )
 
-// ObsRun renders a finished run into its observability document. The
-// per-node breakdown, network histograms and wall-clock phases come from
-// cfg.Obs (all empty when observability was off); the counters come from
-// the Result. backend names the runtime: "mp-des" or "mp-live".
-func ObsRun(name, backend, circuitName string, cfg Config, res Result) obs.Run {
+// ObsRun renders a finished run into its "mp-des" observability
+// document. The per-node breakdown and network histograms come from
+// cfg.Obs (both empty when observability was off); the counters come
+// from the Result.
+func ObsRun(name, circuitName string, cfg Config, res Result) obs.Run {
 	r := obs.Run{
 		Name:      name,
-		Backend:   backend,
+		Backend:   "mp-des",
 		Circuit:   circuitName,
 		Procs:     cfg.Procs,
 		Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
 		SimTimeNs: int64(res.Time),
 		Nodes:     cfg.Obs.NodeTimes(),
 		Messages:  kindCounts(res),
-		Phases:    cfg.Obs.PhaseDocs(),
 	}
 	net := &obs.NetworkDoc{
 		Bytes:             res.Net.Bytes,

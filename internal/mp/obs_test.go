@@ -190,7 +190,7 @@ func TestObserverRecordsNetworkHistograms(t *testing.T) {
 	if rec.QueueDepth.Count() == 0 {
 		t.Errorf("no queue depths observed")
 	}
-	doc := ObsRun("test", "mp-des", "small", cfg, res)
+	doc := ObsRun("test", "small", cfg, res)
 	if doc.Network == nil || doc.Network.Latency == nil {
 		t.Fatalf("ObsRun must carry the latency histogram")
 	}
@@ -231,30 +231,6 @@ func TestNoRuntimeSelfSends(t *testing.T) {
 					res.Net.SelfPackets, res.Net.SelfBytes)
 			}
 		})
-	}
-}
-
-func TestLiveRunRecordsPhases(t *testing.T) {
-	c := smallCircuit(1)
-	cfg := DefaultConfig(SenderInitiated(2, 5))
-	cfg.Procs = 4
-	cfg.Router.Iterations = 2
-	cfg.Obs = obs.NewMP()
-	part, err := geom.NewPartition(c.Grid, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunLive(c, assign.AssignThreshold(c, part, 1000), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phases := cfg.Obs.PhaseDocs()
-	if len(phases) != 2 || phases[0].Name != "route" || phases[1].Name != "reduce" {
-		t.Fatalf("live phases = %+v, want route then reduce", phases)
-	}
-	doc := ObsRun("test", "mp-live", c.Name, cfg, res)
-	if len(doc.Phases) != 2 {
-		t.Errorf("ObsRun dropped the phases")
 	}
 }
 

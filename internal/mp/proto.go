@@ -16,17 +16,6 @@ type Outbound struct {
 	Msg *msg.Message
 }
 
-// WireStats reports the work of one wire routing, for the runtime's
-// compute-time accounting.
-type WireStats struct {
-	CellsExamined  int
-	CellsRipped    int
-	CellsCommitted int
-	// TrueCost is the path cost against the ground-truth array at commit
-	// time (the occupancy contribution).
-	TrueCost int64
-}
-
 // PacketStructure selects the update packet layout (Section 4.3.1 of the
 // paper). The paper chooses the bounding-box structure; the two
 // alternatives it discusses are kept as ablations, valid for pure sender
@@ -60,16 +49,14 @@ func (s PacketStructure) String() string {
 	return fmt.Sprintf("PacketStructure(%d)", int(s))
 }
 
-// Proto is the runtime-independent protocol state of one message passing
-// LocusRoute processor: the full (possibly stale) view of the cost array,
-// the delta array of unsent changes, the dirty bounds that drive
-// SendLocData broadcasts and ReqRmtData responses, and the counters of
-// every update mechanism. Both runtimes — the discrete-event simulation
-// (node.go) and the real goroutine-and-channel runtime (live.go) — drive
-// the same Proto, so strategy behaviour is identical across them by
-// construction.
+// Proto is the transport-independent protocol state of one message
+// passing LocusRoute processor: the full (possibly stale) view of the
+// cost array, the delta array of unsent changes, the dirty bounds that
+// drive SendLocData broadcasts and ReqRmtData responses, and the counters
+// of every update mechanism. The discrete-event node (node.go) drives it
+// and charges the compute model for each step.
 //
-// Proto is not safe for concurrent use; each runtime confines a Proto to
+// Proto is not safe for concurrent use; each node confines a Proto to
 // one processor's thread of control.
 type Proto struct {
 	ID       int
@@ -79,15 +66,14 @@ type Proto struct {
 	Structure PacketStructure
 
 	circ  *circuit.Circuit
-	truth Truth
+	truth *costarray.CostArray
 	view  *costarray.CostArray
 	delta *costarray.Delta
 
 	router route.Params
 	paths  PathStore
 	// scratch is this processor's reusable routing kernel state. Proto is
-	// confined to one thread of control, so the scratch is too; both
-	// runtimes (DES and live) inherit allocation-free routing through it.
+	// confined to one thread of control, so the scratch is too.
 	scratch *route.Scratch
 
 	// owners answers Part.Owner for the cells a commit or rip-up touches;
@@ -109,8 +95,8 @@ type Proto struct {
 	// structure's send queue (StructureWireBased only).
 	wireOps [][]wireOp
 
-	// Scan work accumulated by the most recent operation, for runtimes
-	// that charge compute time (reset by TakeScanWork).
+	// Scan work accumulated by the most recent operation, charged as
+	// packet time by the node (reset by TakeScanWork).
 	scanWork int
 }
 
@@ -118,15 +104,6 @@ type Proto struct {
 type wireOp struct {
 	run   geom.Rect
 	ripUp bool
-}
-
-// Truth is where commits and rip-ups land immediately, regardless of any
-// view staleness: the real circuit state. The DES runtime passes a plain
-// array (single-threaded by construction); the live runtime passes an
-// atomically synchronised one.
-type Truth interface {
-	Add(x, y int, d int32)
-	At(x, y int) int32
 }
 
 // PathStore records the most recent routing of each wire, consulted at
@@ -167,8 +144,12 @@ func NewProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, r
 	}
 }
 
-// SetTruth installs the ground-truth sink. Must be called before routing.
-func (pr *Proto) SetTruth(t Truth) { pr.truth = t }
+// SetTruth installs the ground-truth array: where every commit and
+// rip-up lands immediately, regardless of any view staleness, so quality
+// is measured on the real circuit state. The nodes of one run share it;
+// the DES kernel serialises their execution. Must be called before
+// routing.
+func (pr *Proto) SetTruth(t *costarray.CostArray) { pr.truth = t }
 
 // SetPathStore replaces the private path store (dynamic wire assignment
 // shares one across processors). Must be called before routing.
@@ -304,18 +285,6 @@ func (pr *Proto) CommitWire(wi int, pw PendingWire) int64 {
 	}
 	pr.paths.Set(wi, pw.Path)
 	return trueCost
-}
-
-// RouteWire is the single-shot form of RipUpWire + EvaluateWire +
-// CommitWire for runtimes that do not charge time between phases.
-func (pr *Proto) RouteWire(wi, iter int) WireStats {
-	var st WireStats
-	st.CellsRipped = pr.RipUpWire(wi, iter)
-	pw := pr.EvaluateWire(wi)
-	st.CellsExamined = pw.CellsExamined
-	st.TrueCost = pr.CommitWire(wi, pw)
-	st.CellsCommitted = pw.Path.Len()
-	return st
 }
 
 // AfterWire advances the sender initiated schedule and returns the

@@ -15,7 +15,7 @@ import (
 type protoFixture struct {
 	circ  *circuit.Circuit
 	part  geom.Partition
-	truth plainTruth
+	truth *costarray.CostArray
 	ps    []*Proto
 }
 
@@ -29,7 +29,7 @@ func newProtoFixture(t *testing.T, st Strategy) *protoFixture {
 	f := &protoFixture{
 		circ:  c,
 		part:  part,
-		truth: plainTruth{a: costarray.New(c.Grid)},
+		truth: costarray.New(c.Grid),
 	}
 	for id := 0; id < 4; id++ {
 		p := NewProto(id, c, part, st, route.Params{Iterations: 2})
@@ -37,6 +37,14 @@ func newProtoFixture(t *testing.T, st Strategy) *protoFixture {
 		f.ps = append(f.ps, p)
 	}
 	return f
+}
+
+// routeWire evaluates and commits wire wi's first routing in one step
+// and returns the number of cells committed.
+func routeWire(pr *Proto, wi int) int {
+	pw := pr.EvaluateWire(wi)
+	pr.CommitWire(wi, pw)
+	return pw.Path.Len()
 }
 
 // deliver routes outbound messages to their target protos, collecting any
@@ -88,8 +96,8 @@ func (f *protoFixture) wireCrossing(by int) int {
 func TestProtoCommitUpdatesViewAndTruth(t *testing.T) {
 	f := newProtoFixture(t, Strategy{})
 	p := f.ps[0]
-	stats := p.RouteWire(0, 0)
-	if stats.CellsCommitted == 0 {
+	committed := routeWire(p, 0)
+	if committed == 0 {
 		t.Fatalf("no cells committed")
 	}
 	// Every committed cell is visible in the router's view and in the
@@ -102,20 +110,20 @@ func TestProtoCommitUpdatesViewAndTruth(t *testing.T) {
 			truthSum += int64(f.truth.At(x, y))
 		}
 	}
-	if viewSum != int64(stats.CellsCommitted) || truthSum != viewSum {
-		t.Errorf("view sum %d, truth sum %d, committed %d", viewSum, truthSum, stats.CellsCommitted)
+	if viewSum != int64(committed) || truthSum != viewSum {
+		t.Errorf("view sum %d, truth sum %d, committed %d", viewSum, truthSum, committed)
 	}
 }
 
 func TestProtoRipUpRestoresEmpty(t *testing.T) {
 	f := newProtoFixture(t, Strategy{})
 	p := f.ps[0]
-	p.RouteWire(5, 0)
+	routeWire(p, 5)
 	ripped := p.RipUpWire(5, 1)
 	if ripped == 0 {
 		t.Fatalf("nothing ripped")
 	}
-	if p.View().NonZeroCells() != 0 || f.truth.a.NonZeroCells() != 0 {
+	if p.View().NonZeroCells() != 0 || f.truth.NonZeroCells() != 0 {
 		t.Errorf("rip-up must restore the empty array")
 	}
 }
@@ -128,7 +136,7 @@ func TestProtoSendRmtDataDeliversDeltasToOwner(t *testing.T) {
 		t.Skip("no crossing wire in this circuit")
 	}
 	p0 := f.ps[0]
-	p0.RouteWire(wi, 0)
+	routeWire(p0, wi)
 	outs := p0.AfterWire()
 	if len(outs) == 0 {
 		t.Fatalf("SendRmtData=1 must push deltas after one wire")
@@ -156,7 +164,7 @@ func TestProtoSendLocDataReachesNeighborsOnly(t *testing.T) {
 		t.Skip("no in-region wire")
 	}
 	p0 := f.ps[0]
-	p0.RouteWire(wi, 0)
+	routeWire(p0, wi)
 	outs := p0.AfterWire()
 	if len(outs) == 0 {
 		t.Fatalf("SendLocData=1 must broadcast after one wire")
@@ -186,7 +194,7 @@ func TestProtoReqRmtDataRequestResponse(t *testing.T) {
 	if wi < 0 {
 		t.Skip("no in-region wire for processor 1")
 	}
-	f.ps[1].RouteWire(wi, 0)
+	routeWire(f.ps[1], wi)
 
 	// Processor 0 notes an upcoming wire crossing region 1.
 	cross := -1
@@ -228,7 +236,7 @@ func TestProtoSecondRequestGetsNoChange(t *testing.T) {
 	if wi < 0 {
 		t.Skip("no in-region wire")
 	}
-	f.ps[1].RouteWire(wi, 0)
+	routeWire(f.ps[1], wi)
 	// Two identical requests from 0: first carries data, second is a
 	// header-only "no changes" response.
 	rsp1 := f.ps[1].Handle(0, &msg.Message{Kind: msg.KindReqRmtData, Region: f.part.Region(1)})
@@ -247,7 +255,7 @@ func TestProtoReqLocDataPullsDeltasHome(t *testing.T) {
 	if wi < 0 {
 		t.Skip("no crossing wire")
 	}
-	f.ps[0].RouteWire(wi, 0)
+	routeWire(f.ps[0], wi)
 	// Owner of a crossed region asks 0 for its deltas.
 	var owner int = -1
 	for _, o := range f.part.RegionsTouching(f.circ.Wires[wi].Bounds()) {
@@ -295,7 +303,7 @@ func TestProtoScanWorkAccumulates(t *testing.T) {
 	if wi < 0 {
 		t.Skip("no crossing wire")
 	}
-	f.ps[0].RouteWire(wi, 0)
+	routeWire(f.ps[0], wi)
 	f.ps[0].AfterWire()
 	if f.ps[0].TakeScanWork() == 0 {
 		t.Errorf("update construction must report scan work")

@@ -13,16 +13,6 @@ import (
 	"locusroute/internal/tracev"
 )
 
-// plainTruth adapts a plain cost array to the Truth interface for the
-// discrete-event runtime, where the kernel serialises all node execution.
-type plainTruth struct{ a *costarray.CostArray }
-
-// Add implements Truth.
-func (t plainTruth) Add(x, y int, d int32) { t.a.Add(x, y, d) }
-
-// At implements Truth.
-func (t plainTruth) At(x, y int) int32 { return t.a.At(x, y) }
-
 // runner holds the state shared by all nodes of one simulated run. The
 // discrete-event kernel serialises node execution, so plain fields are
 // safe.
@@ -36,7 +26,7 @@ type runner struct {
 	// truth is the ground-truth cost array: every commit and rip-up by
 	// any node lands here immediately, so final quality is measured on
 	// the real circuit state, not on any node's (stale) view.
-	truth plainTruth
+	truth *costarray.CostArray
 
 	lastCost      []int64 // per wire: path cost at its most recent routing
 	bytesByKind   map[msg.Kind]int64
@@ -105,7 +95,7 @@ func Run(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result, err
 		asn:           asn,
 		part:          part,
 		net:           net,
-		truth:         plainTruth{a: costarray.New(circ.Grid)},
+		truth:         costarray.New(circ.Grid),
 		lastCost:      make([]int64, len(circ.Wires)),
 		bytesByKind:   make(map[msg.Kind]int64),
 		packetsByKind: make(map[msg.Kind]int64),
@@ -123,8 +113,8 @@ func Run(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result, err
 	kernel.Run()
 
 	var res Result
-	res.Final = r.truth.a
-	res.CircuitHeight = r.truth.a.CircuitHeight()
+	res.Final = r.truth
+	res.CircuitHeight = r.truth.CircuitHeight()
 	for _, c := range r.lastCost {
 		res.Occupancy += c
 	}

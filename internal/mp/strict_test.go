@@ -98,12 +98,6 @@ func TestStrictValidation(t *testing.T) {
 	if _, err := Run(c, asn, cfg); err == nil {
 		t.Errorf("strict with an update strategy must fail")
 	}
-	cfg = DefaultConfig(Strategy{})
-	cfg.Procs = 4
-	cfg.StrictOwnership = true
-	if _, err := RunLive(c, asn, cfg); err == nil {
-		t.Errorf("live runtime must reject strict ownership")
-	}
 }
 
 func TestStepToward(t *testing.T) {

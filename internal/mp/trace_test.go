@@ -217,7 +217,7 @@ func TestObsRunIncludesCritPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := ObsRun("traced", "mp-des", "small", cfg, res)
+	run := ObsRun("traced", "small", cfg, res)
 	if run.CritPath == nil {
 		t.Fatal("traced run document has no crit_path section")
 	}
@@ -234,26 +234,7 @@ func TestObsRunIncludesCritPath(t *testing.T) {
 
 	// Untraced runs must not grow the section.
 	cfg.Trace = nil
-	if plain := ObsRun("plain", "mp-des", "small", cfg, res); plain.CritPath != nil {
+	if plain := ObsRun("plain", "small", cfg, res); plain.CritPath != nil {
 		t.Error("untraced run document has a crit_path section")
-	}
-}
-
-// TestRunLiveRejectsTrace: tracing records simulated time; the live
-// runtime must refuse it rather than emit a meaningless trace.
-func TestRunLiveRejectsTrace(t *testing.T) {
-	c := smallCircuit(1)
-	cfg := DefaultConfig(SenderInitiated(2, 10))
-	cfg.Procs = 4
-	cfg.Router.Iterations = 1
-	cfg.Trace = tracev.New(0)
-	px, py := geom.SquarestFactors(cfg.Procs)
-	part, err := geom.NewPartition(c.Grid, px, py)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asn := assign.AssignThreshold(c, part, 1000)
-	if _, err := RunLive(c, asn, cfg); err == nil {
-		t.Fatal("RunLive accepted a tracer")
 	}
 }

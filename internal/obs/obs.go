@@ -2,7 +2,7 @@
 // collectors that the execution backends thread through their hot
 // paths, and the stable JSON document the commands emit under -json.
 //
-// Collectors are nil-safe: a nil *MP, *SM, *NetRecorder, *Histogram or
+// Collectors are nil-safe: a nil *MP, *NetRecorder, *Histogram or
 // *Collector ignores every call, so instrumented code pays a single
 // pointer test when observability is off and the paper tables stay
 // byte-identical.
@@ -27,18 +27,17 @@
 //
 //	{
 //	  "name":    "SRD=2 SLD=10", // row label within the command
-//	  "backend": "mp-des",       // sequential | sm-live | sm-traced |
-//	                             // mp-des | mp-live | cache-replay
+//	  "backend": "mp-des",       // sequential | sm-traced | mp-des |
+//	                             // partitioned | cache-replay
 //	  "circuit": "bnrE",
 //	  "procs":   16,
 //	  "quality": {"circuit_height": H, "occupancy": O},
-//	  "sim_time_ns": T,          // virtual time (DES/traced); wall clock for live
+//	  "sim_time_ns": T,          // virtual time of the DES or traced run
 //	  "nodes":   [...],          // MP DES: per-node simulated-time breakdown
 //	  "network": {...},          // interconnect counters and histograms
 //	  "messages": [{"kind": "SendLocData", "packets": P, "bytes": B}, ...],
 //	  "cache":   [...],          // SM: coherence bus traffic per line size
 //	  "trace":   {"reads": R, "writes": W, "refs": N},
-//	  "phases":  [{"name": "iteration 0", "wall_ns": W}, ...], // live backends
 //	  "crit_path": {...},        // MP DES with tracing: critical-path breakdown
 //	  "partition": {...}         // partitioned backend: tree + boundary load
 //	}
@@ -127,12 +126,6 @@ type TraceDoc struct {
 	Refs   int64 `json:"refs"`
 }
 
-// PhaseDoc is one wall-clock phase of a live run.
-type PhaseDoc struct {
-	Name   string `json:"name"`
-	WallNs int64  `json:"wall_ns"`
-}
-
 // CritPathStep is one interval of a run's simulated-time critical path.
 type CritPathStep struct {
 	Node     int    `json:"node"`
@@ -211,7 +204,6 @@ type Run struct {
 	Messages  []KindCount   `json:"messages,omitempty"`
 	Cache     []CacheDoc    `json:"cache,omitempty"`
 	Trace     *TraceDoc     `json:"trace,omitempty"`
-	Phases    []PhaseDoc    `json:"phases,omitempty"`
 	CritPath  *CritPathDoc  `json:"crit_path,omitempty"`
 	Partition *PartitionDoc `json:"partition,omitempty"`
 }
@@ -362,14 +354,13 @@ func (r *NetRecorder) Doc(doc *NetworkDoc) {
 }
 
 // MP is the observer of one message passing run: per-node simulated
-// time breakdowns and interconnect histograms for the DES runtime,
-// wall-clock phases for the live runtime. A nil *MP disables all of it.
+// time breakdowns and interconnect histograms. A nil *MP disables all of
+// it.
 type MP struct {
-	// Nodes is the DES runtime's per-node breakdown, one entry per node
-	// in node order, rendered from each node's time ledger at run end.
-	Nodes  []NodeTimes
-	Net    NetRecorder
-	Phases PhaseTimer
+	// Nodes is the per-node breakdown, one entry per node in node order,
+	// rendered from each node's time ledger at run end.
+	Nodes []NodeTimes
+	Net   NetRecorder
 }
 
 // NewMP returns an empty observer.
@@ -401,51 +392,10 @@ func (o *MP) NetRecorder() *NetRecorder {
 	return &o.Net
 }
 
-// Phase starts a named wall-clock phase and returns its stop function.
-func (o *MP) Phase(name string) func() {
-	if o == nil {
-		return func() {}
-	}
-	return o.Phases.Start(name)
-}
-
 // NodeTimes returns the per-node breakdowns.
 func (o *MP) NodeTimes() []NodeTimes {
 	if o == nil {
 		return nil
 	}
 	return o.Nodes
-}
-
-// PhaseDocs returns the completed wall-clock phases.
-func (o *MP) PhaseDocs() []PhaseDoc {
-	if o == nil {
-		return nil
-	}
-	return o.Phases.Docs()
-}
-
-// SM is the observer of one shared memory run: wall-clock phases for
-// the live runtime (the traced runtime's counters ride its Result).
-type SM struct {
-	Phases PhaseTimer
-}
-
-// NewSM returns an empty shared memory observer.
-func NewSM() *SM { return &SM{} }
-
-// Phase starts a named wall-clock phase and returns its stop function.
-func (o *SM) Phase(name string) func() {
-	if o == nil {
-		return func() {}
-	}
-	return o.Phases.Start(name)
-}
-
-// PhaseDocs returns the completed wall-clock phases.
-func (o *SM) PhaseDocs() []PhaseDoc {
-	if o == nil {
-		return nil
-	}
-	return o.Phases.Docs()
 }

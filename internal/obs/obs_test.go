@@ -69,10 +69,6 @@ func TestNilCollectorsNoOp(t *testing.T) {
 	if mp.NetRecorder() != nil || mp.NodeTimes() != nil {
 		t.Error("nil MP handed out live collectors")
 	}
-	mp.Phase("x")() // must not panic
-
-	var sm *SM
-	sm.Phase("x")()
 
 	var nr *NetRecorder
 	nr.ObserveLatency(1)
@@ -125,21 +121,5 @@ func TestSnapshotJSONStable(t *testing.T) {
 	}
 	if !strings.HasSuffix(a.String(), "\n") {
 		t.Error("JSON missing trailing newline")
-	}
-}
-
-func TestPhaseTimer(t *testing.T) {
-	var pt PhaseTimer
-	stop := pt.Start("warm")
-	stop()
-	pt.Start("route")()
-	docs := pt.Docs()
-	if len(docs) != 2 || docs[0].Name != "warm" || docs[1].Name != "route" {
-		t.Fatalf("phases = %+v", docs)
-	}
-	for _, d := range docs {
-		if d.WallNs < 0 {
-			t.Errorf("phase %q negative duration %d", d.Name, d.WallNs)
-		}
 	}
 }

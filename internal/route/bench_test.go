@@ -32,7 +32,7 @@ func BenchmarkRouteWire(b *testing.B) {
 
 // BenchmarkRouteWireWalker is BenchmarkRouteWire through walkerView: the
 // same sweep costed by walking every candidate cell through CostView,
-// the kernel cost the traced, live and negotiated views pay.
+// the kernel cost the traced and negotiated views pay.
 func BenchmarkRouteWireWalker(b *testing.B) {
 	c := benchCircuit(b)
 	_, arr := Sequential(c, Params{Iterations: 1})

@@ -11,7 +11,7 @@ import (
 
 // walkerView hides an ArrayView behind another concrete type, so the
 // kernel costs candidates with the walker — the path every observing
-// view (traced, live, negotiated) takes, and the reference the run-sum
+// view (traced, negotiated) takes, and the reference the run-sum
 // path must match.
 type walkerView struct{ ArrayView }
 

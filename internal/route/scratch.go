@@ -11,7 +11,7 @@ import (
 
 // Scratch is the reusable per-worker state of the routing kernel. One
 // Scratch belongs to exactly one thread of control — a sequential run,
-// one shared memory goroutine or logical process, one message passing
+// one shared memory logical process, one message passing
 // processor, or one served batch — between GetScratch and PutScratch (or
 // for the whole run), so the kernel can evaluate and materialise routes
 // without per-wire allocation:
@@ -32,7 +32,7 @@ import (
 //
 // Scratch is not safe for concurrent use. The CostView stays the seam
 // between the kernel and its callers: a view that is not a plain
-// ArrayView — tracing, atomics, the negotiated cost function — observes
+// ArrayView — tracing, the negotiated cost function — observes
 // exactly the reads the sequential reference kernel performs, in the same
 // order (a RunCostView as straight runs of them), and every view sees the
 // same writes.

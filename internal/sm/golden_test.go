@@ -45,15 +45,22 @@ func tracedCases() []tracedCase {
 	}
 }
 
-// tracedDigest runs one case and hashes every reference RunTraced emits,
-// in order, followed by every Result field and the final cost array.
-func tracedDigest(t *testing.T, tc tracedCase) string {
+// tracedDigest runs one case with every time constant of its cost model
+// multiplied by perfScale and hashes every reference RunTraced emits, in
+// order, followed by every Result field and the final cost array. Each
+// time it hashes (a reference's T, the Span) is first multiplied by
+// timeScale.
+func tracedDigest(t *testing.T, tc tracedCase, perfScale, timeScale sim.Time) string {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Procs = tc.procs
 	cfg.Order = tc.order
 	if tc.perf != (perf.Model{}) {
 		cfg.Perf = tc.perf
+	}
+	m := &cfg.Perf
+	for _, v := range []*sim.Time{&m.CellEval, &m.CellWrite, &m.CellScan, &m.ByteCopy, &m.WireOverhead} {
+		*v *= perfScale
 	}
 	if tc.asn != nil {
 		px, py := geom.SquarestFactors(tc.procs)
@@ -73,7 +80,7 @@ func tracedDigest(t *testing.T, tc tracedCase) string {
 	res, err := RunTraced(tc.c, cfg, func(batch []trace.Ref) {
 		for _, r := range batch {
 			buf = buf[:0]
-			put(int64(r.T), int64(r.Proc), int64(r.Addr), int64(r.Op))
+			put(int64(r.T*timeScale), int64(r.Proc), int64(r.Addr), int64(r.Op))
 			h.Write(buf)
 		}
 	})
@@ -82,7 +89,7 @@ func tracedDigest(t *testing.T, tc tracedCase) string {
 	}
 	buf = buf[:0]
 	put(int64(res.Reads), int64(res.Writes), int64(res.PeakBuffered), res.CircuitHeight,
-		res.Occupancy, int64(res.Span), int64(res.WiresRouted), res.CellsExamined)
+		res.Occupancy, int64(res.Span*timeScale), int64(res.WiresRouted), res.CellsExamined)
 	final := sha256.New()
 	for _, v := range res.Final.Cells() {
 		final.Write(binary.LittleEndian.AppendUint32(nil, uint32(v)))
@@ -106,8 +113,23 @@ func TestTracedStreamGolden(t *testing.T) {
 	}
 	for _, tc := range tracedCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tracedDigest(t, tc); got != want[tc.name] {
+			if got := tracedDigest(t, tc, 1, 1); got != want[tc.name] {
 				t.Errorf("digest %s, want %s", got, want[tc.name])
+			}
+		})
+	}
+}
+
+// TestTimeScaleInvariance multiplies every time constant of the cost
+// model by 3: every emitted reference must be the same except for its
+// time, which is exactly 3 times the unscaled one, and so must Span be.
+// A time literal that bypasses the model would break the factor.
+func TestTimeScaleInvariance(t *testing.T) {
+	const k = 3
+	for _, tc := range tracedCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			if got, want := tracedDigest(t, tc, k, 1), tracedDigest(t, tc, 1, k); got != want {
+				t.Errorf("constants x%d digest %s, unscaled times x%d digest %s", k, got, k, want)
 			}
 		})
 	}

@@ -2,20 +2,18 @@ package sm
 
 import "locusroute/internal/obs"
 
-// ObsRun renders a finished shared memory run into its observability
-// document. backend names the runtime: "sm-live" (phases from cfg.Obs,
-// no virtual time) or "sm-traced" (virtual makespan and trace counters).
-// Cache traffic documents are attached later by whoever replays the
-// trace through the coherence simulator.
-func ObsRun(name, backend, circuitName string, cfg Config, res Result) obs.Run {
+// ObsRun renders a finished shared memory run into its "sm-traced"
+// observability document: virtual makespan and trace counters. Cache
+// traffic documents are attached later by whoever replays the trace
+// through the coherence simulator.
+func ObsRun(name, circuitName string, cfg Config, res Result) obs.Run {
 	r := obs.Run{
 		Name:      name,
-		Backend:   backend,
+		Backend:   "sm-traced",
 		Circuit:   circuitName,
 		Procs:     cfg.Procs,
 		Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
 		SimTimeNs: int64(res.Span),
-		Phases:    cfg.Obs.PhaseDocs(),
 	}
 	if res.Reads+res.Writes > 0 {
 		r.Trace = &obs.TraceDoc{

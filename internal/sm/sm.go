@@ -1,26 +1,17 @@
 // Package sm implements the shared memory version of LocusRoute
-// (Section 3 of the paper) in two execution modes:
-//
-//   - RunTraced: a deterministic, Tango-style multiplexed execution on
-//     one OS thread. P logical processes route wires against one shared
-//     cost array with per-process virtual clocks; the scheduler always
-//     advances the process with the smallest clock, and every shared
-//     reference (time, address, processor, read/write) goes onto that
-//     process's stream. The streams are merged into one interleaved
-//     trace as the run proceeds and piped into the caller's consumer —
-//     the Write-Back-with-Invalidate coherence simulator
-//     (internal/cache) to obtain bus traffic, exactly the paper's
-//     methodology. Commits become visible to other processes
-//     when the routing of the wire completes in virtual time, so
-//     processes routing simultaneously do not see each other's
-//     in-flight work — the interference that degrades quality as the
-//     processor count grows.
-//
-//   - RunLive: a real parallel execution with goroutines, an atomic
-//     shared cost array, a distributed-loop wire counter and a barrier
-//     per iteration. As in the paper, accesses to the cost array are
-//     not locked (atomic word access stands in for the paper's ordinary
-//     loads and stores, keeping the program race-detector clean).
+// (Section 3 of the paper) as a deterministic, Tango-style multiplexed
+// execution on one OS thread (RunTraced). P logical processes route
+// wires against one shared, unlocked cost array with per-process virtual
+// clocks; the scheduler always advances the process with the smallest
+// clock, and every shared reference (time, address, processor,
+// read/write) goes onto that process's stream. The streams are merged
+// into one interleaved trace as the run proceeds and piped into the
+// caller's consumer — the Write-Back-with-Invalidate coherence simulator
+// (internal/cache) to obtain bus traffic, exactly the paper's
+// methodology. Commits become visible to other processes when the
+// routing of the wire completes in virtual time, so processes routing
+// simultaneously do not see each other's in-flight work — the
+// interference that degrades quality as the processor count grows.
 package sm
 
 import (
@@ -29,7 +20,6 @@ import (
 	"locusroute/internal/assign"
 	"locusroute/internal/circuit"
 	"locusroute/internal/costarray"
-	"locusroute/internal/obs"
 	"locusroute/internal/perf"
 	"locusroute/internal/route"
 	"locusroute/internal/sim"
@@ -57,7 +47,7 @@ func (o Order) String() string {
 
 // Config configures a shared memory run.
 type Config struct {
-	// Procs is the number of (logical or real) processes.
+	// Procs is the number of logical processes.
 	Procs int
 	// Router carries iterations and candidate bounds.
 	Router route.Params
@@ -66,12 +56,8 @@ type Config struct {
 	// Assignment is required when Order is Static and must cover the
 	// circuit with exactly Procs processors.
 	Assignment *assign.Assignment
-	// Perf is the virtual-time cost model for the traced mode.
+	// Perf is the virtual-time cost model.
 	Perf perf.Model
-	// Obs, when non-nil, collects wall-clock phase timings of the live
-	// runtime (one phase per iteration plus the quality reduction). Nil
-	// disables collection; results are identical either way.
-	Obs *obs.SM
 }
 
 // DefaultConfig is the 16-process dynamic configuration of the paper's
@@ -116,13 +102,11 @@ type Result struct {
 	// CircuitHeight and Occupancy are the quality measures (Section 3).
 	CircuitHeight int64
 	Occupancy     int64
-	// Span is the virtual makespan of the traced execution (zero for
-	// RunLive, which measures wall-clock outside).
+	// Span is the virtual makespan of the execution.
 	Span sim.Time
-	// Reads and Writes count the shared references of the traced
-	// execution.
+	// Reads and Writes count the shared references of the execution.
 	Reads, Writes int
-	// PeakBuffered is the most references the traced execution held at
+	// PeakBuffered is the most references the execution held at
 	// once while they waited to be merged into the trace; the rest had
 	// already been handed to the consumer.
 	PeakBuffered int
@@ -130,8 +114,7 @@ type Result struct {
 	WiresRouted int
 	// CellsExamined is the total route-evaluation work.
 	CellsExamined int64
-	// Final is the shared cost array after the last barrier (a snapshot
-	// for RunLive, the array itself for RunTraced) — the routed
+	// Final is the shared cost array after the last barrier — the routed
 	// congestion state service layers seed serving replicas from.
 	Final *costarray.CostArray
 }

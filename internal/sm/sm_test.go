@@ -257,65 +257,3 @@ func TestTracedFeedsCacheSimulator(t *testing.T) {
 		last = traffic.Bytes()
 	}
 }
-
-func TestLiveMatchesTracedWiresRouted(t *testing.T) {
-	c := smallCircuit(1)
-	cfg := DefaultConfig()
-	cfg.Procs = 4
-	cfg.Router.Iterations = 2
-	res, err := RunLive(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WiresRouted != 2*len(c.Wires) {
-		t.Errorf("WiresRouted = %d, want %d", res.WiresRouted, 2*len(c.Wires))
-	}
-	if res.CircuitHeight <= 0 || res.Occupancy <= 0 {
-		t.Errorf("quality measures must be positive: %+v", res)
-	}
-}
-
-func TestLiveStatic(t *testing.T) {
-	c := smallCircuit(1)
-	part, _ := geom.NewPartition(c.Grid, 2, 2)
-	cfg := DefaultConfig()
-	cfg.Procs = 4
-	cfg.Order = Static
-	cfg.Assignment = assign.AssignThreshold(c, part, 30)
-	cfg.Router.Iterations = 1
-	res, err := RunLive(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WiresRouted != len(c.Wires) {
-		t.Errorf("WiresRouted = %d", res.WiresRouted)
-	}
-}
-
-func TestLiveSingleProcMatchesSequentialHeight(t *testing.T) {
-	c := smallCircuit(4)
-	cfg := DefaultConfig()
-	cfg.Procs = 1
-	cfg.Router.Iterations = 2
-	res, err := RunLive(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, _ := route.Sequential(c, cfg.Router)
-	if res.CircuitHeight != seq.CircuitHeight {
-		t.Errorf("1-proc live height %d != sequential %d", res.CircuitHeight, seq.CircuitHeight)
-	}
-}
-
-func TestAtomicArraySnapshot(t *testing.T) {
-	a := NewAtomicArray(geom.Grid{Channels: 4, Grids: 8})
-	a.Add(3, 2, 5)
-	a.Add(3, 2, -2)
-	snap := a.Snapshot()
-	if snap.At(3, 2) != 3 {
-		t.Errorf("snapshot = %d, want 3", snap.At(3, 2))
-	}
-	if a.At(0, 0) != 0 {
-		t.Errorf("untouched cell nonzero")
-	}
-}

@@ -41,20 +41,18 @@ func NewPartitioned(opts ...Option) (Backend, error) {
 	return &partBackend{cfg: c}, nil
 }
 
-// NewSharedMemory constructs the shared memory router on real
-// goroutines: an unlocked atomic cost array, a distributed loop (or a
-// static assignment via WithRoundRobin/WithThreshold/WithPureLocality)
-// and a barrier per iteration.
-func NewSharedMemory(opts ...Option) (Backend, error) {
-	return newSM(SMLive, opts)
-}
-
 // NewTracedSharedMemory constructs the Tango-style multiplexed shared
-// memory router: a deterministic virtual-time execution whose every
-// shared reference is recorded; the result carries the reference trace
-// for the coherence simulator.
+// memory router: a deterministic virtual-time execution of P processes
+// on one unlocked cost array, with a distributed loop (or a static
+// assignment via WithRoundRobin/WithThreshold/WithPureLocality) and a
+// barrier per iteration, whose every shared reference is recorded; the
+// result carries the reference trace for the coherence simulator.
 func NewTracedSharedMemory(opts ...Option) (Backend, error) {
-	return newSM(SMTraced, opts)
+	c := apply(opts)
+	if err := c.reject(SMTraced); err != nil {
+		return nil, err
+	}
+	return &smBackend{cfg: c}, nil
 }
 
 // NewMessagePassing constructs the message passing router on the
@@ -62,14 +60,11 @@ func NewTracedSharedMemory(opts ...Option) (Backend, error) {
 // consistent by an explicit update schedule, reporting simulated time
 // and network traffic.
 func NewMessagePassing(opts ...Option) (Backend, error) {
-	return newMP(MPDES, opts)
-}
-
-// NewLiveMessagePassing constructs the message passing router on real
-// goroutines whose only interaction is marshalled packets over
-// channels — the same protocol the simulated mesh measures.
-func NewLiveMessagePassing(opts ...Option) (Backend, error) {
-	return newMP(MPLive, opts)
+	c := apply(opts)
+	if err := c.reject(MPDES); err != nil {
+		return nil, err
+	}
+	return &mpBackend{cfg: c}, nil
 }
 
 // run wraps a backend's synchronous routing function with the shared
@@ -231,21 +226,10 @@ func partitionDoc(st *part.Stats) *obs.PartitionDoc {
 	}
 }
 
-// smBackend covers the live and traced shared memory implementations.
-type smBackend struct {
-	kind Kind
-	cfg  config
-}
+// smBackend is the traced shared memory implementation.
+type smBackend struct{ cfg config }
 
-func newSM(kind Kind, opts []Option) (Backend, error) {
-	c := apply(opts)
-	if err := c.reject(kind); err != nil {
-		return nil, err
-	}
-	return &smBackend{kind: kind, cfg: c}, nil
-}
-
-func (b *smBackend) Kind() Kind { return b.kind }
+func (b *smBackend) Kind() Kind { return SMTraced }
 func (b *smBackend) Procs() int { return b.cfg.procs }
 
 // smConfig assembles a fresh sm.Config for one request, building the
@@ -262,9 +246,6 @@ func (b *smBackend) smConfig(circ *circuit.Circuit, req Request) (sm.Config, err
 		cfg.Order = sm.Static
 		cfg.Assignment = asn
 	}
-	if b.cfg.collector.Enabled() && b.kind == SMLive {
-		cfg.Obs = obs.NewSM()
-	}
 	return cfg, nil
 }
 
@@ -274,55 +255,33 @@ func (b *smBackend) Route(ctx context.Context, req Request) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		var res sm.Result
-		var ref *Result
-		if b.kind == SMTraced {
-			tr := &trace.Trace{}
-			smRes, err := sm.RunTraced(req.Circuit, cfg, tr.AppendBatch)
-			if err != nil {
-				return Result{}, err
-			}
-			res = smRes
-			ref = &Result{RefTrace: tr, SimTime: time.Duration(res.Span)}
-		} else {
-			smRes, err := sm.RunLive(req.Circuit, cfg)
-			if err != nil {
-				return Result{}, err
-			}
-			res = smRes
-			ref = &Result{}
+		tr := &trace.Trace{}
+		res, err := sm.RunTraced(req.Circuit, cfg, tr.AppendBatch)
+		if err != nil {
+			return Result{}, err
 		}
-		out := *ref
-		out.Backend = b.kind
-		out.Circuit = req.Circuit.Name
-		out.Procs = cfg.Procs
-		out.CircuitHeight = res.CircuitHeight
-		out.Occupancy = res.Occupancy
-		out.WiresRouted = res.WiresRouted
-		out.CellsExamined = res.CellsExamined
-		out.Final = res.Final
-		smCopy := res
-		out.SM = &smCopy
-		observe(b.cfg.collector, sm.ObsRun(runName(req), string(b.kind), req.Circuit.Name, cfg, res))
+		out := Result{
+			Backend:       SMTraced,
+			Circuit:       req.Circuit.Name,
+			Procs:         cfg.Procs,
+			CircuitHeight: res.CircuitHeight,
+			Occupancy:     res.Occupancy,
+			WiresRouted:   res.WiresRouted,
+			CellsExamined: res.CellsExamined,
+			SimTime:       time.Duration(res.Span),
+			Final:         res.Final,
+			SM:            &res,
+			RefTrace:      tr,
+		}
+		observe(b.cfg.collector, sm.ObsRun(runName(req), req.Circuit.Name, cfg, res))
 		return out, nil
 	})
 }
 
-// mpBackend covers the DES and live message passing implementations.
-type mpBackend struct {
-	kind Kind
-	cfg  config
-}
+// mpBackend is the discrete-event message passing implementation.
+type mpBackend struct{ cfg config }
 
-func newMP(kind Kind, opts []Option) (Backend, error) {
-	c := apply(opts)
-	if err := c.reject(kind); err != nil {
-		return nil, err
-	}
-	return &mpBackend{kind: kind, cfg: c}, nil
-}
-
-func (b *mpBackend) Kind() Kind { return b.kind }
+func (b *mpBackend) Kind() Kind { return MPDES }
 func (b *mpBackend) Procs() int { return b.cfg.procs }
 
 // mpConfig assembles a fresh mp.Config for one request. Each call gets
@@ -362,16 +321,12 @@ func (b *mpBackend) Route(ctx context.Context, req Request) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		runFn := mp.Run
-		if b.kind == MPLive {
-			runFn = mp.RunLive
-		}
-		res, err := runFn(req.Circuit, asn, cfg)
+		res, err := mp.Run(req.Circuit, asn, cfg)
 		if err != nil {
 			return Result{}, err
 		}
 		out := Result{
-			Backend:       b.kind,
+			Backend:       MPDES,
 			Circuit:       req.Circuit.Name,
 			Procs:         cfg.Procs,
 			CircuitHeight: res.CircuitHeight,
@@ -379,10 +334,9 @@ func (b *mpBackend) Route(ctx context.Context, req Request) (Result, error) {
 			CellsExamined: res.CellsExamined,
 			SimTime:       time.Duration(res.Time),
 			Final:         res.Final,
+			MP:            &res,
 		}
-		mpCopy := res
-		out.MP = &mpCopy
-		observe(b.cfg.collector, mp.ObsRun(runName(req), string(b.kind), req.Circuit.Name, cfg, res))
+		observe(b.cfg.collector, mp.ObsRun(runName(req), req.Circuit.Name, cfg, res))
 		return out, nil
 	})
 }

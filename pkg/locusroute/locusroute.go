@@ -1,11 +1,12 @@
 // Package locusroute is the public programmatic entrypoint to the
-// LocusRoute reproduction: one Backend interface over six ways of
+// LocusRoute reproduction: one Backend interface over four ways of
 // running the same routing workload — the sequential reference, the
 // shared memory and message passing paradigms the paper compares
-// (Martonosi & Gupta, ICPP 1989), each live and simulated, and a
-// partition-parallel router — so commands, the serving daemon and
-// examples construct backends through a single API instead of wiring
-// each implementation by hand.
+// (Martonosi & Gupta, ICPP 1989), each on the simulator the paper
+// measured it with, and a partition-parallel router — so commands, the
+// serving daemon and examples construct backends through a single API
+// instead of wiring each implementation by hand. Every backend is
+// deterministic: the same request routes to the same answer.
 //
 // A Backend is built once with functional options and then routes any
 // number of circuits:
@@ -47,24 +48,18 @@ import (
 	"locusroute/internal/trace"
 )
 
-// Kind identifies one of the six backend implementations.
+// Kind identifies one of the four backend implementations.
 type Kind string
 
 const (
 	// Sequential is the uniprocessor reference router.
 	Sequential Kind = "sequential"
-	// SMLive is the shared memory router on real goroutines and one
-	// atomic cost array.
-	SMLive Kind = "sm-live"
 	// SMTraced is the Tango-style multiplexed shared memory router that
 	// records every shared reference for the coherence simulator.
 	SMTraced Kind = "sm-traced"
 	// MPDES is the message passing router on the simulated mesh
 	// (discrete-event simulation; reports simulated time and traffic).
 	MPDES Kind = "mp-des"
-	// MPLive is the message passing router on real goroutines whose only
-	// interaction is marshalled packets over channels.
-	MPLive Kind = "mp-live"
 	// Partitioned is the partition-parallel router: a recursive bisection
 	// of the grid whose leaf regions route concurrently on one shared
 	// cost array, with boundary-crossing wires reconciled serially at
@@ -73,7 +68,7 @@ const (
 )
 
 // Kinds lists every backend kind in a stable order.
-func Kinds() []Kind { return []Kind{Sequential, SMLive, SMTraced, MPDES, MPLive, Partitioned} }
+func Kinds() []Kind { return []Kind{Sequential, SMTraced, MPDES, Partitioned} }
 
 // Circuit, Wire and Pin alias the repository's circuit model so callers
 // of the public API can name them without reaching into internal
@@ -199,8 +194,8 @@ type Result struct {
 	WiresRouted int
 	// CellsExamined is the total route-evaluation work.
 	CellsExamined int64
-	// SimTime is the virtual execution time of the DES and traced
-	// backends (zero for live backends, which run on the wall clock).
+	// SimTime is the virtual execution time of the MPDES and SMTraced
+	// backends (zero for the others, which have no time model).
 	SimTime time.Duration
 	// Wall is the wall-clock duration of the Route call.
 	Wall time.Duration
@@ -209,10 +204,10 @@ type Result struct {
 	// heatmaps.
 	Final *costarray.CostArray
 	// MP carries the full message passing result (traffic breakdown,
-	// busy-time split) when the backend is MPDES or MPLive.
+	// busy-time split) when the backend is MPDES.
 	MP *mp.Result
 	// SM carries the full shared memory result when the backend is
-	// SMLive or SMTraced.
+	// SMTraced.
 	SM *sm.Result
 	// RefTrace is the shared-reference trace of an SMTraced run, ready
 	// for the coherence simulator; nil for every other backend.
@@ -240,14 +235,10 @@ func New(kind Kind, opts ...Option) (Backend, error) {
 	switch kind {
 	case Sequential:
 		return NewSequential(opts...)
-	case SMLive:
-		return NewSharedMemory(opts...)
 	case SMTraced:
 		return NewTracedSharedMemory(opts...)
 	case MPDES:
 		return NewMessagePassing(opts...)
-	case MPLive:
-		return NewLiveMessagePassing(opts...)
 	case Partitioned:
 		return NewPartitioned(opts...)
 	}

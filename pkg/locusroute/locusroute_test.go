@@ -3,6 +3,7 @@ package locusroute
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,29 +125,6 @@ func TestTracedSharedMemoryMatchesDirectCall(t *testing.T) {
 	}
 }
 
-// TestLiveBackendsRoute smoke-tests the two goroutine runtimes through
-// the facade (their results are timing-dependent, so only structural
-// checks apply).
-func TestLiveBackendsRoute(t *testing.T) {
-	c := testCircuit(t)
-	for _, kind := range []Kind{SMLive, MPLive} {
-		be, err := New(kind, WithProcs(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := be.Route(context.Background(), Request{Circuit: c})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if res.CircuitHeight <= 0 || res.Occupancy <= 0 {
-			t.Errorf("%s: degenerate quality (%d, %d)", kind, res.CircuitHeight, res.Occupancy)
-		}
-		if res.Final == nil {
-			t.Errorf("%s: no final cost array", kind)
-		}
-	}
-}
-
 // TestOutsideGridRejected is the no-silent-clamping contract: a request
 // wire with a pin outside the circuit grid fails with a typed error
 // naming the wire and pin, on every backend.
@@ -213,12 +191,12 @@ func TestOptionRejection(t *testing.T) {
 			_, err := NewSequential(WithProcs(4))
 			return err
 		}},
-		{"tracer on live MP", func() error {
-			_, err := NewLiveMessagePassing(WithTracer(tracev.New(0)))
+		{"tracer on SM", func() error {
+			_, err := NewTracedSharedMemory(WithTracer(tracev.New(0)))
 			return err
 		}},
 		{"topology on SM", func() error {
-			_, err := NewSharedMemory(WithTopology(2, 2))
+			_, err := NewTracedSharedMemory(WithTopology(2, 2))
 			return err
 		}},
 		{"dynamic order on MP", func() error {
@@ -226,7 +204,7 @@ func TestOptionRejection(t *testing.T) {
 			return err
 		}},
 		{"zero procs", func() error {
-			_, err := NewSharedMemory(WithProcs(0))
+			_, err := NewTracedSharedMemory(WithProcs(0))
 			return err
 		}},
 		{"unknown kind", func() error {
@@ -237,6 +215,12 @@ func TestOptionRejection(t *testing.T) {
 	for _, cse := range cases {
 		if cse.err() == nil {
 			t.Errorf("%s: constructor accepted an inapplicable configuration", cse.name)
+		}
+	}
+	// sm-live and mp-live name no backend.
+	for _, kind := range []Kind{"sm-live", "mp-live"} {
+		if _, err := New(kind); err == nil || !strings.Contains(err.Error(), "unknown backend kind") {
+			t.Errorf("New(%q) = %v, want the unknown-kind error", kind, err)
 		}
 	}
 }

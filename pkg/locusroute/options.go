@@ -75,8 +75,8 @@ func defaultConfig() config {
 // Option configures a backend at construction time.
 type Option func(*config)
 
-// WithProcs sets the processor count (goroutines, logical processes or
-// simulated mesh nodes, per backend). Backends default to the paper's 16;
+// WithProcs sets the processor count (logical processes, simulated mesh
+// nodes or the partitioned backend's worker bound). Backends default to the paper's 16;
 // the sequential backend is always 1 and rejects any other value.
 func WithProcs(n int) Option {
 	return func(c *config) { c.procs = n; c.procsSet = true }
@@ -250,7 +250,7 @@ func (r *optionRule) accepts(kind Kind) bool {
 }
 
 // kindList renders the accepting kinds for an error message:
-// "the mp-des backend", "the mp-des and mp-live backends".
+// "the mp-des backend", "the sequential and partitioned backends".
 func kindList(kinds []Kind) string {
 	if len(kinds) == 1 {
 		return fmt.Sprintf("the %s backend", kinds[0])
@@ -275,11 +275,11 @@ func kindList(kinds []Kind) string {
 // option) stays in reject below.
 var optionRules = []optionRule{
 	{option: "WithStrategy", set: func(c *config) bool { return c.strategy != nil },
-		kinds: []Kind{MPDES, MPLive}},
+		kinds: []Kind{MPDES}},
 	{option: "WithBlocking", set: func(c *config) bool { return c.blockingSet },
-		kinds: []Kind{MPDES, MPLive}},
+		kinds: []Kind{MPDES}},
 	{option: "WithPackets", set: func(c *config) bool { return c.packetsSet },
-		kinds: []Kind{MPDES, MPLive}},
+		kinds: []Kind{MPDES}},
 	{option: "WithTopology", set: func(c *config) bool { return len(c.topology) > 0 },
 		kinds: []Kind{MPDES}},
 	{option: "WithDynamicWires", set: func(c *config) bool { return c.dynamic },
@@ -293,13 +293,13 @@ var optionRules = []optionRule{
 	// footprint, so neither takes an assignment method.
 	{option: "wire distribution (WithDynamicOrder/WithRoundRobin/WithThreshold/WithPureLocality)",
 		set:   func(c *config) bool { return c.method != assignDefault },
-		kinds: []Kind{SMLive, SMTraced, MPDES, MPLive}},
+		kinds: []Kind{SMTraced, MPDES}},
 	// The dynamic distributed loop specifically is shared memory only.
 	{option: "WithDynamicOrder", set: func(c *config) bool { return c.method == assignDynamic },
-		kinds: []Kind{SMLive, SMTraced},
+		kinds: []Kind{SMTraced},
 		note:  "it is the shared memory distributed loop; message passing uses WithDynamicWires"},
 	{option: "WithProcs", set: func(c *config) bool { return c.procsSet && c.procs != 1 },
-		kinds: []Kind{SMLive, SMTraced, MPDES, MPLive, Partitioned},
+		kinds: []Kind{SMTraced, MPDES, Partitioned},
 		note:  "the sequential backend routes on one processor"},
 	{option: "WithPartitions", set: func(c *config) bool { return c.partitionsSet },
 		kinds: []Kind{Partitioned}},

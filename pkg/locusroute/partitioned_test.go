@@ -154,7 +154,7 @@ func TestPartitionOptionRejection(t *testing.T) {
 			return err
 		}},
 		{"negotiation on SM", func() error {
-			_, err := NewSharedMemory(WithNegotiatedCongestion(Negotiated{}))
+			_, err := NewTracedSharedMemory(WithNegotiatedCongestion(Negotiated{}))
 			return err
 		}},
 		{"wire distribution on partitioned", func() error {
