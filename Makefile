@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race loc serve-golden part-golden bench bench-layers layers-exact smoke-partition paper profile-paper profile-route
+.PHONY: verify build test race loc census serve-golden part-golden bench bench-layers layers-exact smoke-partition paper profile-paper profile-route
 
 verify: ## build, vet, full tests, and race-test the concurrent packages
 	$(GO) build ./...
@@ -33,6 +33,18 @@ loc:
 	done
 	@printf '%-18s %6d\n' total $$(find $(LOC_PKGS) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@printf '%-18s %6d\n' 'all but benchmark/' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | xargs cat | wc -l)
+
+# Dead-code census (ROADMAP item 11's method): the whole test suite's
+# coverage of every internal/ and pkg/ function, then each function
+# still at 0% — code no test, and often no caller, reaches. The profile
+# goes to a temp dir; a failing test is named on stderr, since its
+# package's coverage is then partial.
+census:
+	@d=$$(mktemp -d); \
+	$(GO) test -coverpkg=./internal/...,./pkg/... -coverprofile=$$d/cover.out ./... > $$d/test.log 2>&1 || \
+	  grep -E '^(--- FAIL|FAIL)' $$d/test.log >&2; \
+	$(GO) tool cover -func=$$d/cover.out | awk '$$NF == "0.0%"'; \
+	rm -rf $$d
 
 # The serving path's golden digests: two fixed-seed request streams
 # driven in-process, over /v1 JSON and over the binary protocol, at 1 and

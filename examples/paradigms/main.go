@@ -74,7 +74,7 @@ func main() {
 
 	fmt.Println(table)
 	fmt.Println("the shared memory program relies on the hardware for consistency")
-	fmt.Println("(its bus traffic is what cmd/smtrace measures); the message passing")
-	fmt.Println("program buys whatever consistency its update schedule pays for, in")
-	fmt.Println("marshalled bytes.")
+	fmt.Println("(its bus traffic is what locusroute -backend sm-traced measures); the")
+	fmt.Println("message passing program buys whatever consistency its update schedule")
+	fmt.Println("pays for, in marshalled bytes.")
 }

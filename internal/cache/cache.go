@@ -54,20 +54,6 @@ func (t Traffic) Bytes() int64 { return t.FillBytes + t.WriteWordBytes + t.Write
 // paper's tables report).
 func (t Traffic) MBytes() float64 { return float64(t.Bytes()) / 1e6 }
 
-// WriteFraction returns the fraction of bytes caused by writes (word
-// writes, invalidation-induced refetches are not separable here, so this
-// counts word writes and writebacks). The paper reports over 80% of
-// shared memory bytes are caused by writes when refetches are attributed
-// to the invalidating writes; see Simulator.AttributedWriteFraction for
-// that attribution.
-func (t Traffic) WriteFraction() float64 {
-	b := t.Bytes()
-	if b == 0 {
-		return 0
-	}
-	return float64(t.WriteWordBytes+t.WritebackBytes) / float64(b)
-}
-
 // Simulator runs a reference stream against per-processor infinite
 // caches. Every line ever referenced has a dense index, handed out in
 // first-touch order by the line table; all per-line state is flat and

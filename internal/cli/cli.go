@@ -1,9 +1,9 @@
 // Package cli is the shared flag plumbing of the locusroute commands:
-// the -par/-json/-cpuprofile trio, benchmark/circuit selection, and the
-// helpers that turn those flags into pools, collectors and snapshots.
-// Every command registers the subsets it supports, so flag names,
-// defaults, help text and validation stay uniform across paper,
-// mproute, smtrace, locusroute and locusd.
+// the -par/-json/-cpuprofile trio, benchmark/circuit selection, the
+// serving daemon's policy chain, and the helpers that turn those flags
+// into pools, collectors and snapshots. Every command registers the
+// subsets it supports, so flag names, defaults, help text and
+// validation stay uniform across locusroute, paper and locusd.
 package cli
 
 import (
@@ -20,9 +20,9 @@ import (
 	"locusroute/internal/policy"
 )
 
-// ParErrorf is the uniform -par validation failure: every command
+// parErrorf is the uniform -par validation failure: every command
 // rejects -par values below one with this exact text.
-func ParErrorf(n int) error {
+func parErrorf(n int) error {
 	return fmt.Errorf("-par must be at least 1 (got %d)", n)
 }
 
@@ -131,7 +131,7 @@ func (c *Common) Policy() policy.Config {
 // Validate checks the parsed flags; call it right after flag.Parse.
 func (c *Common) Validate() error {
 	if c.hasPar && c.Par < 1 {
-		return ParErrorf(c.Par)
+		return parErrorf(c.Par)
 	}
 	if c.hasPolicy {
 		if c.RateLimit < 0 {

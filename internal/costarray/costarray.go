@@ -9,6 +9,9 @@
 package costarray
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 
 	"locusroute/internal/geom"
@@ -212,6 +215,18 @@ func (a *CostArray) Equal(b *CostArray) bool {
 		}
 	}
 	return true
+}
+
+// Hash fingerprints the cells: the hex sha256 over them as little-endian
+// int32s. Equal hashes mean byte-identical arrays.
+func (a *CostArray) Hash() string {
+	h := sha256.New()
+	var b [4]byte
+	for _, c := range a.cells {
+		binary.LittleEndian.PutUint32(b[:], uint32(c))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // NonZeroCells returns the number of cells with non-zero value.

@@ -46,12 +46,6 @@ func (d *Delta) Array() *CostArray { return d.arr }
 // Partition returns the owned-region partition the delta tracks.
 func (d *Delta) Partition() geom.Partition { return d.part }
 
-// DirtyBound returns the bounding box of cells touched in the owned region
-// of proc since the last TakeRegion, without scanning. The box may include
-// cells whose accumulated delta returned to zero (cancellation); TakeRegion
-// performs the exact scan.
-func (d *Delta) DirtyBound(proc int) geom.Rect { return d.dirty[proc] }
-
 // HasChanges reports whether any cell in proc's owned region may have a
 // non-zero delta.
 func (d *Delta) HasChanges(proc int) bool { return !d.dirty[proc].Empty() }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"locusroute/internal/circuit"
 	"locusroute/internal/metrics"
@@ -110,33 +109,4 @@ func RenderCritPath(rows []CritPathRow) string {
 			fmt.Sprintf("%d", r.Hops))
 	}
 	return t.String()
-}
-
-// WriteTrace runs the paper's standard sender initiated schedule on c
-// with event tracing and writes the run's Chrome trace-event document to
-// w (open it at ui.perfetto.dev). It returns the run's critical path so
-// the caller can print a summary next to the file. The traced run is a
-// single leaf simulation with a private tracer; callers that also fan
-// out other work must keep the trace-producing run serial (cmd/paper
-// rejects -trace with -par > 1).
-func WriteTrace(c *circuit.Circuit, s Setup, w io.Writer) (*tracev.CriticalPath, error) {
-	cfg := mp.DefaultConfig(Table4Strategy())
-	cfg.Procs = s.Procs
-	cfg.Router = s.routerParams()
-	cfg.Trace = tracev.New(0)
-	asn, err := s.assignment(c)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := runConfigured(c, s, cfg, asn, "trace/"+c.Name); err != nil {
-		return nil, err
-	}
-	if err := cfg.Trace.WriteChrome(w, mp.ChromeOptions(c.Name, cfg.Procs)); err != nil {
-		return nil, fmt.Errorf("experiments: write trace: %w", err)
-	}
-	cp, err := tracev.Analyze(cfg.Trace.Events())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: critical path: %w", err)
-	}
-	return cp, nil
 }

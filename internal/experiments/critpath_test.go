@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -42,25 +40,5 @@ func TestCritPathExcludedFromAllTables(t *testing.T) {
 	// It must still be reachable by name.
 	if _, err := Render("critpath", smallCircuit(), smallCircuit(), smallSetup()); err != nil {
 		t.Fatalf("Render(critpath) failed: %v", err)
-	}
-}
-
-func TestWriteTraceProducesValidDocument(t *testing.T) {
-	var buf bytes.Buffer
-	cp, err := WriteTrace(smallCircuit(), smallSetup(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("trace has no events")
-	}
-	if cp == nil || len(cp.Steps) == 0 {
-		t.Fatal("traced run has no critical path")
 	}
 }

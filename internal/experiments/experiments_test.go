@@ -416,3 +416,34 @@ func TestTopologySmall(t *testing.T) {
 		t.Errorf("render too short")
 	}
 }
+
+// TestPartitionTable renders the partition sweep and checks its
+// one-partition row against the sequential baseline: the same route hash
+// (the 12-hex cost-array fingerprint), and "yes" in the = Seq column.
+func TestPartitionTable(t *testing.T) {
+	s := smallSetup()
+	s.Partitions = []int{1, 2}
+	text, err := Render("partition", smallCircuit(), smallCircuit(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(text, "\n") {
+		for _, label := range []string{"sequential", "partitioned p=1", "partitioned p=2"} {
+			if strings.HasPrefix(line, label+" ") {
+				rows[label] = strings.Fields(line)
+			}
+		}
+	}
+	seq, p1 := rows["sequential"], rows["partitioned p=1"]
+	if seq == nil || p1 == nil || rows["partitioned p=2"] == nil {
+		t.Fatalf("missing rows in the partition table:\n%s", text)
+	}
+	seqHash, p1Hash := seq[len(seq)-2], p1[len(p1)-2]
+	if len(seqHash) != 12 || p1Hash != seqHash {
+		t.Errorf("p=1 route hash %q, sequential %q: want the same 12-hex fingerprint", p1Hash, seqHash)
+	}
+	if got := p1[len(p1)-1]; got != "yes" {
+		t.Errorf("p=1 row's = Seq column reads %q, want yes:\n%s", got, text)
+	}
+}

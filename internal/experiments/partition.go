@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"time"
 
 	"locusroute/internal/circuit"
-	"locusroute/internal/costarray"
 	"locusroute/internal/metrics"
 	"locusroute/internal/obs"
 	"locusroute/internal/part"
@@ -56,7 +53,7 @@ func Partition(c *circuit.Circuit, s Setup, counts []int) ([]PartitionRow, error
 	seqStart := time.Now()
 	seqRes, seqArr := route.Sequential(c, params)
 	seqWall := time.Since(seqStart).Seconds()
-	seqHash := hashArray(seqArr)
+	seqHash := seqArr.Hash()[:12]
 	rows := []PartitionRow{{
 		Label:      "sequential",
 		CktHt:      seqRes.CircuitHeight,
@@ -91,7 +88,7 @@ func Partition(c *circuit.Circuit, s Setup, counts []int) ([]PartitionRow, error
 			Occupancy:     res.Occupancy,
 			WallS:         wall,
 			Speedup:       seqWall / wall,
-			RouteHash:     hashArray(arr),
+			RouteHash:     arr.Hash()[:12],
 			MatchesSeq:    arr.Equal(seqArr),
 		})
 		if s.Obs.Enabled() {
@@ -107,21 +104,6 @@ func Partition(c *circuit.Circuit, s Setup, counts []int) ([]PartitionRow, error
 		}
 	}
 	return rows, nil
-}
-
-// hashArray fingerprints a cost array's cells (truncated sha256 over the
-// little-endian int32 cells).
-func hashArray(a *costarray.CostArray) string {
-	h := sha256.New()
-	var buf [4]byte
-	for _, v := range a.Cells() {
-		buf[0] = byte(v)
-		buf[1] = byte(v >> 8)
-		buf[2] = byte(v >> 16)
-		buf[3] = byte(v >> 24)
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))[:12]
 }
 
 // RenderPartition renders the partition sweep.

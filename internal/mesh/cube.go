@@ -58,9 +58,6 @@ func NewCube(k *sim.Kernel, dims []int, params Params) (*Cube, error) {
 // Nodes returns the node count.
 func (c *Cube) Nodes() int { return len(c.inbox) }
 
-// Dims returns the cube's shape.
-func (c *Cube) Dims() []int { return append([]int(nil), c.dims...) }
-
 // Stats returns the accumulated statistics.
 func (c *Cube) Stats() Stats { return c.stats }
 

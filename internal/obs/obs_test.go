@@ -93,7 +93,7 @@ func TestCollectorLateAttach(t *testing.T) {
 	col := NewCollector()
 	r := col.Append(Run{Name: "a", Backend: "sm-traced"})
 	r.Cache = append(r.Cache, CacheDoc{LineSize: 16})
-	s := col.Snapshot("smtrace")
+	s := col.Snapshot("locusroute -backend sm-traced")
 	if len(s.Runs) != 1 || len(s.Runs[0].Cache) != 1 || s.Runs[0].Cache[0].LineSize != 16 {
 		t.Fatalf("late-attached cache doc lost: %+v", s.Runs)
 	}

@@ -215,14 +215,6 @@ func New(o Options) *Tracer {
 // Enabled reports whether tracing is on (receiver non-nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Options returns the tracer's resolved configuration.
-func (t *Tracer) Options() Options {
-	if t == nil {
-		return Options{}
-	}
-	return t.opts
-}
-
 // Now is the tracer clock: monotonic nanoseconds since the tracer was
 // built. 0 on a nil tracer.
 func (t *Tracer) Now() int64 {

@@ -155,9 +155,6 @@ func (k *Kernel) Now() Time { return k.now }
 // tracer costs one pointer test per site.
 func (k *Kernel) SetTracer(tr *tracev.Tracer) { k.tracer = tr }
 
-// Tracer returns the attached tracer (nil when tracing is disabled).
-func (k *Kernel) Tracer() *tracev.Tracer { return k.tracer }
-
 // newEvent takes an event off the free list (or allocates) and stamps it.
 func (k *Kernel) newEvent(at Time, fn func(), proc *Process) *event {
 	e := k.free
@@ -200,9 +197,6 @@ func (k *Kernel) schedule(t Time, fn func(), proc *Process) {
 
 // At schedules fn to run in kernel context at time t (clamped to now).
 func (k *Kernel) At(t Time, fn func()) { k.schedule(t, fn, nil) }
-
-// After schedules fn to run d after the current time.
-func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
 // next pops the globally earliest event by (time, seq), or nil when both
 // queues are empty. A FIFO event runs before the heap top unless the heap

@@ -23,9 +23,6 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -612,20 +609,8 @@ func (e *entry) infoLocked(name string) Info {
 		Epoch:     e.epoch,
 		Bytes:     e.bytes,
 		Baseline:  e.baseline,
-		ArrayHash: hashArray(e.arr),
+		ArrayHash: e.arr.Hash(),
 	}
-}
-
-// hashArray fingerprints a cost array: sha256 over its cells as
-// little-endian int32s. Equal hashes mean byte-identical arrays.
-func hashArray(arr *costarray.CostArray) string {
-	h := sha256.New()
-	var b [4]byte
-	for _, c := range arr.Cells() {
-		binary.LittleEndian.PutUint32(b[:], uint32(c))
-		h.Write(b[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // acquire takes n gate slots or none (nil gate admits everything).
