@@ -9,7 +9,7 @@ verify: ## build, vet, full tests, and race-test the concurrent packages
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/sm/... ./internal/mp/... ./internal/sim/... ./internal/locusd/... ./internal/policy/... ./internal/part/... ./internal/route/... ./internal/wire/... ./internal/reqtrace/... ./internal/store/... ./internal/trace/... ./internal/cache/...
+	$(GO) test -race ./internal/sm/... ./internal/mp/... ./internal/sim/... ./internal/locusd/... ./internal/policy/... ./internal/part/... ./internal/route/... ./internal/wire/... ./internal/reqtrace/... ./internal/store/... ./internal/trace/... ./internal/cache/... ./pkg/locusroute/... ./cmd/locusroute/...
 	$(GO) test -race -run TestRenderSetIdenticalAcrossPoolSizes ./internal/experiments/
 
 build:

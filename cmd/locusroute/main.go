@@ -50,7 +50,6 @@ import (
 	"locusroute/internal/par"
 	"locusroute/internal/report"
 	"locusroute/internal/route"
-	"locusroute/internal/sm"
 	"locusroute/internal/trace"
 	"locusroute/internal/tracev"
 	"locusroute/pkg/locusroute"
@@ -77,21 +76,16 @@ var packetStructures = map[string]locusroute.PacketStructure{
 
 // command is one parsed command line.
 type command struct {
-	common           *cli.Common
-	kind             locusroute.Kind
-	opts             []locusroute.Option
-	col              *obs.Collector
-	tracer           *tracev.Tracer      // nil without -trace
-	schedule         locusroute.Strategy // -sld/-srd/-rld/-rrd
-	scheduled        bool                // any of them given
-	blocking, strict bool
-	assign           string
-	threshold        int
-	heat, report     bool
-	trace            string
-	lines            []int
-	dump, replay     string
-	cacheLines       int
+	common       *cli.Common
+	kind         locusroute.Kind
+	opts         []locusroute.Option
+	col          *obs.Collector
+	tracer       *tracev.Tracer // nil without -trace
+	heat, report bool
+	trace        string
+	lines        []int
+	dump, replay string
+	cacheLines   int
 }
 
 // parse reads the command line. Only the flags given on it become
@@ -112,16 +106,17 @@ func parse(args []string) (*command, error) {
 	negotiate := fs.Bool("negotiate", false, "use the negotiated-congestion schedule (sequential, partitioned)")
 	fs.BoolVar(&cmd.heat, "heatmap", false, "render the final cost array as ASCII art")
 	fs.BoolVar(&cmd.report, "report", false, "print the per-channel congestion analysis")
-	fs.IntVar(&cmd.schedule.SendLocData, "sld", 0, "mp-des: wires between SendLocData broadcasts (0 = off)")
-	fs.IntVar(&cmd.schedule.SendRmtData, "srd", 0, "mp-des: wires between SendRmtData pushes (0 = off)")
-	fs.IntVar(&cmd.schedule.ReqLocData, "rld", 0, "mp-des: ReqRmtData packets before a ReqLocData pull (0 = off)")
-	fs.IntVar(&cmd.schedule.ReqRmtData, "rrd", 0, "mp-des: region touches before a ReqRmtData request (0 = off)")
-	fs.BoolVar(&cmd.blocking, "blocking", false, "mp-des: block for outstanding ReqRmtData responses")
-	fs.StringVar(&cmd.assign, "assign", "", "wire distribution: dynamic (sm-traced only), rr or threshold (default dynamic for sm-traced, threshold for mp-des)")
-	fs.IntVar(&cmd.threshold, "threshold", 1000, "ThresholdCost of -assign threshold (-1 = infinity)")
+	var schedule locusroute.Strategy
+	fs.IntVar(&schedule.SendLocData, "sld", 0, "mp-des: wires between SendLocData broadcasts (0 = off)")
+	fs.IntVar(&schedule.SendRmtData, "srd", 0, "mp-des: wires between SendRmtData pushes (0 = off)")
+	fs.IntVar(&schedule.ReqLocData, "rld", 0, "mp-des: ReqRmtData packets before a ReqLocData pull (0 = off)")
+	fs.IntVar(&schedule.ReqRmtData, "rrd", 0, "mp-des: region touches before a ReqRmtData request (0 = off)")
+	blocking := fs.Bool("blocking", false, "mp-des: block for outstanding ReqRmtData responses")
+	method := fs.String("assign", "", "wire distribution: dynamic (sm-traced only), rr or threshold (default dynamic for sm-traced, threshold for mp-des)")
+	threshold := fs.Int("threshold", assign.ThresholdStandard, "ThresholdCost of -assign threshold (-1 = infinity)")
 	packets := fs.String("packets", "bbox", "mp-des: update packet structure: bbox, wire or region")
 	dynamic := fs.Bool("dynamic", false, "mp-des: dynamic wire assignment over the network (ablation)")
-	fs.BoolVar(&cmd.strict, "strict", false, "mp-des: strict region ownership, no replicated views (ablation)")
+	strict := fs.Bool("strict", false, "mp-des: strict region ownership, no replicated views (ablation)")
 	fs.StringVar(&cmd.trace, "trace", "", "mp-des: write a Chrome/Perfetto trace of the run to this file")
 	lines := fs.String("lines", "4,8,16,32", "sm-traced: comma-separated cache line sizes (bytes)")
 	fs.StringVar(&cmd.dump, "dump", "", "sm-traced: write the shared reference trace to this file instead of replaying it")
@@ -151,20 +146,20 @@ func parse(args []string) (*command, error) {
 
 	cmd.col = cmd.common.Collector()
 	cmd.opts = []locusroute.Option{locusroute.WithObserver(cmd.col)}
-	if cmd.assign == "" && set["threshold"] {
-		cmd.assign = "threshold"
+	if *method == "" && set["threshold"] {
+		*method = "threshold"
 	}
 	switch {
-	case set["threshold"] && cmd.assign != "threshold":
-		return nil, fmt.Errorf("-threshold applies to -assign threshold, not %s", cmd.assign)
-	case cmd.assign == "dynamic":
+	case set["threshold"] && *method != "threshold":
+		return nil, fmt.Errorf("-threshold applies to -assign threshold, not %s", *method)
+	case *method == "dynamic":
 		cmd.opts = append(cmd.opts, locusroute.WithDynamicOrder())
-	case cmd.assign == "rr":
+	case *method == "rr":
 		cmd.opts = append(cmd.opts, locusroute.WithRoundRobin())
-	case cmd.assign == "threshold":
-		cmd.opts = append(cmd.opts, locusroute.WithThreshold(cmd.threshold))
-	case cmd.assign != "":
-		return nil, fmt.Errorf("unknown assignment %q (want dynamic, rr or threshold)", cmd.assign)
+	case *method == "threshold":
+		cmd.opts = append(cmd.opts, locusroute.WithThreshold(*threshold))
+	case *method != "":
+		return nil, fmt.Errorf("unknown assignment %q (want dynamic, rr or threshold)", *method)
 	}
 	ps, ok := packetStructures[*packets]
 	if !ok {
@@ -173,7 +168,6 @@ func parse(args []string) (*command, error) {
 	if cmd.trace != "" {
 		cmd.tracer = tracev.New(0)
 	}
-	cmd.scheduled = set["sld"] || set["srd"] || set["rld"] || set["rrd"]
 	for _, o := range []struct {
 		given bool
 		opt   locusroute.Option
@@ -182,12 +176,12 @@ func parse(args []string) (*command, error) {
 		{set["iters"], locusroute.WithIterations(*iters)},
 		{set["partitions"], locusroute.WithPartitions(*partitions)},
 		{*negotiate, locusroute.WithNegotiatedCongestion(locusroute.Negotiated{})},
-		{cmd.scheduled, locusroute.WithStrategy(cmd.schedule)},
-		{cmd.blocking, locusroute.WithBlocking()},
+		{set["sld"] || set["srd"] || set["rld"] || set["rrd"], locusroute.WithStrategy(schedule)},
+		{*blocking, locusroute.WithBlocking()},
 		{set["packets"], locusroute.WithPackets(ps)},
 		{*dynamic, locusroute.WithDynamicWires()},
 		{cmd.tracer != nil, locusroute.WithTracer(cmd.tracer)},
-		{cmd.strict, locusroute.WithStrictOwnership()}, // after the distribution, which it overrides
+		{*strict, locusroute.WithStrictOwnership()}, // after the distribution, which it overrides
 	} {
 		if o.given {
 			cmd.opts = append(cmd.opts, o.opt)
@@ -220,7 +214,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return cmd.common.WriteSnapshot(cmd.col)
+	return cmd.common.WriteSnapshot(stdout, args, cmd.col)
 }
 
 // route routes the circuit and prints the backend's report.
@@ -229,11 +223,7 @@ func (cmd *command) route(w io.Writer, backend locusroute.Backend) error {
 	if err != nil {
 		return err
 	}
-	req := locusroute.Request{Circuit: c}
-	if (cmd.kind == locusroute.MPDES || cmd.kind == locusroute.SMTraced) && cmd.common.CircuitFile == "" {
-		req.Name = cmd.common.Bench // the simulator runs are labelled by benchmark
-	}
-	res, err := backend.Route(context.Background(), req)
+	res, err := backend.Route(context.Background(), locusroute.Request{Circuit: c})
 	if err != nil {
 		return err
 	}
@@ -266,15 +256,9 @@ func (cmd *command) route(w io.Writer, backend locusroute.Backend) error {
 func (cmd *command) reportMP(w io.Writer, c *locusroute.Circuit, res locusroute.Result) error {
 	mpRes := res.MP
 	px, py := geom.SquarestFactors(res.Procs)
-	part, err := geom.NewPartition(c.Grid, px, py)
-	if err != nil {
-		return err
-	}
-	asn := cmd.mpAssignment(c, part)
 	fmt.Fprintf(w, "circuit %s on %d processors (%dx%d mesh), strategy %v\n",
-		c.Name, res.Procs, px, py, cmd.mpStrategy())
-	fmt.Fprintf(w, "locality measure: %.2f hops, load imbalance %.2fx\n",
-		assign.LocalityMeasure(c, part, asn), asn.Imbalance())
+		c.Name, res.Procs, px, py, res.Strategy)
+	fmt.Fprintf(w, "locality measure: %.2f hops, load imbalance %.2fx\n", res.Locality, res.Imbalance)
 	fmt.Fprintf(w, "circuit height:   %d\noccupancy factor: %d\n", res.CircuitHeight, res.Occupancy)
 	fmt.Fprintf(w, "execution time:   %v\n", mpRes.Time)
 	fmt.Fprintf(w, "update traffic:   %.3f MBytes (%d packets, contention delay %v)\n",
@@ -290,35 +274,6 @@ func (cmd *command) reportMP(w io.Writer, c *locusroute.Circuit, res locusroute.
 		return nil
 	}
 	return writeTrace(w, cmd.trace, cmd.tracer, c.Name, res.Procs)
-}
-
-// mpStrategy is the update schedule the mp-des backend ran: the flags'
-// schedule, or the paper's standard SenderInitiated(2, 10) when none
-// was given, made blocking by -blocking; strict ownership has no views
-// to update.
-func (cmd *command) mpStrategy() locusroute.Strategy {
-	st := locusroute.SenderInitiated(2, 10)
-	if cmd.scheduled {
-		st = cmd.schedule
-	}
-	st.Blocking = st.Blocking || cmd.blocking
-	if cmd.strict {
-		st = locusroute.Strategy{}
-	}
-	return st
-}
-
-// mpAssignment rebuilds the wire assignment the mp-des backend used, for
-// the locality and imbalance report line.
-func (cmd *command) mpAssignment(c *locusroute.Circuit, part geom.Partition) *assign.Assignment {
-	if cmd.assign == "rr" && !cmd.strict {
-		return assign.AssignRoundRobin(c, part)
-	}
-	th := cmd.threshold
-	if th < 0 || cmd.strict {
-		th = assign.ThresholdInfinity
-	}
-	return assign.AssignThreshold(c, part, th)
 }
 
 // writeTrace exports the run's event timeline as a Chrome trace-event
@@ -393,11 +348,7 @@ func (cmd *command) reportSM(w io.Writer, c *locusroute.Circuit, res locusroute.
 		fmt.Fprintf(w, "wrote %d references from %d processes to %s\n", tr.Len(), res.Procs, cmd.dump)
 		return nil
 	}
-	order := sm.Dynamic
-	if cmd.assign != "" && cmd.assign != "dynamic" {
-		order = sm.Static
-	}
-	fmt.Fprintf(w, "circuit %s, %d processes, %s distribution\n", c.Name, res.Procs, order)
+	fmt.Fprintf(w, "circuit %s, %d processes, %s distribution\n", c.Name, res.Procs, res.Order)
 	fmt.Fprintf(w, "circuit height:   %d\noccupancy factor: %d\n", res.CircuitHeight, res.Occupancy)
 	fmt.Fprintf(w, "virtual makespan: %v\n", res.SM.Span)
 	fmt.Fprintf(w, "shared refs:      %d reads, %d writes\n\n", res.SM.Reads, res.SM.Writes)

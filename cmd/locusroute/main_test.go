@@ -43,7 +43,8 @@ func digest(b []byte) string {
 }
 
 // TestReportDigests pins each backend's report byte for byte (default
-// -bench bnrE -seed 1). The rows run in order: the replay reads the
+// -bench bnrE -seed 1); a -json - row pins the report followed by the
+// observability document. The rows run in order: the replay reads the
 // trace the dump row wrote.
 func TestReportDigests(t *testing.T) {
 	inTempDir(t)
@@ -66,6 +67,9 @@ func TestReportDigests(t *testing.T) {
 		{"-negotiate -heatmap -report", "a778f34ad7d8b34f816c7bdeb32c6f295252d57bad3fa48dd7908716f7121e23"},
 		{"-backend partitioned -partitions 4", "ec6c49d3a68af8083b8618553ff28f8774083e530f774921cd601799d3ee45cd"},
 		{"-backend partitioned -partitions 4 -procs 1", "ec6c49d3a68af8083b8618553ff28f8774083e530f774921cd601799d3ee45cd"},
+		{"-backend mp-des -procs 4 -iters 1 -json -", "8482d703d225b91fd5d5d4c6f46eca75a61dbe95bf93556f2f22e66718f812a2"},
+		{"-backend sm-traced -procs 4 -iters 1 -json -", "ca8dc1ac14884350e49f2d7d4f7729a3e9eb0960f96552d49d123c30b67bf332"},
+		{"-backend sequential -json -", "bb7f6729d814f1cada405b3df61b10fe3977e3c47db016d291e301286b82fcfb"},
 	} {
 		if got := digest([]byte(runOut(t, strings.Fields(tc.args)...))); got != tc.want {
 			t.Errorf("locusroute %s: stdout sha256 %s, want %s", tc.args, got, tc.want)

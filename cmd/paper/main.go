@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"locusroute/internal/cli"
 	"locusroute/internal/experiments"
@@ -79,7 +80,7 @@ func main() {
 		fmt.Println(text)
 	}
 
-	if err := common.WriteSnapshot(s.Obs); err != nil {
+	if err := common.WriteSnapshot(os.Stdout, os.Args[1:], s.Obs); err != nil {
 		log.Fatal(err)
 	}
 }

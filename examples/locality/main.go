@@ -2,8 +2,10 @@
 // the paper) and show its three-way tension — locality vs load balance vs
 // traffic — in both paradigms (the shape of the paper's Tables 4 and 5).
 // Each assignment is one option on the two pkg/locusroute backends; the
-// same option list drives the message passing mesh and the traced shared
-// memory run whose reference trace feeds the coherence simulator.
+// same option drives the message passing mesh and the traced shared
+// memory run whose reference trace feeds the coherence simulator, and
+// the locality and imbalance columns are the ones the message passing
+// backend reports for the assignment it routed with.
 //
 //	go run ./examples/locality
 package main
@@ -13,10 +15,8 @@ import (
 	"fmt"
 	"log"
 
-	"locusroute/internal/assign"
 	"locusroute/internal/cache"
-	"locusroute/internal/circuit"
-	"locusroute/internal/geom"
+	"locusroute/internal/experiments"
 	"locusroute/internal/metrics"
 	"locusroute/pkg/locusroute"
 )
@@ -24,44 +24,23 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	c, err := circuit.Generate(circuit.MDCLike(1))
-	if err != nil {
-		log.Fatal(err)
-	}
+	c := experiments.MDC()
 	const procs = 16
-	px, py := geom.SquarestFactors(procs)
-	part, err := geom.NewPartition(c.Grid, px, py)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	methods := []struct {
-		label  string
-		option locusroute.Option
-		build  func() *assign.Assignment
-	}{
-		{"round robin", locusroute.WithRoundRobin(),
-			func() *assign.Assignment { return assign.AssignRoundRobin(c, part) }},
-		{"ThresholdCost=30", locusroute.WithThreshold(30),
-			func() *assign.Assignment { return assign.AssignThreshold(c, part, 30) }},
-		{"ThresholdCost=1000", locusroute.WithThreshold(1000),
-			func() *assign.Assignment { return assign.AssignThreshold(c, part, 1000) }},
-		{"ThresholdCost=inf", locusroute.WithPureLocality(),
-			func() *assign.Assignment { return assign.AssignThreshold(c, part, assign.ThresholdInfinity) }},
-	}
 
 	table := metrics.NewTable(
 		fmt.Sprintf("wire assignment locality on %s, %d processors", c.Name, procs),
 		"Assignment", "Locality", "Imbalance",
 		"MP Ckt Ht", "MP MBytes", "MP Time (s)",
 		"SM Ckt Ht", "SM MBytes")
-	for _, m := range methods {
-		// The assignment itself, for the locality and imbalance columns
-		// (the backends build their own copies from the same option).
-		asn := m.build()
-		loc := assign.LocalityMeasure(c, part, asn)
+	// The rows of the paper's Tables 4 and 5; a negative threshold there
+	// marks round robin.
+	for _, m := range experiments.LocalityMethods() {
+		option := locusroute.WithRoundRobin()
+		if m.Threshold >= 0 {
+			option = locusroute.WithThreshold(m.Threshold)
+		}
 
-		mpBackend, err := locusroute.NewMessagePassing(locusroute.WithProcs(procs), m.option)
+		mpBackend, err := locusroute.NewMessagePassing(locusroute.WithProcs(procs), option)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,7 +49,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		smBackend, err := locusroute.NewTracedSharedMemory(locusroute.WithProcs(procs), m.option)
+		smBackend, err := locusroute.NewTracedSharedMemory(locusroute.WithProcs(procs), option)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,9 +62,9 @@ func main() {
 			log.Fatal(err)
 		}
 
-		table.Add(m.label,
-			fmt.Sprintf("%.2f", loc),
-			metrics.Ratio(asn.Imbalance()),
+		table.Add(m.Label,
+			fmt.Sprintf("%.2f", mpRes.Locality),
+			metrics.Ratio(mpRes.Imbalance),
 			fmt.Sprintf("%d", mpRes.CircuitHeight),
 			fmt.Sprintf("%.3f", mpRes.MP.MBytes()),
 			metrics.Seconds(mpRes.MP.Time.Seconds()),

@@ -33,7 +33,7 @@ func main() {
 		st    mp.Strategy
 	}{
 		{"sender, frequent (SRD=2 SLD=1)", mp.SenderInitiated(2, 1)},
-		{"sender, standard (SRD=2 SLD=10)", mp.SenderInitiated(2, 10)},
+		{"sender, standard (SRD=2 SLD=10)", mp.StandardStrategy()},
 		{"sender, rare (SRD=10 SLD=20)", mp.SenderInitiated(10, 20)},
 		{"receiver, eager (RLD=1 RRD=5)", mp.ReceiverInitiated(1, 5, false)},
 		{"receiver, lazy (RLD=1 RRD=30)", mp.ReceiverInitiated(1, 30, false)},

@@ -33,6 +33,11 @@ import (
 // identically.
 const ThresholdInfinity = math.MaxInt
 
+// ThresholdStandard is the paper's compromise ThresholdCost (Section
+// 4.2): the message passing default and the standard assignment of the
+// tables that do not sweep locality.
+const ThresholdStandard = 1000
+
 // Method identifies an assignment strategy for reporting.
 type Method int
 

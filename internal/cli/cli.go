@@ -9,6 +9,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -191,16 +192,22 @@ func (c *Common) LoadCircuit() (*circuit.Circuit, error) {
 	return nil, fmt.Errorf("unknown benchmark %q (want bnrE or MDC)", c.Bench)
 }
 
-// Command reconstructs the invocation line recorded in -json documents.
-func (c *Common) Command() string {
-	return strings.Join(append([]string{c.name}, os.Args[1:]...), " ")
+// Command reconstructs the invocation line recorded in -json documents
+// from the command's name and the args it parsed.
+func (c *Common) Command(args []string) string {
+	return strings.Join(append([]string{c.name}, args...), " ")
 }
 
-// WriteSnapshot writes the collector's document to the -json
-// destination; a nil collector or unset -json is a no-op.
-func (c *Common) WriteSnapshot(col *obs.Collector) error {
+// WriteSnapshot writes the collector's document, recorded under the
+// command line args, to the -json destination: stdout for "-", else the
+// named file. A nil collector or unset -json is a no-op.
+func (c *Common) WriteSnapshot(stdout io.Writer, args []string, col *obs.Collector) error {
 	if c.JSONPath == "" || !col.Enabled() {
 		return nil
 	}
-	return col.Snapshot(c.Command()).WriteFile(c.JSONPath)
+	snap := col.Snapshot(c.Command(args))
+	if c.JSONPath == "-" {
+		return snap.WriteJSON(stdout)
+	}
+	return snap.WriteFile(c.JSONPath)
 }

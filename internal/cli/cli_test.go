@@ -1,9 +1,14 @@
 package cli
 
 import (
+	"bytes"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"locusroute/internal/obs"
 )
 
 // parse builds a fresh flag set with every group registered and parses
@@ -78,5 +83,36 @@ func TestPoolSizing(t *testing.T) {
 	c := parse(t, "-par", "3")
 	if got := c.Pool().Workers(); got != 3 {
 		t.Errorf("pool capacity %d, want 3", got)
+	}
+}
+
+// TestWriteSnapshotDestinations checks -json - writes the document to
+// the caller's writer, recorded under the args given, and that a path
+// gets the same bytes in a file.
+func TestWriteSnapshotDestinations(t *testing.T) {
+	args := []string{"-json", "-"}
+	c := parse(t, args...)
+	col := c.Collector()
+	col.Append(obs.Run{Name: "r", Backend: "sequential", Procs: 1})
+	var stdout bytes.Buffer
+	if err := c.WriteSnapshot(&stdout, args, col); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stdout.String(), `"command": "test -json -"`) {
+		t.Errorf("document does not record the args given:\n%s", stdout.String())
+	}
+
+	path := filepath.Join(t.TempDir(), "doc.json")
+	c.JSONPath = path
+	var none bytes.Buffer
+	if err := c.WriteSnapshot(&none, args, col); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if none.Len() != 0 || !bytes.Equal(got, stdout.Bytes()) {
+		t.Errorf("file document differs from the stdout one, or stdout was written (%d bytes)", none.Len())
 	}
 }

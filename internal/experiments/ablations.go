@@ -30,7 +30,7 @@ func PacketStructures(c *circuit.Circuit, s Setup) ([]PacketRow, error) {
 		mp.StructureBbox, mp.StructureWireBased, mp.StructureWholeRegion,
 	}
 	return cells(s, structures, func(structure mp.PacketStructure, sub Setup) (PacketRow, error) {
-		cfg := mp.DefaultConfig(Table4Strategy())
+		cfg := mp.DefaultConfig(mp.StandardStrategy())
 		cfg.Procs = sub.Procs
 		cfg.Router = sub.routerParams()
 		cfg.Packets = structure
@@ -79,7 +79,7 @@ type DistributionRow struct {
 // checks its queue between wires).
 func WireDistribution(c *circuit.Circuit, s Setup) ([]DistributionRow, error) {
 	return cells(s, []bool{false, true}, func(dynamic bool, sub Setup) (DistributionRow, error) {
-		cfg := mp.DefaultConfig(Table4Strategy())
+		cfg := mp.DefaultConfig(mp.StandardStrategy())
 		cfg.Procs = sub.Procs
 		cfg.Router = sub.routerParams()
 		cfg.DynamicWires = dynamic
@@ -133,7 +133,7 @@ type OwnershipRow struct {
 func CostArrayDistribution(c *circuit.Circuit, s Setup) ([]OwnershipRow, error) {
 	schemes := []func(Setup) (OwnershipRow, error){
 		func(sub Setup) (OwnershipRow, error) {
-			chosen := mp.DefaultConfig(Table4Strategy())
+			chosen := mp.DefaultConfig(mp.StandardStrategy())
 			chosen.Procs = sub.Procs
 			chosen.Router = sub.routerParams()
 			asn, err := sub.assignment(c)
@@ -209,7 +209,7 @@ func WireOrdering(c *circuit.Circuit, s Setup) ([]OrderRow, error) {
 			return OrderRow{}, err
 		}
 		asn.Order = order
-		r, err := runMPAssigned(c, sub, Table4Strategy(), asn, order.String())
+		r, err := runMPAssigned(c, sub, mp.StandardStrategy(), asn, order.String())
 		if err != nil {
 			return OrderRow{}, err
 		}

@@ -44,7 +44,7 @@ func critPathTasks() []critTask {
 	} {
 		tasks = append(tasks, critTask{
 			label:    "SI " + structure.String(),
-			strategy: Table4Strategy(),
+			strategy: mp.StandardStrategy(),
 			packets:  structure,
 		})
 	}

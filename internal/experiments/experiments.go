@@ -64,8 +64,8 @@ type Setup struct {
 	// Iterations of rip-up-and-reroute.
 	Iterations int
 	// Threshold is the ThresholdCost of the standard wire assignment
-	// (the paper's tables 1, 2 and 6 use a locality assignment; 1000
-	// reproduces their configuration).
+	// (the paper's tables 1, 2 and 6 use a locality assignment;
+	// assign.ThresholdStandard reproduces their configuration).
 	Threshold int
 	// Obs, when non-nil, collects one observability document per routing
 	// run the drivers perform (cmd/paper -json). Nil disables collection;
@@ -85,7 +85,7 @@ type Setup struct {
 
 // DefaultSetup returns the 16-processor configuration most tables use.
 func DefaultSetup() Setup {
-	return Setup{Procs: 16, Iterations: route.DefaultParams().Iterations, Threshold: 1000}
+	return Setup{Procs: 16, Iterations: route.DefaultParams().Iterations, Threshold: assign.ThresholdStandard}
 }
 
 // Fork returns a copy of s whose collector (when recording) is a fresh

@@ -137,7 +137,7 @@ func Topology(c *circuit.Circuit, s Setup) ([]TopologyRow, error) {
 		shapes = append(shapes, shape{"binary hypercube", dims})
 	}
 	return cells(s, shapes, func(sh shape, sub Setup) (TopologyRow, error) {
-		cfg := mp.DefaultConfig(Table4Strategy())
+		cfg := mp.DefaultConfig(mp.StandardStrategy())
 		cfg.Procs = sub.Procs
 		cfg.Router = sub.routerParams()
 		cfg.Topology = sh.dims

@@ -186,7 +186,7 @@ func LocalityMethods() []AssignmentMethod {
 	return []AssignmentMethod{
 		{Label: "round robin", Threshold: -1},
 		{Label: "ThresholdCost = 30", Threshold: 30},
-		{Label: "ThresholdCost = 1000", Threshold: 1000},
+		{Label: "ThresholdCost = 1000", Threshold: assign.ThresholdStandard},
 		{Label: "ThresholdCost = inf.", Threshold: assign.ThresholdInfinity},
 	}
 }
@@ -228,11 +228,6 @@ type Table4Row struct {
 	Seconds float64
 }
 
-// Table4Strategy is the sender initiated schedule Tables 4 and 6 use
-// (SendRmtData = 2, SendLocData = 10, matching the paper's cross-table
-// row: same traffic and time as Table 1's corresponding entry).
-func Table4Strategy() mp.Strategy { return mp.SenderInitiated(2, 10) }
-
 // Table4 measures the effect of wire assignment locality on the message
 // passing version (sender initiated).
 func Table4(circuits []*circuit.Circuit, s Setup) ([]Table4Row, error) {
@@ -241,7 +236,7 @@ func Table4(circuits []*circuit.Circuit, s Setup) ([]Table4Row, error) {
 		if err != nil {
 			return Table4Row{}, err
 		}
-		r, err := runMPAssigned(t.c, sub, Table4Strategy(), asn, t.m.Label)
+		r, err := runMPAssigned(t.c, sub, mp.StandardStrategy(), asn, t.m.Label)
 		if err != nil {
 			return Table4Row{}, err
 		}
@@ -329,7 +324,7 @@ func Table6Procs() []int { return []int{2, 4, 9, 16} }
 func Table6(c *circuit.Circuit, s Setup) ([]Table6Row, error) {
 	rows, err := cells(s, Table6Procs(), func(procs int, sub Setup) (Table6Row, error) {
 		sub.Procs = procs
-		r, err := runMP(c, sub, Table4Strategy(), fmt.Sprintf("%d procs", procs))
+		r, err := runMP(c, sub, mp.StandardStrategy(), fmt.Sprintf("%d procs", procs))
 		if err != nil {
 			return Table6Row{}, err
 		}

@@ -64,6 +64,11 @@ func SenderInitiated(sendRmt, sendLoc int) Strategy {
 	return Strategy{SendLocData: sendLoc, SendRmtData: sendRmt}
 }
 
+// StandardStrategy is the paper's standard schedule, SendRmtData = 2 and
+// SendLocData = 10: the sender initiated row Tables 4 and 6 share with
+// Table 1, and the message passing default everywhere.
+func StandardStrategy() Strategy { return SenderInitiated(2, 10) }
+
 // ReceiverInitiated returns the pure receiver initiated schedule of
 // Table 2 (non-blocking) or the blocking variant of Section 5.1.3.
 func ReceiverInitiated(reqLoc, reqRmt int, blocking bool) Strategy {

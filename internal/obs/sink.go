@@ -6,12 +6,8 @@ import (
 	"runtime/pprof"
 )
 
-// WriteFile writes the snapshot as JSON to path; "-" writes to standard
-// output.
+// WriteFile writes the snapshot as JSON to the file at path.
 func (s Snapshot) WriteFile(path string) error {
-	if path == "-" {
-		return s.WriteJSON(os.Stdout)
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("obs: %w", err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"locusroute/internal/circuit"
 	"locusroute/internal/costarray"
 	"locusroute/internal/mp"
 	"locusroute/internal/obs"
@@ -111,11 +110,6 @@ func run(ctx context.Context, req Request, fn func() (Result, error)) (Result, e
 	}
 }
 
-// observe appends the run document to the configured collector, if any.
-func observe(col *obs.Collector, doc obs.Run) {
-	col.Append(doc)
-}
-
 // runName labels the run in observability documents.
 func runName(req Request) string {
 	if req.Name != "" {
@@ -159,7 +153,7 @@ func (b *seqBackend) Route(ctx context.Context, req Request) (Result, error) {
 			CellsExamined: res.CellsExamined,
 			Final:         arr,
 		}
-		observe(b.cfg.collector, obs.Run{
+		b.cfg.collector.Append(obs.Run{
 			Name: runName(req), Backend: string(Sequential), Circuit: req.Circuit.Name, Procs: 1,
 			Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
 			Partition: pdoc,
@@ -199,7 +193,7 @@ func (b *partBackend) Route(ctx context.Context, req Request) (Result, error) {
 			CellsExamined: res.CellsExamined,
 			Final:         arr,
 		}
-		observe(b.cfg.collector, obs.Run{
+		b.cfg.collector.Append(obs.Run{
 			Name: runName(req), Backend: string(Partitioned), Circuit: req.Circuit.Name, Procs: b.cfg.procs,
 			Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
 			Partition: partitionDoc(st),
@@ -232,48 +226,38 @@ type smBackend struct{ cfg config }
 func (b *smBackend) Kind() Kind { return SMTraced }
 func (b *smBackend) Procs() int { return b.cfg.procs }
 
-// smConfig assembles a fresh sm.Config for one request, building the
-// static assignment when a non-dynamic distribution was configured.
-func (b *smBackend) smConfig(circ *circuit.Circuit, req Request) (sm.Config, error) {
-	cfg := sm.DefaultConfig()
-	cfg.Procs = b.cfg.procs
-	cfg.Router = b.cfg.params(req.Iterations)
-	if m := b.cfg.method; m != assignDefault && m != assignDynamic {
-		asn, _, err := b.cfg.assignment(circ, cfg.Procs)
-		if err != nil {
-			return sm.Config{}, err
-		}
-		cfg.Order = sm.Static
-		cfg.Assignment = asn
-	}
-	return cfg, nil
-}
-
 func (b *smBackend) Route(ctx context.Context, req Request) (Result, error) {
 	return run(ctx, req, func() (Result, error) {
-		cfg, err := b.smConfig(req.Circuit, req)
-		if err != nil {
-			return Result{}, err
+		cfg := sm.DefaultConfig()
+		cfg.Procs = b.cfg.procs
+		cfg.Router = b.cfg.params(req.Iterations)
+		var out Result
+		if m := b.cfg.method; m != assignDefault && m != assignDynamic {
+			asn, err := b.cfg.assignment(req.Circuit, cfg.Procs, &out)
+			if err != nil {
+				return Result{}, err
+			}
+			cfg.Order = sm.Static
+			cfg.Assignment = asn
 		}
 		tr := &trace.Trace{}
 		res, err := sm.RunTraced(req.Circuit, cfg, tr.AppendBatch)
 		if err != nil {
 			return Result{}, err
 		}
-		out := Result{
-			Backend:       SMTraced,
-			Circuit:       req.Circuit.Name,
-			Procs:         cfg.Procs,
-			CircuitHeight: res.CircuitHeight,
-			Occupancy:     res.Occupancy,
-			WiresRouted:   res.WiresRouted,
-			CellsExamined: res.CellsExamined,
-			SimTime:       time.Duration(res.Span),
-			Final:         res.Final,
-			SM:            &res,
-			RefTrace:      tr,
-		}
-		observe(b.cfg.collector, sm.ObsRun(runName(req), req.Circuit.Name, cfg, res))
+		out.Backend = SMTraced
+		out.Circuit = req.Circuit.Name
+		out.Procs = cfg.Procs
+		out.CircuitHeight = res.CircuitHeight
+		out.Occupancy = res.Occupancy
+		out.WiresRouted = res.WiresRouted
+		out.CellsExamined = res.CellsExamined
+		out.SimTime = time.Duration(res.Span)
+		out.Final = res.Final
+		out.SM = &res
+		out.RefTrace = tr
+		out.Order = cfg.Order
+		b.cfg.collector.Append(sm.ObsRun(runName(req), req.Circuit.Name, cfg, res))
 		return out, nil
 	})
 }
@@ -288,7 +272,7 @@ func (b *mpBackend) Procs() int { return b.cfg.procs }
 // its own observer and configuration, so a backend routes concurrent
 // requests safely (except under WithTracer, which is one-run-at-a-time).
 func (b *mpBackend) mpConfig(req Request) mp.Config {
-	st := mp.SenderInitiated(2, 10) // the paper's standard schedule
+	st := mp.StandardStrategy()
 	if b.cfg.strategy != nil {
 		st = *b.cfg.strategy
 	}
@@ -317,7 +301,8 @@ func (b *mpBackend) mpConfig(req Request) mp.Config {
 func (b *mpBackend) Route(ctx context.Context, req Request) (Result, error) {
 	return run(ctx, req, func() (Result, error) {
 		cfg := b.mpConfig(req)
-		asn, _, err := b.cfg.assignment(req.Circuit, cfg.Procs)
+		var out Result
+		asn, err := b.cfg.assignment(req.Circuit, cfg.Procs, &out)
 		if err != nil {
 			return Result{}, err
 		}
@@ -325,18 +310,17 @@ func (b *mpBackend) Route(ctx context.Context, req Request) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		out := Result{
-			Backend:       MPDES,
-			Circuit:       req.Circuit.Name,
-			Procs:         cfg.Procs,
-			CircuitHeight: res.CircuitHeight,
-			Occupancy:     res.Occupancy,
-			CellsExamined: res.CellsExamined,
-			SimTime:       time.Duration(res.Time),
-			Final:         res.Final,
-			MP:            &res,
-		}
-		observe(b.cfg.collector, mp.ObsRun(runName(req), req.Circuit.Name, cfg, res))
+		out.Backend = MPDES
+		out.Circuit = req.Circuit.Name
+		out.Procs = cfg.Procs
+		out.CircuitHeight = res.CircuitHeight
+		out.Occupancy = res.Occupancy
+		out.CellsExamined = res.CellsExamined
+		out.SimTime = time.Duration(res.Time)
+		out.Final = res.Final
+		out.MP = &res
+		out.Strategy = cfg.Strategy
+		b.cfg.collector.Append(mp.ObsRun(runName(req), req.Circuit.Name, cfg, res))
 		return out, nil
 	})
 }

@@ -176,8 +176,10 @@ func ValidateWires(g geom.Grid, wires []Wire) error {
 }
 
 // Result is the unified outcome of routing one circuit through any
-// backend. The quality measures are always present; paradigm-specific
-// detail rides in the MP/SM/RefTrace fields of the producing backend.
+// backend. The quality measures are always present; the configuration
+// the backend resolved from its options (schedule, order, assignment
+// locality) and paradigm-specific detail (MP/SM/RefTrace) ride in the
+// fields of the producing backend.
 type Result struct {
 	// Backend is the implementation that produced the result.
 	Backend Kind
@@ -197,6 +199,22 @@ type Result struct {
 	// SimTime is the virtual execution time of the MPDES and SMTraced
 	// backends (zero for the others, which have no time model).
 	SimTime time.Duration
+	// Strategy is the update schedule an MPDES run simulated, exactly as
+	// passed to the simulator: the configured or standard schedule with
+	// WithBlocking applied, or the empty schedule under strict ownership
+	// (which has no views to update). Zero for the other backends.
+	Strategy Strategy
+	// Order is the wire order an SMTraced run used: sm.Dynamic (the
+	// distributed loop) or sm.Static (a precomputed assignment). Zero
+	// (sm.Dynamic) for the other backends.
+	Order sm.Order
+	// Locality and Imbalance describe the static wire assignment the run
+	// routed with (every MPDES run, and SMTraced runs with a static
+	// order): the locality measure in mesh hops (Section 5.3.3) and the
+	// busiest processor's wire count over the mean. Both are zero when
+	// the run had no static assignment.
+	Locality  float64
+	Imbalance float64
 	// Wall is the wall-clock duration of the Route call.
 	Wall time.Duration
 	// Final is the ground-truth cost array after the run — the routed

@@ -3,6 +3,7 @@ package locusroute
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -55,73 +56,133 @@ func TestSequentialMatchesDirectCall(t *testing.T) {
 	}
 }
 
-// TestMessagePassingMatchesDirectCall pins the MP DES facade wiring
-// (default threshold-1000 assignment, standard sender initiated
-// schedule) to the direct mp.Run call with the same configuration.
-func TestMessagePassingMatchesDirectCall(t *testing.T) {
-	c := testCircuit(t)
-	const procs = 4
-	be, err := NewMessagePassing(WithProcs(procs))
+// TestReportedConfigurationRan checks that the schedule, order and
+// assignment locality a backend reports are the ones it ran: each case
+// routes through the facade, then calls mp.Run or sm.RunTraced directly
+// with the expected configuration and assignment, and the two runs must
+// agree. The circuit is bnrE, whose long wires tell ThresholdCost 1000
+// from infinity; one iteration keeps the runs short. The facade routes
+// under a cancellable context, so on its own goroutine, the way a -race
+// run should see it.
+func TestReportedConfigurationRan(t *testing.T) {
+	c, err := BnrE(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := be.Route(context.Background(), Request{Circuit: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	const procs, iters = 4, 1
 	px, py := geom.SquarestFactors(procs)
 	part, err := geom.NewPartition(c.Grid, px, py)
 	if err != nil {
 		t.Fatal(err)
 	}
-	asn := assign.AssignThreshold(c, part, 1000)
-	cfg := mp.DefaultConfig(mp.SenderInitiated(2, 10))
-	cfg.Procs = procs
-	want, err := mp.Run(c, asn, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CircuitHeight != want.CircuitHeight || got.Occupancy != want.Occupancy {
-		t.Errorf("facade quality (%d, %d) != direct (%d, %d)",
-			got.CircuitHeight, got.Occupancy, want.CircuitHeight, want.Occupancy)
-	}
-	if got.SimTime != time.Duration(want.Time) {
-		t.Errorf("facade sim time %v != direct %v", got.SimTime, want.Time)
-	}
-	if got.MP == nil || got.MP.UpdateBytes != want.UpdateBytes {
-		t.Errorf("facade MP detail missing or diverged")
+	threshold := func(th int) *assign.Assignment { return assign.AssignThreshold(c, part, th) }
+	standard, locality := threshold(assign.ThresholdStandard), threshold(assign.ThresholdInfinity)
+	blocking := mp.StandardStrategy()
+	blocking.Blocking = true
+	for _, tc := range []struct {
+		name   string
+		kind   Kind
+		opts   []Option
+		st     Strategy           // the schedule mp.Run gets
+		strict bool               // mp.Config.StrictOwnership
+		asn    *assign.Assignment // nil: no static assignment
+	}{
+		{"mp-des defaults", MPDES, nil, mp.StandardStrategy(), false, standard},
+		{"mp-des receiver initiated", MPDES, []Option{WithStrategy(ReceiverInitiated(1, 5, false))},
+			mp.ReceiverInitiated(1, 5, false), false, standard},
+		{"mp-des blocking", MPDES, []Option{WithBlocking()}, blocking, false, standard},
+		{"mp-des round robin then strict", MPDES, []Option{WithRoundRobin(), WithStrictOwnership()},
+			Strategy{}, true, locality},
+		{"mp-des threshold -1", MPDES, []Option{WithThreshold(-1)}, mp.StandardStrategy(), false, locality},
+		{"mp-des threshold 30", MPDES, []Option{WithThreshold(30)}, mp.StandardStrategy(), false, threshold(30)},
+		{"mp-des pure locality", MPDES, []Option{WithPureLocality()}, mp.StandardStrategy(), false, locality},
+		{"sm-traced defaults", SMTraced, nil, Strategy{}, false, nil},
+		{"sm-traced round robin", SMTraced, []Option{WithRoundRobin()}, Strategy{}, false, assign.AssignRoundRobin(c, part)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			be, err := New(tc.kind, append([]Option{WithProcs(procs), WithIterations(iters)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if be.Kind() != tc.kind || be.Procs() != procs {
+				t.Errorf("backend (%s, %d), want (%s, %d)", be.Kind(), be.Procs(), tc.kind, procs)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			got, err := be.Route(ctx, Request{Circuit: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			want := Result{Backend: tc.kind, Procs: procs, Strategy: tc.st}
+			if tc.asn != nil {
+				want.Locality = assign.LocalityMeasure(c, part, tc.asn)
+				want.Imbalance = tc.asn.Imbalance()
+			}
+			switch tc.kind {
+			case MPDES:
+				cfg := mp.DefaultConfig(tc.st)
+				cfg.Procs = procs
+				cfg.Router.Iterations = iters
+				cfg.StrictOwnership = tc.strict
+				res, err := mp.Run(c, tc.asn, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.CircuitHeight, want.Occupancy, want.SimTime = res.CircuitHeight, res.Occupancy, time.Duration(res.Time)
+				if got.MP == nil || got.MP.UpdateBytes != res.UpdateBytes {
+					t.Errorf("MP detail missing or diverged")
+				}
+			case SMTraced:
+				cfg := sm.DefaultConfig()
+				cfg.Procs = procs
+				cfg.Router.Iterations = iters
+				if tc.asn != nil {
+					cfg.Order, cfg.Assignment = sm.Static, tc.asn
+				}
+				tr := &trace.Trace{}
+				res, err := sm.RunTraced(c, cfg, tr.AppendBatch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.CircuitHeight, want.Occupancy, want.SimTime = res.CircuitHeight, res.Occupancy, time.Duration(res.Span)
+				want.Order = cfg.Order
+				if got.RefTrace == nil || got.RefTrace.Len() != tr.Len() {
+					t.Errorf("reference trace missing or diverged")
+				}
+			}
+			reported := func(r Result) string {
+				return fmt.Sprintf("%s procs %d, schedule %v, order %v, locality %.4f, imbalance %.4f; height %d, occupancy %d, time %v",
+					r.Backend, r.Procs, r.Strategy, r.Order, r.Locality, r.Imbalance, r.CircuitHeight, r.Occupancy, r.SimTime)
+			}
+			if g, w := reported(got), reported(want); g != w {
+				t.Errorf("facade reported\n  %s\nthe direct run is\n  %s", g, w)
+			}
+		})
 	}
 }
 
-// TestTracedSharedMemoryMatchesDirectCall pins the traced SM facade to
-// sm.RunTraced with the dynamic distributed loop.
-func TestTracedSharedMemoryMatchesDirectCall(t *testing.T) {
+// TestUnassignedRunsReportNoConfiguration checks Kind and Procs on the
+// two backends without a simulator, and that a run without a schedule
+// or a static assignment reports none.
+func TestUnassignedRunsReportNoConfiguration(t *testing.T) {
 	c := testCircuit(t)
-	be, err := NewTracedSharedMemory(WithProcs(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := be.Route(context.Background(), Request{Circuit: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sm.DefaultConfig()
-	cfg.Procs = 4
-	tr := &trace.Trace{}
-	want, err := sm.RunTraced(c, cfg, tr.AppendBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CircuitHeight != want.CircuitHeight || got.Occupancy != want.Occupancy {
-		t.Errorf("facade quality (%d, %d) != direct (%d, %d)",
-			got.CircuitHeight, got.Occupancy, want.CircuitHeight, want.Occupancy)
-	}
-	if got.RefTrace == nil || got.RefTrace.Len() != tr.Len() {
-		t.Errorf("facade reference trace missing or diverged")
-	}
-	if got.SimTime != time.Duration(want.Span) {
-		t.Errorf("facade sim time %v != direct span %v", got.SimTime, want.Span)
+	for _, kind := range []Kind{Sequential, Partitioned} {
+		be, err := New(kind, WithProcs(procsFor(kind)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if be.Kind() != kind || be.Procs() != procsFor(kind) {
+			t.Errorf("backend (%s, %d), want (%s, %d)", be.Kind(), be.Procs(), kind, procsFor(kind))
+		}
+		got, err := be.Route(context.Background(), Request{Circuit: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Strategy != (Strategy{}) || got.Order != sm.Dynamic || got.Locality != 0 || got.Imbalance != 0 {
+			t.Errorf("%s reported schedule %v, order %v, locality %v, imbalance %v; want none",
+				kind, got.Strategy, got.Order, got.Locality, got.Imbalance)
+		}
 	}
 }
 

@@ -18,8 +18,8 @@ type assignMethod int
 
 const (
 	// assignDefault lets each backend pick its paper baseline: the
-	// dynamic distributed loop for shared memory, ThresholdCost=1000 for
-	// message passing.
+	// dynamic distributed loop for shared memory, the standard
+	// ThresholdCost (assign.ThresholdStandard) for message passing.
 	assignDefault assignMethod = iota
 	assignDynamic
 	assignRoundRobin
@@ -69,7 +69,7 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{procs: 16, router: route.DefaultParams(), threshold: 1000}
+	return config{procs: 16, router: route.DefaultParams(), threshold: assign.ThresholdStandard}
 }
 
 // Option configures a backend at construction time.
@@ -109,7 +109,8 @@ func WithRoundRobin() Option {
 
 // WithThreshold assigns wires cheaper than cost to the owner of their
 // leftmost pin and longer wires by load balance (Section 4.2; the
-// paper's compromise is cost 1000, the message passing default).
+// paper's compromise, cost 1000, is the message passing default). A
+// negative cost is infinity, the same as WithPureLocality.
 func WithThreshold(cost int) Option {
 	return func(c *config) { c.method = assignThreshold; c.threshold = cost }
 }
@@ -345,29 +346,31 @@ func (c *config) params(reqIters int) route.Params {
 }
 
 // assignment builds the wire distribution for circ on a procs-processor
-// partition. Used by the message passing backends (always) and the
-// shared memory backends (static orders only).
-func (c *config) assignment(circ *circuit.Circuit, procs int) (*assign.Assignment, geom.Partition, error) {
+// partition and reports its locality measure and load imbalance on out.
+// Used by the message passing backend (always) and the shared memory
+// backend (static orders only).
+func (c *config) assignment(circ *circuit.Circuit, procs int, out *Result) (*assign.Assignment, error) {
 	px, py := geom.SquarestFactors(procs)
 	part, err := geom.NewPartition(circ.Grid, px, py)
 	if err != nil {
-		return nil, geom.Partition{}, err
+		return nil, err
 	}
-	method := c.method
-	if method == assignDefault {
-		method = assignThreshold
-	}
-	switch method {
+	var asn *assign.Assignment
+	switch c.method {
 	case assignRoundRobin:
-		return assign.AssignRoundRobin(circ, part), part, nil
-	case assignThreshold:
+		asn = assign.AssignRoundRobin(circ, part)
+	case assignDefault, assignThreshold:
 		th := c.threshold
 		if th < 0 {
 			th = assign.ThresholdInfinity
 		}
-		return assign.AssignThreshold(circ, part, th), part, nil
+		asn = assign.AssignThreshold(circ, part, th)
 	case assignLocality:
-		return assign.AssignThreshold(circ, part, assign.ThresholdInfinity), part, nil
+		asn = assign.AssignThreshold(circ, part, assign.ThresholdInfinity)
+	default:
+		return nil, fmt.Errorf("locusroute: assignment method %v needs no precomputed assignment", c.method)
 	}
-	return nil, geom.Partition{}, fmt.Errorf("locusroute: assignment method %v needs no precomputed assignment", method)
+	out.Locality = assign.LocalityMeasure(circ, part, asn)
+	out.Imbalance = asn.Imbalance()
+	return asn, nil
 }
