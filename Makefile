@@ -47,12 +47,16 @@ census:
 	rm -rf $$d
 
 # The serving path's golden digests: two fixed-seed request streams
-# driven in-process, over /v1 JSON and over the binary protocol, at 1 and
-# 4 shards, with and without EDF + the result cache, each hashed into
-# one sha256 pinned in internal/locusd/golden_test.go — what the paper
-# tables' sha256 is to the simulators. ~10 s under -race on 2 cores.
+# driven in-process, over /v1 JSON and over the binary protocol, both at
+# 1 and 4 shards, with and without EDF + the result cache, each hashed
+# into one sha256 pinned in internal/locusd/golden_test.go — what the
+# paper tables' sha256 is to the simulators. Then the cache's epoch
+# contract against a racing reader, five times: a route after Mutate
+# returns must answer from the mutated array. ~15 s under -race on 2
+# cores.
 serve-golden:
 	$(GO) test -race -count=1 -run TestServingGolden ./internal/locusd/
+	$(GO) test -race -count=5 -run TestCachedRouteFollowsMutation ./internal/locusd/
 
 # The partitioned router's golden digests: the Result, cost array and
 # every path of 27 fixed runs (bnrE and MDC at parts 2/3/4/8, seeds 1-3;

@@ -44,8 +44,9 @@
 // immutable; only the sequential backend adopts them into the store.
 //
 // On startup each circuit is routed once through the selected backend;
-// the resulting cost array seeds the serving replicas. Endpoints (the
-// API lives under /v1/ only):
+// the resulting cost array seeds the circuit's serving array, which
+// -shards loops evaluate batches against. Endpoints (the API lives
+// under /v1/ only):
 //
 //	POST   /v1/route            {"circuit","pins":[[x,y],...],"commit","deadline_ms"}
 //	GET    /v1/circuits         served circuits and their baseline quality
@@ -104,7 +105,7 @@ func main() {
 			fmt.Sprintf("baseline routing backend: one of %v", locusroute.Kinds()))
 		procs       = flag.Int("procs", 16, "processors for the baseline backend")
 		partitions  = flag.Int("partitions", 0, "leaf regions for the partitioned baseline backend (0 = backend default)")
-		shards      = flag.Int("shards", 4, "serving replicas per circuit")
+		shards      = flag.Int("shards", 4, "shard loops per circuit (they share its one cost array)")
 		maxBatch    = flag.Int("max-batch", 64, "max wires per batch")
 		maxInFlight = flag.Int("max-in-flight", 256, "admitted requests before shedding 429s")
 		deadline    = flag.Duration("deadline", 5*time.Second, "default per-request deadline")

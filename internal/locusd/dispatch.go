@@ -2,6 +2,7 @@ package locusd
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"locusroute/internal/policy"
@@ -10,33 +11,32 @@ import (
 )
 
 // This file is the dispatch stage of the request path: how admitted
-// requests become batches on a serving shard. There is one discipline:
-// every shard runs shardLoop over a policy.EDFQueue. What the queue is
-// keyed on is the only thing the scheduler changes:
+// requests become batches against a circuit's serving array. There is one
+// discipline: each circuit has one policy.EDFQueue, drained by its shard
+// loops (Config.Shards of them). What the queue is keyed on is the only
+// thing the scheduler changes:
 //
-//   - Scheduler off (default): each shard owns a private queue fed
-//     round-robin and keyed on arrival time, so a batch pops in arrival
-//     order — FIFO is EDF with arrival as the criticality.
-//   - policy.Sched enabled: a circuit's shards share one queue keyed on
-//     the request deadline, so a batch pops earliest-deadline-first, and
-//     a full admission gate preempts the slackest queued request instead
-//     of shedding the arrival (preempt).
+//   - Scheduler off (default): keyed on arrival time, so a batch pops in
+//     arrival order — FIFO is EDF with arrival as the criticality.
+//   - policy.Sched enabled: keyed on the request deadline, so a batch
+//     pops earliest-deadline-first, and a full admission gate preempts
+//     the slackest queued request instead of shedding the arrival
+//     (preempt).
 
-// shardLoop turns one shard's queue into batches without ever waiting
+// shardLoop turns the circuit's queue into batches without ever waiting
 // for one to grow: it sleeps only on an empty queue, takes a pool slot,
-// and inside the slot folds in queued mutation deltas, pops up to
-// MaxBatch of whatever is queued at that instant and evaluates it. An
-// idle shard serves a lone arrival at once; a busy shard (or a full
-// pool) lets arrivals pile up and its next pop takes them as one batch —
-// batching comes from service time, not a timer. Popping last keeps every
-// request not yet being evaluated in the queue, where preempt can see it,
-// and PopBatch returns queue order, so the most critical (or earliest)
-// work commits first. Only this loop touches sh.arr, so no lock is needed.
-func (s *Server) shardLoop(sc *servedCircuit, sh *shard) {
+// and inside the slot pops up to MaxBatch of whatever is queued at that
+// instant and evaluates it. An idle loop serves a lone arrival at once;
+// busy loops (or a full pool) let arrivals pile up and the next pop takes
+// them as one batch — batching comes from service time, not a timer.
+// Popping last keeps every request not yet being evaluated in the queue,
+// where preempt can see it, and PopBatch returns queue order, so the most
+// critical (or earliest) work commits first. id is the loop's number,
+// reported as the response's shard.
+func (s *Server) shardLoop(sc *servedCircuit, id int) {
 	defer s.loops.Done()
-	q := sh.queue
+	q := sc.queue
 	evaluate := func() {
-		sh.drainUpdates()
 		batch := q.PopBatch(s.cfg.MaxBatch)
 		if len(batch) == 0 {
 			// A sibling consumed the wave, or preempt evicted it, while
@@ -44,7 +44,7 @@ func (s *Server) shardLoop(sc *servedCircuit, sh *shard) {
 			return
 		}
 		s.chain.Sched().NoteBatch()
-		s.process(sh, sc, batch)
+		s.process(sc, id, batch)
 	}
 	for {
 		if q.Len() == 0 {
@@ -52,8 +52,6 @@ func (s *Server) shardLoop(sc *servedCircuit, sh *shard) {
 			// push (a sibling or an earlier batch took the entry).
 			select {
 			case <-q.C():
-			case u := <-sh.updates:
-				sh.apply(u)
 			case <-sc.stop:
 				// Evicted: EvictCircuit waited out the circuit's in-flight
 				// requests before closing stop, so nothing is queued.
@@ -69,31 +67,6 @@ func (s *Server) shardLoop(sc *servedCircuit, sh *shard) {
 			continue
 		}
 		s.cfg.Pool.Run(evaluate)
-	}
-}
-
-// apply folds one mutation delta into the shard's replica. Must only be
-// called from the shard's own loop goroutine.
-func (sh *shard) apply(u shardUpdate) {
-	view := route.ArrayView{A: sh.arr}
-	for _, p := range u.rip {
-		route.RipUp(view, p)
-	}
-	for _, p := range u.commit {
-		route.Commit(view, p)
-	}
-}
-
-// drainUpdates applies every queued mutation delta without blocking, so
-// a batch evaluates against the freshest replica the loop has seen.
-func (sh *shard) drainUpdates() {
-	for {
-		select {
-		case u := <-sh.updates:
-			sh.apply(u)
-		default:
-			return
-		}
 	}
 }
 
@@ -155,16 +128,23 @@ func (s *Server) preempt(deadline time.Time) bool {
 	return false
 }
 
-// process evaluates one batch against the shard's replica. Only one
-// loop calls process for a given shard, so the array needs no lock;
-// the routing scratch is borrowed from route's grid-keyed pool for the
-// batch and returned afterwards, so the per-request cost stays at the
+// process evaluates one batch against the circuit's serving array, under
+// the read lock, or under the write lock when a member commits; the
+// routing scratch is borrowed from route's grid-keyed pool for the batch
+// and returned afterwards, so the per-request cost stays at the
 // reused-scratch allocation floor (route.TestScratchPoolAllocs).
 // The batch arrives in queue order — deadline order under the scheduler,
 // arrival order without it — and BatchIndex records that commit order.
-func (s *Server) process(sh *shard, sc *servedCircuit, batch []*policy.Item) {
+func (s *Server) process(sc *servedCircuit, shard int, batch []*policy.Item) {
 	began := time.Now()
-	view := route.ArrayView{A: sh.arr}
+	if slices.ContainsFunc(batch, commits) {
+		sc.mu.Lock()
+		defer sc.mu.Unlock()
+	} else {
+		sc.mu.RLock()
+		defer sc.mu.RUnlock()
+	}
+	view := route.ArrayView{A: sc.arr}
 	scratch := route.GetScratch(sc.grid)
 	defer route.PutScratch(scratch)
 	tr := s.cfg.Tracer
@@ -203,7 +183,7 @@ func (s *Server) process(sh *shard, sc *servedCircuit, batch []*policy.Item) {
 		s.met.mu.Unlock()
 		p.done <- outcome{resp: RouteResponse{
 			Circuit:       p.req.Circuit,
-			Shard:         sh.id,
+			Shard:         shard,
 			WireID:        p.req.Wire.ID,
 			Cost:          ev.Cost,
 			PathCells:     ev.Path.Len(),
@@ -221,15 +201,20 @@ func (s *Server) process(sh *shard, sc *servedCircuit, batch []*policy.Item) {
 	s.met.mu.Unlock()
 }
 
+// commits reports whether a queued request commits its path.
+func commits(it *policy.Item) bool { return it.Value.(*pending).req.Commit }
+
 // RetryAfterSeconds estimates the drain time of the current backlog —
 // the Retry-After a 429 carries on either transport. The gate's
 // in-flight count is the backlog, the measured mean evaluation time per
-// request is what retiring one costs, and min(shards, pool workers)
+// request is what retiring one costs, and min(shard loops, pool workers)
 // evaluators retire them in parallel. The estimate is rounded up to
 // whole seconds (the header's unit), minimum 1 — which is also the
 // answer of a server that has evaluated nothing yet.
 func (s *Server) RetryAfterSeconds() int {
-	evaluators := s.totalShards.Load()
+	s.mu.RLock()
+	evaluators := int64(len(s.circuits) * s.cfg.Shards)
+	s.mu.RUnlock()
 	if w := int64(s.cfg.Pool.Workers()); w > 0 && w < evaluators {
 		evaluators = w
 	}

@@ -30,7 +30,7 @@ type routeBody struct {
 	Wire int `json:"wire"`
 	// Pins are the wire's [x, y] terminals (>= 2, inside the grid).
 	Pins [][2]int `json:"pins"`
-	// Commit places the path on the serving replica.
+	// Commit places the path on the circuit's serving array.
 	Commit bool `json:"commit"`
 	// DeadlineMillis bounds queue wait + evaluation (0 = the server's
 	// default deadline).
@@ -208,7 +208,7 @@ func (s *Server) circuitDocFor(sc *servedCircuit) circuitDoc {
 		Channels:      sc.grid.Channels,
 		Grids:         sc.grid.Grids,
 		Wires:         int(sc.wireCount.Load()),
-		Shards:        len(sc.shards),
+		Shards:        s.cfg.Shards,
 		Backend:       string(sc.baseline.Backend),
 		CircuitHeight: sc.baseline.CircuitHeight,
 		Occupancy:     sc.baseline.Occupancy,

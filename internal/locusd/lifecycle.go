@@ -3,17 +3,17 @@ package locusd
 // The dynamic circuit lifecycle: runtime upload, incremental mutation,
 // and eviction, layered over internal/store. The store owns the
 // canonical cost array and the durable record; this file owns the
-// serving consequences — standing shards up and down, invalidating the
-// result cache by bumping the circuit's epoch, and fanning each
-// mutation's path deltas out to every shard replica, where the shard's
-// own loop folds them in between batches (the same single-writer
-// discipline commits already follow).
+// serving consequences — standing shard loops up and down, applying each
+// mutation's ripped and routed paths to the circuit's serving array, and
+// only then bumping the circuit's epoch, which invalidates the result
+// cache.
 
 import (
 	"errors"
 	"fmt"
 
 	"locusroute/internal/circuit"
+	"locusroute/internal/route"
 	"locusroute/internal/store"
 )
 
@@ -45,8 +45,8 @@ type MutateResponse struct {
 
 // UploadCircuit routes and serves a new circuit at runtime: the store
 // validates, routes the sequential baseline (retaining per-wire paths),
-// logs the upload, and then shards come up cloned from the canonical
-// array. Runtime uploads are always mutable.
+// logs the upload, and then shard loops come up over a clone of the
+// canonical array. Runtime uploads are always mutable.
 func (s *Server) UploadCircuit(c *circuit.Circuit) (store.Info, error) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -105,7 +105,6 @@ func (s *Server) EvictCircuit(name string) error {
 		}
 	}
 	s.mu.Unlock()
-	s.totalShards.Add(-int64(len(sc.shards)))
 	// New arrivals can no longer find the circuit; wait out the requests
 	// and mutations that did, then stop its loops.
 	sc.inflight.Wait()
@@ -119,11 +118,10 @@ func (s *Server) EvictCircuit(name string) error {
 
 // Mutate applies one atomic batch to a served circuit: validate, log,
 // apply on the canonical array (incrementally — each op rips up and
-// re-routes only its own wire), bump the cost epoch so cached results
-// stop answering, and fan the path deltas out to every shard replica.
-// Shards fold deltas in between batches, so a response routed in the
-// same instant may still see the pre-mutation replica — the same
-// visibility contract as commits from sibling shards.
+// re-routes only its own wire), apply the same paths to the serving
+// array under its write lock, and bump the cost epoch so cached results
+// stop answering. A request evaluated after Mutate returns sees the
+// mutation; one evaluated in the same instant sees all of it or none.
 func (s *Server) Mutate(req MutateRequest) (*MutateResponse, error) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -143,26 +141,21 @@ func (s *Server) Mutate(req MutateRequest) (*MutateResponse, error) {
 		return nil, err
 	}
 	sc.wireCount.Store(int64(res.Wires))
-	// Invalidate before fanning out: a request that raced the mutation
-	// and cached under the old epoch can never be served again, even
-	// though its shard may not have applied the delta yet.
-	sc.epoch.Add(uint64(len(res.Results)))
-	u := shardUpdate{}
 	out := &MutateResponse{Circuit: req.Circuit, Epoch: res.Epoch, Wires: res.Wires}
+	view := route.ArrayView{A: sc.arr}
+	sc.mu.Lock()
 	for i := range res.Results {
 		r := &res.Results[i]
-		if r.Ripped.Len() > 0 {
-			u.rip = append(u.rip, r.Ripped)
-		}
-		if r.Routed.Len() > 0 {
-			u.commit = append(u.commit, r.Routed)
-		}
+		route.RipUp(view, r.Ripped)
+		route.Commit(view, r.Routed)
 		out.Results = append(out.Results, MutateOpResult{Op: r.Kind.String(), WireID: r.WireID,
 			Cost: r.Cost, PathCells: r.PathCells, CellsExamined: r.CellsExamined})
 	}
-	for _, sh := range sc.shards {
-		sh.updates <- u
-	}
+	// The epoch moves only once the array holds the mutation: a request
+	// that reads the new epoch is evaluated against the mutated array, so
+	// the cache never files a pre-mutation answer under it.
+	sc.epoch.Add(uint64(len(res.Results)))
+	sc.mu.Unlock()
 	s.met.mu.Lock()
 	s.met.mutations += int64(len(res.Results))
 	s.met.mu.Unlock()

@@ -17,6 +17,7 @@ import (
 	"locusroute/internal/geom"
 	"locusroute/internal/par"
 	"locusroute/internal/policy"
+	"locusroute/internal/route"
 	"locusroute/internal/store"
 	"locusroute/internal/wire"
 	"locusroute/pkg/locusroute"
@@ -519,10 +520,10 @@ func TestDrainLosesNothingWithMutation(t *testing.T) {
 	}
 }
 
-// TestMutationAppliedBeforePop pins the order inside a shard's pool slot:
-// deltas first, pop second. A mutation acknowledged while a request
-// waits for a busy shard is in the replica by the time the request is
-// evaluated, so the released batch reports the post-mutation cost.
+// TestMutationAppliedBeforePop pins the mutation's visibility to queued
+// work: a mutation acknowledged while a request waits for a busy shard
+// loop is in the serving array by the time the request is evaluated, so
+// the released batch reports the post-mutation cost.
 func TestMutationAppliedBeforePop(t *testing.T) {
 	pool := par.New(1)
 	s := newServer(t, Config{Shards: 1, Pool: pool})
@@ -553,6 +554,59 @@ func TestMutationAppliedBeforePop(t *testing.T) {
 	}
 	if got != after {
 		t.Errorf("request queued across the mutation cost %d, want the post-mutation %d (pre-mutation %d)", got, after, before)
+	}
+}
+
+// TestCachedRouteFollowsMutation pins the cache's epoch contract against
+// a racing reader: once Mutate returns, a route is answered from the
+// mutated array, even while another client keeps the same wire hot in
+// the result cache. A mutation must reach the serving array before the
+// epoch moves; otherwise a racing request can capture the new epoch, be
+// evaluated against the old array, and cache that answer under the new
+// epoch, where an identical later request finds it.
+func TestCachedRouteFollowsMutation(t *testing.T) {
+	s := newServer(t, Config{Shards: 4, Policy: policy.Config{CacheEntries: 64}})
+	probe := RouteRequest{Circuit: "svc", Wire: testWire(1)}
+	stop := make(chan struct{})
+	var hammer sync.WaitGroup
+	hammer.Add(1)
+	go func() {
+		defer hammer.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := s.Route(context.Background(), probe); err != nil {
+				t.Errorf("hammer Route: %v", err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); hammer.Wait() }()
+
+	// Adding a wire on the probe's own pins, then removing it, moves the
+	// probe's answer with every mutation; rerouting the circuit's wires
+	// moved it once in 300.
+	for i := range 300 {
+		op := store.Op{Kind: store.OpAdd, WireID: 900, Pins: testWire(900).Pins}
+		if i%2 == 1 {
+			op = store.Op{Kind: store.OpRemove, WireID: 900}
+		}
+		if _, err := s.Mutate(MutateRequest{Circuit: "svc", Ops: []store.Op{op}}); err != nil {
+			t.Fatalf("Mutate %d: %v", i, err)
+		}
+		got, err := s.Route(context.Background(), probe)
+		if err != nil {
+			t.Fatalf("probe Route %d: %v", i, err)
+		}
+		arr, _ := s.store.CloneArray("svc")
+		want := route.RouteWire(route.ArrayView{A: arr}, &probe.Wire, s.cfg.Router)
+		if got.Cost != want.Cost || got.CellsExamined != want.CellsExamined || got.PathCells != want.Path.Len() {
+			t.Fatalf("after mutation %d the probe answered cost %d, %d cells examined, %d path cells (cached %v); the mutated array gives %d, %d, %d",
+				i, got.Cost, got.CellsExamined, got.PathCells, got.Cached, want.Cost, want.CellsExamined, want.Path.Len())
+		}
 	}
 }
 

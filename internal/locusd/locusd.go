@@ -4,10 +4,12 @@
 //
 // At startup each circuit is routed once through a pkg/locusroute
 // backend; the resulting cost array is the baseline congestion state.
-// Each circuit is then served by a set of shards, each owning a private
-// clone of that array — the service-layer echo of the paper's
-// replicated views: requests never contend on a shared array, and a
-// committed wire lands only on the replica that served it.
+// Each circuit is then served from one copy of that array — the paper's
+// shared-memory design, since the daemon has one address space — by a
+// set of shard loops draining one queue: batches evaluate under the
+// array's read lock, while a batch that commits and a mutation take its
+// write lock, so a committed wire or an applied mutation is visible to
+// every later request on the circuit.
 //
 // The request path is one pipeline: Server.Route runs a request through
 // explicit stages (validate, admit, cache, gate, enqueue, await) and
@@ -17,7 +19,7 @@
 // admission runs deadline feasibility, per-client rate limiting and a
 // circuit breaker; a result cache keyed by (circuit, wire set, cost
 // epoch) can answer repeats without routing; and the criticality
-// scheduler re-keys the one shard loop's queues from arrival time to
+// scheduler re-keys the circuit's queue from arrival time to
 // deadline — earliest-deadline-first within each batch, least-
 // critical-first shedding at the admission gate (see dispatch.go). Every
 // element is nil when disabled, at zero measurable cost (0 allocs pinned
@@ -31,7 +33,7 @@
 // batch (reused scratch space is what makes the steady state
 // allocation-free). A par.Gate bounds admitted requests — a full gate
 // sheds load with HTTP 429 rather than queueing without bound — and a
-// par.Pool bounds how many shards evaluate batches at once.
+// par.Pool bounds how many shard loops evaluate batches at once.
 package locusd
 
 import (
@@ -69,10 +71,12 @@ type Config struct {
 	// parallelism. Only meaningful when Backend is Partitioned (0 keeps
 	// the backend's default of 4).
 	Partitions int
-	// Shards is the number of serving replicas per circuit (default 4).
+	// Shards is the number of shard loops per circuit (default 4): they
+	// share the circuit's one cost array and one queue, so it bounds how
+	// many of the circuit's batches evaluate at once.
 	Shards int
 	// MaxBatch caps the wires evaluated in one batch, i.e. how long a
-	// shard goes between applying deltas and yielding its slot (default 64).
+	// shard loop holds its pool slot and the array lock (default 64).
 	MaxBatch int
 	// MaxInFlight bounds admitted requests across all circuits; arrivals
 	// beyond it are shed with 429 (default 256).
@@ -86,7 +90,7 @@ type Config struct {
 	// Router tunes the route kernel (zero value = route.DefaultParams).
 	Router route.Params
 	// Policy configures the request-path chain; the zero value disables
-	// every element, leaving arrival-order round-robin dispatch.
+	// every element, leaving arrival-order dispatch.
 	Policy policy.Config
 	// Tracer enables request-lifecycle tracing (internal/reqtrace):
 	// request ids, per-stage spans, stage histograms, the slow-request
@@ -163,8 +167,8 @@ type RouteRequest struct {
 	// Wire is the wire to evaluate (>= 2 pins, all inside the circuit's
 	// grid — out-of-grid pins are rejected, never clamped).
 	Wire circuit.Wire
-	// Commit places the evaluated path on the serving shard's replica,
-	// making it visible to later requests on the same shard.
+	// Commit places the evaluated path on the circuit's serving array,
+	// making it visible to every later request on the circuit.
 	Commit bool
 	// Client identifies the caller for per-client rate limiting (the
 	// transports fill it from X-Client or the frame, else the remote host).
@@ -206,7 +210,7 @@ type StageSample struct {
 	Ns    int64  `json:"ns"`
 }
 
-// pending is one admitted request waiting for its shard.
+// pending is one admitted request waiting for a shard loop.
 type pending struct {
 	// item is the request's shard-queue entry, keyed on its deadline under
 	// the scheduler and on its arrival time otherwise; item.Value points
@@ -241,46 +245,29 @@ type outcome struct {
 	t [4]int64
 }
 
-// shard is one serving replica: a private cost array and the queue its
-// loop drains. Routing scratch space is not owned by the shard — batches
-// borrow it from route's grid-keyed pool (route.GetScratch), so idle
-// replicas hold no scratch memory and every circuit with the same grid
-// shares one warm set.
-type shard struct {
-	id  int
-	arr *costarray.CostArray
-	// queue feeds shardLoop: the shard's own arrival-ordered queue, or
-	// under the scheduler the circuit's shared deadline-ordered one.
-	queue *policy.EDFQueue
-	// updates carries mutation deltas (ripped/committed canonical paths)
-	// from Server.Mutate to this shard's loop, which applies them to its
-	// replica between batches — the only goroutine that touches arr.
-	updates chan shardUpdate
-}
-
-// shardUpdate is one mutation batch's effect on the canonical array:
-// rip these paths, commit those. The slices are shared read-only across
-// every shard of the circuit.
-type shardUpdate struct {
-	rip    []route.Path
-	commit []route.Path
-}
-
-// servedCircuit is one served circuit and its replicas.
+// servedCircuit is one served circuit: its serving cost array, the queue
+// its shard loops drain, and the cache epoch that tracks the array.
+// Routing scratch space is not owned by the circuit — batches borrow it
+// from route's grid-keyed pool (route.GetScratch), so idle circuits hold
+// no scratch memory and every circuit with the same grid shares one warm
+// set.
 type servedCircuit struct {
 	name     string
 	grid     geom.Grid
 	baseline locusroute.Result
-	shards   []*shard
-	next     atomic.Uint64 // round-robin dispatch cursor
-	// queue is the deadline-ordered queue every shard of the circuit
-	// shares under the EDF scheduler — where preempt looks for victims.
-	// Nil with the scheduler off: each shard then owns its queue.
+	// mu guards arr: a batch evaluates under the read lock, or under the
+	// write lock when it holds a commit; Mutate applies under the write
+	// lock.
+	mu  sync.RWMutex
+	arr *costarray.CostArray
+	// queue feeds every shard loop of the circuit, keyed on arrival time,
+	// or on deadline under the EDF scheduler — where preempt looks for
+	// victims.
 	queue *policy.EDFQueue
-	// epoch counts committed paths across all of the circuit's shards
-	// plus applied store mutations: the result cache's invalidation
-	// clock. Any commit or mutation advances it, so cache hits are only
-	// served against unchanged congestion state.
+	// epoch counts committed paths plus applied store mutations: the
+	// result cache's invalidation clock. It moves under the write lock,
+	// after the change reaches arr, so a request that reads an epoch is
+	// evaluated against an array holding everything that epoch counts.
 	epoch atomic.Uint64
 	// wireCount tracks the circuit's wire count (mutations move it).
 	wireCount atomic.Int64
@@ -313,7 +300,6 @@ type Server struct {
 	circuits map[string]*servedCircuit
 	names    []string // stable iteration order for /circuits and /debug/vars
 
-	totalShards atomic.Int64
 	// gen feeds servedCircuit.cacheName: each (re)registration of a name
 	// gets a fresh generation, fencing the result cache across evict +
 	// re-upload of the same name.
@@ -393,11 +379,7 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 			if err != nil {
 				return nil, fmt.Errorf("locusd: baseline routing of %q: %w", c.Name, err)
 			}
-			sc := s.newServedCircuit(c.Name, c.Grid, len(c.Wires), base, false)
-			for range cfg.Shards {
-				sc.addShard(base.Final.Clone())
-			}
-			s.register(sc)
+			s.register(s.newServedCircuit(c.Name, c.Grid, len(c.Wires), base, false, base.Final.Clone()))
 		}
 	}
 	for _, name := range st.Names() {
@@ -413,39 +395,25 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 	return s, nil
 }
 
-// newServedCircuit assembles a circuit's serving state (no shards yet).
-func (s *Server) newServedCircuit(name string, g geom.Grid, wires int, base locusroute.Result, mutable bool) *servedCircuit {
+// newServedCircuit assembles a circuit's serving state around arr, the
+// circuit's own serving array.
+func (s *Server) newServedCircuit(name string, g geom.Grid, wires int, base locusroute.Result, mutable bool, arr *costarray.CostArray) *servedCircuit {
 	sc := &servedCircuit{
 		name:      name,
 		grid:      g,
 		baseline:  base,
+		arr:       arr,
+		queue:     policy.NewEDFQueue(),
 		mutable:   mutable,
 		cacheName: fmt.Sprintf("%s#%d", name, s.gen.Add(1)),
 		stop:      make(chan struct{}),
 	}
 	sc.wireCount.Store(int64(wires))
-	if s.chain.Sched() != nil {
-		sc.queue = policy.NewEDFQueue()
-	}
 	return sc
 }
 
-// addShard builds one more replica around its private array clone.
-func (sc *servedCircuit) addShard(arr *costarray.CostArray) {
-	q := sc.queue
-	if q == nil {
-		q = policy.NewEDFQueue()
-	}
-	sc.shards = append(sc.shards, &shard{
-		id:      len(sc.shards),
-		arr:     arr,
-		queue:   q,
-		updates: make(chan shardUpdate, 64),
-	})
-}
-
-// serveStored builds serving state for a store-held circuit: shard
-// replicas clone the canonical array, and the baseline is the store's
+// serveStored builds serving state for a store-held circuit: the serving
+// array clones the canonical one, and the baseline is the store's
 // upload-time sequential routing.
 func (s *Server) serveStored(name string) (*servedCircuit, error) {
 	info, ok := s.store.Get(name)
@@ -461,15 +429,11 @@ func (s *Server) serveStored(name string) (*servedCircuit, error) {
 		WiresRouted:   info.Baseline.WiresRouted,
 		CellsExamined: info.Baseline.CellsExamined,
 	}
-	sc := s.newServedCircuit(name, info.Grid, info.Wires, base, true)
-	for range s.cfg.Shards {
-		arr, ok := s.store.CloneArray(name)
-		if !ok {
-			return nil, fmt.Errorf("%w %q (evicted during registration)", ErrUnknownCircuit, name)
-		}
-		sc.addShard(arr)
+	arr, ok := s.store.CloneArray(name)
+	if !ok {
+		return nil, fmt.Errorf("%w %q (evicted during registration)", ErrUnknownCircuit, name)
 	}
-	return sc, nil
+	return s.newServedCircuit(name, info.Grid, info.Wires, base, true, arr), nil
 }
 
 // register installs a circuit and starts its shard loops.
@@ -479,10 +443,9 @@ func (s *Server) register(sc *servedCircuit) {
 	s.names = append(s.names, sc.name)
 	sort.Strings(s.names)
 	s.mu.Unlock()
-	s.totalShards.Add(int64(len(sc.shards)))
-	for _, sh := range sc.shards {
+	for id := range s.cfg.Shards {
 		s.loops.Add(1)
-		go s.shardLoop(sc, sh)
+		go s.shardLoop(sc, id)
 	}
 }
 
@@ -678,21 +641,20 @@ func (s *Server) enterGate(f *flight) bool {
 	return true
 }
 
-// enqueue pushes the request onto a shard queue. Everything up to here —
-// validation, policy, cache, the gate — is the admit stage of the span.
+// enqueue pushes the request onto the circuit's queue. Everything up to
+// here — validation, policy, cache, the gate — is the admit stage of the
+// span.
 func (s *Server) enqueue(f *flight) {
 	f.span.Mark(reqtrace.StageAdmit)
 	// FIFO is EDF keyed on arrival time: the scheduler only changes the
-	// key. Under it every shard of the circuit shares one queue, so the
-	// round-robin cursor picks among aliases of it.
+	// key.
 	key := f.arrived
 	if sched := s.chain.Sched(); sched != nil {
 		sched.NoteScheduled()
 		key = f.deadline
 	}
 	f.p.item = policy.Item{Deadline: key, Value: f.p}
-	sh := f.sc.shards[f.sc.next.Add(1)%uint64(len(f.sc.shards))]
-	sh.queue.Push(&f.p.item)
+	f.sc.queue.Push(&f.p.item)
 }
 
 // await blocks until the shard answers, preemption evicts the entry, or

@@ -119,10 +119,10 @@ func waitInFlight(t testing.TB, s *Server, n int) {
 }
 
 // waitQueued waits until exactly n requests sit in the test circuit's
-// first shard queue — under EDF the one queue all its shards share.
+// queue.
 func waitQueued(t testing.TB, s *Server, n int) {
 	t.Helper()
-	q := s.circuits["svc"].shards[0].queue
+	q := s.circuits["svc"].queue
 	waitFor(t, fmt.Sprintf("%d requests queued", n), func() bool { return q.Len() == n })
 }
 

@@ -99,7 +99,7 @@ func (s *Server) metricsList() []metric {
 		{key: "in_flight", name: "locusd_in_flight", help: "admitted requests currently in flight", kind: "gauge", v: int64(s.InFlight())},
 		{key: "capacity", name: "locusd_capacity", help: "admission gate capacity", kind: "gauge", v: int64(s.cfg.MaxInFlight)},
 		{key: "served", name: "locusd_requests_served_total", help: "wire evaluations completed", kind: "counter", v: m.served},
-		{key: "committed", name: "locusd_requests_committed_total", help: "evaluations committed to a serving replica", kind: "counter", v: m.committed},
+		{key: "committed", name: "locusd_requests_committed_total", help: "evaluations committed to a circuit's serving array", kind: "counter", v: m.committed},
 		{key: "shed", name: "locusd_requests_shed_total", help: "requests shed with 429 at the admission gate", kind: "counter", v: m.shed},
 		{key: "evicted", name: "locusd_requests_evicted_total", help: "queued requests shed for more critical arrivals", kind: "counter", v: m.evicted},
 		{key: "expired", name: "locusd_requests_expired_total", help: "requests whose deadline expired before evaluation", kind: "counter", v: m.expired},

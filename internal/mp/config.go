@@ -245,7 +245,7 @@ type Result struct {
 	UpdateBytes int64
 	// Final is the ground-truth cost array after the last barrier — the
 	// routed congestion state the quality measures were taken from.
-	// Service layers seed incremental serving replicas from it.
+	// Service layers seed incremental serving arrays from it.
 	Final *costarray.CostArray
 }
 

@@ -66,12 +66,9 @@ func newNode(id int, r *runner) *node {
 		n.strict = newStrictState(r.part.Region(id), r.circ.Grid)
 		return n
 	}
-	n.proto = NewProto(id, r.circ, r.part, r.cfg.Strategy, r.cfg.Router)
+	n.proto = newProto(id, r.circ, r.part, r.cfg.Strategy, r.cfg.Router, r.paths)
 	n.proto.Structure = r.cfg.Packets
 	n.proto.SetTruth(r.truth)
-	if r.pathStore != nil {
-		n.proto.SetPathStore(r.pathStore)
-	}
 	return n
 }
 

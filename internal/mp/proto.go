@@ -71,7 +71,9 @@ type Proto struct {
 	delta *costarray.Delta
 
 	router route.Params
-	paths  PathStore
+	// paths holds each wire's most recent routing, indexed like
+	// circ.Wires and consulted at rip-up time.
+	paths []route.Path
 	// scratch is this processor's reusable routing kernel state. Proto is
 	// confined to one thread of control, so the scratch is too.
 	scratch *route.Scratch
@@ -106,27 +108,15 @@ type wireOp struct {
 	ripUp bool
 }
 
-// PathStore records the most recent routing of each wire, consulted at
-// rip-up time. With static assignment each processor owns its wires'
-// entries, so the default per-processor map suffices; the dynamic wire
-// assignment ablation shares one store across processors because a wire
-// may be rerouted by a different processor each iteration.
-type PathStore interface {
-	Get(wi int) route.Path
-	Set(wi int, p route.Path)
+// NewProto builds the protocol state for processor id, with a path slice
+// of its own.
+func NewProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, router route.Params) *Proto {
+	return newProto(id, circ, part, st, router, make([]route.Path, len(circ.Wires)))
 }
 
-// mapPathStore is the default private store.
-type mapPathStore map[int]route.Path
-
-// Get implements PathStore.
-func (s mapPathStore) Get(wi int) route.Path { return s[wi] }
-
-// Set implements PathStore.
-func (s mapPathStore) Set(wi int, p route.Path) { s[wi] = p }
-
-// NewProto builds the protocol state for processor id.
-func NewProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, router route.Params) *Proto {
+// newProto builds the protocol state for processor id around paths, the
+// per-wire path slice it records its routings in.
+func newProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, router route.Params, paths []route.Path) *Proto {
 	return &Proto{
 		ID:       id,
 		Strategy: st,
@@ -135,7 +125,7 @@ func NewProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, r
 		view:     costarray.New(circ.Grid),
 		delta:    costarray.NewDelta(part),
 		router:   router,
-		paths:    make(mapPathStore),
+		paths:    paths,
 		scratch:  route.NewScratch(circ.Grid),
 		owners:   part.OwnerTable(),
 		reqDirty: make([]geom.Rect, part.Procs()),
@@ -150,10 +140,6 @@ func NewProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, r
 // the DES kernel serialises their execution. Must be called before
 // routing.
 func (pr *Proto) SetTruth(t *costarray.CostArray) { pr.truth = t }
-
-// SetPathStore replaces the private path store (dynamic wire assignment
-// shares one across processors). Must be called before routing.
-func (pr *Proto) SetPathStore(ps PathStore) { pr.paths = ps }
 
 // View exposes the processor's current view (for tests and inspection).
 func (pr *Proto) View() *costarray.CostArray { return pr.view }
@@ -255,7 +241,7 @@ func (pr *Proto) RipUpWire(wi, iter int) int {
 	if iter == 0 {
 		return 0
 	}
-	prev := pr.paths.Get(wi)
+	prev := pr.paths[wi]
 	route.RipUp(protoCommitView{pr: pr}, prev)
 	pr.markOwned()
 	if pr.Structure == StructureWireBased {
@@ -283,7 +269,7 @@ func (pr *Proto) CommitWire(wi int, pw PendingWire) int64 {
 	if pr.Structure == StructureWireBased {
 		pr.recordWireOps(pw.Path, false)
 	}
-	pr.paths.Set(wi, pw.Path)
+	pr.paths[wi] = pw.Path
 	return trueCost
 }
 

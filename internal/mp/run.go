@@ -9,6 +9,7 @@ import (
 	"locusroute/internal/geom"
 	"locusroute/internal/mesh"
 	"locusroute/internal/msg"
+	"locusroute/internal/route"
 	"locusroute/internal/sim"
 	"locusroute/internal/tracev"
 )
@@ -34,12 +35,16 @@ type runner struct {
 	cells         int64
 	finish        []sim.Time
 
-	// Dynamic wire assignment state (DynamicWires only): the shared
-	// wire counter node 0 serves from, and the cross-processor path
-	// store (a wire may be rerouted by a different processor each
-	// iteration).
+	// paths is every node's record of each wire's most recent routing,
+	// indexed like circ.Wires. One slice serves the run: the DES runs one
+	// node at a time, a statically assigned wire is only ever touched by
+	// its owner, and a dynamically assigned one may be rerouted by a
+	// different node each iteration.
+	paths []route.Path
+
+	// wireCounter is the shared wire counter node 0 serves dynamic wire
+	// assignment from (DynamicWires only).
 	wireCounter int
-	pathStore   PathStore
 }
 
 // takeWire hands out the next wire of the current iteration, or -1.
@@ -100,9 +105,7 @@ func Run(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result, err
 		bytesByKind:   make(map[msg.Kind]int64),
 		packetsByKind: make(map[msg.Kind]int64),
 		finish:        make([]sim.Time, cfg.Procs),
-	}
-	if cfg.DynamicWires {
-		r.pathStore = make(mapPathStore)
+		paths:         make([]route.Path, len(circ.Wires)),
 	}
 
 	nodes := make([]*node, cfg.Procs)

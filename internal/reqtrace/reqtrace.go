@@ -47,7 +47,8 @@ const (
 	StageBatch
 	// StageRoute covers the kernel evaluation of the request's wire.
 	StageRoute
-	// StageCommit covers committing the routed path onto the replica.
+	// StageCommit covers committing the routed path onto the circuit's
+	// serving array.
 	StageCommit
 	// StageRespond covers the handoff back to the waiting caller: the
 	// done-channel send, waiter wakeup, and span finalisation. Early

@@ -115,6 +115,6 @@ type Result struct {
 	// CellsExamined is the total route-evaluation work.
 	CellsExamined int64
 	// Final is the shared cost array after the last barrier — the routed
-	// congestion state service layers seed serving replicas from.
+	// congestion state service layers seed serving arrays from.
 	Final *costarray.CostArray
 }

@@ -324,10 +324,10 @@ func (s *Store) loadSnapshotCircuit(c *snapCursor) error {
 		baseline: baseline,
 		scratch:  route.NewScratch(circ.Grid),
 	}
-	e.bytes = e.estimateBytes()
-	e.slots = int((e.bytes + slotBytes - 1) / slotBytes)
+	bytes := e.estimateBytes()
+	e.slots = slotsFor(bytes)
 	if !s.acquire(e.slots) {
-		return fmt.Errorf("%w: recovered circuit %q needs %d bytes", ErrStoreFull, circ.Name, e.bytes)
+		return fmt.Errorf("%w: recovered circuit %q needs %d bytes", ErrStoreFull, circ.Name, bytes)
 	}
 	s.entries[circ.Name] = e
 	return nil

@@ -44,8 +44,8 @@ type Config struct {
 	Dir string
 	// Router tunes the routing kernel for baselines and mutations (zero
 	// value = route.DefaultParams). Must match the serving layer's
-	// parameters for replicas to stay consistent with the canonical
-	// array.
+	// parameters for its serving arrays to stay consistent with the
+	// canonical ones.
 	Router route.Params
 	// MemBudget bounds the bytes the store admits across all circuits
 	// (0 = unlimited). Accounting is in 64 KiB slots through a
@@ -108,8 +108,8 @@ type Op struct {
 }
 
 // OpResult reports one applied mutation. Ripped and Routed are the
-// paths removed from and committed to the canonical array — the deltas
-// the serving layer replicates onto its shard replicas.
+// paths removed from and committed to the canonical array — what the
+// serving layer applies to its serving array.
 type OpResult struct {
 	Kind          OpKind
 	WireID        int
@@ -172,8 +172,8 @@ type entry struct {
 	// revise it.
 	baseline route.Result
 	scratch  *route.Scratch
-	slots    int
-	bytes    int64
+	// slots is the memory-budget charge taken at upload or recovery.
+	slots int
 }
 
 // Store is the circuit lifecycle owner. Safe for concurrent use.
@@ -247,7 +247,7 @@ func (s *Store) Get(name string) (Info, bool) {
 }
 
 // CloneArray returns a private copy of the canonical cost array — what
-// the serving layer seeds shard replicas from.
+// the serving layer seeds a circuit's serving array from.
 func (s *Store) CloneArray(name string) (*costarray.CostArray, bool) {
 	e := s.lookup(name)
 	if e == nil {
@@ -276,7 +276,7 @@ func (s *Store) Upload(c *circuit.Circuit) (Info, error) {
 	}
 	e := s.buildEntry(c)
 	if !s.acquire(e.slots) {
-		return Info{}, fmt.Errorf("%w: circuit %q needs %d bytes", ErrStoreFull, c.Name, e.bytes)
+		return Info{}, fmt.Errorf("%w: circuit %q needs %d bytes", ErrStoreFull, c.Name, e.estimateBytes())
 	}
 	s.mu.Lock()
 	if _, dup := s.entries[c.Name]; dup {
@@ -394,8 +394,7 @@ func (s *Store) buildEntry(c *circuit.Circuit) *entry {
 		baseline: res,
 		scratch:  route.NewScratch(c.Grid),
 	}
-	e.bytes = e.estimateBytes()
-	e.slots = int((e.bytes + slotBytes - 1) / slotBytes)
+	e.slots = slotsFor(e.estimateBytes())
 	return e
 }
 
@@ -554,7 +553,6 @@ func (e *entry) apply(params route.Params, ops []Op) []OpResult {
 		e.epoch++
 		results[i] = r
 	}
-	e.bytes = e.estimateBytes()
 	return results
 }
 
@@ -588,7 +586,9 @@ func (e *entry) removeWire(id int) {
 
 // estimateBytes is the memory-budget charge: array cells plus wire and
 // path headers. An estimate, not an allocator census — the budget is an
-// admission bound, not an accounting ledger.
+// admission bound, not an accounting ledger. It walks every wire and
+// path, so it runs where a charge is taken and where Info asks, never
+// per mutation.
 func (e *entry) estimateBytes() int64 {
 	b := int64(e.circ.Grid.Cells()) * 4
 	for i := range e.circ.Wires {
@@ -607,11 +607,14 @@ func (e *entry) infoLocked(name string) Info {
 		Grid:      e.circ.Grid,
 		Wires:     len(e.circ.Wires),
 		Epoch:     e.epoch,
-		Bytes:     e.bytes,
+		Bytes:     e.estimateBytes(),
 		Baseline:  e.baseline,
 		ArrayHash: e.arr.Hash(),
 	}
 }
+
+// slotsFor is the gate slots a charge of bytes takes, rounded up.
+func slotsFor(bytes int64) int { return int((bytes + slotBytes - 1) / slotBytes) }
 
 // acquire takes n gate slots or none (nil gate admits everything).
 func (s *Store) acquire(n int) bool {

@@ -399,6 +399,42 @@ func TestMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestInfoBytesFollowsMutations pins the memory estimate Info reports
+// against the circuit it describes, not the one uploaded: adding a wire
+// grows it, and removing that wire again restores the upload's figure
+// (no other wire's path moved).
+func TestInfoBytesFollowsMutations(t *testing.T) {
+	s, err := Open(Config{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	uploaded, err := s.Upload(smallCircuit(t, "dyn", 3))
+	if err != nil {
+		t.Fatalf("Upload: %v", err)
+	}
+	bytes := func() int64 {
+		t.Helper()
+		info, ok := s.Get("dyn")
+		if !ok {
+			t.Fatal("dyn missing")
+		}
+		return info.Bytes
+	}
+	add := Op{Kind: OpAdd, WireID: 500, Pins: []geom.Point{geom.Pt(2, 1), geom.Pt(30, 3)}}
+	if _, err := s.Mutate("dyn", []Op{add}); err != nil {
+		t.Fatalf("Mutate add: %v", err)
+	}
+	if got := bytes(); got <= uploaded.Bytes {
+		t.Errorf("Bytes after adding a wire = %d, want more than the upload's %d", got, uploaded.Bytes)
+	}
+	if _, err := s.Mutate("dyn", []Op{{Kind: OpRemove, WireID: 500}}); err != nil {
+		t.Fatalf("Mutate remove: %v", err)
+	}
+	if got := bytes(); got != uploaded.Bytes {
+		t.Errorf("Bytes after removing the added wire = %d, want the upload's %d", got, uploaded.Bytes)
+	}
+}
+
 // TestMutationIncrementality pins the tentpole's cost bound: a
 // single-wire mutation's work is bounded by that wire's footprint, not
 // the circuit size, and its routed path stays inside the footprint.

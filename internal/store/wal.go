@@ -225,7 +225,7 @@ func (s *Store) applyRecord(payload []byte) error {
 		}
 		e := s.buildEntry(c)
 		if !s.acquire(e.slots) {
-			return fmt.Errorf("%w: recovered circuit %q needs %d bytes", ErrStoreFull, c.Name, e.bytes)
+			return fmt.Errorf("%w: recovered circuit %q needs %d bytes", ErrStoreFull, c.Name, e.estimateBytes())
 		}
 		s.entries[c.Name] = e
 	case wire.KindMutate:

@@ -121,7 +121,7 @@ const (
 	KindReqBatch
 	// KindReqRoute spans the kernel evaluation of the request's wire.
 	KindReqRoute
-	// KindReqCommit spans the commit onto the serving replica.
+	// KindReqCommit spans the commit onto the circuit's serving array.
 	KindReqCommit
 	// KindReqRespond spans the handoff back to the waiting caller.
 	KindReqRespond

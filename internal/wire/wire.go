@@ -199,7 +199,7 @@ type Request struct {
 	// DeadlineMillis bounds queue wait + evaluation (0 = the server's
 	// default deadline).
 	DeadlineMillis int64
-	// Commit places the evaluated path on the serving replica.
+	// Commit places the evaluated path on the circuit's serving array.
 	Commit bool
 	// Client identifies the caller for rate limiting ("" = the remote
 	// host, as for HTTP).

@@ -218,7 +218,7 @@ type Result struct {
 	// Wall is the wall-clock duration of the Route call.
 	Wall time.Duration
 	// Final is the ground-truth cost array after the run — the routed
-	// congestion state, used to seed serving replicas and render
+	// congestion state, used to seed serving arrays and render
 	// heatmaps.
 	Final *costarray.CostArray
 	// MP carries the full message passing result (traffic breakdown,
