@@ -15,7 +15,7 @@
 //	       [-edf]
 //	       [-trace] [-trace-sample 1] [-trace-capacity 4096]
 //	       [-slow-log-threshold 0] [-log-format text|json] [-pprof]
-//	       [-store] [-store-dir dir] [-store-mem MiB]
+//	       [-store-dir dir] [-store-mem MiB]
 //
 // The policy flags assemble the request-path chain (internal/policy):
 // deadline admission, per-client token-bucket rate limiting, a circuit
@@ -35,13 +35,15 @@
 // through one log/slog logger on stderr; -log-format selects the text
 // (default) or JSON handler.
 //
-// The store flags enable the dynamic circuit lifecycle (internal/store):
-// -store serves runtime uploads, incremental mutations and evictions
-// from an in-memory circuit store; -store-dir adds snapshot+WAL
-// persistence, so a restart replays the log and reconstructs
-// byte-identical cost arrays; -store-mem bounds resident circuit bytes
-// (uploads beyond the budget fail with 507). Startup circuits stay
-// immutable; only the sequential backend adopts them into the store.
+// Every daemon serves the dynamic circuit lifecycle (internal/store):
+// runtime uploads, incremental mutations and evictions, from an
+// in-memory circuit store by default. The store flags configure it:
+// -store-dir adds snapshot+WAL persistence, so a restart replays the log
+// and reconstructs byte-identical cost arrays; -store-mem bounds
+// resident circuit bytes (uploads beyond the budget fail with 507).
+// Under the sequential backend the startup circuits are adopted into the
+// store and are mutable; under any other backend they are served
+// immutably.
 //
 // On startup each circuit is routed once through the selected backend;
 // the resulting cost array seeds the circuit's serving array, which
@@ -50,8 +52,8 @@
 //
 //	POST   /v1/route            {"circuit","pins":[[x,y],...],"commit","deadline_ms"}
 //	GET    /v1/circuits         served circuits and their baseline quality
-//	POST   /v1/circuits/{name}  upload a circuit (requires -store)
-//	DELETE /v1/circuits/{name}  evict a circuit (requires -store)
+//	POST   /v1/circuits/{name}  upload a circuit
+//	DELETE /v1/circuits/{name}  evict a circuit
 //	POST   /v1/mutate           {"circuit","ops":[{"op","wire","pins"},...]}
 //	GET    /v1/healthz          200 ok / 503 draining
 //	GET    /v1/metrics          Prometheus text exposition
@@ -116,8 +118,7 @@ func main() {
 		slowLog     = flag.Duration("slow-log-threshold", 0, "log requests at or over this wall latency with their stage breakdown (0 = off; implies -trace)")
 		logFormat   = flag.String("log-format", "text", "log handler: text or json")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		storeFlag   = flag.Bool("store", false, "enable the dynamic circuit lifecycle (upload/mutate/evict) on an in-memory store")
-		storeDir    = flag.String("store-dir", "", "circuit store persistence directory (snapshot+WAL; implies -store)")
+		storeDir    = flag.String("store-dir", "", "circuit store persistence directory (snapshot+WAL)")
 		storeMem    = flag.Int64("store-mem", 0, "circuit store memory budget in MiB (0 = unlimited)")
 	)
 	flag.Parse()
@@ -174,7 +175,7 @@ func main() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	var st *store.Store
-	if *storeFlag || *storeDir != "" {
+	if *storeDir != "" || *storeMem > 0 {
 		st, err = store.Open(store.Config{Dir: *storeDir, MemBudget: *storeMem << 20})
 		if err != nil {
 			fatal(err)

@@ -156,9 +156,6 @@ func (pr *Proto) TakeScanWork() int {
 // dirty/delta tracking.
 type protoCommitView struct{ pr *Proto }
 
-func (v protoCommitView) Grid() geom.Grid     { return v.pr.view.Grid() }
-func (v protoCommitView) Cost(x, y int) int32 { return v.pr.view.At(x, y) }
-
 func (v protoCommitView) AddCost(x, y int, d int32) {
 	pr := v.pr
 	pr.view.Add(x, y, d)
@@ -260,10 +257,7 @@ func (pr *Proto) EvaluateWire(wi int) PendingWire {
 // CommitWire places the evaluated path, returning its cost against the
 // ground truth at commit time (the wire's occupancy contribution).
 func (pr *Proto) CommitWire(wi int, pw PendingWire) int64 {
-	var trueCost int64
-	for _, cell := range pw.Path.Cells {
-		trueCost += int64(pr.truth.At(cell.X, cell.Y))
-	}
+	trueCost := route.PathCost(pr.truth, pw.Path)
 	route.Commit(protoCommitView{pr: pr}, pw.Path)
 	pr.markOwned()
 	if pr.Structure == StructureWireBased {

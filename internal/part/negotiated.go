@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"locusroute/internal/costarray"
-	"locusroute/internal/geom"
 	"locusroute/internal/route"
 )
 
@@ -55,8 +54,8 @@ func (n Negotiated) withDefaults() Negotiated {
 	return n
 }
 
-// negView is the negotiated cost function as a route.CostView over the
-// shared occupancy array:
+// negPrice is the negotiated cost function, materialised: price holds,
+// for every cell of the occupancy array occ,
 //
 //	cost(x,y) = 1 + history(x,y) + trunc(presFac * overuse(x,y))
 //
@@ -66,26 +65,27 @@ func (n Negotiated) withDefaults() Negotiated {
 // during the initial pass) disables the pressure term entirely, which is
 // PathFinder's first iteration: route by length, discover congestion.
 //
-// The view only prices candidates: routeWire places and rips paths on
-// the occupancy array itself, and AddCost writes there too, so wire
-// counts are maintained exactly as in the fixed schedule. presFac,
-// hist, and capacity are only mutated between passes, while no routing
-// goroutine is running, so within a pass a wire's price depends only on
-// cells inside its footprint and boundary wires can route in conflict
-// order under the view as they do without it.
-type negView struct {
-	arr      *costarray.CostArray
-	hist     []int32
-	capacity int32
-	presFac  float64
+// The kernel prices candidates on price as on any plain array, and
+// routeWire keeps it current: after a rip-up and after a placement it
+// refreshes the cells of that path, the only cells whose occupancy
+// moved. presFac, hist and capacity change only between passes, while
+// no routing goroutine is running, and rebuild then recomputes every
+// cell. A price cell is written only by the wire whose path covers it,
+// so within a pass a wire's prices depend only on cells inside its
+// footprint and boundary wires route in conflict order as they do
+// without the schedule.
+type negPrice struct {
+	occ, price *costarray.CostArray
+	hist       []int32
+	capacity   int32
+	presFac    float64
 }
 
-func (v *negView) Grid() geom.Grid { return v.arr.Grid() }
-
-func (v *negView) Cost(x, y int) int32 {
-	c := int64(1) + int64(v.hist[v.arr.Index(x, y)])
+// at is the cost of cell i.
+func (v *negPrice) at(i int) int32 {
+	c := int64(1) + int64(v.hist[i])
 	if v.capacity > 0 {
-		if over := v.arr.At(x, y) - v.capacity + 1; over > 0 {
+		if over := v.occ.Cells()[i] - v.capacity + 1; over > 0 {
 			p := v.presFac * float64(over)
 			if p > math.MaxInt32/2 {
 				p = math.MaxInt32 / 2
@@ -93,13 +93,25 @@ func (v *negView) Cost(x, y int) int32 {
 			c += int64(p)
 		}
 	}
-	if c > math.MaxInt32 {
-		c = math.MaxInt32
-	}
-	return int32(c)
+	return int32(min(c, math.MaxInt32))
 }
 
-func (v *negView) AddCost(x, y int, d int32) { v.arr.Add(x, y, d) }
+// refresh recomputes the price of every cell of path.
+func (v *negPrice) refresh(path route.Path) {
+	cells, stride := v.price.Cells(), v.price.Grid().Grids
+	for _, c := range path.Cells {
+		i := c.Y*stride + c.X
+		cells[i] = v.at(i)
+	}
+}
+
+// rebuild recomputes every price.
+func (v *negPrice) rebuild() {
+	cells := v.price.Cells()
+	for i := range cells {
+		cells[i] = v.at(i)
+	}
+}
 
 // routeNegotiated drives the negotiated-congestion schedule over the
 // partition tree. Every pass uses the same deterministic partition
@@ -109,13 +121,15 @@ func (v *negView) AddCost(x, y int, d int32) { v.arr.Add(x, y, d) }
 // schedule parameters).
 func (r *runner) routeNegotiated(neg *Negotiated, st *Stats) route.Result {
 	cfg := neg.withDefaults()
-	nv := &negView{
-		arr:      r.arr,
+	nv := &negPrice{
+		occ:      r.arr,
+		price:    costarray.New(r.c.Grid),
 		hist:     make([]int32, r.c.Grid.Cells()),
 		capacity: cfg.Capacity,
 		presFac:  cfg.PresFacStart,
 	}
-	r.view = nv
+	nv.rebuild()
+	r.neg, r.view = nv, route.ArrayView{A: nv.price}
 
 	// Initial pass: all wires, no rip-up; with auto capacity the
 	// pressure term is off, so wires route by length and expose where
@@ -136,6 +150,7 @@ func (r *runner) routeNegotiated(neg *Negotiated, st *Stats) route.Result {
 			nv.presFac = cfg.PresFacCap
 		}
 		bumpHistory(nv, cfg.HistoryIncr)
+		nv.rebuild()
 		active := r.activeWires(nv.capacity)
 		if active == nil {
 			break
@@ -175,8 +190,8 @@ func countOverused(a *costarray.CostArray, cap int32) int {
 }
 
 // bumpHistory charges incr to every currently overused cell.
-func bumpHistory(v *negView, incr int32) {
-	for i, occ := range v.arr.Cells() {
+func bumpHistory(v *negPrice, incr int32) {
+	for i, occ := range v.occ.Cells() {
 		if occ > v.capacity {
 			v.hist[i] += incr
 		}

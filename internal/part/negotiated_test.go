@@ -1,6 +1,7 @@
 package part
 
 import (
+	"math"
 	"testing"
 
 	"locusroute/internal/circuit"
@@ -191,5 +192,44 @@ func TestNegotiatedAutoCapacity(t *testing.T) {
 	// cells (sanity) and the run must have committed every wire.
 	if st.OverusedCells > arr.NonZeroCells() {
 		t.Errorf("OverusedCells %d exceeds occupied cells %d", st.OverusedCells, arr.NonZeroCells())
+	}
+}
+
+// TestNegotiatedPriceMatchesFormula: after every negotiated pass, each
+// cell of the materialised price array holds the negotiated cost
+// function over the occupancy and history arrays — rip-up and placement
+// refresh the cells they move, and a schedule change rebuilds them all.
+// A run stopped after k passes leaves the state of pass k; on four
+// partitions the boundary wires' conflict-order refreshes count too.
+func TestNegotiatedPriceMatchesFormula(t *testing.T) {
+	c := genCircuit(t, circuit.BnrELike, 1)
+	params := route.DefaultParams()
+	for _, capacity := range []int32{0, 4} {
+		for k := 1; k <= 5; k++ {
+			r, _, st, err := run(c, params, Config{Partitions: 4, Negotiated: &Negotiated{Capacity: capacity, MaxIters: k}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.NegotiatedIters != k {
+				t.Fatalf("capacity %d: %d passes, want %d", capacity, st.NegotiatedIters, k)
+			}
+			nv := r.neg
+			// The initial pass of an auto-capacity run prices with the
+			// pressure term off; the capacity is set after it.
+			pressure := nv.capacity
+			if capacity <= 0 && k == 1 {
+				pressure = 0
+			}
+			for i, got := range nv.price.Cells() {
+				want := int64(1) + int64(nv.hist[i])
+				if over := int64(nv.occ.Cells()[i]) - int64(pressure) + 1; pressure > 0 && over > 0 {
+					want += int64(min(nv.presFac*float64(over), math.MaxInt32/2))
+				}
+				if want = min(want, math.MaxInt32); int64(got) != want {
+					t.Fatalf("capacity %d, pass %d: cell %d (occupancy %d, history %d) priced %d, want %d",
+						capacity, k, i, nv.occ.Cells()[i], nv.hist[i], got, want)
+				}
+			}
+		}
 	}
 }

@@ -158,7 +158,8 @@ type runner struct {
 	tree   *Tree
 	pool   *par.Pool
 	arr    *costarray.CostArray
-	view   route.CostView // prices candidates: ArrayView{arr}, or the negotiated negView
+	view   route.ArrayView // prices candidates: arr, or the negotiated price array
+	neg    *negPrice       // the negotiated schedule's prices, nil in the fixed one
 
 	fp    []geom.Rect // per wire: Footprint, every cell its routing can touch
 	paths []route.Path
@@ -295,16 +296,23 @@ func (r *runner) routeConflictOrder(ws []int, ripUp bool) int64 {
 
 // routeWire is the one per-wire step of every schedule, route.Sequential's
 // sequence: rip up wire i's previous path (when ripUp), evaluate the wire
-// through r.view into that path's storage, and place the winner —
-// measure its cost against the occupancy array and commit it there.
-// Only evaluation goes through r.view: placement and rip-up always land
-// on the occupancy array. Returns the cells examined.
+// on r.view into that path's storage, and place the winner — measure its
+// cost against the occupancy array and commit it there. Only evaluation
+// reads r.view: placement and rip-up always land on the occupancy array,
+// and under the negotiated schedule each refreshes the prices of its
+// path's cells. Returns the cells examined.
 func (r *runner) routeWire(s *route.Scratch, i int, ripUp bool) int {
 	if ripUp {
 		route.RipUp(route.ArrayView{A: r.arr}, r.paths[i])
+		if r.neg != nil {
+			r.neg.refresh(r.paths[i])
+		}
 	}
 	ev := s.RerouteWire(r.view, &r.c.Wires[i], r.params, r.paths[i])
 	r.last[i] = route.Place(r.arr, ev.Path)
+	if r.neg != nil {
+		r.neg.refresh(ev.Path)
+	}
 	r.paths[i] = ev.Path
 	return ev.CellsExamined
 }

@@ -164,23 +164,29 @@ func TestFootprint(t *testing.T) {
 
 // TestFootprintCoversKernel pins the containment theorem the whole
 // package rests on: every cell the kernel reads or writes while routing
-// a wire lies inside Footprint. A tracking view records all touched
-// cells; any escape is a soundness bug in partition-parallel routing.
+// a wire lies inside Footprint. A tracking observer records every cell
+// the candidates read and a tracking writer every cell Commit and RipUp
+// write; any escape is a soundness bug in partition-parallel routing.
 func TestFootprintCoversKernel(t *testing.T) {
 	c, err := circuit.Generate(circuit.BnrELike(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := route.DefaultParams()
-	tv := &touchView{grid: c.Grid, cost: make([]int32, c.Grid.Cells())}
+	tv := &touchView{arr: costarray.New(c.Grid)}
 	s := route.NewScratch(c.Grid)
+	s.Observe(tv)
 	for i := range c.Wires {
 		w := &c.Wires[i]
 		fp := Footprint(w, params, c.Grid)
-		tv.reset()
-		ev := s.RouteWire(tv, w, params)
+		tv.touched = tv.touched[:0]
+		ev := s.RouteWire(route.ArrayView{A: tv.arr}, w, params)
 		route.Commit(tv, ev.Path)
 		route.RipUp(tv, ev.Path)
+		if len(tv.touched) != ev.CellsExamined+2*ev.Path.Len() {
+			t.Fatalf("wire %d: %d cells touched, want the %d read and %d written", w.ID,
+				len(tv.touched), ev.CellsExamined, 2*ev.Path.Len())
+		}
 		for _, p := range tv.touched {
 			if !p.In(fp) {
 				t.Fatalf("wire %d touched %v outside footprint %v", w.ID, p, fp)
@@ -234,23 +240,21 @@ func copyRect(a *costarray.CostArray, r geom.Rect, src []int32) {
 	}
 }
 
-// touchView records every cell the kernel reads or writes.
+// touchView records every cell the kernel reads (as a route.ReadObserver)
+// or writes (as a route.CostView).
 type touchView struct {
-	grid    geom.Grid
-	cost    []int32
+	arr     *costarray.CostArray
 	touched []geom.Point
 }
 
-func (v *touchView) reset() { v.touched = v.touched[:0] }
-
-func (v *touchView) Grid() geom.Grid { return v.grid }
-
-func (v *touchView) Cost(x, y int) int32 {
-	v.touched = append(v.touched, geom.Pt(x, y))
-	return v.cost[y*v.grid.Grids+x]
+func (v *touchView) ReadRun(x, y, dx, dy, n int) {
+	for ; n > 0; n-- {
+		v.touched = append(v.touched, geom.Pt(x, y))
+		x, y = x+dx, y+dy
+	}
 }
 
 func (v *touchView) AddCost(x, y int, d int32) {
 	v.touched = append(v.touched, geom.Pt(x, y))
-	v.cost[y*v.grid.Grids+x] += d
+	v.arr.Add(x, y, d)
 }

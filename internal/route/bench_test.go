@@ -30,21 +30,29 @@ func BenchmarkRouteWire(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteWireWalker is BenchmarkRouteWire through walkerView: the
-// same sweep costed by walking every candidate cell through CostView,
-// the kernel cost the traced and negotiated views pay.
-func BenchmarkRouteWireWalker(b *testing.B) {
+// BenchmarkRouteWireObserved is BenchmarkRouteWire with a ReadObserver
+// on the scratch that counts what it is told: the kernel as the traced
+// shared memory version runs it, less the trace itself.
+func BenchmarkRouteWireObserved(b *testing.B) {
 	c := benchCircuit(b)
 	_, arr := Sequential(c, Params{Iterations: 1})
-	view := walkerView{ArrayView{A: arr}}
+	reads := &readCounter{}
+	view := ArrayView{A: arr}
 	scratch := NewScratch(c.Grid)
+	scratch.Observe(reads)
 	params := DefaultParams()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scratch.RouteWire(view, &c.Wires[i%len(c.Wires)], params)
 	}
+	b.ReportMetric(float64(reads.n)/float64(b.N), "reads/op")
 }
+
+// readCounter is a ReadObserver that counts the cells it is told of.
+type readCounter struct{ n int }
+
+func (r *readCounter) ReadRun(x, y, dx, dy, n int) { r.n += n }
 
 // BenchmarkRouteWireStandalone measures the compatibility wrapper, which
 // builds a fresh Scratch per call — the shape tests use, not the hot

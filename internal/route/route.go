@@ -3,16 +3,19 @@
 // cost array entries, choosing among the low-bend routes between its pins;
 // several rip-up-and-reroute iterations improve the final quality.
 //
-// The router core is written against the CostView interface so the same
-// algorithm drives three executions: the sequential reference router, each
-// message passing node's local view, and the traced shared memory version
-// (where every read and write is recorded for the coherence simulator).
-// A plain ArrayView is costed by run sums straight off its cells; any
-// other view is read in path order, a straight run at a time through
-// CostRun when it is a RunCostView, else cell by cell through Cost. Either
-// way the winner is written into the path as its three straight runs,
-// and a path is placed on (or ripped from) a plain array without an
-// interface call per cell (Place, Commit, RipUp).
+// The kernel reads one thing, a plain cost array (ArrayView), and costs
+// every candidate by run sums straight off its cells. Each paradigm hands
+// it the array it prices with: the sequential router, the partitioned
+// router and the daemon their own array, each message passing node its
+// local view, the traced shared memory version the shared array, and
+// the negotiated schedule its materialised price array. The shared
+// memory trace does not read the array a second time: a ReadObserver on
+// the Scratch is told each candidate's three straight runs, the cells
+// the paper's program reads, in its order. The winner is written into the
+// path as those same runs, and a path is placed on (or ripped from) a
+// plain array without an interface call per cell (Place, Commit, RipUp);
+// a CostView is only the writer a path lands through when its writes
+// must go further than one array (message passing, traced rip-up).
 package route
 
 import (
@@ -24,29 +27,24 @@ import (
 	"locusroute/internal/geom"
 )
 
-// CostView is the router's window onto a cost array. Implementations
-// decide where reads and writes actually land (a private copy, a shared
-// array, a traced array).
+// CostView is where Commit and RipUp land a path's writes: ArrayView for
+// a plain array, or a writer that also records or forwards each one.
 type CostView interface {
-	// Grid returns the array dimensions.
-	Grid() geom.Grid
-	// Cost returns the current cost at (x, y).
-	Cost(x, y int) int32
 	// AddCost adds d (+1 route, -1 rip-up) to the cell at (x, y).
 	AddCost(x, y int, d int32)
 }
 
-// RunCostView is a CostView that costs a straight run of cells in one
-// call. The kernel walks a candidate that is not on a plain array as its
-// straight runs and hands each to CostRun when the view has it, else
-// reads the run's cells through Cost one by one; either way the view
-// observes the same cells in the same order.
-type RunCostView interface {
-	CostView
-	// CostRun returns the sum of Cost over the n >= 1 cells
-	// (x + i·dx, y + i·dy), i = 0..n-1, one of dx and dy zero and the
-	// other ±1, read in that order.
-	CostRun(x, y, dx, dy, n int) int64
+// ReadObserver is told of the cost reads the kernel's candidate
+// evaluation stands for: for each candidate of each segment, in
+// enumeration order, its straight runs in path order, the corner cell
+// where two runs meet reported once (so a run that is only a corner is
+// not reported). The kernel reads the array by run sums either way; an
+// observer is how the shared memory version traces the reads of the
+// paper's program.
+type ReadObserver interface {
+	// ReadRun reports the n >= 1 cells (x + i·dx, y + i·dy), i = 0..n-1,
+	// read in that order; one of dx and dy is zero and the other ±1.
+	ReadRun(x, y, dx, dy, n int)
 }
 
 // Params tunes the router.
@@ -121,35 +119,29 @@ type Eval struct {
 	CellsExamined int
 }
 
-// RouteWire evaluates the candidate routes for w against view and returns
-// the best one. It does not modify the view; call Commit to place the
-// wire. Multi-pin wires are decomposed into two-pin segments between
-// consecutive pins sorted by X, as LocusRoute does; the per-wire path is
-// the deduplicated union of segment paths.
+// RouteWire evaluates the candidate routes for w on view's array and
+// returns the best one. It does not modify the array; call Place or
+// Commit to place the wire. Multi-pin wires are decomposed into two-pin
+// segments between consecutive pins sorted by X, as LocusRoute does; the
+// per-wire path is the deduplicated union of segment paths.
 //
 // This standalone form builds a fresh Scratch per call and is meant for
 // tests and one-off evaluations; hot paths hold a Scratch per worker and
 // call its RouteWire method instead.
-func RouteWire(view CostView, w *circuit.Wire, params Params) Eval {
+func RouteWire(view ArrayView, w *circuit.Wire, params Params) Eval {
 	var s Scratch
 	return s.RouteWire(view, w, params)
 }
 
-// PathCost returns the sum of cost entries along the (deduplicated) path
-// as seen through view — the occupancy contribution of a wire routed at
-// this moment (Section 3 of the paper). Callers measure it against the
-// authoritative array of their paradigm just before committing.
-func PathCost(view CostView, path Path) int64 {
+// PathCost returns the sum of a's entries along the (deduplicated) path
+// — the occupancy contribution of a wire routed at this moment (Section
+// 3 of the paper). Callers measure it against the authoritative array of
+// their paradigm just before committing.
+func PathCost(a *costarray.CostArray, path Path) int64 {
+	cells, stride := a.Cells(), a.Grid().Grids
 	var c int64
-	if av, ok := view.(ArrayView); ok {
-		cells, stride := av.A.Cells(), av.A.Grid().Grids
-		for _, p := range path.Cells {
-			c += int64(cells[p.Y*stride+p.X])
-		}
-		return c
-	}
-	for _, cell := range path.Cells {
-		c += int64(view.Cost(cell.X, cell.Y))
+	for _, p := range path.Cells {
+		c += int64(cells[p.Y*stride+p.X])
 	}
 	return c
 }
@@ -206,72 +198,6 @@ func SortPins(pins []geom.Point) []geom.Point {
 // Y.
 func pinCmp(a, b geom.Point) int {
 	return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y))
-}
-
-// hvhPath builds the cell list for the horizontal-vertical-horizontal
-// route through jog column xm, deduplicating the two corner cells. It is
-// the reference materialisation of walkHVH, kept for tests that compare
-// the kernel against explicitly built candidate paths.
-func hvhPath(p, q geom.Point, xm int) []geom.Point {
-	cells := make([]geom.Point, 0, absInt(p.X-q.X)+absInt(p.Y-q.Y)+2)
-	cells = appendHorizontal(cells, p.Y, p.X, xm)
-	cells = appendVertical(cells, xm, p.Y, q.Y)
-	cells = appendHorizontal(cells, q.Y, xm, q.X)
-	return dedupeAdjacent(cells)
-}
-
-// vhvPath builds the cell list for the vertical-horizontal-vertical route
-// through crossing channel ym (reference materialisation of walkVHV).
-func vhvPath(p, q geom.Point, ym int) []geom.Point {
-	cells := make([]geom.Point, 0, absInt(p.X-q.X)+absInt(p.Y-q.Y)+2)
-	cells = appendVertical(cells, p.X, p.Y, ym)
-	cells = appendHorizontal(cells, ym, p.X, q.X)
-	cells = appendVertical(cells, q.X, ym, q.Y)
-	return dedupeAdjacent(cells)
-}
-
-// appendHorizontal appends the cells of the horizontal run at channel y
-// from x0 to x1 inclusive (either direction).
-func appendHorizontal(cells []geom.Point, y, x0, x1 int) []geom.Point {
-	step := 1
-	if x1 < x0 {
-		step = -1
-	}
-	for x := x0; ; x += step {
-		cells = append(cells, geom.Pt(x, y))
-		if x == x1 {
-			break
-		}
-	}
-	return cells
-}
-
-// appendVertical appends the cells of the vertical run at column x from y0
-// to y1 inclusive.
-func appendVertical(cells []geom.Point, x, y0, y1 int) []geom.Point {
-	step := 1
-	if y1 < y0 {
-		step = -1
-	}
-	for y := y0; ; y += step {
-		cells = append(cells, geom.Pt(x, y))
-		if y == y1 {
-			break
-		}
-	}
-	return cells
-}
-
-// dedupeAdjacent removes consecutive duplicate cells (the corners where
-// segments meet). Candidate paths never revisit a non-adjacent cell.
-func dedupeAdjacent(cells []geom.Point) []geom.Point {
-	out := cells[:0]
-	for i, c := range cells {
-		if i == 0 || c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 func absInt(v int) int {

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,71 +10,47 @@ import (
 	"locusroute/internal/geom"
 )
 
-// walkerView hides an ArrayView behind another concrete type, so the
-// kernel costs candidates with the walker — the path every observing
-// view (traced, negotiated) takes, and the reference the run-sum
-// path must match.
-type walkerView struct{ ArrayView }
-
-// cellReadView is a walkerView that records every cell it is read at, in
-// order; runReadView is one that costs straight runs, recording each
-// run's cells. The walker must read both at the same cells in the same
-// order. runReadView panics on a per-cell read: the kernel reads a
-// RunCostView through CostRun only.
-type cellReadView struct {
-	ArrayView
-	reads []geom.Point
-}
-
-func (v *cellReadView) Cost(x, y int) int32 {
-	v.reads = append(v.reads, geom.Pt(x, y))
-	return v.ArrayView.Cost(x, y)
-}
-
-type runReadView struct {
-	ArrayView
-	reads []geom.Point
+// walkChecker is a ReadObserver that expands every run it is told of
+// into its cells and matches them, in order, against a reference walk
+// (refRoute), noting the first run that breaks the contract or strays
+// from the walk.
+type walkChecker struct {
+	walk  [][]geom.Point
+	i, j  int // the next cell expected is walk[i][j]
+	reads int
 	runs  int
+	bad   string
 }
 
-func (v *runReadView) Cost(x, y int) int32 {
-	panic("route: a RunCostView read cell by cell")
-}
-
-func (v *runReadView) CostRun(x, y, dx, dy, n int) int64 {
-	v.runs++
-	var sum int64
+func (o *walkChecker) ReadRun(x, y, dx, dy, n int) {
+	o.runs++
+	if o.bad != "" {
+		return
+	}
+	if n < 1 || dx*dx+dy*dy != 1 {
+		o.bad = fmt.Sprintf("run %d: %d cells from (%d,%d) step (%d,%d)", o.runs, n, x, y, dx, dy)
+		return
+	}
 	for ; n > 0; n-- {
-		v.reads = append(v.reads, geom.Pt(x, y))
-		sum += int64(v.ArrayView.Cost(x, y))
+		if o.i == len(o.walk) || o.walk[o.i][o.j] != geom.Pt(x, y) {
+			o.bad = fmt.Sprintf("read %d at (%d,%d) is not the reference walk's", o.reads, x, y)
+			return
+		}
+		if o.j++; o.j == len(o.walk[o.i]) {
+			o.i, o.j = o.i+1, 0
+		}
+		o.reads++
 		x, y = x+dx, y+dy
 	}
-	return sum
 }
 
-// checkRunsMatchCells routes pins as a wire, and its first two pins as a
-// pair in both orders, through a per-cell and a run-costing view of v,
-// and requires the same Eval and the same cells read in the same order.
-func checkRunsMatchCells(t *testing.T, v ArrayView, pins []geom.Point, params Params) {
-	t.Helper()
-	var s Scratch
-	cells, runs := &cellReadView{ArrayView: v}, &runReadView{ArrayView: v}
-	w := &circuit.Wire{ID: 1, Pins: pins}
-	if got, want := s.RouteWire(runs, w, params), s.RouteWire(cells, w, params); !evalsEqual(got, want) {
-		t.Fatalf("RouteWire %v on %v, %+v:\nrun costing %+v\ncell by cell %+v", pins, v.Grid(), params, got, want)
+// finish reports what is wrong with the observed reads, if anything,
+// once the routing is done: the walk must have been read to its end.
+func (o *walkChecker) finish() string {
+	if o.bad == "" && o.i != len(o.walk) {
+		o.bad = fmt.Sprintf("%d reads observed, the reference walk is %d candidates long and stopped at %d", o.reads, len(o.walk), o.i)
 	}
-	for _, pair := range [][2]geom.Point{{pins[0], pins[1]}, {pins[1], pins[0]}} {
-		got, want := s.RoutePair(runs, pair[0], pair[1], params), s.RoutePair(cells, pair[0], pair[1], params)
-		if !evalsEqual(got, want) {
-			t.Fatalf("RoutePair %v on %v, %+v:\nrun costing %+v\ncell by cell %+v", pair, v.Grid(), params, got, want)
-		}
-	}
-	if !slices.Equal(runs.reads, cells.reads) {
-		t.Fatalf("%v on %v, %+v: run costing read\n%v\ncell by cell\n%v", pins, v.Grid(), params, runs.reads, cells.reads)
-	}
-	if runs.runs == 0 || runs.runs > len(runs.reads) {
-		t.Fatalf("%v on %v: %d runs for %d cells", pins, v.Grid(), runs.runs, len(runs.reads))
-	}
+	return o.bad
 }
 
 // randomView is a channels x grids array of costs in [-3, 5]: MP views
@@ -87,28 +64,44 @@ func randomView(rng *rand.Rand, channels, grids int) ArrayView {
 	return v
 }
 
-// checkFlatMatchesWalker routes pins as a wire, and its first two pins
-// as a pair in both orders, on the run-sum and the walker path, and
-// requires the same Eval: cost, cells examined and every path cell.
-func checkFlatMatchesWalker(t *testing.T, v ArrayView, pins []geom.Point, params Params) {
+// checkMatchesReference routes pins as a wire, and its first two pins
+// as a pair in both orders, on the kernel and on the reference kernel
+// (refRoute), and requires the same Eval: cost, cells examined and every
+// path cell. Routed again with a ReadObserver, the kernel must return
+// the same Eval, and the observer's runs, expanded cell by cell, must be
+// the reference walk: the cells of every candidate in enumeration order,
+// the same cells in the same order with the same count.
+func checkMatchesReference(t *testing.T, v ArrayView, pins []geom.Point, params Params) {
 	t.Helper()
-	var flat, walk Scratch
-	w := &circuit.Wire{ID: 1, Pins: pins}
-	if got, want := flat.RouteWire(v, w, params), walk.RouteWire(walkerView{v}, w, params); !evalsEqual(got, want) {
-		t.Fatalf("RouteWire %v on %v, %+v:\nrun sums %+v\nwalker   %+v", pins, v.Grid(), params, got, want)
-	}
-	for _, pair := range [][2]geom.Point{{pins[0], pins[1]}, {pins[1], pins[0]}} {
-		got := flat.RoutePair(v, pair[0], pair[1], params)
-		want := walk.RoutePair(walkerView{v}, pair[0], pair[1], params)
-		if !evalsEqual(got, want) {
-			t.Fatalf("RoutePair %v on %v, %+v:\nrun sums %+v\nwalker   %+v", pair, v.Grid(), params, got, want)
+	var s Scratch
+	check := func(what string, pins []geom.Point, route func() Eval) {
+		t.Helper()
+		want, walk := refRoute(v.A, pins, params)
+		s.Observe(nil)
+		if got := route(); !evalsEqual(got, want) {
+			t.Fatalf("%s %v on %v, %+v:\nrun sums  %+v\nreference %+v", what, pins, v.A.Grid(), params, got, want)
 		}
+		obs := &walkChecker{walk: walk}
+		s.Observe(obs)
+		if got := route(); !evalsEqual(got, want) {
+			t.Fatalf("%s %v on %v, %+v observed:\nrun sums  %+v\nreference %+v", what, pins, v.A.Grid(), params, got, want)
+		}
+		if bad := obs.finish(); bad != "" || obs.reads != want.CellsExamined || obs.runs > 3*len(walk) {
+			t.Fatalf("%s %v on %v, %+v: %d reads in %d runs of %d candidates, %d examined: %s",
+				what, pins, v.A.Grid(), params, obs.reads, obs.runs, len(walk), want.CellsExamined, bad)
+		}
+	}
+	w := &circuit.Wire{ID: 1, Pins: pins}
+	check("RouteWire", pins, func() Eval { return s.RouteWire(v, w, params) })
+	for _, pair := range [][2]geom.Point{{pins[0], pins[1]}, {pins[1], pins[0]}} {
+		check("RoutePair", pair[:], func() Eval { return s.RoutePair(v, pair[0], pair[1], params) })
 	}
 }
 
-// The run-sum costing must be indistinguishable from the walker on
-// random arrays, grids, wires and parameters (negative detours, which
-// shrink the VHV band inside the pins, included).
+// The run-sum costing must be indistinguishable from the reference walk
+// of materialised candidates on random arrays, grids, wires and
+// parameters (negative detours, which shrink the VHV band inside the
+// pins, included), and so must what an observer is told.
 func TestFlatSegmentMatchesWalker(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for trial := 0; trial < 2000; trial++ {
@@ -119,7 +112,7 @@ func TestFlatSegmentMatchesWalker(t *testing.T) {
 			pins[i] = geom.Pt(rng.Intn(grids), rng.Intn(channels))
 		}
 		params := Params{MaxHVHCandidates: rng.Intn(30), VHVDetourChannels: rng.Intn(9) - 2}
-		checkFlatMatchesWalker(t, v, pins, params)
+		checkMatchesReference(t, v, pins, params)
 	}
 }
 
@@ -140,19 +133,20 @@ func TestFlatSegmentLongSpans(t *testing.T) {
 			pins[0].X, pins[1].X = 0, grids-1
 		}
 		params := Params{MaxHVHCandidates: DefaultHVHCandidates + rng.Intn(7), VHVDetourChannels: rng.Intn(4)}
-		checkFlatMatchesWalker(t, v, pins, params)
+		checkMatchesReference(t, v, pins, params)
 	}
 }
 
 // FuzzFlatSegment is TestFlatSegmentMatchesWalker and
-// TestWinnerRunsMatchWalker under the fuzzer, and holds the walker's run
-// costing (RunCostView) to its cell-by-cell reads. The seed corpus is the
-// edge cases, so plain `go test` runs them: one channel, one grid
-// column, p == q, same row, same column, same column with a detour (the
-// two verticals overlap beyond the pins and the walker counts those
-// cells twice), MaxHVHCandidates 1, 2, 3, 24 and beyond the span with
-// VHVDetourChannels 0, 1 and 5, and spans beyond 4 x MaxHVHCandidates,
-// whose pin rows are summed in chunks of several cells.
+// TestWinnerRunsMatchWalker under the fuzzer: the run sums, the trace
+// seam (the runs a ReadObserver is told) and the winner's runs against
+// the reference kernel. The seed corpus is the edge cases, so plain `go
+// test` runs them: one channel, one grid column, p == q, same row, same
+// column, same column with a detour (the two verticals overlap beyond
+// the pins and are read twice), MaxHVHCandidates 1, 2, 3, 24 and beyond
+// the span with VHVDetourChannels 0, 1 and 5, and spans beyond 4 x
+// MaxHVHCandidates, whose pin rows are summed in chunks of several
+// cells.
 func FuzzFlatSegment(f *testing.F) {
 	for _, c := range []struct {
 		channels, grids, px, py, qx, qy, maxHVH, detour uint8
@@ -184,18 +178,16 @@ func FuzzFlatSegment(f *testing.F) {
 		q := geom.Pt(int(qx)%gr, int(qy)%ch)
 		params := Params{MaxHVHCandidates: int(maxHVH), VHVDetourChannels: int(detour) % 8}
 		r := geom.Pt(rng.Intn(gr), rng.Intn(ch))
-		checkFlatMatchesWalker(t, v, []geom.Point{p, q}, params)
-		checkFlatMatchesWalker(t, v, []geom.Point{p, q, r}, params)
-		checkRunsMatchCells(t, v, []geom.Point{p, q}, params)
-		checkRunsMatchCells(t, v, []geom.Point{p, q, r}, params)
-		checkAllWinners(t, v.Grid(), p, q)
+		checkMatchesReference(t, v, []geom.Point{p, q}, params)
+		checkMatchesReference(t, v, []geom.Point{p, q, r}, params)
+		checkAllWinners(t, v.A.Grid(), p, q)
 	})
 }
 
 // routeSegment reads a negative running best as "no candidate yet", so
 // a later, dearer candidate replaces a cheaper negative one. The paper
-// tables depend on it; this pins the quirk on both costing paths until a
-// change that re-pins their sha256 corrects it.
+// tables depend on it; this pins the quirk on the kernel and the
+// reference until a change that re-pins their sha256 corrects it.
 func TestNegativeBestIsReplaced(t *testing.T) {
 	v := emptyView(3, 4)
 	v.A.Set(1, 1, -10)
@@ -203,13 +195,13 @@ func TestNegativeBestIsReplaced(t *testing.T) {
 	// VHV through channel 0 or 2 costs 0. Channel 2 is enumerated last.
 	p, q := geom.Pt(0, 1), geom.Pt(3, 1)
 	params := Params{MaxHVHCandidates: DefaultHVHCandidates, VHVDetourChannels: 1}
-	for _, view := range []CostView{v, walkerView{v}} {
-		ev := RouteWire(view, wire(p, q), params)
+	ref, _ := refRoute(v.A, []geom.Point{p, q}, params)
+	for name, ev := range map[string]Eval{"kernel": RouteWire(v, wire(p, q), params), "reference": ref} {
 		if ev.Cost != 0 || !pathSet(ev.Path)[geom.Pt(1, 2)] {
-			t.Errorf("%T: cost %d via %v, want the dearer cost-0 detour through channel 2", view, ev.Cost, ev.Path.Cells)
+			t.Errorf("%s: cost %d via %v, want the dearer cost-0 detour through channel 2", name, ev.Cost, ev.Path.Cells)
 		}
 		if ev.CellsExamined != 4*4+6+4+6 {
-			t.Errorf("%T: %d cells examined, want 32", view, ev.CellsExamined)
+			t.Errorf("%s: %d cells examined, want 32", name, ev.CellsExamined)
 		}
 	}
 }
@@ -239,61 +231,27 @@ func TestSortedPinsAllocatesNothing(t *testing.T) {
 	}
 }
 
-// recordView is a zero-cost CostView that records every Cost read, in
-// order: what the walker reads of a candidate.
-type recordView struct{ reads []geom.Point }
-
-func (v *recordView) Grid() geom.Grid { return geom.Grid{} }
-
-func (v *recordView) Cost(x, y int) int32 {
-	v.reads = append(v.reads, geom.Pt(x, y))
-	return 0
-}
-
-func (v *recordView) AddCost(x, y int, d int32) {}
-
-// walked returns the cells the walker reads costing candidate m (a VHV
-// crossing channel when vhv, else an HVH jog column).
-func walked(p, q geom.Point, vhv bool, m int) []geom.Point {
-	rec := &recordView{}
-	k := costSink{view: rec}
-	if vhv {
-		walkVHV(p, q, m, &k)
-	} else {
-		walkHVH(p, q, m, &k)
-	}
-	return rec.reads
-}
-
-// checkWinnerRuns requires the runs that write candidate m to agree with
-// the walker's reads of it. Each of the three runs, written on a fresh
-// wire, must yield exactly its stretch of the reads: the corner the
-// walker skips skipped, nothing else. Scratch.winner on one wire must
-// yield the reads less the cells the wire already holds (the detoured
-// same-column VHV walks some twice).
-func checkWinnerRuns(t *testing.T, s *Scratch, p, q geom.Point, vhv bool, m int) {
-	t.Helper()
-	want := walked(p, q, vhv, m)
-	runs := [3]func(){
-		func() { s.row(p.Y, p.X, m, true) },
-		func() { s.col(m, p.Y, q.Y, false) },
-		func() { s.row(q.Y, m, q.X, false) },
-	}
-	if vhv {
-		runs = [3]func(){
-			func() { s.col(p.X, p.Y, m, true) },
-			func() { s.row(m, p.X, q.X, false) },
-			func() { s.col(q.X, m, q.Y, false) },
+// spanCells expands runs into their cells, in order.
+func spanCells(runs [3]span) []geom.Point {
+	var cells []geom.Point
+	for _, r := range runs {
+		for k := range r.n {
+			cells = append(cells, geom.Pt(r.x+k*r.dx, r.y+k*r.dy))
 		}
 	}
-	var got []geom.Point
-	for _, run := range runs {
-		s.beginWire()
-		run()
-		got = append(got, s.cells...)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("runs of %v-%v vhv=%v m=%d on %v:\nruns   %v\nwalker %v", p, q, vhv, m, s.grid, got, want)
+	return cells
+}
+
+// checkWinnerRuns requires the runs of candidate m (what an observer is
+// told and the winner is written from) to be the reference path's
+// cells, in order, and Scratch.winner on one wire to write them less the
+// cells the wire already holds (the detoured same-column VHV reads some
+// twice).
+func checkWinnerRuns(t *testing.T, s *Scratch, p, q geom.Point, vhv bool, m int) {
+	t.Helper()
+	want := refPath(p, q, vhv, m)
+	if got := spanCells(candidate(p, q, vhv, m)); !slices.Equal(got, want) {
+		t.Fatalf("runs of %v-%v vhv=%v m=%d on %v:\nruns      %v\nreference %v", p, q, vhv, m, s.grid, got, want)
 	}
 	var uniq []geom.Point
 	for _, c := range want {
@@ -304,7 +262,7 @@ func checkWinnerRuns(t *testing.T, s *Scratch, p, q geom.Point, vhv bool, m int)
 	s.beginWire()
 	s.winner(p, q, vhv, m)
 	if !slices.Equal(s.cells, uniq) {
-		t.Fatalf("winner %v-%v vhv=%v m=%d on %v:\nwinner %v\nwalker %v", p, q, vhv, m, s.grid, s.cells, uniq)
+		t.Fatalf("winner %v-%v vhv=%v m=%d on %v:\nwinner    %v\nreference %v", p, q, vhv, m, s.grid, s.cells, uniq)
 	}
 }
 
@@ -321,8 +279,8 @@ func checkAllWinners(t *testing.T, g geom.Grid, p, q geom.Point) {
 	}
 }
 
-// The winner written as runs must be the walker's cells in order, on
-// random segments and on the edge cases: p == q, same row, same column,
+// The winner written as runs must be the reference path's cells in
+// order, on random segments and on the edge cases: p == q, same row, same column,
 // runs in both directions, and one-wide grids.
 func TestWinnerRunsMatchWalker(t *testing.T) {
 	for _, c := range []struct {
@@ -364,7 +322,7 @@ func TestRerouteWireNeverAliases(t *testing.T) {
 		}
 		wires[i] = circuit.Wire{ID: i, Pins: pins}
 	}
-	s := NewScratch(v.Grid())
+	s := NewScratch(v.A.Grid())
 	params := DefaultParams()
 	paths := make([]Path, len(wires))
 	want := make([][]geom.Point, len(wires))
@@ -393,7 +351,7 @@ func TestRerouteWireNeverAliases(t *testing.T) {
 // only allocation.
 func TestRerouteWireFitsAllocatesNothing(t *testing.T) {
 	v := emptyView(6, 60)
-	s := NewScratch(v.Grid())
+	s := NewScratch(v.A.Grid())
 	params := DefaultParams()
 	w := &circuit.Wire{ID: 3, Pins: []geom.Point{geom.Pt(50, 4), geom.Pt(3, 1), geom.Pt(20, 5)}}
 	prev := s.RouteWire(v, w, params).Path

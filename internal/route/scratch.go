@@ -20,31 +20,26 @@ import (
 //     map[Point]bool: bumping epoch "clears" it in O(1), and a cell is a
 //     duplicate within the current wire iff its stamp equals epoch.
 //   - cells accumulates the winning path of the wire being routed; the
-//     kernel costs candidates without materialising them (runs for a
-//     plain ArrayView, coster for any other view) and writes the winner's
-//     three runs straight into cells (row, col).
-//   - xs holds the segment's HVH sample columns, which both costings
-//     enumerate.
+//     kernel costs candidates by run sums without materialising them and
+//     writes the winner's three runs straight into cells (winner).
+//   - xs holds the segment's HVH sample columns.
 //   - sorted is SortedPins' buffer for a wire whose pins are out of order.
+//   - reads, when set (Observe), is told of every candidate's reads.
 //
-// Between calls a Scratch holds no reference to any array, view or
-// circuit, so pooling one retains nothing of what it routed.
+// Between calls a Scratch holds no reference to any array or circuit,
+// and PutScratch drops its observer, so pooling one retains nothing of
+// what it routed.
 //
-// Scratch is not safe for concurrent use. The CostView stays the seam
-// between the kernel and its callers: a view that is not a plain
-// ArrayView — tracing, the negotiated cost function — observes
-// exactly the reads the sequential reference kernel performs, in the same
-// order (a RunCostView as straight runs of them), and every view sees the
-// same writes.
+// Scratch is not safe for concurrent use.
 type Scratch struct {
 	grid    geom.Grid
 	visited []uint64
 	epoch   uint64
 	cells   []geom.Point
 	xs      []int
-	coster  costSink
 	runs    runSums
 	sorted  []geom.Point
+	reads   ReadObserver
 }
 
 // NewScratch returns a Scratch sized for grid g.
@@ -77,9 +72,14 @@ func GetScratch(g geom.Grid) *Scratch { return scratchPool(g).Get().(*Scratch) }
 // ignored. The caller must not use s afterwards.
 func PutScratch(s *Scratch) {
 	if s != nil {
+		s.reads = nil
 		scratchPool(s.grid).Put(s)
 	}
 }
+
+// Observe makes every later routing on s tell o of each candidate's
+// reads (see ReadObserver); nil stops it. The costing does not change.
+func (s *Scratch) Observe(o ReadObserver) { s.reads = o }
 
 // ensure (re)sizes the visited grid when the scratch first sees a grid or
 // the grid changes (tests reuse one scratch across differently sized
@@ -107,11 +107,11 @@ func (s *Scratch) SortedPins(w *circuit.Wire) []geom.Point {
 	return s.sorted
 }
 
-// RouteWire evaluates the candidate routes for w against view and returns
-// the best one, exactly as the package-level RouteWire does, reusing the
-// scratch's buffers. It does not modify the view; call Commit to place
-// the wire.
-func (s *Scratch) RouteWire(view CostView, w *circuit.Wire, params Params) Eval {
+// RouteWire evaluates the candidate routes for w on view's array and
+// returns the best one, exactly as the package-level RouteWire does,
+// reusing the scratch's buffers. It does not modify the array; call Place
+// or Commit to place the wire.
+func (s *Scratch) RouteWire(view ArrayView, w *circuit.Wire, params Params) Eval {
 	return s.RerouteWire(view, w, params, Path{})
 }
 
@@ -120,18 +120,18 @@ func (s *Scratch) RouteWire(view CostView, w *circuit.Wire, params Params) Eval 
 // storage when it fits, so a batch driver's rip-up-and-reroute allocates
 // only when a wire's path outgrows its last one. prev must be w's own
 // path and nothing may read it afterwards — its cells are overwritten.
-func (s *Scratch) RerouteWire(view CostView, w *circuit.Wire, params Params, prev Path) Eval {
+func (s *Scratch) RerouteWire(view ArrayView, w *circuit.Wire, params Params, prev Path) Eval {
 	params = params.withDefaults()
-	s.ensure(view.Grid())
+	s.ensure(view.A.Grid())
 	return s.routePins(view, s.SortedPins(w), params, prev.Cells)
 }
 
 // RoutePair routes the two-pin segment between a and b — the
 // strict-ownership scheme's unit of work. The pins are put in canonical
 // (X, Y) order first, matching RouteWire on a two-pin wire.
-func (s *Scratch) RoutePair(view CostView, a, b geom.Point, params Params) Eval {
+func (s *Scratch) RoutePair(view ArrayView, a, b geom.Point, params Params) Eval {
 	params = params.withDefaults()
-	s.ensure(view.Grid())
+	s.ensure(view.A.Grid())
 	if b.X < a.X || (b.X == a.X && b.Y < a.Y) {
 		a, b = b, a
 	}
@@ -145,7 +145,7 @@ func (s *Scratch) RoutePair(view CostView, a, b geom.Point, params Params) Eval 
 // routePins decomposes the sorted pin list into two-pin segments and
 // routes each, deduplicating the per-wire path via the epoch grid; the
 // path is copied into into when it fits (see takePath).
-func (s *Scratch) routePins(view CostView, pins []geom.Point, params Params, into []geom.Point) Eval {
+func (s *Scratch) routePins(view ArrayView, pins []geom.Point, params Params, into []geom.Point) Eval {
 	s.beginWire()
 	var ev Eval
 	for i := 0; i+1 < len(pins); i++ {
@@ -180,83 +180,79 @@ func (s *Scratch) takePath(into []geom.Point) Path {
 	return Path{Cells: into}
 }
 
-// row writes the cells of channel y from column from to column to (either
-// direction) into the wire's path, skipping the first when !first — the
-// corner the previous run ended on — and any cell the wire already holds.
-func (s *Scratch) row(y, from, to int, first bool) {
-	step := 1
-	if to < from {
-		step = -1
+// span is a straight run of n cells from (x, y) on, dx and dy apart: one
+// of them zero and the other ±1.
+type span struct{ x, y, dx, dy, n int }
+
+// horizontal is channel y from column x0 to column x1, either direction.
+func horizontal(y, x0, x1 int) span {
+	dx := 1
+	if x1 < x0 {
+		dx = -1
 	}
-	if !first {
-		if from == to {
-			return
-		}
-		from += step
-	}
-	at := y * s.grid.Grids
-	for x := from; ; x += step {
-		if s.visited[at+x] != s.epoch {
-			s.visited[at+x] = s.epoch
-			s.cells = append(s.cells, geom.Pt(x, y))
-		}
-		if x == to {
-			return
-		}
-	}
+	return span{x0, y, dx, 0, (x1-x0)*dx + 1}
 }
 
-// col is row for column x, channels from to to.
-func (s *Scratch) col(x, from, to int, first bool) {
-	step := 1
-	if to < from {
-		step = -1
+// vertical is column x from channel y0 to channel y1, either direction.
+func vertical(x, y0, y1 int) span {
+	dy := 1
+	if y1 < y0 {
+		dy = -1
 	}
-	if !first {
-		if from == to {
-			return
-		}
-		from += step
-	}
-	stride := step * s.grid.Grids
-	i := from*s.grid.Grids + x
-	for y := from; ; y, i = y+step, i+stride {
-		if s.visited[i] != s.epoch {
-			s.visited[i] = s.epoch
-			s.cells = append(s.cells, geom.Pt(x, y))
-		}
-		if y == to {
-			return
-		}
-	}
+	return span{x, y0, 0, dy, (y1-y0)*dy + 1}
 }
 
-// winner writes the cells of candidate m (a VHV crossing channel when
-// vhv, else an HVH jog column) into the wire's path as its three runs —
-// the cells walkVHV/walkHVH visit, in order, less those the wire already
-// holds.
-func (s *Scratch) winner(p, q geom.Point, vhv bool, m int) {
+// tail is r less its first cell: the corner the previous run ended on.
+func (r span) tail() span { return span{r.x + r.dx, r.y + r.dy, r.dx, r.dy, r.n - 1} }
+
+// candidate decomposes candidate m of segment p–q (a VHV crossing channel
+// when vhv, else an HVH jog column) into its three straight runs in path
+// order, the second and third less the corner they start on, which the
+// run before ended on; either may then be empty. The observer is told
+// these runs and the winner is written from them, so the cells a trace
+// records and the cells a path holds come from one decomposition.
+func candidate(p, q geom.Point, vhv bool, m int) [3]span {
 	if vhv {
-		s.col(p.X, p.Y, m, true)
-		s.row(m, p.X, q.X, false)
-		s.col(q.X, m, q.Y, false)
-		return
+		return [3]span{vertical(p.X, p.Y, m), horizontal(m, p.X, q.X).tail(), vertical(q.X, m, q.Y).tail()}
 	}
-	s.row(p.Y, p.X, m, true)
-	s.col(m, p.Y, q.Y, false)
-	s.row(q.Y, m, q.X, false)
+	return [3]span{horizontal(p.Y, p.X, m), vertical(m, p.Y, q.Y).tail(), horizontal(q.Y, m, q.X).tail()}
+}
+
+// observe tells the observer the non-empty runs of candidate m.
+func (s *Scratch) observe(p, q geom.Point, vhv bool, m int) {
+	for _, r := range candidate(p, q, vhv, m) {
+		if r.n > 0 {
+			s.reads.ReadRun(r.x, r.y, r.dx, r.dy, r.n)
+		}
+	}
+}
+
+// winner writes the cells of candidate m into the wire's path, in order,
+// less those the wire already holds.
+func (s *Scratch) winner(p, q geom.Point, vhv bool, m int) {
+	visited, epoch, cells := s.visited, s.epoch, s.cells
+	for _, r := range candidate(p, q, vhv, m) {
+		x, y, i, step := r.x, r.y, r.y*s.grid.Grids+r.x, r.dy*s.grid.Grids+r.dx
+		for range r.n {
+			if visited[i] != epoch {
+				visited[i] = epoch
+				cells = append(cells, geom.Pt(x, y))
+			}
+			x, y, i = x+r.dx, y+r.dy, i+step
+		}
+	}
+	s.cells = cells
 }
 
 // routeSegment enumerates the low-bend candidate routes between p and q —
 // the HVH family over sampled jog columns, then the VHV family over the
-// extended pin band — costs each, and materialises cells only for the
-// cheapest (ties broken by enumeration order). A plain ArrayView is costed
-// by run sums; any other view by walking each candidate's straight runs
-// against it (RunCostView). The winner is written as runs (winner);
-// TestWinnerRunsMatchWalker and FuzzFlatSegment pin its cells to the
-// walker's reads.
-func (s *Scratch) routeSegment(view CostView, p, q geom.Point, params Params) (cost int64, examined int) {
-	grid := view.Grid()
+// extended pin band — costs each by run sums on view's array, then tells
+// the observer (if any) each one's runs in the same order, and
+// materialises cells only for the cheapest (ties broken by enumeration
+// order). FuzzFlatSegment pins the costs, the observed runs and the
+// winner to materialised reference candidates.
+func (s *Scratch) routeSegment(view ArrayView, p, q geom.Point, params Params) (cost int64, examined int) {
+	grid := view.A.Grid()
 	x0, x1 := min(p.X, q.X), max(p.X, q.X)
 	// VHV band: the pin channels extended by VHVDetourChannels in each
 	// direction, clamped to the grid.
@@ -264,38 +260,29 @@ func (s *Scratch) routeSegment(view CostView, p, q geom.Point, params Params) (c
 	y1 := min(max(p.Y, q.Y)+params.VHVDetourChannels, grid.Channels-1)
 	s.xs = hvhSamples(s.xs[:0], x0, x1, params.MaxHVHCandidates)
 	best := pick{cost: -1}
-	if av, flat := view.(ArrayView); flat {
-		r := &s.runs
-		// The pin columns' sums must reach both pins even when a negative
-		// VHVDetourChannels shrinks the band inside them.
-		r.reset(av.A, p, q, s.xs, min(y0, p.Y, q.Y), max(y1, p.Y, q.Y))
-		for k, xm := range s.xs {
-			sum, n := r.hvh(k)
-			best.offer(false, xm, sum, n)
-		}
-		for ym := y0; ym <= y1; ym++ {
-			sum, n := r.vhv(ym)
-			best.offer(true, ym, sum, n)
-		}
-		r.cells, r.xs = nil, nil
-	} else {
-		k := &s.coster
-		k.view = view
-		k.runs, _ = view.(RunCostView)
-		for _, xm := range s.xs {
-			k.sum, k.n = 0, 0
-			walkHVH(p, q, xm, k)
-			best.offer(false, xm, k.sum, k.n)
-		}
-		for ym := y0; ym <= y1; ym++ {
-			k.sum, k.n = 0, 0
-			walkVHV(p, q, ym, k)
-			best.offer(true, ym, k.sum, k.n)
-		}
-		k.view, k.runs = nil, nil
+	r := &s.runs
+	// The pin columns' sums must reach both pins even when a negative
+	// VHVDetourChannels shrinks the band inside them.
+	r.reset(view.A, p, q, s.xs, min(y0, p.Y, q.Y), max(y1, p.Y, q.Y))
+	for k, xm := range s.xs {
+		sum, n := r.hvh(k)
+		best.offer(false, xm, sum, n)
 	}
-	// Materialise only the winner; this pass reads nothing from the view,
-	// so traced executions observe candidate evaluation reads only.
+	for ym := y0; ym <= y1; ym++ {
+		sum, n := r.vhv(ym)
+		best.offer(true, ym, sum, n)
+	}
+	r.cells, r.xs = nil, nil
+	if s.reads != nil {
+		for _, xm := range s.xs {
+			s.observe(p, q, false, xm)
+		}
+		for ym := y0; ym <= y1; ym++ {
+			s.observe(p, q, true, ym)
+		}
+	}
+	// Materialise only the winner; this pass reads nothing from the
+	// array, so an observer sees candidate evaluation reads only.
 	s.winner(p, q, best.vhv, best.m)
 	return best.cost, best.examined
 }
@@ -338,30 +325,9 @@ func (b *pick) offer(vhv bool, m int, sum int64, n int) {
 	}
 }
 
-// costSink sums view costs over a candidate walk, a straight run at a
-// time: through the view's CostRun when it has one, else cell by cell.
-type costSink struct {
-	view CostView
-	runs RunCostView // view, when it costs runs itself
-	sum  int64
-	n    int
-}
-
-func (k *costSink) run(x, y, dx, dy, n int) {
-	k.n += n
-	if k.runs != nil {
-		k.sum += k.runs.CostRun(x, y, dx, dy, n)
-		return
-	}
-	for ; n > 0; n-- {
-		k.sum += int64(k.view.Cost(x, y))
-		x, y = x+dx, y+dy
-	}
-}
-
 // runSums costs one segment's candidates straight from a plain array's
-// row-major cells. A candidate is three straight runs and the walker
-// skips exactly the two corner cells where they meet, so the walker's
+// row-major cells. A candidate is three straight runs that share the two
+// corner cells where they meet, each read once (see candidate), so its
 // sum is the three run sums minus the two corners, and its count the
 // three run lengths minus two.
 //
@@ -461,7 +427,7 @@ func run(pre []int64, base, a, b int) int64 {
 
 func (r *runSums) at(x, y int) int64 { return int64(r.cells[y*r.stride+x]) }
 
-// hvh costs walkHVH(p, q, xs[k]): row p.Y up to the jog column, which is
+// hvh costs the HVH candidate through jog column xs[k]: row p.Y up to the jog column, which is
 // cumP[k], plus row q.Y from it, the whole row less cumQ[k] but for the
 // jog cell itself, plus the jog column, less the two corners.
 func (r *runSums) hvh(k int) (sum int64, n int) {
@@ -474,7 +440,7 @@ func (r *runSums) hvh(k int) (sum int64, n int) {
 	return sum, q.X - p.X + yb - ya + 1
 }
 
-// vhv costs walkVHV(p, q, ym).
+// vhv costs the VHV candidate through crossing channel ym.
 func (r *runSums) vhv(ym int) (sum int64, n int) {
 	p, q := r.p, r.q
 	switch ym {
@@ -487,65 +453,4 @@ func (r *runSums) vhv(ym int) (sum int64, n int) {
 	}
 	sum += run(r.colP, r.y0, p.Y, ym) + run(r.colQ, r.y0, ym, q.Y) - r.at(p.X, ym) - r.at(q.X, ym)
 	return sum, absInt(ym-p.Y) + q.X - p.X + absInt(q.Y-ym) + 1
-}
-
-// runWalker hands a costSink a candidate's horizontal and vertical runs
-// with adjacent duplicates (the corners where runs meet) skipped — the
-// same sequence the materialised hvhPath/vhvPath lists hold. Inside a
-// straight run no cell repeats its predecessor, so only a run's first
-// cell can repeat the last cell read, and only it is skipped. It costs
-// views that are not plain arrays; the winner is written by
-// Scratch.winner.
-type runWalker struct {
-	sink         *costSink
-	lastX, lastY int
-	started      bool
-}
-
-// run hands the sink the n cells from (x, y) on, dx and dy apart, less the
-// first when it is the last cell read.
-func (w *runWalker) run(x, y, dx, dy, n int) {
-	if w.started && x == w.lastX && y == w.lastY {
-		x, y, n = x+dx, y+dy, n-1
-		if n == 0 {
-			return
-		}
-	}
-	w.started = true
-	w.lastX, w.lastY = x+(n-1)*dx, y+(n-1)*dy
-	w.sink.run(x, y, dx, dy, n)
-}
-
-func (w *runWalker) horizontal(y, x0, x1 int) {
-	dx := 1
-	if x1 < x0 {
-		dx = -1
-	}
-	w.run(x0, y, dx, 0, absInt(x1-x0)+1)
-}
-
-func (w *runWalker) vertical(x, y0, y1 int) {
-	dy := 1
-	if y1 < y0 {
-		dy = -1
-	}
-	w.run(x, y0, 0, dy, absInt(y1-y0)+1)
-}
-
-// walkHVH costs the cells of the horizontal-vertical-horizontal route
-// through jog column xm, in path order.
-func walkHVH(p, q geom.Point, xm int, sink *costSink) {
-	w := runWalker{sink: sink}
-	w.horizontal(p.Y, p.X, xm)
-	w.vertical(xm, p.Y, q.Y)
-	w.horizontal(q.Y, xm, q.X)
-}
-
-// walkVHV costs the cells of the vertical-horizontal-vertical route
-// through crossing channel ym, in path order.
-func walkVHV(p, q geom.Point, ym int, sink *costSink) {
-	w := runWalker{sink: sink}
-	w.vertical(p.X, p.Y, ym)
-	w.horizontal(ym, p.X, q.X)
-	w.vertical(q.X, ym, q.Y)
 }

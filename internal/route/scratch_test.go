@@ -31,7 +31,7 @@ func TestScratchReuseMatchesStandalone(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		v.A.Add(rng.Intn(120), rng.Intn(8), int32(rng.Intn(5)))
 	}
-	s := NewScratch(v.Grid())
+	s := NewScratch(v.A.Grid())
 	for trial := 0; trial < 200; trial++ {
 		nPins := 2 + rng.Intn(3)
 		pins := make([]geom.Point, nPins)
@@ -57,7 +57,7 @@ func TestScratchReuseMatchesStandalone(t *testing.T) {
 // first wire must reproduce its first routing.
 func TestScratchPinCacheInvalidation(t *testing.T) {
 	v := emptyView(6, 40)
-	s := NewScratch(v.Grid())
+	s := NewScratch(v.A.Grid())
 
 	w1 := &circuit.Wire{ID: 7, Pins: []geom.Point{geom.Pt(30, 2), geom.Pt(5, 1)}}
 	ev1 := s.RouteWire(v, w1, DefaultParams())
@@ -91,7 +91,7 @@ func TestRoutePairMatchesTwoPinWire(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		v.A.Add(rng.Intn(60), rng.Intn(6), int32(rng.Intn(4)))
 	}
-	s := NewScratch(v.Grid())
+	s := NewScratch(v.A.Grid())
 	for trial := 0; trial < 100; trial++ {
 		a := geom.Pt(rng.Intn(60), rng.Intn(6))
 		b := geom.Pt(rng.Intn(60), rng.Intn(6))
@@ -111,7 +111,7 @@ func TestRoutePairMatchesTwoPinWire(t *testing.T) {
 func TestScratchGridResize(t *testing.T) {
 	small := emptyView(4, 20)
 	big := emptyView(8, 200)
-	s := NewScratch(small.Grid())
+	s := NewScratch(small.A.Grid())
 
 	w := &circuit.Wire{ID: 1, Pins: []geom.Point{geom.Pt(2, 1), geom.Pt(15, 3)}}
 	if got, want := s.RouteWire(small, w, DefaultParams()), RouteWire(small, w, DefaultParams()); !evalsEqual(got, want) {
@@ -126,9 +126,10 @@ func TestScratchGridResize(t *testing.T) {
 	}
 }
 
-// The walkers must enumerate exactly the cells of the materialised
-// reference paths, in order — the invariant that keeps the cost-only
-// pass and the winner materialisation (and thus every trace) identical.
+// A candidate's runs (what an observer is told and the winner is written
+// from) must be exactly the cells of the materialised reference path, in
+// order — the invariant that keeps the trace and the winner identical to
+// the paper's program's reads.
 func TestWalkersMatchReferencePaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 300; trial++ {
@@ -138,8 +139,8 @@ func TestWalkersMatchReferencePaths(t *testing.T) {
 		ym := rng.Intn(8)
 
 		check := func(name string, ref []geom.Point, vhv bool, m int) {
-			if got := walked(p, q, vhv, m); !slices.Equal(got, ref) {
-				t.Fatalf("trial %d %s: walker reads %v, reference %v", trial, name, got, ref)
+			if got := spanCells(candidate(p, q, vhv, m)); !slices.Equal(got, ref) {
+				t.Fatalf("trial %d %s: runs hold %v, reference %v", trial, name, got, ref)
 			}
 		}
 		check("hvh", hvhPath(p, q, xm), false, xm)
@@ -147,31 +148,35 @@ func TestWalkersMatchReferencePaths(t *testing.T) {
 	}
 }
 
-// Place must return PathCost and leave the array Commit leaves, and the
-// flat fast paths of PathCost, Commit and RipUp must match the per-cell
-// interface path a walkerView takes.
+// cellWriter is a CostView that is not a plain ArrayView, though it
+// writes through one: Commit and RipUp write it cell by cell through
+// AddCost, as they write the message passing and traced views.
+type cellWriter struct{ ArrayView }
+
+// Place must return PathCost and leave the array Commit leaves, and
+// Commit and RipUp must write a plain ArrayView as they write any other
+// CostView, cell by cell.
 func TestPlaceEqualsPathCostThenCommit(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for trial := 0; trial < 300; trial++ {
 		v := randomView(rng, 1+rng.Intn(10), 1+rng.Intn(60))
 		pins := make([]geom.Point, 2+rng.Intn(4))
 		for i := range pins {
-			pins[i] = geom.Pt(rng.Intn(v.Grid().Grids), rng.Intn(v.Grid().Channels))
+			pins[i] = geom.Pt(rng.Intn(v.A.Grid().Grids), rng.Intn(v.A.Grid().Channels))
 		}
 		path := RouteWire(v, &circuit.Wire{Pins: pins}, DefaultParams()).Path
-		placed, flat, walk := v.A.Clone(), ArrayView{A: v.A.Clone()}, walkerView{ArrayView{A: v.A.Clone()}}
-		cost := Place(placed, path)
-		if f, w := PathCost(flat, path), PathCost(walk, path); f != cost || w != cost {
-			t.Fatalf("trial %d: Place cost %d, PathCost %d flat, %d per cell", trial, cost, f, w)
+		placed, flat, cell := v.A.Clone(), ArrayView{A: v.A.Clone()}, cellWriter{ArrayView{A: v.A.Clone()}}
+		if cost, want := Place(placed, path), PathCost(v.A, path); cost != want {
+			t.Fatalf("trial %d: Place cost %d, PathCost %d", trial, cost, want)
 		}
 		Commit(flat, path)
-		Commit(walk, path)
-		if !placed.Equal(flat.A) || !placed.Equal(walk.A) {
+		Commit(cell, path)
+		if !placed.Equal(flat.A) || !placed.Equal(cell.A) {
 			t.Fatalf("trial %d: Place and Commit leave different arrays", trial)
 		}
 		RipUp(flat, path)
-		RipUp(walk, path)
-		if !flat.A.Equal(v.A) || !walk.A.Equal(v.A) {
+		RipUp(cell, path)
+		if !flat.A.Equal(v.A) || !cell.A.Equal(v.A) {
 			t.Fatalf("trial %d: RipUp does not undo Commit", trial)
 		}
 	}

@@ -3,21 +3,14 @@ package route
 import (
 	"locusroute/internal/circuit"
 	"locusroute/internal/costarray"
-	"locusroute/internal/geom"
 )
 
-// ArrayView adapts a plain *costarray.CostArray to CostView: the view of
-// every caller whose reads nobody observes, which the kernel recognises
-// by type and costs by run sums straight off A's cells.
+// ArrayView is the array the kernel prices candidates on, and the plain
+// writer Commit and RipUp recognise by type and apply straight to A's
+// cells.
 type ArrayView struct {
 	A *costarray.CostArray
 }
-
-// Grid implements CostView.
-func (v ArrayView) Grid() geom.Grid { return v.A.Grid() }
-
-// Cost implements CostView.
-func (v ArrayView) Cost(x, y int) int32 { return v.A.At(x, y) }
 
 // AddCost implements CostView.
 func (v ArrayView) AddCost(x, y int, d int32) { v.A.Add(x, y, d) }

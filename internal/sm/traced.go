@@ -30,28 +30,20 @@ func addrOf(grid geom.Grid, x, y int) uint64 {
 // it.
 const counterAddr = 1 << 40
 
-// tracedView routes reads and writes of one logical process through the
-// shared array, recording every reference and advancing the process's
-// virtual clock per access. The kernel reads it a straight run at a time
-// (CostRun), and a run of reads enters the trace as one trace.Run. Writes
-// performed through the view update the shared array immediately
-// (rip-up) — commits use deferred application, see proc.commitWire.
+// tracedView is one logical process's traced access to the shared array.
+// The kernel costs candidates on the array itself and tells the view,
+// its scratch's observer, each candidate's straight runs (ReadRun), and a run of reads enters
+// the trace as one trace.Run. Rip-up writes through the view (AddCost)
+// update the shared array immediately — commits use deferred
+// application, see routeOneWire.
 type tracedView struct {
 	p *proc
 }
 
-func (v tracedView) Grid() geom.Grid { return v.p.r.shared.Grid() }
-
-func (v tracedView) Cost(x, y int) int32 {
-	p := v.p
-	p.ref(p.r.cfg.Perf.CellEval, addrOf(p.r.shared.Grid(), x, y), trace.Read)
-	return p.r.shared.At(x, y)
-}
-
-// CostRun reads the n cells from (x, y) on, dx and dy apart: n references
-// CellEval apart, the first one CellEval after the clock, at addresses
-// one column (dx) or one channel (dy) apart.
-func (v tracedView) CostRun(x, y, dx, dy, n int) int64 {
+// ReadRun records the n reads from (x, y) on, dx and dy apart: n
+// references CellEval apart, the first one CellEval after the clock, at
+// addresses one column (dx) or one channel (dy) apart.
+func (v tracedView) ReadRun(x, y, dx, dy, n int) {
 	p := v.p
 	g := p.r.shared.Grid()
 	eval := p.r.cfg.Perf.CellEval
@@ -62,12 +54,6 @@ func (v tracedView) CostRun(x, y, dx, dy, n int) int64 {
 	})
 	p.clock += sim.Time(n) * eval
 	p.r.refs[trace.Read] += n
-	cells, step := p.r.shared.Cells(), dy*g.Grids+dx
-	var sum int64
-	for i := p.r.shared.Index(x, y); n > 0; n, i = n-1, i+step {
-		sum += int64(cells[i])
-	}
-	return sum
 }
 
 func (v tracedView) AddCost(x, y int, d int32) {
@@ -159,11 +145,11 @@ func (p *proc) routeOneWire(wi int, iter int) {
 	if iter > 0 {
 		route.RipUp(view, r.paths[wi])
 	}
-	ev := p.scratch.RouteWire(view, w, r.cfg.Router)
+	ev := p.scratch.RouteWire(route.ArrayView{A: r.shared}, w, r.cfg.Router)
 	// Occupancy contribution: the deduplicated path cost against the
 	// shared array at routing time (a metric computation, not program
 	// memory traffic, so it is not traced).
-	cost := route.PathCost(route.ArrayView{A: r.shared}, ev.Path)
+	cost := route.PathCost(r.shared, ev.Path)
 	// Trace the commit writes at their natural times; each write becomes
 	// visible to *other* processes at that time (per-cell pending
 	// application), not retroactively before it happened.
@@ -226,6 +212,7 @@ func RunTraced(circ *circuit.Circuit, cfg Config, sink func([]trace.Ref)) (Resul
 	procs := r.procs
 	for i := range procs {
 		procs[i] = &proc{id: i, r: r, scratch: route.NewScratch(circ.Grid)}
+		procs[i].scratch.Observe(tracedView{p: procs[i]})
 		if cfg.Order == Static {
 			procs[i].work = cfg.Assignment.WiresOf(i)
 		}

@@ -160,7 +160,9 @@ type RecoveryStats struct {
 
 // entry is one resident circuit. All mutable state is guarded by mu;
 // the canonical invariant is arr == sum of Commit(paths[id]) for every
-// held id.
+// held id. arr, circ's wires and paths change only in apply, which bumps
+// epoch once per op, so summary (what infoLocked computes from the whole
+// array and every path) stays valid while its epoch is the entry's.
 type entry struct {
 	mu    sync.Mutex
 	dead  bool
@@ -173,7 +175,16 @@ type entry struct {
 	baseline route.Result
 	scratch  *route.Scratch
 	// slots is the memory-budget charge taken at upload or recovery.
-	slots int
+	slots   int
+	summary summary
+}
+
+// summary is an entry's array hash and memory estimate as of one epoch.
+type summary struct {
+	ok    bool
+	epoch uint64
+	hash  string
+	bytes int64
 }
 
 // Store is the circuit lifecycle owner. Safe for concurrent use.
@@ -587,8 +598,8 @@ func (e *entry) removeWire(id int) {
 // estimateBytes is the memory-budget charge: array cells plus wire and
 // path headers. An estimate, not an allocator census — the budget is an
 // admission bound, not an accounting ledger. It walks every wire and
-// path, so it runs where a charge is taken and where Info asks, never
-// per mutation.
+// path, so it runs where a charge is taken and where Info asks after a
+// mutation, never per mutation.
 func (e *entry) estimateBytes() int64 {
 	b := int64(e.circ.Grid.Cells()) * 4
 	for i := range e.circ.Wires {
@@ -600,16 +611,21 @@ func (e *entry) estimateBytes() int64 {
 	return b
 }
 
-// infoLocked assembles the summary; caller holds e.mu.
+// infoLocked assembles the summary, hashing the array and walking the
+// paths only when the epoch has moved since they were last summed;
+// caller holds e.mu.
 func (e *entry) infoLocked(name string) Info {
+	if sum := &e.summary; !sum.ok || sum.epoch != e.epoch {
+		*sum = summary{ok: true, epoch: e.epoch, hash: e.arr.Hash(), bytes: e.estimateBytes()}
+	}
 	return Info{
 		Name:      name,
 		Grid:      e.circ.Grid,
 		Wires:     len(e.circ.Wires),
 		Epoch:     e.epoch,
-		Bytes:     e.estimateBytes(),
+		Bytes:     e.summary.bytes,
 		Baseline:  e.baseline,
-		ArrayHash: e.arr.Hash(),
+		ArrayHash: e.summary.hash,
 	}
 }
 

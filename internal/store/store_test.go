@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -432,6 +433,59 @@ func TestInfoBytesFollowsMutations(t *testing.T) {
 	}
 	if got := bytes(); got != uploaded.Bytes {
 		t.Errorf("Bytes after removing the added wire = %d, want the upload's %d", got, uploaded.Bytes)
+	}
+}
+
+// TestInfoFollowsEpoch: Info's array hash and memory estimate are
+// summed once per epoch and never go stale. After each of several
+// mutations Get reports the new epoch, the hash of the canonical array
+// and the estimate of the current wires and paths; two Gets with no
+// mutation between them report equal Info.
+func TestInfoFollowsEpoch(t *testing.T) {
+	s, err := Open(Config{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, err := s.Upload(smallCircuit(t, "dyn", 3)); err != nil {
+		t.Fatalf("Upload: %v", err)
+	}
+	get := func() Info {
+		t.Helper()
+		info, ok := s.Get("dyn")
+		if !ok {
+			t.Fatal("dyn missing")
+		}
+		return info
+	}
+	check := func(what string, epoch uint64) {
+		t.Helper()
+		info := get()
+		arr, _ := s.CloneArray("dyn")
+		e := s.lookup("dyn")
+		e.mu.Lock()
+		bytes := e.estimateBytes()
+		e.mu.Unlock()
+		if info.Epoch != epoch || info.ArrayHash != arr.Hash() || info.Bytes != bytes {
+			t.Fatalf("%s: Info epoch %d hash %s bytes %d, want epoch %d hash %s bytes %d",
+				what, info.Epoch, info.ArrayHash, info.Bytes, epoch, arr.Hash(), bytes)
+		}
+		if again := get(); again != info {
+			t.Fatalf("%s: a second Get with no mutation between reports %+v, the first %+v", what, again, info)
+		}
+	}
+	check("upload", 0)
+	pins := []geom.Point{geom.Pt(2, 1), geom.Pt(30, 3)}
+	for _, batch := range [][]Op{
+		{{Kind: OpAdd, WireID: 500, Pins: pins}},
+		{{Kind: OpReroute, WireID: 500, Pins: []geom.Point{geom.Pt(36, 0), geom.Pt(5, 2)}}},
+		{{Kind: OpReroute, WireID: 0}, {Kind: OpAdd, WireID: 501, Pins: pins}},
+		{{Kind: OpRemove, WireID: 500}},
+	} {
+		res, err := s.Mutate("dyn", batch)
+		if err != nil {
+			t.Fatalf("Mutate %+v: %v", batch, err)
+		}
+		check(fmt.Sprintf("after %+v", batch), res.Epoch)
 	}
 }
 
