@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"locusroute/internal/obs"
+	"locusroute/internal/policy"
 )
 
 // parse builds a fresh flag set with every group registered and parses
@@ -21,6 +23,7 @@ func parse(t *testing.T, args ...string) *Common {
 	c.AddObs(fs)
 	c.AddBench(fs)
 	c.AddCircuitFile(fs)
+	c.AddPolicy(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -114,5 +117,30 @@ func TestWriteSnapshotDestinations(t *testing.T) {
 	}
 	if none.Len() != 0 || !bytes.Equal(got, stdout.Bytes()) {
 		t.Errorf("file document differs from the stdout one, or stdout was written (%d bytes)", none.Len())
+	}
+}
+
+// TestPolicyFlags checks each policy flag lands in its own
+// policy.Config field, and that the defaults enable nothing.
+func TestPolicyFlags(t *testing.T) {
+	if cfg := parse(t).Policy(); cfg.Enabled() {
+		t.Errorf("default policy flags enable %+v", cfg)
+	}
+	c := parse(t, "-admit-floor", "3ms", "-rate-limit", "2.5", "-rate-burst", "7",
+		"-breaker-failures", "11", "-breaker-cooldown", "13s", "-cache-size", "17", "-edf")
+	want := policy.Config{
+		AdmitFloor:      3 * time.Millisecond,
+		RatePerSec:      2.5,
+		Burst:           7,
+		BreakerFailures: 11,
+		BreakerCooldown: 13 * time.Second,
+		CacheEntries:    17,
+		EDF:             true,
+	}
+	if got := c.Policy(); got != want {
+		t.Errorf("Policy() = %+v, want %+v", got, want)
+	}
+	if err := c.Validate(); err != nil {
+		t.Errorf("valid policy flags rejected: %v", err)
 	}
 }

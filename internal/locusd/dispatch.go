@@ -147,6 +147,7 @@ func (s *Server) process(sc *servedCircuit, shard int, batch []*policy.Item) {
 	view := route.ArrayView{A: sc.arr}
 	scratch := route.GetScratch(sc.grid)
 	defer route.PutScratch(scratch)
+	params := route.DefaultParams() // what every read routes with
 	tr := s.cfg.Tracer
 	batchStart := tr.Now() // 0 when tracing is disabled
 	for i, it := range batch {
@@ -164,7 +165,7 @@ func (s *Server) process(sc *servedCircuit, shard int, batch []*policy.Item) {
 		// shared by the whole batch — request i's batch stage is the time
 		// earlier members spent routing.
 		t := [4]int64{batchStart, tr.Now()}
-		ev := scratch.RouteWire(view, &p.req.Wire, s.cfg.Router)
+		ev := scratch.RouteWire(view, &p.req.Wire, params)
 		t[2] = tr.Now()
 		t[3] = t[2] // no commit: the commit stage charges zero
 		if p.req.Commit {

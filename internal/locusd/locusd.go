@@ -87,8 +87,6 @@ type Config struct {
 	// Pool bounds concurrent batch evaluations; nil means unbounded
 	// (every shard may evaluate at once), as for any nil par.Pool.
 	Pool *par.Pool
-	// Router tunes the route kernel (zero value = route.DefaultParams).
-	Router route.Params
 	// Policy configures the request-path chain; the zero value disables
 	// every element, leaving arrival-order dispatch.
 	Policy policy.Config
@@ -104,10 +102,13 @@ type Config struct {
 	// Store owns the dynamic circuit lifecycle: runtime uploads,
 	// mutations, evictions, and (when it has a persistence directory)
 	// snapshot+WAL recovery. Circuits the store already holds at startup
-	// are served automatically. Nil gets a private in-memory store, so
-	// the lifecycle API always works; pass one explicitly for
-	// persistence or a memory budget. The store's router parameters must
-	// match Router — New enforces nothing, the arrays just diverge.
+	// are served automatically. Nil gets a private in-memory store opened
+	// with route.DefaultParams, the parameters every read routes with,
+	// so the lifecycle API always works; pass one explicitly for
+	// persistence or a memory budget. New does not check an explicit
+	// store's parameters: one opened with the zero store.Config.Router
+	// routes uploads, baselines and mutations at 1 iteration and no
+	// detour while reads use route.DefaultParams (ROADMAP item 22).
 	Store *store.Store
 }
 
@@ -130,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 5 * time.Second
-	}
-	if c.Router.Iterations == 0 {
-		c.Router = route.DefaultParams()
 	}
 	return c
 }
@@ -332,7 +330,7 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 			return nil, errors.New("locusd: no circuits to serve")
 		}
 		var err error
-		st, err = store.Open(store.Config{Router: cfg.Router})
+		st, err = store.Open(store.Config{Router: route.DefaultParams()})
 		if err != nil {
 			return nil, err
 		}
@@ -363,7 +361,7 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 			// durable copy wins over the startup argument.
 		}
 	} else {
-		opts := []locusroute.Option{locusroute.WithRouter(cfg.Router), locusroute.WithProcs(cfg.Procs)}
+		opts := []locusroute.Option{locusroute.WithProcs(cfg.Procs)}
 		if cfg.Partitions > 0 && cfg.Backend == locusroute.Partitioned {
 			opts = append(opts, locusroute.WithPartitions(cfg.Partitions))
 		}

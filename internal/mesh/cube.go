@@ -55,9 +55,6 @@ func NewCube(k *sim.Kernel, dims []int, params Params) (*Cube, error) {
 	return c, nil
 }
 
-// Nodes returns the node count.
-func (c *Cube) Nodes() int { return len(c.inbox) }
-
 // Stats returns the accumulated statistics.
 func (c *Cube) Stats() Stats { return c.stats }
 

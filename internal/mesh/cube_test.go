@@ -18,8 +18,8 @@ func TestNewCubeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Nodes() != 16 {
-		t.Errorf("Nodes = %d, want 16", c.Nodes())
+	if len(c.inbox) != 16 {
+		t.Errorf("%d nodes, want 16", len(c.inbox))
 	}
 }
 

@@ -85,8 +85,6 @@ type Interconnect interface {
 	Inbox(id int) *sim.Chan
 	// Stats returns the accumulated network statistics.
 	Stats() Stats
-	// Nodes returns the node count.
-	Nodes() int
 	// Distance returns the deterministic-route hop count between nodes.
 	Distance(a, b int) int
 	// SetRecorder attaches an observability recorder that receives
@@ -137,9 +135,6 @@ func New(k *sim.Kernel, px, py int, params Params) (*Network, error) {
 	}
 	return n, nil
 }
-
-// Nodes returns the number of nodes.
-func (n *Network) Nodes() int { return n.px * n.py }
 
 // Stats returns the accumulated network statistics.
 func (n *Network) Stats() Stats { return n.stats }

@@ -22,9 +22,9 @@ var stageKind = [NumStages]tracev.Kind{
 
 // WriteChrome renders the retained records finishing within [from, to]
 // (tracer-clock ns; to <= 0 means unbounded) as a Chrome trace-event
-// JSON document through tracev's writer. Each record becomes one
-// enclosing request span tiled by its non-zero stage sub-spans, all
-// carrying the request's minted id as the span arg.
+// JSON document, process "locusd", through tracev's writer. Each record
+// becomes one enclosing request span tiled by its non-zero stage
+// sub-spans, all carrying the request's minted id as the span arg.
 //
 // Requests overlap in time, and the Chrome format nests same-track
 // B/E spans strictly, so records are assigned to synthetic lane tracks
@@ -92,16 +92,12 @@ func (t *Tracer) WriteChrome(w io.Writer, from, to int64) error {
 		tr.End(lane[i], at, tracev.KindRequest, id)
 	}
 
-	process := "locusd"
-	if t != nil && t.opts.Process != "" {
-		process = t.opts.Process
-	}
 	byID := make(map[int64]string, len(sel))
 	for i := range sel {
 		byID[int64(sel[i].ID)] = sel[i].IDString()
 	}
 	return tr.WriteChrome(w, tracev.ChromeOptions{
-		Process: process,
+		Process: "locusd",
 		TrackName: func(track int32) string {
 			return fmt.Sprintf("lane %d", track)
 		},

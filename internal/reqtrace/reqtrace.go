@@ -173,8 +173,6 @@ type Options struct {
 	SlowLog time.Duration
 	// Logger receives slow-request lines; nil uses slog.Default.
 	Logger *slog.Logger
-	// Process names the Chrome-trace process; empty means "locusd".
-	Process string
 }
 
 // DefaultCapacity is the ring size when Options.Capacity is unset.
@@ -206,9 +204,6 @@ func New(o Options) *Tracer {
 	}
 	if o.Sample < 0 {
 		o.Sample = 0
-	}
-	if o.Process == "" {
-		o.Process = "locusd"
 	}
 	return &Tracer{opts: o, epoch: time.Now()}
 }

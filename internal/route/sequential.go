@@ -34,6 +34,15 @@ type Result struct {
 // It returns the final cost array alongside the result so callers can
 // inspect or render the routing.
 func Sequential(c *circuit.Circuit, params Params) (Result, *costarray.CostArray) {
+	res, arr, _ := SequentialPaths(c, params)
+	return res, arr
+}
+
+// SequentialPaths is Sequential that also returns every wire's final
+// path, indexed like c.Wires: the array is exactly the sum of their
+// Commits, so a caller that keeps them can rip up or re-commit any wire
+// later (internal/store's incremental mutations and snapshot reload).
+func SequentialPaths(c *circuit.Circuit, params Params) (Result, *costarray.CostArray, []Path) {
 	params = params.withDefaults()
 	arr := costarray.New(c.Grid)
 	view := ArrayView{A: arr}
@@ -61,5 +70,5 @@ func Sequential(c *circuit.Circuit, params Params) (Result, *costarray.CostArray
 	for _, c := range lastCost {
 		res.Occupancy += c
 	}
-	return res, arr
+	return res, arr, paths
 }

@@ -36,16 +36,21 @@ import (
 	"locusroute/internal/wire"
 )
 
-// Config sizes a store. The zero value is a fully in-memory store with
-// default router parameters and no memory bound.
+// Config sizes a store. The zero value is a fully in-memory store that
+// routes at 1 iteration with no detour (see Router) and has no memory
+// bound.
 type Config struct {
 	// Dir is the persistence directory ("" = in-memory only). Open
 	// creates it, loads any snapshot, and replays the WAL.
 	Dir string
-	// Router tunes the routing kernel for baselines and mutations (zero
-	// value = route.DefaultParams). Must match the serving layer's
-	// parameters for its serving arrays to stay consistent with the
-	// canonical ones.
+	// Router tunes the routing kernel for baselines and mutations. Open
+	// applies route.Params.Normalized, so the zero value routes 1
+	// iteration with VHVDetourChannels 0 — not route.DefaultParams (3
+	// iterations, detour 1), which locusd's reads use. cmd/locusd's
+	// -store-dir/-store-mem store is opened with the zero value, so its
+	// arrays and the reads diverge: ROADMAP item 22. Must match the
+	// serving layer's parameters for its serving arrays to stay
+	// consistent with the canonical ones.
 	Router route.Params
 	// MemBudget bounds the bytes the store admits across all circuits
 	// (0 = unlimited). Accounting is in 64 KiB slots through a
@@ -391,7 +396,11 @@ func (s *Store) lookup(name string) *entry {
 
 // buildEntry routes c's baseline and assembles its resident state.
 func (s *Store) buildEntry(c *circuit.Circuit) *entry {
-	res, arr, paths := routeBaseline(c, s.params)
+	res, arr, byIndex := route.SequentialPaths(c, s.params)
+	paths := make(map[int]route.Path, len(c.Wires))
+	for i := range c.Wires {
+		paths[c.Wires[i].ID] = byIndex[i]
+	}
 	// The store owns a private copy: the caller keeps its circuit, and
 	// mutations must not alias the upload's backing arrays.
 	cc := &circuit.Circuit{Name: c.Name, Grid: c.Grid, Wires: make([]circuit.Wire, len(c.Wires))}
@@ -407,42 +416,6 @@ func (s *Store) buildEntry(c *circuit.Circuit) *entry {
 	}
 	e.slots = slotsFor(e.estimateBytes())
 	return e
-}
-
-// routeBaseline mirrors route.Sequential exactly — same iteration
-// structure, same commit order, bit-identical final array — while
-// retaining the final per-wire paths keyed by wire id.
-// TestBaselineMatchesSequential pins the equivalence.
-func routeBaseline(c *circuit.Circuit, params route.Params) (route.Result, *costarray.CostArray, map[int]route.Path) {
-	params = params.Normalized()
-	arr := costarray.New(c.Grid)
-	view := route.ArrayView{A: arr}
-	scratch := route.NewScratch(c.Grid)
-	paths := make([]route.Path, len(c.Wires))
-	lastCost := make([]int64, len(c.Wires))
-	var res route.Result
-	for iter := 0; iter < params.Iterations; iter++ {
-		for i := range c.Wires {
-			w := &c.Wires[i]
-			if iter > 0 {
-				route.RipUp(view, paths[i])
-			}
-			ev := scratch.RouteWire(view, w, params)
-			lastCost[i] = route.Place(arr, ev.Path)
-			paths[i] = ev.Path
-			res.CellsExamined += int64(ev.CellsExamined)
-			res.WiresRouted++
-		}
-	}
-	res.CircuitHeight = arr.CircuitHeight()
-	for _, c := range lastCost {
-		res.Occupancy += c
-	}
-	byID := make(map[int]route.Path, len(c.Wires))
-	for i := range c.Wires {
-		byID[c.Wires[i].ID] = paths[i]
-	}
-	return res, arr, byID
 }
 
 // validateUpload checks semantic validity plus the wire protocol's

@@ -64,25 +64,49 @@ func checkInvariant(t *testing.T, s *Store, name string) {
 	}
 }
 
-// TestBaselineMatchesSequential pins routeBaseline to route.Sequential:
-// identical result, bit-identical array, and the retained paths sum to
-// that array.
+// TestBaselineMatchesSequential pins an upload's baseline to
+// route.Sequential through the public surface: Info.Baseline is its
+// Result, CloneArray its array, and a snapshot reload, which re-commits
+// the stored paths without routing, rebuilds the same ArrayHash.
 func TestBaselineMatchesSequential(t *testing.T) {
 	c := genCircuit(t, "base", 11)
 	params := route.DefaultParams()
 	wantRes, wantArr := route.Sequential(c, params)
-	gotRes, gotArr, paths := routeBaseline(c, params)
-	if gotRes != wantRes {
-		t.Errorf("result mismatch:\n got %+v\nwant %+v", gotRes, wantRes)
+
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, Router: params})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
-	if !gotArr.Equal(wantArr) {
-		t.Error("baseline array differs from route.Sequential's")
+	info, err := s.Upload(c)
+	if err != nil {
+		t.Fatalf("Upload: %v", err)
 	}
-	if len(paths) != len(c.Wires) {
-		t.Fatalf("retained %d paths for %d wires", len(paths), len(c.Wires))
+	if info.Baseline != wantRes {
+		t.Errorf("baseline mismatch:\n got %+v\nwant %+v", info.Baseline, wantRes)
 	}
-	if !sumOfPaths(c.Grid, paths).Equal(wantArr) {
-		t.Error("retained paths do not sum to the canonical array")
+	if arr, _ := s.CloneArray(c.Name); !arr.Equal(wantArr) {
+		t.Error("uploaded array differs from route.Sequential's")
+	}
+	if info.ArrayHash != wantArr.Hash() {
+		t.Errorf("ArrayHash %s, want %s", info.ArrayHash, wantArr.Hash())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	s2, err := Open(Config{Dir: dir, Router: params})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if rec := s2.Recovery(); rec.SnapshotCircuits != 1 || rec.ReplayedRecords != 0 {
+		t.Fatalf("recovery = %+v, want the circuit from the snapshot alone", rec)
+	}
+	got, _ := s2.Get(c.Name)
+	if got.ArrayHash != info.ArrayHash || got.Baseline != wantRes {
+		t.Errorf("after reload: hash %s baseline %+v, want %s %+v",
+			got.ArrayHash, got.Baseline, info.ArrayHash, wantRes)
 	}
 }
 

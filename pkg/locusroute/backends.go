@@ -43,7 +43,7 @@ func NewPartitioned(opts ...Option) (Backend, error) {
 // NewTracedSharedMemory constructs the Tango-style multiplexed shared
 // memory router: a deterministic virtual-time execution of P processes
 // on one unlocked cost array, with a distributed loop (or a static
-// assignment via WithRoundRobin/WithThreshold/WithPureLocality) and a
+// assignment via WithRoundRobin/WithThreshold) and a
 // barrier per iteration, whose every shared reference is recorded; the
 // result carries the reference trace for the coherence simulator.
 func NewTracedSharedMemory(opts ...Option) (Backend, error) {
@@ -126,7 +126,7 @@ func (b *seqBackend) Procs() int { return 1 }
 
 func (b *seqBackend) Route(ctx context.Context, req Request) (Result, error) {
 	return run(ctx, req, func() (Result, error) {
-		params := b.cfg.params(req.Iterations)
+		params := b.cfg.params()
 		var res route.Result
 		var arr *costarray.CostArray
 		var pdoc *obs.PartitionDoc
@@ -179,7 +179,7 @@ func (b *partBackend) Route(ctx context.Context, req Request) (Result, error) {
 			Workers:    par.New(b.cfg.procs),
 			Negotiated: b.cfg.negotiated,
 		}
-		res, arr, st, err := part.Route(req.Circuit, b.cfg.params(req.Iterations), pcfg)
+		res, arr, st, err := part.Route(req.Circuit, b.cfg.params(), pcfg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -230,7 +230,7 @@ func (b *smBackend) Route(ctx context.Context, req Request) (Result, error) {
 	return run(ctx, req, func() (Result, error) {
 		cfg := sm.DefaultConfig()
 		cfg.Procs = b.cfg.procs
-		cfg.Router = b.cfg.params(req.Iterations)
+		cfg.Router = b.cfg.params()
 		var out Result
 		if m := b.cfg.method; m != assignDefault && m != assignDynamic {
 			asn, err := b.cfg.assignment(req.Circuit, cfg.Procs, &out)
@@ -284,11 +284,10 @@ func (b *mpBackend) mpConfig(req Request) mp.Config {
 	}
 	cfg := mp.DefaultConfig(st)
 	cfg.Procs = b.cfg.procs
-	cfg.Router = b.cfg.params(req.Iterations)
+	cfg.Router = b.cfg.params()
 	if b.cfg.packetsSet {
 		cfg.Packets = b.cfg.packets
 	}
-	cfg.Topology = b.cfg.topology
 	cfg.DynamicWires = b.cfg.dynamic
 	cfg.StrictOwnership = b.cfg.strict
 	cfg.Trace = b.cfg.tracer

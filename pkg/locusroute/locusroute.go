@@ -17,6 +17,10 @@
 //	)
 //	res, err := be.Route(ctx, locusroute.Request{Circuit: c})
 //
+// Every backend routes with the paper's router parameters
+// (route.DefaultParams); WithIterations is the one of them an option
+// sets.
+//
 // Backends are immutable after construction and safe for concurrent
 // Route calls (each call builds its own run state), with one exception:
 // WithTracer attaches a single event recorder, which confines the
@@ -112,9 +116,6 @@ type Request struct {
 	// inside the circuit's grid; Route returns an *OutsideGridError
 	// otherwise — requests are rejected, never clamped.
 	Circuit *Circuit
-	// Iterations overrides the backend's rip-up-and-reroute iteration
-	// count for this request (0 keeps the configured value).
-	Iterations int
 	// Name labels the run in observability documents; empty uses the
 	// circuit name.
 	Name string

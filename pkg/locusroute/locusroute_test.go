@@ -95,7 +95,6 @@ func TestReportedConfigurationRan(t *testing.T) {
 			Strategy{}, true, locality},
 		{"mp-des threshold -1", MPDES, []Option{WithThreshold(-1)}, mp.StandardStrategy(), false, locality},
 		{"mp-des threshold 30", MPDES, []Option{WithThreshold(30)}, mp.StandardStrategy(), false, threshold(30)},
-		{"mp-des pure locality", MPDES, []Option{WithPureLocality()}, mp.StandardStrategy(), false, locality},
 		{"sm-traced defaults", SMTraced, nil, Strategy{}, false, nil},
 		{"sm-traced round robin", SMTraced, []Option{WithRoundRobin()}, Strategy{}, false, assign.AssignRoundRobin(c, part)},
 	} {
@@ -256,10 +255,6 @@ func TestOptionRejection(t *testing.T) {
 			_, err := NewTracedSharedMemory(WithTracer(tracev.New(0)))
 			return err
 		}},
-		{"topology on SM", func() error {
-			_, err := NewTracedSharedMemory(WithTopology(2, 2))
-			return err
-		}},
 		{"dynamic order on MP", func() error {
 			_, err := NewMessagePassing(WithDynamicOrder())
 			return err
@@ -326,8 +321,8 @@ func TestCancelledContext(t *testing.T) {
 	}
 }
 
-// TestIterationOverride checks the per-request override beats the
-// configured iteration count.
+// TestIterationOverride checks WithIterations replaces the default
+// iteration count.
 func TestIterationOverride(t *testing.T) {
 	c := testCircuit(t)
 	be, err := NewSequential(WithIterations(1))
@@ -338,12 +333,7 @@ func TestIterationOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	three, err := be.Route(context.Background(), Request{Circuit: c, Iterations: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.WiresRouted != len(c.Wires) || three.WiresRouted != 3*len(c.Wires) {
-		t.Errorf("wires routed = %d and %d, want %d and %d",
-			one.WiresRouted, three.WiresRouted, len(c.Wires), 3*len(c.Wires))
+	if one.WiresRouted != len(c.Wires) {
+		t.Errorf("wires routed = %d, want %d", one.WiresRouted, len(c.Wires))
 	}
 }

@@ -24,22 +24,7 @@ const (
 	assignDynamic
 	assignRoundRobin
 	assignThreshold
-	assignLocality
 )
-
-func (m assignMethod) String() string {
-	switch m {
-	case assignDynamic:
-		return "dynamic"
-	case assignRoundRobin:
-		return "round-robin"
-	case assignThreshold:
-		return "threshold"
-	case assignLocality:
-		return "pure-locality"
-	}
-	return "default"
-}
 
 // config accumulates the functional options; each constructor validates
 // it against what its backend supports.
@@ -47,7 +32,6 @@ type config struct {
 	procs      int
 	procsSet   bool
 	iterations int
-	router     route.Params
 
 	method    assignMethod
 	threshold int
@@ -55,7 +39,6 @@ type config struct {
 	strategy    *Strategy
 	packets     mp.PacketStructure
 	packetsSet  bool
-	topology    []int
 	dynamic     bool
 	strict      bool
 	blockingSet bool
@@ -69,7 +52,7 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{procs: 16, router: route.DefaultParams(), threshold: assign.ThresholdStandard}
+	return config{procs: 16, threshold: assign.ThresholdStandard}
 }
 
 // Option configures a backend at construction time.
@@ -82,16 +65,11 @@ func WithProcs(n int) Option {
 	return func(c *config) { c.procs = n; c.procsSet = true }
 }
 
-// WithIterations sets the rip-up-and-reroute iteration count (the paper
-// uses 3). Requests may still override it per call.
+// WithIterations sets the rip-up-and-reroute iteration count (default
+// route.DefaultParams's 3, the paper's). Every other router parameter
+// is route.DefaultParams's.
 func WithIterations(n int) Option {
 	return func(c *config) { c.iterations = n }
-}
-
-// WithRouter replaces the full router parameter set (candidate bounds,
-// detour channels). WithIterations still applies on top.
-func WithRouter(p route.Params) Option {
-	return func(c *config) { c.router = p }
 }
 
 // WithDynamicOrder selects the shared memory distributed loop: processes
@@ -110,15 +88,10 @@ func WithRoundRobin() Option {
 // WithThreshold assigns wires cheaper than cost to the owner of their
 // leftmost pin and longer wires by load balance (Section 4.2; the
 // paper's compromise, cost 1000, is the message passing default). A
-// negative cost is infinity, the same as WithPureLocality.
+// negative cost is infinity: pure locality, every wire to the owner of
+// its leftmost pin — minimal traffic, worst load balance.
 func WithThreshold(cost int) Option {
 	return func(c *config) { c.method = assignThreshold; c.threshold = cost }
-}
-
-// WithPureLocality assigns every wire to the owner of its leftmost pin
-// (ThresholdCost = infinity): minimal traffic, worst load balance.
-func WithPureLocality() Option {
-	return func(c *config) { c.method = assignLocality }
 }
 
 // WithStrategy sets the message passing update schedule. Message passing
@@ -152,13 +125,6 @@ func WithPackets(ps PacketStructure) Option {
 	return func(c *config) { c.packets = ps; c.packetsSet = true }
 }
 
-// WithTopology replaces the squarest 2-D mesh with a general k-ary
-// n-cube interconnect shape; the dimensions must multiply to the
-// processor count. Message passing DES backend only.
-func WithTopology(dims ...int) Option {
-	return func(c *config) { c.topology = append([]int(nil), dims...) }
-}
-
 // WithDynamicWires enables the dynamic wire assignment ablation
 // (Section 4.2): processors request wires from node 0 over the network.
 // Message passing DES backend only.
@@ -169,9 +135,9 @@ func WithDynamicWires() Option {
 // WithStrictOwnership enables the strict region ownership ablation
 // (Section 4.1): no replicated views, routing tasks cross region
 // boundaries instead of update packets. Forces the pure-locality
-// assignment. Message passing DES backend only.
+// assignment, WithThreshold(-1). Message passing DES backend only.
 func WithStrictOwnership() Option {
-	return func(c *config) { c.strict = true; c.method = assignLocality }
+	return func(c *config) { c.strict = true; c.method = assignThreshold; c.threshold = -1 }
 }
 
 // WithPartitions sets the partitioned backend's leaf-region count:
@@ -281,8 +247,6 @@ var optionRules = []optionRule{
 		kinds: []Kind{MPDES}},
 	{option: "WithPackets", set: func(c *config) bool { return c.packetsSet },
 		kinds: []Kind{MPDES}},
-	{option: "WithTopology", set: func(c *config) bool { return len(c.topology) > 0 },
-		kinds: []Kind{MPDES}},
 	{option: "WithDynamicWires", set: func(c *config) bool { return c.dynamic },
 		kinds: []Kind{MPDES}},
 	{option: "WithStrictOwnership", set: func(c *config) bool { return c.strict },
@@ -292,7 +256,7 @@ var optionRules = []optionRule{
 	// Any explicit wire distribution: the sequential backend routes
 	// every wire itself and the partitioned backend distributes by
 	// footprint, so neither takes an assignment method.
-	{option: "wire distribution (WithDynamicOrder/WithRoundRobin/WithThreshold/WithPureLocality)",
+	{option: "wire distribution (WithDynamicOrder/WithRoundRobin/WithThreshold)",
 		set:   func(c *config) bool { return c.method != assignDefault },
 		kinds: []Kind{SMTraced, MPDES}},
 	// The dynamic distributed loop specifically is shared memory only.
@@ -331,16 +295,11 @@ func (c *config) reject(kind Kind) error {
 	return nil
 }
 
-// params returns the router parameters with the iteration override
-// applied; reqIters (a per-request override) wins over the configured
-// value when positive.
-func (c *config) params(reqIters int) route.Params {
-	p := c.router
+// params returns route.DefaultParams with WithIterations applied.
+func (c *config) params() route.Params {
+	p := route.DefaultParams()
 	if c.iterations > 0 {
 		p.Iterations = c.iterations
-	}
-	if reqIters > 0 {
-		p.Iterations = reqIters
 	}
 	return p
 }
@@ -356,19 +315,14 @@ func (c *config) assignment(circ *circuit.Circuit, procs int, out *Result) (*ass
 		return nil, err
 	}
 	var asn *assign.Assignment
-	switch c.method {
-	case assignRoundRobin:
+	if c.method == assignRoundRobin {
 		asn = assign.AssignRoundRobin(circ, part)
-	case assignDefault, assignThreshold:
+	} else {
 		th := c.threshold
 		if th < 0 {
 			th = assign.ThresholdInfinity
 		}
 		asn = assign.AssignThreshold(circ, part, th)
-	case assignLocality:
-		asn = assign.AssignThreshold(circ, part, assign.ThresholdInfinity)
-	default:
-		return nil, fmt.Errorf("locusroute: assignment method %v needs no precomputed assignment", c.method)
 	}
 	out.Locality = assign.LocalityMeasure(circ, part, asn)
 	out.Imbalance = asn.Imbalance()
