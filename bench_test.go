@@ -231,7 +231,7 @@ func BenchmarkSequentialIteration(b *testing.B) {
 func BenchmarkMeshSend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel()
-		n, err := mesh.New(k, 4, 4, mesh.DefaultParams())
+		n, err := mesh.New(k, []int{4, 4}, mesh.DefaultParams())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -175,7 +175,7 @@ func parse(args []string) (*command, error) {
 		{set["procs"], locusroute.WithProcs(*procs)},
 		{set["iters"], locusroute.WithIterations(*iters)},
 		{set["partitions"], locusroute.WithPartitions(*partitions)},
-		{*negotiate, locusroute.WithNegotiatedCongestion(locusroute.Negotiated{})},
+		{*negotiate, locusroute.WithNegotiatedCongestion()},
 		{set["sld"] || set["srd"] || set["rld"] || set["rrd"], locusroute.WithStrategy(schedule)},
 		{*blocking, locusroute.WithBlocking()},
 		{set["packets"], locusroute.WithPackets(ps)},

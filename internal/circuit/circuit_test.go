@@ -82,3 +82,12 @@ func TestComputeStats(t *testing.T) {
 		t.Errorf("MaxCost = %d, want 131", s.MaxCost)
 	}
 }
+
+func TestStatsString(t *testing.T) {
+	s := Stats{Wires: 2, Pins: 5, MeanCost: 70.5, MaxCost: 131, MeanSpanX: 49.5, MeanSpanY: 1,
+		LongWires: 1, MultiPin: 1}
+	const want = "wires=2 pins=5 meanCost=70.5 maxCost=131 meanSpanX=49.5 meanSpanY=1.0 long=1 multiPin=1"
+	if got := s.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}

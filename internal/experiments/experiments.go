@@ -24,10 +24,10 @@
 // once: -all requests 65 DES runs, of which 50 differ (the standard
 // SRD=2 SLD=10 run alone appears in eight tables). A run is keyed on
 // everything that determines it — the circuit, the assignment's contents
-// and order, and the whole mp.Config but its observer and tracer — and a
-// repeat waits for the first request outside the pool, then shares its
-// read-only Result and records its own -json document under its own
-// label. Event-traced runs are never shared.
+// and order, and the whole mp.Config — and a repeat waits for the first
+// request outside the pool, then shares its read-only Result and records
+// its own -json document under its own label. Event-traced runs are
+// never shared.
 package experiments
 
 import (
@@ -193,16 +193,11 @@ func runMPAssigned(c *circuit.Circuit, s Setup, st mp.Strategy, asn *assign.Assi
 // config (callers set ablation knobs before handing it over). The DES run
 // holds a pool slot — it is a leaf computation; a repeat of a run the
 // setup's memo has seen waits for it without one. When the setup carries
-// a collector, an observer is attached for the run and its document
-// recorded under label.
+// a collector, the run's document is recorded under label.
 func runConfigured(c *circuit.Circuit, s Setup, cfg mp.Config, asn *assign.Assignment, label string) (mp.Result, error) {
 	run, first := s.memo.claimDES(c, cfg, asn)
 	if first {
-		if s.Obs.Enabled() {
-			cfg.Obs = obs.NewMP()
-		}
-		s.Pool.Run(func() { run.val.res, run.err = mp.Run(c, asn, cfg) })
-		run.val.obs = cfg.Obs
+		s.Pool.Run(func() { run.val, run.err = mp.Run(c, asn, cfg) })
 		close(run.done)
 	}
 	<-run.done
@@ -210,23 +205,16 @@ func runConfigured(c *circuit.Circuit, s Setup, cfg mp.Config, asn *assign.Assig
 		return mp.Result{}, fmt.Errorf("experiments: mp run %q: %w", label, run.err)
 	}
 	if s.Obs.Enabled() {
-		cfg.Obs = run.val.obs
-		s.Obs.Append(mp.ObsRun(label, c.Name, cfg, run.val.res))
+		s.Obs.Append(mp.ObsRun(label, c.Name, cfg, run.val))
 	}
-	return run.val.res, nil
+	return run.val, nil
 }
 
 // runMemo holds the DES runs and the traced shared memory runs of one
 // RenderSet by configuration. A nil memo shares nothing.
 type runMemo struct {
-	des memoTable[desRun]
+	des memoTable[mp.Result]
 	sm  memoTable[smRun]
-}
-
-// desRun is what a DES run shares: its Result and its observer.
-type desRun struct {
-	res mp.Result
-	obs *obs.MP
 }
 
 // smRun is what a traced shared memory run shares: its Result and the
@@ -273,15 +261,12 @@ func (t *memoTable[V]) claim(key string) (*memoRun[V], bool) {
 
 // claimDES claims the DES run of this configuration. The key is what
 // determines a run: the circuit, and the assignment and the config in Go
-// syntax (%#v prints sim.Time as an integer, not its rounded String)
-// without the observer and tracer pointers — whether a run carries an
-// observer is the RenderSet's collector, the same for every run.
+// syntax (%#v prints sim.Time as an integer, not its rounded String).
 // Event-traced runs are never shared.
-func (m *runMemo) claimDES(c *circuit.Circuit, cfg mp.Config, asn *assign.Assignment) (*memoRun[desRun], bool) {
+func (m *runMemo) claimDES(c *circuit.Circuit, cfg mp.Config, asn *assign.Assignment) (*memoRun[mp.Result], bool) {
 	if m == nil || cfg.Trace != nil {
-		return newRun[desRun](), true
+		return newRun[mp.Result](), true
 	}
-	cfg.Obs, cfg.Trace = nil, nil
 	return m.des.claim(fmt.Sprintf("%p %#v %#v", c, *asn, cfg))
 }
 

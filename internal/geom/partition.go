@@ -87,7 +87,11 @@ func (p Partition) OwnerTable() OwnerTable {
 func (t OwnerTable) Owner(x, y int) int { return t.col[x] + t.row[y] }
 
 // MeshDistance returns the Manhattan distance between two processors on the
-// mesh — the hop count of a deterministically routed packet.
+// mesh: the horizontal plus vertical hops between their regions, the
+// distance Section 5.3.3's locality measure is defined over. It is not a
+// packet's hop count: the simulated interconnect (internal/mesh) is a
+// unidirectional torus, where a packet from processor 1 to processor 0
+// of a 4x4 machine wraps around in 3 hops.
 func (p Partition) MeshDistance(a, b int) int {
 	ax, ay := p.Coord(a)
 	bx, by := p.Coord(b)

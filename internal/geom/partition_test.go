@@ -3,6 +3,9 @@ package geom
 import (
 	"testing"
 	"testing/quick"
+
+	"locusroute/internal/mesh"
+	"locusroute/internal/sim"
 )
 
 func TestNewPartitionValidation(t *testing.T) {
@@ -98,6 +101,23 @@ func TestPartitionMeshDistance(t *testing.T) {
 	}
 	if p.MeshDistance(2, 7) != p.MeshDistance(7, 2) {
 		t.Errorf("mesh distance must be symmetric")
+	}
+}
+
+func TestMeshDistanceIsNotPacketHops(t *testing.T) {
+	// The locality measure's distance is Manhattan; the simulated
+	// network is a unidirectional torus. Processor 1 to processor 0 is
+	// 1 apart on the mesh and 3 hops for a packet, which wraps.
+	p, _ := NewPartition(Grid{Channels: 16, Grids: 64}, 4, 4)
+	net, err := mesh.New(sim.NewKernel(), []int{p.PX, p.PY}, mesh.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := p.MeshDistance(1, 0); d != 1 {
+		t.Errorf("MeshDistance(1, 0) = %d, want 1 (Manhattan)", d)
+	}
+	if d := net.Distance(1, 0); d != 3 {
+		t.Errorf("packet hops 1 -> 0 = %d, want 3 (torus wrap)", d)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"locusroute/internal/circuit"
 	"locusroute/internal/obs"
 	"locusroute/internal/par"
+	"locusroute/internal/policy"
 	"locusroute/pkg/locusroute"
 )
 
@@ -44,6 +45,23 @@ func newServer(t testing.TB, cfg Config) *Server {
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// TestChainExposesPolicy: a server without policy exposes the nil chain
+// (no elements), and one with policy exposes its elements in pipeline
+// order, as cmd/locusd logs them.
+func TestChainExposesPolicy(t *testing.T) {
+	if els := newServer(t, Config{}).Chain().Elements(); els != nil {
+		t.Errorf("no policy: chain elements %v, want none", els)
+	}
+	s := newServer(t, Config{Policy: policy.Config{CacheEntries: 8, EDF: true}})
+	var names []string
+	for _, el := range s.Chain().Elements() {
+		names = append(names, el.Name())
+	}
+	if !slices.Equal(names, []string{"cache", "edf"}) {
+		t.Errorf("chain elements %v, want [cache edf]", names)
+	}
 }
 
 // park occupies every slot of pool until the returned release is called

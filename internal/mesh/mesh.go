@@ -1,8 +1,12 @@
 // Package mesh simulates the interconnection network of the paper's CBS
-// substrate: a k-ary 2-dimensional machine with deterministic wormhole
-// routing, unidirectional channels (each processor has outgoing links to
-// two of its four neighbours: +X and +Y, with wraparound), one-byte-wide
-// channels, and network contention.
+// substrate: a k-ary n-cube. Nodes are the points of a mixed-radix
+// n-dimensional torus (dimension 0 varying fastest in the node id); each
+// node has one outgoing unidirectional channel per dimension (+1 with
+// wraparound), channels are one byte wide, packets follow deterministic
+// dimension-order wormhole routes, and the network models contention.
+// The paper's experiments configure it as a two-dimensional mesh
+// ([4, 4] for 16 processors); [2, 2, 2, 2] is a 16-node binary
+// hypercube.
 //
 // With no contention, the total time for a packet of L bytes to travel D
 // hops is
@@ -15,6 +19,9 @@
 // side via ChargeReceive when they dequeue). Contention is modelled per
 // unidirectional link: a wormhole packet holds each link on its path until
 // its tail has passed, and a head that arrives at a busy link waits.
+//
+// Every network is observed: Stats carries the packet latency, link delay
+// and receive-queue depth histograms beside the traffic counters.
 package mesh
 
 import (
@@ -65,73 +72,60 @@ type Stats struct {
 	SelfBytes       int64    // bytes of those local deliveries
 	ContentionDelay sim.Time // total head blocking time across packets
 	TotalLatency    sim.Time // sum of (arrive - sent) over link-crossing packets
+
+	// Latency is the end-to-end latency (send to tail arrival) of every
+	// link-crossing packet, in simulated nanoseconds.
+	Latency obs.Histogram
+	// LinkDelay is the head-blocking delay at every link traversal (zero
+	// when the link was free), in simulated nanoseconds.
+	LinkDelay obs.Histogram
+	// QueueDepth is the receive-queue depth at every dequeue, counting
+	// the packet being taken.
+	QueueDepth obs.Histogram
 }
 
 // MBytes returns total traffic in megabytes (10^6 bytes, as the paper's
 // tables report).
 func (s Stats) MBytes() float64 { return float64(s.Bytes) / 1e6 }
 
-// Interconnect is the transport surface node runtimes program against;
-// both the 2-D Network and the general k-ary n-dimensional Cube satisfy
-// it, so topology is a configuration choice.
-type Interconnect interface {
-	// Send transmits a packet of size bytes from the calling process's
-	// node to another node.
-	Send(p *sim.Process, from, to int, payload any, size int)
-	// ChargeReceive charges the receive-side copy for one dequeued
-	// packet.
-	ChargeReceive(p *sim.Process)
-	// Inbox returns node id's receive queue of *Packet items.
-	Inbox(id int) *sim.Chan
-	// Stats returns the accumulated network statistics.
-	Stats() Stats
-	// Distance returns the deterministic-route hop count between nodes.
-	Distance(a, b int) int
-	// SetRecorder attaches an observability recorder that receives
-	// packet latencies, per-link contention delays, and receive-queue
-	// depths at dequeue. A nil recorder detaches (the default).
-	SetRecorder(rec *obs.NetRecorder)
-	// SetTracer attaches an event tracer: every packet (self-sends
-	// included) gets a flow id, a flow-begin at injection on the
-	// sender's track, and a delivery instant on the receiver's track
-	// when the tail arrives. A nil tracer detaches (the default).
-	SetTracer(tr *tracev.Tracer)
-}
-
-var (
-	_ Interconnect = (*Network)(nil)
-	_ Interconnect = (*Cube)(nil)
-)
-
-// Network is the simulated interconnect for PX x PY nodes.
+// Network is the simulated k-ary n-cube interconnect.
 type Network struct {
 	kernel *sim.Kernel
-	px, py int
+	dims   []int
 	params Params
-	// linkFree[node][dim] is the time the outgoing link of node in
-	// dimension dim (0 = +X, 1 = +Y) becomes free.
-	linkFree [][2]sim.Time
+	// linkFree[node*len(dims)+dim] is when node's +1 link in dim becomes
+	// free.
+	linkFree []sim.Time
 	inbox    []*sim.Chan
 	stats    Stats
-	rec      *obs.NetRecorder
 	tracer   *tracev.Tracer
 }
 
-// New builds a network of px x py nodes on kernel k.
-func New(k *sim.Kernel, px, py int, params Params) (*Network, error) {
-	if px <= 0 || py <= 0 {
-		return nil, fmt.Errorf("mesh: invalid dimensions %dx%d", px, py)
+// New builds a network of the given shape on kernel k: dims lists the
+// node count along each dimension (e.g. [4, 4] is the paper's mesh,
+// [2, 2, 2, 2] a 16-node hypercube).
+func New(k *sim.Kernel, dims []int, params Params) (*Network, error) {
+	if len(dims) == 0 {
+		return nil, fmt.Errorf("mesh: a network needs at least one dimension")
+	}
+	nodes := 1
+	for _, d := range dims {
+		if d <= 0 {
+			return nil, fmt.Errorf("mesh: invalid dimensions %v", dims)
+		}
+		nodes *= d
 	}
 	n := &Network{
 		kernel:   k,
-		px:       px,
-		py:       py,
+		dims:     append([]int(nil), dims...),
 		params:   params,
-		linkFree: make([][2]sim.Time, px*py),
-		inbox:    make([]*sim.Chan, px*py),
+		linkFree: make([]sim.Time, nodes*len(dims)),
+		inbox:    make([]*sim.Chan, nodes),
 	}
+	depth := func(d int) { n.stats.QueueDepth.Observe(int64(d)) }
 	for i := range n.inbox {
 		n.inbox[i] = sim.NewChan(k)
+		n.inbox[i].OnDequeue = depth
 	}
 	return n, nil
 }
@@ -139,49 +133,36 @@ func New(k *sim.Kernel, px, py int, params Params) (*Network, error) {
 // Stats returns the accumulated network statistics.
 func (n *Network) Stats() Stats { return n.stats }
 
-// SetRecorder attaches (or with nil detaches) an observability recorder.
-// Queue-depth observation is hooked into every inbox's dequeue path.
-func (n *Network) SetRecorder(rec *obs.NetRecorder) {
-	n.rec = rec
-	hookInboxes(n.inbox, rec)
-}
-
-// SetTracer attaches (or with nil detaches) an event tracer.
+// SetTracer attaches (or with nil detaches) an event tracer: every packet
+// (self-sends included) gets a flow id, a flow-begin at injection on the
+// sender's track, and a delivery instant on the receiver's track when the
+// tail arrives.
 func (n *Network) SetTracer(tr *tracev.Tracer) { n.tracer = tr }
-
-// hookInboxes points every inbox's OnDequeue at the recorder's
-// queue-depth histogram (or unhooks on a nil recorder).
-func hookInboxes(inboxes []*sim.Chan, rec *obs.NetRecorder) {
-	for _, c := range inboxes {
-		if rec == nil {
-			c.OnDequeue = nil
-			continue
-		}
-		c.OnDequeue = rec.ObserveQueueDepth
-	}
-}
 
 // Inbox returns the receive queue of node id. Nodes block on it with
 // Recv; every queued item is a *Packet.
 func (n *Network) Inbox(id int) *sim.Chan { return n.inbox[id] }
 
 // Distance returns the deterministic-route hop count from a to b on the
-// unidirectional torus: X hops (wrapping in +X) plus Y hops (wrapping in
-// +Y).
+// unidirectional torus: the sum over dimensions of the forward wrap
+// distances.
 func (n *Network) Distance(a, b int) int {
-	ax, ay := a%n.px, a/n.px
-	bx, by := b%n.px, b/n.px
-	return (bx-ax+n.px)%n.px + (by-ay+n.py)%n.py
+	hops, stride := 0, 1
+	for _, k := range n.dims {
+		hops += (b/stride%k - a/stride%k + k) % k
+		stride *= k
+	}
+	return hops
 }
 
 // Send transmits a packet of size bytes from the process p (which must be
 // running on node from) to node to. The sender is charged ProcessTime (the
-// copy onto the network); the packet then worms through the +X links and
-// +Y links of the route, contending for each, and is delivered into the
-// destination inbox when its tail arrives. Self-sends traverse no links
-// but still pay both ProcessTime charges and the L-byte serialisation;
-// they count toward Stats.SelfPackets/SelfBytes, never interconnect
-// traffic.
+// copy onto the network); the packet then worms through the route's
+// links in dimension order, contending for each, and is delivered into
+// the destination inbox when its tail arrives. Self-sends traverse no
+// links but still pay both ProcessTime charges and the L-byte
+// serialisation; they count toward Stats.SelfPackets/SelfBytes, never
+// interconnect traffic.
 func (n *Network) Send(p *sim.Process, from, to int, payload any, size int) {
 	if size <= 0 {
 		size = 1
@@ -198,32 +179,25 @@ func (n *Network) Send(p *sim.Process, from, to int, payload any, size int) {
 	// Head traverses the deterministic route, waiting at busy links.
 	cursor := p.Now()
 	L := sim.Time(size)
-	fx, fy := from%n.px, from/n.px
-	tx, ty := to%n.px, to/n.px
-	hops := 0
-	step := func(node int, dim int) int {
-		free := n.linkFree[node][dim]
-		start := cursor
-		if free > start {
-			n.stats.ContentionDelay += free - start
-			start = free
+	node, stride, hops := from, 1, 0
+	for dim, k := range n.dims {
+		pos := node / stride % k
+		for steps := (to/stride%k - pos + k) % k; steps > 0; steps-- {
+			link := node*len(n.dims) + dim
+			start := max(cursor, n.linkFree[link])
+			n.stats.ContentionDelay += start - cursor
+			n.stats.LinkDelay.Observe(int64(start - cursor))
+			// Link is held until the tail (L bytes) has passed.
+			n.linkFree[link] = start + n.params.HopTime*(L+1)
+			cursor = start + n.params.HopTime
+			hops++
+			if pos++; pos == k {
+				pos, node = 0, node-(k-1)*stride
+			} else {
+				node += stride
+			}
 		}
-		n.rec.ObserveLinkDelay(start - cursor)
-		// Link is held until the tail (L bytes) has passed.
-		n.linkFree[node][dim] = start + n.params.HopTime*(L+1)
-		cursor = start + n.params.HopTime
-		hops++
-		if dim == 0 {
-			return node - node%n.px + (node%n.px+1)%n.px // +X, same row
-		}
-		return ((node/n.px+1)%n.py)*n.px + node%n.px // +Y, same column
-	}
-	node := from
-	for x := fx; x != tx; x = (x + 1) % n.px {
-		node = step(node, 0)
-	}
-	for y := fy; y != ty; y = (y + 1) % n.py {
-		node = step(node, 1)
+		stride *= k
 	}
 
 	// Tail streams in behind the head.
@@ -238,7 +212,7 @@ func (n *Network) Send(p *sim.Process, from, to int, payload any, size int) {
 		n.stats.Bytes += int64(size)
 		n.stats.HopBytes += int64(size) * int64(hops)
 		n.stats.TotalLatency += arrive - pkt.SentAt
-		n.rec.ObserveLatency(arrive - pkt.SentAt)
+		n.stats.Latency.Observe(int64(arrive - pkt.SentAt))
 	}
 
 	inbox := n.inbox[to]

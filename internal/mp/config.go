@@ -90,8 +90,9 @@ const DefaultRequestAhead = 5
 
 // Config assembles a full message passing run.
 type Config struct {
-	// Procs is the processor count; the mesh uses the squarest px x py
-	// factorisation (16 -> 4x4 as in the paper).
+	// Procs is the processor count; the interconnect is the squarest
+	// px x py mesh (16 -> 4x4 as in the paper) unless Topology names
+	// another shape.
 	Procs int
 	// Router parameters (iterations, candidate bounds).
 	Router route.Params
@@ -114,18 +115,12 @@ type Config struct {
 	// Sender initiated schedules only (receiver initiated lookahead
 	// needs the wire list in advance).
 	DynamicWires bool
-	// Topology optionally replaces the default squarest 2-D mesh with a
-	// general k-ary n-cube shape (e.g. [2, 2, 2, 2] runs 16 processors
-	// on a binary hypercube). The product of the dimensions must equal
-	// Procs. The cost array partition stays two-dimensional; only the
-	// interconnect shape changes, as in CBS.
+	// Topology is the interconnect's k-ary n-cube shape, one node count
+	// per dimension (e.g. [2, 2, 2, 2] runs 16 processors on a binary
+	// hypercube); nil is the squarest [px, py] mesh. The product of the
+	// dimensions must equal Procs. The cost array partition stays
+	// two-dimensional; only the interconnect shape changes, as in CBS.
 	Topology []int
-	// Obs, when non-nil, collects the run's observability data: the
-	// per-node simulated-time breakdown and the interconnect histograms.
-	// Run resets it at run start, so one observer serves one run. Nil
-	// (the default) disables all collection; the run is byte-identical
-	// either way.
-	Obs *obs.MP
 	// Trace, when non-nil, records an event-level timeline of the run:
 	// spans for wire routing, packet sends/handling, blocking waits and
 	// barriers; flow arrows joining each packet's injection to its
@@ -220,7 +215,8 @@ type Result struct {
 	// finished its final iteration.
 	Time sim.Time
 	// Net aggregates network statistics, including total bytes (the
-	// "MBytes Xfrd." column).
+	// "MBytes Xfrd." column) and the packet latency, link delay and
+	// receive-queue depth histograms.
 	Net mesh.Stats
 	// BytesByKind and PacketsByKind break traffic down by packet type.
 	BytesByKind   map[msg.Kind]int64
@@ -247,6 +243,10 @@ type Result struct {
 	// routed congestion state the quality measures were taken from.
 	// Service layers seed incremental serving arrays from it.
 	Final *costarray.CostArray
+	// Nodes is every node's simulated-time breakdown (the paper's
+	// Section 5.1.3 lens), in node order, rendered from each node's
+	// time ledger: its four categories sum to the node's whole life.
+	Nodes []obs.NodeTimes
 }
 
 // MBytes returns the consistency traffic in megabytes, as the tables

@@ -53,13 +53,12 @@ func desCases() []desCase {
 // desProcs are the processor counts every desCase runs at.
 var desProcs = []int{4, 16}
 
-// runDESCase runs one case on the bnrE circuit, observed and traced.
+// runDESCase runs one case on the bnrE circuit, traced.
 func runDESCase(t testing.TB, c *circuit.Circuit, tc desCase, procs int) (Config, Result) {
 	t.Helper()
 	cfg := DefaultConfig(tc.st)
 	cfg.Procs = procs
 	cfg.StrictOwnership = tc.strict
-	cfg.Obs = obs.NewMP()
 	cfg.Trace = tracev.New(0)
 	if tc.mutate != nil {
 		tc.mutate(&cfg)
@@ -115,7 +114,7 @@ func desDigest(cfg Config, res Result) string {
 		final.Write(binary.LittleEndian.AppendUint32(nil, uint32(v)))
 	}
 	buf = final.Sum(buf)
-	for _, nt := range cfg.Obs.NodeTimes() {
+	for _, nt := range res.Nodes {
 		put(int64(nt.Node), nt.ComputeNs, nt.PacketNs, nt.BlockedNs, nt.BarrierNs, nt.TotalNs)
 	}
 	events := cfg.Trace.Events()
@@ -192,7 +191,7 @@ func TestTimeScaleInvariance(t *testing.T) {
 	for _, tc := range desCases() {
 		for _, procs := range desProcs {
 			t.Run(fmt.Sprintf("%s/procs%d", tc.name, procs), func(t *testing.T) {
-				cfg, res := runDESCase(t, c, tc, procs)
+				_, res := runDESCase(t, c, tc, procs)
 				scaled := tc
 				scaled.mutate = func(cfg *Config) {
 					if tc.mutate != nil {
@@ -204,7 +203,7 @@ func TestTimeScaleInvariance(t *testing.T) {
 						*v *= k
 					}
 				}
-				kcfg, kres := runDESCase(t, c, scaled, procs)
+				_, kres := runDESCase(t, c, scaled, procs)
 
 				check := func(what string, got, want int64) {
 					if got != want {
@@ -221,7 +220,7 @@ func TestTimeScaleInvariance(t *testing.T) {
 				check("time", int64(kres.Time), k*int64(res.Time))
 				check("route time", int64(kres.RouteTime), k*int64(res.RouteTime))
 				check("message time", int64(kres.MessageTime), k*int64(res.MessageTime))
-				nodes, knodes := cfg.Obs.NodeTimes(), kcfg.Obs.NodeTimes()
+				nodes, knodes := res.Nodes, kres.Nodes
 				if len(knodes) != len(nodes) {
 					t.Fatalf("%d node ledgers with constants x%d, want %d", len(knodes), k, len(nodes))
 				}

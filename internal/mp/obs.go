@@ -7,9 +7,8 @@ import (
 )
 
 // ObsRun renders a finished run into its "mp-des" observability
-// document. The per-node breakdown and network histograms come from
-// cfg.Obs (both empty when observability was off); the counters come
-// from the Result.
+// document: the per-node breakdown, network counters and histograms
+// from the Result, and the critical path when cfg traced the run.
 func ObsRun(name, circuitName string, cfg Config, res Result) obs.Run {
 	r := obs.Run{
 		Name:      name,
@@ -18,20 +17,21 @@ func ObsRun(name, circuitName string, cfg Config, res Result) obs.Run {
 		Procs:     cfg.Procs,
 		Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
 		SimTimeNs: int64(res.Time),
-		Nodes:     cfg.Obs.NodeTimes(),
+		Nodes:     res.Nodes,
 		Messages:  kindCounts(res),
+		Network: &obs.NetworkDoc{
+			Bytes:             res.Net.Bytes,
+			Packets:           res.Net.Packets,
+			HopBytes:          res.Net.HopBytes,
+			SelfPackets:       res.Net.SelfPackets,
+			SelfBytes:         res.Net.SelfBytes,
+			ContentionDelayNs: int64(res.Net.ContentionDelay),
+			TotalLatencyNs:    int64(res.Net.TotalLatency),
+			Latency:           res.Net.Latency.Doc(),
+			LinkDelay:         res.Net.LinkDelay.Doc(),
+			QueueDepth:        res.Net.QueueDepth.Doc(),
+		},
 	}
-	net := &obs.NetworkDoc{
-		Bytes:             res.Net.Bytes,
-		Packets:           res.Net.Packets,
-		HopBytes:          res.Net.HopBytes,
-		SelfPackets:       res.Net.SelfPackets,
-		SelfBytes:         res.Net.SelfBytes,
-		ContentionDelayNs: int64(res.Net.ContentionDelay),
-		TotalLatencyNs:    int64(res.Net.TotalLatency),
-	}
-	cfg.Obs.NetRecorder().Doc(net)
-	r.Network = net
 	if cfg.Trace != nil {
 		if cp, err := tracev.Analyze(cfg.Trace.Events()); err == nil {
 			r.CritPath = CritPathDoc(cp)

@@ -9,20 +9,18 @@ import (
 	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
 	"locusroute/internal/msg"
-	"locusroute/internal/obs"
 	"locusroute/internal/sim"
 	"locusroute/internal/tracev"
 )
 
-// runObserved executes a small observed DES run and returns the config
-// (with its observer) and the result.
+// runObserved executes a small DES run and returns its config and
+// result, which carries the run's node breakdown and network histograms.
 func runObserved(t *testing.T, procs int, st Strategy, threshold int, mutate func(*Config)) (Config, Result) {
 	t.Helper()
 	c := smallCircuit(1)
 	cfg := DefaultConfig(st)
 	cfg.Procs = procs
 	cfg.Router.Iterations = 2
-	cfg.Obs = obs.NewMP()
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -60,8 +58,8 @@ func TestNodeTimeBreakdownSums(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, res := runObserved(t, 4, tc.st, tc.thresh, tc.mutate)
-			times := cfg.Obs.NodeTimes()
+			_, res := runObserved(t, 4, tc.st, tc.thresh, tc.mutate)
+			times := res.Nodes
 			if len(times) != 4 {
 				t.Fatalf("NodeTimes returned %d entries, want 4", len(times))
 			}
@@ -142,9 +140,9 @@ func TestBusySplitMatchesNodeTimes(t *testing.T) {
 	for _, tc := range desCases() {
 		for _, procs := range desProcs {
 			t.Run(fmt.Sprintf("%s/procs%d", tc.name, procs), func(t *testing.T) {
-				cfg, res := runDESCase(t, c, tc, procs)
+				_, res := runDESCase(t, c, tc, procs)
 				var compute, packet int64
-				for _, nt := range cfg.Obs.NodeTimes() {
+				for _, nt := range res.Nodes {
 					compute += nt.ComputeNs
 					packet += nt.PacketNs
 				}
@@ -163,31 +161,30 @@ func TestBusySplitMatchesNodeTimes(t *testing.T) {
 func TestBlockedTimeOnlyWhenBlocking(t *testing.T) {
 	// Blocking receiver initiated runs park on outstanding responses
 	// (CatBlocked); non-blocking ones only ever park at the barrier.
-	blocked := func(cfg Config) int64 {
+	blocked := func(res Result) int64 {
 		var total int64
-		for _, nt := range cfg.Obs.NodeTimes() {
+		for _, nt := range res.Nodes {
 			total += nt.BlockedNs
 		}
 		return total
 	}
-	cfgNB, _ := runObserved(t, 4, ReceiverInitiated(1, 5, false), 1000, nil)
-	if b := blocked(cfgNB); b != 0 {
+	_, resNB := runObserved(t, 4, ReceiverInitiated(1, 5, false), 1000, nil)
+	if b := blocked(resNB); b != 0 {
 		t.Errorf("non-blocking run accounted %d ns blocked outside the barrier", b)
 	}
-	cfgBL, _ := runObserved(t, 4, ReceiverInitiated(1, 5, true), 1000, nil)
-	if b := blocked(cfgBL); b == 0 {
+	_, resBL := runObserved(t, 4, ReceiverInitiated(1, 5, true), 1000, nil)
+	if b := blocked(resBL); b == 0 {
 		t.Errorf("blocking run accounted no blocked time")
 	}
 }
 
 func TestObserverRecordsNetworkHistograms(t *testing.T) {
 	cfg, res := runObserved(t, 4, SenderInitiated(2, 5), 1000, nil)
-	rec := cfg.Obs.NetRecorder()
-	if rec.Latency.Count() != res.Net.Packets {
+	if res.Net.Latency.Count() != res.Net.Packets {
 		t.Errorf("latency observations %d != link-crossing packets %d",
-			rec.Latency.Count(), res.Net.Packets)
+			res.Net.Latency.Count(), res.Net.Packets)
 	}
-	if rec.QueueDepth.Count() == 0 {
+	if res.Net.QueueDepth.Count() == 0 {
 		t.Errorf("no queue depths observed")
 	}
 	doc := ObsRun("test", "small", cfg, res)

@@ -9,6 +9,7 @@ import (
 	"locusroute/internal/geom"
 	"locusroute/internal/mesh"
 	"locusroute/internal/msg"
+	"locusroute/internal/obs"
 	"locusroute/internal/route"
 	"locusroute/internal/sim"
 	"locusroute/internal/tracev"
@@ -22,7 +23,7 @@ type runner struct {
 	circ *circuit.Circuit
 	asn  *assign.Assignment
 	part geom.Partition
-	net  mesh.Interconnect
+	net  *mesh.Network
 
 	// truth is the ground-truth cost array: every commit and rip-up by
 	// any node lands here immediately, so final quality is measured on
@@ -70,26 +71,23 @@ func Run(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result, err
 		return Result{}, fmt.Errorf("mp: partitioning: %w", err)
 	}
 
-	kernel := sim.NewKernel()
-	var net mesh.Interconnect
-	if len(cfg.Topology) > 0 {
-		nodes := 1
-		for _, d := range cfg.Topology {
-			nodes *= d
-		}
-		if nodes != cfg.Procs {
-			return Result{}, fmt.Errorf("mp: topology %v has %d nodes for %d processors",
-				cfg.Topology, nodes, cfg.Procs)
-		}
-		net, err = mesh.NewCube(kernel, cfg.Topology, cfg.Net)
-	} else {
-		net, err = mesh.New(kernel, px, py, cfg.Net)
+	dims := cfg.Topology
+	if len(dims) == 0 {
+		dims = []int{px, py}
 	}
+	size := 1
+	for _, d := range dims {
+		size *= d
+	}
+	if size != cfg.Procs {
+		return Result{}, fmt.Errorf("mp: topology %v has %d nodes for %d processors",
+			dims, size, cfg.Procs)
+	}
+	kernel := sim.NewKernel()
+	net, err := mesh.New(kernel, dims, cfg.Net)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg.Obs.Prepare()
-	net.SetRecorder(cfg.Obs.NetRecorder())
 	if cfg.Trace != nil {
 		kernel.SetTracer(cfg.Trace)
 		net.SetTracer(cfg.Trace)
@@ -128,10 +126,11 @@ func Run(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result, err
 		res.BusyTime += f
 	}
 	res.Net = net.Stats()
-	for _, n := range nodes {
+	res.Nodes = make([]obs.NodeTimes, len(nodes))
+	for i, n := range nodes {
 		res.RouteTime += n.spent[tracev.CatCompute]
 		res.MessageTime += n.spent[tracev.CatPacket]
-		cfg.Obs.AddNode(n.times())
+		res.Nodes[i] = n.times()
 	}
 	res.BytesByKind = r.bytesByKind
 	res.PacketsByKind = r.packetsByKind

@@ -1,11 +1,13 @@
-// Package obs is the run observability layer: zero-cost-when-disabled
-// collectors that the execution backends thread through their hot
-// paths, and the stable JSON document the commands emit under -json.
+// Package obs is the run observability layer: the stable JSON document
+// the commands emit under -json, the Collector that gathers one
+// invocation's run documents, and the power-of-two Histogram the
+// simulators record into.
 //
-// Collectors are nil-safe: a nil *MP, *NetRecorder, *Histogram or
-// *Collector ignores every call, so instrumented code pays a single
-// pointer test when observability is off and the paper tables stay
-// byte-identical.
+// A nil *Collector is the disabled state and discards every document; a
+// nil *Histogram ignores every sample. What a run records does not
+// depend on either: the DES returns its per-node breakdown and network
+// histograms in every Result, and the paper tables stay byte-identical
+// with or without -json.
 //
 // # Document schema (locusroute.obs/v2)
 //
@@ -57,8 +59,6 @@ package obs
 import (
 	"io"
 	"sync"
-
-	"locusroute/internal/sim"
 )
 
 // SchemaVersion identifies the JSON document layout.
@@ -305,97 +305,4 @@ func (c *Collector) Snapshot(command string) Snapshot {
 		s.Runs = append(s.Runs, *r)
 	}
 	return s
-}
-
-// NetRecorder collects the interconnect histograms of one run. All
-// methods tolerate a nil receiver.
-type NetRecorder struct {
-	// Latency is the end-to-end packet latency (send to tail arrival) in
-	// simulated nanoseconds.
-	Latency Histogram
-	// LinkDelay is the head-blocking contention delay observed at every
-	// link traversal (zero when the link was free), in simulated
-	// nanoseconds.
-	LinkDelay Histogram
-	// QueueDepth is the receive-queue depth seen at every dequeue,
-	// counting the packet being taken.
-	QueueDepth Histogram
-}
-
-// ObserveLatency records one delivered packet's latency.
-func (r *NetRecorder) ObserveLatency(d sim.Time) {
-	if r != nil {
-		r.Latency.Observe(int64(d))
-	}
-}
-
-// ObserveLinkDelay records the contention delay of one link traversal.
-func (r *NetRecorder) ObserveLinkDelay(d sim.Time) {
-	if r != nil {
-		r.LinkDelay.Observe(int64(d))
-	}
-}
-
-// ObserveQueueDepth records the receive-queue depth at one dequeue.
-func (r *NetRecorder) ObserveQueueDepth(depth int) {
-	if r != nil {
-		r.QueueDepth.Observe(int64(depth))
-	}
-}
-
-// Doc renders the recorder's histograms into a network document.
-func (r *NetRecorder) Doc(doc *NetworkDoc) {
-	if r == nil || doc == nil {
-		return
-	}
-	doc.Latency = r.Latency.Doc()
-	doc.LinkDelay = r.LinkDelay.Doc()
-	doc.QueueDepth = r.QueueDepth.Doc()
-}
-
-// MP is the observer of one message passing run: per-node simulated
-// time breakdowns and interconnect histograms. A nil *MP disables all of
-// it.
-type MP struct {
-	// Nodes is the per-node breakdown, one entry per node in node order,
-	// rendered from each node's time ledger at run end.
-	Nodes []NodeTimes
-	Net   NetRecorder
-}
-
-// NewMP returns an empty observer.
-func NewMP() *MP { return &MP{} }
-
-// Prepare resets the per-node breakdowns and network histograms; the
-// DES runtime calls it at run start, so an observer is never polluted by
-// a previous run.
-func (o *MP) Prepare() {
-	if o == nil {
-		return
-	}
-	o.Nodes = nil
-	o.Net = NetRecorder{}
-}
-
-// AddNode records the next node's breakdown.
-func (o *MP) AddNode(t NodeTimes) {
-	if o != nil {
-		o.Nodes = append(o.Nodes, t)
-	}
-}
-
-// NetRecorder returns the interconnect recorder, or nil when disabled.
-func (o *MP) NetRecorder() *NetRecorder {
-	if o == nil {
-		return nil
-	}
-	return &o.Net
-}
-
-// NodeTimes returns the per-node breakdowns.
-func (o *MP) NodeTimes() []NodeTimes {
-	if o == nil {
-		return nil
-	}
-	return o.Nodes
 }

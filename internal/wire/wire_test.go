@@ -317,6 +317,19 @@ func TestTracedResponseFrameGolden(t *testing.T) {
 	}
 }
 
+// TestStatusString names every status and falls back to the number for
+// a code past the last one.
+func TestStatusString(t *testing.T) {
+	for s, want := range map[Status]string{
+		StatusOK: "ok", StatusUnknownCircuit: "unknown-circuit", StatusStoreFull: "store-full",
+		statusMax + 1: "Status(11)", 255: "Status(255)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("Status %d String() = %q, want %q", uint8(s), got, want)
+		}
+	}
+}
+
 // TestStatusHTTPEquivalence pins the status-to-HTTP map against the JSON
 // layer's vocabulary, so the two transports can never drift silently.
 func TestStatusHTTPEquivalence(t *testing.T) {

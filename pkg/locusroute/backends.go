@@ -110,14 +110,6 @@ func run(ctx context.Context, req Request, fn func() (Result, error)) (Result, e
 	}
 }
 
-// runName labels the run in observability documents.
-func runName(req Request) string {
-	if req.Name != "" {
-		return req.Name
-	}
-	return req.Circuit.Name
-}
-
 // seqBackend is the sequential reference implementation.
 type seqBackend struct{ cfg config }
 
@@ -154,7 +146,7 @@ func (b *seqBackend) Route(ctx context.Context, req Request) (Result, error) {
 			Final:         arr,
 		}
 		b.cfg.collector.Append(obs.Run{
-			Name: runName(req), Backend: string(Sequential), Circuit: req.Circuit.Name, Procs: 1,
+			Name: req.Circuit.Name, Backend: string(Sequential), Circuit: req.Circuit.Name, Procs: 1,
 			Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
 			Partition: pdoc,
 		})
@@ -194,7 +186,7 @@ func (b *partBackend) Route(ctx context.Context, req Request) (Result, error) {
 			Final:         arr,
 		}
 		b.cfg.collector.Append(obs.Run{
-			Name: runName(req), Backend: string(Partitioned), Circuit: req.Circuit.Name, Procs: b.cfg.procs,
+			Name: req.Circuit.Name, Backend: string(Partitioned), Circuit: req.Circuit.Name, Procs: b.cfg.procs,
 			Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
 			Partition: partitionDoc(st),
 		})
@@ -257,7 +249,7 @@ func (b *smBackend) Route(ctx context.Context, req Request) (Result, error) {
 		out.SM = &res
 		out.RefTrace = tr
 		out.Order = cfg.Order
-		b.cfg.collector.Append(sm.ObsRun(runName(req), req.Circuit.Name, cfg, res))
+		b.cfg.collector.Append(sm.ObsRun(req.Circuit.Name, req.Circuit.Name, cfg, res))
 		return out, nil
 	})
 }
@@ -268,9 +260,9 @@ type mpBackend struct{ cfg config }
 func (b *mpBackend) Kind() Kind { return MPDES }
 func (b *mpBackend) Procs() int { return b.cfg.procs }
 
-// mpConfig assembles a fresh mp.Config for one request. Each call gets
-// its own observer and configuration, so a backend routes concurrent
-// requests safely (except under WithTracer, which is one-run-at-a-time).
+// mpConfig assembles a fresh mp.Config for one request, so a backend
+// routes concurrent requests safely (except under WithTracer, which is
+// one-run-at-a-time).
 func (b *mpBackend) mpConfig(req Request) mp.Config {
 	st := mp.StandardStrategy()
 	if b.cfg.strategy != nil {
@@ -291,9 +283,6 @@ func (b *mpBackend) mpConfig(req Request) mp.Config {
 	cfg.DynamicWires = b.cfg.dynamic
 	cfg.StrictOwnership = b.cfg.strict
 	cfg.Trace = b.cfg.tracer
-	if b.cfg.collector.Enabled() {
-		cfg.Obs = obs.NewMP()
-	}
 	return cfg
 }
 
@@ -319,7 +308,7 @@ func (b *mpBackend) Route(ctx context.Context, req Request) (Result, error) {
 		out.Final = res.Final
 		out.MP = &res
 		out.Strategy = cfg.Strategy
-		b.cfg.collector.Append(mp.ObsRun(runName(req), req.Circuit.Name, cfg, res))
+		b.cfg.collector.Append(mp.ObsRun(req.Circuit.Name, req.Circuit.Name, cfg, res))
 		return out, nil
 	})
 }

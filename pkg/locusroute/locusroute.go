@@ -102,10 +102,6 @@ func ReceiverInitiated(reqLoc, reqRmt int, blocking bool) Strategy {
 // (420 wires, 10 channels x 341 grids) from the given seed.
 func BnrE(seed int64) (*Circuit, error) { return circuit.Generate(circuit.BnrELike(seed)) }
 
-// MDC generates the synthetic stand-in for the paper's MDC benchmark
-// (573 wires, 12 channels x 386 grids) from the given seed.
-func MDC(seed int64) (*Circuit, error) { return circuit.Generate(circuit.MDCLike(seed)) }
-
 // ReadCircuit parses a circuit from the repository's text format and
 // validates it.
 func ReadCircuit(r io.Reader) (*Circuit, error) { return circuit.Read(r) }
@@ -116,9 +112,6 @@ type Request struct {
 	// inside the circuit's grid; Route returns an *OutsideGridError
 	// otherwise — requests are rejected, never clamped.
 	Circuit *Circuit
-	// Name labels the run in observability documents; empty uses the
-	// circuit name.
-	Name string
 }
 
 // OutsideGridError reports a request wire whose pin lies outside the

@@ -1,9 +1,11 @@
 package locusroute
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +31,26 @@ func testCircuit(t *testing.T) *Circuit {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestReadCircuitRoundTrip reads back what circuit.Write wrote.
+func TestReadCircuitRoundTrip(t *testing.T) {
+	c := testCircuit(t)
+	var buf bytes.Buffer
+	if err := circuit.Write(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCircuit(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != c.Name || got.Grid != c.Grid || !reflect.DeepEqual(got.Wires, c.Wires) {
+		t.Errorf("round trip changed the circuit: %s %v, %d wires; want %s %v, %d wires",
+			got.Name, got.Grid, len(got.Wires), c.Name, c.Grid, len(c.Wires))
+	}
+	if _, err := ReadCircuit(strings.NewReader("wire 0 1 1 2 2\n")); err == nil {
+		t.Error("a wire before the circuit header must fail")
+	}
 }
 
 // TestSequentialMatchesDirectCall pins the facade to the internal
@@ -282,7 +304,8 @@ func TestOptionRejection(t *testing.T) {
 }
 
 // TestObserverCollectsRuns checks WithObserver appends one document per
-// Route call with the backend and quality filled in.
+// Route call, named by its circuit, with the backend, quality and node
+// breakdown filled in.
 func TestObserverCollectsRuns(t *testing.T) {
 	c := testCircuit(t)
 	col := obs.NewCollector()
@@ -290,7 +313,7 @@ func TestObserverCollectsRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := be.Route(context.Background(), Request{Circuit: c, Name: "row-1"}); err != nil {
+	if _, err := be.Route(context.Background(), Request{Circuit: c}); err != nil {
 		t.Fatal(err)
 	}
 	snap := col.Snapshot("test")
@@ -298,8 +321,8 @@ func TestObserverCollectsRuns(t *testing.T) {
 		t.Fatalf("collector has %d runs, want 1", len(snap.Runs))
 	}
 	r := snap.Runs[0]
-	if r.Name != "row-1" || r.Backend != string(MPDES) || r.Quality == nil {
-		t.Errorf("run document = %+v, want name row-1, backend mp-des, quality set", r)
+	if r.Name != c.Name || r.Backend != string(MPDES) || r.Quality == nil {
+		t.Errorf("run document = %+v, want name %s, backend mp-des, quality set", r, c.Name)
 	}
 	if len(r.Nodes) != 4 {
 		t.Errorf("run document has %d node breakdowns, want 4", len(r.Nodes))

@@ -150,20 +150,14 @@ func WithPartitions(n int) Option {
 	return func(c *config) { c.partitions = n; c.partitionsSet = true }
 }
 
-// Negotiated aliases the negotiated-congestion schedule configuration
-// (internal/part): pres_fac start/multiplier/cap, history increment,
-// cell capacity, and the pass bound. The zero value of every field
-// selects its default.
-type Negotiated = part.Negotiated
-
 // WithNegotiatedCongestion switches routing to the PathFinder/VPR-style
 // negotiated-congestion schedule: a first pass routes by length, later
 // passes escalate a present-congestion factor, charge history to cells
 // that stay overused, and rip up only the wires crossing them. Applies
 // to the sequential and partitioned backends; it is orthogonal to
-// partitioning.
-func WithNegotiatedCongestion(n Negotiated) Option {
-	return func(c *config) { c.negotiated = &n }
+// partitioning. The schedule runs with part.Negotiated's defaults.
+func WithNegotiatedCongestion() Option {
+	return func(c *config) { c.negotiated = &part.Negotiated{} }
 }
 
 // WithObserver attaches a collector: every Route appends its run's

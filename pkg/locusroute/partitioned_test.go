@@ -117,7 +117,7 @@ func TestNegotiatedOnSequentialBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := obs.NewCollector()
-	be, err := NewSequential(WithNegotiatedCongestion(Negotiated{}), WithObserver(col))
+	be, err := NewSequential(WithNegotiatedCongestion(), WithObserver(col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPartitionOptionRejection(t *testing.T) {
 			return err
 		}},
 		{"negotiation on SM", func() error {
-			_, err := NewTracedSharedMemory(WithNegotiatedCongestion(Negotiated{}))
+			_, err := NewTracedSharedMemory(WithNegotiatedCongestion())
 			return err
 		}},
 		{"wire distribution on partitioned", func() error {
