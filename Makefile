@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race loc census serve-golden part-golden bench bench-layers layers-exact smoke-partition paper profile-paper profile-route
+.PHONY: verify build test race loc census serve-golden part-golden bench bench-layers layers-exact smoke-partition paper paper-rss profile-paper profile-route
 
 verify: ## build, vet, full tests, and race-test the concurrent packages
 	$(GO) build ./...
@@ -114,6 +114,21 @@ smoke-partition:
 # Regenerate every paper table.
 paper:
 	$(GO) run ./cmd/paper -all
+
+# The peak resident set of `paper -all -par 2` (what the benchmark's
+# paper_sim workload runs), taken as the benchmark harness takes it:
+# VmHWM from /proc/<pid>/status, polled until the process ends (here
+# every 5 ms). Linux only.
+paper-rss:
+	@$(GO) build -o /tmp/paper-rss ./cmd/paper
+	@/tmp/paper-rss -all -par 2 > /dev/null & pid=$$!; peak=0; \
+	while kill -0 $$pid 2>/dev/null; do \
+		kb=$$(awk '/^VmHWM:/ {print $$2}' /proc/$$pid/status 2>/dev/null); \
+		if [ -n "$$kb" ] && [ "$$kb" -gt "$$peak" ]; then peak=$$kb; fi; \
+		sleep 0.005; \
+	done; \
+	wait $$pid || exit 1; \
+	awk -v kb=$$peak 'BEGIN { printf "paper -all -par 2 peak RSS: %.2f MB (VmHWM)\n", kb / 1024 }'
 
 # Where `paper -all` spends its CPU: the serial driver under the CPU
 # profiler, top 25 by cumulative time. The figures ROADMAP and CHANGES.md

@@ -27,10 +27,13 @@
 // and order, and the whole mp.Config — and a repeat waits for the first
 // request outside the pool, then shares its read-only Result and records
 // its own -json document under its own label. Event-traced runs are
-// never shared.
+// never shared. The memo holds what the tables read and no arrays: a
+// Result is kept without its Final cost array, and a key is the sha256
+// digest of the configuration's text, not the text.
 package experiments
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"slices"
 	"sync"
@@ -198,6 +201,7 @@ func runConfigured(c *circuit.Circuit, s Setup, cfg mp.Config, asn *assign.Assig
 	run, first := s.memo.claimDES(c, cfg, asn)
 	if first {
 		s.Pool.Run(func() { run.val, run.err = mp.Run(c, asn, cfg) })
+		run.val.Final = nil // no table reads it; the memo would hold it to the end
 		close(run.done)
 	}
 	<-run.done
@@ -224,11 +228,11 @@ type smRun struct {
 	sims []*cache.Simulator
 }
 
-// memoTable holds runs of one kind by key, and counts the runs it handed
-// out to execute.
+// memoTable holds runs of one kind by the digest of their key, and counts
+// the runs it handed out to execute.
 type memoTable[V any] struct {
 	mu       sync.Mutex
-	runs     map[string]*memoRun[V]
+	runs     map[[sha256.Size]byte]*memoRun[V]
 	executed int
 }
 
@@ -245,16 +249,16 @@ func newRun[V any]() *memoRun[V] { return &memoRun[V]{done: make(chan struct{})}
 // claim returns the run under key and whether the caller is the first to
 // ask, and so must execute it and close done.
 func (t *memoTable[V]) claim(key string) (*memoRun[V], bool) {
-	run := newRun[V]()
+	run, digest := newRun[V](), sha256.Sum256([]byte(key))
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if prev, ok := t.runs[key]; ok {
+	if prev, ok := t.runs[digest]; ok {
 		return prev, false
 	}
 	if t.runs == nil {
-		t.runs = make(map[string]*memoRun[V])
+		t.runs = make(map[[sha256.Size]byte]*memoRun[V])
 	}
-	t.runs[key] = run
+	t.runs[digest] = run
 	t.executed++
 	return run, true
 }
@@ -316,6 +320,7 @@ func smTraffic(c *circuit.Circuit, s Setup, order sm.Order, asn *assign.Assignme
 					}
 				})
 			})
+			run.val.res.Final = nil // as runConfigured: no table reads it
 		}
 		close(run.done)
 	}

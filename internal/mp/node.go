@@ -17,9 +17,9 @@ import (
 // the compute model for every operation, transports packets over the
 // simulated mesh, and implements the inter-iteration barrier (Done to
 // node 0, Continue back).
-// Routing scratch state lives inside the Proto (one route.Scratch per
-// processor for the whole run), so the node gets the allocation-free
-// kernel without owning it itself.
+// Routing scratch state lives inside the Proto (one route.Scratch that
+// the run's nodes share), so the node gets the allocation-free kernel
+// without owning it itself.
 type node struct {
 	id    int
 	r     *runner
@@ -66,7 +66,7 @@ func newNode(id int, r *runner) *node {
 		n.strict = newStrictState(r.part.Region(id), r.circ.Grid)
 		return n
 	}
-	n.proto = newProto(id, r.circ, r.part, r.cfg.Strategy, r.cfg.Router, r.paths)
+	n.proto = newProto(id, r.circ, r.part, r.cfg.Strategy, r.cfg.Router, r.paths, r.scratch, r.owners)
 	n.proto.Structure = r.cfg.Packets
 	n.proto.SetTruth(r.truth)
 	return n

@@ -74,8 +74,8 @@ type Proto struct {
 	// paths holds each wire's most recent routing, indexed like
 	// circ.Wires and consulted at rip-up time.
 	paths []route.Path
-	// scratch is this processor's reusable routing kernel state. Proto is
-	// confined to one thread of control, so the scratch is too.
+	// scratch is the routing kernel state, which the nodes of one DES run
+	// share with owners: the kernel runs one at a time, routings never yield.
 	scratch *route.Scratch
 
 	// owners answers Part.Owner for the cells a commit or rip-up touches;
@@ -108,15 +108,17 @@ type wireOp struct {
 	ripUp bool
 }
 
-// NewProto builds the protocol state for processor id, with a path slice
-// of its own.
+// NewProto builds the protocol state for processor id, with a path
+// slice, a scratch and an owner table of its own.
 func NewProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, router route.Params) *Proto {
-	return newProto(id, circ, part, st, router, make([]route.Path, len(circ.Wires)))
+	return newProto(id, circ, part, st, router, make([]route.Path, len(circ.Wires)),
+		route.NewScratch(circ.Grid), part.OwnerTable())
 }
 
 // newProto builds the protocol state for processor id around paths, the
-// per-wire path slice it records its routings in.
-func newProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, router route.Params, paths []route.Path) *Proto {
+// per-wire path slice it records its routings in, scratch and owners.
+func newProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, router route.Params,
+	paths []route.Path, scratch *route.Scratch, owners geom.OwnerTable) *Proto {
 	return &Proto{
 		ID:       id,
 		Strategy: st,
@@ -126,8 +128,8 @@ func newProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, r
 		delta:    costarray.NewDelta(part),
 		router:   router,
 		paths:    paths,
-		scratch:  route.NewScratch(circ.Grid),
-		owners:   part.OwnerTable(),
+		scratch:  scratch,
+		owners:   owners,
 		reqDirty: make([]geom.Rect, part.Procs()),
 		touch:    make([]int, part.Procs()),
 		reqFrom:  make([]int, part.Procs()),
@@ -247,10 +249,12 @@ func (pr *Proto) RipUpWire(wi, iter int) int {
 	return prev.Len()
 }
 
-// EvaluateWire routes wire wi against the current view without committing.
+// EvaluateWire routes wire wi against the current view without
+// committing, into the storage of the path RipUpWire removed: nothing may
+// read that path until CommitWire records the new one.
 func (pr *Proto) EvaluateWire(wi int) PendingWire {
 	w := &pr.circ.Wires[wi]
-	ev := pr.scratch.RouteWire(route.ArrayView{A: pr.view}, w, pr.router)
+	ev := pr.scratch.RerouteWire(route.ArrayView{A: pr.view}, w, pr.router, pr.paths[wi])
 	return PendingWire{Path: ev.Path, CellsExamined: ev.CellsExamined}
 }
 

@@ -42,6 +42,9 @@ type runner struct {
 	// its owner, and a dynamically assigned one may be rerouted by a
 	// different node each iteration.
 	paths []route.Path
+	// scratch and owners are shared by every node's Proto (see Proto).
+	scratch *route.Scratch
+	owners  geom.OwnerTable
 
 	// wireCounter is the shared wire counter node 0 serves dynamic wire
 	// assignment from (DynamicWires only).
@@ -104,6 +107,8 @@ func Run(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result, err
 		packetsByKind: make(map[msg.Kind]int64),
 		finish:        make([]sim.Time, cfg.Procs),
 		paths:         make([]route.Path, len(circ.Wires)),
+		scratch:       route.GetScratch(circ.Grid),
+		owners:        part.OwnerTable(),
 	}
 
 	nodes := make([]*node, cfg.Procs)
@@ -112,6 +117,7 @@ func Run(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result, err
 		kernel.Spawn(fmt.Sprintf("node%d", id), nodes[id].run)
 	}
 	kernel.Run()
+	route.PutScratch(r.scratch)
 
 	var res Result
 	res.Final = r.truth

@@ -8,8 +8,7 @@ import "math/bits"
 const histBuckets = 64
 
 // Histogram is a fixed-shape power-of-two histogram of non-negative
-// int64 samples. The zero value is ready to use; a nil *Histogram
-// ignores Observe and renders an empty document.
+// int64 samples. The zero value is ready to use.
 type Histogram struct {
 	counts [histBuckets]int64
 	sum    int64
@@ -28,9 +27,6 @@ func bucketOf(v int64) int {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
 	h.counts[bucketOf(v)]++
 	h.sum += v
 	h.count++
@@ -41,31 +37,22 @@ func (h *Histogram) Observe(v int64) {
 
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
 	return h.count
 }
 
 // Sum returns the total of all recorded samples.
 func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
 	return h.sum
 }
 
 // Max returns the largest recorded sample (0 when empty).
 func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
 	return h.max
 }
 
 // Mean returns the average sample, or 0 when empty.
 func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
+	if h.count == 0 {
 		return 0
 	}
 	return float64(h.sum) / float64(h.count)
@@ -91,7 +78,7 @@ type HistogramDoc struct {
 
 // Doc renders the histogram, or nil when it has no samples.
 func (h *Histogram) Doc() *HistogramDoc {
-	if h == nil || h.count == 0 {
+	if h.count == 0 {
 		return nil
 	}
 	d := &HistogramDoc{Count: h.count, Sum: h.sum, Max: h.max, Mean: h.Mean()}

@@ -3,11 +3,10 @@
 // invocation's run documents, and the power-of-two Histogram the
 // simulators record into.
 //
-// A nil *Collector is the disabled state and discards every document; a
-// nil *Histogram ignores every sample. What a run records does not
-// depend on either: the DES returns its per-node breakdown and network
-// histograms in every Result, and the paper tables stay byte-identical
-// with or without -json.
+// A nil *Collector is the disabled state and discards every document.
+// What a run records does not depend on it: the DES returns its per-node
+// breakdown and network histograms in every Result, and the paper tables
+// stay byte-identical with or without -json.
 //
 // # Document schema (locusroute.obs/v2)
 //

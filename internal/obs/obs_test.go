@@ -51,17 +51,6 @@ func TestHistogramDoc(t *testing.T) {
 	}
 }
 
-func TestHistogramNilSafe(t *testing.T) {
-	var h *Histogram
-	h.Observe(5)
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Error("nil histogram reported non-zero moments")
-	}
-	if h.Doc() != nil {
-		t.Error("nil histogram rendered a document")
-	}
-}
-
 func TestNilCollectorsNoOp(t *testing.T) {
 	var col *Collector
 	if col.Enabled() {

@@ -32,7 +32,8 @@ const counterAddr = 1 << 40
 
 // tracedView is one logical process's traced access to the shared array.
 // The kernel costs candidates on the array itself and tells the view,
-// its scratch's observer, each candidate's straight runs (ReadRun), and a run of reads enters
+// the scratch's observer while the process routes, each candidate's
+// straight runs (ReadRun), and a run of reads enters
 // the trace as one trace.Run. Rip-up writes through the view (AddCost)
 // update the shared array immediately — commits use deferred
 // application, see routeOneWire.
@@ -80,6 +81,9 @@ type tracedRunner struct {
 	// tr merges the processes' reference streams into the caller's sink.
 	tr    *trace.Merger
 	procs []*proc
+	// scratch is the processes' one routing kernel state: the multiplexer
+	// runs one process at a time, and a routing never spans two turns.
+	scratch *route.Scratch
 	// refs counts the references emitted, by trace.Op.
 	refs [2]int
 	// lastCost[w] is the path cost of wire w at its latest routing.
@@ -94,9 +98,6 @@ type proc struct {
 	id    int
 	r     *tracedRunner
 	clock sim.Time
-	// scratch is this process's reusable routing kernel state; the
-	// multiplexer runs one process at a time, so it is never shared.
-	scratch *route.Scratch
 	// work is the wire list for static order; cursor indexes it.
 	work   []int
 	cursor int
@@ -135,7 +136,8 @@ func (r *tracedRunner) applyPending(t sim.Time) {
 // current clock: rip-up of the previous path (immediately visible, as in
 // the real program where decrements happen in place), evaluation against
 // the shared array (which excludes other processes' in-flight commits),
-// and a commit that becomes visible when the routing completes.
+// and a commit that becomes visible when the routing completes. The new
+// path reuses the storage of the one it replaces.
 func (p *proc) routeOneWire(wi int, iter int) {
 	r := p.r
 	w := &r.circ.Wires[wi]
@@ -145,7 +147,8 @@ func (p *proc) routeOneWire(wi int, iter int) {
 	if iter > 0 {
 		route.RipUp(view, r.paths[wi])
 	}
-	ev := p.scratch.RouteWire(route.ArrayView{A: r.shared}, w, r.cfg.Router)
+	r.scratch.Observe(view)
+	ev := r.scratch.RerouteWire(route.ArrayView{A: r.shared}, w, r.cfg.Router, r.paths[wi])
 	// Occupancy contribution: the deduplicated path cost against the
 	// shared array at routing time (a metric computation, not program
 	// memory traffic, so it is not traced).
@@ -206,13 +209,13 @@ func RunTraced(circ *circuit.Circuit, cfg Config, sink func([]trace.Ref)) (Resul
 		shared:   costarray.New(circ.Grid),
 		tr:       trace.NewMerger(cfg.Procs, sink),
 		procs:    make([]*proc, cfg.Procs),
+		scratch:  route.GetScratch(circ.Grid),
 		lastCost: make([]int64, len(circ.Wires)),
 		paths:    make([]route.Path, len(circ.Wires)),
 	}
 	procs := r.procs
 	for i := range procs {
-		procs[i] = &proc{id: i, r: r, scratch: route.NewScratch(circ.Grid)}
-		procs[i].scratch.Observe(tracedView{p: procs[i]})
+		procs[i] = &proc{id: i, r: r}
 		if cfg.Order == Static {
 			procs[i].work = cfg.Assignment.WiresOf(i)
 		}
@@ -269,6 +272,7 @@ func RunTraced(circ *circuit.Circuit, cfg Config, sink func([]trace.Ref)) (Resul
 		r.applyPending(maxClock)
 	}
 	r.tr.Flush()
+	route.PutScratch(r.scratch)
 
 	var res Result
 	res.Final = r.shared

@@ -4,13 +4,14 @@
 // memory router (internal/sm) appends to one stream per logical process —
 // a straight run of cell reads as one Run, every other reference as a
 // run of one — and a Merger interleaves the streams on (time, processor),
-// handing the references it can emit to its consumer one batch per
-// Drain: the cache coherence simulator (internal/cache), or a Trace when
-// the caller wants the references kept.
+// handing the references it can emit to its consumer in batches of a
+// bounded size: the cache coherence simulator (internal/cache), or a
+// Trace when the caller wants the references kept.
 package trace
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"locusroute/internal/sim"
@@ -92,10 +93,12 @@ func (t *Trace) Counts() (reads, writes int) {
 // A stream buffers runs, not references: emitting a run's head reference
 // advances the run in place, so the cost of buffering follows the runs a
 // process appends (about six references each on bnrE) while the emitted
-// order stays reference by reference.
+// order stays reference by reference. A buffered run is a 32-byte item.
+// What a drain emits reaches the sink through one reused 16 KB buffer,
+// so the merger's memory does not grow with how much one drain emits.
 type Merger struct {
 	sink    func([]Ref)
-	batch   []Ref // the references one drain emits, handed to sink at its end
+	batch   []Ref // the references emitted and not yet handed to sink
 	streams []stream
 	tree    []uint64 // winner tree: tree[1] is the root, tree[len(tree)/2:] the leaves
 	bits    uint     // processor bits in a key
@@ -105,14 +108,26 @@ type Merger struct {
 	buffered, peak int
 }
 
+// batchRefs is the most references one sink call carries.
+const batchRefs = 512
+
+// item is a buffered run of one stream: n references from time t and
+// address addr on, dt and stride apart.
+type item struct {
+	t             sim.Time
+	addr          uint64
+	dt, stride, n int32
+	op            Op
+}
+
 // stream is one process's buffered runs: next holds the process's next
-// reference (none pending when next.N is zero), and runs[head:] queue
+// reference (none pending when next.n is zero), and runs[head:] queue
 // behind it. Keeping the run being emitted inline saves the merge loop a
 // pointer chase per reference. last is the time of the latest reference
 // appended.
 type stream struct {
-	next Run
-	runs []Run
+	next item
+	runs []item
 	head int
 	last sim.Time
 }
@@ -122,8 +137,8 @@ type stream struct {
 const empty = ^uint64(0)
 
 // NewMerger returns a merger over procs streams emitting into sink. Each
-// Drain or Flush that emits anything calls sink once, with the emitted
-// references in order; the slice is valid only during the call.
+// Drain or Flush hands sink what it emits, in order, in batches of 1 to
+// batchRefs (512) references, each valid only during the call.
 func NewMerger(procs int, sink func([]Ref)) *Merger {
 	leaves := 1
 	for leaves < procs {
@@ -136,6 +151,7 @@ func NewMerger(procs int, sink func([]Ref)) *Merger {
 	b := uint(bits.Len(uint(procs)))
 	return &Merger{
 		sink:    sink,
+		batch:   make([]Ref, 0, batchRefs),
 		streams: make([]stream, procs),
 		tree:    tree,
 		bits:    b,
@@ -149,13 +165,14 @@ func (m *Merger) Append(r Ref) {
 }
 
 // AppendRun buffers run r on its process's stream. r.N must be positive
-// and r.DT not negative, and the run's times must lie between that of the
-// stream's previous reference (zero for the first) and the packing bound;
-// AppendRun panics otherwise, because the merge would misorder it.
+// and r.DT not negative, r.N, r.DT and r.Stride must fit in 32 bits, and
+// the run's times must lie between that of the stream's previous
+// reference (zero for the first) and the packing bound; AppendRun panics
+// otherwise, because the merge would misorder or truncate it.
 func (m *Merger) AppendRun(r Run) {
 	s := &m.streams[r.Proc]
-	if r.N < 1 || r.DT < 0 {
-		panic(fmt.Sprintf("trace: proc %d appended a run of %d refs %d apart", r.Proc, r.N, r.DT))
+	if r.N < 1 || r.DT < 0 || r.N > math.MaxInt32 || r.DT > math.MaxInt32 || int64(int32(r.Stride)) != r.Stride {
+		panic(fmt.Sprintf("trace: proc %d appended a run of %d refs %d apart, stride %d", r.Proc, r.N, r.DT, r.Stride))
 	}
 	last, ok := r.T, r.T >= s.last && r.T <= m.maxT
 	if ok && r.N > 1 && r.DT > 0 {
@@ -168,10 +185,11 @@ func (m *Merger) AppendRun(r Run) {
 			r.Proc, last, s.last, m.maxT))
 	}
 	s.last = last
-	if s.next.N == 0 {
-		s.next = r
+	it := item{t: r.T, addr: r.Addr, dt: int32(r.DT), stride: int32(r.Stride), n: int32(r.N), op: r.Op}
+	if s.next.n == 0 {
+		s.next = it
 	} else {
-		s.runs = append(s.runs, r)
+		s.runs = append(s.runs, it)
 	}
 	if m.buffered += r.N; m.buffered > m.peak {
 		m.peak = m.buffered
@@ -198,8 +216,8 @@ func (m *Merger) Drain(watermark sim.Time) {
 // Flush emits everything still buffered.
 func (m *Merger) Flush() { m.drain(empty) }
 
-// drain emits references while the least pending key is below limit, then
-// hands them to the sink as one batch.
+// drain emits references while the least pending key is below limit,
+// handing them to the sink a full batch at a time and then the rest.
 func (m *Merger) drain(limit uint64) {
 	leaves := len(m.tree) / 2
 	for p := range m.streams {
@@ -213,12 +231,15 @@ func (m *Merger) drain(limit uint64) {
 		p := int(k & mask)
 		s := &m.streams[p]
 		r := &s.next
-		batch = append(batch, Ref{T: r.T, Proc: p, Addr: r.Addr, Op: r.Op})
-		if r.N--; r.N > 0 {
-			// The run's next reference: its key is DT later.
-			r.T += r.DT
-			r.Addr += uint64(r.Stride)
-			k += uint64(r.DT) << m.bits
+		batch = append(batch, Ref{T: r.t, Proc: p, Addr: r.addr, Op: r.op})
+		if len(batch) == batchRefs {
+			batch = m.emit(batch)
+		}
+		if r.n--; r.n > 0 {
+			// The run's next reference: its key is dt later.
+			r.t += sim.Time(r.dt)
+			r.addr += uint64(r.stride)
+			k += uint64(r.dt) << m.bits
 		} else {
 			if s.head < len(s.runs) {
 				s.next = s.runs[s.head]
@@ -235,20 +256,25 @@ func (m *Merger) drain(limit uint64) {
 	for p := range m.streams {
 		m.streams[p].compact()
 	}
+	m.batch = m.emit(batch)
+}
+
+// emit hands a non-empty batch to the sink and returns it emptied.
+func (m *Merger) emit(batch []Ref) []Ref {
 	if len(batch) > 0 {
 		m.buffered -= len(batch)
 		m.sink(batch)
 	}
-	m.batch = batch[:0]
+	return batch[:0]
 }
 
 // head returns the key of stream p's next reference.
 func (m *Merger) head(p int) uint64 {
 	s := &m.streams[p]
-	if s.next.N == 0 {
+	if s.next.n == 0 {
 		return empty
 	}
-	return uint64(s.next.T)<<m.bits | uint64(p)
+	return uint64(s.next.t)<<m.bits | uint64(p)
 }
 
 // compact reclaims the popped prefix of runs once it is at least half

@@ -38,20 +38,44 @@ func stableSort(refs []Ref) {
 // the winner tree with empty leaves; every other trial starts the clocks
 // just below the packing bound and clamps them at it, so the largest T a
 // key holds is merged and drained against too, some runs ending on it.
+// The last 48 trials append up to 1500 references per process and drain
+// rarely, so that one drain emits more than a batch: every sink call
+// must carry between one and batchRefs references, and some drains must
+// have been split.
 func TestMergeMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	strides := []int64{-36, -4, 0, 4, 40}
-	for trial := 0; trial < 480; trial++ {
+	split := 0 // drains of the large trials that called the sink more than once
+	for trial := 0; trial < 528; trial++ {
 		procs := []int{1, 2, 3, 5, 16, 64}[trial%6]
 		steps := [][]sim.Time{{0}, {0, 0, 1}, {0, 1, 2, 7}, {1, 3}}[(trial/6)%4]
+		large := trial >= 480
+		perProc, drainEvery := 40, 3
+		if large {
+			perProc, drainEvery = 1500, 40
+		}
 		left := make([]int, procs) // refs each process has yet to append
 		for p := range left {
 			if rng.Intn(4) > 0 {
-				left[p] = rng.Intn(40)
+				left[p] = rng.Intn(perProc)
 			}
 		}
 		var got, byRef, want []Ref
-		m := NewMerger(procs, func(b []Ref) { got = append(got, b...) })
+		calls := 0 // sink calls of the current drain
+		m := NewMerger(procs, func(b []Ref) {
+			if len(b) == 0 || len(b) > batchRefs {
+				t.Fatalf("trial %d: sink called with %d refs, want 1 to %d", trial, len(b), batchRefs)
+			}
+			calls++
+			got = append(got, b...)
+		})
+		drain := func(f func()) {
+			calls = 0
+			f()
+			if large && calls > 1 {
+				split++
+			}
+		}
 		one := NewMerger(procs, func(b []Ref) { byRef = append(byRef, b...) })
 		clock := make([]sim.Time, procs)
 		ceiling := sim.Time(math.MaxInt64)
@@ -92,7 +116,7 @@ func TestMergeMatchesStableSort(t *testing.T) {
 				clock[p] = want[len(want)-1].T
 				left[p] -= r.N
 			}
-			if rng.Intn(3) == 0 {
+			if rng.Intn(drainEvery) == 0 {
 				// Nothing can still be emitted below the lowest clock of
 				// the processes with work left; at it, something can.
 				low := sim.Time(-1)
@@ -102,12 +126,12 @@ func TestMergeMatchesStableSort(t *testing.T) {
 					}
 				}
 				if low >= 0 {
-					m.Drain(low)
+					drain(func() { m.Drain(low) })
 					one.Drain(low)
 				}
 			}
 		}
-		m.Flush()
+		drain(m.Flush)
 		one.Flush()
 		stableSort(want)
 		for _, emitted := range []struct {
@@ -131,11 +155,14 @@ func TestMergeMatchesStableSort(t *testing.T) {
 			t.Errorf("trial %d: peak %d with %d refs", trial, m.Peak(), len(want))
 		}
 	}
+	if split == 0 {
+		t.Errorf("no drain of the large trials emitted more than a batch")
+	}
 }
 
-// TestDrainCallsSinkOncePerBatch: a drain that emits references hands
-// them to the sink in one call, and one that emits nothing does not call
-// it.
+// TestDrainCallsSinkOncePerBatch: a drain hands what it emits to the
+// sink in batches, one call per batchRefs references and one for the
+// rest, and a drain that emits nothing does not call it.
 func TestDrainCallsSinkOncePerBatch(t *testing.T) {
 	var calls [][]Ref
 	m := NewMerger(2, func(b []Ref) { calls = append(calls, slices.Clone(b)) })
@@ -153,6 +180,19 @@ func TestDrainCallsSinkOncePerBatch(t *testing.T) {
 	m.Flush()
 	if len(calls) != 2 || !slices.Equal(calls[1], []Ref{{T: 3, Proc: 0, Addr: 0}}) {
 		t.Errorf("Flush called the sink with %+v", calls[1:])
+	}
+	// Two full batches and three references more: the sink sees 512, 512
+	// and 3, each batch continuing where the last one stopped.
+	calls = nil
+	m.AppendRun(Run{T: 10, DT: 1, Proc: 1, Addr: 0, Stride: 4, N: 2*batchRefs + 3})
+	m.Flush()
+	if len(calls) != 3 || len(calls[0]) != batchRefs || len(calls[1]) != batchRefs || len(calls[2]) != 3 {
+		t.Fatalf("Flush of %d refs called the sink %d times", 2*batchRefs+3, len(calls))
+	}
+	for i, r := range slices.Concat(calls...) {
+		if want := (Ref{T: 10 + sim.Time(i), Proc: 1, Addr: uint64(4 * i)}); r != want {
+			t.Fatalf("ref %d of the split flush is %+v, want %+v", i, r, want)
+		}
 	}
 }
 
@@ -180,7 +220,8 @@ func TestDrainStopsAtWatermark(t *testing.T) {
 // the last of the run before), a negative time (a packed key would sort
 // it last), a time beyond the packing bound — a run's last reference
 // included — a negative step and an empty run each panic, naming the
-// processor, instead of misordering the merge.
+// processor, instead of misordering the merge; a count, step or stride
+// beyond 32 bits panics instead of being truncated.
 func TestAppendRejectsMisorderedTimes(t *testing.T) {
 	bound := NewMerger(3, nil).maxT
 	for _, tc := range []struct {
@@ -199,6 +240,14 @@ func TestAppendRejectsMisorderedTimes(t *testing.T) {
 			fmt.Sprintf("trace: proc 2 appended T=%d after T=0 ", bound+1)},
 		{"negative step", []Run{{T: 5, DT: -1, Proc: 0, N: 2}}, "trace: proc 0 appended a run of 2 refs -1 apart"},
 		{"empty run", []Run{{T: 5, Proc: 1}}, "trace: proc 1 appended a run of 0 refs 0 apart"},
+		{"count beyond 32 bits", []Run{{T: 5, Proc: 0, N: math.MaxInt32 + 1}},
+			"trace: proc 0 appended a run of 2147483648 refs 0 apart, stride 0"},
+		{"step beyond 32 bits", []Run{{T: 5, DT: math.MaxInt32 + 1, Proc: 1, N: 2}},
+			"trace: proc 1 appended a run of 2 refs 2147483648 apart, stride 0"},
+		{"stride beyond 32 bits", []Run{{T: 5, Proc: 2, Stride: math.MaxInt32 + 1, N: 2}},
+			"trace: proc 2 appended a run of 2 refs 0 apart, stride 2147483648"},
+		{"stride below 32 bits", []Run{{T: 5, Proc: 2, Stride: math.MinInt32 - 4, N: 2}},
+			"trace: proc 2 appended a run of 2 refs 0 apart, stride -2147483652"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewMerger(3, func([]Ref) {})

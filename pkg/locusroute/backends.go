@@ -145,11 +145,13 @@ func (b *seqBackend) Route(ctx context.Context, req Request) (Result, error) {
 			CellsExamined: res.CellsExamined,
 			Final:         arr,
 		}
-		b.cfg.collector.Append(obs.Run{
-			Name: req.Circuit.Name, Backend: string(Sequential), Circuit: req.Circuit.Name, Procs: 1,
-			Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
-			Partition: pdoc,
-		})
+		if b.cfg.collector.Enabled() {
+			b.cfg.collector.Append(obs.Run{
+				Name: req.Circuit.Name, Backend: string(Sequential), Circuit: req.Circuit.Name, Procs: 1,
+				Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
+				Partition: pdoc,
+			})
+		}
 		return out, nil
 	})
 }
@@ -185,11 +187,13 @@ func (b *partBackend) Route(ctx context.Context, req Request) (Result, error) {
 			CellsExamined: res.CellsExamined,
 			Final:         arr,
 		}
-		b.cfg.collector.Append(obs.Run{
-			Name: req.Circuit.Name, Backend: string(Partitioned), Circuit: req.Circuit.Name, Procs: b.cfg.procs,
-			Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
-			Partition: partitionDoc(st),
-		})
+		if b.cfg.collector.Enabled() {
+			b.cfg.collector.Append(obs.Run{
+				Name: req.Circuit.Name, Backend: string(Partitioned), Circuit: req.Circuit.Name, Procs: b.cfg.procs,
+				Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
+				Partition: partitionDoc(st),
+			})
+		}
 		return out, nil
 	})
 }
@@ -249,7 +253,9 @@ func (b *smBackend) Route(ctx context.Context, req Request) (Result, error) {
 		out.SM = &res
 		out.RefTrace = tr
 		out.Order = cfg.Order
-		b.cfg.collector.Append(sm.ObsRun(req.Circuit.Name, req.Circuit.Name, cfg, res))
+		if b.cfg.collector.Enabled() {
+			b.cfg.collector.Append(sm.ObsRun(req.Circuit.Name, req.Circuit.Name, cfg, res))
+		}
 		return out, nil
 	})
 }
@@ -308,7 +314,9 @@ func (b *mpBackend) Route(ctx context.Context, req Request) (Result, error) {
 		out.Final = res.Final
 		out.MP = &res
 		out.Strategy = cfg.Strategy
-		b.cfg.collector.Append(mp.ObsRun(req.Circuit.Name, req.Circuit.Name, cfg, res))
+		if b.cfg.collector.Enabled() {
+			b.cfg.collector.Append(mp.ObsRun(req.Circuit.Name, req.Circuit.Name, cfg, res))
+		}
 		return out, nil
 	})
 }
