@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race loc census serve-golden part-golden bench bench-layers layers-exact smoke-partition paper paper-rss profile-paper profile-route
+.PHONY: verify build test race loc census census-test census-bin serve-golden part-golden bench bench-layers layers-exact smoke-partition paper paper-rss profile-paper profile-route
 
 verify: ## build, vet, full tests, and race-test the concurrent packages
 	$(GO) build ./...
@@ -34,17 +34,73 @@ loc:
 	@printf '%-18s %6d\n' total $$(find $(LOC_PKGS) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@printf '%-18s %6d\n' 'all but benchmark/' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | xargs cat | wc -l)
 
-# Dead-code census (ROADMAP item 11's method): the whole test suite's
-# coverage of every internal/ and pkg/ function, then each function
-# still at 0% — code no test, and often no caller, reaches. The profile
-# goes to a temp dir; a failing test is named on stderr, since its
-# package's coverage is then partial.
-census:
+# Dead-code census (ROADMAP item 11's method), in two sections. First
+# the whole test suite's coverage of every internal/ and pkg/ function,
+# then each function still at 0% — code no test, and often no caller,
+# reaches. The profile goes to a temp dir; a failing test is named on
+# stderr, since its package's coverage is then partial.
+census: census-test census-bin
+
+census-test:
+	@echo "== functions at 0% under go test"
 	@d=$$(mktemp -d); \
 	$(GO) test -coverpkg=./internal/...,./pkg/... -coverprofile=$$d/cover.out ./... > $$d/test.log 2>&1 || \
 	  grep -E '^(--- FAIL|FAIL)' $$d/test.log >&2; \
 	$(GO) tool cover -func=$$d/cover.out | awk '$$NF == "0.0%"'; \
 	rm -rf $$d
+
+# The second section: every function outside benchmark/ that no binary
+# run reaches. Every cmd/ binary is built with `go build -cover` (which
+# instruments the whole module) and run under one GOCOVERDIR: paper
+# -all and its side tables, locusroute on every backend and its
+# report/trace/strict/negotiate/assign/dump/replay paths, circuitgen,
+# and locusd with the policy chain, tracing and a store dir, driven by
+# locusload and by curls of every endpoint, then restarted on the same
+# store; last `benchmark -quick` with GOFLAGS=-cover, whose children
+# inherit GOCOVERDIR. The counters are merged with `go tool covdata`.
+# A step's failure stops the census with its log on stderr. Ports
+# 28747-28748 must be free. ~40 s on 2 cores.
+CENSUS_HTTP = 127.0.0.1:28747
+CENSUS_BIN = 127.0.0.1:28748
+CENSUS_UPLOAD = {"channels": 6, "grids": 80, "wires": [{"id": 0, "pins": [[2, 1], [40, 4]]}, {"id": 1, "pins": [[10, 2], [30, 5]]}]}
+CENSUS_MUTATE = {"circuit": "dyn", "ops": [{"op": "add", "wire": 2, "pins": [[5, 1], [60, 3]]}, {"op": "reroute", "wire": 0}]}
+census-bin:
+	@echo "== functions no binary run reaches (outside benchmark/)"
+	@set -e; d=$$(mktemp -d); trap 'kill $$pid 2>/dev/null || true; rm -rf $$d' EXIT; \
+	mkdir $$d/cov $$d/bin; b=$$d/bin; log=$$d/run.log; \
+	export GOCOVERDIR=$$d/cov; \
+	fail() { echo "census-bin: $$1 failed" >&2; tail -5 $$log >&2; exit 1; }; \
+	$(GO) build -cover -o $$b/ ./cmd/... || fail build; \
+	{ $$b/paper -all -par 2 -json $$d/obs.json && \
+	  $$b/paper -table critpath && $$b/paper -table partition; } > $$log 2>&1 || fail paper; \
+	{ for k in sequential sm-traced mp-des partitioned; do \
+	    $$b/locusroute -backend $$k -report -heatmap -json $$d/$$k.json || exit 1; done && \
+	  $$b/locusroute -backend mp-des -procs 4 -iters 1 -trace $$d/t.json -json $$d/r.json && \
+	  $$b/locusroute -backend mp-des -procs 4 -iters 1 -strict -trace $$d/ts.json && \
+	  $$b/locusroute -backend partitioned -partitions 4 -negotiate && \
+	  $$b/locusroute -backend sm-traced -procs 4 -assign dynamic && \
+	  $$b/locusroute -backend sm-traced -procs 4 -assign rr && \
+	  $$b/locusroute -backend sm-traced -procs 4 -iters 1 -dump $$d/sm.trace && \
+	  $$b/locusroute -backend sm-traced -replay $$d/sm.trace; } > $$log 2>&1 || fail locusroute; \
+	{ $$b/circuitgen -bench bnrE -o $$d/c.json && $$b/circuitgen -describe -bench MDC && \
+	  $$b/locusroute -circuit $$d/c.json; } > $$log 2>&1 || fail circuitgen; \
+	locusd() { $$b/locusd -bench bnrE -addr $(CENSUS_HTTP) -listen-bin $(CENSUS_BIN) \
+	    -admit-floor 1ms -rate-limit 100 -rate-burst 50 -breaker-failures 10 \
+	    -breaker-cooldown 2s -cache-size 256 -edf -trace -store-dir $$d/store >> $$log 2>&1 & pid=$$!; \
+	  for i in $$(seq 1 100); do curl -sf $(CENSUS_HTTP)/v1/healthz > /dev/null && return; sleep 0.1; done; fail locusd; }; \
+	stop() { kill -TERM $$pid && wait $$pid || fail "locusd drain"; }; \
+	locusd; \
+	{ curl -sf -X POST $(CENSUS_HTTP)/v1/route -d '{"circuit": "bnrE-like", "pins": [[2, 1], [40, 4]]}' && \
+	  curl -sf -X POST $(CENSUS_HTTP)/v1/circuits/dyn -d '$(CENSUS_UPLOAD)' && \
+	  curl -sf -X POST $(CENSUS_HTTP)/v1/mutate -d '$(CENSUS_MUTATE)' && \
+	  $$b/locusload -addr $(CENSUS_BIN) -proto bin -mutate-frac 0.2 -stages -qps 50 -duration 1s -warmup 0s && \
+	  curl -sf $(CENSUS_HTTP)/v1/circuits && curl -sf -X DELETE $(CENSUS_HTTP)/v1/circuits/dyn && \
+	  curl -sf $(CENSUS_HTTP)/v1/metrics && curl -sf $(CENSUS_HTTP)/debug/vars && \
+	  curl -sf '$(CENSUS_HTTP)/debug/trace?sec=1'; } > $$d/curl.log 2>&1 || { cat $$d/curl.log >> $$log; fail "locusd requests"; }; \
+	stop; locusd; stop; \
+	GOFLAGS=-cover $(GO) run ./benchmark -quick > $$log 2>&1 || fail "benchmark -quick"; \
+	$(GO) tool covdata textfmt -i=$$d/cov -o $$d/cover.out; \
+	$(GO) tool cover -func=$$d/cover.out | awk '$$NF == "0.0%" && $$1 !~ /^locusroute\/benchmark\//'
 
 # The serving path's golden digests: two fixed-seed request streams
 # driven in-process, over /v1 JSON and over the binary protocol, both at

@@ -273,14 +273,14 @@ func (cmd *command) reportMP(w io.Writer, c *locusroute.Circuit, res locusroute.
 	if cmd.tracer == nil {
 		return nil
 	}
-	return writeTrace(w, cmd.trace, cmd.tracer, c.Name, res.Procs)
+	return writeTrace(w, cmd.trace, cmd.tracer, mpRes.CritPath, c.Name, res.Procs)
 }
 
 // writeTrace exports the run's event timeline as a Chrome trace-event
 // document and prints its critical path: the chain of dependent events
 // that sets the simulated time, with each wait resolved to the packet
 // (and sender) that ended it.
-func writeTrace(w io.Writer, path string, tracer *tracev.Tracer, circuitName string, procs int) error {
+func writeTrace(w io.Writer, path string, tracer *tracev.Tracer, cp *tracev.CriticalPath, circuitName string, procs int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -289,10 +289,6 @@ func writeTrace(w io.Writer, path string, tracer *tracev.Tracer, circuitName str
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return err
-	}
-	cp, err := tracev.Analyze(tracer.Events())
 	if err != nil {
 		return err
 	}

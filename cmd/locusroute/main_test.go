@@ -155,3 +155,50 @@ func TestDumpReplayMatchesDirect(t *testing.T) {
 			strings.Join(direct, "\n"), strings.Join(replayed, "\n"))
 	}
 }
+
+// TestPartitionDocuments pins the -json document on both paths that
+// write a partition section (the partitioned backend and the sequential
+// backend's negotiated schedule), with every region's wall time zeroed:
+// the one field a wall clock sets.
+func TestPartitionDocuments(t *testing.T) {
+	inTempDir(t)
+	for _, tc := range []struct {
+		args string
+		want string
+	}{
+		{"-backend partitioned -partitions 4 -json p.json", "d390aedfa6705db5c32879d5cf945b9d6333b3f63a25ec662de7f7b99860bdc9"},
+		{"-negotiate -json p.json", "fa2cddae5c72b79bb5ae6dc7fda37681615ecdaabe70796ce0050803dd9d3249"},
+	} {
+		runOut(t, strings.Fields(tc.args)...)
+		b, err := os.ReadFile("p.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Schema  string           `json:"schema"`
+			Command string           `json:"command"`
+			Runs    []map[string]any `json:"runs"`
+		}
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Runs) != 1 {
+			t.Fatalf("locusroute %s: want one run:\n%s", tc.args, b)
+		}
+		p, _ := doc.Runs[0]["partition"].(map[string]any)
+		walls, _ := p["region_wall_ns"].([]any)
+		if n, _ := p["partitions"].(float64); len(walls) != int(n) || n == 0 {
+			t.Fatalf("locusroute %s: partition section %v has a wall time per region", tc.args, p)
+		}
+		for i := range walls {
+			walls[i] = 0
+		}
+		canon, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(canon); got != tc.want {
+			t.Errorf("locusroute %s: document sha256 %s, want %s\n%s", tc.args, got, tc.want, canon)
+		}
+	}
+}

@@ -136,10 +136,6 @@ func (s *Simulator) LineSize() int { return s.lineSize }
 // Traffic returns the accumulated accounting.
 func (s *Simulator) Traffic() Traffic { return s.traffic }
 
-// AttributedRefetchBytes returns the fill bytes attributable to
-// invalidations (refetches) rather than cold misses.
-func (s *Simulator) AttributedRefetchBytes() int64 { return s.refetchBytes }
-
 // AttributedWriteFraction returns the fraction of all bus bytes caused by
 // writes when invalidation-induced refetches are charged to the writes
 // that caused them — the paper's "over 80% of the bytes transferred...

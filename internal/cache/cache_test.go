@@ -75,8 +75,8 @@ func TestWriteInvalidatesOtherCopies(t *testing.T) {
 	if tr.Writebacks != 1 {
 		t.Errorf("writebacks = %d, want 1", tr.Writebacks)
 	}
-	if s.AttributedRefetchBytes() != 8 {
-		t.Errorf("refetch bytes = %d, want 8", s.AttributedRefetchBytes())
+	if s.refetchBytes != 8 {
+		t.Errorf("refetch bytes = %d, want 8", s.refetchBytes)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestPrivateDataNoCoherenceTraffic(t *testing.T) {
 		s.Access(ref(1, uint64(1000+i*8), trace.Write))
 	}
 	tr := s.Traffic()
-	if tr.Invalidations != 0 || tr.Writebacks != 0 || s.AttributedRefetchBytes() != 0 {
+	if tr.Invalidations != 0 || tr.Writebacks != 0 || s.refetchBytes != 0 {
 		t.Errorf("private data caused coherence traffic: %+v", tr)
 	}
 }
@@ -112,8 +112,8 @@ func TestLargerLinesMoreTrafficUnderSharing(t *testing.T) {
 		tr := &trace.Trace{}
 		for i := 0; i < 500; i++ {
 			addr := uint64((i * 4) % 256)
-			tr.Append(trace.Ref{Proc: i % 4, Addr: addr, Op: trace.Write})
-			tr.Append(trace.Ref{Proc: (i + 1) % 4, Addr: addr, Op: trace.Read})
+			tr.Refs = append(tr.Refs, trace.Ref{Proc: i % 4, Addr: addr, Op: trace.Write})
+			tr.Refs = append(tr.Refs, trace.Ref{Proc: (i + 1) % 4, Addr: addr, Op: trace.Read})
 		}
 		return tr
 	}
@@ -150,9 +150,7 @@ func TestPingPongWriteSharing(t *testing.T) {
 }
 
 func TestReplayCountsRefs(t *testing.T) {
-	tr := &trace.Trace{}
-	tr.Append(ref(0, 0, trace.Read))
-	tr.Append(ref(1, 8, trace.Write))
+	tr := &trace.Trace{Refs: []trace.Ref{ref(0, 0, trace.Read), ref(1, 8, trace.Write)}}
 	got, err := Replay(tr, 2, 8)
 	if err != nil {
 		t.Fatal(err)

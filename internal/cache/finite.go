@@ -43,9 +43,6 @@ func NewFinite(procs, lineSize, capacityLines int) (*FiniteSimulator, error) {
 	return s, nil
 }
 
-// Evictions returns the number of capacity evictions performed.
-func (s *FiniteSimulator) Evictions() int64 { return s.evictions }
-
 // Access runs one reference: the coherence step, then the line moves to
 // the front of the processor's LRU order, evicting from the back when it
 // took a new slot in a full cache.

@@ -23,8 +23,8 @@ func TestFiniteMatchesInfiniteWhenLarge(t *testing.T) {
 	// exactly like the infinite one.
 	tr := &trace.Trace{}
 	for i := 0; i < 200; i++ {
-		tr.Append(trace.Ref{Proc: i % 3, Addr: uint64((i * 4) % 128), Op: trace.Write})
-		tr.Append(trace.Ref{Proc: (i + 1) % 3, Addr: uint64((i * 4) % 128), Op: trace.Read})
+		tr.Refs = append(tr.Refs, trace.Ref{Proc: i % 3, Addr: uint64((i * 4) % 128), Op: trace.Write})
+		tr.Refs = append(tr.Refs, trace.Ref{Proc: (i + 1) % 3, Addr: uint64((i * 4) % 128), Op: trace.Read})
 	}
 	inf, err := Replay(tr, 3, 8)
 	if err != nil {
@@ -46,7 +46,7 @@ func TestFiniteCapacityMissesAddTraffic(t *testing.T) {
 	tr := &trace.Trace{}
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < 64; i++ {
-			tr.Append(trace.Ref{Proc: 0, Addr: uint64(i * 8), Op: trace.Read})
+			tr.Refs = append(tr.Refs, trace.Ref{Proc: 0, Addr: uint64(i * 8), Op: trace.Read})
 		}
 	}
 	inf, _ := Replay(tr, 1, 8)
@@ -67,8 +67,8 @@ func TestFiniteDirtyEvictionWritesBack(t *testing.T) {
 	s.Access(trace.Ref{Proc: 0, Addr: 8, Op: trace.Write})
 	s.Access(trace.Ref{Proc: 0, Addr: 16, Op: trace.Write})
 	tr := s.Traffic()
-	if s.Evictions() != 1 {
-		t.Errorf("evictions = %d, want 1", s.Evictions())
+	if s.evictions != 1 {
+		t.Errorf("evictions = %d, want 1", s.evictions)
 	}
 	if tr.Writebacks != 1 || tr.WritebackBytes != 8 {
 		t.Errorf("dirty eviction must write back: %+v", tr)

@@ -132,9 +132,9 @@ func TestSimulatorsMatchModel(t *testing.T) {
 			for i, r := range refs {
 				inf.Access(r)
 				want.access(r)
-				if inf.Traffic() != want.traffic || inf.AttributedRefetchBytes() != want.refetch {
+				if inf.Traffic() != want.traffic || inf.refetchBytes != want.refetch {
 					t.Fatalf("%d procs, %dB lines, ref %d %+v: simulator %+v refetch %d, model %+v refetch %d",
-						procs, lineSize, i, r, inf.Traffic(), inf.AttributedRefetchBytes(), want.traffic, want.refetch)
+						procs, lineSize, i, r, inf.Traffic(), inf.refetchBytes, want.traffic, want.refetch)
 				}
 			}
 
@@ -147,9 +147,9 @@ func TestSimulatorsMatchModel(t *testing.T) {
 			for i, r := range refs {
 				fin.Access(r)
 				want.access(r)
-				if fin.Traffic() != want.traffic || fin.Evictions() != want.evictions || fin.AttributedRefetchBytes() != want.refetch {
+				if fin.Traffic() != want.traffic || fin.evictions != want.evictions || fin.refetchBytes != want.refetch {
 					t.Fatalf("%d procs, %dB lines, %d-line caches, ref %d %+v: simulator %+v evictions %d, model %+v evictions %d",
-						procs, lineSize, capacity, i, r, fin.Traffic(), fin.Evictions(), want.traffic, want.evictions)
+						procs, lineSize, capacity, i, r, fin.Traffic(), fin.evictions, want.traffic, want.evictions)
 				}
 			}
 		}

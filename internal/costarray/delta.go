@@ -37,15 +37,6 @@ func (d *Delta) Add(x, y int, v int32) {
 	d.dirty[owner] = d.dirty[owner].AddPoint(geom.Pt(x, y))
 }
 
-// At returns the accumulated change at (x, y).
-func (d *Delta) At(x, y int) int32 { return d.arr.At(x, y) }
-
-// Array exposes the underlying cost-array storage of the deltas.
-func (d *Delta) Array() *CostArray { return d.arr }
-
-// Partition returns the owned-region partition the delta tracks.
-func (d *Delta) Partition() geom.Partition { return d.part }
-
 // HasChanges reports whether any cell in proc's owned region may have a
 // non-zero delta.
 func (d *Delta) HasChanges(proc int) bool { return !d.dirty[proc].Empty() }

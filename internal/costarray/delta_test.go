@@ -18,7 +18,7 @@ func newTestDelta(t *testing.T) *Delta {
 
 func TestDeltaAddAndTake(t *testing.T) {
 	d := newTestDelta(t)
-	r0 := d.Partition().Region(0)
+	r0 := d.part.Region(0)
 	d.Add(r0.X0, r0.Y0, 2)
 	d.Add(r0.X0+1, r0.Y0+1, -1)
 	if !d.HasChanges(0) {
@@ -46,7 +46,7 @@ func TestDeltaAddAndTake(t *testing.T) {
 
 func TestDeltaCancellation(t *testing.T) {
 	d := newTestDelta(t)
-	r0 := d.Partition().Region(0)
+	r0 := d.part.Region(0)
 	// Route then rip up the same cells: +1 then -1 cancels.
 	for x := r0.X0; x < r0.X1; x++ {
 		d.Add(x, r0.Y0, 1)
@@ -68,7 +68,7 @@ func TestDeltaCancellation(t *testing.T) {
 
 func TestDeltaPeekDoesNotClear(t *testing.T) {
 	d := newTestDelta(t)
-	r1 := d.Partition().Region(1)
+	r1 := d.part.Region(1)
 	d.Add(r1.X0, r1.Y0, 3)
 	bb1, vals1, _ := d.PeekRegion(1)
 	bb2, vals2, _ := d.PeekRegion(1)
@@ -86,7 +86,7 @@ func TestDeltaPeekDoesNotClear(t *testing.T) {
 
 func TestDeltaRegionsIndependent(t *testing.T) {
 	d := newTestDelta(t)
-	part := d.Partition()
+	part := d.part
 	for proc := 0; proc < part.Procs(); proc++ {
 		r := part.Region(proc)
 		d.Add(r.X0, r.Y0, int32(proc+1))
@@ -105,7 +105,7 @@ func TestDeltaReset(t *testing.T) {
 	d := newTestDelta(t)
 	d.Add(0, 0, 5)
 	d.Reset()
-	if d.HasChanges(0) || d.At(0, 0) != 0 {
+	if d.HasChanges(0) || d.arr.At(0, 0) != 0 {
 		t.Errorf("Reset must clear deltas and dirty bounds")
 	}
 }
@@ -139,7 +139,7 @@ func TestDeltaTakeReconstructs(t *testing.T) {
 			t.Fatalf("trial %d: reconstructed deltas differ from truth", trial)
 		}
 		// After taking everything, delta array must be all zero.
-		if d.Array().NonZeroCells() != 0 {
+		if d.arr.NonZeroCells() != 0 {
 			t.Fatalf("trial %d: deltas remain after taking all regions", trial)
 		}
 	}

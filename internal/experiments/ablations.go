@@ -5,8 +5,8 @@ import (
 
 	"locusroute/internal/assign"
 	"locusroute/internal/circuit"
-	"locusroute/internal/metrics"
 	"locusroute/internal/mp"
+	"locusroute/internal/report"
 )
 
 // --- Ablation: update packet structures (Section 4.3.1) ------------------
@@ -54,11 +54,11 @@ func PacketStructures(c *circuit.Circuit, s Setup) ([]PacketRow, error) {
 
 // RenderPacketStructures renders the packet structure ablation.
 func RenderPacketStructures(rows []PacketRow) string {
-	t := metrics.NewTable("Ablation (Section 4.3.1): update packet structures",
+	t := report.NewTable("Ablation (Section 4.3.1): update packet structures",
 		"Structure", "Ckt Ht.", "MBytes Xfrd.", "Packets", "Time (s)")
 	for _, r := range rows {
 		t.Add(r.Structure, fmt.Sprintf("%d", r.CktHt), fmt.Sprintf("%.3f", r.MBytes),
-			fmt.Sprintf("%d", r.Packets), metrics.Seconds(r.Seconds))
+			fmt.Sprintf("%d", r.Packets), report.Seconds(r.Seconds))
 	}
 	return t.String()
 }
@@ -106,11 +106,11 @@ func WireDistribution(c *circuit.Circuit, s Setup) ([]DistributionRow, error) {
 
 // RenderWireDistribution renders the wire distribution ablation.
 func RenderWireDistribution(rows []DistributionRow) string {
-	t := metrics.NewTable("Ablation (Section 4.2): wire distribution",
+	t := report.NewTable("Ablation (Section 4.2): wire distribution",
 		"Method", "Ckt Ht.", "MBytes Xfrd.", "Time (s)")
 	for _, r := range rows {
 		t.Add(r.Method, fmt.Sprintf("%d", r.CktHt),
-			fmt.Sprintf("%.3f", r.MBytes), metrics.Seconds(r.Seconds))
+			fmt.Sprintf("%.3f", r.MBytes), report.Seconds(r.Seconds))
 	}
 	return t.String()
 }
@@ -176,11 +176,11 @@ func CostArrayDistribution(c *circuit.Circuit, s Setup) ([]OwnershipRow, error) 
 
 // RenderCostArrayDistribution renders the ownership ablation.
 func RenderCostArrayDistribution(rows []OwnershipRow) string {
-	t := metrics.NewTable("Ablation (Section 4.1): cost array distribution",
+	t := report.NewTable("Ablation (Section 4.1): cost array distribution",
 		"Scheme", "Ckt Ht.", "MBytes Xfrd.", "Packets", "Time (s)")
 	for _, r := range rows {
 		t.Add(r.Scheme, fmt.Sprintf("%d", r.CktHt), fmt.Sprintf("%.3f", r.MBytes),
-			fmt.Sprintf("%d", r.Packets), metrics.Seconds(r.Seconds))
+			fmt.Sprintf("%d", r.Packets), report.Seconds(r.Seconds))
 	}
 	return t.String()
 }
@@ -221,11 +221,11 @@ func WireOrdering(c *circuit.Circuit, s Setup) ([]OrderRow, error) {
 
 // RenderWireOrdering renders the wire ordering ablation.
 func RenderWireOrdering(rows []OrderRow) string {
-	t := metrics.NewTable("Ablation: per-processor wire routing order",
+	t := report.NewTable("Ablation: per-processor wire routing order",
 		"Order", "Ckt Ht.", "MBytes Xfrd.", "Time (s)")
 	for _, r := range rows {
 		t.Add(r.Order, fmt.Sprintf("%d", r.CktHt),
-			fmt.Sprintf("%.3f", r.MBytes), metrics.Seconds(r.Seconds))
+			fmt.Sprintf("%.3f", r.MBytes), report.Seconds(r.Seconds))
 	}
 	return t.String()
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"locusroute/internal/circuit"
-	"locusroute/internal/metrics"
 	"locusroute/internal/mp"
+	"locusroute/internal/report"
 	"locusroute/internal/tracev"
 )
 
@@ -73,13 +73,11 @@ func CritPath(c *circuit.Circuit, s Setup) ([]CritPathRow, error) {
 		if err != nil {
 			return CritPathRow{}, err
 		}
-		if _, err := runConfigured(c, sub, cfg, asn, "critpath/"+t.label); err != nil {
+		res, err := runConfigured(c, sub, cfg, asn, "critpath/"+t.label)
+		if err != nil {
 			return CritPathRow{}, err
 		}
-		cp, err := tracev.Analyze(cfg.Trace.Events())
-		if err != nil {
-			return CritPathRow{}, fmt.Errorf("experiments: critical path %q: %w", t.label, err)
-		}
+		cp := res.CritPath
 		return CritPathRow{
 			Label:    t.label,
 			TotalS:   float64(cp.TotalNs) / 1e9,
@@ -96,11 +94,11 @@ func CritPath(c *circuit.Circuit, s Setup) ([]CritPathRow, error) {
 
 // RenderCritPath renders the critical-path comparison.
 func RenderCritPath(rows []CritPathRow) string {
-	t := metrics.NewTable("Critical path: where the time that sets the run goes (s on path)",
+	t := report.NewTable("Critical path: where the time that sets the run goes (s on path)",
 		"Schedule", "Time (s)", "Compute", "Packet", "Blocked", "Barrier", "Network", "Hops")
 	for _, r := range rows {
 		t.Add(r.Label,
-			metrics.Seconds(r.TotalS),
+			report.Seconds(r.TotalS),
 			fmt.Sprintf("%.3f", r.ComputeS),
 			fmt.Sprintf("%.3f", r.PacketS),
 			fmt.Sprintf("%.3f", r.BlockedS),

@@ -42,10 +42,10 @@ import (
 	"locusroute/internal/cache"
 	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
-	"locusroute/internal/metrics"
 	"locusroute/internal/mp"
 	"locusroute/internal/obs"
 	"locusroute/internal/par"
+	"locusroute/internal/report"
 	"locusroute/internal/route"
 	"locusroute/internal/sm"
 	"locusroute/internal/trace"
@@ -355,14 +355,14 @@ func simulators(procs int, lineSizes []int) ([]*cache.Simulator, error) {
 
 // renderMPTable renders MP rows with the paper's column names.
 func renderMPTable(title string, rows []MPRow) string {
-	t := metrics.NewTable(title,
+	t := report.NewTable(title,
 		"Schedule", "Ckt Ht.", "Occup. Factor", "MBytes Xfrd.", "Time (s)")
 	for _, r := range rows {
 		t.Add(r.Label,
 			fmt.Sprintf("%d", r.CktHt),
 			fmt.Sprintf("%d", r.Occupancy),
 			fmt.Sprintf("%.3f", r.MBytes),
-			metrics.Seconds(r.Seconds))
+			report.Seconds(r.Seconds))
 	}
 	return t.String()
 }

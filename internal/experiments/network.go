@@ -5,8 +5,8 @@ import (
 
 	"locusroute/internal/circuit"
 	"locusroute/internal/mesh"
-	"locusroute/internal/metrics"
 	"locusroute/internal/mp"
+	"locusroute/internal/report"
 	"locusroute/internal/sim"
 )
 
@@ -94,12 +94,12 @@ func NetworkSensitivity(c *circuit.Circuit, s Setup) ([]NetworkRow, error) {
 
 // RenderNetworkSensitivity renders the blocking-penalty sweep.
 func RenderNetworkSensitivity(rows []NetworkRow) string {
-	t := metrics.NewTable(
+	t := report.NewTable(
 		"Section 5.1.3 prediction: what shrinks the blocking penalty (RLD=1 RRD=5)",
 		"Configuration", "Non-blocking (s)", "Blocking (s)", "Penalty")
 	for _, r := range rows {
-		t.Add(r.Label, metrics.Seconds(r.NonBlockSec), metrics.Seconds(r.BlockSec),
-			metrics.Ratio(r.Penalty))
+		t.Add(r.Label, report.Seconds(r.NonBlockSec), report.Seconds(r.BlockSec),
+			report.Ratio(r.Penalty))
 	}
 	return t.String()
 }
@@ -161,11 +161,11 @@ func Topology(c *circuit.Circuit, s Setup) ([]TopologyRow, error) {
 
 // RenderTopology renders the interconnect-shape sweep.
 func RenderTopology(rows []TopologyRow) string {
-	t := metrics.NewTable("Extension: interconnect topology (k-ary n-cube shapes, 16 processors)",
+	t := report.NewTable("Extension: interconnect topology (k-ary n-cube shapes, 16 processors)",
 		"Topology", "Ckt Ht.", "MBytes Xfrd.", "Time (s)", "Contention (s)")
 	for _, r := range rows {
 		t.Add(r.Label, fmt.Sprintf("%d", r.CktHt), fmt.Sprintf("%.3f", r.MBytes),
-			metrics.Seconds(r.Seconds), fmt.Sprintf("%.6f", r.Contention))
+			report.Seconds(r.Seconds), fmt.Sprintf("%.6f", r.Contention))
 	}
 	return t.String()
 }

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"locusroute/internal/circuit"
-	"locusroute/internal/metrics"
 	"locusroute/internal/obs"
 	"locusroute/internal/part"
+	"locusroute/internal/report"
 	"locusroute/internal/route"
 )
 
@@ -94,12 +94,8 @@ func Partition(c *circuit.Circuit, s Setup, counts []int) ([]PartitionRow, error
 		if s.Obs.Enabled() {
 			s.Obs.Append(obs.Run{
 				Name: "partition/" + label, Backend: "partitioned", Circuit: c.Name, Procs: st.Partitions,
-				Quality: &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
-				Partition: &obs.PartitionDoc{
-					Partitions: st.Partitions, Depth: st.Depth,
-					BoundaryWires: st.BoundaryWires, BoundaryFrac: st.BoundaryFrac(),
-					LevelWires: st.LevelWires, RegionWallNs: st.RegionWallNs,
-				},
+				Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
+				Partition: st.Doc(),
 			})
 		}
 	}
@@ -108,7 +104,7 @@ func Partition(c *circuit.Circuit, s Setup, counts []int) ([]PartitionRow, error
 
 // RenderPartition renders the partition sweep.
 func RenderPartition(rows []PartitionRow) string {
-	t := metrics.NewTable("Partition-parallel routing: speedup x tree depth x boundary fraction",
+	t := report.NewTable("Partition-parallel routing: speedup x tree depth x boundary fraction",
 		"Config", "Parts", "Depth", "Bdry Wires", "Bdry Frac", "Ckt Ht.", "Occup.", "Time (s)", "Speedup", "Route Hash", "= Seq")
 	for _, r := range rows {
 		parts, depth := "-", "-"
@@ -127,7 +123,7 @@ func RenderPartition(rows []PartitionRow) string {
 			fmt.Sprintf("%.3f", r.BoundaryFrac),
 			fmt.Sprintf("%d", r.CktHt),
 			fmt.Sprintf("%d", r.Occupancy),
-			metrics.Seconds(r.WallS),
+			report.Seconds(r.WallS),
 			fmt.Sprintf("%.2fx", r.Speedup),
 			r.RouteHash,
 			match)

@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"locusroute/internal/circuit"
-	"locusroute/internal/metrics"
 	"locusroute/internal/mp"
+	"locusroute/internal/report"
 )
 
 // RobustnessRow summarises one claim across seeds.
@@ -149,7 +149,7 @@ func Robustness(seeds []int64, s Setup) ([]RobustnessRow, error) {
 
 // RenderRobustness renders the robustness sweep.
 func RenderRobustness(rows []RobustnessRow) string {
-	t := metrics.NewTable("Robustness: headline claims across circuit seeds",
+	t := report.NewTable("Robustness: headline claims across circuit seeds",
 		"Claim", "Held", "Mean margin")
 	for _, r := range rows {
 		t.Add(r.Claim, fmt.Sprintf("%d/%d", r.Held, r.Total), fmt.Sprintf("%.2fx", r.Margin))

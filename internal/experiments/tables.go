@@ -5,8 +5,8 @@ import (
 
 	"locusroute/internal/assign"
 	"locusroute/internal/circuit"
-	"locusroute/internal/metrics"
 	"locusroute/internal/mp"
+	"locusroute/internal/report"
 	"locusroute/internal/sm"
 )
 
@@ -164,7 +164,7 @@ func Table3(c *circuit.Circuit, s Setup) ([]Table3Row, error) {
 
 // RenderTable3 renders Table 3.
 func RenderTable3(rows []Table3Row) string {
-	t := metrics.NewTable("Table 3: traffic as a function of cache line size (shared memory)",
+	t := report.NewTable("Table 3: traffic as a function of cache line size (shared memory)",
 		"Circuit", "Cache Line Size", "MBytes Transferred", "Write Fraction")
 	for _, r := range rows {
 		t.Add(r.Circuit, fmt.Sprintf("%d", r.LineSize),
@@ -249,11 +249,11 @@ func Table4(circuits []*circuit.Circuit, s Setup) ([]Table4Row, error) {
 
 // RenderTable4 renders Table 4.
 func RenderTable4(rows []Table4Row) string {
-	t := metrics.NewTable("Table 4: effect of locality (message passing, sender initiated)",
+	t := report.NewTable("Table 4: effect of locality (message passing, sender initiated)",
 		"Ckt.", "Asmt. Method", "Ckt. Ht.", "MBytes Xfrd.", "Time (s)")
 	for _, r := range rows {
 		t.Add(r.Circuit, r.Method, fmt.Sprintf("%d", r.CktHt),
-			fmt.Sprintf("%.3f", r.MBytes), metrics.Seconds(r.Seconds))
+			fmt.Sprintf("%.3f", r.MBytes), report.Seconds(r.Seconds))
 	}
 	return t.String()
 }
@@ -292,7 +292,7 @@ func Table5(circuits []*circuit.Circuit, s Setup) ([]Table5Row, error) {
 
 // RenderTable5 renders Table 5.
 func RenderTable5(rows []Table5Row) string {
-	t := metrics.NewTable("Table 5: effect of locality (shared memory, 8-byte lines)",
+	t := report.NewTable("Table 5: effect of locality (shared memory, 8-byte lines)",
 		"Ckt.", "Asmt. Method", "Ckt. Height", "MBytes Xfrd.")
 	for _, r := range rows {
 		t.Add(r.Circuit, r.Method, fmt.Sprintf("%d", r.CktHt), fmt.Sprintf("%.3f", r.MBytes))
@@ -351,12 +351,12 @@ func Table6(c *circuit.Circuit, s Setup) ([]Table6Row, error) {
 
 // RenderTable6 renders Table 6.
 func RenderTable6(rows []Table6Row) string {
-	t := metrics.NewTable("Table 6: effect of number of processors (sender initiated)",
+	t := report.NewTable("Table 6: effect of number of processors (sender initiated)",
 		"Ckt", "Num Procs.", "Ckt. Ht.", "Occup. Factor", "MBytes Xfrd.", "Time (s)", "Speedup")
 	for _, r := range rows {
 		t.Add(r.Circuit, fmt.Sprintf("%d", r.Procs), fmt.Sprintf("%d", r.CktHt),
 			fmt.Sprintf("%d", r.Occupancy), fmt.Sprintf("%.3f", r.MBytes),
-			metrics.Seconds(r.Seconds), metrics.Ratio(r.Speedup))
+			report.Seconds(r.Seconds), report.Ratio(r.Speedup))
 	}
 	return t.String()
 }
@@ -391,7 +391,7 @@ func Locality(circuits []*circuit.Circuit, s Setup) ([]LocalityRow, error) {
 
 // RenderLocality renders the locality measure table.
 func RenderLocality(rows []LocalityRow) string {
-	t := metrics.NewTable("Section 5.3.3: locality measure (avg hops from router to owner)",
+	t := report.NewTable("Section 5.3.3: locality measure (avg hops from router to owner)",
 		"Ckt.", "Asmt. Method", "Locality")
 	for _, r := range rows {
 		t.Add(r.Circuit, r.Method, fmt.Sprintf("%.2f", r.Measure))
@@ -449,7 +449,7 @@ func Comparison(c *circuit.Circuit, s Setup) ([]ComparisonRow, error) {
 
 // RenderComparison renders the cross-paradigm comparison.
 func RenderComparison(rows []ComparisonRow) string {
-	t := metrics.NewTable("Section 5.2: shared memory vs message passing",
+	t := report.NewTable("Section 5.2: shared memory vs message passing",
 		"Variant", "Ckt. Ht.", "MBytes Xfrd.")
 	for _, r := range rows {
 		t.Add(r.Variant, fmt.Sprintf("%d", r.CktHt), fmt.Sprintf("%.3f", r.MBytes))

@@ -602,7 +602,7 @@ func TestCachedRouteFollowsMutation(t *testing.T) {
 			t.Fatalf("probe Route %d: %v", i, err)
 		}
 		arr, _ := s.store.CloneArray("svc")
-		want := route.RouteWire(route.ArrayView{A: arr}, &probe.Wire, route.DefaultParams())
+		want := new(route.Scratch).RouteWire(route.ArrayView{A: arr}, &probe.Wire, route.DefaultParams())
 		if got.Cost != want.Cost || got.CellsExamined != want.CellsExamined || got.PathCells != want.Path.Len() {
 			t.Fatalf("after mutation %d the probe answered cost %d, %d cells examined, %d path cells (cached %v); the mutated array gives %d, %d, %d",
 				i, got.Cost, got.CellsExamined, got.PathCells, got.Cached, want.Cost, want.CellsExamined, want.Path.Len())

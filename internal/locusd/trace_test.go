@@ -52,7 +52,7 @@ func TestTraceStagesSumToWall(t *testing.T) {
 			if st.Ns <= 0 {
 				t.Fatalf("non-positive stage %+v", st)
 			}
-			if code, ok := reqtrace.StageByName(st.Stage); !ok || uint8(code) != st.Code {
+			if st.Code >= uint8(reqtrace.NumStages) || reqtrace.Stage(st.Code).String() != st.Stage {
 				t.Fatalf("stage name/code mismatch: %+v", st)
 			}
 			if seen[st.Stage] {

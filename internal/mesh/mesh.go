@@ -84,10 +84,6 @@ type Stats struct {
 	QueueDepth obs.Histogram
 }
 
-// MBytes returns total traffic in megabytes (10^6 bytes, as the paper's
-// tables report).
-func (s Stats) MBytes() float64 { return float64(s.Bytes) / 1e6 }
-
 // Network is the simulated k-ary n-cube interconnect.
 type Network struct {
 	kernel *sim.Kernel

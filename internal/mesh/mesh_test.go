@@ -145,9 +145,6 @@ func TestStatsAccumulate(t *testing.T) {
 	if st.HopBytes != 30+140 {
 		t.Errorf("HopBytes = %d, want 170", st.HopBytes)
 	}
-	if st.MBytes() != 100e-6 {
-		t.Errorf("MBytes = %f", st.MBytes())
-	}
 	if st.TotalLatency <= 0 {
 		t.Errorf("TotalLatency must be positive")
 	}

@@ -125,8 +125,8 @@ type Config struct {
 	// spans for wire routing, packet sends/handling, blocking waits and
 	// barriers; flow arrows joining each packet's injection to its
 	// dequeue; and Account stamps tiling each node's simulated time.
-	// Consumers export it as Chrome trace-event JSON (tracev.WriteChrome)
-	// or extract the simulated-time critical path (tracev.Analyze). A
+	// Consumers export it as Chrome trace-event JSON (tracev.WriteChrome);
+	// Run analyzes its critical path into Result.CritPath. A
 	// tracer is confined to one run — never share one
 	// across concurrent simulations. Nil (the default) disables tracing;
 	// the run is byte-identical either way.
@@ -247,6 +247,10 @@ type Result struct {
 	// Section 5.1.3 lens), in node order, rendered from each node's
 	// time ledger: its four categories sum to the node's whole life.
 	Nodes []obs.NodeTimes
+	// CritPath is the simulated-time critical path of a traced run,
+	// tracev.Analyze over Config.Trace's events once the run ends; nil
+	// when the run was not traced.
+	CritPath *tracev.CriticalPath
 }
 
 // MBytes returns the consistency traffic in megabytes, as the tables

@@ -3,12 +3,11 @@ package mp
 import (
 	"locusroute/internal/msg"
 	"locusroute/internal/obs"
-	"locusroute/internal/tracev"
 )
 
 // ObsRun renders a finished run into its "mp-des" observability
 // document: the per-node breakdown, network counters and histograms
-// from the Result, and the critical path when cfg traced the run.
+// from the Result, and its critical path when the run was traced.
 func ObsRun(name, circuitName string, cfg Config, res Result) obs.Run {
 	r := obs.Run{
 		Name:      name,
@@ -32,10 +31,8 @@ func ObsRun(name, circuitName string, cfg Config, res Result) obs.Run {
 			QueueDepth:        res.Net.QueueDepth.Doc(),
 		},
 	}
-	if cfg.Trace != nil {
-		if cp, err := tracev.Analyze(cfg.Trace.Events()); err == nil {
-			r.CritPath = CritPathDoc(cp)
-		}
+	if res.CritPath != nil {
+		r.CritPath = CritPathDoc(res.CritPath)
 	}
 	return r
 }

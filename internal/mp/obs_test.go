@@ -274,7 +274,7 @@ func TestSendRmtWireFullyRemoteRunMarksNothing(t *testing.T) {
 	if !p.ownDirty.Empty() {
 		t.Errorf("fully remote run marked ownDirty %v", p.ownDirty)
 	}
-	if p.View().At(run.X0, run.Y0) != 1 {
+	if p.view.At(run.X0, run.Y0) != 1 {
 		t.Errorf("view must still apply the remote run")
 	}
 }

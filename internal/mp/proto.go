@@ -108,13 +108,6 @@ type wireOp struct {
 	ripUp bool
 }
 
-// NewProto builds the protocol state for processor id, with a path
-// slice, a scratch and an owner table of its own.
-func NewProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, router route.Params) *Proto {
-	return newProto(id, circ, part, st, router, make([]route.Path, len(circ.Wires)),
-		route.NewScratch(circ.Grid), part.OwnerTable())
-}
-
 // newProto builds the protocol state for processor id around paths, the
 // per-wire path slice it records its routings in, scratch and owners.
 func newProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, router route.Params,
@@ -142,9 +135,6 @@ func newProto(id int, circ *circuit.Circuit, part geom.Partition, st Strategy, r
 // the DES kernel serialises their execution. Must be called before
 // routing.
 func (pr *Proto) SetTruth(t *costarray.CostArray) { pr.truth = t }
-
-// View exposes the processor's current view (for tests and inspection).
-func (pr *Proto) View() *costarray.CostArray { return pr.view }
 
 // TakeScanWork returns and resets the delta/extract scan work since the
 // last call.

@@ -32,7 +32,8 @@ func newProtoFixture(t *testing.T, st Strategy) *protoFixture {
 		truth: costarray.New(c.Grid),
 	}
 	for id := 0; id < 4; id++ {
-		p := NewProto(id, c, part, st, route.Params{Iterations: 2})
+		p := newProto(id, c, part, st, route.Params{Iterations: 2},
+			make([]route.Path, len(c.Wires)), route.NewScratch(c.Grid), part.OwnerTable())
 		p.SetTruth(f.truth)
 		f.ps = append(f.ps, p)
 	}
@@ -106,7 +107,7 @@ func TestProtoCommitUpdatesViewAndTruth(t *testing.T) {
 	g := f.circ.Grid
 	for y := 0; y < g.Channels; y++ {
 		for x := 0; x < g.Grids; x++ {
-			viewSum += int64(p.View().At(x, y))
+			viewSum += int64(p.view.At(x, y))
 			truthSum += int64(f.truth.At(x, y))
 		}
 	}
@@ -123,7 +124,7 @@ func TestProtoRipUpRestoresEmpty(t *testing.T) {
 	if ripped == 0 {
 		t.Fatalf("nothing ripped")
 	}
-	if p.View().NonZeroCells() != 0 || f.truth.NonZeroCells() != 0 {
+	if p.view.NonZeroCells() != 0 || f.truth.NonZeroCells() != 0 {
 		t.Errorf("rip-up must restore the empty array")
 	}
 }
@@ -148,9 +149,9 @@ func TestProtoSendRmtDataDeliversDeltasToOwner(t *testing.T) {
 		r := f.part.Region(id)
 		for y := r.Y0; y < r.Y1; y++ {
 			for x := r.X0; x < r.X1; x++ {
-				if p.View().At(x, y) != f.truth.At(x, y) {
+				if p.view.At(x, y) != f.truth.At(x, y) {
 					t.Fatalf("owner %d cell (%d,%d): view %d truth %d",
-						id, x, y, p.View().At(x, y), f.truth.At(x, y))
+						id, x, y, p.view.At(x, y), f.truth.At(x, y))
 				}
 			}
 		}
@@ -223,7 +224,7 @@ func TestProtoReqRmtDataRequestResponse(t *testing.T) {
 	r1 := f.part.Region(1)
 	for y := r1.Y0; y < r1.Y1; y++ {
 		for x := r1.X0; x < r1.X1; x++ {
-			if f.ps[0].View().At(x, y) != f.ps[1].View().At(x, y) {
+			if f.ps[0].view.At(x, y) != f.ps[1].view.At(x, y) {
 				t.Fatalf("view divergence at (%d,%d) after response", x, y)
 			}
 		}
@@ -275,7 +276,7 @@ func TestProtoReqLocDataPullsDeltasHome(t *testing.T) {
 	r := f.part.Region(owner)
 	for y := r.Y0; y < r.Y1; y++ {
 		for x := r.X0; x < r.X1; x++ {
-			if f.ps[owner].View().At(x, y) != f.truth.At(x, y) {
+			if f.ps[owner].view.At(x, y) != f.truth.At(x, y) {
 				t.Fatalf("owner view diverges from truth at (%d,%d)", x, y)
 			}
 		}

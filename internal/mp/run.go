@@ -147,5 +147,12 @@ func Run(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result, err
 	res.UpdateBytes = res.Net.Bytes -
 		r.bytesByKind[msg.KindDone] - r.bytesByKind[msg.KindContinue] -
 		r.bytesByKind[msg.KindReqWire] - r.bytesByKind[msg.KindWireGrant]
+	if cfg.Trace != nil {
+		// Every node stamps its ledger into the trace, so only a tracer
+		// that recorded nothing of this run can fail the analysis.
+		if res.CritPath, err = tracev.Analyze(cfg.Trace.Events()); err != nil {
+			return Result{}, fmt.Errorf("mp: critical path: %w", err)
+		}
+	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package mp
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"locusroute/internal/assign"
@@ -120,7 +121,10 @@ func TestTraceChromeDocumentStructure(t *testing.T) {
 
 // TestCriticalPathTotalEqualsSimTime checks the analyzer's core
 // invariant on a real run: the walk attributes exactly the run's
-// simulated time, and the category sums partition it.
+// simulated time, and the category sums partition it. The run's own
+// Result.CritPath must be that same analysis, so its consumers (the run
+// document, locusroute -trace, the critpath table) need not analyze the
+// trace again.
 func TestCriticalPathTotalEqualsSimTime(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -136,6 +140,9 @@ func TestCriticalPathTotalEqualsSimTime(t *testing.T) {
 			cp, err := tracev.Analyze(tr.Events())
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.CritPath, cp) {
+				t.Error("Result.CritPath differs from tracev.Analyze of the run's trace")
 			}
 			if cp.TotalNs != int64(res.Time) {
 				t.Errorf("critical path total %d != simulated time %d", cp.TotalNs, int64(res.Time))
@@ -232,9 +239,13 @@ func TestObsRunIncludesCritPath(t *testing.T) {
 		t.Error("crit_path has no steps")
 	}
 
-	// Untraced runs must not grow the section.
+	// Untraced runs carry no critical path and must not grow the section.
 	cfg.Trace = nil
-	if plain := ObsRun("plain", "small", cfg, res); plain.CritPath != nil {
+	plain := runSmall(t, 4, SenderInitiated(2, 10))
+	if plain.CritPath != nil {
+		t.Error("untraced run has a critical path")
+	}
+	if doc := ObsRun("plain", "small", cfg, plain); doc.CritPath != nil {
 		t.Error("untraced run document has a crit_path section")
 	}
 }

@@ -157,12 +157,6 @@ func (k Kind) IsData() bool {
 	return false
 }
 
-// IsAbsolute reports whether the payload replaces the receiver's cells
-// (true) or is added to them (false). Only meaningful for data kinds.
-func (k Kind) IsAbsolute() bool {
-	return k == KindSendLocData || k == KindRspRmtData
-}
-
 // Message is one LocusRoute protocol packet.
 type Message struct {
 	Kind Kind

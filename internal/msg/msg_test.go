@@ -27,13 +27,10 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestKindClassification(t *testing.T) {
-	// The paper's taxonomy: SendLocData and RspRmtData carry absolute
-	// data (owner's view); SendRmtData and RspLocData carry deltas.
-	if !KindSendLocData.IsAbsolute() || !KindRspRmtData.IsAbsolute() {
-		t.Errorf("owner-view packets must be absolute")
-	}
-	if KindSendRmtData.IsAbsolute() || KindRspLocData.IsAbsolute() {
-		t.Errorf("delta packets must not be absolute")
+	for _, k := range []Kind{KindSendLocData, KindSendRmtData, KindRspRmtData, KindRspLocData} {
+		if !k.IsData() {
+			t.Errorf("%v must be a data kind", k)
+		}
 	}
 	for _, k := range []Kind{KindReqLocData, KindReqRmtData, KindDone, KindContinue} {
 		if k.IsData() {

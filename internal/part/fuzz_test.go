@@ -30,15 +30,15 @@ func FuzzClassify(f *testing.F) {
 		}
 
 		// Leaf tiling: every grid cell is in exactly one leaf region.
-		nodes := tr.Nodes()
+		nodes := tr.nodes
 		area := 0
-		for i, li := range tr.LeafIndices() {
+		for i, li := range tr.leaves {
 			r := nodes[li].Rect
 			if !g.Bounds().ContainsRect(r) {
 				t.Fatalf("leaf %d rect %v escapes grid %v", li, r, g.Bounds())
 			}
 			area += r.Area()
-			for _, lj := range tr.LeafIndices()[:i] {
+			for _, lj := range tr.leaves[:i] {
 				if r.Overlaps(nodes[lj].Rect) {
 					t.Fatalf("leaves %d and %d overlap", li, lj)
 				}

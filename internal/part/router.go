@@ -9,6 +9,7 @@ import (
 	"locusroute/internal/circuit"
 	"locusroute/internal/costarray"
 	"locusroute/internal/geom"
+	"locusroute/internal/obs"
 	"locusroute/internal/par"
 	"locusroute/internal/route"
 )
@@ -67,6 +68,21 @@ func (s *Stats) BoundaryFrac() float64 {
 		return 0
 	}
 	return float64(s.BoundaryWires) / float64(s.TotalWires)
+}
+
+// Doc renders the stats as a run document's partition section.
+func (s *Stats) Doc() *obs.PartitionDoc {
+	return &obs.PartitionDoc{
+		Partitions:      s.Partitions,
+		Depth:           s.Depth,
+		BoundaryWires:   s.BoundaryWires,
+		BoundaryFrac:    s.BoundaryFrac(),
+		LevelWires:      s.LevelWires,
+		RegionWallNs:    s.RegionWallNs,
+		NegotiatedIters: s.NegotiatedIters,
+		OverusedCells:   s.OverusedCells,
+		PresFacFinal:    s.PresFacFinal,
+	}
 }
 
 // Route routes c with the partition-parallel schedule: wires are

@@ -126,19 +126,8 @@ func bisect(rect geom.Rect, want int) (left, right geom.Rect, ok bool) {
 	return left, right, true
 }
 
-// Grid returns the partitioned grid.
-func (t *Tree) Grid() geom.Grid { return t.grid }
-
-// Nodes returns the tree's nodes; index 0 is the root. The slice is the
-// tree's own storage — treat it as read-only.
-func (t *Tree) Nodes() []Node { return t.nodes }
-
 // Leaves returns the number of leaf regions actually realised.
 func (t *Tree) Leaves() int { return len(t.leaves) }
-
-// LeafIndices returns the node indices of the leaves in left-to-right
-// order. Read-only.
-func (t *Tree) LeafIndices() []int { return t.leaves }
 
 // Depth returns the maximum node depth.
 func (t *Tree) Depth() int {

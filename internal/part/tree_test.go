@@ -16,9 +16,9 @@ import (
 // overlap, and depths are consistent.
 func checkTree(t *testing.T, tr *Tree) {
 	t.Helper()
-	nodes := tr.Nodes()
-	if nodes[0].Rect != tr.Grid().Bounds() {
-		t.Fatalf("root rect %v != grid bounds %v", nodes[0].Rect, tr.Grid().Bounds())
+	nodes := tr.nodes
+	if nodes[0].Rect != tr.grid.Bounds() {
+		t.Fatalf("root rect %v != grid bounds %v", nodes[0].Rect, tr.grid.Bounds())
 	}
 	for i, n := range nodes {
 		if n.Leaf() {
@@ -39,7 +39,7 @@ func checkTree(t *testing.T, tr *Tree) {
 		}
 	}
 	area := 0
-	leaves := tr.LeafIndices()
+	leaves := tr.leaves
 	for i, li := range leaves {
 		area += nodes[li].Rect.Area()
 		for _, lj := range leaves[:i] {
@@ -48,8 +48,8 @@ func checkTree(t *testing.T, tr *Tree) {
 			}
 		}
 	}
-	if area != tr.Grid().Cells() {
-		t.Fatalf("leaf union covers %d cells, grid has %d", area, tr.Grid().Cells())
+	if area != tr.grid.Cells() {
+		t.Fatalf("leaf union covers %d cells, grid has %d", area, tr.grid.Cells())
 	}
 }
 
@@ -65,8 +65,8 @@ func TestTreeShapes(t *testing.T) {
 		}
 		checkTree(t, tr)
 	}
-	if tr, err := NewTree(g, 1); err != nil || tr.Depth() != 0 || len(tr.Nodes()) != 1 {
-		t.Errorf("single-leaf tree should be one root node, got %d nodes (err %v)", len(tr.Nodes()), err)
+	if tr, err := NewTree(g, 1); err != nil || tr.Depth() != 0 || len(tr.nodes) != 1 {
+		t.Errorf("single-leaf tree should be one root node, got %d nodes (err %v)", len(tr.nodes), err)
 	}
 }
 
@@ -101,8 +101,8 @@ func TestClassifyDeepest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := tr.Nodes()
-	for _, li := range tr.LeafIndices() {
+	nodes := tr.nodes
+	for _, li := range tr.leaves {
 		r := nodes[li].Rect
 		// A footprint strictly inside a leaf classifies to that leaf.
 		fp := geom.Rect{X0: r.X0, Y0: r.Y0, X1: r.X0 + 1, Y1: r.Y0 + 1}

@@ -1,7 +1,9 @@
-// Package report analyses routing results: per-channel track usage (the
-// components of the circuit height metric), congestion hot spots, and
-// comparisons between two routings of the same circuit. The router and
-// the simulators produce numbers; this package explains them.
+// Package report renders results: the aligned text tables and number
+// formats every paper table and command report shares, and the analysis
+// of a routed cost array — per-channel track usage (the components of
+// the circuit height metric), congestion hot spots, and comparisons
+// between two routings of the same circuit. The router and the
+// simulators produce numbers; this package explains them.
 package report
 
 import (
@@ -11,7 +13,6 @@ import (
 
 	"locusroute/internal/costarray"
 	"locusroute/internal/geom"
-	"locusroute/internal/metrics"
 )
 
 // ChannelUsage describes one routing channel of a finished routing.
@@ -100,7 +101,7 @@ func (a *Analysis) String() string {
 		a.Height, len(a.Channels), a.OccupiedCells, a.TotalCells,
 		100*float64(a.OccupiedCells)/float64(a.TotalCells))
 
-	t := metrics.NewTable("per-channel routing tracks",
+	t := NewTable("per-channel routing tracks",
 		"Channel", "Tracks", "Peak at", "Mean", "Utilisation")
 	for _, ch := range a.Channels {
 		t.Add(fmt.Sprintf("%d", ch.Channel), fmt.Sprintf("%d", ch.Tracks),
@@ -111,7 +112,7 @@ func (a *Analysis) String() string {
 
 	if len(a.HotSpots) > 0 {
 		sb.WriteByte('\n')
-		h := metrics.NewTable("hottest cells", "Cell", "Wires")
+		h := NewTable("hottest cells", "Cell", "Wires")
 		for _, s := range a.HotSpots {
 			h.Add(s.At.String(), fmt.Sprintf("%d", s.Wires))
 		}

@@ -1,7 +1,4 @@
-// Package metrics provides the small reporting utilities the experiment
-// drivers and commands share: aligned text tables and number formatting
-// matching the paper's conventions.
-package metrics
+package report
 
 import (
 	"fmt"
@@ -24,7 +21,7 @@ func NewTable(title string, header ...string) *Table {
 // header, because that is a programming error in a driver.
 func (t *Table) Add(cells ...string) {
 	if len(cells) != len(t.Header) {
-		panic(fmt.Sprintf("metrics: row has %d cells, table has %d columns",
+		panic(fmt.Sprintf("report: row has %d cells, table has %d columns",
 			len(cells), len(t.Header)))
 	}
 	t.Rows = append(t.Rows, cells)
@@ -69,10 +66,6 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// MB formats a byte count as megabytes with three decimals, the paper's
-// "MBytes Xfrd." convention.
-func MB(bytes int64) string { return fmt.Sprintf("%.3f", float64(bytes)/1e6) }
 
 // Seconds formats a float seconds value with three decimals.
 func Seconds(s float64) string { return fmt.Sprintf("%.3f", s) }

@@ -1,4 +1,4 @@
-package metrics
+package report
 
 import (
 	"strings"
@@ -40,9 +40,6 @@ func TestTableAddPanicsOnWrongArity(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	if MB(862000) != "0.862" {
-		t.Errorf("MB = %q", MB(862000))
-	}
 	if Seconds(1.2345) != "1.234" && Seconds(1.2345) != "1.235" {
 		t.Errorf("Seconds = %q", Seconds(1.2345))
 	}

@@ -68,16 +68,6 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage%d", uint8(s))
 }
 
-// StageByName inverts Stage.String; ok is false for unknown names.
-func StageByName(name string) (Stage, bool) {
-	for i, n := range stageNames {
-		if n == name {
-			return Stage(i), true
-		}
-	}
-	return 0, false
-}
-
 // Outcome classifies how a request's span ended.
 type Outcome uint8
 

@@ -20,13 +20,6 @@ func TestStageNamesRoundTrip(t *testing.T) {
 		if st.String() != name {
 			t.Errorf("Stage(%d).String() = %q, want %q", i, st.String(), name)
 		}
-		got, ok := StageByName(name)
-		if !ok || got != st {
-			t.Errorf("StageByName(%q) = %v, %v; want %v, true", name, got, ok, st)
-		}
-	}
-	if _, ok := StageByName("warp"); ok {
-		t.Error("StageByName accepted an unknown name")
 	}
 	if s := Stage(200).String(); s != "stage200" {
 		t.Errorf("out-of-range stage = %q", s)

@@ -54,21 +54,6 @@ type readCounter struct{ n int }
 
 func (r *readCounter) ReadRun(x, y, dx, dy, n int) { r.n += n }
 
-// BenchmarkRouteWireStandalone measures the compatibility wrapper, which
-// builds a fresh Scratch per call — the shape tests use, not the hot
-// path.
-func BenchmarkRouteWireStandalone(b *testing.B) {
-	c := benchCircuit(b)
-	_, arr := Sequential(c, Params{Iterations: 1})
-	view := ArrayView{A: arr}
-	params := DefaultParams()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RouteWire(view, &c.Wires[i%len(c.Wires)], params)
-	}
-}
-
 // BenchmarkSequentialFullRun measures a complete three-iteration
 // sequential routing run — every wire routed, ripped up, and rerouted —
 // with allocation tracking.

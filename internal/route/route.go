@@ -22,7 +22,6 @@ import (
 	"cmp"
 	"slices"
 
-	"locusroute/internal/circuit"
 	"locusroute/internal/costarray"
 	"locusroute/internal/geom"
 )
@@ -117,20 +116,6 @@ type Eval struct {
 	// CellsExamined counts cost reads made during candidate evaluation,
 	// the work unit of the compute-time model.
 	CellsExamined int
-}
-
-// RouteWire evaluates the candidate routes for w on view's array and
-// returns the best one. It does not modify the array; call Place or
-// Commit to place the wire. Multi-pin wires are decomposed into two-pin
-// segments between consecutive pins sorted by X, as LocusRoute does; the
-// per-wire path is the deduplicated union of segment paths.
-//
-// This standalone form builds a fresh Scratch per call and is meant for
-// tests and one-off evaluations; hot paths hold a Scratch per worker and
-// call its RouteWire method instead.
-func RouteWire(view ArrayView, w *circuit.Wire, params Params) Eval {
-	var s Scratch
-	return s.RouteWire(view, w, params)
 }
 
 // PathCost returns the sum of a's entries along the (deduplicated) path

@@ -18,6 +18,13 @@ func wire(pins ...geom.Point) *circuit.Wire {
 	return &circuit.Wire{ID: 0, Pins: pins}
 }
 
+// routeFresh routes w with a scratch of its own: the reference a reused
+// scratch must agree with.
+func routeFresh(view ArrayView, w *circuit.Wire, params Params) Eval {
+	var s Scratch
+	return s.RouteWire(view, w, params)
+}
+
 func pathSet(p Path) map[geom.Point]bool {
 	m := make(map[geom.Point]bool, len(p.Cells))
 	for _, c := range p.Cells {
@@ -28,7 +35,7 @@ func pathSet(p Path) map[geom.Point]bool {
 
 func TestRouteStraightHorizontal(t *testing.T) {
 	v := emptyView(4, 20)
-	ev := RouteWire(v, wire(geom.Pt(2, 1), geom.Pt(8, 1)), Params{Iterations: 1})
+	ev := routeFresh(v, wire(geom.Pt(2, 1), geom.Pt(8, 1)), Params{Iterations: 1})
 	if ev.Cost != 0 {
 		t.Errorf("cost on empty array = %d, want 0", ev.Cost)
 	}
@@ -46,7 +53,7 @@ func TestRouteStraightHorizontal(t *testing.T) {
 
 func TestRouteLShaped(t *testing.T) {
 	v := emptyView(6, 20)
-	ev := RouteWire(v, wire(geom.Pt(2, 1), geom.Pt(10, 4)), Params{Iterations: 1})
+	ev := routeFresh(v, wire(geom.Pt(2, 1), geom.Pt(10, 4)), Params{Iterations: 1})
 	// Any minimal route has dx+dy+1 = 8+3+1 = 12 cells.
 	if ev.Path.Len() != 12 {
 		t.Errorf("path len = %d, want 12", ev.Path.Len())
@@ -63,7 +70,7 @@ func TestRouteAvoidsCongestion(t *testing.T) {
 	for x := 1; x <= 8; x++ {
 		v.A.Set(x, 1, 100)
 	}
-	ev := RouteWire(v, wire(geom.Pt(0, 1), geom.Pt(9, 1)), Params{Iterations: 1, VHVDetourChannels: 2})
+	ev := routeFresh(v, wire(geom.Pt(0, 1), geom.Pt(9, 1)), Params{Iterations: 1, VHVDetourChannels: 2})
 	// The router should detour through channel 0 or 2 rather than pay
 	// 8*100 in channel 1.
 	if ev.Cost >= 800 {
@@ -87,7 +94,7 @@ func TestRoutePrefersCheaperJog(t *testing.T) {
 	for y := 0; y < 4; y++ {
 		v.A.Set(5, y, 50)
 	}
-	ev := RouteWire(v, wire(geom.Pt(2, 0), geom.Pt(9, 3)), Params{Iterations: 1})
+	ev := routeFresh(v, wire(geom.Pt(2, 0), geom.Pt(9, 3)), Params{Iterations: 1})
 	for _, c := range ev.Path.Cells {
 		if c.X == 5 && c.Y > 0 && c.Y < 3 {
 			t.Errorf("path jogs through expensive column 5: %v", ev.Path.Cells)
@@ -97,7 +104,7 @@ func TestRoutePrefersCheaperJog(t *testing.T) {
 
 func TestCommitRipUpInverse(t *testing.T) {
 	v := emptyView(4, 20)
-	ev := RouteWire(v, wire(geom.Pt(1, 0), geom.Pt(15, 3)), Params{Iterations: 1})
+	ev := routeFresh(v, wire(geom.Pt(1, 0), geom.Pt(15, 3)), Params{Iterations: 1})
 	Commit(v, ev.Path)
 	if v.A.NonZeroCells() != ev.Path.Len() {
 		t.Errorf("commit marked %d cells, path has %d", v.A.NonZeroCells(), ev.Path.Len())
@@ -111,7 +118,7 @@ func TestCommitRipUpInverse(t *testing.T) {
 func TestMultiPinDecomposition(t *testing.T) {
 	v := emptyView(4, 30)
 	w := wire(geom.Pt(20, 2), geom.Pt(5, 1), geom.Pt(12, 3))
-	ev := RouteWire(v, w, Params{Iterations: 1})
+	ev := routeFresh(v, w, Params{Iterations: 1})
 	set := pathSet(ev.Path)
 	for _, p := range w.Pins {
 		if !set[p] {
@@ -129,7 +136,7 @@ func TestRouteDeterministic(t *testing.T) {
 		v := emptyView(6, 40)
 		v.A.Set(10, 2, 3)
 		v.A.Set(11, 2, 3)
-		return RouteWire(v, wire(geom.Pt(2, 1), geom.Pt(30, 4), geom.Pt(17, 0)), DefaultParams())
+		return routeFresh(v, wire(geom.Pt(2, 1), geom.Pt(30, 4), geom.Pt(17, 0)), DefaultParams())
 	}
 	a, b := mk(), mk()
 	if a.Cost != b.Cost || a.Path.Len() != b.Path.Len() {
@@ -151,7 +158,7 @@ func TestRouteCostMatchesArraySum(t *testing.T) {
 			v.A.Set(x, y, int32((x+y)%4))
 		}
 	}
-	ev := RouteWire(v, wire(geom.Pt(3, 1), geom.Pt(20, 3)), Params{Iterations: 1})
+	ev := routeFresh(v, wire(geom.Pt(3, 1), geom.Pt(20, 3)), Params{Iterations: 1})
 	var want int64
 	for _, c := range ev.Path.Cells {
 		want += int64(v.A.At(c.X, c.Y))
@@ -165,7 +172,7 @@ func TestHVHStrideSamplesEndpoints(t *testing.T) {
 	// Long segment with a cheap jog only at the far end; the stride
 	// sampling must still find routes through the endpoints.
 	v := emptyView(3, 200)
-	ev := RouteWire(v, wire(geom.Pt(0, 0), geom.Pt(199, 2)), Params{Iterations: 1, MaxHVHCandidates: 8})
+	ev := routeFresh(v, wire(geom.Pt(0, 0), geom.Pt(199, 2)), Params{Iterations: 1, MaxHVHCandidates: 8})
 	if ev.Path.Len() == 0 {
 		t.Fatalf("no path found")
 	}
@@ -177,7 +184,7 @@ func TestHVHStrideSamplesEndpoints(t *testing.T) {
 
 func TestCellsExaminedPositive(t *testing.T) {
 	v := emptyView(4, 50)
-	ev := RouteWire(v, wire(geom.Pt(0, 0), geom.Pt(49, 3)), DefaultParams())
+	ev := routeFresh(v, wire(geom.Pt(0, 0), geom.Pt(49, 3)), DefaultParams())
 	if ev.CellsExamined < ev.Path.Len() {
 		t.Errorf("CellsExamined = %d, must be at least the path length %d",
 			ev.CellsExamined, ev.Path.Len())
@@ -186,7 +193,7 @@ func TestCellsExaminedPositive(t *testing.T) {
 
 func TestPathBounds(t *testing.T) {
 	v := emptyView(4, 20)
-	ev := RouteWire(v, wire(geom.Pt(3, 1), geom.Pt(10, 2)), Params{Iterations: 1, VHVDetourChannels: 0})
+	ev := routeFresh(v, wire(geom.Pt(3, 1), geom.Pt(10, 2)), Params{Iterations: 1, VHVDetourChannels: 0})
 	bb := ev.Path.Bounds()
 	if !bb.ContainsRect(geom.R(3, 1, 10, 2)) {
 		t.Errorf("path bounds %v must contain the pin box", bb)
@@ -208,7 +215,7 @@ func TestRoutePathProperties(t *testing.T) {
 		if p1 == p2 {
 			continue
 		}
-		ev := RouteWire(v, wire(p1, p2), DefaultParams())
+		ev := routeFresh(v, wire(p1, p2), DefaultParams())
 		// Connectivity.
 		for i := 1; i < len(ev.Path.Cells); i++ {
 			if ev.Path.Cells[i-1].Manhattan(ev.Path.Cells[i]) != 1 {
@@ -246,7 +253,7 @@ func TestCommitRipUpProperty(t *testing.T) {
 		p1 := geom.Pt(rng.Intn(30), rng.Intn(5))
 		p2 := geom.Pt(rng.Intn(30), rng.Intn(5))
 		p3 := geom.Pt(rng.Intn(30), rng.Intn(5))
-		ev := RouteWire(v, wire(p1, p2, p3), DefaultParams())
+		ev := routeFresh(v, wire(p1, p2, p3), DefaultParams())
 		Commit(v, ev.Path)
 		RipUp(v, ev.Path)
 		return v.A.Equal(before)

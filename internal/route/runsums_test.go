@@ -196,7 +196,7 @@ func TestNegativeBestIsReplaced(t *testing.T) {
 	p, q := geom.Pt(0, 1), geom.Pt(3, 1)
 	params := Params{MaxHVHCandidates: DefaultHVHCandidates, VHVDetourChannels: 1}
 	ref, _ := refRoute(v.A, []geom.Point{p, q}, params)
-	for name, ev := range map[string]Eval{"kernel": RouteWire(v, wire(p, q), params), "reference": ref} {
+	for name, ev := range map[string]Eval{"kernel": routeFresh(v, wire(p, q), params), "reference": ref} {
 		if ev.Cost != 0 || !pathSet(ev.Path)[geom.Pt(1, 2)] {
 			t.Errorf("%s: cost %d via %v, want the dearer cost-0 detour through channel 2", name, ev.Cost, ev.Path.Cells)
 		}
@@ -329,7 +329,7 @@ func TestRerouteWireNeverAliases(t *testing.T) {
 	for iter := 0; iter < 4; iter++ {
 		for i := range wires {
 			RipUp(v, paths[i])
-			fresh := RouteWire(v, &wires[i], params)
+			fresh := routeFresh(v, &wires[i], params)
 			ev := s.RerouteWire(v, &wires[i], params, paths[i])
 			if !evalsEqual(ev, fresh) {
 				t.Fatalf("iter %d wire %d: RerouteWire %+v != RouteWire %+v", iter, i, ev, fresh)

@@ -108,9 +108,11 @@ func (s *Scratch) SortedPins(w *circuit.Wire) []geom.Point {
 }
 
 // RouteWire evaluates the candidate routes for w on view's array and
-// returns the best one, exactly as the package-level RouteWire does,
-// reusing the scratch's buffers. It does not modify the array; call Place
-// or Commit to place the wire.
+// returns the best one, reusing the scratch's buffers. It does not
+// modify the array; call Place or Commit to place the wire. Multi-pin
+// wires are decomposed into two-pin segments between consecutive pins
+// sorted by X, as LocusRoute does; the per-wire path is the deduplicated
+// union of segment paths. The zero Scratch is ready to use.
 func (s *Scratch) RouteWire(view ArrayView, w *circuit.Wire, params Params) Eval {
 	return s.RerouteWire(view, w, params, Path{})
 }

@@ -40,7 +40,7 @@ func TestScratchReuseMatchesStandalone(t *testing.T) {
 		}
 		w := &circuit.Wire{ID: trial, Pins: pins}
 		got := s.RouteWire(v, w, DefaultParams())
-		want := RouteWire(v, w, DefaultParams())
+		want := routeFresh(v, w, DefaultParams())
 		if !evalsEqual(got, want) {
 			t.Fatalf("trial %d: scratch eval %+v != standalone %+v", trial, got, want)
 		}
@@ -95,7 +95,7 @@ func TestRoutePairMatchesTwoPinWire(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		a := geom.Pt(rng.Intn(60), rng.Intn(6))
 		b := geom.Pt(rng.Intn(60), rng.Intn(6))
-		want := RouteWire(v, &circuit.Wire{ID: trial, Pins: []geom.Point{a, b}}, DefaultParams())
+		want := routeFresh(v, &circuit.Wire{ID: trial, Pins: []geom.Point{a, b}}, DefaultParams())
 		for _, pair := range [][2]geom.Point{{a, b}, {b, a}} {
 			got := s.RoutePair(v, pair[0], pair[1], DefaultParams())
 			if !evalsEqual(got, want) {
@@ -114,14 +114,14 @@ func TestScratchGridResize(t *testing.T) {
 	s := NewScratch(small.A.Grid())
 
 	w := &circuit.Wire{ID: 1, Pins: []geom.Point{geom.Pt(2, 1), geom.Pt(15, 3)}}
-	if got, want := s.RouteWire(small, w, DefaultParams()), RouteWire(small, w, DefaultParams()); !evalsEqual(got, want) {
+	if got, want := s.RouteWire(small, w, DefaultParams()), routeFresh(small, w, DefaultParams()); !evalsEqual(got, want) {
 		t.Fatalf("small grid: %+v != %+v", got, want)
 	}
 	w2 := &circuit.Wire{ID: 2, Pins: []geom.Point{geom.Pt(5, 6), geom.Pt(180, 0)}}
-	if got, want := s.RouteWire(big, w2, DefaultParams()), RouteWire(big, w2, DefaultParams()); !evalsEqual(got, want) {
+	if got, want := s.RouteWire(big, w2, DefaultParams()), routeFresh(big, w2, DefaultParams()); !evalsEqual(got, want) {
 		t.Fatalf("big grid: %+v != %+v", got, want)
 	}
-	if got, want := s.RouteWire(small, w, DefaultParams()), RouteWire(small, w, DefaultParams()); !evalsEqual(got, want) {
+	if got, want := s.RouteWire(small, w, DefaultParams()), routeFresh(small, w, DefaultParams()); !evalsEqual(got, want) {
 		t.Fatalf("back to small grid: %+v != %+v", got, want)
 	}
 }
@@ -164,7 +164,7 @@ func TestPlaceEqualsPathCostThenCommit(t *testing.T) {
 		for i := range pins {
 			pins[i] = geom.Pt(rng.Intn(v.A.Grid().Grids), rng.Intn(v.A.Grid().Channels))
 		}
-		path := RouteWire(v, &circuit.Wire{Pins: pins}, DefaultParams()).Path
+		path := routeFresh(v, &circuit.Wire{Pins: pins}, DefaultParams()).Path
 		placed, flat, cell := v.A.Clone(), ArrayView{A: v.A.Clone()}, cellWriter{ArrayView{A: v.A.Clone()}}
 		if cost, want := Place(placed, path), PathCost(v.A, path); cost != want {
 			t.Fatalf("trial %d: Place cost %d, PathCost %d", trial, cost, want)
@@ -184,8 +184,8 @@ func TestPlaceEqualsPathCostThenCommit(t *testing.T) {
 
 // A pooled Get/RouteWire/Put cycle stays at the reused-scratch allocation
 // floor (the caller-owned Path copy: BENCHMARK.json's exact
-// route.allocs_per_wire = 1), not the 12 allocs/op of the standalone
-// fresh-Scratch path (BenchmarkRouteWireStandalone).
+// route.allocs_per_wire = 1), not the 12 allocs/op of a fresh Scratch
+// per wire.
 func TestScratchPoolAllocs(t *testing.T) {
 	c := circuit.MustGenerate(circuit.BnrELike(7))
 	view := ArrayView{A: costarray.New(c.Grid)}

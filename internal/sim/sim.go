@@ -320,10 +320,6 @@ func (p *Process) Wait(d Time) {
 	p.park()
 }
 
-// Kernel returns the kernel the process runs on, for scheduling events or
-// constructing channels from within process code.
-func (p *Process) Kernel() *Kernel { return p.kernel }
-
 // Chan is a simulated unbounded FIFO channel. Sends never block and take
 // no simulated time (transport delay is modelled by scheduling the Send
 // with Kernel.At); receives block the calling process until an item is

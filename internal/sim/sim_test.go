@@ -204,7 +204,7 @@ func TestSpawnFromProcess(t *testing.T) {
 	var childRan bool
 	k.Spawn("parent", func(p *Process) {
 		p.Wait(10)
-		p.Kernel().Spawn("child", func(c *Process) {
+		p.kernel.Spawn("child", func(c *Process) {
 			c.Wait(5)
 			childRan = true
 		})

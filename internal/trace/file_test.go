@@ -10,11 +10,11 @@ import (
 )
 
 func sampleTrace() *Trace {
-	t := &Trace{}
-	t.Append(Ref{T: 10, Proc: 0, Addr: 0x40, Op: Read})
-	t.Append(Ref{T: 20, Proc: 3, Addr: 0x44, Op: Write})
-	t.Append(Ref{T: 30, Proc: 1, Addr: 1 << 40, Op: Read})
-	return t
+	return &Trace{Refs: []Ref{
+		{T: 10, Proc: 0, Addr: 0x40, Op: Read},
+		{T: 20, Proc: 3, Addr: 0x44, Op: Write},
+		{T: 30, Proc: 1, Addr: 1 << 40, Op: Read},
+	}}
 }
 
 func TestFileRoundTrip(t *testing.T) {
@@ -121,8 +121,7 @@ func TestReadFileErrors(t *testing.T) {
 }
 
 func TestFileTimePreserved(t *testing.T) {
-	tr := &Trace{}
-	tr.Append(Ref{T: sim.Time(123456789), Proc: 0, Addr: 8, Op: Write})
+	tr := &Trace{Refs: []Ref{{T: sim.Time(123456789), Proc: 0, Addr: 8, Op: Write}}}
 	var buf bytes.Buffer
 	if err := WriteFile(&buf, tr, 1); err != nil {
 		t.Fatal(err)

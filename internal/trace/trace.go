@@ -54,9 +54,6 @@ type Trace struct {
 	Refs []Ref
 }
 
-// Append adds a reference.
-func (t *Trace) Append(r Ref) { t.Refs = append(t.Refs, r) }
-
 // AppendBatch adds a batch of references. Its signature is a Merger
 // sink, which is how a Trace is filled in order.
 func (t *Trace) AppendBatch(refs []Ref) { t.Refs = append(t.Refs, refs...) }

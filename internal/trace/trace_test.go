@@ -283,10 +283,7 @@ func TestDrainAtThePackingBound(t *testing.T) {
 }
 
 func TestCounts(t *testing.T) {
-	tr := &Trace{}
-	tr.Append(Ref{Op: Read})
-	tr.Append(Ref{Op: Write})
-	tr.Append(Ref{Op: Write})
+	tr := &Trace{Refs: []Ref{{Op: Read}, {Op: Write}, {Op: Write}}}
 	r, w := tr.Counts()
 	if r != 1 || w != 2 {
 		t.Errorf("Counts = %d, %d", r, w)

@@ -131,7 +131,7 @@ func (b *seqBackend) Route(ctx context.Context, req Request) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			res, arr, pdoc = pres, parr, partitionDoc(st)
+			res, arr, pdoc = pres, parr, st.Doc()
 		} else {
 			res, arr = route.Sequential(req.Circuit, params)
 		}
@@ -191,29 +191,11 @@ func (b *partBackend) Route(ctx context.Context, req Request) (Result, error) {
 			b.cfg.collector.Append(obs.Run{
 				Name: req.Circuit.Name, Backend: string(Partitioned), Circuit: req.Circuit.Name, Procs: b.cfg.procs,
 				Quality:   &obs.Quality{CircuitHeight: res.CircuitHeight, Occupancy: res.Occupancy},
-				Partition: partitionDoc(st),
+				Partition: st.Doc(),
 			})
 		}
 		return out, nil
 	})
-}
-
-// partitionDoc renders partition stats into the obs section.
-func partitionDoc(st *part.Stats) *obs.PartitionDoc {
-	if st == nil {
-		return nil
-	}
-	return &obs.PartitionDoc{
-		Partitions:      st.Partitions,
-		Depth:           st.Depth,
-		BoundaryWires:   st.BoundaryWires,
-		BoundaryFrac:    st.BoundaryFrac(),
-		LevelWires:      st.LevelWires,
-		RegionWallNs:    st.RegionWallNs,
-		NegotiatedIters: st.NegotiatedIters,
-		OverusedCells:   st.OverusedCells,
-		PresFacFinal:    st.PresFacFinal,
-	}
 }
 
 // smBackend is the traced shared memory implementation.

@@ -3,8 +3,8 @@
 // running the same routing workload — the sequential reference, the
 // shared memory and message passing paradigms the paper compares
 // (Martonosi & Gupta, ICPP 1989), each on the simulator the paper
-// measured it with, and a partition-parallel router — so commands, the
-// serving daemon and examples construct backends through a single API
+// measured it with, and a partition-parallel router — so commands and
+// the serving daemon construct backends through a single API
 // instead of wiring each implementation by hand. Every backend is
 // deterministic: the same request routes to the same answer.
 //

@@ -260,6 +260,26 @@ func TestValidateWires(t *testing.T) {
 
 // TestOptionRejection checks that inapplicable options fail at
 // construction, not at Route time.
+// TestRejectionNamesAcceptingKinds pins the rejection text for options
+// accepted by one, two and three backend kinds.
+func TestRejectionNamesAcceptingKinds(t *testing.T) {
+	for _, tc := range []struct {
+		opt  Option
+		want string
+	}{
+		{WithStrategy(SenderInitiated(2, 10)),
+			"locusroute: WithStrategy applies to the mp-des backend, not sequential"},
+		{WithRoundRobin(),
+			"locusroute: wire distribution (WithDynamicOrder/WithRoundRobin/WithThreshold) applies to the sm-traced and mp-des backends, not sequential"},
+		{WithProcs(4),
+			"locusroute: WithProcs applies to the sm-traced, mp-des and partitioned backends, not sequential: the sequential backend routes on one processor"},
+	} {
+		if _, err := NewSequential(tc.opt); err == nil || err.Error() != tc.want {
+			t.Errorf("NewSequential: error %v, want %q", err, tc.want)
+		}
+	}
+}
+
 func TestOptionRejection(t *testing.T) {
 	cases := []struct {
 		name string

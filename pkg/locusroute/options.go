@@ -2,6 +2,7 @@ package locusroute
 
 import (
 	"fmt"
+	"strings"
 
 	"locusroute/internal/assign"
 	"locusroute/internal/circuit"
@@ -211,23 +212,17 @@ func (r *optionRule) accepts(kind Kind) bool {
 }
 
 // kindList renders the accepting kinds for an error message:
-// "the mp-des backend", "the sequential and partitioned backends".
+// "the mp-des backend", "the sequential and partitioned backends",
+// "the sm-traced, mp-des and partitioned backends".
 func kindList(kinds []Kind) string {
 	if len(kinds) == 1 {
 		return fmt.Sprintf("the %s backend", kinds[0])
 	}
-	s := "the "
-	for i, k := range kinds {
-		switch {
-		case i == len(kinds)-1:
-			s += fmt.Sprintf("and %s backends", k)
-		case i > 0:
-			s += fmt.Sprintf("%s, ", k)
-		default:
-			s += fmt.Sprintf("%s ", k)
-		}
+	names := make([]string, len(kinds)-1)
+	for i, k := range kinds[:len(kinds)-1] {
+		names[i] = string(k)
 	}
-	return s
+	return fmt.Sprintf("the %s and %s backends", strings.Join(names, ", "), kinds[len(kinds)-1])
 }
 
 // optionRules is the single source of truth for which construction
