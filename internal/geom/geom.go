@@ -7,7 +7,10 @@
 // X ("grid") is the horizontal dimension and indexes routing grid columns.
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Point is a location on the routing grid. X is the routing grid column,
 // Y is the channel row.
@@ -135,8 +138,15 @@ func (g Grid) Bounds() Rect { return Rect{X0: 0, Y0: 0, X1: g.Grids, Y1: g.Chann
 // Cells returns the total number of grid points.
 func (g Grid) Cells() int { return g.Channels * g.Grids }
 
-// Valid reports whether the grid has positive dimensions.
-func (g Grid) Valid() bool { return g.Channels > 0 && g.Grids > 0 }
+// Valid reports whether the grid has positive dimensions and at most
+// math.MaxInt32 cells, so every row-major cell index fits an int32 (a
+// routed path stores its cells that way).
+func (g Grid) Valid() bool {
+	return g.Channels > 0 && g.Grids > 0 && g.Channels <= math.MaxInt32/g.Grids
+}
+
+// Point returns the cell at row-major index i, y*Grids + x.
+func (g Grid) Point(i int) Point { return Point{X: i % g.Grids, Y: i / g.Grids} }
 
 // Clamp returns p moved to the nearest point inside the grid.
 func (g Grid) Clamp(p Point) Point {

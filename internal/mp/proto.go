@@ -148,16 +148,17 @@ func (pr *Proto) TakeScanWork() int {
 // dirty/delta tracking.
 type protoCommitView struct{ pr *Proto }
 
-func (v protoCommitView) AddCost(x, y int, d int32) {
+func (v protoCommitView) AddCell(i int, d int32) {
 	pr := v.pr
-	pr.view.Add(x, y, d)
-	pr.truth.Add(x, y, d)
-	if pr.owners.Owner(x, y) == pr.ID {
-		pr.owned = pr.owned.AddPoint(geom.Pt(x, y))
+	pr.view.Cells()[i] += d
+	pr.truth.Cells()[i] += d
+	c := pr.view.Grid().Point(i)
+	if pr.owners.Owner(c.X, c.Y) == pr.ID {
+		pr.owned = pr.owned.AddPoint(c)
 	} else if pr.Structure != StructureWireBased {
 		// The wire-based structure transmits whole runs (recorded by
 		// recordWireOps), so remote changes bypass the delta array.
-		pr.delta.Add(x, y, d)
+		pr.delta.Add(c.X, c.Y, d)
 	}
 }
 
@@ -182,7 +183,9 @@ func (pr *Proto) recordWireOps(path route.Path, ripUp bool) {
 	var run geom.Rect
 	owner := -1
 	var prev geom.Point
-	for i, c := range path.Cells {
+	g := pr.view.Grid()
+	for i, cell := range path.Cells {
+		c := g.Point(int(cell))
 		o := pr.owners.Owner(c.X, c.Y)
 		extends := i > 0 && o == owner && adjacentCollinear(run, prev, c)
 		if !extends {

@@ -325,8 +325,8 @@ func TestCommitAndRipUpMarkOwnedCells(t *testing.T) {
 		p.RipUpWire(wi, 0) // iteration 0 has nothing to rip up
 		pw := p.EvaluateWire(wi)
 		var want geom.Rect
-		for _, c := range pw.Path.Cells {
-			if f.part.Owner(c) == p.ID {
+		for _, i := range pw.Path.Cells {
+			if c := f.circ.Grid.Point(int(i)); f.part.Owner(c) == p.ID {
 				want = want.AddPoint(c)
 			}
 		}

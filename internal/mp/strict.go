@@ -92,14 +92,12 @@ func (n *node) runStrict(iter int) {
 // iteration — the strict scheme's rip-up phase needs no messages because
 // each region rips its own cells.
 func (n *node) ripAll() {
-	view := route.ArrayView{A: n.strict.arr}
+	view, truth := route.ArrayView{A: n.strict.arr}, route.ArrayView{A: n.r.truth}
 	cells := 0
 	for wi, paths := range n.strict.subPaths {
 		for _, path := range paths {
 			route.RipUp(view, path)
-			for _, c := range path.Cells {
-				n.r.truth.Add(c.X, c.Y, -1)
-			}
+			route.RipUp(truth, path)
 			cells += path.Len()
 		}
 		delete(n.strict.subPaths, wi)
@@ -143,14 +141,8 @@ func (n *node) processTask(cur, tgt geom.Point, wi, initiator int) {
 	n.tr.Begin(n.track, int64(n.p.Now()), tracev.KindRouteWire, int64(wi))
 	ev := st.scratch.RoutePair(route.ArrayView{A: st.arr}, cur, clamped, strictRouterParams(n.r.cfg.Router))
 	n.wait(n.r.cfg.Perf.WireOverhead+n.r.cfg.Perf.EvalTime(ev.CellsExamined), tracev.CatCompute)
-	var trueCost int64
-	for _, c := range ev.Path.Cells {
-		trueCost += int64(n.r.truth.At(c.X, c.Y))
-	}
 	route.Commit(route.ArrayView{A: st.arr}, ev.Path)
-	for _, c := range ev.Path.Cells {
-		n.r.truth.Add(c.X, c.Y, 1)
-	}
+	trueCost := route.Place(n.r.truth, ev.Path)
 	n.wait(n.r.cfg.Perf.WriteTime(ev.Path.Len()), tracev.CatCompute)
 	n.tr.End(n.track, int64(n.p.Now()), tracev.KindRouteWire, int64(wi))
 	st.subPaths[wi] = append(st.subPaths[wi], ev.Path)

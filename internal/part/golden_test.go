@@ -74,7 +74,8 @@ func runDigest(r *runner, res route.Result, st *Stats) string {
 	}
 	for _, p := range r.paths {
 		put(int64(len(p.Cells)))
-		for _, c := range p.Cells {
+		for _, i := range p.Cells {
+			c := r.c.Grid.Point(int(i))
 			put(int64(c.X), int64(c.Y))
 		}
 	}

@@ -254,7 +254,7 @@ func (v *touchView) ReadRun(x, y, dx, dy, n int) {
 	}
 }
 
-func (v *touchView) AddCost(x, y int, d int32) {
-	v.touched = append(v.touched, geom.Pt(x, y))
-	v.arr.Add(x, y, d)
+func (v *touchView) AddCell(i int, d int32) {
+	v.touched = append(v.touched, v.arr.Grid().Point(i))
+	v.arr.Cells()[i] += d
 }

@@ -128,7 +128,7 @@ func refRoute(a *costarray.CostArray, pins []geom.Point, params Params) (ev Eval
 		for _, cell := range best {
 			if !seen[cell] {
 				seen[cell] = true
-				ev.Path.Cells = append(ev.Path.Cells, cell)
+				ev.Path.Cells = append(ev.Path.Cells, int32(a.Index(cell.X, cell.Y)))
 			}
 		}
 	}

@@ -12,10 +12,13 @@
 // memory trace does not read the array a second time: a ReadObserver on
 // the Scratch is told each candidate's three straight runs, the cells
 // the paper's program reads, in its order. The winner is written into the
-// path as those same runs, and a path is placed on (or ripped from) a
-// plain array without an interface call per cell (Place, Commit, RipUp);
-// a CostView is only the writer a path lands through when its writes
-// must go further than one array (message passing, traced rip-up).
+// path as those same runs. A path is the list of cost-array words the
+// paper's router changes to place or rip up a wire: each cell is its
+// row-major index, so a path is placed on (or ripped from) a plain array
+// without an interface call or an index computation per cell (Place,
+// Commit, RipUp); a CostView is only the writer a path lands through
+// when its writes must go further than one array (message passing,
+// traced rip-up).
 package route
 
 import (
@@ -29,8 +32,9 @@ import (
 // CostView is where Commit and RipUp land a path's writes: ArrayView for
 // a plain array, or a writer that also records or forwards each one.
 type CostView interface {
-	// AddCost adds d (+1 route, -1 rip-up) to the cell at (x, y).
-	AddCost(x, y int, d int32)
+	// AddCell adds d (+1 route, -1 rip-up) to the cell at row-major
+	// index i (geom.Grid.Point decodes it).
+	AddCell(i int, d int32)
 }
 
 // ReadObserver is told of the cost reads the kernel's candidate
@@ -87,24 +91,19 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Path is the set of grid cells a routed wire occupies, deduplicated
-// within the wire (a wire crossing a cell twice still counts once in the
-// cost array).
+// Path is the set of cost-array cells a routed wire occupies, in the
+// order the kernel wrote them, deduplicated within the wire (a wire
+// crossing a cell twice still counts once in the cost array). Each cell
+// is its row-major index y*Grids + x, four bytes like the cost array
+// word it names; geom.Grid.Valid bounds a grid's cells so every index
+// fits, and geom.Grid.Point decodes one for a consumer that needs the
+// coordinates.
 type Path struct {
-	Cells []geom.Point
+	Cells []int32
 }
 
 // Len returns the number of cells in the path.
 func (p Path) Len() int { return len(p.Cells) }
-
-// Bounds returns the bounding box of the path's cells.
-func (p Path) Bounds() geom.Rect {
-	var bb geom.Rect
-	for _, c := range p.Cells {
-		bb = bb.AddPoint(c)
-	}
-	return bb
-}
 
 // Eval holds the result of evaluating a wire against a cost view.
 type Eval struct {
@@ -123,10 +122,10 @@ type Eval struct {
 // 3 of the paper). Callers measure it against the authoritative array of
 // their paradigm just before committing.
 func PathCost(a *costarray.CostArray, path Path) int64 {
-	cells, stride := a.Cells(), a.Grid().Grids
+	cells := a.Cells()
 	var c int64
-	for _, p := range path.Cells {
-		c += int64(cells[p.Y*stride+p.X])
+	for _, i := range path.Cells {
+		c += int64(cells[i])
 	}
 	return c
 }
@@ -142,14 +141,14 @@ func RipUp(view CostView, path Path) { add(view, path, -1) }
 // plain ArrayView.
 func add(view CostView, path Path, d int32) {
 	if av, ok := view.(ArrayView); ok {
-		cells, stride := av.A.Cells(), av.A.Grid().Grids
-		for _, p := range path.Cells {
-			cells[p.Y*stride+p.X] += d
+		cells := av.A.Cells()
+		for _, i := range path.Cells {
+			cells[i] += d
 		}
 		return
 	}
-	for _, c := range path.Cells {
-		view.AddCost(c.X, c.Y, d)
+	for _, i := range path.Cells {
+		view.AddCell(int(i), d)
 	}
 }
 
@@ -157,10 +156,9 @@ func add(view CostView, path Path, d int32) {
 // PathCost then Commit in one pass, which is the same thing because a
 // kernel path never repeats a cell.
 func Place(a *costarray.CostArray, path Path) int64 {
-	cells, stride := a.Cells(), a.Grid().Grids
+	cells := a.Cells()
 	var c int64
-	for _, p := range path.Cells {
-		i := p.Y*stride + p.X
+	for _, i := range path.Cells {
 		c += int64(cells[i])
 		cells[i]++
 	}

@@ -25,9 +25,18 @@ func routeFresh(view ArrayView, w *circuit.Wire, params Params) Eval {
 	return s.RouteWire(view, w, params)
 }
 
-func pathSet(p Path) map[geom.Point]bool {
+// points decodes p's cell indices on grid g, in path order.
+func points(g geom.Grid, p Path) []geom.Point {
+	out := make([]geom.Point, len(p.Cells))
+	for k, i := range p.Cells {
+		out[k] = g.Point(int(i))
+	}
+	return out
+}
+
+func pathSet(g geom.Grid, p Path) map[geom.Point]bool {
 	m := make(map[geom.Point]bool, len(p.Cells))
-	for _, c := range p.Cells {
+	for _, c := range points(g, p) {
 		m[c] = true
 	}
 	return m
@@ -43,7 +52,7 @@ func TestRouteStraightHorizontal(t *testing.T) {
 	if ev.Path.Len() != 7 {
 		t.Errorf("path len = %d, want 7; cells=%v", ev.Path.Len(), ev.Path.Cells)
 	}
-	set := pathSet(ev.Path)
+	set := pathSet(v.A.Grid(), ev.Path)
 	for x := 2; x <= 8; x++ {
 		if !set[geom.Pt(x, 1)] {
 			t.Errorf("missing cell (%d,1)", x)
@@ -58,7 +67,7 @@ func TestRouteLShaped(t *testing.T) {
 	if ev.Path.Len() != 12 {
 		t.Errorf("path len = %d, want 12", ev.Path.Len())
 	}
-	set := pathSet(ev.Path)
+	set := pathSet(v.A.Grid(), ev.Path)
 	if !set[geom.Pt(2, 1)] || !set[geom.Pt(10, 4)] {
 		t.Errorf("path must contain both pins")
 	}
@@ -76,7 +85,7 @@ func TestRouteAvoidsCongestion(t *testing.T) {
 	if ev.Cost >= 800 {
 		t.Errorf("router did not avoid congestion: cost=%d path=%v", ev.Cost, ev.Path.Cells)
 	}
-	set := pathSet(ev.Path)
+	set := pathSet(v.A.Grid(), ev.Path)
 	detour := false
 	for c := range set {
 		if c.Y != 1 {
@@ -95,9 +104,9 @@ func TestRoutePrefersCheaperJog(t *testing.T) {
 		v.A.Set(5, y, 50)
 	}
 	ev := routeFresh(v, wire(geom.Pt(2, 0), geom.Pt(9, 3)), Params{Iterations: 1})
-	for _, c := range ev.Path.Cells {
+	for _, c := range points(v.A.Grid(), ev.Path) {
 		if c.X == 5 && c.Y > 0 && c.Y < 3 {
-			t.Errorf("path jogs through expensive column 5: %v", ev.Path.Cells)
+			t.Errorf("path jogs through expensive column 5: %v", points(v.A.Grid(), ev.Path))
 		}
 	}
 }
@@ -119,7 +128,7 @@ func TestMultiPinDecomposition(t *testing.T) {
 	v := emptyView(4, 30)
 	w := wire(geom.Pt(20, 2), geom.Pt(5, 1), geom.Pt(12, 3))
 	ev := routeFresh(v, w, Params{Iterations: 1})
-	set := pathSet(ev.Path)
+	set := pathSet(v.A.Grid(), ev.Path)
 	for _, p := range w.Pins {
 		if !set[p] {
 			t.Errorf("multi-pin path must contain pin %v", p)
@@ -160,7 +169,7 @@ func TestRouteCostMatchesArraySum(t *testing.T) {
 	}
 	ev := routeFresh(v, wire(geom.Pt(3, 1), geom.Pt(20, 3)), Params{Iterations: 1})
 	var want int64
-	for _, c := range ev.Path.Cells {
+	for _, c := range points(v.A.Grid(), ev.Path) {
 		want += int64(v.A.At(c.X, c.Y))
 	}
 	if ev.Cost != want {
@@ -176,7 +185,7 @@ func TestHVHStrideSamplesEndpoints(t *testing.T) {
 	if ev.Path.Len() == 0 {
 		t.Fatalf("no path found")
 	}
-	set := pathSet(ev.Path)
+	set := pathSet(v.A.Grid(), ev.Path)
 	if !set[geom.Pt(0, 0)] || !set[geom.Pt(199, 2)] {
 		t.Errorf("path must contain both pins")
 	}
@@ -194,7 +203,10 @@ func TestCellsExaminedPositive(t *testing.T) {
 func TestPathBounds(t *testing.T) {
 	v := emptyView(4, 20)
 	ev := routeFresh(v, wire(geom.Pt(3, 1), geom.Pt(10, 2)), Params{Iterations: 1, VHVDetourChannels: 0})
-	bb := ev.Path.Bounds()
+	var bb geom.Rect
+	for _, c := range points(v.A.Grid(), ev.Path) {
+		bb = bb.AddPoint(c)
+	}
 	if !bb.ContainsRect(geom.R(3, 1, 10, 2)) {
 		t.Errorf("path bounds %v must contain the pin box", bb)
 	}
@@ -217,14 +229,15 @@ func TestRoutePathProperties(t *testing.T) {
 		}
 		ev := routeFresh(v, wire(p1, p2), DefaultParams())
 		// Connectivity.
-		for i := 1; i < len(ev.Path.Cells); i++ {
-			if ev.Path.Cells[i-1].Manhattan(ev.Path.Cells[i]) != 1 {
+		cells := points(v.A.Grid(), ev.Path)
+		for i := 1; i < len(cells); i++ {
+			if cells[i-1].Manhattan(cells[i]) != 1 {
 				t.Fatalf("trial %d: disconnected path at %d: %v -> %v",
-					trial, i, ev.Path.Cells[i-1], ev.Path.Cells[i])
+					trial, i, cells[i-1], cells[i])
 			}
 		}
 		// Endpoints present.
-		set := pathSet(ev.Path)
+		set := pathSet(v.A.Grid(), ev.Path)
 		if !set[p1] || !set[p2] {
 			t.Fatalf("trial %d: endpoints missing", trial)
 		}

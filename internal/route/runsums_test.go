@@ -197,7 +197,7 @@ func TestNegativeBestIsReplaced(t *testing.T) {
 	params := Params{MaxHVHCandidates: DefaultHVHCandidates, VHVDetourChannels: 1}
 	ref, _ := refRoute(v.A, []geom.Point{p, q}, params)
 	for name, ev := range map[string]Eval{"kernel": routeFresh(v, wire(p, q), params), "reference": ref} {
-		if ev.Cost != 0 || !pathSet(ev.Path)[geom.Pt(1, 2)] {
+		if ev.Cost != 0 || !pathSet(v.A.Grid(), ev.Path)[geom.Pt(1, 2)] {
 			t.Errorf("%s: cost %d via %v, want the dearer cost-0 detour through channel 2", name, ev.Cost, ev.Path.Cells)
 		}
 		if ev.CellsExamined != 4*4+6+4+6 {
@@ -261,8 +261,8 @@ func checkWinnerRuns(t *testing.T, s *Scratch, p, q geom.Point, vhv bool, m int)
 	}
 	s.beginWire()
 	s.winner(p, q, vhv, m)
-	if !slices.Equal(s.cells, uniq) {
-		t.Fatalf("winner %v-%v vhv=%v m=%d on %v:\nwinner    %v\nreference %v", p, q, vhv, m, s.grid, s.cells, uniq)
+	if got := points(s.grid, Path{Cells: s.cells}); !slices.Equal(got, uniq) {
+		t.Fatalf("winner %v-%v vhv=%v m=%d on %v:\nwinner    %v\nreference %v", p, q, vhv, m, s.grid, got, uniq)
 	}
 }
 
@@ -325,7 +325,7 @@ func TestRerouteWireNeverAliases(t *testing.T) {
 	s := NewScratch(v.A.Grid())
 	params := DefaultParams()
 	paths := make([]Path, len(wires))
-	want := make([][]geom.Point, len(wires))
+	want := make([][]int32, len(wires))
 	for iter := 0; iter < 4; iter++ {
 		for i := range wires {
 			RipUp(v, paths[i])

@@ -18,10 +18,13 @@ import (
 //
 //   - visited is an epoch-stamped grid that replaces the per-wire
 //     map[Point]bool: bumping epoch "clears" it in O(1), and a cell is a
-//     duplicate within the current wire iff its stamp equals epoch.
-//   - cells accumulates the winning path of the wire being routed; the
-//     kernel costs candidates by run sums without materialising them and
-//     writes the winner's three runs straight into cells (winner).
+//     duplicate within the current wire iff its stamp equals epoch. The
+//     stamps are uint32, like the cost array's words; the one wire in
+//     2^32 whose epoch wraps to 0 clears the grid first (beginWire).
+//   - cells accumulates the winning path of the wire being routed, as
+//     row-major cost-array indices (see Path); the kernel costs
+//     candidates by run sums without materialising them and writes the
+//     winner's three runs straight into cells (winner).
 //   - xs holds the segment's HVH sample columns.
 //   - sorted is SortedPins' buffer for a wire whose pins are out of order.
 //   - reads, when set (Observe), is told of every candidate's reads.
@@ -33,9 +36,9 @@ import (
 // Scratch is not safe for concurrent use.
 type Scratch struct {
 	grid    geom.Grid
-	visited []uint64
-	epoch   uint64
-	cells   []geom.Point
+	visited []uint32
+	epoch   uint32
+	cells   []int32
 	xs      []int
 	runs    runSums
 	sorted  []geom.Point
@@ -89,7 +92,7 @@ func (s *Scratch) ensure(g geom.Grid) {
 		return
 	}
 	s.grid = g
-	s.visited = make([]uint64, g.Cells())
+	s.visited = make([]uint32, g.Cells())
 	s.epoch = 0
 	s.cells = s.cells[:0]
 }
@@ -147,7 +150,7 @@ func (s *Scratch) RoutePair(view ArrayView, a, b geom.Point, params Params) Eval
 // routePins decomposes the sorted pin list into two-pin segments and
 // routes each, deduplicating the per-wire path via the epoch grid; the
 // path is copied into into when it fits (see takePath).
-func (s *Scratch) routePins(view ArrayView, pins []geom.Point, params Params, into []geom.Point) Eval {
+func (s *Scratch) routePins(view ArrayView, pins []geom.Point, params Params, into []int32) Eval {
 	s.beginWire()
 	var ev Eval
 	for i := 0; i+1 < len(pins); i++ {
@@ -161,8 +164,14 @@ func (s *Scratch) routePins(view ArrayView, pins []geom.Point, params Params, in
 
 // beginWire starts a new wire: a fresh epoch makes every visited stamp
 // stale without touching the grid, and the cell accumulator rewinds.
+// When the epoch wraps, the grid is cleared once so no stamp left by
+// the previous 2^32 wires can equal the new one.
 func (s *Scratch) beginWire() {
 	s.epoch++
+	if s.epoch == 0 {
+		clear(s.visited)
+		s.epoch = 1
+	}
 	s.cells = s.cells[:0]
 }
 
@@ -170,12 +179,12 @@ func (s *Scratch) beginWire() {
 // (callers retain paths across iterations for rip-up, so the scratch
 // buffer cannot be handed out): into's storage when it has the capacity,
 // a new slice otherwise. This is the kernel's only allocation.
-func (s *Scratch) takePath(into []geom.Point) Path {
+func (s *Scratch) takePath(into []int32) Path {
 	if len(s.cells) == 0 {
 		return Path{}
 	}
 	if cap(into) < len(s.cells) {
-		into = make([]geom.Point, len(s.cells))
+		into = make([]int32, len(s.cells))
 	}
 	into = into[:len(s.cells)]
 	copy(into, s.cells)
@@ -234,13 +243,13 @@ func (s *Scratch) observe(p, q geom.Point, vhv bool, m int) {
 func (s *Scratch) winner(p, q geom.Point, vhv bool, m int) {
 	visited, epoch, cells := s.visited, s.epoch, s.cells
 	for _, r := range candidate(p, q, vhv, m) {
-		x, y, i, step := r.x, r.y, r.y*s.grid.Grids+r.x, r.dy*s.grid.Grids+r.dx
+		i, step := r.y*s.grid.Grids+r.x, r.dy*s.grid.Grids+r.dx
 		for range r.n {
 			if visited[i] != epoch {
 				visited[i] = epoch
-				cells = append(cells, geom.Pt(x, y))
+				cells = append(cells, int32(i))
 			}
-			x, y, i = x+r.dx, y+r.dy, i+step
+			i += step
 		}
 	}
 	s.cells = cells

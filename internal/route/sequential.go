@@ -12,8 +12,8 @@ type ArrayView struct {
 	A *costarray.CostArray
 }
 
-// AddCost implements CostView.
-func (v ArrayView) AddCost(x, y int, d int32) { v.A.Add(x, y, d) }
+// AddCell implements CostView.
+func (v ArrayView) AddCell(i int, d int32) { v.A.Cells()[i] += d }
 
 // Result summarises a complete routing run.
 type Result struct {

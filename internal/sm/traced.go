@@ -21,8 +21,8 @@ const wordBytes = 4
 // horizontal path runs stride a whole column apart in memory, so their
 // writes and rereads never batch into one line, and every line brought in
 // carries neighbouring-channel words that are often never used.
-func addrOf(grid geom.Grid, x, y int) uint64 {
-	return uint64(x*grid.Channels+y) * wordBytes
+func addrOf(grid geom.Grid, c geom.Point) uint64 {
+	return uint64(c.X*grid.Channels+c.Y) * wordBytes
 }
 
 // counterAddr is the shared address of the distributed-loop wire counter,
@@ -34,7 +34,7 @@ const counterAddr = 1 << 40
 // The kernel costs candidates on the array itself and tells the view,
 // the scratch's observer while the process routes, each candidate's
 // straight runs (ReadRun), and a run of reads enters
-// the trace as one trace.Run. Rip-up writes through the view (AddCost)
+// the trace as one trace.Run. Rip-up writes through the view (AddCell)
 // update the shared array immediately — commits use deferred
 // application, see routeOneWire.
 type tracedView struct {
@@ -50,17 +50,17 @@ func (v tracedView) ReadRun(x, y, dx, dy, n int) {
 	eval := p.r.cfg.Perf.CellEval
 	p.r.tr.AppendRun(trace.Run{
 		T: p.clock + eval, DT: eval, Proc: p.id,
-		Addr: addrOf(g, x, y), Stride: int64(dx*g.Channels+dy) * wordBytes,
+		Addr: addrOf(g, geom.Pt(x, y)), Stride: int64(dx*g.Channels+dy) * wordBytes,
 		N: n, Op: trace.Read,
 	})
 	p.clock += sim.Time(n) * eval
 	p.r.refs[trace.Read] += n
 }
 
-func (v tracedView) AddCost(x, y int, d int32) {
-	p := v.p
-	p.ref(p.r.cfg.Perf.CellWrite, addrOf(p.r.shared.Grid(), x, y), trace.Write)
-	p.r.shared.Add(x, y, d)
+func (v tracedView) AddCell(i int, d int32) {
+	p, g := v.p, v.p.r.shared.Grid()
+	p.ref(p.r.cfg.Perf.CellWrite, addrOf(g, g.Point(i)), trace.Write)
+	p.r.shared.Cells()[i] += d
 }
 
 // pendingCommit is one commit increment that becomes visible to other
@@ -70,7 +70,7 @@ func (v tracedView) AddCost(x, y int, d int32) {
 // written so far.
 type pendingCommit struct {
 	at   sim.Time
-	cell geom.Point
+	cell int32 // row-major index, as in the path
 }
 
 // tracedRunner is the shared state of one traced execution.
@@ -120,10 +120,10 @@ func (p *proc) ref(cost sim.Time, addr uint64, op trace.Op) {
 // increments commute, so walking the processes' queues one after another
 // leaves the same array as applying them in global time order.
 func (r *tracedRunner) applyPending(t sim.Time) {
+	cells := r.shared.Cells()
 	for _, p := range r.procs {
 		for p.pendHead < len(p.pend) && p.pend[p.pendHead].at <= t {
-			c := p.pend[p.pendHead].cell
-			r.shared.Add(c.X, c.Y, 1)
+			cells[p.pend[p.pendHead].cell]++
 			p.pendHead++
 		}
 		if p.pendHead == len(p.pend) {
@@ -156,9 +156,10 @@ func (p *proc) routeOneWire(wi int, iter int) {
 	// Trace the commit writes at their natural times; each write becomes
 	// visible to *other* processes at that time (per-cell pending
 	// application), not retroactively before it happened.
-	for _, c := range ev.Path.Cells {
-		p.ref(r.cfg.Perf.CellWrite, addrOf(r.shared.Grid(), c.X, c.Y), trace.Write)
-		p.pend = append(p.pend, pendingCommit{at: p.clock, cell: c})
+	g := r.shared.Grid()
+	for _, i := range ev.Path.Cells {
+		p.ref(r.cfg.Perf.CellWrite, addrOf(g, g.Point(int(i))), trace.Write)
+		p.pend = append(p.pend, pendingCommit{at: p.clock, cell: i})
 	}
 
 	r.paths[wi] = ev.Path
