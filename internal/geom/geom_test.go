@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -171,6 +172,43 @@ func TestSquarestFactors(t *testing.T) {
 		}
 		if px*py != c.n {
 			t.Errorf("SquarestFactors(%d) does not multiply back", c.n)
+		}
+	}
+}
+
+// A grid is valid only while every row-major cell index fits an int32,
+// the width of a routed path's cells. Valid checks the dimensions
+// without multiplying them, so no grid is allocated here.
+func TestGridValidBoundsCells(t *testing.T) {
+	for _, c := range []struct {
+		g    Grid
+		want bool
+	}{
+		{Grid{Channels: 1, Grids: 1}, true},
+		{Grid{Channels: 0, Grids: 5}, false},
+		{Grid{Channels: 5, Grids: -1}, false},
+		{Grid{Channels: 65536, Grids: 65536}, false},
+		{Grid{Channels: 65535, Grids: 65535}, false},
+		{Grid{Channels: 1, Grids: math.MaxInt32}, true},
+		{Grid{Channels: math.MaxInt32, Grids: 1}, true},
+		{Grid{Channels: 2, Grids: math.MaxInt32/2 + 1}, false},
+		{Grid{Channels: 32768, Grids: 65535}, true},
+		{Grid{Channels: 32769, Grids: 65535}, false},
+	} {
+		if got := c.g.Valid(); got != c.want {
+			t.Errorf("%+v.Valid() = %v, want %v", c.g, got, c.want)
+		}
+	}
+}
+
+// Point inverts the row-major index y*Grids + x.
+func TestGridPointInvertsIndex(t *testing.T) {
+	g := Grid{Channels: 7, Grids: 13}
+	for y := 0; y < g.Channels; y++ {
+		for x := 0; x < g.Grids; x++ {
+			if got := g.Point(y*g.Grids + x); got != Pt(x, y) {
+				t.Fatalf("Point(%d) = %v, want %v", y*g.Grids+x, got, Pt(x, y))
+			}
 		}
 	}
 }

@@ -326,3 +326,38 @@ func TestPooledScratchConcurrentRoutes(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRouteAllocationBound bounds the heap bytes one Route of the 10x
+// bnrE preset at 4 partitions allocates (the batch_route workload's
+// call): paths are int32 cost-array indices, 4 bytes per cell, so a
+// route allocates about 2 MB; 16-byte point paths took 5 MB, and the
+// bound fails if paths regain that size. Scratches come from the pool,
+// so the first run's are excluded and the rest are averaged. Skipped
+// under the race detector, whose sync.Pool drops scratches at random.
+func TestRouteAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	c := scaledCircuit(t)
+	params := route.DefaultParams()
+	route1 := func() {
+		if _, _, _, err := Route(c, params, Config{Partitions: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	route1()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		route1()
+	}
+	runtime.ReadMemStats(&after)
+	const bound = 2.5e6
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if perRun > bound {
+		t.Errorf("Route of the %dx preset at 4 partitions allocates %.2f MB per run, want <= %.1f MB",
+			ScaledFactor, perRun/1e6, bound/1e6)
+	}
+	t.Logf("%.2f MB per Route", perRun/1e6)
+}
