@@ -174,22 +174,8 @@ func main() {
 	// /v1/healthz (or replayed a WAL) always drains and snapshots.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	var st *store.Store
-	if *storeDir != "" || *storeMem > 0 {
-		st, err = store.Open(store.Config{Dir: *storeDir, MemBudget: *storeMem << 20})
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Store = st
-		if rs := st.Recovery(); rs.SnapshotCircuits > 0 || rs.ReplayedRecords > 0 || rs.Truncated {
-			logger.Info("store recovered",
-				"snapshot_circuits", rs.SnapshotCircuits,
-				"replayed_records", rs.ReplayedRecords,
-				"truncated_tail", rs.Truncated)
-		}
-	}
 	logger.Info(fmt.Sprintf("routing %d circuit(s) through the %s backend...", len(circuits), *backendKind))
-	srv, err := locusd.New(cfg, circuits...)
+	srv, st, err := newServer(cfg, *storeDir, *storeMem, circuits, logger)
 	if err != nil {
 		fatal(err)
 	}
@@ -254,6 +240,32 @@ func main() {
 		}
 	}
 	logger.Info("drained cleanly")
+}
+
+// newServer builds the daemon's server over circuits: with a store
+// opened from -store-dir and -store-mem (in MiB) when either is set,
+// which it returns for the caller to close after the server, else with
+// the server's private in-memory store (nil store).
+func newServer(cfg locusd.Config, storeDir string, storeMem int64, circuits []*circuit.Circuit, logger *slog.Logger) (*locusd.Server, *store.Store, error) {
+	var st *store.Store
+	if storeDir != "" || storeMem > 0 {
+		var err error
+		if st, err = store.Open(store.Config{Dir: storeDir, MemBudget: storeMem << 20}); err != nil {
+			return nil, nil, err
+		}
+		cfg.Store = st
+		if rs := st.Recovery(); rs.SnapshotCircuits > 0 || rs.ReplayedRecords > 0 || rs.Truncated {
+			logger.Info("store recovered",
+				"snapshot_circuits", rs.SnapshotCircuits,
+				"replayed_records", rs.ReplayedRecords,
+				"truncated_tail", rs.Truncated)
+		}
+	}
+	srv, err := locusd.New(cfg, circuits...)
+	if err != nil && st != nil {
+		st.Close()
+	}
+	return srv, st, err
 }
 
 // loadCircuits builds the serving set: the -circuit file when given,

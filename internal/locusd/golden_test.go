@@ -35,8 +35,8 @@ import (
 // against its one serving array, so a commit is visible to the next
 // request whichever loop serves it.
 const (
-	servingGoldenA = "cc21a23aba268e00eb3959d65d1c3e37f18478a8e6f7924ab59f7ce375c60f49"
-	servingGoldenB = "7cf359adb693b46328cec140136c9dd9468d85506d4a51960af781a19a3a91b7"
+	servingGoldenA = "c1ca07de7cb7f740f92eee37883a66789c2348bbbcef8bf2588e5a3a2b704f22"
+	servingGoldenB = "eac0372e2a628957f832ce003f454e5d43e1ef881b4047c20873a515fdb4d753"
 )
 
 // goldenOp is one step of a golden stream.

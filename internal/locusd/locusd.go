@@ -102,13 +102,11 @@ type Config struct {
 	// Store owns the dynamic circuit lifecycle: runtime uploads,
 	// mutations, evictions, and (when it has a persistence directory)
 	// snapshot+WAL recovery. Circuits the store already holds at startup
-	// are served automatically. Nil gets a private in-memory store opened
-	// with route.DefaultParams, the parameters every read routes with,
-	// so the lifecycle API always works; pass one explicitly for
-	// persistence or a memory budget. New does not check an explicit
-	// store's parameters: one opened with the zero store.Config.Router
-	// routes uploads, baselines and mutations at 1 iteration and no
-	// detour while reads use route.DefaultParams (ROADMAP item 22).
+	// are served automatically. Nil gets a private in-memory store, so
+	// the lifecycle API always works; pass one explicitly for
+	// persistence or a memory budget. Every store routes with
+	// route.DefaultParams, as every read does, so an explicit store
+	// serves the same arrays a private one would.
 	Store *store.Store
 }
 
@@ -330,7 +328,7 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 			return nil, errors.New("locusd: no circuits to serve")
 		}
 		var err error
-		st, err = store.Open(store.Config{Router: route.DefaultParams()})
+		st, err = store.Open(store.Config{})
 		if err != nil {
 			return nil, err
 		}

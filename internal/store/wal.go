@@ -241,7 +241,7 @@ func (s *Store) applyRecord(payload []byte) error {
 		if err := e.validateOps(ops); err != nil {
 			return err
 		}
-		e.apply(s.params, ops)
+		e.apply(ops)
 	case wire.KindEvict:
 		v, err := wire.DecodeEvict(payload)
 		if err != nil {
