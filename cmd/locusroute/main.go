@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"maps"
 	"os"
 	"slices"
@@ -56,11 +55,17 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("locusroute: ")
 	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
+		os.Exit(1)
 	}
+}
+
+// errorLine is err as the command prints it, with one "locusroute: "
+// prefix whether or not err comes from pkg/locusroute, which prefixes
+// its own errors with the same word.
+func errorLine(err error) string {
+	return "locusroute: " + strings.TrimPrefix(err.Error(), "locusroute: ")
 }
 
 // smFlags configure the sm-traced report; every other backend rejects

@@ -133,6 +133,28 @@ func TestInapplicableFlagsRejected(t *testing.T) {
 	}
 }
 
+// TestErrorsPrintedOnce pins the line the command prints for a
+// rejected command line: one "locusroute: " prefix, whether the error is
+// the facade's (which carries that prefix itself) or the command's own.
+func TestErrorsPrintedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want string
+	}{
+		{"-backend sequential -procs 4", "locusroute: WithProcs applies to the sm-traced, mp-des and partitioned backends, not sequential: the sequential backend routes on one processor"},
+		{"-backend sequential -lines 4", "locusroute: -lines applies to -backend sm-traced, not sequential"},
+		{"-par 0", "locusroute: -par must be at least 1 (got 0)"},
+	} {
+		err := run(strings.Fields(tc.args), &bytes.Buffer{})
+		if err == nil {
+			t.Fatalf("locusroute %s: no error", tc.args)
+		}
+		if got := errorLine(err); got != tc.want {
+			t.Errorf("locusroute %s prints %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
 // TestDumpReplayMatchesDirect checks that replaying a dumped trace
 // prints the same per-line-size traffic rows as the direct run.
 func TestDumpReplayMatchesDirect(t *testing.T) {
