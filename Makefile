@@ -54,7 +54,7 @@ census-test:
 # instruments the whole module) and run under one GOCOVERDIR: paper
 # -all and its side tables, locusroute on every backend and its
 # report/trace/strict/negotiate/assign/dump/replay paths, circuitgen,
-# and locusd with the policy chain, tracing and a store dir, driven by
+# and locusd with both policy elements, tracing and a store dir, driven by
 # locusload and by curls of every endpoint, then restarted on the same
 # store; last `benchmark -quick` with GOFLAGS=-cover, whose children
 # inherit GOCOVERDIR. The counters are merged with `go tool covdata`.
@@ -85,8 +85,7 @@ census-bin:
 	{ $$b/circuitgen -bench bnrE -o $$d/c.json && $$b/circuitgen -describe -bench MDC && \
 	  $$b/locusroute -circuit $$d/c.json; } > $$log 2>&1 || fail circuitgen; \
 	locusd() { $$b/locusd -bench bnrE -addr $(CENSUS_HTTP) -listen-bin $(CENSUS_BIN) \
-	    -admit-floor 1ms -rate-limit 100 -rate-burst 50 -breaker-failures 10 \
-	    -breaker-cooldown 2s -cache-size 256 -edf -trace -store-dir $$d/store >> $$log 2>&1 & pid=$$!; \
+	    -cache-size 256 -edf -trace -store-dir $$d/store >> $$log 2>&1 & pid=$$!; \
 	  for i in $$(seq 1 100); do curl -sf $(CENSUS_HTTP)/v1/healthz > /dev/null && return; sleep 0.1; done; fail locusd; }; \
 	stop() { kill -TERM $$pid && wait $$pid || fail "locusd drain"; }; \
 	locusd; \

@@ -9,20 +9,17 @@
 //	       [-backend sequential|sm-traced|mp-des|partitioned]
 //	       [-procs 16] [-partitions 0] [-shards 4]
 //	       [-max-batch 64] [-max-in-flight 256] [-deadline 5s]
-//	       [-drain-grace 30s] [-par N]
-//	       [-admit-floor 0] [-rate-limit 0] [-rate-burst 0]
-//	       [-breaker-failures 0] [-breaker-cooldown 1s] [-cache-size 0]
-//	       [-edf]
+//	       [-drain-grace 30s] [-par N] [-cache-size 0] [-edf]
 //	       [-trace] [-trace-sample 1] [-trace-capacity 4096]
 //	       [-slow-log-threshold 0] [-log-format text|json] [-pprof]
 //	       [-store-dir dir] [-store-mem MiB]
 //
-// The policy flags assemble the request-path chain (internal/policy):
-// deadline admission, per-client token-bucket rate limiting, a circuit
-// breaker, a result cache keyed by (circuit, wire set, cost epoch), and
-// the criticality scheduler (-edf: earliest-deadline-first batches,
-// least-critical-first shedding). Each element is off by default and
-// costs nothing while disabled.
+// Admission is the -max-in-flight gate alone: a full gate sheds with
+// 429. The policy flags add the two optional elements (internal/policy):
+// a result cache keyed by (circuit, wire set, cost epoch) (-cache-size),
+// and the criticality scheduler (-edf: earliest-deadline-first batches,
+// least-critical-first shedding at the full gate). Each is off by
+// default and costs nothing while disabled.
 //
 // The tracing flags enable request-scoped observability
 // (internal/reqtrace): -trace assigns every request a process-unique id
@@ -200,7 +197,7 @@ func main() {
 		logger.Info(fmt.Sprintf("binary protocol on %s", l.Addr()))
 	}
 	elems := "none"
-	if els := srv.Chain().Elements(); len(els) > 0 {
+	if els := srv.Policy(); len(els) > 0 {
 		names := make([]string, len(els))
 		for i, el := range els {
 			names[i] = el.Name()

@@ -44,7 +44,7 @@ import (
 // What every request carries, besides commit=false and no deadline of
 // its own; these were flags nothing ever set.
 const (
-	clientName = "locusload" // rate-limiter identity
+	clientName = "locusload" // the caller named in locusd's trace records
 	wireBase   = 9000        // route request i labels its wire wireBase+i
 	pinsJSON   = "[[2,1],[40,4]]"
 )

@@ -1,6 +1,6 @@
 // Package cli is the shared flag plumbing of the locusroute commands:
 // the -par/-json/-cpuprofile trio, benchmark/circuit selection, the
-// serving daemon's policy chain, and the helpers that turn those flags
+// serving daemon's policy elements, and the helpers that turn those flags
 // into pools, collectors and snapshots. Every command registers the
 // subsets it supports, so flag names, defaults, help text and
 // validation stay uniform across locusroute, paper and locusd.
@@ -13,7 +13,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"locusroute/internal/circuit"
 	"locusroute/internal/obs"
@@ -44,15 +43,10 @@ type Common struct {
 	// CircuitFile overrides the builtin benchmark with a circuit file
 	// (-circuit), when registered.
 	CircuitFile string
-	// Policy flags (AddPolicy): the request-path chain of the serving
-	// daemon. Zero values disable each element.
-	AdmitFloor      time.Duration
-	RateLimit       float64
-	RateBurst       int
-	BreakerFailures int
-	BreakerCooldown time.Duration
-	CacheSize       int
-	EDF             bool
+	// Policy flags (AddPolicy): the serving daemon's result cache and
+	// EDF scheduler. Zero values disable each element.
+	CacheSize int
+	EDF       bool
 
 	name      string
 	hasPar    bool
@@ -94,20 +88,9 @@ func (c *Common) AddCircuitFile(fs *flag.FlagSet) {
 	fs.StringVar(&c.CircuitFile, "circuit", "", "circuit file to route (text format; overrides -bench)")
 }
 
-// AddPolicy registers the request-path policy-chain flags of the
-// serving daemon. Every element defaults to off, keeping the chain nil
-// (zero-cost) unless asked for.
+// AddPolicy registers the serving daemon's policy flags. Both elements
+// default to off, and a disabled element is nil (zero-cost).
 func (c *Common) AddPolicy(fs *flag.FlagSet) {
-	fs.DurationVar(&c.AdmitFloor, "admit-floor", 0,
-		"reject requests whose deadline slack is below this floor (0 = no deadline admission)")
-	fs.Float64Var(&c.RateLimit, "rate-limit", 0,
-		"per-client sustained requests/second (0 = no rate limiting)")
-	fs.IntVar(&c.RateBurst, "rate-burst", 0,
-		"per-client burst size (0 = ceil of -rate-limit)")
-	fs.IntVar(&c.BreakerFailures, "breaker-failures", 0,
-		"consecutive deadline failures tripping the circuit breaker (0 = no breaker)")
-	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", time.Second,
-		"how long a tripped breaker stays open before probing")
 	fs.IntVar(&c.CacheSize, "cache-size", 0,
 		"result cache entries, keyed by (circuit, wire set, cost epoch) (0 = no cache)")
 	fs.BoolVar(&c.EDF, "edf", false,
@@ -115,18 +98,10 @@ func (c *Common) AddPolicy(fs *flag.FlagSet) {
 	c.hasPolicy = true
 }
 
-// Policy returns the chain configuration built from the AddPolicy
+// Policy returns the element configuration built from the AddPolicy
 // flags (the zero Config when AddPolicy was not registered).
 func (c *Common) Policy() policy.Config {
-	return policy.Config{
-		AdmitFloor:      c.AdmitFloor,
-		RatePerSec:      c.RateLimit,
-		Burst:           c.RateBurst,
-		BreakerFailures: c.BreakerFailures,
-		BreakerCooldown: c.BreakerCooldown,
-		CacheEntries:    c.CacheSize,
-		EDF:             c.EDF,
-	}
+	return policy.Config{CacheEntries: c.CacheSize, EDF: c.EDF}
 }
 
 // Validate checks the parsed flags; call it right after flag.Parse.
@@ -134,22 +109,8 @@ func (c *Common) Validate() error {
 	if c.hasPar && c.Par < 1 {
 		return parErrorf(c.Par)
 	}
-	if c.hasPolicy {
-		if c.RateLimit < 0 {
-			return fmt.Errorf("-rate-limit must be >= 0 (got %g)", c.RateLimit)
-		}
-		if c.RateBurst < 0 {
-			return fmt.Errorf("-rate-burst must be >= 0 (got %d)", c.RateBurst)
-		}
-		if c.BreakerFailures < 0 {
-			return fmt.Errorf("-breaker-failures must be >= 0 (got %d)", c.BreakerFailures)
-		}
-		if c.CacheSize < 0 {
-			return fmt.Errorf("-cache-size must be >= 0 (got %d)", c.CacheSize)
-		}
-		if c.AdmitFloor < 0 {
-			return fmt.Errorf("-admit-floor must be >= 0 (got %v)", c.AdmitFloor)
-		}
+	if c.hasPolicy && c.CacheSize < 0 {
+		return fmt.Errorf("-cache-size must be >= 0 (got %d)", c.CacheSize)
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"locusroute/internal/obs"
 	"locusroute/internal/policy"
@@ -123,20 +122,11 @@ func TestWriteSnapshotDestinations(t *testing.T) {
 // TestPolicyFlags checks each policy flag lands in its own
 // policy.Config field, and that the defaults enable nothing.
 func TestPolicyFlags(t *testing.T) {
-	if cfg := parse(t).Policy(); cfg.Enabled() {
+	if cfg := parse(t).Policy(); cfg != (policy.Config{}) {
 		t.Errorf("default policy flags enable %+v", cfg)
 	}
-	c := parse(t, "-admit-floor", "3ms", "-rate-limit", "2.5", "-rate-burst", "7",
-		"-breaker-failures", "11", "-breaker-cooldown", "13s", "-cache-size", "17", "-edf")
-	want := policy.Config{
-		AdmitFloor:      3 * time.Millisecond,
-		RatePerSec:      2.5,
-		Burst:           7,
-		BreakerFailures: 11,
-		BreakerCooldown: 13 * time.Second,
-		CacheEntries:    17,
-		EDF:             true,
-	}
+	c := parse(t, "-cache-size", "17", "-edf")
+	want := policy.Config{CacheEntries: 17, EDF: true}
 	if got := c.Policy(); got != want {
 		t.Errorf("Policy() = %+v, want %+v", got, want)
 	}

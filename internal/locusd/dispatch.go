@@ -43,7 +43,7 @@ func (s *Server) shardLoop(sc *servedCircuit, id int) {
 			// this loop waited for its slot.
 			return
 		}
-		s.chain.Sched().NoteBatch()
+		s.sched.NoteBatch()
 		s.process(sc, id, batch)
 	}
 	for {
@@ -77,8 +77,7 @@ func (s *Server) shardLoop(sc *servedCircuit, id int) {
 // whether a slot was obtained; false falls back to shedding the
 // arrival, which is then itself the least critical request present.
 func (s *Server) preempt(deadline time.Time) bool {
-	sched := s.chain.Sched()
-	if sched == nil {
+	if s.sched == nil {
 		return false
 	}
 	// Two laps: when the victim's slot cannot be transferred directly
@@ -110,7 +109,7 @@ func (s *Server) preempt(deadline time.Time) bool {
 		// second eviction for one capacity conflict.
 		transferred := victim.gateHeld.CompareAndSwap(true, false)
 		if victim.ctx.Err() == nil {
-			sched.NoteEviction()
+			s.sched.NoteEviction()
 			s.met.mu.Lock()
 			s.met.shed++
 			s.met.evicted++

@@ -28,7 +28,7 @@ const maxDeadlineMillis = int64(math.MaxInt64 / time.Millisecond)
 // route is the route verb. bad is the transport's decoding failure (nil
 // when req decoded), deadlineMillis the request's deadline_ms (0 = the
 // server default, applied by Route) and peer the remote address, the
-// client identity when the request names none. Every refused route
+// client the trace records when the request names none. Every refused route
 // request is counted exactly once: as rejected here when it never reaches
 // Route — malformed, or a deadline_ms that would wrap a time.Duration to
 // an instant expiry (rejected, never clamped) — and by Route's settle
@@ -105,29 +105,16 @@ func (s *Server) refuse(err error) refusal {
 // through wire.Status.HTTPStatus) and the Retry-After seconds a
 // backpressure status owes the client, 0 for none — the estimated
 // backlog drain time for gate sheds and criticality evictions (queue
-// state, not a constant), the token refill time for a rate limit, the
-// cooldown remainder for an open breaker. Anything unrecognised —
-// validation and decoding errors above all — is a bad request.
+// state, not a constant). Anything unrecognised — validation and
+// decoding errors above all — is a bad request.
 func (s *Server) classify(err error) (status wire.Status, retryAfterSeconds int) {
-	var rle *policy.RateLimitedError
-	var boe *policy.BreakerOpenError
 	switch {
 	case errors.Is(err, ErrShed), errors.Is(err, policy.ErrEvicted):
 		return wire.StatusShed, s.RetryAfterSeconds()
-	case errors.As(err, &rle):
-		return wire.StatusRateLimited, ceilSeconds(rle.RetryAfter)
-	case errors.As(err, &boe):
-		return wire.StatusBreakerOpen, ceilSeconds(boe.RetryAfter)
-	case errors.Is(err, policy.ErrRateLimited):
-		return wire.StatusRateLimited, 0
-	case errors.Is(err, policy.ErrBreakerOpen):
-		return wire.StatusBreakerOpen, 0
 	case errors.Is(err, ErrDraining):
 		return wire.StatusDraining, 0
 	case errors.Is(err, ErrDeadline):
 		return wire.StatusDeadline, 0
-	case errors.Is(err, policy.ErrDeadlineInfeasible):
-		return wire.StatusInfeasible, 0
 	case errors.Is(err, ErrUnknownCircuit), errors.Is(err, store.ErrUnknown):
 		return wire.StatusUnknownCircuit, 0
 	case errors.Is(err, ErrCircuitExists), errors.Is(err, ErrImmutable):

@@ -37,7 +37,12 @@ type MutateOpResult struct {
 
 // MutateResponse reports an applied batch.
 type MutateResponse struct {
-	Circuit string           `json:"circuit"`
+	Circuit string `json:"circuit"`
+	// Epoch is the store's mutation epoch after the batch (what
+	// /v1/circuits reports as mutation_epoch): one bump per applied op,
+	// and nothing else. It is not the serving epoch the result cache
+	// keys on (Server.Epoch), which also counts committed route paths,
+	// so the two clocks part as soon as a route commits.
 	Epoch   uint64           `json:"epoch"`
 	Wires   int              `json:"wires"`
 	Results []MutateOpResult `json:"results"`

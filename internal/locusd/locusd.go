@@ -13,17 +13,16 @@
 //
 // The request path is one pipeline: Server.Route runs a request through
 // explicit stages (validate, admit, cache, gate, enqueue, await) and
-// settles the outcome they reach in one place — counter, breaker
-// feedback and span are a function of the outcome (see settlement). The
-// stages wrap a policy chain (internal/policy) around the batching core:
-// admission runs deadline feasibility, per-client rate limiting and a
-// circuit breaker; a result cache keyed by (circuit, wire set, cost
-// epoch) can answer repeats without routing; and the criticality
-// scheduler re-keys the circuit's queue from arrival time to
-// deadline — earliest-deadline-first within each batch, least-
-// critical-first shedding at the admission gate (see dispatch.go). Every
-// element is nil when disabled, at zero measurable cost (0 allocs pinned
-// by policy.TestDisabledAllocatesNothing; the time is inside
+// settles the outcome they reach in one place — counter and span are a
+// function of the outcome (see settlement). Admission is the gate
+// alone; two optional elements (internal/policy) sit around the
+// batching core: a result cache keyed by (circuit, wire set, cost epoch)
+// can answer repeats without routing, and the criticality scheduler
+// re-keys the circuit's queue from arrival time to deadline —
+// earliest-deadline-first within each batch, least-critical-first
+// shedding at the admission gate (see dispatch.go). Each element is nil
+// when disabled, at zero measurable cost (0 allocs pinned by
+// policy.TestDisabledAllocatesNothing; the time is inside
 // BENCHMARK.json's locusd.inproc_route_us).
 //
 // There is no batch window: an idle shard evaluates a lone arrival at
@@ -87,8 +86,8 @@ type Config struct {
 	// Pool bounds concurrent batch evaluations; nil means unbounded
 	// (every shard may evaluate at once), as for any nil par.Pool.
 	Pool *par.Pool
-	// Policy configures the request-path chain; the zero value disables
-	// every element, leaving arrival-order dispatch.
+	// Policy enables the result cache and the EDF scheduler; the zero
+	// value disables both, leaving arrival-order dispatch.
 	Policy policy.Config
 	// Tracer enables request-lifecycle tracing (internal/reqtrace):
 	// request ids, per-stage spans, stage histograms, the slow-request
@@ -166,7 +165,7 @@ type RouteRequest struct {
 	// Commit places the evaluated path on the circuit's serving array,
 	// making it visible to every later request on the circuit.
 	Commit bool
-	// Client identifies the caller for per-client rate limiting (the
+	// Client identifies the caller in the request's trace record (the
 	// transports fill it from X-Client or the frame, else the remote host).
 	Client string
 	// TraceID is a caller-supplied request id to adopt (HTTP carries it
@@ -271,9 +270,9 @@ type servedCircuit struct {
 	// circuits routed through the sequential baseline, and recovered
 	// circuits. Only mutable circuits accept Mutate and EvictCircuit.
 	mutable bool
-	// cacheName is the policy-chain identity: the circuit name suffixed
-	// with a server-unique generation, so cached results from an evicted
-	// circuit can never answer for a later upload of the same name.
+	// cacheName is the result cache's circuit key: the circuit name
+	// suffixed with a server-unique generation, so cached results from an
+	// evicted circuit can never answer for a later upload of the same name.
 	cacheName string
 	// stop ends the circuit's shard loops on eviction; inflight tracks
 	// requests targeting this circuit, which EvictCircuit waits out
@@ -286,7 +285,8 @@ type servedCircuit struct {
 // then BeginDrain + Close on shutdown.
 type Server struct {
 	cfg   Config
-	chain *policy.Chain
+	cache *policy.Cache // nil: no result cache
+	sched *policy.Sched // nil: arrival-order dispatch
 	gate  par.Gate
 	store *store.Store
 
@@ -335,7 +335,6 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		chain:    policy.New(cfg.Policy),
 		gate:     par.NewGate(cfg.MaxInFlight),
 		store:    st,
 		circuits: make(map[string]*servedCircuit, len(circuits)),
@@ -343,6 +342,7 @@ func New(cfg Config, circuits ...*circuit.Circuit) (*Server, error) {
 		stop:     make(chan struct{}),
 		started:  time.Now(),
 	}
+	s.cache, s.sched = policy.New(cfg.Policy)
 	seen := make(map[string]bool, len(circuits))
 	for _, c := range circuits {
 		if seen[c.Name] {
@@ -484,7 +484,7 @@ type flight struct {
 	deadline time.Time          // ctx deadline: the EDF queue key
 	span     reqtrace.Span      // inert when tracing is disabled
 	sc       *servedCircuit     // in-flight registration, held from validate on
-	preq     policy.Request     // built only when a chain exists
+	key      uint64             // the cache's wire-set key (policy.KeyPins)
 	epoch    uint64             // cost epoch captured before dispatch
 	p        *pending           // holds a gate slot from enterGate on
 
@@ -504,7 +504,7 @@ func (f *flight) end(oc reqtrace.Outcome, err error) bool {
 // Route admits, dispatches and awaits one request: the core both
 // transports wrap. Each stage passes the request on or ends it with an
 // outcome; settle alone does the accounting that outcome owes — no stage
-// touches a counter, the breaker or the span's finish.
+// touches a counter or the span's finish.
 func (s *Server) Route(ctx context.Context, req RouteRequest) (RouteResponse, error) {
 	// Register with the drain group before checking the flag: a request
 	// that sees draining=false here is guaranteed to be covered by
@@ -560,9 +560,8 @@ func (s *Server) validate(f *flight) bool {
 	return true
 }
 
-// admit fixes the request's deadline and runs the policy chain's
-// gatekeepers. The chain half is skipped on the nil chain — the
-// zero-cost disabled path.
+// admit fixes the request's deadline: the EDF key and the waiter's
+// expiry.
 func (s *Server) admit(f *flight) bool {
 	f.arrived = time.Now()
 	// The default deadline is a service property, not a transport one:
@@ -574,33 +573,13 @@ func (s *Server) admit(f *flight) bool {
 		f.ctx, f.cancel = context.WithTimeout(f.ctx, s.cfg.DefaultDeadline)
 	}
 	f.deadline, _ = f.ctx.Deadline()
-	if s.chain == nil {
-		return true
-	}
-	f.preq = policy.Request{
-		Client: f.req.Client,
-		// The cache and breaker key on the generation-suffixed name:
-		// results cached for an evicted circuit can never answer for a
-		// later upload reusing the name.
-		Circuit:  f.sc.cacheName,
-		Key:      policy.KeyPins(f.req.Wire.Pins),
-		Deadline: f.deadline,
-		Commit:   f.req.Commit,
-	}
-	// Only traced requests pay the per-element clock reads.
-	var timer policy.ElementTimer
-	if f.span.Traced() {
-		timer = f.span.Element
-	}
-	if err := s.chain.AdmitTimed(f.arrived, &f.preq, timer); err != nil {
-		return f.end(reqtrace.OutcomeDenied, err)
-	}
 	return true
 }
 
-// lookup consults the result cache.
+// lookup consults the result cache. A commit neither reads nor (in
+// await) fills it, and the nil cache skips the stage.
 func (s *Server) lookup(f *flight) bool {
-	if s.chain == nil {
+	if s.cache == nil || f.req.Commit {
 		return true
 	}
 	// The epoch is captured before dispatch: a result evaluated while a
@@ -611,7 +590,10 @@ func (s *Server) lookup(f *flight) bool {
 	if f.span.Traced() {
 		lookT = time.Now()
 	}
-	v, hit := s.chain.Lookup(&f.preq, f.epoch)
+	// The cache keys on the generation-suffixed name: results cached for
+	// an evicted circuit can never answer for a later upload reusing it.
+	f.key = policy.KeyPins(f.req.Wire.Pins)
+	v, hit := s.cache.Get(f.sc.cacheName, f.key, f.epoch)
 	if f.span.Traced() {
 		f.span.Element("cache", time.Since(lookT))
 	}
@@ -638,15 +620,15 @@ func (s *Server) enterGate(f *flight) bool {
 }
 
 // enqueue pushes the request onto the circuit's queue. Everything up to
-// here — validation, policy, cache, the gate — is the admit stage of the
-// span.
+// here — validation, the deadline, the cache, the gate — is the admit
+// stage of the span.
 func (s *Server) enqueue(f *flight) {
 	f.span.Mark(reqtrace.StageAdmit)
 	// FIFO is EDF keyed on arrival time: the scheduler only changes the
 	// key.
 	key := f.arrived
-	if sched := s.chain.Sched(); sched != nil {
-		sched.NoteScheduled()
+	if s.sched != nil {
+		s.sched.NoteScheduled()
 		key = f.deadline
 	}
 	f.p.item = policy.Item{Deadline: key, Value: f.p}
@@ -667,7 +649,9 @@ func (s *Server) await(f *flight) {
 			f.span.SetShard(out.resp.Shard)
 			// The cache stores the evaluation, not the trace: a hit is a
 			// different request with its own id and breakdown.
-			s.chain.Store(&f.preq, f.epoch, out.resp)
+			if !f.req.Commit {
+				s.cache.Put(f.sc.cacheName, f.key, f.epoch, out.resp)
+			}
 		}
 		f.resp = out.resp
 		f.end(out.oc, out.err)
@@ -678,42 +662,27 @@ func (s *Server) await(f *flight) {
 	}
 }
 
-// The terminal call an admitted request owes the policy chain when it
-// settles — exactly one per admission (policy package doc).
-var (
-	released = (*policy.Chain).Release // no evaluation ran: no evidence either way
-	observed = func(c *policy.Chain) { c.Observe(time.Now(), false) }
-	failed   = func(c *policy.Chain) { c.Observe(time.Now(), true) }
-)
-
 // settlement is the accounting each outcome owes, applied by settle and
-// nowhere else: the counter that bumps, the breaker's terminal call, and
-// the span stage charged with the time since the last boundary. One
-// table holds every path to the same triple, the way compute + packet +
-// blocked + barrier == total holds the simulator's paths to one identity.
+// nowhere else: the counter that bumps and the span stage charged with
+// the time since the last boundary. One table holds every path to the
+// same pair, the way compute + packet + blocked + barrier == total holds
+// the simulator's paths to one identity.
 var settlement = [reqtrace.NumOutcomes]struct {
-	count   func(*Server, *pending) // pending is nil before the gate stage
-	breaker func(*policy.Chain)     // nil: the chain never admitted it
-	charge  reqtrace.Stage
+	count  func(*Server, *pending) // pending is nil before the gate stage
+	charge reqtrace.Stage
 }{
 	// served is counted per evaluation by the shard (process).
-	reqtrace.OutcomeOK: {nil, observed, reqtrace.StageRespond},
-	// A cached answer exercised no evaluation path: observing it as
-	// success would let a half-open breaker's single probe "confirm"
-	// recovery off a stale stored result.
-	reqtrace.OutcomeCached:   {func(s *Server, _ *pending) { s.count(&s.met.cacheHits) }, released, reqtrace.StageAdmit},
-	reqtrace.OutcomeRejected: {func(s *Server, _ *pending) { s.count(&s.met.rejected) }, nil, reqtrace.StageRespond},
-	reqtrace.OutcomeDenied:   {func(s *Server, _ *pending) { s.count(&s.met.denied) }, nil, reqtrace.StageRespond},
-	// A shed is not an outcome for the breaker that admitted it: a
-	// half-open one gets its probe slot back instead of wedging open.
-	reqtrace.OutcomeShed: {func(s *Server, _ *pending) { s.count(&s.met.shed) }, released, reqtrace.StageRespond},
-	// preempt counted shed+evicted when it picked the victim. Eviction
-	// precedes any evaluation, so an aborted probe must neither close
-	// the breaker nor leak. Like an expiry, the request died waiting:
-	// the dead time belongs to the queue stage, not the respond tail.
-	reqtrace.OutcomeEvicted: {nil, released, reqtrace.StageQueue},
+	reqtrace.OutcomeOK:       {nil, reqtrace.StageRespond},
+	reqtrace.OutcomeCached:   {func(s *Server, _ *pending) { s.count(&s.met.cacheHits) }, reqtrace.StageAdmit},
+	reqtrace.OutcomeRejected: {func(s *Server, _ *pending) { s.count(&s.met.rejected) }, reqtrace.StageRespond},
+	reqtrace.OutcomeDenied:   {func(s *Server, _ *pending) { s.count(&s.met.denied) }, reqtrace.StageRespond},
+	reqtrace.OutcomeShed:     {func(s *Server, _ *pending) { s.count(&s.met.shed) }, reqtrace.StageRespond},
+	// preempt counted shed+evicted when it picked the victim. Like an
+	// expiry, the request died waiting: the dead time belongs to the
+	// queue stage, not the respond tail.
+	reqtrace.OutcomeEvicted: {nil, reqtrace.StageQueue},
 	// The shard loop can notice the same expiry; countExpired arbitrates.
-	reqtrace.OutcomeExpired: {(*Server).countExpired, failed, reqtrace.StageQueue},
+	reqtrace.OutcomeExpired: {(*Server).countExpired, reqtrace.StageQueue},
 }
 
 // settle closes a request out by its outcome's settlement row and
@@ -724,9 +693,6 @@ func (s *Server) settle(f *flight) (RouteResponse, error) {
 	row := &settlement[f.oc]
 	if row.count != nil {
 		row.count(s, f.p)
-	}
-	if row.breaker != nil {
-		row.breaker(s.chain)
 	}
 	f.span.Mark(row.charge)
 	s.finishSpan(&f.span, f.oc, &f.resp)
@@ -783,13 +749,13 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // InFlight reports currently admitted requests.
 func (s *Server) InFlight() int { return s.gate.InFlight() }
 
-// Chain exposes the policy chain (nil when fully disabled) for metrics
-// surfaces and embedders.
-func (s *Server) Chain() *policy.Chain { return s.chain }
+// Policy lists the enabled policy elements in request-path order (none
+// when both are disabled), as /v1/metrics labels them.
+func (s *Server) Policy() []policy.Element { return policy.Elements(s.cache, s.sched) }
 
-// Epoch reports a served circuit's current cost epoch (its commit
-// count), the result cache's invalidation clock. Unknown circuits
-// report 0.
+// Epoch reports a served circuit's current serving epoch: committed
+// paths plus applied mutation ops, the result cache's invalidation
+// clock. Unknown circuits report 0.
 func (s *Server) Epoch(circuitName string) uint64 {
 	s.mu.RLock()
 	sc := s.circuits[circuitName]

@@ -47,16 +47,16 @@ func newServer(t testing.TB, cfg Config) *Server {
 	return s
 }
 
-// TestChainExposesPolicy: a server without policy exposes the nil chain
-// (no elements), and one with policy exposes its elements in pipeline
-// order, as cmd/locusd logs them.
+// TestChainExposesPolicy: a server without policy exposes no elements,
+// and one with policy exposes its elements in request-path order, as
+// cmd/locusd logs them.
 func TestChainExposesPolicy(t *testing.T) {
-	if els := newServer(t, Config{}).Chain().Elements(); els != nil {
-		t.Errorf("no policy: chain elements %v, want none", els)
+	if els := newServer(t, Config{}).Policy(); els != nil {
+		t.Errorf("no policy: elements %v, want none", els)
 	}
 	s := newServer(t, Config{Policy: policy.Config{CacheEntries: 8, EDF: true}})
 	var names []string
-	for _, el := range s.Chain().Elements() {
+	for _, el := range s.Policy() {
 		names = append(names, el.Name())
 	}
 	if !slices.Equal(names, []string{"cache", "edf"}) {
@@ -355,8 +355,8 @@ func TestBackpressure(t *testing.T) {
 	if code := <-first; code != http.StatusOK {
 		t.Errorf("occupying request finished %d, want 200", code)
 	}
-	if counters(s)["shed"] == 0 {
-		t.Error("shed request not counted")
+	if v := counters(s); v["shed"] != 1 || v["served"] != 1 {
+		t.Errorf("shed %d served %d, want 1 and 1 (a shed is counted once)", v["shed"], v["served"])
 	}
 }
 

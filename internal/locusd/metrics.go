@@ -23,7 +23,7 @@ type metrics struct {
 	evicted   int64 // shed by criticality preemption (subset of shed)
 	expired   int64
 	rejected  int64 // validation failures
-	denied    int64 // policy-chain rejections (deadline/rate/breaker)
+	denied    int64 // refused while draining
 	cacheHits int64
 	committed int64
 	uploads   int64 // circuits uploaded at runtime
@@ -71,7 +71,7 @@ func (s *Server) metricsList() []metric {
 	st := tr.Stats()
 	var elements []elementVarsDoc
 	var policyRows []metric
-	for _, el := range s.chain.Elements() {
+	for _, el := range s.Policy() {
 		ev := elementVarsDoc{Element: el.Name()}
 		label := []obs.Label{{Name: "element", Value: el.Name()}}
 		for _, c := range el.Counters() {
@@ -104,7 +104,7 @@ func (s *Server) metricsList() []metric {
 		{key: "evicted", name: "locusd_requests_evicted_total", help: "queued requests shed for more critical arrivals", kind: "counter", v: m.evicted},
 		{key: "expired", name: "locusd_requests_expired_total", help: "requests whose deadline expired before evaluation", kind: "counter", v: m.expired},
 		{key: "rejected", name: "locusd_requests_rejected_total", help: "requests rejected by validation", kind: "counter", v: m.rejected},
-		{key: "denied", name: "locusd_requests_denied_total", help: "requests denied by the policy chain", kind: "counter", v: m.denied},
+		{key: "denied", name: "locusd_requests_denied_total", help: "requests refused because the server is draining", kind: "counter", v: m.denied},
 		{key: "cache_hits", name: "locusd_cache_hits_total", help: "requests answered from the result cache", kind: "counter", v: m.cacheHits},
 		{key: "uploads", name: "locusd_circuit_uploads_total", help: "circuits uploaded at runtime", kind: "counter", v: m.uploads},
 		{key: "evictions", name: "locusd_circuit_evictions_total", help: "circuits evicted at runtime", kind: "counter", v: m.evictions},

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"locusroute/internal/circuit"
-	"locusroute/internal/par"
 	"locusroute/internal/policy"
 )
 
@@ -167,73 +166,6 @@ func TestDefaultDeadlineAppliedInRoute(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("default deadline fired after %v, want ~100ms (deadline not applied in Route)", elapsed)
-	}
-}
-
-// TestCacheHitKeepsBreakerHalfOpen pins the fabricated-probe regression:
-// a half-open breaker's single probe answered from the result cache
-// exercised no evaluation path, so it must release the probe slot
-// (staying half-open) rather than report success and close. The pin is
-// behavioural: after the cached "probe", one real failure must re-open
-// the breaker immediately — half-open state trips on a single failed
-// probe, where a (wrongly) closed breaker would need the full
-// consecutive-failure threshold again.
-func TestCacheHitKeepsBreakerHalfOpen(t *testing.T) {
-	const cooldown = 250 * time.Millisecond
-	pool := par.New(1)
-	s := newServer(t, Config{
-		Shards: 1,
-		Pool:   pool,
-		Policy: policy.Config{
-			BreakerFailures: 3,
-			BreakerCooldown: cooldown,
-			CacheEntries:    8,
-		},
-	})
-
-	// Warm the cache while the breaker is closed.
-	if _, err := s.Route(context.Background(), RouteRequest{Circuit: "svc", Wire: testWire(1)}); err != nil {
-		t.Fatalf("warmup Route: %v", err)
-	}
-
-	// Trip the breaker with three guaranteed expiries (the shard is held
-	// busy) on a different wire set (the warm cache must not answer
-	// these).
-	release := park(t, pool)
-	for i := 0; i < 3; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		if _, err := s.Route(ctx, RouteRequest{Circuit: "svc", Wire: testWireAt(10+i, 3, 2, 30, 5)}); !errors.Is(err, ErrDeadline) {
-			t.Fatalf("expiry %d: err = %v, want ErrDeadline", i, err)
-		}
-		cancel()
-	}
-	release()
-	if _, err := s.Route(context.Background(), RouteRequest{Circuit: "svc", Wire: testWire(2)}); !errors.Is(err, policy.ErrBreakerOpen) {
-		t.Fatalf("tripped breaker err = %v, want ErrBreakerOpen", err)
-	}
-
-	// After the cooldown, the first arrival is the half-open probe — and
-	// it hits the warm cache.
-	time.Sleep(cooldown + 100*time.Millisecond)
-	resp, err := s.Route(context.Background(), RouteRequest{Circuit: "svc", Wire: testWire(1)})
-	if err != nil {
-		t.Fatalf("cached probe err = %v, want nil", err)
-	}
-	if !resp.Cached {
-		t.Fatal("probe request was not served from the cache; the regression path was not exercised")
-	}
-
-	// The breaker must still be half-open: a single real failure now
-	// re-opens it. A breaker wrongly closed by the cached probe would
-	// absorb this failure (streak 1 of 3) and keep admitting.
-	park(t, pool)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	if _, err := s.Route(ctx, RouteRequest{Circuit: "svc", Wire: testWireAt(20, 3, 2, 30, 5)}); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("post-probe failure err = %v, want ErrDeadline", err)
-	}
-	if _, err := s.Route(context.Background(), RouteRequest{Circuit: "svc", Wire: testWire(3)}); !errors.Is(err, policy.ErrBreakerOpen) {
-		t.Errorf("err after failed half-open probe = %v, want ErrBreakerOpen (cache hit closed the breaker on no evidence)", err)
 	}
 }
 

@@ -212,13 +212,8 @@ func TestTCPErrorEquivalence(t *testing.T) {
 	}{
 		{"shed", ErrShed, wire.StatusShed, 429, backlog},
 		{"evicted", fmt.Errorf("%w (slack lost)", policy.ErrEvicted), wire.StatusShed, 429, backlog},
-		{"rate-limited typed", &policy.RateLimitedError{Client: "c", RetryAfter: 1500 * time.Millisecond}, wire.StatusRateLimited, 429, 2},
-		{"rate-limited bare", policy.ErrRateLimited, wire.StatusRateLimited, 429, 0},
-		{"breaker-open typed", &policy.BreakerOpenError{RetryAfter: 10 * time.Millisecond}, wire.StatusBreakerOpen, 503, 1},
-		{"breaker-open bare", policy.ErrBreakerOpen, wire.StatusBreakerOpen, 503, 0},
 		{"draining", ErrDraining, wire.StatusDraining, 503, 0},
 		{"deadline", ErrDeadline, wire.StatusDeadline, 504, 0},
-		{"infeasible", policy.ErrDeadlineInfeasible, wire.StatusInfeasible, 504, 0},
 		{"unknown circuit (serving)", fmt.Errorf("%w %q", ErrUnknownCircuit, "x"), wire.StatusUnknownCircuit, 404, 0},
 		{"unknown circuit (store)", store.ErrUnknown, wire.StatusUnknownCircuit, 404, 0},
 		{"exists", fmt.Errorf("%w: %q", ErrCircuitExists, "x"), wire.StatusConflict, 409, 0},

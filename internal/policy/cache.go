@@ -6,11 +6,11 @@ import (
 )
 
 // Cache is the result cache, keyed by (circuit, wire-set key, cost
-// epoch). The epoch is the host's commit counter for the circuit: every
-// committed path bumps it, so a hit is only possible while the
-// congestion state a result was computed against is still current —
-// commits invalidate by advancing the epoch, never by scanning the
-// cache. Stale-epoch entries age out through the FIFO ring.
+// epoch). The epoch is the host's serving epoch for the circuit: every
+// committed path and applied mutation bumps it, so a hit is only
+// possible while the congestion state a result was computed against is
+// still current — changes invalidate by advancing the epoch, never by
+// scanning the cache. Stale-epoch entries age out through the FIFO ring.
 //
 // Values are opaque (any); the host stores its own response type.
 // A nil *Cache never hits and stores nothing, at zero cost.

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -14,272 +13,56 @@ import (
 // tests never sleep.
 var t0 = time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 
+// TestConfigEnabled pins the Config-to-element mapping: the zero Config
+// builds no element, and each field enables exactly its own.
 func TestConfigEnabled(t *testing.T) {
-	if (Config{}).Enabled() {
-		t.Error("zero Config reports enabled")
-	}
-	cases := []Config{
-		{AdmitFloor: time.Millisecond},
-		{RatePerSec: 1},
-		{BreakerFailures: 1},
-		{CacheEntries: 1},
-		{EDF: true},
-	}
-	for _, c := range cases {
-		if !c.Enabled() {
-			t.Errorf("%+v reports disabled", c)
+	for _, tc := range []struct {
+		cfg        Config
+		cache, edf bool
+	}{
+		{Config{}, false, false},
+		{Config{CacheEntries: 1}, true, false},
+		{Config{EDF: true}, false, true},
+		{Config{CacheEntries: 1, EDF: true}, true, true},
+	} {
+		cache, sched := New(tc.cfg)
+		if (cache != nil) != tc.cache || (sched != nil) != tc.edf {
+			t.Errorf("New(%+v) = cache %v, sched %v; want cache %v, sched %v",
+				tc.cfg, cache != nil, sched != nil, tc.cache, tc.edf)
 		}
 	}
 }
 
-// TestNilChainZeroCost pins the nil-receiver contract: a disabled chain
-// is a nil pointer and every call on it is a no-op.
+// TestNilChainZeroCost pins the nil-receiver contract: the disabled
+// chain is a nil cache and a nil scheduler, and every call on them is a
+// no-op.
 func TestNilChainZeroCost(t *testing.T) {
-	c := New(Config{})
-	if c != nil {
-		t.Fatal("New(zero Config) != nil")
+	cache, sched := New(Config{})
+	if cache != nil || sched != nil {
+		t.Fatal("New(zero Config) built an element")
 	}
-	req := Request{Client: "x", Circuit: "c", Key: 1}
-	if err := c.Admit(t0, &req); err != nil {
-		t.Errorf("nil chain Admit = %v", err)
+	cache.Put("c", 1, 0, "v")
+	if _, ok := cache.Get("c", 1, 0); ok {
+		t.Error("nil cache hit")
 	}
-	if _, ok := c.Lookup(&req, 0); ok {
-		t.Error("nil chain Lookup hit")
+	if cache.Len() != 0 {
+		t.Error("nil cache holds entries")
 	}
-	c.Store(&req, 0, "v")
-	c.Observe(t0, true)
-	c.Release()
-	if c.Sched() != nil {
-		t.Error("nil chain Sched != nil")
-	}
-	if c.Elements() != nil {
-		t.Error("nil chain Elements != nil")
+	sched.NoteScheduled()
+	sched.NoteBatch()
+	sched.NoteEviction()
+	if Elements(cache, sched) != nil {
+		t.Error("Elements of the disabled chain != nil")
 	}
 }
 
 func TestChainElementsOrder(t *testing.T) {
-	c := New(Config{
-		AdmitFloor: time.Millisecond, RatePerSec: 1, BreakerFailures: 1,
-		CacheEntries: 1, EDF: true,
-	})
 	var names []string
-	for _, el := range c.Elements() {
+	for _, el := range Elements(New(Config{CacheEntries: 1, EDF: true})) {
 		names = append(names, el.Name())
 	}
-	want := []string{"deadline", "ratelimit", "breaker", "cache", "edf"}
-	if len(names) != len(want) {
+	if want := []string{"cache", "edf"}; fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("Elements = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Elements = %v, want %v", names, want)
-		}
-	}
-}
-
-func TestDeadlineAdmit(t *testing.T) {
-	d := NewDeadline(100 * time.Millisecond)
-	tight := &Request{Deadline: t0.Add(50 * time.Millisecond)}
-	if err := d.Admit(t0, tight); !errors.Is(err, ErrDeadlineInfeasible) {
-		t.Errorf("50ms slack under 100ms floor: err = %v, want ErrDeadlineInfeasible", err)
-	}
-	loose := &Request{Deadline: t0.Add(time.Second)}
-	if err := d.Admit(t0, loose); err != nil {
-		t.Errorf("1s slack: err = %v", err)
-	}
-	none := &Request{}
-	if err := d.Admit(t0, none); err != nil {
-		t.Errorf("no deadline: err = %v", err)
-	}
-	counters := map[string]int64{}
-	for _, c := range d.Counters() {
-		counters[c.Name] = c.Value
-	}
-	if counters["admitted_total"] != 2 || counters["refused_total"] != 1 {
-		t.Errorf("counters = %v, want admitted 2, refused 1", counters)
-	}
-	var nilD *Deadline
-	if err := nilD.Admit(t0, tight); err != nil {
-		t.Errorf("nil Deadline rejects: %v", err)
-	}
-}
-
-// TestRateLimitRefill drives the token bucket with a synthetic clock:
-// burst admits, the next request is limited with a refill hint, and
-// advancing the clock by the refill interval admits again.
-func TestRateLimitRefill(t *testing.T) {
-	l := NewRateLimit(2, 2) // 2 rps, burst 2
-	req := &Request{Client: "a"}
-	for i := 0; i < 2; i++ {
-		if err := l.Admit(t0, req); err != nil {
-			t.Fatalf("burst request %d: %v", i, err)
-		}
-	}
-	err := l.Admit(t0, req)
-	var rle *RateLimitedError
-	if !errors.As(err, &rle) || !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("over-burst err = %v, want *RateLimitedError wrapping ErrRateLimited", err)
-	}
-	if rle.RetryAfter <= 0 || rle.RetryAfter > time.Second {
-		t.Errorf("RetryAfter = %v, want (0, 1s] at 2 rps", rle.RetryAfter)
-	}
-	// Half a second refills one token at 2 rps.
-	if err := l.Admit(t0.Add(500*time.Millisecond), req); err != nil {
-		t.Errorf("after refill: %v", err)
-	}
-	// A different client has its own bucket.
-	if err := l.Admit(t0, &Request{Client: "b"}); err != nil {
-		t.Errorf("fresh client: %v", err)
-	}
-	if got := l.Clients(); got != 2 {
-		t.Errorf("Clients = %d, want 2", got)
-	}
-}
-
-func TestRateLimitBurstDefault(t *testing.T) {
-	l := NewRateLimit(2.5, 0)
-	if l.burst != 3 {
-		t.Errorf("burst default = %v, want ceil(2.5) = 3", l.burst)
-	}
-	l = NewRateLimit(0.2, 0)
-	if l.burst != 1 {
-		t.Errorf("burst default = %v, want minimum 1", l.burst)
-	}
-}
-
-// TestRateLimitEviction pins the identity-churn bound: past maxClients
-// the longest-idle bucket is recycled instead of growing the map.
-func TestRateLimitEviction(t *testing.T) {
-	l := NewRateLimit(1, 1)
-	for i := 0; i < maxClients+10; i++ {
-		// Later clients touch later instants, so the earliest clients
-		// are the idlest and get recycled.
-		now := t0.Add(time.Duration(i) * time.Millisecond)
-		l.Admit(now, &Request{Client: fmt.Sprintf("client-%d", i)})
-	}
-	if got := l.Clients(); got > maxClients {
-		t.Errorf("Clients = %d, want <= %d", got, maxClients)
-	}
-}
-
-func TestBreakerLifecycle(t *testing.T) {
-	b := NewBreaker(3, time.Second)
-	req := &Request{}
-	// Three consecutive failures trip it open.
-	for i := 0; i < 3; i++ {
-		if err := b.Admit(t0, req); err != nil {
-			t.Fatalf("closed admit %d: %v", i, err)
-		}
-		b.Observe(t0, true)
-	}
-	if got := b.State(); got != "open" {
-		t.Fatalf("state after 3 failures = %q, want open", got)
-	}
-	err := b.Admit(t0.Add(100*time.Millisecond), req)
-	var boe *BreakerOpenError
-	if !errors.As(err, &boe) || !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open admit err = %v, want *BreakerOpenError wrapping ErrBreakerOpen", err)
-	}
-	if boe.RetryAfter <= 0 || boe.RetryAfter > time.Second {
-		t.Errorf("RetryAfter = %v, want remaining cooldown", boe.RetryAfter)
-	}
-	// Past the cooldown a single probe is admitted; a second concurrent
-	// request is still rejected.
-	probe := t0.Add(1100 * time.Millisecond)
-	if err := b.Admit(probe, req); err != nil {
-		t.Fatalf("probe admit: %v", err)
-	}
-	if err := b.Admit(probe, req); !errors.Is(err, ErrBreakerOpen) {
-		t.Errorf("second half-open admit err = %v, want ErrBreakerOpen", err)
-	}
-	// A successful probe closes the breaker.
-	b.Observe(probe, false)
-	if got := b.State(); got != "closed" {
-		t.Fatalf("state after good probe = %q, want closed", got)
-	}
-	// A failed probe re-opens it.
-	for i := 0; i < 3; i++ {
-		b.Admit(probe, req)
-		b.Observe(probe, true)
-	}
-	reprobe := probe.Add(1100 * time.Millisecond)
-	if err := b.Admit(reprobe, req); err != nil {
-		t.Fatalf("re-probe admit: %v", err)
-	}
-	b.Observe(reprobe, true)
-	if got := b.State(); got != "open" {
-		t.Errorf("state after failed probe = %q, want open", got)
-	}
-	counters := map[string]int64{}
-	for _, c := range b.Counters() {
-		counters[c.Name] = c.Value
-	}
-	if counters["trips_total"] != 3 {
-		t.Errorf("trips_total = %d, want 3 (initial, re-trip, failed probe)", counters["trips_total"])
-	}
-}
-
-// TestBreakerReleaseFreesProbe pins the abort path: a half-open probe
-// that is shed or evicted before evaluation must free the probe slot
-// without closing the breaker — and without it, every later Admit is
-// rejected forever.
-func TestBreakerReleaseFreesProbe(t *testing.T) {
-	b := NewBreaker(1, time.Second)
-	req := &Request{}
-	if err := b.Admit(t0, req); err != nil {
-		t.Fatalf("closed admit: %v", err)
-	}
-	b.Observe(t0, true) // threshold 1: trip
-	if got := b.State(); got != "open" {
-		t.Fatalf("state after failure = %q, want open", got)
-	}
-	probe := t0.Add(1100 * time.Millisecond)
-	if err := b.Admit(probe, req); err != nil {
-		t.Fatalf("probe admit after cooldown: %v", err)
-	}
-	if err := b.Admit(probe, req); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("second half-open admit err = %v, want ErrBreakerOpen (probe slot taken)", err)
-	}
-	// The probe aborts before evaluation (shed at the gate): Release
-	// frees the slot but yields no outcome.
-	b.Release()
-	if got := b.State(); got != "half-open" {
-		t.Fatalf("state after Release = %q, want half-open (no outcome observed)", got)
-	}
-	if err := b.Admit(probe, req); err != nil {
-		t.Fatalf("re-probe after Release: %v (leaked probe slot wedges the breaker)", err)
-	}
-	b.Observe(probe, false)
-	if got := b.State(); got != "closed" {
-		t.Errorf("state after good probe = %q, want closed", got)
-	}
-}
-
-// TestBreakerReleaseKeepsClosedStreak pins the closed-state side: an
-// aborted request is not a success, so Release must not reset the
-// consecutive-failure count the way Observe(false) does.
-func TestBreakerReleaseKeepsClosedStreak(t *testing.T) {
-	b := NewBreaker(2, time.Second)
-	req := &Request{}
-	b.Admit(t0, req)
-	b.Observe(t0, true)
-	b.Release() // a shed request mid-streak: neither success nor failure
-	b.Admit(t0, req)
-	b.Observe(t0, true)
-	if got := b.State(); got != "open" {
-		t.Errorf("state = %q, want open (Release reset the failure streak)", got)
-	}
-	var nilB *Breaker
-	nilB.Release()
-}
-
-func TestBreakerSuccessResetsStreak(t *testing.T) {
-	b := NewBreaker(2, time.Second)
-	b.Observe(t0, true)
-	b.Observe(t0, false)
-	b.Observe(t0, true)
-	if got := b.State(); got != "closed" {
-		t.Errorf("state after interleaved outcomes = %q, want closed (streak reset)", got)
 	}
 }
 

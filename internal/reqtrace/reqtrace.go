@@ -35,9 +35,9 @@ import (
 type Stage uint8
 
 const (
-	// StageAdmit covers ingress to dispatch: validation, the policy
-	// admission chain (per-element detail lands in Rec.Policy), cache
-	// lookup, and the concurrency-gate wait.
+	// StageAdmit covers ingress to dispatch: validation, the result
+	// cache lookup (its time also lands in Rec.Policy), and the
+	// concurrency-gate wait.
 	StageAdmit Stage = iota
 	// StageQueue covers dispatch to batch pickup: the shard-queue wait
 	// until the shard loop, holding a pool slot, popped the request.
@@ -79,7 +79,7 @@ const (
 	// OutcomeRejected is a validation failure (unknown circuit, bad
 	// wire, oversized trace id).
 	OutcomeRejected
-	// OutcomeDenied is a policy-chain or draining refusal.
+	// OutcomeDenied is a refusal because the server is draining.
 	OutcomeDenied
 	// OutcomeShed is a concurrency-gate refusal (no slot, no victim).
 	OutcomeShed
@@ -131,7 +131,8 @@ type Rec struct {
 	Wall  int64
 	// Stages is the exhaustive per-stage breakdown (ns).
 	Stages [NumStages]int64
-	// Policy is the per-element admission timing, when captured.
+	// Policy is the per-element policy timing (the result cache's
+	// lookup), when captured.
 	Policy []ElementNs
 	// Outcome classifies the ending.
 	Outcome Outcome
@@ -438,7 +439,7 @@ func (s *Span) markAt(st Stage, at int64) {
 	s.last = at
 }
 
-// Element records one policy element's admission-decision time.
+// Element records one policy element's decision time.
 func (s *Span) Element(element string, d time.Duration) {
 	if s.tr == nil {
 		return

@@ -238,9 +238,8 @@ func (s *Store) loadSnapshotCircuit(c *snapCursor) error {
 	if u.Client != "" {
 		return fmt.Errorf("store: snapshot circuit %q names client %q", circ.Name, u.Client)
 	}
-	// An array the budget can never hold is refused before it is allocated.
-	if s.gate != nil && slotsFor(int64(circ.Grid.Cells())*4) > cap(s.gate) {
-		return fmt.Errorf("%w: snapshot circuit %q has a %dx%d array", ErrStoreFull, circ.Name, circ.Grid.Channels, circ.Grid.Grids)
+	if err := s.checkArrayFits(circ); err != nil {
+		return err
 	}
 	epoch, err := c.uvarint()
 	if err != nil {

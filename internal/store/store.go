@@ -280,6 +280,9 @@ func (s *Store) Upload(c *circuit.Circuit) (Info, error) {
 	if s.lookup(c.Name) != nil {
 		return Info{}, fmt.Errorf("%w: %q", ErrExists, c.Name)
 	}
+	if err := s.checkArrayFits(c); err != nil {
+		return Info{}, err
+	}
 	e := s.buildEntry(c)
 	if !s.acquire(e.slots) {
 		return Info{}, fmt.Errorf("%w: circuit %q needs %d bytes", ErrStoreFull, c.Name, e.estimateBytes())
@@ -590,6 +593,18 @@ func (e *entry) infoLocked(name string) Info {
 		Baseline:  e.baseline,
 		ArrayHash: e.summary.hash,
 	}
+}
+
+// checkArrayFits refuses a circuit whose cost array alone the budget can
+// never hold, before buildEntry routes it: routing allocates the array
+// and the scratch's visited grid, each a word per cell, so a doomed
+// upload or recovered record would otherwise allocate several times the
+// budget only to be refused.
+func (s *Store) checkArrayFits(c *circuit.Circuit) error {
+	if s.gate != nil && slotsFor(int64(c.Grid.Cells())*4) > cap(s.gate) {
+		return fmt.Errorf("%w: circuit %q has a %dx%d array", ErrStoreFull, c.Name, c.Grid.Channels, c.Grid.Grids)
+	}
+	return nil
 }
 
 // slotsFor is the gate slots a charge of bytes takes, rounded up.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"locusroute/internal/circuit"
@@ -421,6 +422,53 @@ func TestMemoryBudget(t *testing.T) {
 	}
 	if _, err := s.Upload(b); err != nil {
 		t.Errorf("Upload(b) after eviction: %v", err)
+	}
+}
+
+// TestOverBudgetRefusedBeforeRouting pins where a circuit whose cost
+// array alone exceeds the budget is refused: before it is routed. A
+// one-wire 200x50000 circuit needs a 40 MB array (and as much again for
+// the routing scratch) against a 1 MiB budget; refusing it must allocate
+// next to nothing, through Upload and through recovery of a store
+// written without a budget — from its WAL and from its snapshot.
+func TestOverBudgetRefusedBeforeRouting(t *testing.T) {
+	huge := &circuit.Circuit{Name: "huge", Grid: geom.Grid{Channels: 200, Grids: 50000},
+		Wires: []circuit.Wire{{ID: 0, Pins: []geom.Point{geom.Pt(1, 1), geom.Pt(9, 3)}}}}
+	const budget, limit = 1 << 20, 1 << 20
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	s, err := Open(Config{MemBudget: budget})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if n := allocated(func() { _, err = s.Upload(huge) }); n >= limit || !errors.Is(err, ErrStoreFull) {
+		t.Errorf("Upload: err = %v after allocating %d bytes, want ErrStoreFull under %d", err, n, limit)
+	}
+
+	for _, crash := range []bool{true, false} {
+		dir := t.TempDir()
+		w, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatalf("Open unbudgeted: %v", err)
+		}
+		if _, err := w.Upload(huge); err != nil {
+			t.Fatalf("unbudgeted Upload: %v", err)
+		}
+		if crash {
+			w.wal.close() // the upload stays in the WAL alone
+		} else if err := w.Close(); err != nil { // snapshot
+			t.Fatalf("Close: %v", err)
+		}
+		if n := allocated(func() { _, err = Open(Config{Dir: dir, MemBudget: budget}) }); n >= limit || !errors.Is(err, ErrStoreFull) {
+			t.Errorf("recovery (WAL only %v): err = %v after allocating %d bytes, want ErrStoreFull under %d",
+				crash, err, n, limit)
+		}
 	}
 }
 

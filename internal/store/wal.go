@@ -223,6 +223,9 @@ func (s *Store) applyRecord(payload []byte) error {
 		if _, dup := s.entries[c.Name]; dup {
 			return fmt.Errorf("%w: replayed upload of resident circuit %q", ErrExists, c.Name)
 		}
+		if err := s.checkArrayFits(c); err != nil {
+			return err
+		}
 		e := s.buildEntry(c)
 		if !s.acquire(e.slots) {
 			return fmt.Errorf("%w: recovered circuit %q needs %d bytes", ErrStoreFull, c.Name, e.estimateBytes())

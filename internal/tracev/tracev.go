@@ -113,7 +113,7 @@ const (
 
 	// KindRequest spans one serving-path request end to end.
 	KindRequest
-	// KindReqAdmit spans validation + the policy admission chain.
+	// KindReqAdmit spans validation, the cache lookup and the gate.
 	KindReqAdmit
 	// KindReqQueue spans the wait from dispatch to batch pickup.
 	KindReqQueue

@@ -127,18 +127,16 @@ const (
 	// criticality eviction; RetryAfterSeconds carries the backlog
 	// estimate.
 	StatusShed
-	// StatusRateLimited rejects a request over its client's token
-	// bucket; RetryAfterSeconds carries the refill time.
+	// StatusRateLimited is not sent by locusd; the number is reserved.
 	StatusRateLimited
 	// StatusDraining rejects new work during graceful shutdown.
 	StatusDraining
-	// StatusBreakerOpen rejects while the circuit breaker is open;
-	// RetryAfterSeconds carries the cooldown remainder.
+	// StatusBreakerOpen is not sent by locusd; the number is reserved.
 	StatusBreakerOpen
 	// StatusDeadline reports a deadline that expired while the request
 	// was queued or mid-batch.
 	StatusDeadline
-	// StatusInfeasible rejects a deadline below the admission floor.
+	// StatusInfeasible is not sent by locusd; the number is reserved.
 	StatusInfeasible
 	// StatusConflict rejects an upload naming a circuit already served,
 	// or a mutation/eviction of a circuit that is not store-backed.
@@ -201,8 +199,8 @@ type Request struct {
 	DeadlineMillis int64
 	// Commit places the evaluated path on the circuit's serving array.
 	Commit bool
-	// Client identifies the caller for rate limiting ("" = the remote
-	// host, as for HTTP).
+	// Client identifies the caller in the server's trace record ("" =
+	// the remote host, as for HTTP).
 	Client string
 	// Traced sets the request's traced flag, asking the server for a
 	// traced response that echoes the request id and the per-stage

@@ -331,24 +331,32 @@ func TestStatusString(t *testing.T) {
 }
 
 // TestStatusHTTPEquivalence pins the status-to-HTTP map against the JSON
-// layer's vocabulary, so the two transports can never drift silently.
+// layer's vocabulary, so the two transports can never drift silently,
+// and each status's number on the wire: the codes are iota positions,
+// and deleting one would silently renumber every code after it.
 func TestStatusHTTPEquivalence(t *testing.T) {
-	want := map[Status]int{
-		StatusOK:             200,
-		StatusBadRequest:     400,
-		StatusUnknownCircuit: 404,
-		StatusShed:           429,
-		StatusRateLimited:    429,
-		StatusDraining:       503,
-		StatusBreakerOpen:    503,
-		StatusDeadline:       504,
-		StatusInfeasible:     504,
-		StatusConflict:       409,
-		StatusStoreFull:      507,
-	}
-	for s, code := range want {
-		if got := s.HTTPStatus(); got != code {
-			t.Errorf("%v.HTTPStatus() = %d, want %d", s, got, code)
+	for _, tc := range []struct {
+		status Status
+		number uint8
+		http   int
+	}{
+		{StatusOK, 0, 200},
+		{StatusBadRequest, 1, 400},
+		{StatusUnknownCircuit, 2, 404},
+		{StatusShed, 3, 429},
+		{StatusRateLimited, 4, 429}, // reserved: not sent by locusd
+		{StatusDraining, 5, 503},
+		{StatusBreakerOpen, 6, 503}, // reserved: not sent by locusd
+		{StatusDeadline, 7, 504},
+		{StatusInfeasible, 8, 504}, // reserved: not sent by locusd
+		{StatusConflict, 9, 409},
+		{StatusStoreFull, 10, 507},
+	} {
+		if uint8(tc.status) != tc.number {
+			t.Errorf("%v is number %d on the wire, want %d", tc.status, uint8(tc.status), tc.number)
+		}
+		if got := tc.status.HTTPStatus(); got != tc.http {
+			t.Errorf("%v.HTTPStatus() = %d, want %d", tc.status, got, tc.http)
 		}
 	}
 }
