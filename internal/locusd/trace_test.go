@@ -509,13 +509,7 @@ func TestTracePolicyElementTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := findRec(t, cfg.Tracer, resp.RequestID)
-	got := map[string]bool{}
-	for _, e := range rec.Policy {
-		got[e.Element] = true
-	}
-	for _, want := range []string{"cache"} {
-		if !got[want] {
-			t.Errorf("policy timing missing %q: %+v", want, rec.Policy)
-		}
+	if len(rec.Policy) != 1 || rec.Policy[0].Element != "cache" {
+		t.Errorf("policy timing = %+v, want the cache's alone", rec.Policy)
 	}
 }
